@@ -29,8 +29,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -69,7 +67,7 @@ from .programs import (
     compile_step,
 )
 
-__all__ = ["ScheduleRunner", "RunnerCheckpoint", "run_schedule", "replay_schedules"]
+__all__ = ["ScheduleRunner", "RunnerCheckpoint", "run_schedule"]
 
 
 class _ProgramState:
@@ -217,10 +215,10 @@ class ScheduleRunner:
               interleaving: Optional[Sequence[int]] = None) -> "ScheduleRunner":
         """Re-arm the runner for another run, skipping program re-validation.
 
-        The schedule-space explorer replays the same program set under
-        thousands of different interleavings; ``reset`` swaps in a fresh
-        engine and the next interleaving without rebuilding program state
-        dictionaries from scratch.  Returns ``self`` for chaining.
+        The from-scratch reference the trie executor is gated against
+        replays one program set under many interleavings; ``reset`` swaps in
+        a fresh engine and the next interleaving without rebuilding program
+        state dictionaries from scratch.  Returns ``self`` for chaining.
         """
         if engine is not None:
             self.engine = engine
@@ -713,24 +711,3 @@ def run_schedule(engine: Engine, programs: Sequence[TransactionProgram],
                  interleaving: Optional[Sequence[int]] = None) -> ExecutionOutcome:
     """Convenience wrapper: build a :class:`ScheduleRunner` and run it."""
     return ScheduleRunner(engine, programs, interleaving).run()
-
-
-def replay_schedules(engine_builder: "Callable[[], Engine]",
-                     programs: Sequence[TransactionProgram],
-                     interleavings: Iterable[Sequence[int]],
-                     ) -> "Iterator[ExecutionOutcome]":
-    """Run the same program set under many interleavings, one fresh engine each.
-
-    ``engine_builder`` must return a brand-new engine over a brand-new
-    database on every call — replays share nothing.  A single
-    :class:`ScheduleRunner` is reused via :meth:`ScheduleRunner.reset`, which
-    is the hot path of the schedule-space explorer.
-    """
-    runner: Optional[ScheduleRunner] = None
-    for interleaving in interleavings:
-        engine = engine_builder()
-        if runner is None:
-            runner = ScheduleRunner(engine, programs, interleaving)
-            yield runner.run()
-        else:
-            yield runner.replay(engine, interleaving)

@@ -21,15 +21,20 @@ produces byte-identical results — the equivalence tests fingerprint both.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.isolation import IsolationLevelName
 
 __all__ = [
+    "BATCH_KERNEL_MODES",
     "DEFAULT_LEVELS",
     "REDUCTIONS",
     "ExploreOptions",
+    "env_bool",
+    "env_choice",
+    "env_int",
 ]
 
 #: The Table 4 rows the coverage report mirrors by default.
@@ -44,8 +49,36 @@ DEFAULT_LEVELS: Tuple[IsolationLevelName, ...] = (
 #: Accepted reduction strategies.
 REDUCTIONS = ("none", "sleep-set")
 
+#: Accepted explicit batch-kernel modes (``None`` defers to the environment).
+BATCH_KERNEL_MODES = ("auto", "on", "off")
 
-def _env_bool(name: str, raw: str) -> bool:
+
+def env_int(name: str, default: Optional[int] = None, minimum: Optional[int] = None,
+            environ: Optional[Mapping[str, str]] = None) -> Optional[int]:
+    """``$name`` as an int, or ``default`` when unset.
+
+    This and its siblings are the one way ``EXPLORER_*`` variables are read:
+    a malformed value raises :class:`ValueError` naming the variable, whether
+    :meth:`ExploreOptions.from_env` or a worker deep in a pool reads it.
+    """
+    raw = (os.environ if environ is None else environ).get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {raw!r}")
+    return value
+
+
+def env_bool(name: str, default: Optional[bool] = None,
+             environ: Optional[Mapping[str, str]] = None) -> Optional[bool]:
+    """``$name`` as a boolean flag, or ``default`` when unset."""
+    raw = (os.environ if environ is None else environ).get(name)
+    if raw is None:
+        return default
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
@@ -55,11 +88,22 @@ def _env_bool(name: str, raw: str) -> bool:
                      f"(1/0/true/false/yes/no/on/off), got {raw!r}")
 
 
-def _env_int(name: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+def env_choice(name: str, choices: Sequence[str], default: Optional[str] = None,
+               environ: Optional[Mapping[str, str]] = None) -> Optional[str]:
+    """``$name`` as one of ``choices``, or ``default`` when unset."""
+    raw = (os.environ if environ is None else environ).get(name)
+    if raw is None:
+        return default
+    if raw not in choices:
+        raise ValueError(f"{name} must be one of {tuple(choices)}, got {raw!r}")
+    return raw
+
+
+def _or_auto(reader: Any, name: str, environ: Mapping[str, str]) -> Any:
+    """``reader``'s value for ``$name``, or the literal ``"auto"`` it also accepts."""
+    if environ.get(name, "").strip() == "auto":
+        return "auto"
+    return reader(name, environ=environ)
 
 
 @dataclass(frozen=True)
@@ -98,7 +142,7 @@ class ExploreOptions:
                 raise ValueError("workers must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.batch_kernel not in (None, "auto", "on", "off"):
+        if self.batch_kernel not in (None,) + BATCH_KERNEL_MODES:
             raise ValueError(
                 f"batch_kernel must be None, 'auto', 'on', or 'off', "
                 f"got {self.batch_kernel!r}")
@@ -144,47 +188,26 @@ class ExploreOptions:
         raise :class:`ValueError` naming the offending variable.
         """
         if environ is None:
-            import os
             environ = os.environ
-        values: dict = {}
+        values: dict = {
+            "mode": environ.get("EXPLORER_MODE"),
+            "max_schedules": env_int("EXPLORER_MAX_SCHEDULES", environ=environ),
+            "seed": env_int("EXPLORER_SEED", environ=environ),
+            "workers": _or_auto(env_int, "EXPLORER_WORKERS", environ),
+            "chunk_size": env_int("EXPLORER_CHUNK_SIZE", environ=environ),
+            "reduction": environ.get("EXPLORER_REDUCTION"),
+            "shared_cache": env_bool("EXPLORER_SHARED_CACHE", environ=environ),
+            "outcome_memo": _or_auto(env_bool, "EXPLORER_OUTCOME_MEMO", environ),
+            "static_pruning": env_bool("EXPLORER_STATIC_PRUNING", environ=environ),
+            "batch_kernel": env_choice("EXPLORER_BATCH_KERNEL", BATCH_KERNEL_MODES,
+                                       environ=environ),
+        }
         raw = environ.get("EXPLORER_LEVELS")
         if raw is not None:
             values["levels"] = tuple(
                 IsolationLevelName(part.strip())
                 for part in raw.split(",") if part.strip())
-        raw = environ.get("EXPLORER_MODE")
-        if raw is not None:
-            values["mode"] = raw
-        raw = environ.get("EXPLORER_MAX_SCHEDULES")
-        if raw is not None:
-            values["max_schedules"] = _env_int("EXPLORER_MAX_SCHEDULES", raw)
-        raw = environ.get("EXPLORER_SEED")
-        if raw is not None:
-            values["seed"] = _env_int("EXPLORER_SEED", raw)
-        raw = environ.get("EXPLORER_WORKERS")
-        if raw is not None:
-            values["workers"] = "auto" if raw.strip() == "auto" else _env_int(
-                "EXPLORER_WORKERS", raw)
-        raw = environ.get("EXPLORER_CHUNK_SIZE")
-        if raw is not None:
-            values["chunk_size"] = _env_int("EXPLORER_CHUNK_SIZE", raw)
-        raw = environ.get("EXPLORER_REDUCTION")
-        if raw is not None:
-            values["reduction"] = raw
-        raw = environ.get("EXPLORER_SHARED_CACHE")
-        if raw is not None:
-            values["shared_cache"] = _env_bool("EXPLORER_SHARED_CACHE", raw)
-        raw = environ.get("EXPLORER_OUTCOME_MEMO")
-        if raw is not None:
-            values["outcome_memo"] = (
-                "auto" if raw.strip() == "auto"
-                else _env_bool("EXPLORER_OUTCOME_MEMO", raw))
-        raw = environ.get("EXPLORER_STATIC_PRUNING")
-        if raw is not None:
-            values["static_pruning"] = _env_bool("EXPLORER_STATIC_PRUNING", raw)
-        raw = environ.get("EXPLORER_BATCH_KERNEL")
-        if raw is not None:
-            values["batch_kernel"] = raw
+        values = {knob: value for knob, value in values.items() if value is not None}
         values.update(overrides)
         return cls(**values)
 

@@ -5,11 +5,13 @@ interleaving; :mod:`repro.workloads.scenarios` replays exactly those.  This
 module upgrades the claim from an anecdote to a measurement: for one scenario
 variant under one isolation level, enumerate (or sample) the variant's entire
 interleaving space with :func:`~repro.explorer.schedules.schedule_space`,
-execute every schedule against a fresh engine, and evaluate the variant's
-``manifests`` predicate on every realized outcome.  The result per variant is
-a manifestation *set* — how many schedules produced the anomaly's wrong
-result, with the first manifesting interleaving recorded as a replayable
-witness — and per scenario a measured Table 4 cell:
+execute every schedule through one prefix-sharing
+:class:`~repro.explorer.trie_executor.TrieExecutor` (each outcome
+byte-identical to a run against a fresh database and a fresh engine), and
+evaluate the variant's ``manifests`` predicate on every realized outcome.  The
+result per variant is a manifestation *set* — how many schedules produced the
+anomaly's wrong result, with the first manifesting interleaving recorded as a
+replayable witness — and per scenario a measured Table 4 cell:
 
 * every variant manifests somewhere in its space → ``POSSIBLE``
 * no variant manifests anywhere                  → ``NOT_POSSIBLE``
@@ -34,14 +36,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.isolation import IsolationLevelName, Possibility
 from ..engine.programs import TransactionProgram
-from ..engine.scheduler import ScheduleRunner
 from ..static_analysis import Verdict, analyze_scenario_programs
-from ..testbed import make_engine
 from ..workloads.scenarios import AnomalyScenario, ScenarioVariant
 from .explorer import REDUCTIONS, terminal_scope_for
 from .options import ExploreOptions
 from .reduction import ExecutionPlan, build_execution_plan
 from .schedules import Interleaving, ScheduleSpace, schedule_space
+from .trie_executor import TrieExecutor
 
 __all__ = [
     "VariantExploration",
@@ -185,10 +186,17 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
     from the ``level`` argument — a variant exploration is per-level by
     construction).
 
-    Every schedule runs against a fresh database and a fresh engine for
-    ``level``; stalled outcomes are non-manifesting by definition (their
-    ``manifests`` predicate is never consulted), engine-aborted outcomes flow
-    through the predicate exactly like the curated path does.  The witness is
+    The space is walked by one stepwise
+    :class:`~repro.explorer.trie_executor.TrieExecutor` per call: a schedule
+    re-executes only the suffix past the prefix it shares with its DFS
+    predecessor, and by the executor's byte-equality contract its outcome is
+    the one a fresh database and a fresh engine for ``level`` would produce
+    (``tests/explorer/test_scenarios_trie.py`` holds the whole bridge to that
+    from-scratch oracle).  Nothing outlives the call — no executor, outcome or
+    verdict is cached across calls.  Stalled outcomes are non-manifesting by
+    definition (their ``manifests`` predicate is never consulted),
+    engine-aborted outcomes flow through the predicate exactly like the
+    curated path does.  The witness is
     the first manifesting schedule in the space's deterministic stream order;
     under reduction its recorded history is its class representative's
     (identical up to the order of commuting adjacent steps).
@@ -228,26 +236,27 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
         plan = _cached_plan(space, programs, terminal_scope_for(level))
         to_execute = plan.executed
 
-    runner: Optional[ScheduleRunner] = None
-    verdicts: List[_Verdict] = []
-    for schedule in to_execute:
-        database = variant.build_database()
-        engine = make_engine(database, level)
-        if runner is None:
-            runner = ScheduleRunner(engine, programs, schedule)
-            outcome = runner.run()
-        else:
-            outcome = runner.replay(engine, schedule)
-        verdicts.append(_Verdict(
-            manifested=False if outcome.stalled else variant.manifests(outcome),
+    # One executor per (variant, level): the stepwise trie walk, chosen on
+    # purpose — scenario programs are mostly cursor/predicate steps the batch
+    # kernel refuses, and "auto" would import numpy for no wall gain.  The
+    # outcome's database is the executor's shared one, so each verdict is
+    # read off at yield time, before the next schedule restores over it.
+    executor = TrieExecutor(variant.build_database(), programs, level,
+                            batch_kernel="off")
+    verdicts: List[Optional[_Verdict]] = [None] * len(to_execute)
+    for index, outcome in executor.run_batch(to_execute):
+        manifested = not outcome.stalled and variant.manifests(outcome)
+        verdicts[index] = _Verdict(
+            manifested=manifested,
             stalled=outcome.stalled,
             deadlocked=bool(outcome.deadlocks),
             engine_aborted=any(
                 reason != "program abort"
                 for reason in outcome.abort_reasons.values()
             ),
-            history=outcome.history.to_shorthand(),
-        ))
+            # Only a manifesting verdict can become the witness.
+            history=outcome.history.to_shorthand() if manifested else "",
+        )
 
     manifested = stalled = deadlocked = engine_aborted = 0
     witness: Optional[Interleaving] = None

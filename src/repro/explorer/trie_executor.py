@@ -33,7 +33,6 @@ uses it.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.isolation import IsolationLevelName
@@ -43,11 +42,10 @@ from ..engine.scheduler import RunnerCheckpoint, ScheduleRunner
 from ..storage.database import Database
 from ..testbed import make_engine
 from .batch_kernel import BatchStats, build_batch_kernel
+from .options import BATCH_KERNEL_MODES, env_bool, env_choice
 from .schedules import Interleaving
 
 __all__ = ["TrieExecutor", "TrieStats"]
-
-_BATCH_KERNEL_MODES = ("auto", "on", "off")
 
 
 class TrieStats:
@@ -120,11 +118,12 @@ class TrieExecutor:
         if checkpoint_spacing < 1:
             raise ValueError("checkpoint_spacing must be >= 1")
         if compiled is None:
-            compiled = os.environ.get("EXPLORER_COMPILED_KERNEL", "1") != "0"
+            compiled = env_bool("EXPLORER_COMPILED_KERNEL", True)
         if batch_kernel is None:
-            batch_kernel = os.environ.get("EXPLORER_BATCH_KERNEL", "auto")
-        if batch_kernel not in _BATCH_KERNEL_MODES:
-            raise ValueError(f"batch_kernel must be one of {_BATCH_KERNEL_MODES},"
+            batch_kernel = env_choice("EXPLORER_BATCH_KERNEL",
+                                      BATCH_KERNEL_MODES, "auto")
+        if batch_kernel not in BATCH_KERNEL_MODES:
+            raise ValueError(f"batch_kernel must be one of {BATCH_KERNEL_MODES},"
                              f" got {batch_kernel!r}")
         self.level = level
         self.spacing = checkpoint_spacing

@@ -38,7 +38,6 @@ worker that misses an entry simply recomputes it.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -53,6 +52,7 @@ from .memo import (
     ScheduleOutcome,
     ScheduleOutcomeMemo,
 )
+from .options import env_int
 from .reduction import terminal_scope_for
 from .schedules import Interleaving
 from .trie_executor import TrieExecutor
@@ -90,15 +90,6 @@ def _shared_log_key(proxy: Any) -> Optional[str]:
         return None
 
 
-def _shared_log_cap() -> int:
-    """Entry cap for shared logs; ``-1`` disables (read per publish, cheap)."""
-    try:
-        return int(os.environ.get("EXPLORER_SHARED_LOG_CAP",
-                                  str(SHARED_LOG_CAP_DEFAULT)))
-    except ValueError:
-        return SHARED_LOG_CAP_DEFAULT
-
-
 def _shared_snapshot(proxy: Any) -> Dict[str, HistoryClassification]:
     """Merged view of a shared classification log, pulled incrementally.
 
@@ -134,7 +125,8 @@ def _publish_shared(proxy: Any, fresh: Dict[str, HistoryClassification]) -> bool
     Returns ``False`` (dropping the batch) when the log has reached the
     ``EXPLORER_SHARED_LOG_CAP`` entry cap — see the module docstring.
     """
-    cap = _shared_log_cap()
+    # Read per publish (cheap); ``-1`` disables the cap.
+    cap = env_int("EXPLORER_SHARED_LOG_CAP", SHARED_LOG_CAP_DEFAULT)
     if cap >= 0 and _shared_log_total(proxy) + len(fresh) > cap:
         return False
     proxy.append(fresh)
@@ -245,7 +237,7 @@ def _testbed_for(task: ChunkTask) -> Tuple[TrieExecutor, Tuple[str, ...],
     # EXPLORER_CHECKPOINT_SPACING bounds live checkpoints to roughly
     # total_slots/spacing per testbed, trading re-executed slots for memory
     # (see README "Performance knobs"); 1 checkpoints at every branch point.
-    spacing = int(os.environ.get("EXPLORER_CHECKPOINT_SPACING", "1"))
+    spacing = env_int("EXPLORER_CHECKPOINT_SPACING", 1, minimum=1)
     executor = TrieExecutor(database, programs, task.level,
                             checkpoint_spacing=spacing,
                             batch_kernel=task.batch_kernel)

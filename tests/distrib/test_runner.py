@@ -100,7 +100,7 @@ def test_distrib_campaign_is_cross_resumable_with_serial_explore(tmp_path,
                                                                  control):
     """The runner writes the same campaign a serial explore(store=...) run
     would: serial code can finish what the distributed runner started."""
-    from repro.explorer import explore
+    from repro.explorer import ExploreOptions, explore
 
     render, fingerprint = control
     store = SqliteStore(tmp_path / "cross.sqlite")
@@ -108,8 +108,9 @@ def test_distrib_campaign_is_cross_resumable_with_serial_explore(tmp_path,
     runner, result = _run(store, workers=1, faults=plan, max_respawns=0)
     assert not result.success                      # stopped partway
 
-    explore(SPEC, max_schedules=N, seed=SEED, chunk_size=CHUNK,
-            reduction="none", store=store, campaign_id=runner.campaign_id)
+    explore(SPEC, ExploreOptions(
+        max_schedules=N, seed=SEED, chunk_size=CHUNK,
+        reduction="none", store=store, campaign_id=runner.campaign_id))
     assert fingerprint_from_store(store, runner.campaign_id) == fingerprint
     assert coverage_report_from_store(store, runner.campaign_id).render() \
         == render

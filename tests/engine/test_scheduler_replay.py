@@ -1,9 +1,9 @@
-"""The scheduler's reset/replay entry point (the explorer's hot path)."""
+"""The scheduler's reset/replay entry point (the from-scratch reference path)."""
 
 from __future__ import annotations
 
 from repro.core.isolation import IsolationLevelName
-from repro.engine.scheduler import ScheduleRunner, replay_schedules, run_schedule
+from repro.engine.scheduler import ScheduleRunner, run_schedule
 from repro.testbed import make_engine
 from repro.workloads.program_sets import ProgramSetSpec, build_program_set
 
@@ -42,15 +42,3 @@ class TestReplay:
         assert second.blocked_events == 0
         assert not second.deadlocks
         assert len(second.history.operations) == len(first.history.operations)
-
-    def test_replay_schedules_generator(self):
-        def builder():
-            engine, _ = _fresh()
-            return engine
-
-        _, programs = _fresh()
-        interleavings = [(1, 2, 1, 2, 1, 2), (1, 1, 1, 2, 2, 2)]
-        outcomes = list(replay_schedules(builder, programs, interleavings))
-        assert len(outcomes) == 2
-        assert outcomes[0].history.to_shorthand() != outcomes[1].history.to_shorthand()
-        assert all(outcome.all_committed() for outcome in outcomes)

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.core.isolation import IsolationLevelName
-from repro.explorer import explore
+from repro.explorer import ExploreOptions, explore
 from repro.explorer import batch_kernel as batch_kernel_module
 from repro.explorer.batch_kernel import BatchStats, build_batch_kernel, numpy_available
 from repro.explorer.schedules import schedule_space
@@ -212,10 +212,10 @@ def test_explore_records_identical_with_and_without_kernel():
     """explore(batch_kernel=...) never changes records, only speed."""
     levels = (IsolationLevelName.READ_COMMITTED,
               IsolationLevelName.SNAPSHOT_ISOLATION)
-    on = explore(CONTENTION, levels=levels, mode="sample", max_schedules=200,
-                 seed=6, batch_kernel="on")
-    off = explore(CONTENTION, levels=levels, mode="sample", max_schedules=200,
-                  seed=6, batch_kernel="off")
+    on = explore(CONTENTION, ExploreOptions(
+        levels=levels, mode="sample", max_schedules=200, seed=6, batch_kernel="on"))
+    off = explore(CONTENTION, ExploreOptions(
+        levels=levels, mode="sample", max_schedules=200, seed=6, batch_kernel="off"))
     assert on.fingerprint() == off.fingerprint()
 
 

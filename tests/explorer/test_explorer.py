@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.coverage import build_coverage_report
 from repro.core.isolation import IsolationLevelName, Possibility
-from repro.explorer import ProgramSetSpec, explore
+from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 
 LEVELS_FAST = (
     IsolationLevelName.READ_COMMITTED,
@@ -20,8 +20,8 @@ LEVELS_FAST = (
 class TestExhaustiveMode:
     def test_explores_exactly_the_multinomial_space_for_two_programs(self):
         spec = ProgramSetSpec.make("increments", transactions=2)
-        result = explore(spec, levels=LEVELS_FAST, mode="exhaustive",
-                         max_schedules=50)
+        result = explore(spec, ExploreOptions(
+            levels=LEVELS_FAST, mode="exhaustive", max_schedules=50))
         expected = math.factorial(6) // (math.factorial(3) ** 2)
         assert result.space.total == expected == 20
         for exploration in result.levels.values():
@@ -30,16 +30,17 @@ class TestExhaustiveMode:
 
     def test_three_tiny_programs_match_the_formula(self):
         spec = ProgramSetSpec.make("increments", transactions=3)
-        result = explore(spec, levels=[IsolationLevelName.SERIALIZABLE],
-                         mode="exhaustive", max_schedules=2000)
+        result = explore(spec, ExploreOptions(
+            levels=[IsolationLevelName.SERIALIZABLE],
+            mode="exhaustive", max_schedules=2000))
         expected = math.factorial(9) // (math.factorial(3) ** 3)
         assert result.space.total == expected == 1680
         assert result.total_schedules() == expected
 
     def test_every_record_ran_to_completion(self):
         spec = ProgramSetSpec.make("bank-transfer")
-        result = explore(spec, levels=LEVELS_FAST, mode="exhaustive",
-                         max_schedules=300)
+        result = explore(spec, ExploreOptions(
+            levels=LEVELS_FAST, mode="exhaustive", max_schedules=300))
         for exploration in result.levels.values():
             for record in exploration.records:
                 assert not record.stalled
@@ -49,35 +50,41 @@ class TestExhaustiveMode:
 class TestDeterminism:
     def test_same_seed_identical_schedule_set_and_fingerprint(self):
         spec = ProgramSetSpec.make("contention", transactions=4)
-        first = explore(spec, levels=LEVELS_FAST, mode="sample",
-                        max_schedules=60, seed=13)
-        second = explore(spec, levels=LEVELS_FAST, mode="sample",
-                         max_schedules=60, seed=13)
+        first = explore(spec, ExploreOptions(
+            levels=LEVELS_FAST, mode="sample", max_schedules=60, seed=13))
+        second = explore(spec, ExploreOptions(
+            levels=LEVELS_FAST, mode="sample", max_schedules=60, seed=13))
         assert first.space.schedules == second.space.schedules
         assert first.fingerprint() == second.fingerprint()
 
     def test_different_seed_different_schedules(self):
         spec = ProgramSetSpec.make("contention", transactions=4)
-        first = explore(spec, levels=[IsolationLevelName.SERIALIZABLE],
-                        mode="sample", max_schedules=40, seed=1)
-        second = explore(spec, levels=[IsolationLevelName.SERIALIZABLE],
-                         mode="sample", max_schedules=40, seed=2)
+        first = explore(spec, ExploreOptions(
+            levels=[IsolationLevelName.SERIALIZABLE],
+            mode="sample", max_schedules=40, seed=1))
+        second = explore(spec, ExploreOptions(
+            levels=[IsolationLevelName.SERIALIZABLE],
+            mode="sample", max_schedules=40, seed=2))
         assert first.space.schedules != second.space.schedules
 
     def test_chunk_size_does_not_change_results(self):
         spec = ProgramSetSpec.make("write-skew")
-        coarse = explore(spec, levels=LEVELS_FAST, max_schedules=100, chunk_size=64)
-        fine = explore(spec, levels=LEVELS_FAST, max_schedules=100, chunk_size=7)
+        coarse = explore(spec, ExploreOptions(
+            levels=LEVELS_FAST, max_schedules=100, chunk_size=64))
+        fine = explore(spec, ExploreOptions(
+            levels=LEVELS_FAST, max_schedules=100, chunk_size=7))
         assert coarse.fingerprint() == fine.fingerprint()
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_parallel_results_byte_identical_to_serial(self, workers):
         spec = ProgramSetSpec.make("contention", transactions=3,
                                    operations_per_transaction=2)
-        serial = explore(spec, levels=LEVELS_FAST, mode="sample",
-                         max_schedules=80, seed=5, workers=1, chunk_size=10)
-        parallel = explore(spec, levels=LEVELS_FAST, mode="sample",
-                           max_schedules=80, seed=5, workers=workers, chunk_size=10)
+        serial = explore(spec, ExploreOptions(
+            levels=LEVELS_FAST, mode="sample",
+            max_schedules=80, seed=5, workers=1, chunk_size=10))
+        parallel = explore(spec, ExploreOptions(
+            levels=LEVELS_FAST, mode="sample",
+            max_schedules=80, seed=5, workers=workers, chunk_size=10))
         assert serial.fingerprint() == parallel.fingerprint()
         for level in LEVELS_FAST:
             assert serial.levels[level].records == parallel.levels[level].records
@@ -85,19 +92,20 @@ class TestDeterminism:
     def test_invalid_configuration_rejected(self):
         spec = ProgramSetSpec.make("write-skew")
         with pytest.raises(ValueError):
-            explore(spec, workers=0)
+            explore(spec, ExploreOptions(workers=0))
         with pytest.raises(ValueError):
-            explore(spec, chunk_size=0)
+            explore(spec, ExploreOptions(chunk_size=0))
         with pytest.raises(ValueError):
-            explore(spec, workers="turbo")
+            explore(spec, ExploreOptions(workers="turbo"))
         with pytest.raises(ValueError):
-            explore(spec, reduction="everything")
+            explore(spec, ExploreOptions(reduction="everything"))
 
     def test_streaming_matches_the_materialized_path(self):
         """Memory-bounded iteration realizes the same records as a materialized run."""
         spec = ProgramSetSpec.make("contention", transactions=4)
-        result = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                         mode="sample", max_schedules=120, seed=9, chunk_size=16)
+        result = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="sample", max_schedules=120, seed=9, chunk_size=16))
         # The explorer streamed; nothing was materialized as a side effect.
         assert result.space._materialized is None
 
@@ -114,12 +122,14 @@ class TestDeterminism:
     def test_shared_cache_does_not_change_results(self):
         spec = ProgramSetSpec.make("contention", transactions=3,
                                    operations_per_transaction=2)
-        cached = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                         mode="sample", max_schedules=60, seed=4, workers=2,
-                         chunk_size=8, shared_cache=True)
-        uncached = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                           mode="sample", max_schedules=60, seed=4, workers=2,
-                           chunk_size=8, shared_cache=False)
+        cached = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="sample", max_schedules=60, seed=4, workers=2,
+            chunk_size=8, shared_cache=True))
+        uncached = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="sample", max_schedules=60, seed=4, workers=2,
+            chunk_size=8, shared_cache=False))
         assert cached.fingerprint() == uncached.fingerprint()
         stats = cached.levels[IsolationLevelName.READ_COMMITTED].cache_stats
         assert "shared_hits" in stats and "shared_published" in stats
@@ -130,29 +140,33 @@ class TestWorkerAutoResolution:
         import repro.explorer.explorer as explorer_module
         monkeypatch.setattr(explorer_module, "available_workers", lambda: 2)
         spec = ProgramSetSpec.make("write-skew")
-        result = explore(spec, levels=(IsolationLevelName.SERIALIZABLE,),
-                         mode="exhaustive", max_schedules=100, workers="auto")
+        result = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.SERIALIZABLE,),
+            mode="exhaustive", max_schedules=100, workers="auto"))
         assert result.workers == 2
 
     def test_workers_auto_matches_serial_fingerprint(self, monkeypatch):
         import repro.explorer.explorer as explorer_module
         monkeypatch.setattr(explorer_module, "available_workers", lambda: 2)
         spec = ProgramSetSpec.make("increments", transactions=2)
-        serial = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                         mode="exhaustive", max_schedules=50, workers=1)
-        auto = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                       mode="exhaustive", max_schedules=50, workers="auto")
+        serial = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="exhaustive", max_schedules=50, workers=1))
+        auto = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="exhaustive", max_schedules=50, workers="auto"))
         assert auto.fingerprint() == serial.fingerprint()
 
 
 class TestCoverageReport:
     def test_lost_update_is_witnessed_where_the_paper_says(self):
         spec = ProgramSetSpec.make("increments", transactions=2)
-        result = explore(spec, levels=(
-            IsolationLevelName.READ_COMMITTED,
-            IsolationLevelName.REPEATABLE_READ,
-            IsolationLevelName.SNAPSHOT_ISOLATION,
-        ), mode="exhaustive", max_schedules=50)
+        result = explore(spec, ExploreOptions(
+            levels=(
+                IsolationLevelName.READ_COMMITTED,
+                IsolationLevelName.REPEATABLE_READ,
+                IsolationLevelName.SNAPSHOT_ISOLATION,
+            ), mode="exhaustive", max_schedules=50))
         report = build_coverage_report(result)
         assert report.witnessed(IsolationLevelName.READ_COMMITTED, "P4") > 0
         assert report.witnessed(IsolationLevelName.REPEATABLE_READ, "P4") == 0
@@ -164,10 +178,11 @@ class TestCoverageReport:
 
     def test_write_skew_separates_si_from_serializable(self):
         spec = ProgramSetSpec.make("write-skew")
-        result = explore(spec, levels=(
-            IsolationLevelName.SNAPSHOT_ISOLATION,
-            IsolationLevelName.SERIALIZABLE,
-        ), mode="exhaustive", max_schedules=100)
+        result = explore(spec, ExploreOptions(
+            levels=(
+                IsolationLevelName.SNAPSHOT_ISOLATION,
+                IsolationLevelName.SERIALIZABLE,
+            ), mode="exhaustive", max_schedules=100))
         report = build_coverage_report(result)
         si = report.levels[IsolationLevelName.SNAPSHOT_ISOLATION]
         assert report.witnessed(IsolationLevelName.SNAPSHOT_ISOLATION, "A5B") > 0
@@ -178,8 +193,9 @@ class TestCoverageReport:
 
     def test_possibility_mapping_and_render(self):
         spec = ProgramSetSpec.make("increments", transactions=2)
-        result = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                         mode="exhaustive", max_schedules=50)
+        result = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="exhaustive", max_schedules=50))
         report = build_coverage_report(result, codes=("P4", "P0"))
         coverage = report.levels[IsolationLevelName.READ_COMMITTED]
         assert coverage.phenomena["P4"].possibility is Possibility.POSSIBLE
@@ -190,8 +206,9 @@ class TestCoverageReport:
 
     def test_cache_statistics_are_reported(self):
         spec = ProgramSetSpec.make("increments", transactions=2)
-        result = explore(spec, levels=(IsolationLevelName.SERIALIZABLE,),
-                         mode="exhaustive", max_schedules=50)
+        result = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.SERIALIZABLE,),
+            mode="exhaustive", max_schedules=50))
         stats = result.levels[IsolationLevelName.SERIALIZABLE].cache_stats
         # The small exhaustive space turns the outcome memo on ("auto"):
         # only one canonical member per commutation-equivalence class is
@@ -207,9 +224,10 @@ class TestCoverageReport:
 
     def test_outcome_memo_off_classifies_every_schedule(self):
         spec = ProgramSetSpec.make("increments", transactions=2)
-        result = explore(spec, levels=(IsolationLevelName.SERIALIZABLE,),
-                         mode="exhaustive", max_schedules=50,
-                         outcome_memo=False)
+        result = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.SERIALIZABLE,),
+            mode="exhaustive", max_schedules=50,
+            outcome_memo=False))
         stats = result.levels[IsolationLevelName.SERIALIZABLE].cache_stats
         assert not result.outcome_memo
         assert stats["hits"] + stats["misses"] == 20
@@ -221,8 +239,9 @@ class TestScale:
         """The acceptance-criteria scale: >= 10k interleavings of a contention set."""
         spec = ProgramSetSpec.make("contention", transactions=4, items=4,
                                    hot_items=2, operations_per_transaction=2)
-        result = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                         mode="sample", max_schedules=10_000, seed=42)
+        result = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="sample", max_schedules=10_000, seed=42))
         assert result.total_schedules() == 10_000
         # The stream was never materialized into a schedule list.
         assert result.space._materialized is None
@@ -236,8 +255,9 @@ class TestScale:
         """Oversampling a small space yields every distinct schedule exactly once."""
         spec = ProgramSetSpec.make("contention", transactions=3, items=3,
                                    hot_items=1, operations_per_transaction=1)
-        result = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                         mode="sample", max_schedules=10_000, seed=42)
+        result = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="sample", max_schedules=10_000, seed=42))
         assert result.space.total == 560
         assert result.total_schedules() == 560
         assert result.space.distinct == 560

@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.isolation import IsolationLevelName
-from repro.explorer import ExploreOptions, explore
+from repro.explorer import ExploreOptions, explore, worker
 from repro.explorer.options import DEFAULT_LEVELS, REDUCTIONS
-from repro.workloads.program_sets import ProgramSetSpec
+from repro.explorer.trie_executor import TrieExecutor
+from repro.workloads.program_sets import ProgramSetSpec, build_program_set
 
 SPEC = ProgramSetSpec.make("contention", transactions=2, items=2, hot_items=1,
                            operations_per_transaction=2)
@@ -144,6 +145,37 @@ class TestFromEnv:
     def test_invalid_level_name_rejected(self):
         with pytest.raises(ValueError):
             ExploreOptions.from_env({"EXPLORER_LEVELS": "CHAOS MODE"})
+
+
+def _serial_explore():
+    explore(SPEC, ExploreOptions(levels=LEVELS[:1], mode="sample",
+                                 max_schedules=4))
+
+
+def _build_executor():
+    TrieExecutor(*build_program_set(SPEC), LEVELS[0])
+
+
+class TestExecutorEnvVars:
+    """The variables read below ``from_env`` — inside the executor and the
+    workers — fail closed with the same named error ``from_env`` raises.
+    """
+
+    @pytest.mark.parametrize("name,raw,trigger", [
+        ("EXPLORER_CHECKPOINT_SPACING", "abc", _serial_explore),
+        ("EXPLORER_CHECKPOINT_SPACING", "0", _serial_explore),
+        ("EXPLORER_SHARED_LOG_CAP", "abc",
+         lambda: worker._publish_shared([], {})),
+        ("EXPLORER_BATCH_KERNEL", "fast", _build_executor),
+        ("EXPLORER_BATCH_KERNEL", "fast", ExploreOptions.from_env),
+        ("EXPLORER_COMPILED_KERNEL", "maybe", _build_executor),
+    ])
+    def test_malformed_values_name_the_variable(self, monkeypatch, name, raw,
+                                                trigger):
+        monkeypatch.setattr(worker, "_TESTBED_CACHE", {})  # force a build
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=f"{name} must be .*{raw!r}"):
+            trigger()
 
 
 class TestLegacyEquivalence:

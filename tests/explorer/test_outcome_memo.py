@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.coverage import coverage_mismatches
 from repro.core.isolation import IsolationLevelName
-from repro.explorer import ProgramSetSpec, explore
+from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.explorer.memo import ScheduleOutcome, ScheduleOutcomeMemo
 from repro.explorer.worker import ChunkTask, execute_chunk
 from repro.workloads.program_sets import build_program_set
@@ -66,29 +66,33 @@ class TestMemoUnit:
 
 class TestMemoDeterminism:
     def test_hit_miss_split_does_not_change_records_across_worker_counts(self):
-        serial = explore(SPEC, levels=LEVELS, mode="exhaustive",
-                         max_schedules=300, outcome_memo=True, workers=1,
-                         chunk_size=16)
-        parallel = explore(SPEC, levels=LEVELS, mode="exhaustive",
-                           max_schedules=300, outcome_memo=True, workers=2,
-                           chunk_size=7)
+        serial = explore(SPEC, ExploreOptions(
+            levels=LEVELS, mode="exhaustive",
+            max_schedules=300, outcome_memo=True, workers=1,
+            chunk_size=16))
+        parallel = explore(SPEC, ExploreOptions(
+            levels=LEVELS, mode="exhaustive",
+            max_schedules=300, outcome_memo=True, workers=2,
+            chunk_size=7))
         assert serial.outcome_memo and parallel.outcome_memo
         assert serial.fingerprint() == parallel.fingerprint()
         for level in LEVELS:
             assert serial.levels[level].records == parallel.levels[level].records
 
     def test_chunk_size_does_not_change_records(self):
-        coarse = explore(SPEC, levels=LEVELS, mode="exhaustive",
-                         max_schedules=300, outcome_memo=True, chunk_size=64)
-        fine = explore(SPEC, levels=LEVELS, mode="exhaustive",
-                       max_schedules=300, outcome_memo=True, chunk_size=5)
+        coarse = explore(SPEC, ExploreOptions(
+            levels=LEVELS, mode="exhaustive",
+            max_schedules=300, outcome_memo=True, chunk_size=64))
+        fine = explore(SPEC, ExploreOptions(
+            levels=LEVELS, mode="exhaustive",
+            max_schedules=300, outcome_memo=True, chunk_size=5))
         assert coarse.fingerprint() == fine.fingerprint()
 
     def test_warm_memo_changes_executed_counts_but_never_records(self):
-        first = explore(SPEC, levels=LEVELS, mode="exhaustive",
-                        max_schedules=300, outcome_memo=True)
-        second = explore(SPEC, levels=LEVELS, mode="exhaustive",
-                         max_schedules=300, outcome_memo=True)
+        first = explore(SPEC, ExploreOptions(
+            levels=LEVELS, mode="exhaustive", max_schedules=300, outcome_memo=True))
+        second = explore(SPEC, ExploreOptions(
+            levels=LEVELS, mode="exhaustive", max_schedules=300, outcome_memo=True))
         assert first.fingerprint() == second.fingerprint()
         # The serial path shares one per-process memo: the second run is
         # answered entirely from it.
@@ -98,51 +102,56 @@ class TestMemoDeterminism:
 
 class TestMemoSoundness:
     def test_coverage_matches_full_enumeration(self):
-        full = explore(SPEC, levels=LEVELS, mode="exhaustive",
-                       max_schedules=300, outcome_memo=False)
-        memoized = explore(SPEC, levels=LEVELS, mode="exhaustive",
-                           max_schedules=300, outcome_memo=True)
+        full = explore(SPEC, ExploreOptions(
+            levels=LEVELS, mode="exhaustive", max_schedules=300, outcome_memo=False))
+        memoized = explore(SPEC, ExploreOptions(
+            levels=LEVELS, mode="exhaustive", max_schedules=300, outcome_memo=True))
         assert coverage_mismatches(full, memoized, levels=LEVELS) == []
         assert memoized.total_schedules() == full.total_schedules()
 
     def test_records_keep_their_own_interleavings(self):
-        result = explore(SPEC, levels=(IsolationLevelName.READ_COMMITTED,),
-                         mode="exhaustive", max_schedules=300,
-                         outcome_memo=True)
+        result = explore(SPEC, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="exhaustive", max_schedules=300,
+            outcome_memo=True))
         records = result.levels[IsolationLevelName.READ_COMMITTED].records
         assert len({record.interleaving for record in records}) == len(records)
 
     def test_auto_policy(self):
-        small = explore(SPEC, levels=(IsolationLevelName.READ_COMMITTED,),
-                        mode="exhaustive", max_schedules=300)
+        small = explore(SPEC, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="exhaustive", max_schedules=300))
         assert small.outcome_memo  # 252-schedule space: auto turns it on
         big = explore(ProgramSetSpec.make("contention", transactions=4, items=4,
                                           hot_items=2,
                                           operations_per_transaction=2),
-                      levels=(IsolationLevelName.READ_COMMITTED,),
-                      mode="sample", max_schedules=50, seed=3)
+                      ExploreOptions(levels=(IsolationLevelName.READ_COMMITTED,),
+                                     mode="sample", max_schedules=50, seed=3))
         assert not big.outcome_memo  # sparse sample of a ~1e10 space
-        reduced = explore(SPEC, levels=(IsolationLevelName.READ_COMMITTED,),
-                          mode="exhaustive", max_schedules=300,
-                          reduction="sleep-set")
+        reduced = explore(SPEC, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="exhaustive", max_schedules=300,
+            reduction="sleep-set"))
         assert not reduced.outcome_memo  # reduction already dedupes classes
 
     def test_invalid_value_rejected(self):
         with pytest.raises(ValueError):
-            explore(SPEC, outcome_memo="always")
+            explore(SPEC, ExploreOptions(outcome_memo="always"))
 
 
 class TestSharedOutcomeLog:
     def test_workers_share_outcomes_through_the_log(self):
-        result = explore(SPEC, levels=(IsolationLevelName.READ_COMMITTED,),
-                         mode="exhaustive", max_schedules=300,
-                         outcome_memo=True, workers=2, chunk_size=16,
-                         shared_cache=True)
+        result = explore(SPEC, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="exhaustive", max_schedules=300,
+            outcome_memo=True, workers=2, chunk_size=16,
+            shared_cache=True))
         stats = result.levels[IsolationLevelName.READ_COMMITTED].cache_stats
         assert "outcomes_published" in stats
-        serial = explore(SPEC, levels=(IsolationLevelName.READ_COMMITTED,),
-                         mode="exhaustive", max_schedules=300,
-                         outcome_memo=True, workers=1)
+        serial = explore(SPEC, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="exhaustive", max_schedules=300,
+            outcome_memo=True, workers=1))
         assert result.fingerprint() == serial.fingerprint()
 
     def test_execute_chunk_memoized_equals_plain(self):

@@ -16,6 +16,7 @@ from repro.analysis.coverage import coverage_mismatches
 from repro.core.isolation import IsolationLevelName
 from repro.explorer import (
     CommutationOracle,
+    ExploreOptions,
     ProgramSetSpec,
     build_execution_plan,
     build_program_set,
@@ -171,40 +172,46 @@ class TestSoundnessGate:
         # outcome_memo=False: the reference must be a true full enumeration
         # (the schedule-outcome memo would skip equivalent schedules itself,
         # making the executed-count comparison below meaningless).
-        full = explore(spec, levels=GATE_LEVELS, mode="exhaustive",
-                       max_schedules=GATE_SPACE_LIMIT, outcome_memo=False)
-        reduced = explore(spec, levels=GATE_LEVELS, mode="exhaustive",
-                          max_schedules=GATE_SPACE_LIMIT,
-                          reduction="sleep-set")
+        full = explore(spec, ExploreOptions(
+            levels=GATE_LEVELS, mode="exhaustive",
+            max_schedules=GATE_SPACE_LIMIT, outcome_memo=False))
+        reduced = explore(spec, ExploreOptions(
+            levels=GATE_LEVELS, mode="exhaustive",
+            max_schedules=GATE_SPACE_LIMIT,
+            reduction="sleep-set"))
         assert reduced.executed_schedules() <= full.executed_schedules()
         assert reduced.total_schedules() == full.total_schedules()
         assert_identical_coverage(full, reduced)
 
     def test_reduction_achieves_at_least_2x_on_a_registered_set(self):
         result = explore(ProgramSetSpec.make("sharded-increments"),
-                         levels=GATE_LEVELS, mode="exhaustive",
-                         max_schedules=100, reduction="sleep-set")
+                         ExploreOptions(levels=GATE_LEVELS, mode="exhaustive",
+                                        max_schedules=100, reduction="sleep-set"))
         assert result.reduction_ratio() >= 2.0
 
     def test_reduction_is_deterministic_and_worker_independent(self):
         spec = ProgramSetSpec.make("bank-transfer")
-        serial = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                         mode="exhaustive", max_schedules=300,
-                         reduction="sleep-set", workers=1, chunk_size=16)
-        parallel = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                           mode="exhaustive", max_schedules=300,
-                           reduction="sleep-set", workers=2, chunk_size=7)
+        serial = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="exhaustive", max_schedules=300,
+            reduction="sleep-set", workers=1, chunk_size=16))
+        parallel = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="exhaustive", max_schedules=300,
+            reduction="sleep-set", workers=2, chunk_size=7))
         assert serial.fingerprint() == parallel.fingerprint()
         assert serial.executed_schedules() == parallel.executed_schedules()
 
     def test_reduction_also_applies_to_sampled_streams(self):
         spec = ProgramSetSpec.make("contention", transactions=3,
                                    operations_per_transaction=2, seed=1)
-        full = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                       mode="sample", max_schedules=80, seed=3)
-        reduced = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                          mode="sample", max_schedules=80, seed=3,
-                          reduction="sleep-set")
+        full = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="sample", max_schedules=80, seed=3))
+        reduced = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="sample", max_schedules=80, seed=3,
+            reduction="sleep-set"))
         assert reduced.total_schedules() == full.total_schedules() == 80
         assert reduced.executed_schedules() <= full.executed_schedules()
         assert_identical_coverage(full, reduced,
@@ -244,10 +251,11 @@ class TestStreamingReducer:
         """explore(reduction=...) on a sampled stream keeps the space lazy."""
         spec = ProgramSetSpec.make("contention", transactions=4, items=6,
                                    hot_items=2, operations_per_transaction=2)
-        result = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,
-                                       IsolationLevelName.SNAPSHOT_ISOLATION),
-                         mode="sample", max_schedules=300, seed=21,
-                         reduction="sleep-set", chunk_size=32)
+        result = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,
+                          IsolationLevelName.SNAPSHOT_ISOLATION),
+            mode="sample", max_schedules=300, seed=21,
+            reduction="sleep-set", chunk_size=32))
         assert result.space._materialized is None
         assert result.total_schedules() == 600
         assert result.executed_schedules() <= 600
@@ -257,8 +265,9 @@ class TestStreamingReducer:
                                    hot_items=1, operations_per_transaction=2)
         levels = (IsolationLevelName.READ_COMMITTED,
                   IsolationLevelName.SNAPSHOT_ISOLATION)
-        full = explore(spec, levels=levels, mode="sample", max_schedules=200,
-                       seed=3)
-        reduced = explore(spec, levels=levels, mode="sample", max_schedules=200,
-                          seed=3, reduction="sleep-set")
+        full = explore(spec, ExploreOptions(
+            levels=levels, mode="sample", max_schedules=200, seed=3))
+        reduced = explore(spec, ExploreOptions(
+            levels=levels, mode="sample", max_schedules=200,
+            seed=3, reduction="sleep-set"))
         assert coverage_mismatches(full, reduced, levels=levels) == []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import multiprocessing
 
 from repro.core.isolation import IsolationLevelName
-from repro.explorer import ProgramSetSpec, explore
+from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.explorer.memo import HistoryClassification
 from repro.explorer.worker import (
     _SHARED_LOG_STATE,
@@ -73,12 +73,14 @@ class TestSharedCacheEndToEnd:
     def test_shared_log_changes_no_records(self):
         spec = ProgramSetSpec.make("contention", transactions=3, items=3,
                                    hot_items=2, operations_per_transaction=2)
-        with_log = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                           mode="sample", max_schedules=48, seed=6, workers=2,
-                           chunk_size=8, shared_cache=True)
-        without = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                          mode="sample", max_schedules=48, seed=6, workers=2,
-                          chunk_size=8, shared_cache=False)
+        with_log = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="sample", max_schedules=48, seed=6, workers=2,
+            chunk_size=8, shared_cache=True))
+        without = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="sample", max_schedules=48, seed=6, workers=2,
+            chunk_size=8, shared_cache=False))
         assert with_log.fingerprint() == without.fingerprint()
 
     def test_manager_list_proxy_round_trips(self):
@@ -123,19 +125,15 @@ class TestSharedLogCap:
             assert _publish_shared(log, batch)
         assert len(log) == 50
 
-    def test_unparsable_cap_falls_back_to_default(self, monkeypatch):
-        from repro.explorer.worker import SHARED_LOG_CAP_DEFAULT, _shared_log_cap
-        monkeypatch.setenv("EXPLORER_SHARED_LOG_CAP", "not-a-number")
-        assert _shared_log_cap() == SHARED_LOG_CAP_DEFAULT
-
     def test_eviction_is_surfaced_in_cache_stats(self, monkeypatch):
         """A capped run reports dropped publishes instead of hiding them."""
         monkeypatch.setenv("EXPLORER_SHARED_LOG_CAP", "1")
         spec = ProgramSetSpec.make("contention", transactions=3, items=3,
                                    hot_items=2, operations_per_transaction=2)
-        result = explore(spec, levels=(IsolationLevelName.READ_COMMITTED,),
-                         mode="sample", max_schedules=48, seed=6, workers=2,
-                         chunk_size=8, shared_cache=True)
+        result = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.READ_COMMITTED,),
+            mode="sample", max_schedules=48, seed=6, workers=2,
+            chunk_size=8, shared_cache=True))
         stats = result.levels[IsolationLevelName.READ_COMMITTED].cache_stats
         assert stats.get("shared_evicted", 0) > 0
 
@@ -147,7 +145,7 @@ class TestSharedLogCap:
                       mode="sample", max_schedules=48, seed=6, workers=2,
                       chunk_size=8, shared_cache=True)
         monkeypatch.setenv("EXPLORER_SHARED_LOG_CAP", "1")
-        capped = explore(spec, **kwargs)
+        capped = explore(spec, ExploreOptions(**kwargs))
         monkeypatch.delenv("EXPLORER_SHARED_LOG_CAP")
-        uncapped = explore(spec, **kwargs)
+        uncapped = explore(spec, ExploreOptions(**kwargs))
         assert capped.fingerprint() == uncapped.fingerprint()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.explorer import ProgramSetSpec, explore
+from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.explorer.worker import ScheduleRecord
 from repro.persist import InMemoryStore, SqliteStore
 from repro.persist.analytics import campaign_summary, persist_result
@@ -114,8 +114,8 @@ class TestEndToEndAnalytics:
         spec = ProgramSetSpec.make("increments")
         summaries = []
         for store in both_stores:
-            result = explore(spec, max_schedules=120, chunk_size=8,
-                             store=store, campaign_id="c1")
+            result = explore(spec, ExploreOptions(
+                max_schedules=120, chunk_size=8, store=store, campaign_id="c1"))
             persist_result(store, "c1", result)
             summary = campaign_summary(store, "c1")
             summaries.append(summary.replace(store.description(), "<store>"))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.explorer import ProgramSetSpec, explore
+from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.explorer.explorer import DEFAULT_LEVELS
 from repro.explorer.memo import HistoryClassification, ScheduleOutcome
 from repro.explorer.worker import ScheduleRecord
@@ -111,8 +111,8 @@ class TestRealizedRecords:
 
     def test_all_levels_round_trip(self):
         result = explore(ProgramSetSpec.make("contention"),
-                         levels=DEFAULT_LEVELS, max_schedules=200,
-                         chunk_size=32)
+                         ExploreOptions(levels=DEFAULT_LEVELS, max_schedules=200,
+                                        chunk_size=32))
         assert len(result.levels) == 5
         deadlock_aborted = 0
         for level_result in result.levels.values():

@@ -13,7 +13,7 @@ from repro.analysis.coverage import (
     build_coverage_report,
     coverage_report_from_store,
 )
-from repro.explorer import ProgramSetSpec, explore
+from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.persist import InMemoryStore
 
 
@@ -50,7 +50,7 @@ EXPLORE_KWARGS = dict(max_schedules=200, chunk_size=8)
 def baseline():
     """The uninterrupted, store-less result every variant must reproduce."""
     return {
-        reduction: explore(SPEC, reduction=reduction, **EXPLORE_KWARGS)
+        reduction: explore(SPEC, ExploreOptions(reduction=reduction, **EXPLORE_KWARGS))
         for reduction in ("none", "sleep-set")
     }
 
@@ -58,19 +58,19 @@ def baseline():
 class TestStoreTransparency:
     @pytest.mark.parametrize("reduction", ["none", "sleep-set"])
     def test_store_backed_run_matches_plain_run(self, store, baseline, reduction):
-        result = explore(SPEC, reduction=reduction, store=store,
-                         campaign_id="c1", **EXPLORE_KWARGS)
+        result = explore(SPEC, ExploreOptions(
+            reduction=reduction, store=store, campaign_id="c1", **EXPLORE_KWARGS))
         assert result.fingerprint() == baseline[reduction].fingerprint()
 
     def test_store_backed_report_renders_identically(self, store, baseline):
-        explore(SPEC, store=store, campaign_id="c1", **EXPLORE_KWARGS)
+        explore(SPEC, ExploreOptions(store=store, campaign_id="c1", **EXPLORE_KWARGS))
         live = build_coverage_report(baseline["none"]).render()
         stored = coverage_report_from_store(store, "c1").render()
         assert stored == live
 
     def test_campaign_id_requires_a_store(self):
         with pytest.raises(ValueError):
-            explore(SPEC, campaign_id="c1", **EXPLORE_KWARGS)
+            explore(SPEC, ExploreOptions(campaign_id="c1", **EXPLORE_KWARGS))
 
 
 class TestKillAndResume:
@@ -78,11 +78,12 @@ class TestKillAndResume:
     @pytest.mark.parametrize("fail_after", [0, 1, 3, 7])
     def test_resume_is_byte_identical(self, store, baseline, reduction, fail_after):
         with pytest.raises(Interrupted):
-            explore(SPEC, reduction=reduction,
-                    store=InterruptingStore(store, fail_after),
-                    campaign_id="c1", **EXPLORE_KWARGS)
-        resumed = explore(SPEC, reduction=reduction, store=store,
-                          campaign_id="c1", **EXPLORE_KWARGS)
+            explore(SPEC, ExploreOptions(
+                reduction=reduction,
+                store=InterruptingStore(store, fail_after),
+                campaign_id="c1", **EXPLORE_KWARGS))
+        resumed = explore(SPEC, ExploreOptions(
+            reduction=reduction, store=store, campaign_id="c1", **EXPLORE_KWARGS))
         expected = baseline[reduction]
         assert resumed.fingerprint() == expected.fingerprint()
         assert (coverage_report_from_store(store, "c1").render()
@@ -90,9 +91,10 @@ class TestKillAndResume:
 
     def test_resume_executes_only_the_remainder(self, store):
         with pytest.raises(Interrupted):
-            explore(SPEC, store=InterruptingStore(store, 3),
-                    campaign_id="c1", **EXPLORE_KWARGS)
-        resumed = explore(SPEC, store=store, campaign_id="c1", **EXPLORE_KWARGS)
+            explore(SPEC, ExploreOptions(
+                store=InterruptingStore(store, 3), campaign_id="c1", **EXPLORE_KWARGS))
+        resumed = explore(SPEC, ExploreOptions(
+            store=store, campaign_id="c1", **EXPLORE_KWARGS))
         loaded = sum(level.cache_stats.get("store_chunks_loaded", 0)
                      for level in resumed.levels.values())
         committed = sum(level.cache_stats.get("store_chunks_committed", 0)
@@ -105,16 +107,20 @@ class TestKillAndResume:
     def test_double_interruption_still_converges(self, store, baseline):
         for fail_after in (1, 1):
             with pytest.raises(Interrupted):
-                explore(SPEC, store=InterruptingStore(store, fail_after),
-                        campaign_id="c1", **EXPLORE_KWARGS)
-        resumed = explore(SPEC, store=store, campaign_id="c1", **EXPLORE_KWARGS)
+                explore(SPEC, ExploreOptions(
+                    store=InterruptingStore(store, fail_after),
+                    campaign_id="c1", **EXPLORE_KWARGS))
+        resumed = explore(SPEC, ExploreOptions(
+            store=store, campaign_id="c1", **EXPLORE_KWARGS))
         assert resumed.fingerprint() == baseline["none"].fingerprint()
 
 
 class TestCrossRunDedupe:
     def test_rerun_of_complete_campaign_executes_nothing(self, store, baseline):
-        first = explore(SPEC, store=store, campaign_id="c1", **EXPLORE_KWARGS)
-        rerun = explore(SPEC, store=store, campaign_id="c1", **EXPLORE_KWARGS)
+        first = explore(SPEC, ExploreOptions(
+            store=store, campaign_id="c1", **EXPLORE_KWARGS))
+        rerun = explore(SPEC, ExploreOptions(
+            store=store, campaign_id="c1", **EXPLORE_KWARGS))
         assert rerun.executed_schedules() == 0
         assert rerun.fingerprint() == first.fingerprint()
         assert rerun.fingerprint() == baseline["none"].fingerprint()
@@ -124,10 +130,11 @@ class TestCrossRunDedupe:
         # itself, leaving the store with nothing to prove.
         from repro.explorer.worker import _OUTCOME_MEMO_CACHE
         _OUTCOME_MEMO_CACHE.clear()
-        explore(SPEC, store=store, campaign_id="c1", **EXPLORE_KWARGS)
+        explore(SPEC, ExploreOptions(store=store, campaign_id="c1", **EXPLORE_KWARGS))
         assert store.load_classifications()
         _OUTCOME_MEMO_CACHE.clear()
-        second = explore(SPEC, store=store, campaign_id="c2", **EXPLORE_KWARGS)
+        second = explore(SPEC, ExploreOptions(
+            store=store, campaign_id="c2", **EXPLORE_KWARGS))
         stats = second.levels[next(iter(second.levels))].cache_stats
         assert stats.get("store_classifications_preloaded", 0) > 0
         assert stats.get("store_outcomes_preloaded", 0) > 0
@@ -135,12 +142,13 @@ class TestCrossRunDedupe:
     def test_cross_workload_classification_dedupe(self, store):
         from repro.explorer.worker import _OUTCOME_MEMO_CACHE
         _OUTCOME_MEMO_CACHE.clear()
-        explore(SPEC, store=store, campaign_id="c1", **EXPLORE_KWARGS)
+        explore(SPEC, ExploreOptions(store=store, campaign_id="c1", **EXPLORE_KWARGS))
         stored = set(store.load_classifications())
         assert stored
         other = ProgramSetSpec.make("contention")
         _OUTCOME_MEMO_CACHE.clear()
-        result = explore(other, store=store, campaign_id="c2", **EXPLORE_KWARGS)
+        result = explore(other, ExploreOptions(
+            store=store, campaign_id="c2", **EXPLORE_KWARGS))
         stats = result.levels[next(iter(result.levels))].cache_stats
         # classifications are keyed by history shorthand, not workload, so a
         # different workload still preloads everything the first one learned
@@ -148,28 +156,29 @@ class TestCrossRunDedupe:
 
     def test_different_config_same_campaign_is_refused(self, store):
         from repro.persist import CampaignConfigMismatch
-        explore(SPEC, store=store, campaign_id="c1", **EXPLORE_KWARGS)
+        explore(SPEC, ExploreOptions(store=store, campaign_id="c1", **EXPLORE_KWARGS))
         with pytest.raises(CampaignConfigMismatch):
-            explore(SPEC, store=store, campaign_id="c1", seed=5,
-                    **EXPLORE_KWARGS)
+            explore(SPEC, ExploreOptions(
+                store=store, campaign_id="c1", seed=5, **EXPLORE_KWARGS))
 
 
 class TestParallelCampaigns:
     def test_parallel_run_matches_and_dedupes(self, baseline):
         store = InMemoryStore()
-        first = explore(SPEC, workers=2, store=store, campaign_id="par",
-                        **EXPLORE_KWARGS)
+        first = explore(SPEC, ExploreOptions(
+            workers=2, store=store, campaign_id="par", **EXPLORE_KWARGS))
         assert first.fingerprint() == baseline["none"].fingerprint()
-        rerun = explore(SPEC, workers=2, store=store, campaign_id="par",
-                        **EXPLORE_KWARGS)
+        rerun = explore(SPEC, ExploreOptions(
+            workers=2, store=store, campaign_id="par", **EXPLORE_KWARGS))
         assert rerun.executed_schedules() == 0
         assert rerun.fingerprint() == first.fingerprint()
 
     def test_serial_resume_of_parallel_campaign(self, baseline):
         store = InMemoryStore()
         with pytest.raises(Interrupted):
-            explore(SPEC, workers=2, store=InterruptingStore(store, 2),
-                    campaign_id="par", **EXPLORE_KWARGS)
-        resumed = explore(SPEC, workers=1, store=store, campaign_id="par",
-                          **EXPLORE_KWARGS)
+            explore(SPEC, ExploreOptions(
+                workers=2, store=InterruptingStore(store, 2),
+                campaign_id="par", **EXPLORE_KWARGS))
+        resumed = explore(SPEC, ExploreOptions(
+            workers=1, store=store, campaign_id="par", **EXPLORE_KWARGS))
         assert resumed.fingerprint() == baseline["none"].fingerprint()

@@ -113,8 +113,8 @@ def test_campaign_id_requires_a_store():
 
 
 def test_rebuild_rejects_exploration_campaigns(store):
-    from repro.explorer import ProgramSetSpec, explore
-    explore(ProgramSetSpec.make("increments"), max_schedules=60,
-            store=store, campaign_id="exp")
+    from repro.explorer import ExploreOptions, ProgramSetSpec, explore
+    explore(ProgramSetSpec.make("increments"), ExploreOptions(
+        max_schedules=60, store=store, campaign_id="exp"))
     with pytest.raises(StoreError):
         table4_explored_from_store(store, "exp")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core.history import History, parse_history
 from repro.core.isolation import IsolationLevelName
 from repro.core.operations import Operation, OperationKind
-from repro.explorer import ProgramSetSpec, explore
+from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.explorer.memo import BatchClassifier
 from repro.service import OnlineClassifier, StreamError
 
@@ -217,8 +217,8 @@ class TestMultiversionStreams:
         actual multiversion input shape — classify identically online."""
         spec = ProgramSetSpec.make("write-skew")
         result = explore(spec,
-                         levels=(IsolationLevelName.SNAPSHOT_ISOLATION,),
-                         max_schedules=40, seed=11)
+                         ExploreOptions(levels=(IsolationLevelName.SNAPSHOT_ISOLATION,),
+                                        max_schedules=40, seed=11))
         offline = BatchClassifier()
         (level,) = result.levels.values()
         assert level.records, "exploration produced no records"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.isolation import IsolationLevelName
-from repro.explorer.explorer import explore
+from repro.explorer.explorer import ExploreOptions, explore
 from repro.static_analysis import Verdict
 from repro.workloads.program_sets import ProgramSetSpec
 
@@ -23,12 +23,12 @@ class TestStaticPruning:
         byte-for-byte identical with pruning on and off: pruning may only
         skip detectors that can never fire, never change what is recorded.
         """
-        baseline = explore(SPEC, levels=LEVELS)
-        pruned = explore(SPEC, levels=LEVELS, static_pruning=True)
+        baseline = explore(SPEC, ExploreOptions(levels=LEVELS))
+        pruned = explore(SPEC, ExploreOptions(levels=LEVELS, static_pruning=True))
         assert pruned.fingerprint() == baseline.fingerprint()
 
     def test_verdicts_are_recorded_either_way(self):
-        result = explore(SPEC, levels=(RC,))
+        result = explore(SPEC, ExploreOptions(levels=(RC,)))
         assert not result.static_pruning
         assert result.static_verdicts[RC]
         codes = result.pruned_detectors(RC)
@@ -37,7 +37,7 @@ class TestStaticPruning:
             assert result.static_verdicts[RC][code].verdict is Verdict.IMPOSSIBLE
 
     def test_pruned_counts_surface_in_cache_stats(self):
-        pruned = explore(SPEC, levels=(RC, SER), static_pruning=True)
+        pruned = explore(SPEC, ExploreOptions(levels=(RC, SER), static_pruning=True))
         assert pruned.static_pruning
         for level in (RC, SER):
             stats = pruned.levels[level].cache_stats
@@ -46,13 +46,14 @@ class TestStaticPruning:
             assert stats["static_pruned_detectors"] > 0
 
     def test_unpruned_run_reports_zero_pruned_detectors(self):
-        baseline = explore(SPEC, levels=(RC,))
+        baseline = explore(SPEC, ExploreOptions(levels=(RC,)))
         assert baseline.levels[RC].cache_stats[
             "static_pruned_detectors"] == 0
 
     def test_pruning_composes_with_parallel_workers(self):
-        pruned = explore(SPEC, levels=(RC,), static_pruning=True, workers=2)
-        baseline = explore(SPEC, levels=(RC,))
+        pruned = explore(SPEC, ExploreOptions(
+            levels=(RC,), static_pruning=True, workers=2))
+        baseline = explore(SPEC, ExploreOptions(levels=(RC,)))
         assert pruned.fingerprint() == baseline.fingerprint()
 
 
@@ -60,7 +61,7 @@ class TestCoverageReportNotes:
     def test_pruned_detector_counts_surface_in_the_rendered_report(self):
         from repro.analysis.coverage import build_coverage_report
 
-        pruned = explore(SPEC, levels=(RC, RR), static_pruning=True)
+        pruned = explore(SPEC, ExploreOptions(levels=(RC, RR), static_pruning=True))
         report = build_coverage_report(pruned)
         assert any("statically pruned detectors" in note
                    for note in report.notes)
@@ -71,7 +72,7 @@ class TestCoverageReportNotes:
     def test_unpruned_report_carries_no_pruning_note(self):
         from repro.analysis.coverage import build_coverage_report
 
-        report = build_coverage_report(explore(SPEC, levels=(RC,)))
+        report = build_coverage_report(explore(SPEC, ExploreOptions(levels=(RC,))))
         assert not any("statically pruned" in note for note in report.notes)
 
     def test_sampling_truncation_note(self):
@@ -106,7 +107,8 @@ class TestCoverageReportNotes:
     def test_whole_space_sample_carries_no_truncation_note(self):
         from repro.analysis.coverage import build_coverage_report
 
-        result = explore(SPEC, levels=(RC,), mode="sample", max_schedules=32)
+        result = explore(SPEC, ExploreOptions(
+            levels=(RC,), mode="sample", max_schedules=32))
         assert result.space.dedupe
         report = build_coverage_report(result)
         assert not any("dedupe" in note for note in report.notes)
