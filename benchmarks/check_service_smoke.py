@@ -12,11 +12,17 @@ rather than the in-process classifier path the benchmarks time:
 3. **Certify** — the run must emit at least one anomaly certificate, the
    server's stats must account for every op fed, and the certificates must
    be durably committed to the store (read back out of plain SQLite).
-4. **Shutdown** — deliver SIGTERM; the server must print its stop banner
-   and exit 0 (the clean-shutdown contract of the serve CLI).
+4. **Oversized line** — a request line over the server's 64 KiB limit must
+   be answered with the named error and that connection closed, while a
+   second connection opened before it is still served afterwards.
+5. **Pipelined burst** — 64 requests written in one ``sendall`` must come
+   back as 64 replies in request order.
+6. **Shutdown** — deliver SIGTERM; the server must print its stop banner,
+   exit 0 (the clean-shutdown contract of the serve CLI), and have written
+   nothing to stderr over the whole run.
 
-The store file is left behind in ``--dir`` so CI can upload it as an
-artifact (plain SQLite — any client can autopsy a failure).
+The store file and the server's stderr are left behind in ``--dir`` so CI
+can upload them as artifacts (plain SQLite — any client can autopsy a failure).
 
 Usage: python benchmarks/check_service_smoke.py [--dir OUTDIR]
 """
@@ -25,8 +31,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -52,6 +60,9 @@ CONFIG = LoadConfig(clients=8, transactions_per_client=10,
                     ops_per_transaction=6, seed=0)
 BOOT_TIMEOUT_S = 30.0
 CAMPAIGN = "service-ci"
+BURST = 64
+LINE_TOO_LONG = {"type": "error", "kind": "request",
+                 "error": "line exceeds 65536 bytes"}
 
 
 def _wait_for_banner(proc: subprocess.Popen) -> "tuple[str, int]":
@@ -72,14 +83,83 @@ def _wait_for_banner(proc: subprocess.Popen) -> "tuple[str, int]":
     raise SystemExit("server never printed its listening banner")
 
 
+def _line(**payload) -> bytes:
+    return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+class _Client:
+    """One blocking JSON-lines connection to the server under test."""
+
+    def __init__(self, host: str, port: int):
+        self.sock = socket.create_connection((host, port), timeout=30)
+        self.reader = self.sock.makefile("rb")
+
+    def replies(self, count: int) -> list:
+        lines = [self.reader.readline() for _ in range(count)]
+        if not all(lines):
+            raise SystemExit(f"server closed the connection after "
+                             f"{sum(map(bool, lines))} of {count} replies")
+        return [json.loads(line) for line in lines]
+
+    def finish(self) -> None:
+        """Half-close and wait for the server's EOF, so the server has let go
+        of this connection before anything else (a SIGTERM) happens."""
+        self.sock.shutdown(socket.SHUT_WR)
+        if self.reader.read() != b"":
+            raise SystemExit("server sent bytes nobody asked for")
+        self.sock.close()
+
+
+def _oversized_line_leg(host: str, port: int) -> None:
+    bystander = _Client(host, port)
+    bystander.sock.sendall(_line(type="open", stream="bystander"))
+    bystander.replies(1)
+    client = _Client(host, port)
+    try:
+        client.sock.sendall(_line(type="ops", stream="bystander",
+                                  ops="r1[x] " * 20_000))
+    except ConnectionError:
+        pass        # the server may answer and close before the line ends
+    if client.replies(1) != [LINE_TOO_LONG]:
+        raise SystemExit("oversized line: expected the named error reply")
+    if client.reader.read() != b"":
+        raise SystemExit("oversized line: connection was not closed")
+    client.sock.close()
+    bystander.sock.sendall(_line(type="verdict", stream="bystander")
+                           + _line(type="close", stream="bystander"))
+    verdict, closed = bystander.replies(2)
+    if verdict.get("ops") != 0 or closed.get("type") != "closed":
+        raise SystemExit(f"oversized line: the other connection was "
+                         f"disturbed: {verdict} {closed}")
+    bystander.finish()
+    print("oversized line: named error, connection closed, others served")
+
+
+def _pipelined_burst_leg(host: str, port: int) -> None:
+    client = _Client(host, port)
+    names = [f"burst-{i}" for i in range(BURST)]
+    for kind, expected in (("open", "opened"), ("close", "closed")):
+        client.sock.sendall(b"".join(_line(type=kind, stream=name)
+                                     for name in names))
+        replies = client.replies(BURST)
+        if [(r.get("type"), r.get("stream")) for r in replies] != \
+                [(expected, name) for name in names]:
+            raise SystemExit(f"pipelined burst: {BURST} {kind!r} requests in "
+                             f"one sendall did not get {BURST} ordered replies")
+    client.finish()
+    print(f"pipelined burst: {BURST} requests in one sendall, "
+          f"{BURST} ordered replies")
+
+
 def main(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     store_path = outdir / "service-smoke.sqlite"
+    stderr_path = outdir / "service-smoke.stderr"
     command = [sys.executable, "-m", "repro", "serve", "--port", "0",
                "--store", str(store_path), "--campaign", CAMPAIGN]
-    proc = subprocess.Popen(command, stdout=subprocess.PIPE,
-                            stderr=subprocess.STDOUT, text=True,
-                            env=SERVER_ENV)
+    with open(stderr_path, "wb") as stderr:
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE,
+                                stderr=stderr, text=True, env=SERVER_ENV)
     try:
         host, port = _wait_for_banner(proc)
         report = asyncio.run(run_load_tcp(host, port, CONFIG))
@@ -90,6 +170,9 @@ def main(outdir: Path) -> int:
             raise SystemExit("no certified anomalies — the load generator "
                              "must provoke at least one")
 
+        _oversized_line_leg(host, port)
+        _pipelined_burst_leg(host, port)
+
         proc.send_signal(signal.SIGTERM)
         rc = proc.wait(timeout=30)
         remainder = proc.stdout.read() if proc.stdout else ""
@@ -99,6 +182,9 @@ def main(outdir: Path) -> int:
             raise SystemExit(f"server exited {rc} on SIGTERM, expected 0")
         if "certifier stopped" not in remainder:
             raise SystemExit("server never printed its stop banner")
+        noise = stderr_path.read_text()
+        if noise.strip():
+            raise SystemExit(f"server wrote to stderr:\n{noise}")
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -115,7 +201,8 @@ def main(outdir: Path) -> int:
         raise SystemExit(
             f"store persisted {len(persisted)} certificates but the run "
             f"emitted {report.certificates}")
-    print("service smoke OK: boot, certify, persist, clean shutdown")
+    print("service smoke OK: boot, certify, oversized line, pipelined burst, "
+          "persist, clean shutdown")
     return 0
 
 

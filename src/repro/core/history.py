@@ -33,12 +33,27 @@ class HistoryError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<kind>rc|wc|r|w|c|a)      # operation kind
-    (?P<txn>\d+)                 # transaction number
-    (?:\[(?P<body>[^\]]*)\])?    # optional bracketed body
+    [\s.]*                      # separators: whitespace, the paper's ``...`` filler
+    (?P<token>
+      (?P<kind>rc|wc|r|w|c|a)    # operation kind
+      (?P<txn>\d+)               # transaction number
+      (?:\[(?P<body>[^\]]*)\])?  # optional bracketed body
+    )
     """,
     re.VERBOSE,
 )
+_SEPARATORS_RE = re.compile(r"[\s.]*")
+
+#: Token text -> the Operation it parses to, one table per parsing mode
+#: (``x1`` is an item in a single-version history and version 1 of ``x`` in a
+#: multiversion one).  Streams repeat a small vocabulary of tokens, so a repeat
+#: costs its tokenization and a dict hit, and the shared instance memoizes its
+#: hash and canonical shorthand for every later occurrence.  A full table stops
+#: admitting and long tokens are never admitted: input that never repeats
+#: pays the miss path it always paid and cannot grow the process.
+_TOKEN_TABLES: Tuple[Dict[str, Operation], Dict[str, Operation]] = ({}, {})
+_TOKEN_TABLE_CAP = 1 << 14
+_TOKEN_TABLE_MAX_LEN = 64
 
 _VERSIONED_ITEM_RE = re.compile(r"^(?P<item>[A-Za-z_]+)(?P<version>\d+)$")
 
@@ -419,7 +434,8 @@ def parse_history(text: str, name: Optional[str] = None,
     ----------
     text:
         Shorthand such as ``"r1[x=50] w1[x=10] r2[x=10] c2 c1"``.  Whitespace
-        and the paper's filler ellipses (``...``) are ignored.
+        and the paper's filler ellipses (``...``) between tokens are ignored;
+        a dot inside brackets belongs to the item or value (``w1[x=1.5]``).
     name:
         An optional label (e.g. ``"H1"``), carried on the resulting history.
     multiversion:
@@ -433,23 +449,23 @@ def parse_history(text: str, name: Optional[str] = None,
         If any token cannot be parsed or the history is malformed (for
         example, a transaction acting after it committed).
     """
-    cleaned = text.replace(".", " ").strip()
-    if not cleaned:
-        return History([], name=name)
+    table = _TOKEN_TABLES[bool(multiversion)]
     operations: List[Operation] = []
     position = 0
-    while position < len(cleaned):
-        if cleaned[position].isspace():
-            position += 1
-            continue
-        match = _TOKEN_RE.match(cleaned, position)
-        if not match:
-            raise HistoryError(
-                f"cannot parse history at: {cleaned[position:position + 20]!r}"
-            )
-        operations.append(
-            _parse_body(match.group("kind"), int(match.group("txn")),
-                        match.group("body"), multiversion)
-        )
+    while (match := _TOKEN_RE.match(text, position)) is not None:
+        token = match.group("token")
+        operation = table.get(token)
+        if operation is None:
+            operation = _parse_body(match.group("kind"), int(match.group("txn")),
+                                    match.group("body"), multiversion)
+            if (len(table) < _TOKEN_TABLE_CAP
+                    and len(token) <= _TOKEN_TABLE_MAX_LEN):
+                table[token] = operation
+        operations.append(operation)
         position = match.end()
+    position = _SEPARATORS_RE.match(text, position).end()
+    if position < len(text):
+        raise HistoryError(
+            f"cannot parse history at: {text[position:position + 20]!r}"
+        )
     return History(operations, name=name)

@@ -381,8 +381,10 @@ class OnlineClassifier:
 
     def _record_pair(self, earlier: int, later: int) -> None:
         """One conflict-order pair (an op of ``earlier`` precedes a
-        conflicting op of ``later``) — the graph edge candidate."""
-        if earlier == later or not self._serializable:
+        conflicting op of ``later``) — the graph edge candidate.  Callers
+        test ``self._serializable`` once per operation, not once per pair:
+        the flag is sticky and only a commit can clear it."""
+        if earlier == later:
             return
         out = self._pairs_out.setdefault(earlier, set())
         if later not in out:
@@ -431,8 +433,9 @@ class OnlineClassifier:
                     if w != txn and w in active:
                         self._dirty_by_writer.setdefault(w, set()).add(txn)
                         self._dirty_by_reader.setdefault(txn, set()).add(w)
-            for w in item_writers:
-                self._record_pair(w, txn)      # wr edges
+            if self._serializable:
+                for w in item_writers:
+                    self._record_pair(w, txn)      # wr edges
         if not self._fired["A5A"]:
             marks = self._a5a_marks.get(txn)
             if marks and item in marks:
@@ -456,7 +459,7 @@ class OnlineClassifier:
             if info and pred in info:
                 self._a3_armed[txn] = (info[pred], pred)
         pred_writers = self._pred_writers.get(pred)
-        if pred_writers:
+        if pred_writers and self._serializable:
             for w in pred_writers:
                 self._record_pair(w, txn)
         pred_readers = self._pred_readers.setdefault(pred, {})
@@ -519,10 +522,11 @@ class OnlineClassifier:
                         self._rw_items.setdefault(key, set()).add(item)
                         self._rw_partners.setdefault(a, set()).add(txn)
                         self._rw_partners.setdefault(txn, set()).add(a)
-            for a in item_readers:
-                self._record_pair(a, txn)      # rw edges
-            for w in item_writers:
-                self._record_pair(w, txn)      # ww edges
+            if self._serializable:
+                for a in item_readers:
+                    self._record_pair(a, txn)      # rw edges
+                for w in item_writers:
+                    self._record_pair(w, txn)      # ww edges
             if txn not in item_writers:
                 item_writers[txn] = pos
             state.last_writes[item] = pos
@@ -540,10 +544,11 @@ class OnlineClassifier:
                         self._fire("P3", (r, txn),
                                    tuple(filter(None, [item])), pos)
                         break
-            for r in pred_readers:
-                self._record_pair(r, txn)
-            for w in pred_writers:
-                self._record_pair(w, txn)
+            if self._serializable:
+                for r in pred_readers:
+                    self._record_pair(r, txn)
+                for w in pred_writers:
+                    self._record_pair(w, txn)
             if txn not in pred_writers:
                 pred_writers[txn] = pos
             state.last_pred_writes[pred] = pos

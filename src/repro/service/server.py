@@ -25,10 +25,18 @@ Protocol (one JSON object per line)::
     <- {"type": "stats", "streams": 12, "ops": 48000, "certificates": 117,
         "p50_classify_us": 9.1, "p99_classify_us": 44.0}
 
+Replies come back on the connection in request order.  The server takes what
+the socket holds, answers every complete line of that batch and writes the
+replies together, so a client that pipelines requests may receive several
+replies in one segment; a client that waits for each reply sees one at a time.
+
 Malformed input answers ``{"type": "error", "error": ...}`` and keeps the
 connection alive; stream errors (operations after a terminal) poison only the
-offending stream.  With a :class:`repro.persist.CampaignStore` attached,
-certificates are committed on ``close`` under the configured campaign.
+offending stream.  A line longer than :data:`MAX_LINE_BYTES` answers
+``{"type": "error", "kind": "request", "error": "line exceeds 65536 bytes"}``
+and closes that connection — other connections and every stream stay as they
+were.  With a :class:`repro.persist.CampaignStore` attached, certificates are
+committed on ``close`` under the configured campaign.
 """
 
 from __future__ import annotations
@@ -41,10 +49,22 @@ from typing import Any, Dict, Optional
 
 from .online import OnlineClassifier, StreamError
 
-__all__ = ["CertifierServer"]
+__all__ = ["CertifierServer", "MAX_LINE_BYTES"]
+
+#: Longest request line accepted, newline excluded (asyncio's own default
+#: stream limit).
+MAX_LINE_BYTES = 1 << 16
+
+#: Bytes taken off a socket per turn: with the line limit, the bound on how
+#: much one connection is served before the others get the loop.
+_READ_BYTES = 1 << 14
 
 #: Classify-latency samples retained for the stats percentiles.
 _LATENCY_WINDOW = 4096
+
+
+def _encode(reply: Dict[str, Any]) -> bytes:
+    return (json.dumps(reply) + "\n").encode("utf-8")
 
 
 def _certificate_payload(certificate) -> Dict[str, Any]:
@@ -110,34 +130,55 @@ class CertifierServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        pending = b""
+        serving = True
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    request = json.loads(line.decode("utf-8"))
-                    if not isinstance(request, dict):
-                        raise ValueError("request must be a JSON object")
-                    reply = self._dispatch(request)
-                except StreamError as exc:
-                    reply = {"type": "error", "error": str(exc),
-                             "kind": "stream"}
-                except (ValueError, KeyError, TypeError) as exc:
-                    reply = {"type": "error", "error": str(exc),
-                             "kind": "request"}
-                writer.write((json.dumps(reply) + "\n").encode("utf-8"))
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
+            while serving:
+                chunk = await reader.read(_READ_BYTES)
+                serving = bool(chunk)
+                # EOF ends a last unterminated line.
+                *lines, pending = (pending + (chunk or b"\n")).split(b"\n")
+                if len(pending) > MAX_LINE_BYTES:
+                    lines.append(pending)
+                replies = []
+                for line in lines:
+                    if len(line) > MAX_LINE_BYTES:
+                        replies.append(_encode({
+                            "type": "error", "kind": "request",
+                            "error": f"line exceeds {MAX_LINE_BYTES} bytes"}))
+                        serving = False
+                        break
+                    line = line.strip()
+                    if line:
+                        replies.append(self._answer(line))
+                if replies:
+                    writer.write(b"".join(replies))
+                    await writer.drain()
+                if len(chunk) == _READ_BYTES:
+                    # A full read may have left bytes buffered, and then the
+                    # next read returns without suspending; a short read
+                    # emptied the buffer, so the next one waits on the loop.
+                    await asyncio.sleep(0)
+        except ConnectionError:
             pass
         finally:
             # close() is fire-and-forget here on purpose: awaiting
             # wait_closed() would leave the handler task alive (and noisily
             # cancelled) when the loop shuts down mid-handshake.
             writer.close()
+
+    def _answer(self, line: bytes) -> bytes:
+        """One request line in, one reply line out — errors included."""
+        try:
+            request = json.loads(line.decode("utf-8"))
+            if not isinstance(request, dict):
+                raise ValueError("request must be a JSON object")
+            reply = self._dispatch(request)
+        except StreamError as exc:
+            reply = {"type": "error", "error": str(exc), "kind": "stream"}
+        except (ValueError, KeyError, TypeError) as exc:
+            reply = {"type": "error", "error": str(exc), "kind": "request"}
+        return _encode(reply)
 
     # -- request dispatch ------------------------------------------------------
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
 from repro.persist import InMemoryStore
 from repro.service import CertifierServer, LoadConfig, generate_stream, run_load
 from repro.service.loadgen import drain_offline, run_load_tcp
+from repro.service.server import MAX_LINE_BYTES
 
 
 async def _session(host, port):
@@ -134,6 +136,199 @@ class TestProtocol:
         stored = store.load_certificates("svc", stream="s")
         assert [c.code for c in stored].count("CYCLE") == 1
         assert [c.seq for c in stored] == list(range(len(stored)))
+
+
+def _line(payload) -> bytes:
+    return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+async def _replies(reader, count):
+    return [json.loads(await reader.readline()) for _ in range(count)]
+
+
+def _serving(scenario):
+    """Run ``scenario(server)`` against a started server, then stop it."""
+    async def wrapped():
+        server = CertifierServer()
+        await server.start()
+        try:
+            return await scenario(server)
+        finally:
+            await server.stop()
+    return asyncio.run(wrapped())
+
+
+class TestFraming:
+    """The server frames lines itself: batches in, coalesced replies out."""
+
+    def test_many_requests_in_one_segment_answer_in_order(self):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            names = [f"s{i}" for i in range(50)]
+            writer.write(b"".join(_line({"type": "open", "stream": name})
+                                  for name in names))
+            opened = await _replies(reader, len(names))
+            assert [r["stream"] for r in opened] == names
+            assert {r["type"] for r in opened} == {"opened"}
+            writer.write(b"".join(
+                _line({"type": "ops", "stream": name, "ops": "r1[x] " * i + "c1"})
+                for i, name in enumerate(names)))
+            acks = await _replies(reader, len(names))
+            assert [(r["stream"], r["ops"]) for r in acks] == \
+                [(name, i + 1) for i, name in enumerate(names)]
+            writer.close()
+        _serving(scenario)
+
+    def test_a_line_split_across_segments_is_one_request(self):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            line = _line({"type": "open", "stream": "split"})
+            follow = _line({"type": "verdict", "stream": "split"})
+            writer.write(line[:9])
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            writer.write(line[9:] + follow[:5])
+            await writer.drain()
+            assert (await _replies(reader, 1))[0] == \
+                {"type": "opened", "stream": "split", "mv": False}
+            await asyncio.sleep(0.05)
+            writer.write(follow[5:])
+            assert (await _replies(reader, 1))[0]["type"] == "verdict"
+            writer.close()
+        _serving(scenario)
+
+    def test_an_error_keeps_its_place_in_the_batch(self):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(
+                _line({"type": "open", "stream": "a"})
+                + b"this is not json\n"
+                + _line({"type": "ops", "stream": "a", "ops": "c1 r1[x]"})
+                + _line({"type": "open", "stream": "b"})
+                + _line({"type": "ops", "stream": "b", "ops": "r1[x] c1"}))
+            replies = await _replies(reader, 5)
+            assert [r["type"] for r in replies] == \
+                ["opened", "error", "error", "opened", "ack"]
+            assert [r.get("kind") for r in replies[1:3]] == ["request", "stream"]
+            assert replies[4]["stream"] == "b" and replies[4]["ops"] == 2
+            writer.close()
+        _serving(scenario)
+
+    def test_blank_lines_are_skipped(self):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(b"\n  \n\r\n" + _line({"type": "open", "stream": "s"})
+                         + b"\n\n" + _line({"type": "verdict", "stream": "s"})
+                         + b"   \n")
+            replies = await _replies(reader, 2)
+            assert [r["type"] for r in replies] == ["opened", "verdict"]
+            writer.write(_line({"type": "stats"}))
+            assert (await _replies(reader, 1))[0]["type"] == "stats"
+            writer.close()
+        _serving(scenario)
+
+    def test_an_unterminated_last_line_is_answered_at_eof(self):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(_line({"type": "open", "stream": "s"})
+                         + _line({"type": "verdict", "stream": "s"}).rstrip(b"\n"))
+            writer.write_eof()
+            replies = await _replies(reader, 2)
+            assert [r["type"] for r in replies] == ["opened", "verdict"]
+            assert await reader.read() == b""
+            writer.close()
+        _serving(scenario)
+
+    def test_a_line_of_exactly_the_limit_is_served(self):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            line = _line({"type": "open", "stream": "s"})
+            padded = line.rstrip(b"\n") + b" " * (MAX_LINE_BYTES + 1 - len(line))
+            assert len(padded) == MAX_LINE_BYTES
+            writer.write(padded + b"\n")
+            assert (await _replies(reader, 1))[0]["type"] == "opened"
+            writer.close()
+        _serving(scenario)
+
+    @pytest.mark.parametrize("terminated", [True, False])
+    def test_an_oversized_line_is_a_named_error_and_closes(self, terminated):
+        """Fails closed: named error, this connection closed, every other
+        connection and every stream untouched — terminated or still arriving."""
+        async def scenario(server):
+            other_reader, other = await asyncio.open_connection(server.host,
+                                                                server.port)
+            other.write(_line({"type": "open", "stream": "kept"})
+                        + _line({"type": "ops", "stream": "kept", "ops": "w1[x]"}))
+            await _replies(other_reader, 2)
+
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            big = _line({"type": "ops", "stream": "kept",
+                         "ops": "r2[x] " * 20_000})
+            assert len(big) > MAX_LINE_BYTES
+            writer.write(_line({"type": "verdict", "stream": "kept"})
+                         + (big if terminated else big.rstrip(b"\n"))
+                         + (_line({"type": "close", "stream": "kept"})
+                            if terminated else b""))
+            verdict, error = await _replies(reader, 2)
+            assert verdict["type"] == "verdict" and verdict["ops"] == 1
+            assert error == {"type": "error", "kind": "request",
+                             "error": f"line exceeds {MAX_LINE_BYTES} bytes"}
+            assert await reader.read() == b""
+            writer.close()
+
+            # Nothing of the oversized line was fed; the request behind it on
+            # the closed connection was dropped with the connection.
+            other.write(_line({"type": "ops", "stream": "kept", "ops": "r2[x]"})
+                        + _line({"type": "verdict", "stream": "kept"}))
+            ack, verdict = await _replies(other_reader, 2)
+            assert ack["type"] == "ack"
+            assert [c["code"] for c in ack["certificates"]] == ["P1"]
+            assert verdict["ops"] == 2
+            other.close()
+        _serving(scenario)
+
+    def test_a_flooding_connection_does_not_starve_another(self):
+        """One connection keeps thousands of requests pipelined; a second
+        connection's round trips stay short while the flood is still being
+        served — a batch is bounded and the handler yields between batches."""
+        flood = 20_000
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(_line({"type": "open", "stream": "flood"}))
+            await _replies(reader, 1)
+            served = 0
+
+            async def drain_flood():
+                nonlocal served
+                for _ in range(flood):
+                    await reader.readline()
+                    served += 1
+
+            request = _line({"type": "ops", "stream": "flood",
+                             "ops": "r1[x] r2[y] r1[y] r2[x]"})
+            writer.write(request * flood)
+            draining = asyncio.ensure_future(drain_flood())
+
+            probe_reader, probe = await asyncio.open_connection(server.host,
+                                                                server.port)
+            round_trips = []
+            for _ in range(5):
+                started = time.perf_counter()
+                probe.write(_line({"type": "open", "stream": "probe"}))
+                await _replies(probe_reader, 1)
+                probe.write(_line({"type": "close", "stream": "probe"}))
+                await _replies(probe_reader, 1)
+                round_trips.append(time.perf_counter() - started)
+            served_at_probe_end = served
+            await draining
+            probe.close()
+            writer.close()
+            return round_trips, served_at_probe_end
+
+        round_trips, served_at_probe_end = _serving(scenario)
+        assert served_at_probe_end < flood, "the flood ended before the probe"
+        assert max(round_trips) < 1.0
 
 
 class TestLoadgen:
