@@ -431,7 +431,7 @@ def test_explorer_parallel_speedup_and_determinism(print_report):
         )
     else:
         # On one core, two workers time-slice a single CPU and cannot beat
-        # serial; smoke-sized runs pay fixed pool + manager startup against a
+        # serial; smoke-sized runs pay fixed pool startup against a
         # sub-second workload.  Only the fingerprint is load-bearing there.
         pytest.skip(f"speedup assertion needs >= 2 cores and >= 2000 schedules, "
                     f"have {cores} cores / {SCHEDULES} (measured {speedup:.2f}x)")

@@ -263,7 +263,7 @@ class CampaignRunner:
                 return False
             level = level_of[lease.scope]
             task = ChunkTask(lease.chunk_index, self.spec, level,
-                             payloads[lease.chunk_index], builder, None,
+                             payloads[lease.chunk_index], builder,
                              outcome_memo=outcome_memo,
                              batch_kernel=self.batch_kernel)
             try:

@@ -16,7 +16,7 @@ The public surface:
   (`explorer.py`), with a hard determinism contract: output depends only on
   the spec, levels, mode, budget, seed, and reduction — never on worker
   count.  Schedules stream lazily (O(chunk) memory), ``workers="auto"`` uses
-  every usable core, and parallel workers share the classification cache.
+  every usable core, and each process keeps one classification memo per run.
 * :mod:`~repro.explorer.schedules` — interleaving combinatorics (multinomial
   counting, exhaustive enumeration, seeded deduplicated sampling), streamed.
 * :mod:`~repro.explorer.reduction` — sleep-set/DPOR-style partial-order
@@ -28,10 +28,11 @@ The public surface:
 * :mod:`~repro.explorer.trie_executor` — the prefix-sharing trie executor:
   one testbed per (spec, level), checkpoint/restore instead of rebuild, and
   schedules re-executing only their divergent suffix.
-* :mod:`~repro.explorer.worker` — the picklable process-pool work units.
-* :mod:`~repro.explorer.memo` — memoized batched classification with
-  prefix-shared dependency-graph construction and cross-process cache
-  exchange.
+* :mod:`~repro.explorer.worker` — the picklable chunk work units and the
+  per-process state they reuse.
+* :mod:`~repro.explorer.memo` — memoized batched classification (one bounded
+  table keyed by history shorthand) and prefix-shared dependency-graph
+  construction.
 """
 
 from .explorer import (

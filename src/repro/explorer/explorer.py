@@ -23,14 +23,17 @@ Four scaling layers sit on the hot path:
   reduced as they are generated (:class:`~repro.explorer.reduction.StreamingReducer`),
   so reduction composes with sampled streams of any size without
   materializing the schedule list up front.
-* **Shared classification cache** (``shared_cache=True``) — parallel workers
-  exchange whole-history classifications through an append-only manager log,
-  one batched pull and one batched publish per chunk, so they stop paying
-  each other's cold caches.
+* **One classification memo per run and process** — a history's
+  classification is defined on the history, not on the level or chunk that
+  realized it, so the serial path keeps one
+  :class:`~repro.explorer.memo.BatchClassifier` for the whole ``explore()``
+  call (all levels) and every pool worker keeps one for its lifetime, which
+  is the run.  Workers exchange nothing: no manager process, no per-chunk
+  round trips.
 
 Determinism contract: the full output (every record, in order) is a pure
 function of ``(spec, levels, mode, max_schedules, seed, reduction)``.  Worker
-count, chunk size, and cache sharing only change wall-clock time, never
+count, chunk size, and memo warmth only change wall-clock time, never
 results — the schedule stream is fixed by the seed before any execution,
 chunks are indexed, records are reassembled by chunk index, execution is
 byte-equal to from-scratch runs (the trie executor's contract), and
@@ -286,13 +289,16 @@ def _assemble_chunk(records: List[ScheduleRecord],
 
 def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
                    chunks: _ChunkStreamCache, plan: Optional[_ScopePlan],
-                   chunk_size: int, builder, initial_items,
-                   pool, shared_cache, outcome_memo: bool = False,
-                   shared_outcomes=None,
+                   chunk_size: int, builder,
+                   pool, classifier: Optional[BatchClassifier],
+                   outcome_memo: bool = False,
                    codes: Optional[Tuple[str, ...]] = None,
                    batch_kernel: Optional[str] = None,
                    persistence=None, programs=None) -> LevelExploration:
     """Stream one level's chunks through execution (in-process or pooled).
+
+    ``classifier`` is the run's classification memo when the chunks execute
+    in this process (``pool`` is None); pool workers use their own.
 
     With a reduction plan, chunks are canonicalized as they stream (or the
     recorded plan replayed) and only fresh representatives are executed;
@@ -303,15 +309,14 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
     attached, chunks below the stored cursor are *loaded* instead of
     executed, every freshly executed chunk is committed atomically as its
     result arrives — results come back in chunk-index order, so the cursor
-    stays a contiguous high-water mark — and the serial dedupe tiers are
+    stays a contiguous high-water mark — together with the classifications
+    and outcomes it newly computed, and the serial dedupe tiers are
     preloaded from the store.  The stored prefix of the stream always comes
     before every live chunk, so loaded records land in stream order.
     """
-    serial_classifier = (BatchClassifier(codes=codes, initial_items=initial_items)
-                         if pool is None else None)
     if persistence is not None:
-        if serial_classifier is not None:
-            persistence.preload_classifier(serial_classifier)
+        if classifier is not None:
+            persistence.preload_classifier(classifier)
         persistence.preload_outcome_memo(spec, programs)
     started = time.perf_counter()
     records: List[ScheduleRecord] = []
@@ -329,8 +334,7 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
     consumed = 0
     loaded_records = 0
     loaded_reps = 0
-    export_outcomes = (persistence is not None and outcome_memo
-                       and pool is None)
+    export_fresh = persistence is not None
 
     if plan is None:
         # In-process execution has no load-balancing constraint, so batch the
@@ -352,11 +356,10 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
                     order.append(("stored", index, len(chunk)))
                     continue
                 order.append(("live", index))
-                yield ChunkTask(index, spec, level, chunk, builder, shared_cache,
-                                outcome_memo=outcome_memo,
-                                shared_outcomes=shared_outcomes, codes=codes,
+                yield ChunkTask(index, spec, level, chunk, builder,
+                                outcome_memo=outcome_memo, codes=codes,
                                 batch_kernel=batch_kernel,
-                                export_outcomes=export_outcomes)
+                                export_fresh=export_fresh)
 
         def drain_stored() -> None:
             nonlocal consumed, loaded_records
@@ -367,15 +370,17 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
                 loaded_records += len(stored_records)
                 consumed += 1
 
-        for result in _run_tasks(tasks(), pool, serial_classifier):
+        for result in _run_tasks(tasks(), pool, classifier):
             drain_stored()
             entry = order[consumed]
             consumed += 1
             records.extend(result.records)
             stats_parts.append(result.cache_stats)
             if persistence is not None:
-                persistence.commit_chunk(entry[1], result.records,
-                                         fresh_outcomes=result.fresh_outcomes)
+                persistence.commit_chunk(
+                    entry[1], result.records,
+                    fresh_classifications=result.fresh_classifications,
+                    fresh_outcomes=result.fresh_outcomes)
         drain_stored()
         if outcome_memo:
             executed = sum(part.get("outcome_executed", 0) for part in stats_parts)
@@ -396,8 +401,9 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
                     continue
                 order.append(("live", index))
                 pending.append((chunk, len(chunk)))
-                yield ChunkTask(index, spec, level, fresh, builder, shared_cache,
-                                codes=codes, batch_kernel=batch_kernel)
+                yield ChunkTask(index, spec, level, fresh, builder,
+                                codes=codes, batch_kernel=batch_kernel,
+                                export_fresh=export_fresh)
 
         position = 0
 
@@ -413,7 +419,7 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
                 position += length
                 consumed += 1
 
-        for result in _run_tasks(tasks(), pool, serial_classifier):
+        for result in _run_tasks(tasks(), pool, classifier):
             drain_stored()
             entry = order[consumed]
             consumed += 1
@@ -425,21 +431,16 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
             assembled_start = len(records)
             _assemble_chunk(records, executed_records, chunk, slots)
             if persistence is not None:
-                persistence.commit_chunk(entry[1], records[assembled_start:],
-                                         rep_records=result.records)
+                persistence.commit_chunk(
+                    entry[1], records[assembled_start:],
+                    rep_records=result.records,
+                    fresh_classifications=result.fresh_classifications)
         drain_stored()
         executed = len(executed_records) - loaded_reps
 
-    if serial_classifier is not None:
-        merged = _merge_stats(stats_parts)
-        # The shared classifier's counters are authoritative for the level;
-        # per-chunk parts carry the timing/trie counters.
-        merged.update(serial_classifier.stats)
-        stats = merged
-    else:
-        stats = _merge_stats(stats_parts)
+    stats = _merge_stats(stats_parts)
     if persistence is not None:
-        persistence.finish(len(order), classifier=serial_classifier)
+        persistence.finish(len(order))
         stats.update(persistence.stats)
     duration = time.perf_counter() - started
     return LevelExploration(level, tuple(records), stats, duration,
@@ -447,11 +448,11 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
 
 
 def _run_tasks(tasks: Iterator[ChunkTask], pool,
-               serial_classifier) -> Iterator[ChunkResult]:
+               classifier: Optional[BatchClassifier]) -> Iterator[ChunkResult]:
     """Run chunk tasks in submission order, in-process or on the pool."""
     if pool is None:
         for task in tasks:
-            yield execute_chunk(task, serial_classifier)
+            yield execute_chunk(task, classifier)
     else:
         # imap pulls tasks from the lazy generator as workers free up, so the
         # parent never materializes the full schedule list; results arrive in
@@ -501,9 +502,11 @@ def explore(spec: ProgramSetSpec,
         stream is lazy: schedules are generated chunk by chunk, never held as
         one list.
     workers:
-        ``1`` runs in-process (with cross-chunk memoization); ``N > 1`` fans
-        chunks out over a process pool; ``"auto"`` uses every usable core
-        (:func:`available_workers`).  Results are identical in all cases.
+        ``1`` runs in-process with one classification memo for the whole
+        call; ``N > 1`` fans chunks out over a process pool whose workers
+        each keep their own for the run and exchange nothing; ``"auto"`` uses
+        every usable core (:func:`available_workers`).  Results are identical
+        in all cases.
     chunk_size:
         Schedules per work unit.  Affects only load balancing and streaming
         granularity.
@@ -523,19 +526,13 @@ def explore(spec: ProgramSetSpec,
         (equivalent up to the order of commuting adjacent steps), so a
         coverage witness pair under reduction shows the class's
         representative history, not a replay of that exact interleaving.
-    shared_cache:
-        When parallel, share whole-history classifications across workers via
-        an append-only manager log (one batched pull at chunk start, one
-        batched publish at chunk end).  Pure optimization — never changes
-        records.
     outcome_memo:
         Schedule-level outcome memoization for streams explored *without*
         reduction: schedules are canonicalized
         (:meth:`~repro.explorer.reduction.CommutationOracle.canonical_key`,
         level-aware terminal scope) and each equivalence class executes its
         canonical member exactly once per process — every other member reuses
-        the memoized outcome, and parallel workers exchange outcomes through
-        an append-only log like the classification cache.  ``"auto"`` (the
+        the memoized outcome.  ``"auto"`` (the
         default) enables it only when ``reduction == "none"`` and the space
         holds at most :data:`OUTCOME_MEMO_AUTO_LIMIT` schedules — exhaustive
         or oversampled streams, where classes are revisited constantly; a
@@ -575,8 +572,24 @@ def explore(spec: ProgramSetSpec,
         byte-identical result to an uninterrupted run.  The store also backs
         the dedupe tiers across runs and workloads: memoized canonical-form
         outcomes (per workload+level) and history classifications (shared by
-        every workload) are preloaded from and saved to the store, so
-        re-running a completed campaign executes ~0 fresh schedules.
+        every workload).  Whatever a chunk newly computes of either is saved
+        with that chunk, serial and parallel alike, so the tiers hold
+        exactly what the committed chunks learned.  The serial path also
+        *preloads* both tiers, once per run, so a new campaign on a warm
+        store skips what the store already knows.  Pool workers are not
+        seeded from the store at all: the pool is created by
+        ``multiprocessing.Pool(processes=workers)`` with no initializer, and
+        the only other channel — tiers parked in module globals for ``fork``
+        to copy — would make a run's cost depend on the start method.  A
+        parallel run still resumes from the cursor and a re-run of a complete
+        campaign executes 0 schedules; what it gives up is the stored tiers
+        on a *new* campaign.  Measured on the ledger's spec, seed 977 after
+        seed 42 on one store, ``chunk_size=256``: 3,008 of the second
+        campaign's 17,569 distinct histories (17%) are already stored; the
+        serial preload turns them into 14,561 misses instead of 17,569
+        (classification 1.89 -> 1.61 s), two workers recompute them (20,685
+        misses warm, 20,759 cold) — about 0.2 s of a 4.2 s run, which the
+        wall clock could not resolve either way.
         ``cache_stats`` gains ``store_*`` counters.  With a store attached
         the serial path pins its execution batches to ``chunk_size`` (the
         cursor must mean the same chunk boundaries in every run), so prefer
@@ -618,7 +631,6 @@ def explore(spec: ProgramSetSpec,
     seed = options.seed
     chunk_size = options.chunk_size
     reduction = options.reduction
-    shared_cache = options.shared_cache
     outcome_memo = options.outcome_memo
     static_pruning = options.static_pruning
     batch_kernel = options.batch_kernel
@@ -698,68 +710,28 @@ def explore(spec: ProgramSetSpec,
         return persistence
 
     chunk_cache = _ChunkStreamCache(space)
-    explorations: Dict[IsolationLevelName, LevelExploration] = {}
-    if workers == 1:
-        for level in levels:
-            explorations[level] = _explore_level(
+
+    def _run_levels(pool, classifier: Optional[BatchClassifier]
+                    ) -> Dict[IsolationLevelName, LevelExploration]:
+        return {
+            level: _explore_level(
                 spec, level, chunk_cache, _plan_for(level), chunk_size, builder,
-                initial_items, pool=None, shared_cache=None,
-                outcome_memo=outcome_memo, codes=level_codes[level],
-                batch_kernel=batch_kernel,
-                persistence=_persistence_for(level, serial=True),
-                programs=programs,
-            )
+                pool, classifier, outcome_memo=outcome_memo,
+                codes=level_codes[level], batch_kernel=batch_kernel,
+                persistence=_persistence_for(level, serial=pool is None),
+                programs=programs)
+            for level in levels
+        }
+
+    if workers == 1:
+        # This call's own memo, not the process's: a classification learned
+        # by an earlier explore() in this process would be missing from the
+        # fresh set a new store is filled from.
+        explorations = _run_levels(
+            None, BatchClassifier(initial_items=initial_items))
     else:
-        manager = multiprocessing.Manager() if shared_cache else None
-        try:
-            # One shared log across levels too: classification is level-
-            # independent, and serial prefixes realize identical histories
-            # under different engines.
-            shared = manager.list() if manager is not None else None
-            # Outcomes are level-dependent: one outcome log per level, all
-            # created up front and kept alive until the manager shuts down —
-            # workers key their incremental-pull cursors on the proxy token,
-            # and a freed referent's id could otherwise be reused by a later
-            # level's log, aliasing the cursors across levels.
-            outcome_logs = {
-                level: (manager.list()
-                        if manager is not None and outcome_memo else None)
-                for level in levels
-            }
-            # A campaign store seeds the fresh logs with its stored dedupe
-            # tiers (workers preload them through the normal incremental
-            # pull) and drains worker-published batches back afterwards.
-            seed_batches = (session.seed_classification_log(shared)
-                            if session is not None and shared is not None else 0)
-            outcome_seeds = {
-                level: (session.seed_outcome_log(outcome_logs[level], level.value)
-                        if session is not None and outcome_logs[level] is not None
-                        else 0)
-                for level in levels
-            }
-            with multiprocessing.Pool(processes=workers) as pool:
-                for level in levels:
-                    explorations[level] = _explore_level(
-                        spec, level, chunk_cache, _plan_for(level), chunk_size,
-                        builder, initial_items, pool=pool, shared_cache=shared,
-                        outcome_memo=outcome_memo,
-                        shared_outcomes=outcome_logs[level],
-                        codes=level_codes[level],
-                        batch_kernel=batch_kernel,
-                        persistence=_persistence_for(level, serial=False),
-                        programs=programs,
-                    )
-            if session is not None:
-                if shared is not None:
-                    session.drain_classification_log(shared, seed_batches)
-                for level in levels:
-                    log = outcome_logs[level]
-                    if log is not None:
-                        session.drain_outcome_log(log, level.value,
-                                                  outcome_seeds[level])
-        finally:
-            if manager is not None:
-                manager.shutdown()
+        with multiprocessing.Pool(processes=workers) as pool:
+            explorations = _run_levels(pool, None)
     for level, exploration in explorations.items():
         codes = level_codes[level]
         exploration.cache_stats["static_pruned_detectors"] = (

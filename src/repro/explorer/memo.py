@@ -38,6 +38,7 @@ __all__ = [
     "HistoryClassification",
     "PrefixGraphBuilder",
     "BatchClassifier",
+    "CLASSIFICATION_MEMO_CAP",
     "ScheduleOutcome",
     "ScheduleOutcomeMemo",
 ]
@@ -61,8 +62,8 @@ class ScheduleOutcome:
     What the schedule-level outcome memo stores per equivalence class:
     executing the class's canonical member realizes this history and
     classification, and every member of the class shares it (the reduction
-    layer's record semantics).  Plain strings and tuples — picklable across
-    the worker pool's shared outcome log.
+    layer's record semantics).  Plain strings and tuples — picklable in a
+    :class:`~repro.explorer.worker.ChunkResult` and storable as a row.
     """
 
     history: str
@@ -99,9 +100,9 @@ class ScheduleOutcomeMemo:
         self.oracle = CommutationOracle(programs, terminal_scope=terminal_scope)
         self.terminal_scope = terminal_scope
         self._outcomes: Dict[Interleaving, ScheduleOutcome] = {}
-        #: Outcomes computed since the last :meth:`drain_fresh` (for shared
-        #: logs; drained after every chunk regardless of whether a log is
-        #: attached, so it never grows past one chunk's worth).
+        #: Outcomes computed since the last :meth:`drain_fresh` (drained after
+        #: every chunk whether or not a store wants them, so it never grows
+        #: past one chunk's worth).
         self._fresh: Dict[Interleaving, ScheduleOutcome] = {}
 
     def canonical(self, interleaving: Interleaving) -> Interleaving:
@@ -117,7 +118,7 @@ class ScheduleOutcomeMemo:
         self._fresh[key] = outcome
 
     def preload(self, entries: Mapping[Interleaving, ScheduleOutcome]) -> None:
-        """Seed with outcomes computed elsewhere (other worker processes).
+        """Seed with outcomes computed elsewhere (a campaign store's tier).
 
         Sound because an entry is a pure function of (programs, level,
         canonical key) — a preloaded outcome can only save an execution,
@@ -125,14 +126,9 @@ class ScheduleOutcomeMemo:
         """
         self._outcomes.update(entries)
 
-    def exports(self) -> Dict[Interleaving, ScheduleOutcome]:
-        """Locally computed outcomes, for publishing to a shared log."""
-        return dict(self._fresh)
-
     def drain_fresh(self) -> Dict[Interleaving, ScheduleOutcome]:
-        """:meth:`exports`, clearing the fresh set — the memo is per-process
-        and long-lived, so publishers drain it to avoid republishing the same
-        batch with every chunk."""
+        """The outcomes computed here since the last drain — the memo is
+        per-process and long-lived, so each chunk takes its own."""
         fresh = self._fresh
         self._fresh = {}
         return fresh
@@ -486,25 +482,39 @@ def _sv_is_serializable(history: History, index: HistoryIndex) -> bool:
     return _graph_is_acyclic(adjacency)
 
 
-class BatchClassifier:
-    """Classify realized histories with whole-history memoization.
+#: Entries the classification memo (and, separately, the mapped-flags table)
+#: admits.  A full table stops admitting — later distinct histories are
+#: computed and returned, never stored, and nothing is evicted — so a stream of
+#: any length holds at most this many.  Measured on the ledger's 20-operation
+#: histories: 559 B per memo entry (178-character shorthand key, the
+#: classification and its tuples, the dict slot), so a full memo is 73 MB per
+#: process; the ledger's 30,000-schedule run admits 17,492, 13% of it.  A
+#: mapped-flags entry is 1,388 B (the mapped history is the key) and 781 of
+#: that run's 6,000 multiversion histories add one: 182 MB if it ever filled,
+#: which at that ratio takes a million distinct multiversion histories.
+CLASSIFICATION_MEMO_CAP = 1 << 17
 
-    Single-version serializability verdicts use :func:`_sv_is_serializable`
-    over the same :class:`~repro.core.phenomena.HistoryIndex` the phenomenon
-    detectors share; :class:`PrefixGraphBuilder` remains available for callers
-    that want full labelled dependency graphs with prefix memoization.
+
+class BatchClassifier:
+    """Classify realized histories through one whole-history memo.
+
+    The memo is a single table keyed by the history's shorthand — the string
+    every record already carries, which renders the operation sequence with
+    its values and versions — so an entry is the same whichever level, chunk
+    or process realized the history, and entries computed elsewhere
+    (:meth:`preload`) sit in the same table as the ones computed here.
+    ``codes`` only selects detectors on a miss: static pruning drops a code
+    only where no history realizable at that level exhibits it, so an entry
+    computed under one level's restricted codes is the full classification.
+    One instance serves one workload: multiversion version completion reads
+    ``initial_items``, so entries must not cross initial databases.
     """
 
-    def __init__(self, codes: Optional[Sequence[str]] = None,
-                 max_trie_nodes: int = 200_000,
-                 initial_items: Optional[Sequence[str]] = None):
-        self._codes = list(codes) if codes is not None else None
-        self._cache: Dict[History, HistoryClassification] = {}
-        #: Classifications computed elsewhere (other workers), keyed by the
-        #: history's shorthand — the picklable cross-process cache currency.
-        self._preloaded: Dict[str, HistoryClassification] = {}
-        #: Classifications this instance computed itself since construction,
-        #: keyed by shorthand — what it has to offer a shared cache.
+    def __init__(self, initial_items: Optional[Sequence[str]] = None):
+        self._memo: Dict[str, HistoryClassification] = {}
+        #: Keys that :meth:`preload` supplied; a hit on one is a shared hit.
+        self._preloaded: Set[str] = set()
+        #: Classifications computed here since the last :meth:`drain_fresh`.
         self._fresh: Dict[str, HistoryClassification] = {}
         #: Items present in the initial database, for MV version completion
         #: (see assign_write_versions).  None assumes every item pre-exists.
@@ -518,22 +528,40 @@ class BatchClassifier:
         self.misses = 0
         self.shared_hits = 0
 
-    def preload(self, entries: Mapping[str, HistoryClassification]) -> None:
-        """Seed the whole-history cache with classifications computed elsewhere.
+    def preload(self, entries: Mapping[str, HistoryClassification]) -> int:
+        """Admit classifications computed elsewhere (a campaign store's tier).
 
-        Keys are history shorthand strings (which uniquely render the
-        operation sequence, values and versions included), so entries survive
-        pickling across process boundaries.  Sharing is sound because
-        classification is a pure function of the history — a preloaded entry
-        can only save work, never change a result.
+        Sound because classification is a pure function of the history — a
+        preloaded entry can only save work, never change a result.  Returns
+        how many entries the cap let in; preloaded entries are never fresh.
         """
-        self._preloaded.update(entries)
+        memo = self._memo
+        admitted = 0
+        for shorthand, classification in entries.items():
+            if len(memo) >= CLASSIFICATION_MEMO_CAP:
+                break
+            if shorthand not in memo:
+                memo[shorthand] = classification
+                self._preloaded.add(shorthand)
+                admitted += 1
+        return admitted
 
-    def exports(self) -> Dict[str, HistoryClassification]:
-        """The classifications computed locally, for publishing to a shared cache."""
-        return dict(self._fresh)
+    def drain_fresh(self) -> Dict[str, HistoryClassification]:
+        """The classifications computed here since the last drain.
 
-    def classify(self, history: History) -> HistoryClassification:
+        Whoever runs chunks through a long-lived classifier drains it after
+        every chunk (to save with the chunk, or to drop), so the fresh set
+        never outgrows one chunk.
+        """
+        fresh = self._fresh
+        self._fresh = {}
+        return fresh
+
+    def __len__(self) -> int:
+        return len(self._memo)
+
+    def classify(self, history: History,
+                 codes: Optional[Sequence[str]] = None) -> HistoryClassification:
         """Serializability verdict plus the phenomena present in the history.
 
         Multiversion histories (realized by the Snapshot Isolation and Read
@@ -544,27 +572,26 @@ class BatchClassifier:
         raw versioned operations — otherwise every snapshot read of an old
         version would look like a dirty read.
         """
-        cached = self._cache.get(history)
-        if cached is not None:
-            self.hits += 1
-            return cached
         shorthand = history.to_shorthand()
-        shared = self._preloaded.get(shorthand)
-        if shared is not None:
-            self.shared_hits += 1
-            self._cache[history] = shared
-            return shared
+        cached = self._memo.get(shorthand)
+        if cached is not None:
+            if shorthand in self._preloaded:
+                self.shared_hits += 1
+            else:
+                self.hits += 1
+            return cached
         self.misses += 1
         if history.is_multiversion():
             serializable, mapped = _mv_classify_core(history, self.initial_items)
             flags = self._mapped_flags.get(mapped)
             if flags is None:
-                flags = detect_flags(mapped, codes=self._codes)
-                self._mapped_flags[mapped] = flags
+                flags = detect_flags(mapped, codes=codes)
+                if len(self._mapped_flags) < CLASSIFICATION_MEMO_CAP:
+                    self._mapped_flags[mapped] = flags
         else:
             index = HistoryIndex(history)
             serializable = _sv_is_serializable(history, index)
-            flags = detect_flags(history, codes=self._codes, index=index)
+            flags = detect_flags(history, codes=codes, index=index)
         classification = HistoryClassification(
             shorthand=shorthand,
             serializable=serializable,
@@ -574,13 +601,10 @@ class BatchClassifier:
             committed=tuple(sorted(history.committed_set())),
             aborted=tuple(sorted(history.aborted_set())),
         )
-        self._cache[history] = classification
+        if len(self._memo) < CLASSIFICATION_MEMO_CAP:
+            self._memo[shorthand] = classification
         self._fresh[shorthand] = classification
         return classification
-
-    def classify_batch(self, histories: Sequence[History]) -> List[HistoryClassification]:
-        """Classify a batch, sharing the caches across all of it."""
-        return [self.classify(history) for history in histories]
 
     @property
     def stats(self) -> Dict[str, int]:

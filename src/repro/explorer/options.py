@@ -124,7 +124,6 @@ class ExploreOptions:
     workers: Union[int, str] = 1
     chunk_size: int = 64
     reduction: str = "none"
-    shared_cache: bool = True
     outcome_memo: Union[bool, str] = "auto"
     static_pruning: bool = False
     batch_kernel: Optional[str] = None
@@ -179,7 +178,6 @@ class ExploreOptions:
             EXPLORER_WORKERS         int or "auto"
             EXPLORER_CHUNK_SIZE      int
             EXPLORER_REDUCTION       none | sleep-set
-            EXPLORER_SHARED_CACHE    bool flag
             EXPLORER_OUTCOME_MEMO    bool flag or "auto"
             EXPLORER_STATIC_PRUNING  bool flag
             EXPLORER_BATCH_KERNEL    auto | on | off
@@ -196,7 +194,6 @@ class ExploreOptions:
             "workers": _or_auto(env_int, "EXPLORER_WORKERS", environ),
             "chunk_size": env_int("EXPLORER_CHUNK_SIZE", environ=environ),
             "reduction": environ.get("EXPLORER_REDUCTION"),
-            "shared_cache": env_bool("EXPLORER_SHARED_CACHE", environ=environ),
             "outcome_memo": _or_auto(env_bool, "EXPLORER_OUTCOME_MEMO", environ),
             "static_pruning": env_bool("EXPLORER_STATIC_PRUNING", environ=environ),
             "batch_kernel": env_choice("EXPLORER_BATCH_KERNEL", BATCH_KERNEL_MODES,

@@ -7,12 +7,12 @@ validates) the campaign row, and hands each isolation level a
 
 * ``cursor`` — how many chunks of this scope are already durable; the level
   loop skips executing those and loads their records instead;
-* ``commit_chunk`` — one atomic store write per freshly executed chunk
-  (records + cursor advance, plus the chunk's fresh outcome-memo entries);
+* ``commit_chunk`` — the chunk's fresh classifications and outcome-memo
+  entries, then one atomic store write of its records + cursor advance;
 * ``preload_classifier`` / ``preload_outcome_memo`` — seed the serial
-  dedupe tiers from the store before the level streams;
-* ``finish`` — persist the level's fresh classifications and mark the scope
-  complete.
+  dedupe tiers from the store before the level streams (the classification
+  tier once per run: the run's memo spans levels);
+* ``finish`` — mark the scope complete.
 
 Everything here runs in the parent process only.  Workers never see the
 store: the parent commits chunks as their results arrive in chunk order,
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.isolation import IsolationLevelName
-from ..explorer.memo import BatchClassifier, ScheduleOutcome
+from ..explorer.memo import BatchClassifier, HistoryClassification, ScheduleOutcome
 from ..explorer.schedules import Interleaving
 from ..explorer.worker import ScheduleRecord, preload_outcome_entries
 from ..workloads.program_sets import ProgramSetSpec
@@ -39,8 +39,8 @@ def campaign_config(spec: ProgramSetSpec, mode: str, max_schedules: int,
                     seed: int, reduction: str, chunk_size: int) -> Dict[str, Any]:
     """The canonical campaign config: every input the record stream depends on.
 
-    Deliberately excludes workers, shared_cache, outcome_memo, static_pruning,
-    and batch_kernel — those change wall-clock behaviour only, never records
+    Deliberately excludes workers, outcome_memo, static_pruning, and
+    batch_kernel — those change wall-clock behaviour only, never records
     (the explorer's determinism contract), so a campaign may be resumed with
     different values for them.  ``chunk_size`` *is* included: it fixes the
     chunk boundaries the progress cursor counts.
@@ -90,26 +90,32 @@ class LevelPersistence:
     def commit_chunk(self, chunk_index: int,
                      records: Sequence[ScheduleRecord],
                      rep_records: Optional[Sequence[ScheduleRecord]] = None,
+                     fresh_classifications: Optional[
+                         Mapping[str, HistoryClassification]] = None,
                      fresh_outcomes: Optional[Mapping[Interleaving,
                                                       ScheduleOutcome]] = None,
                      ) -> None:
+        """Save what the chunk newly computed, then commit the chunk.
+
+        Tiers first: a kill between the writes then leaves a tier entry whose
+        chunk re-executes (harmless), never a committed chunk whose histories
+        the tier lacks — resume loads that chunk and would not classify it
+        again.
+        """
         store = self.session.store
-        store.commit_chunk(self.session.campaign_id, self.scope, chunk_index,
-                           records, rep_records)
+        if fresh_classifications:
+            store.save_classifications(fresh_classifications)
         if fresh_outcomes:
             store.save_outcomes(self.session.workload, self.scope, fresh_outcomes)
+        store.commit_chunk(self.session.campaign_id, self.scope, chunk_index,
+                           records, rep_records)
         self._committed += 1
         self.stats["store_chunks_committed"] = self._committed
         self.stats["store_records_committed"] = (
             self.stats.get("store_records_committed", 0) + len(records))
 
-    def finish(self, total_chunks: int,
-               classifier: Optional[BatchClassifier] = None) -> None:
-        """Persist fresh classifications and mark the scope durably complete."""
-        if classifier is not None:
-            fresh = classifier.exports()
-            if fresh:
-                self.session.store.save_classifications(fresh)
+    def finish(self, total_chunks: int) -> None:
+        """Mark the scope durably complete."""
         stats = dict(self.stats)
         stats["static_pruned_detectors"] = self.static_pruned
         self.session.store.mark_scope_complete(
@@ -118,10 +124,14 @@ class LevelPersistence:
     # -- dedupe preloads ---------------------------------------------------------------
 
     def preload_classifier(self, classifier: BatchClassifier) -> None:
-        stored = self.session.classifications()
+        """Seed the run's memo from the stored tier, on the run's first level."""
+        if self.session.classifier_preloaded:
+            return
+        self.session.classifier_preloaded = True
+        stored = self.session.store.load_classifications()
         if stored:
-            classifier.preload(stored)
-            self.stats["store_classifications_preloaded"] = len(stored)
+            self.stats["store_classifications_preloaded"] = \
+                classifier.preload(stored)
 
     def preload_outcome_memo(self, spec: ProgramSetSpec, programs) -> None:
         """Seed the parent-process outcome memo from the store (serial path)."""
@@ -145,52 +155,11 @@ class CampaignSession:
         self.campaign_id = campaign_id or default_campaign_id(self.config)
         self.workload = workload_key(spec)
         store.open_campaign(self.campaign_id, self.config)
-        self._classifications: Optional[Dict[str, Any]] = None
-
-    def classifications(self) -> Dict[str, Any]:
-        """Stored classifications, loaded once per session (shared by levels)."""
-        if self._classifications is None:
-            self._classifications = self.store.load_classifications()
-        return self._classifications
+        #: The classification tier is loaded into the run's memo once, by the
+        #: first level; the memo then carries it (and everything learned
+        #: since) through the remaining levels.
+        self.classifier_preloaded = False
 
     def level(self, level: IsolationLevelName, outcome_memo: bool,
               serial: bool) -> LevelPersistence:
         return LevelPersistence(self, level, outcome_memo, serial)
-
-    # -- parallel dedupe-tier exchange -------------------------------------------------
-
-    def seed_classification_log(self, log: Any) -> int:
-        """Append the stored classifications to a fresh manager log.
-
-        Returns the number of seed batches appended (0 or 1): the caller
-        skips them when draining worker-published batches back to the store.
-        """
-        stored = self.classifications()
-        if stored:
-            log.append(stored)
-            return 1
-        return 0
-
-    def seed_outcome_log(self, log: Any, scope: str) -> int:
-        stored = self.store.load_outcomes(self.workload, scope)
-        if stored:
-            log.append(stored)
-            return 1
-        return 0
-
-    def drain_classification_log(self, log: Any, seed_batches: int) -> int:
-        """Persist every worker-published classification batch to the store."""
-        merged: Dict[str, Any] = {}
-        for batch in list(log)[seed_batches:]:
-            merged.update(batch)
-        if merged:
-            self.store.save_classifications(merged)
-        return len(merged)
-
-    def drain_outcome_log(self, log: Any, scope: str, seed_batches: int) -> int:
-        merged: Dict[Interleaving, ScheduleOutcome] = {}
-        for batch in list(log)[seed_batches:]:
-            merged.update(batch)
-        if merged:
-            self.store.save_outcomes(self.workload, scope, merged)
-        return len(merged)

@@ -539,20 +539,17 @@ class SqliteStore(CampaignStore):
         if not entries:
             return 0
 
+        # An entry is a pure function of its key, so an existing row is left
+        # as it is; the cursor's rowcount is then the number of new rows, at
+        # the cost of the batch and not of the table (saves come per chunk).
         def txn(cur: sqlite3.Cursor) -> int:
-            before = cur.execute(
-                "SELECT COUNT(*) FROM outcomes WHERE workload = ? AND scope = ?",
-                (workload, scope)).fetchone()[0]
             cur.executemany(
-                "INSERT OR REPLACE INTO outcomes (workload, scope, key, history, "
+                "INSERT OR IGNORE INTO outcomes (workload, scope, key, history, "
                 "serializable, phenomena, committed, aborted, blocked_events, "
                 "deadlocks, stalled) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 [(workload, scope) + rec.outcome_to_row(key, outcome)
                  for key, outcome in entries.items()])
-            after = cur.execute(
-                "SELECT COUNT(*) FROM outcomes WHERE workload = ? AND scope = ?",
-                (workload, scope)).fetchone()[0]
-            return after - before
+            return cur.rowcount
 
         return self._write(txn)
 
@@ -571,14 +568,12 @@ class SqliteStore(CampaignStore):
             return 0
 
         def txn(cur: sqlite3.Cursor) -> int:
-            before = cur.execute("SELECT COUNT(*) FROM classifications").fetchone()[0]
             cur.executemany(
-                "INSERT OR REPLACE INTO classifications (shorthand, serializable, "
+                "INSERT OR IGNORE INTO classifications (shorthand, serializable, "
                 "phenomena, committed, aborted) VALUES (?, ?, ?, ?, ?)",
                 [rec.classification_to_row(shorthand, classification)
                  for shorthand, classification in entries.items()])
-            after = cur.execute("SELECT COUNT(*) FROM classifications").fetchone()[0]
-            return after - before
+            return cur.rowcount
 
         return self._write(txn)
 

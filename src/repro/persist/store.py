@@ -260,7 +260,10 @@ class CampaignStore(abc.ABC):
     @abc.abstractmethod
     def save_outcomes(self, workload: str, scope: str,
                       entries: Mapping[Interleaving, ScheduleOutcome]) -> int:
-        """Upsert memoized outcomes; returns how many keys were new."""
+        """Add memoized outcomes; returns how many keys were new.
+
+        An entry is a pure function of its key, so a key already stored keeps
+        its row."""
 
     @abc.abstractmethod
     def load_classifications(self) -> Dict[str, HistoryClassification]:
@@ -269,7 +272,8 @@ class CampaignStore(abc.ABC):
     @abc.abstractmethod
     def save_classifications(self,
                              entries: Mapping[str, HistoryClassification]) -> int:
-        """Upsert classifications by shorthand; returns how many were new."""
+        """Add classifications by shorthand (an existing key keeps its row,
+        as for outcomes); returns how many were new."""
 
     # -- derived artifacts ------------------------------------------------------------
 
@@ -520,13 +524,11 @@ class InMemoryStore(CampaignStore):
     def save_outcomes(self, workload: str, scope: str,
                       entries: Mapping[Interleaving, ScheduleOutcome]) -> int:
         rows = self._outcomes.setdefault((workload, scope), {})
-        fresh = 0
+        before = len(rows)
         for key, outcome in entries.items():
             encoded = rec.outcome_to_row(key, outcome)
-            if encoded[0] not in rows:
-                fresh += 1
-            rows[encoded[0]] = encoded[1:]
-        return fresh
+            rows.setdefault(encoded[0], encoded[1:])
+        return len(rows) - before
 
     def load_classifications(self) -> Dict[str, HistoryClassification]:
         out: Dict[str, HistoryClassification] = {}
@@ -537,13 +539,11 @@ class InMemoryStore(CampaignStore):
 
     def save_classifications(self,
                              entries: Mapping[str, HistoryClassification]) -> int:
-        fresh = 0
+        before = len(self._classifications)
         for shorthand, classification in entries.items():
             encoded = rec.classification_to_row(shorthand, classification)
-            if encoded[0] not in self._classifications:
-                fresh += 1
-            self._classifications[encoded[0]] = encoded[1:]
-        return fresh
+            self._classifications.setdefault(encoded[0], encoded[1:])
+        return len(self._classifications) - before
 
     # -- derived artifacts ------------------------------------------------------------
 

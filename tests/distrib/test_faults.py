@@ -142,7 +142,7 @@ def test_zombie_worker_with_expired_lease_can_never_commit(store):
 
     def task_for(chunk_index):
         return ChunkTask(chunk_index, SPEC, level, chunks[chunk_index],
-                         builder, None, outcome_memo=outcome_memo)
+                         builder, outcome_memo=outcome_memo)
 
     # Freeze: the worker hangs for 2s before executing its chunk, far past
     # the 0.2s lease, with heartbeats suppressed.

@@ -119,20 +119,21 @@ class TestDeterminism:
                                         schedules))
         assert chunk.records == result.levels[IsolationLevelName.READ_COMMITTED].records
 
-    def test_shared_cache_does_not_change_results(self):
+    def test_worker_memos_do_not_change_results(self):
+        """Each pool worker classifies through its own memo for the run."""
         spec = ProgramSetSpec.make("contention", transactions=3,
                                    operations_per_transaction=2)
-        cached = explore(spec, ExploreOptions(
+        options = ExploreOptions(
             levels=(IsolationLevelName.READ_COMMITTED,),
-            mode="sample", max_schedules=60, seed=4, workers=2,
-            chunk_size=8, shared_cache=True))
-        uncached = explore(spec, ExploreOptions(
-            levels=(IsolationLevelName.READ_COMMITTED,),
-            mode="sample", max_schedules=60, seed=4, workers=2,
-            chunk_size=8, shared_cache=False))
-        assert cached.fingerprint() == uncached.fingerprint()
-        stats = cached.levels[IsolationLevelName.READ_COMMITTED].cache_stats
-        assert "shared_hits" in stats and "shared_published" in stats
+            mode="sample", max_schedules=60, seed=4, chunk_size=8)
+        pooled = explore(spec, options.replace(workers=2))
+        serial = explore(spec, options)
+        assert pooled.fingerprint() == serial.fingerprint()
+        stats = pooled.levels[IsolationLevelName.READ_COMMITTED].cache_stats
+        assert stats["hits"] + stats["misses"] + stats["shared_hits"] == 60
+        # Two private memos can only miss more often than one, never less.
+        serial_stats = serial.levels[IsolationLevelName.READ_COMMITTED].cache_stats
+        assert stats["misses"] >= serial_stats["misses"]
 
 
 class TestWorkerAutoResolution:

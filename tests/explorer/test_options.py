@@ -84,7 +84,7 @@ class TestValidation:
     def test_field_names_are_the_legacy_surface(self):
         assert ExploreOptions.field_names() == (
             "levels", "mode", "max_schedules", "seed", "workers",
-            "chunk_size", "reduction", "shared_cache", "outcome_memo",
+            "chunk_size", "reduction", "outcome_memo",
             "static_pruning", "batch_kernel", "store", "campaign_id")
 
     def test_explore_kwargs_round_trips(self):
@@ -105,7 +105,6 @@ class TestFromEnv:
             "EXPLORER_WORKERS": "auto",
             "EXPLORER_CHUNK_SIZE": "16",
             "EXPLORER_REDUCTION": "sleep-set",
-            "EXPLORER_SHARED_CACHE": "off",
             "EXPLORER_OUTCOME_MEMO": "true",
             "EXPLORER_STATIC_PRUNING": "1",
             "EXPLORER_BATCH_KERNEL": "off",
@@ -118,7 +117,6 @@ class TestFromEnv:
         assert options.workers == "auto"
         assert options.chunk_size == 16
         assert options.reduction == "sleep-set"
-        assert options.shared_cache is False
         assert options.outcome_memo is True
         assert options.static_pruning is True
         assert options.batch_kernel == "off"
@@ -134,7 +132,6 @@ class TestFromEnv:
         ("EXPLORER_SEED", "1.5", "EXPLORER_SEED"),
         ("EXPLORER_WORKERS", "two", "EXPLORER_WORKERS"),
         ("EXPLORER_CHUNK_SIZE", "", "EXPLORER_CHUNK_SIZE"),
-        ("EXPLORER_SHARED_CACHE", "maybe", "EXPLORER_SHARED_CACHE"),
         ("EXPLORER_OUTCOME_MEMO", "sometimes", "EXPLORER_OUTCOME_MEMO"),
         ("EXPLORER_STATIC_PRUNING", "2", "EXPLORER_STATIC_PRUNING"),
     ])
@@ -164,8 +161,6 @@ class TestExecutorEnvVars:
     @pytest.mark.parametrize("name,raw,trigger", [
         ("EXPLORER_CHECKPOINT_SPACING", "abc", _serial_explore),
         ("EXPLORER_CHECKPOINT_SPACING", "0", _serial_explore),
-        ("EXPLORER_SHARED_LOG_CAP", "abc",
-         lambda: worker._publish_shared([], {})),
         ("EXPLORER_BATCH_KERNEL", "fast", _build_executor),
         ("EXPLORER_BATCH_KERNEL", "fast", ExploreOptions.from_env),
         ("EXPLORER_COMPILED_KERNEL", "maybe", _build_executor),

@@ -56,7 +56,7 @@ class TestMemoUnit:
         outcome = ScheduleOutcome("h", True, (), (1,), (), 0, 0, False)
         memo.preload({(1, 1): outcome})
         assert memo.peek((1, 1)) is outcome
-        assert memo.exports() == {}  # preloaded entries are not re-published
+        assert memo.drain_fresh() == {}  # preloaded entries are never fresh
         memo.put((2, 2), outcome)
         drained = memo.drain_fresh()
         assert drained == {(2, 2): outcome}
@@ -139,21 +139,7 @@ class TestMemoSoundness:
             explore(SPEC, ExploreOptions(outcome_memo="always"))
 
 
-class TestSharedOutcomeLog:
-    def test_workers_share_outcomes_through_the_log(self):
-        result = explore(SPEC, ExploreOptions(
-            levels=(IsolationLevelName.READ_COMMITTED,),
-            mode="exhaustive", max_schedules=300,
-            outcome_memo=True, workers=2, chunk_size=16,
-            shared_cache=True))
-        stats = result.levels[IsolationLevelName.READ_COMMITTED].cache_stats
-        assert "outcomes_published" in stats
-        serial = explore(SPEC, ExploreOptions(
-            levels=(IsolationLevelName.READ_COMMITTED,),
-            mode="exhaustive", max_schedules=300,
-            outcome_memo=True, workers=1))
-        assert result.fingerprint() == serial.fingerprint()
-
+class TestMemoizedChunk:
     def test_execute_chunk_memoized_equals_plain(self):
         """A memoized chunk must classify every schedule like a plain chunk."""
         _, programs = build_program_set(SPEC)

@@ -14,7 +14,7 @@ from repro.analysis.coverage import (
     coverage_report_from_store,
 )
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore
-from repro.persist import InMemoryStore
+from repro.persist import InMemoryStore, SqliteStore
 
 
 class Interrupted(RuntimeError):
@@ -182,3 +182,110 @@ class TestParallelCampaigns:
         resumed = explore(SPEC, ExploreOptions(
             workers=1, store=store, campaign_id="par", **EXPLORE_KWARGS))
         assert resumed.fingerprint() == baseline["none"].fingerprint()
+
+
+class SaveCountingStore:
+    """Proxy that records how many rows each dedupe-tier save was handed."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.classification_batches = []
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name != "save_classifications":
+            return attr
+
+        def save_classifications(entries):
+            self.classification_batches.append(len(entries))
+            return attr(entries)
+
+        return save_classifications
+
+
+def _distinct_histories(result):
+    return {record.history for level in result.levels.values()
+            for record in level.records}
+
+
+class TestTiersAreSavedWithTheChunk:
+    """Whatever a chunk newly computed is saved with that chunk — serial and
+    parallel alike — so the tiers hold exactly what the committed chunks
+    learned, whichever process learned it."""
+
+    #: No outcome memo: every schedule executes and is classified, so the
+    #: process-global outcome cache of an earlier test cannot empty the run.
+    OPTIONS = dict(outcome_memo=False, **EXPLORE_KWARGS)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_classification_rows_equal_distinct_histories(self, store, workers,
+                                                          tmp_path):
+        result = explore(SPEC, ExploreOptions(
+            workers=workers, store=store, campaign_id="c1", **self.OPTIONS))
+        assert set(store.load_classifications()) == _distinct_histories(result)
+        # The memo belongs to the call, not to the process: a second explore()
+        # here has everything to learn again, so a new store is filled too.
+        another = (InMemoryStore() if isinstance(store, InMemoryStore)
+                   else SqliteStore(tmp_path / "another.sqlite"))
+        try:
+            again = explore(SPEC, ExploreOptions(
+                workers=workers, store=another, campaign_id="c1", **self.OPTIONS))
+            assert again.fingerprint() == result.fingerprint()
+            assert set(another.load_classifications()) == _distinct_histories(result)
+        finally:
+            another.close()
+
+    def test_serial_run_saves_each_classification_exactly_once(self, store):
+        counting = SaveCountingStore(store)
+        result = explore(SPEC, ExploreOptions(
+            store=counting, campaign_id="c1", **self.OPTIONS))
+        assert sum(counting.classification_batches) == \
+            len(_distinct_histories(result)) == len(store.load_classifications())
+
+    def test_warm_store_is_preloaded_once_and_nothing_is_saved_again(self, store):
+        first = explore(SPEC, ExploreOptions(
+            store=store, campaign_id="c1", **self.OPTIONS))
+        stored = len(store.load_classifications())
+        counting = SaveCountingStore(store)
+        second = explore(SPEC, ExploreOptions(
+            store=counting, campaign_id="c2", **self.OPTIONS))
+        assert second.fingerprint() == first.fingerprint()
+        assert counting.classification_batches == []
+        preloaded = [level.cache_stats.get("store_classifications_preloaded", 0)
+                     for level in second.levels.values()]
+        assert preloaded == [stored] + [0] * (len(preloaded) - 1)
+        for level in second.levels.values():
+            stats = level.cache_stats
+            assert (stats["hits"], stats["misses"]) == (0, 0)
+            assert stats["shared_hits"] == len(level.records)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_killed_run_leaves_no_committed_chunk_without_its_classifications(
+            self, store, workers):
+        with pytest.raises(Interrupted):
+            explore(SPEC, ExploreOptions(
+                workers=workers, store=InterruptingStore(store, 3),
+                campaign_id="c1", **self.OPTIONS))
+        scope = next(iter(store.scope_progress("c1")))
+        committed = {record.history
+                     for chunk in range(store.cursor("c1", scope))
+                     for record in store.load_chunk("c1", scope, chunk)[0]}
+        assert committed and committed <= set(store.load_classifications())
+        resumed = explore(SPEC, ExploreOptions(
+            workers=workers, store=store, campaign_id="c1", **self.OPTIONS))
+        assert set(store.load_classifications()) == _distinct_histories(resumed)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_outcome_rows_cover_every_executed_class(self, store, workers):
+        from repro.explorer.worker import _OUTCOME_MEMO_CACHE
+        from repro.persist.records import workload_key
+        _OUTCOME_MEMO_CACHE.clear()      # forked workers inherit it too
+        result = explore(SPEC, ExploreOptions(
+            workers=workers, outcome_memo=True, store=store, campaign_id="c1",
+            **EXPLORE_KWARGS))
+        _OUTCOME_MEMO_CACHE.clear()
+        serial = explore(SPEC, ExploreOptions(outcome_memo=True, **EXPLORE_KWARGS))
+        assert result.fingerprint() == serial.fingerprint()
+        for level, exploration in serial.levels.items():
+            rows = store.load_outcomes(workload_key(SPEC), level.value)
+            assert len(rows) == exploration.executed > 0
