@@ -53,7 +53,6 @@ from repro.explorer import (
     TrieExecutor,
     available_workers,
     explore,
-    numpy_available,
     schedule_space,
 )
 from repro.explorer.worker import ChunkTask
@@ -263,7 +262,7 @@ def test_explorer_serial_baseline(print_report):
 
 
 def test_batch_kernel_vs_stepwise(print_report):
-    """The ISSUE 7 gate: the vectorized batch-drain kernel must stay
+    """The ISSUE 7 gate: the batch-drain kernel must stay
     byte-equal to the stepwise trie walk at every supported level, keep the
     fast path fully occupied on a registered workload, and lift aggregate
     serial throughput to >= 20x seed.
@@ -274,8 +273,6 @@ def test_batch_kernel_vs_stepwise(print_report):
     level and the best run recorded, the serial baseline's noise-damping
     methodology.
     """
-    if not numpy_available():
-        pytest.skip("batch kernel needs numpy (install the repro[fast] extra)")
     count = SCHEDULES
     _, programs = build_program_set(SPEC)
     schedules = schedule_space(programs, mode="sample", max_schedules=count,

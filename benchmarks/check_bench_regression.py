@@ -89,8 +89,7 @@ def _check_batch_kernel(fresh: Dict[str, Any]) -> List[str]:
     are wrong at *any* speed — a level whose kernel output diverged from the
     stepwise path (``byte_equal`` false) or whose fast path silently ejected
     rows on a registered workload (``occupancy`` below 1).  An absent section
-    is fine here (no numpy on the runner); the gated SECTIONS entry already
-    reports that.
+    is fine here; the gated SECTIONS entry already reports that.
     """
     section = fresh.get("batch_kernel")
     if not isinstance(section, dict):

@@ -24,6 +24,7 @@ import json
 import sys
 from typing import Any, Dict, Optional, Sequence
 
+from ..explorer.options import BATCH_KERNEL_MODES
 from ..persist.cli import _levels_from_arg, _parse_param
 from ..persist.sqlite_store import SqliteStore
 from ..persist.store import StoreError
@@ -177,7 +178,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="executions before a chunk is quarantined "
                              "as poisoned")
     parser.add_argument("--batch-kernel", default=None,
-                        choices=[None, "auto", "numpy"],
+                        choices=BATCH_KERNEL_MODES,
                         help="batch-kernel override passed through to workers")
     parser.add_argument("--requeue-poisoned", action="store_true",
                         help="reset previously poisoned chunks before running")

@@ -470,15 +470,15 @@ def compile_programs(programs: Sequence[TransactionProgram]) -> CompiledProgramS
     )
 
 
-# -- batch table emission (the explorer's vectorized batch-drain kernel) -----------------
+# -- batch table emission (the explorer's batch-drain kernel) ----------------------------
 #
 # The batch kernel (repro.explorer.batch_kernel) executes many schedules of
 # one program set against flat per-transaction step tables: plain int tuples
-# of op codes and item ids that pack directly into numpy arrays.  Emission
-# lives here, next to compile_step, because the tables are a projection of the
-# compiled step tables — the kernel reaches value specs, ``into`` bindings,
-# and the per-step operation-interning caches through the CompiledProgramSet
-# it was built from, so both kernels share one set of interned Operations.
+# of op codes and item ids.  Emission lives here, next to compile_step,
+# because the tables are a projection of the compiled step tables — the
+# kernel reaches value specs, ``into`` bindings, and the per-step
+# operation-interning caches through the CompiledProgramSet it was built
+# from, so both kernels share one set of interned Operations.
 
 @dataclass(frozen=True)
 class BatchProgram:
@@ -501,9 +501,7 @@ class BatchTableSet:
     """Every program of a set as batch tables over one shared item table.
 
     ``item_names`` maps item id -> name (the table's own interning order:
-    first encounter across programs in step order).  The set is numpy-free by
-    design — packing into arrays happens lazily inside the batch kernel, so
-    importing this module never pulls in the optional dependency.
+    first encounter across programs in step order).
     """
 
     programs: Tuple[BatchProgram, ...]

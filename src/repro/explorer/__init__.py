@@ -50,7 +50,7 @@ from .reduction import (
     StreamingReducer,
     build_execution_plan,
 )
-from .batch_kernel import BatchStats, build_batch_kernel, numpy_available
+from .batch_kernel import BatchStats, build_batch_kernel
 from .trie_executor import TrieExecutor, TrieStats
 from .scenarios import (
     ScenarioExploration,
@@ -93,7 +93,6 @@ __all__ = [
     "build_execution_plan",
     "BatchStats",
     "build_batch_kernel",
-    "numpy_available",
     "TrieExecutor",
     "TrieStats",
     "ScenarioExploration",

@@ -1,33 +1,75 @@
-"""The vectorized batch-drain kernel: flat-array schedule execution.
+"""The batch kernel: every engine state once, every later visit a table hit.
 
 The trie executor replays schedules through full engine objects — lock lists,
 undo logs, OpResult values, deep checkpoint tokens.  For the program shapes
 the explorer actually enumerates (item reads/writes + commit/abort, compiled
 to :func:`repro.engine.programs.emit_batch_tables` int tables), every engine
 rule the runner can observe is a small arithmetic fact over per-item holder
-bitmasks and counters.  This module executes whole batches against that flat
-representation:
+bitmasks, and Table 2 makes each locking level a *deterministic* rule over
+lock scope and duration.  Under a fixed program set a flat emulator is
+therefore a finite-state machine, and this module runs it as one:
 
-* Schedules are packed into one flat numpy int array, lexsorted, and their
-  consecutive common prefixes computed in a single vectorized pass — the
-  numpy stage of the kernel.  numpy is optional (the ``repro[fast]`` extra):
-  without it :func:`build_batch_kernel` returns None and callers stay on the
-  stepwise trie executor.
-* Each schedule then advances through a per-level flat emulator
-  (:class:`_LockingFlat`, :class:`_ReadConsistencyFlat`) or a static
-  per-transaction stream fold (:class:`_SnapshotKernel`), reusing the deepest
-  shared checkpoint exactly like the trie executor's DFS.
+* **The emulators** (:class:`_LockingFlat`, :class:`_ReadConsistencyFlat`)
+  keep the whole engine + runner state in one flat list and know how to take
+  a single step (``_attempt``) or a phase-2 drain from it.
+* **The transition table** in front of them interns every state the testbed
+  reaches (``tuple(state list)`` *is* the key) and maps
+  ``(state id, transaction) -> (next state id, emitted operations, attempt and
+  blocked deltas, deadlocks)`` and ``pre-drain state id -> drain result``.  The
+  emulator runs only on a miss; a slot that hits is two list indexings and an
+  extend, a checkpoint is ``(state id, len(ops), len(deadlocks), blocked,
+  attempts)``, and the outcome's statuses, contexts and database items are
+  read off the final state.  Schedules that reach one state by *different*
+  prefixes share it — on the ledger's 30,000-schedule sample 94% of all
+  attempts are answers the table already holds.
+* :class:`_SnapshotKernel` needs no table: under Snapshot Isolation every
+  transaction's stream is static and a row is one fold over commit order.
+* Batches are walked in sorted (DFS) order so consecutive rows restore the
+  deepest checkpoint they share, exactly like the trie executor.
 * Rows the tables cannot express (``OP_GENERIC`` steps, custom engine
   options) never reach the kernel — :func:`build_batch_kernel` refuses to
   build and the caller keeps the stepwise path; a per-row escape hatch
-  (``fallback``) ejects any row an emulator declines at runtime.
+  (``fallback``) ejects any row that names a transaction outside the tables.
+
+**What a state key contains.**  Item values, Share/Exclusive holder bitmasks
+(chain lengths and tips under Read Consistency), each transaction's lifecycle
+code, step counter and waits-for holder mask, one bitmask of the transactions
+whose parked blocked-result memo is still valid, the first-before-image (or
+write-buffer) slot of every (transaction, item), and every context binding.
+What it leaves out, and why: the lock manager's per-item version counters are
+monotone — two visits to the same engine situation never agree on them — and
+the runner reads them for one thing only, "has this item's lock state moved
+since the transaction parked", which the validity bitmask answers directly
+(any grant or release on an item clears the bit of every transaction parked
+on it).  ``ops``, ``deadlocks``, ``blocked_events`` and ``attempts`` are
+*outputs*: they never steer a step, so they are carried as per-transition
+deltas and two prefixes that differ only in what they already emitted still
+meet in one state.  The attempt budget is the one place an output steers:
+rows whose budget could run out inside a call take the checked slot loop, and
+a stored drain is reused only where ``attempts + its delta`` stays under
+``max_attempts`` (otherwise the drain runs on the emulator, unstored).
+
+**Purity.**  A stored transition replays what a program's value callable
+returned the first time.  That is sound exactly where ``_TESTBED_CACHE`` and
+:class:`~repro.explorer.memo.ScheduleOutcomeMemo` are: value callables must be
+pure functions of the context they are handed.  Values that compare equal
+(``1``, ``1.0``, ``True``) are one value to the table, as they already are to
+the per-step operation interning caches.  A state holding an unhashable value
+cannot be interned: it lives in the emulator's list only, its transitions are
+computed and not stored, and the row rejoins the table at the next state that
+can be.
+
+**The cap.**  One testbed admits :data:`TRANSITION_STATE_CAP` states; past it
+transitions are computed and not stored (the policy of
+``CLASSIFICATION_MEMO_CAP``), so a space that never repeats pays the emulator
+it always paid and cannot grow the process.
 
 Determinism contract: kernel outcomes are value-identical to the stepwise
 runner's — history, statuses, contexts, abort reasons, blocked counts,
 deadlocks, stall flag, and the shared database's items at yield time —
-for every supported engine level.  ``tests/explorer/test_batch_kernel.py``
-gates this against randomized schedule sweeps, including stalled and
-deadlock-aborted prefixes.
+for every supported engine level, on a cold table, a warm one and a capped
+one.  ``tests/explorer/test_batch_kernel.py`` gates this against randomized
+schedule sweeps, including stalled and deadlock-aborted prefixes.
 """
 
 from __future__ import annotations
@@ -36,11 +78,11 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -62,48 +104,37 @@ from ..engine.programs import (
     compile_programs,
     emit_batch_tables,
 )
-from ..locking.deadlock import WaitsForGraph
+from ..locking.deadlock import Deadlock, WaitsForGraph
 from ..locking.modes import LockDuration, LockMode
 from ..locking.policy import POLICIES, policy_for
 from ..storage.database import Database
 
-__all__ = ["BatchStats", "build_batch_kernel", "numpy_available"]
+__all__ = ["BatchStats", "TRANSITION_STATE_CAP", "build_batch_kernel"]
 
 #: Sentinel for "item absent from the database" — mirrors the undo log's
 #: missing-item marker so before-image rollback can delete created items.
 _ABSENT = object()
 
-#: Lazily imported numpy module (None = not probed yet, False = unavailable).
-_NUMPY: Any = None
+#: Sentinel for an empty state slot: no before-image taken, nothing buffered,
+#: context name not bound yet.
+_UNSET = object()
 
-
-def _numpy() -> Any:
-    """The numpy module, or None when the optional dependency is missing.
-
-    Import is deferred to first use so that ``import repro`` (and every core
-    module) never pays for — or requires — the optional ``repro[fast]``
-    extra; repolint's ``no-eager-numpy`` check enforces the discipline.
-    """
-    global _NUMPY
-    if _NUMPY is None:
-        try:
-            import numpy
-            _NUMPY = numpy
-        except ImportError:
-            _NUMPY = False
-    return _NUMPY or None
-
-
-def numpy_available() -> bool:
-    """True when the optional numpy dependency can be imported."""
-    return _numpy() is not None
+#: States one testbed's transition table admits before it stops growing.
+#: Measured on the ledger's 30,000-schedule run (4 transactions over 2 hot
+#: items, 32 slots per state): the four locking levels intern 9,609 states
+#: (4,414 the largest table) with 24,607 stored transitions and 1,455 drains
+#: in 6.7 MB of allocations, 5.9 MB of peak RSS — 0.7 KB per state, its key,
+#: dict entry and 2.6 transition records included.  A full table is 23 MB at
+#: that ratio; wider program sets have longer keys.
+TRANSITION_STATE_CAP = 1 << 15
 
 
 class BatchStats:
     """Cumulative work counters of one batch kernel (benchmarks / reports)."""
 
     __slots__ = ("schedules", "rows_fast", "rows_ejected", "slots_total",
-                 "slots_executed", "checkpoints_created", "restores")
+                 "slots_executed", "checkpoints_created", "restores",
+                 "transitions_reused", "transitions_computed", "states")
 
     def __init__(self) -> None:
         self.schedules = 0
@@ -115,6 +146,11 @@ class BatchStats:
         self.slots_executed = 0
         self.checkpoints_created = 0
         self.restores = 0
+        #: Table lookups (one per slot, one per drain) answered from the
+        #: transition table vs. run on the emulator, and the states interned.
+        self.transitions_reused = 0
+        self.transitions_computed = 0
+        self.states = 0
 
     @property
     def occupancy(self) -> float:
@@ -124,64 +160,27 @@ class BatchStats:
         return self.rows_fast / self.schedules
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "schedules": self.schedules,
-            "rows_fast": self.rows_fast,
-            "rows_ejected": self.rows_ejected,
-            "slots_total": self.slots_total,
-            "slots_executed": self.slots_executed,
-            "checkpoints_created": self.checkpoints_created,
-            "restores": self.restores,
-            "occupancy": self.occupancy,
-        }
+        counters = {name: getattr(self, name) for name in self.__slots__}
+        counters["occupancy"] = self.occupancy
+        return counters
+
+
+def _common_prefix(first: Sequence[int], second: Sequence[int]) -> int:
+    limit = min(len(first), len(second))
+    shared = 0
+    while shared < limit and first[shared] == second[shared]:
+        shared += 1
+    return shared
 
 
 def _sorted_order_and_lcps(schedules: Sequence[Sequence[int]],
                            sort: bool) -> Tuple[List[int], List[int]]:
-    """DFS order of a batch plus each row's common prefix with its predecessor.
-
-    Uniform-length batches take the vectorized path: one flat ``(R, S)`` int
-    array, ``lexsort`` for the ordering, and a single elementwise-compare /
-    argmax pass for every consecutive LCP.  Ragged batches (mixed prefix
-    lengths) fall back to python sorting with pairwise scans.
-    """
-    count = len(schedules)
-    if count == 0:
-        return [], []
-    np = _numpy()
-    lengths = {len(schedule) for schedule in schedules}
-    if np is not None and len(lengths) == 1 and lengths != {0}:
-        width = lengths.pop()
-        arr = np.asarray([tuple(schedule) for schedule in schedules],
-                         dtype=np.int64).reshape(count, width)
-        if sort:
-            # lexsort keys run least-significant first: reverse the columns.
-            order_arr = np.lexsort(arr.T[::-1])
-        else:
-            order_arr = np.arange(count)
-        ranked = arr[order_arr]
-        lcps = [0]
-        if count > 1:
-            neq = ranked[1:] != ranked[:-1]
-            any_diff = neq.any(axis=1)
-            first_diff = neq.argmax(axis=1)
-            shared = np.where(any_diff, first_diff, width)
-            lcps.extend(int(value) for value in shared)
-        return [int(index) for index in order_arr], lcps
-    if sort:
-        order = sorted(range(count), key=lambda index: tuple(schedules[index]))
-    else:
-        order = list(range(count))
-    lcps = [0]
-    previous = schedules[order[0]]
-    for index in order[1:]:
-        current = schedules[index]
-        limit = min(len(previous), len(current))
-        shared = 0
-        while shared < limit and previous[shared] == current[shared]:
-            shared += 1
-        lcps.append(shared)
-        previous = current
+    """DFS order of a batch plus each row's common prefix with its predecessor."""
+    order = (sorted(range(len(schedules)), key=schedules.__getitem__) if sort
+             else list(range(len(schedules))))
+    lcps = [0] if order else []
+    for before, after in zip(order, order[1:]):
+        lcps.append(_common_prefix(schedules[before], schedules[after]))
     return order, lcps
 
 
@@ -202,11 +201,11 @@ def _intern_step_op(cache: Dict[Any, Operation], kind: OperationKind,
 
 
 class _FlatPrograms:
-    """The per-transaction step tables every flat emulator dispatches on."""
+    """The per-transaction step tables every kernel dispatches on."""
 
     __slots__ = ("txns", "tindex", "opcodes", "items", "into", "values",
                  "calls", "kinds", "totals", "commit_ops", "abort_ops",
-                 "op_caches", "item_names", "max_attempts", "order", "steps")
+                 "op_caches", "item_names", "max_attempts", "order")
 
     def __init__(self, compiled: CompiledProgramSet, tables: BatchTableSet):
         by_txn = {program.txn: program for program in compiled.programs}
@@ -226,10 +225,6 @@ class _FlatPrograms:
         #: Shared with the compiled runner's step tables (cstep[8]), so both
         #: kernels realize the same interned Operation instances.
         self.op_caches: List[Tuple[Dict[Any, Operation], ...]] = []
-        #: One tuple per step — (opcode, item, value, call, into, kind,
-        #: op_cache) — so the emulator hot loop does a single subscript +
-        #: unpack per attempt instead of seven double-index lookups.
-        self.steps: List[Tuple[Tuple[Any, ...], ...]] = []
         for program in tables.programs:
             csteps = by_txn[program.txn].steps
             self.opcodes.append(program.opcodes)
@@ -239,375 +234,424 @@ class _FlatPrograms:
             self.calls.append(tuple(cstep[3] for cstep in csteps))
             self.kinds.append(tuple(cstep[5] for cstep in csteps))
             self.op_caches.append(tuple(cstep[8] for cstep in csteps))
-            self.steps.append(tuple(
-                (opcode, item, cstep[2], cstep[3], cstep[4], cstep[5], cstep[8])
-                for opcode, item, cstep
-                in zip(program.opcodes, program.item_ids, csteps)))
             self.totals.append(len(program.opcodes))
             self.commit_ops.append(Operation(OperationKind.COMMIT, program.txn))
             self.abort_ops.append(Operation(OperationKind.ABORT, program.txn))
         self.max_attempts = sum(self.totals) * 20 + 100
 
 
-#: Engine lifecycle codes of the flat emulators (index into _STATES).
-_ACTIVE, _COMMITTED, _ABORTED = 0, 1, 2
+#: Lifecycle codes of the flat emulators (index into _STATES); an abort keeps
+#: its cause, so the outcome's abort reasons are read off the final state.
+_ACTIVE, _COMMITTED, _ABORTED, _VICTIM = 0, 1, 2, 3
 _STATES = (TransactionState.ACTIVE, TransactionState.COMMITTED,
-           TransactionState.ABORTED)
+           TransactionState.ABORTED, TransactionState.ABORTED)
+_ABORT_REASONS = {_ABORTED: "program abort", _VICTIM: "deadlock victim"}
 
 
-class _LockingFlat:
-    """Flat emulator of LockingEngine + ScheduleRunner for item-only programs.
+class _FlatEmulator:
+    """One engine + runner state as a flat list, behind its transition table.
 
-    Per-item Share/Exclusive holder bitmasks and version counters reproduce
-    the lock manager's arithmetic exactly (transient short locks net to zero,
-    own-lock upgrades bump, release-all bumps per held item); a
-    first-before-image map reproduces reverse undo (the final restored value
-    of an item is its oldest before-image); the waits-for graph, blocked-memo
-    parking, deadlock resolution, and attempt budget mirror the runner line
-    for line.  Cursor Stability's CURSOR read duration behaves as LONG here:
-    item-only programs never move or close a cursor, and release-all drops
-    every duration alike.
+    The state is one list (``T`` transactions, ``K`` items)::
+
+        [0, K)      a-cells: item values (``_ABSENT`` for a missing item)
+        [K, 2K)     b-cells: Share holder bitmask per item
+        [2K, 3K)    Exclusive holder bitmask per item
+        est, cnt    T each: lifecycle code, step counter
+        wt          T: bitmask of the transactions this one waits for
+        pv          one int: transactions whose parked blocked result still holds
+        per         T*K: first before-image of (transaction, item), or _UNSET
+        ctx         one slot per context name a transaction binds, or _UNSET
+
+    (:class:`_ReadConsistencyFlat` reads the a-, b- and per-cells differently.)
+    Waits-for masks, parked replays, deadlock resolution and the attempt
+    budget mirror the runner line for line; the level's engine rules are the
+    hooks a subclass supplies (``_read``, ``_write``, ``_commit``,
+    ``_rollback``, ``_release_all``, ``_item_value``).  Where the lock manager bumps an item's
+    version counter, ``_bump`` clears the ``pv`` bit of every transaction
+    parked on that item — the only thing the counter is ever read for.
+
+    ``tuple(state)`` is the state's key in the transition table (see the
+    module docstring).  ``_sid`` is the current state's id, or -1 while the
+    state cannot be interned (table full, unhashable value) and lives in
+    ``_S`` only; ``_live`` names the state ``_S`` currently holds, so a run of
+    misses along one path loads nothing.
     """
 
-    #: Immutable configuration plus the blockers interning memo (keyed by
-    #: holder bitmask, value-determined), deliberately outside the token.
-    _checkpoint_stable = ("flat", "_read_locked", "_read_transient",
-                          "_write_transient", "_seed", "_blockers_cache")
+    #: Immutable configuration, plus the tables: append-only memos of pure
+    #: functions of (state, transaction), valid whatever a restore rewinds.
+    _checkpoint_stable = ("flat", "stats", "_txn_count", "_item_count",
+                          "_est", "_cnt", "_wt", "_pv", "_per", "_steps",
+                          "_ctx_names", "_ids", "_states", "_trans", "_drains")
 
-    def __init__(self, flat: _FlatPrograms, level: IsolationLevelName,
-                 seed: List[Any]):
+    def __init__(self, flat: _FlatPrograms, a_cells: List[Any],
+                 b_cells: List[Any]):
         self.flat = flat
-        policy = policy_for(level)
-        exclusive = LockMode.EXCLUSIVE
-        short = LockDuration.SHORT
-        read_rule = policy.item_read
-        #: (has_rule, transient) per action kind; reads are always Share,
-        #: writes always Exclusive in Table 2.
-        self._read_locked = read_rule is not None
-        self._read_transient = (read_rule is not None
-                                and read_rule.duration is short)
-        write_rule = policy.write
-        self._write_transient = write_rule.duration is short
-        assert write_rule.mode is exclusive
-        self._seed = seed
-        item_count = len(flat.item_names)
-        txn_count = len(flat.txns)
-        self.db: List[Any] = list(seed)
-        self.s_mask: List[int] = [0] * item_count
-        self.x_mask: List[int] = [0] * item_count
-        self.iver: List[int] = [0] * item_count
-        self.fb: List[Dict[int, Any]] = [{} for _ in range(txn_count)]
-        self.held: List[Set[int]] = [set() for _ in range(txn_count)]
-        self.est: List[int] = [_ACTIVE] * txn_count
-        self.counter: List[int] = [0] * txn_count
-        self.finished: List[bool] = [False] * txn_count
-        self.ctx: List[Dict[str, Any]] = [{} for _ in range(txn_count)]
-        self.parked: List[Optional[Tuple[int, int, Any, int]]] = [None] * txn_count
-        self.waits = WaitsForGraph()
+        self.stats = BatchStats()
+        txn_count = self._txn_count = len(flat.txns)
+        item_count = self._item_count = len(flat.item_names)
+        self._est = 3 * item_count
+        self._cnt = self._est + txn_count
+        self._wt = self._cnt + txn_count
+        self._pv = self._wt + txn_count
+        self._per = self._pv + 1
+        slot = self._per + txn_count * item_count
+        #: Per transaction: its steps as (opcode, item, value, call, context
+        #: slot, kind, op cache), and its (context name, slot) pairs in
+        #: binding order.
+        self._steps: List[Tuple[Tuple[Any, ...], ...]] = []
+        self._ctx_names: List[Tuple[Tuple[str, int], ...]] = []
+        for ti in flat.order:
+            names: Dict[str, int] = {}
+            steps = []
+            for j, opcode in enumerate(flat.opcodes[ti]):
+                at = -1
+                if opcode == OP_READ:
+                    at = names.setdefault(flat.into[ti][j], slot + len(names))
+                steps.append((opcode, flat.items[ti][j], flat.values[ti][j],
+                              flat.calls[ti][j], at, flat.kinds[ti][j],
+                              flat.op_caches[ti][j]))
+            self._steps.append(tuple(steps))
+            self._ctx_names.append(tuple(names.items()))
+            slot += len(names)
+        self._S: List[Any] = (
+            a_cells + b_cells + [0] * item_count
+            + [_ACTIVE] * txn_count + [0] * (2 * txn_count + 1)
+            + [_UNSET] * (slot - self._per))
+        self._ids: Dict[Tuple[Any, ...], int] = {}
+        self._states: List[Tuple[Any, ...]] = []
+        #: (next state id, emitted ops, attempts made, blocked events,
+        #: deadlocks) at ``state id * T + transaction index``, None until
+        #: computed; a drain record carries the stall flag as a sixth field.
+        self._trans: List[Optional[Tuple[Any, ...]]] = []
+        self._drains: Dict[int, Tuple[Any, ...]] = {}
+        self._sid = self._live = self._intern()
         self.ops: List[Operation] = []
-        self.deadlocks: List[Any] = []
-        self.abort_reasons: Dict[int, str] = {}
-        self.terminal: Set[int] = set()
+        self.deadlocks: List[Deadlock] = []
         self.blocked_events = 0
         self.attempts = 0
         self.stalled = False
-        self.maybe_cyclic = False
-        #: Superset bitmask of transactions possibly waiting in the waits-for
-        #: graph (a finished blocker can silently drop a waiter's last edge,
-        #: so bits can be stale-set, never stale-clear).  It gates the
-        #: clear-waits call on every successful attempt — a redundant clear is
-        #: skipped, a needed one never is.
-        self.wmask = 0
-        #: Interned blockers frozensets keyed by holder bitmask.
-        self._blockers_cache: Dict[int, Any] = {}
 
-    def _blockers(self, mask: int) -> Any:
-        cached = self._blockers_cache.get(mask)
-        if cached is None:
-            txns = self.flat.txns
-            cached = frozenset(txns[ti] for ti in range(len(txns))
-                               if mask >> ti & 1)
-            self._blockers_cache[mask] = cached
-        return cached
+    # -- the transition table --------------------------------------------------------
 
-    def _release_all(self, ti: int) -> None:
-        bit = 1 << ti
-        iver = self.iver
-        for k in self.held[ti]:
-            self.s_mask[k] &= ~bit
-            self.x_mask[k] &= ~bit
-            iver[k] += 1
-        self.held[ti].clear()
+    def _intern(self) -> int:
+        """The id of the state ``_S`` holds, admitting it if the cap allows."""
+        key = tuple(self._S)
+        try:
+            sid = self._ids.get(key)
+        except TypeError:  # an unhashable value: this state stays off the table
+            return -1
+        if sid is None:
+            sid = len(self._states)
+            if sid >= TRANSITION_STATE_CAP:
+                return -1
+            self._ids[key] = sid
+            self._states.append(key)
+            self._trans.extend([None] * self._txn_count)
+            self.stats.states = sid + 1
+        return sid
 
-    def _abort_engine(self, ti: int) -> None:
-        """engine.abort on an active transaction: undo, release, mark."""
-        db = self.db
-        for k, before in self.fb[ti].items():
-            db[k] = before
-        self.fb[ti].clear()
-        self._release_all(ti)
-        self.est[ti] = _ABORTED
+    def _load(self, sid: int) -> List[Any]:
+        """``_S`` holding state ``sid`` (already does when ``sid`` is -1)."""
+        if sid >= 0 and self._live != sid:
+            self._S[:] = self._states[sid]
+        # Until the step below names its successor, _S matches no state id.
+        self._live = -1
+        return self._S
 
-    def _resolve_deadlock(self) -> bool:
-        deadlock = self.waits.detect()
-        if deadlock is None:
-            self.maybe_cyclic = False
-            return False
-        self.maybe_cyclic = True
-        self.deadlocks.append(deadlock)
-        victim = deadlock.victim
-        vi = self.flat.tindex.get(victim)
-        if vi is not None and self.est[vi] == _ACTIVE:
-            self._abort_engine(vi)
-        self.abort_reasons[victim] = "deadlock victim"
-        if victim not in self.terminal:
-            if vi is not None:
-                self.ops.append(self.flat.abort_ops[vi])
-            else:  # pragma: no cover - victims always come from the programs
-                self.ops.append(Operation(OperationKind.ABORT, victim))
-            self.terminal.add(victim)
-        if vi is not None:
-            self.finished[vi] = True
-            self.wmask &= ~(1 << vi)
-        self.waits.remove_transaction(victim)
-        return True
+    def _compute(self, sid: int, ti: int) -> Tuple[Any, ...]:
+        """Run one attempt on the emulator; store it when both ends have ids."""
+        self._load(sid)
+        out: List[Operation] = []
+        found: List[Deadlock] = []
+        code = self._attempt(ti, out, found)
+        self._live = successor = self._intern()
+        record = (successor, tuple(out), 1 if code else 0,
+                  1 if code == 2 else 0, tuple(found))
+        if sid >= 0 and successor >= 0:
+            self._trans[sid * self._txn_count + ti] = record
+        self.stats.transitions_computed += 1
+        return record
 
-    def _attempt(self, ti: int) -> int:
-        if self.finished[ti]:
-            return 0
-        flat = self.flat
-        j = self.counter[ti]
-        total = flat.totals[ti]
-        if j >= total:
-            return 0
-        opcode, k, value, call, into, kind, cache = flat.steps[ti][j]
-        txn = flat.txns[ti]
-        bit = 1 << ti
-        s_mask = self.s_mask
-        x_mask = self.x_mask
-        iver = self.iver
-        # Blocked-result memo fast path — same rule as the runner's attempt.
-        memo = self.parked[ti]
-        blocked_mask = -1
-        replayed = False
-        if memo is not None and memo[0] == j and iver[memo[3]] == memo[1]:
-            blockers = memo[2]
-            replayed = True
-        elif opcode == OP_READ:
-            if self._read_locked:
-                blocked_mask = x_mask[k] & ~bit
-                if not blocked_mask:
-                    if self._read_transient:
-                        # grant_transient_item: net zero unless a lock is
-                        # already held (then the grant bumps the item).
-                        if (s_mask[k] | x_mask[k]) & bit:
-                            iver[k] += 1
-                    else:
-                        iver[k] += 1
-                        if not (s_mask[k] | x_mask[k]) & bit:
-                            s_mask[k] |= bit
-                            self.held[ti].add(k)
-            else:
-                blocked_mask = 0
-            if not blocked_mask:
-                value = self.db[k]
-                if value is _ABSENT:
-                    value = None
-                self.ctx[ti][into] = value
-        elif opcode == OP_WRITE:
-            # The runner computes the (possibly callable) value before the
-            # engine call, even for attempts that come back blocked.
-            if call:
-                value = value(self.ctx[ti])
-            blocked_mask = (s_mask[k] | x_mask[k]) & ~bit
-            if not blocked_mask:
-                own = (s_mask[k] | x_mask[k]) & bit
-                if self._write_transient:
-                    if own:
-                        iver[k] += 1
-                        if s_mask[k] & bit:
-                            s_mask[k] &= ~bit
-                            x_mask[k] |= bit
-                else:
-                    iver[k] += 1
-                    if own:
-                        if s_mask[k] & bit:
-                            s_mask[k] &= ~bit
-                            x_mask[k] |= bit
-                    else:
-                        x_mask[k] |= bit
-                        self.held[ti].add(k)
-                fb = self.fb[ti]
-                if k not in fb:
-                    fb[k] = self.db[k]
-                self.db[k] = value
-        elif opcode == OP_COMMIT:
-            self.fb[ti].clear()
-            self._release_all(ti)
-            self.est[ti] = _COMMITTED
-        else:  # OP_ABORT (program abort)
-            if self.est[ti] == _ACTIVE:
-                self._abort_engine(ti)
-
-        if blocked_mask > 0 or replayed:
-            if not replayed:
-                blockers = self._blockers(blocked_mask)
-                self.parked[ti] = (j, iver[k], blockers, k)
-                # Replays skip this: every blocker holds a lock on the item,
-                # so a blocker leaving bumps ``iver[k]`` and invalidates the
-                # memo — an unchanged memo means the edge is already exact.
-                self.waits.set_waits(txn, blockers)
-            self.blocked_events += 1
-            self.wmask |= bit
-            if self.maybe_cyclic or self.waits.any_waiting(blockers):
-                self._resolve_deadlock()
-            return 1
-
-        if self.wmask & bit:
-            self.waits.clear_waits(txn)
-            self.wmask &= ~bit
-        # No engine call in kernel scope ever returns ABORTED (commit always
-        # succeeds under locking; aborts happen through deadlock resolution).
-        if opcode == OP_READ or opcode == OP_WRITE:
-            key = (value, None)
-            try:
-                operation = cache.get(key)
-            except TypeError:  # unhashable recorded value
-                operation = Operation(kind, txn, item=flat.item_names[k],
-                                      value=value, version=None)
-            else:
-                if operation is None:
-                    operation = Operation(kind, txn, item=flat.item_names[k],
-                                          value=value, version=None)
-                    if len(cache) < 4096:
-                        cache[key] = operation
-            self.ops.append(operation)
-        elif opcode == OP_COMMIT:
-            self.ops.append(flat.commit_ops[ti])
-            self.terminal.add(txn)
-        else:
-            self.ops.append(flat.abort_ops[ti])
-            self.terminal.add(txn)
-        j += 1
-        self.counter[ti] = j
-        if opcode == OP_COMMIT or opcode == OP_ABORT or j >= total:
-            self.finished[ti] = True
-            self.waits.remove_transaction(txn)
-            self.wmask &= ~bit
-            if opcode == OP_ABORT:
-                self.abort_reasons.setdefault(txn, "program abort")
-        return 1
-
-    # -- the runner's slot / drain protocol --------------------------------------
-
-    def apply_slots(self, slots: Sequence[int]) -> None:
-        tindex = self.flat.tindex
-        attempt = self._attempt
-        attempts = self.attempts
+    def _compute_drain(self, sid: int) -> Tuple[Any, ...]:
+        """Phase 2 from state ``sid`` on the emulator, mirroring the runner."""
+        S = self._load(sid)
+        est, cnt, wt, pv = self._est, self._cnt, self._wt, self._pv
+        totals = self.flat.totals
+        order = self.flat.order
         limit = self.flat.max_attempts
-        for txn in slots:
-            if attempts >= limit:
-                break
-            ti = tindex.get(txn)
-            if ti is not None:
-                attempts += attempt(ti)
-        self.attempts = attempts
-
-    def drain(self) -> None:
-        flat = self.flat
-        counter = self.counter
-        finished = self.finished
-        totals = flat.totals
-        iver = self.iver
-        limit = flat.max_attempts
-        order = flat.order
-        txns = flat.txns
-        parked = self.parked
-        attempt = self._attempt
-        is_waiting = self.waits.is_waiting
-        while self.attempts < limit:
+        attempts = start = self.attempts
+        out: List[Operation] = []
+        found: List[Deadlock] = []
+        blocked = 0
+        stalled = False
+        while attempts < limit:
             active = [ti for ti in order
-                      if not finished[ti] and counter[ti] < totals[ti]]
+                      if not S[est + ti] and S[cnt + ti] < totals[ti]]
             if not active:
                 break
             progressed = False
             for ti in active:
-                if self.attempts >= limit:
+                if attempts >= limit:
                     break
-                memo = parked[ti]
-                if (memo is not None and memo[0] == counter[ti]
-                        and memo[1] == iver[memo[3]]):
+                if S[pv] >> ti & 1:
                     continue
-                made = attempt(ti)
-                self.attempts += made
-                if made and not is_waiting(txns[ti]):
-                    progressed = True
-            if not progressed:
-                if not self._resolve_deadlock():
-                    self.stalled = True
-                    break
+                code = self._attempt(ti, out, found)
+                if code:
+                    attempts += 1
+                    if code == 2:
+                        blocked += 1
+                    if not S[wt + ti]:
+                        progressed = True
+            if not progressed and not self._resolve_deadlock(out, found):
+                stalled = True
+                break
+        self._live = final = self._intern()
+        record = (final, tuple(out), attempts - start, blocked, tuple(found),
+                  stalled)
+        # A drain that ran into the budget depends on where it started.
+        if sid >= 0 and final >= 0 and attempts < limit:
+            self._drains[sid] = record
+        self.stats.transitions_computed += 1
+        return record
+
+    def _take(self, record: Tuple[Any, ...]) -> None:
+        self._sid = record[0]
+        self.ops += record[1]
+        self.attempts += record[2]
+        self.blocked_events += record[3]
+        self.deadlocks += record[4]
+
+    # -- one step of the emulator ----------------------------------------------------
+
+    def _attempt(self, ti: int, out: List[Operation],
+                 found: List[Deadlock]) -> int:
+        """One runner attempt on ``_S``: 0 nothing to do, 1 ran, 2 blocked."""
+        S = self._S
+        if S[self._est + ti]:
+            return 0
+        j = S[self._cnt + ti]
+        steps = self._steps[ti]
+        if j >= len(steps):
+            return 0
+        opcode, k, value, call, into, kind, cache = steps[j]
+        bit = 1 << ti
+        version: Optional[int] = None
+        blocked = 0
+        # A parked blocked result that still holds is replayed: same blockers,
+        # and the waits-for edge is already exact (a blocker leaving bumps
+        # the item).
+        replayed = S[self._pv] & bit
+        if replayed:
+            pass
+        elif opcode == OP_READ:
+            blocked, value, version = self._read(S, ti, bit, k)
+            if not blocked:
+                S[into] = value
+        elif opcode == OP_WRITE:
+            # The runner computes the (possibly callable) value before the
+            # engine call, even for attempts that come back blocked.
+            if call:
+                value = value({name: S[slot] for name, slot in self._ctx_names[ti]
+                               if S[slot] is not _UNSET})
+            blocked = self._write(S, ti, bit, k, value)
+        elif opcode == OP_COMMIT:
+            self._commit(S, ti)
+            self._release_all(S, bit)
+            S[self._est + ti] = _COMMITTED
+        else:  # OP_ABORT (program abort)
+            self._rollback(S, ti)
+            self._release_all(S, bit)
+            S[self._est + ti] = _ABORTED
+        if blocked:
+            S[self._wt + ti] = blocked
+            S[self._pv] |= bit
+        if blocked or replayed:
+            self._resolve_deadlock(out, found)
+            return 2
+        # No engine call in kernel scope ever returns ABORTED (commit always
+        # succeeds under locking; aborts happen through deadlock resolution).
+        S[self._wt + ti] = 0
+        flat = self.flat
+        if opcode == OP_READ or opcode == OP_WRITE:
+            out.append(_intern_step_op(cache, kind, flat.txns[ti],
+                                       flat.item_names[k], value, version))
+        elif opcode == OP_COMMIT:
+            out.append(flat.commit_ops[ti])
+        else:
+            out.append(flat.abort_ops[ti])
+        S[self._cnt + ti] = j + 1
+        if opcode == OP_COMMIT or opcode == OP_ABORT or j + 1 >= len(steps):
+            self._forget(S, ti)
+        return 1
+
+    def _bump(self, S: List[Any], k: int) -> None:
+        """Item ``k``'s lock state moved: blocked results parked on it lapse."""
+        parked = S[self._pv]
+        if parked:
+            cnt = self._cnt
+            for ti, items in enumerate(self.flat.items):
+                if parked >> ti & 1 and items[S[cnt + ti]] == k:
+                    parked &= ~(1 << ti)
+            S[self._pv] = parked
+
+    def _clear_cells(self, S: List[Any], ti: int) -> None:
+        """Empty the transaction's per-item cells (before-images / buffer)."""
+        base = self._per + ti * self._item_count
+        S[base:base + self._item_count] = [_UNSET] * self._item_count
+
+    def _forget(self, S: List[Any], ti: int) -> None:
+        """The waits-for graph's remove_transaction, on the masks."""
+        keep = ~(1 << ti)
+        wt = self._wt
+        S[wt + ti] = 0
+        for other in range(wt, wt + self._txn_count):
+            S[other] &= keep
+        S[self._pv] &= keep
+
+    def _resolve_deadlock(self, out: List[Operation],
+                          found: List[Deadlock]) -> bool:
+        S = self._S
+        masks = S[self._wt:self._pv]
+        waiting = 0
+        for ti, holders in enumerate(masks):
+            if holders:
+                waiting |= 1 << ti
+        # Every edge on a cycle targets a transaction that itself waits.
+        for holders in masks:
+            if holders & waiting:
+                break
+        else:
+            return False
+        txns = self.flat.txns
+        graph = WaitsForGraph()
+        for ti, holders in enumerate(masks):
+            if holders:
+                graph.set_waits(txns[ti], [txn for other, txn in enumerate(txns)
+                                           if holders >> other & 1])
+        deadlock = graph.detect()
+        if deadlock is None:
+            return False
+        found.append(deadlock)
+        # A transaction in a cycle waits, so the victim is always active.
+        victim = self.flat.tindex[deadlock.victim]
+        self._rollback(S, victim)
+        self._release_all(S, 1 << victim)
+        S[self._est + victim] = _VICTIM
+        out.append(self.flat.abort_ops[victim])
+        self._forget(S, victim)
+        return True
+
+    # -- the runner's slot / drain protocol ------------------------------------------
+
+    def apply_slots(self, slots: Sequence[int]) -> None:
+        sid = self._sid
+        attempts = self.attempts
+        if sid < 0 or attempts + len(slots) >= self.flat.max_attempts:
+            self._apply_checked(slots)
+            return
+        # Each slot makes at most one attempt, so the budget cannot run out
+        # in here and the loop needs no check.
+        trans = self._trans
+        tindex = self.flat.tindex
+        width = self._txn_count
+        ops = self.ops
+        blocked = self.blocked_events
+        computed = self.stats.transitions_computed
+        rest: List[int] = []
+        walk = iter(slots)
+        for txn in walk:
+            ti = tindex[txn]
+            record = trans[sid * width + ti]
+            if record is None:
+                record = self._compute(sid, ti)
+                if record[0] < 0:
+                    rest = list(walk)  # off the table: finish on the checked loop
+            sid, emitted, made, waited, found = record
+            ops += emitted
+            attempts += made
+            blocked += waited
+            if found:
+                self.deadlocks += found
+        self._sid = sid
+        self.attempts = attempts
+        self.blocked_events = blocked
+        # One lookup per slot walked here; the misses among them were counted
+        # by _compute.
+        self.stats.transitions_reused += (
+            len(slots) - len(rest) + computed - self.stats.transitions_computed)
+        if rest:
+            self._apply_checked(rest)
+
+    def _apply_checked(self, slots: Iterable[int]) -> None:
+        """The slot loop with the budget check, on or off the table."""
+        trans = self._trans
+        tindex = self.flat.tindex
+        limit = self.flat.max_attempts
+        for txn in slots:
+            if self.attempts >= limit:
+                break
+            ti = tindex[txn]
+            sid = self._sid
+            record = trans[sid * self._txn_count + ti] if sid >= 0 else None
+            if record is None:
+                record = self._compute(sid, ti)
+            else:
+                self.stats.transitions_reused += 1
+            self._take(record)
+
+    def drain(self) -> None:
+        record = self._drains.get(self._sid)
+        if (record is None
+                or self.attempts + record[2] >= self.flat.max_attempts):
+            record = self._compute_drain(self._sid)
+        else:
+            self.stats.transitions_reused += 1
+        self._take(record)
+        if record[5]:
+            self.stalled = True
 
     # -- checkpoint / restore (trie discipline: backwards along one path) ---------
 
     def checkpoint(self) -> Tuple:
-        return (
-            list(self.db), list(self.s_mask), list(self.x_mask),
-            list(self.iver),
-            [dict(fb) for fb in self.fb], [set(held) for held in self.held],
-            list(self.est), list(self.counter), list(self.finished),
-            [dict(ctx) for ctx in self.ctx], list(self.parked),
-            self.waits.checkpoint(), len(self.ops), len(self.deadlocks),
-            self.blocked_events, dict(self.abort_reasons), self.attempts,
-            self.stalled, self.maybe_cyclic, set(self.terminal), self.wmask,
-        )
+        sid = self._sid
+        return (sid if sid >= 0 else tuple(self._S), len(self.ops),
+                len(self.deadlocks), self.blocked_events, self.attempts)
 
     def restore(self, token: Tuple) -> None:
-        (db, s_mask, x_mask, iver, fb, held, est, counter, finished, ctx,
-         parked, waits, ops_len, deadlocks_len, blocked_events, abort_reasons,
-         attempts, stalled, maybe_cyclic, terminal, wmask) = token
-        self.db = list(db)
-        self.s_mask = list(s_mask)
-        self.x_mask = list(x_mask)
-        self.iver = list(iver)
-        self.fb = [dict(entry) for entry in fb]
-        self.held = [set(entry) for entry in held]
-        self.est = list(est)
-        self.counter = list(counter)
-        self.finished = list(finished)
-        self.ctx = [dict(entry) for entry in ctx]
-        self.parked = list(parked)
-        self.waits.restore(waits)
+        state, ops_len, deadlocks_len, self.blocked_events, self.attempts = token
+        if state.__class__ is int:
+            self._sid = state
+        else:
+            self._S[:] = state
+            self._sid = self._live = -1
         del self.ops[ops_len:]
         del self.deadlocks[deadlocks_len:]
-        self.blocked_events = blocked_events
-        self.abort_reasons = dict(abort_reasons)
-        self.attempts = attempts
-        self.stalled = stalled
-        self.maybe_cyclic = maybe_cyclic
-        self.terminal = set(terminal)
-        self.wmask = wmask
+        # Checkpoints are taken before the drain, the only place a row stalls.
+        self.stalled = False
 
     # -- outcome ------------------------------------------------------------------
 
-    def sync_database(self, database: Database) -> None:
-        db = self.db
-        for k, name in enumerate(self.flat.item_names):
-            value = db[k]
+    def build_outcome(self, engine_name: str, database: Database) -> ExecutionOutcome:
+        state = self._S if self._sid < 0 else self._states[self._sid]
+        flat = self.flat
+        for k, name in enumerate(flat.item_names):
+            value = self._item_value(state, k)
             if value is _ABSENT:
                 database.delete_item(name)
             else:
                 database.set_item(name, value)
-
-    def build_outcome(self, engine_name: str, database: Database) -> ExecutionOutcome:
-        self.sync_database(database)
-        flat = self.flat
+        txns = flat.txns
+        codes = state[self._est:self._cnt]
         return ExecutionOutcome(
             engine_name=engine_name,
             history=History(self.ops, validate=False),
-            statuses={flat.txns[ti]: _STATES[self.est[ti]] for ti in flat.order},
-            contexts={flat.txns[ti]: dict(self.ctx[ti]) for ti in flat.order},
+            statuses={txn: _STATES[code] for txn, code in zip(txns, codes)},
+            contexts={txn: {name: state[slot] for name, slot in names
+                            if state[slot] is not _UNSET}
+                      for txn, names in zip(txns, self._ctx_names)},
             database=database,
-            abort_reasons=dict(self.abort_reasons),
+            abort_reasons={txn: _ABORT_REASONS[code]
+                           for txn, code in zip(txns, codes) if code > _COMMITTED},
             blocked_events=self.blocked_events,
             deadlocks=list(self.deadlocks),
             traces=[],
@@ -615,234 +659,179 @@ class _LockingFlat:
         )
 
 
-class _ReadConsistencyFlat(_LockingFlat):
-    """Flat emulator of ReadConsistencyEngine: versioned reads, X write locks.
+class _LockingFlat(_FlatEmulator):
+    """Flat emulator of LockingEngine for item-only programs.
 
-    Reads never block and report the newest committed chain version (every
-    commit timestamp is <= the statement's clock reading, so the tip is
-    always visible: value = tip, version = chain length - 1).  Writes take
-    long Exclusive item locks through the same bitmask arithmetic as the
-    locking emulator and buffer until commit, which installs the buffer in
-    insertion order (chain += 1, tip = value, database tip synced).
+    Per-item Share/Exclusive holder bitmasks reproduce the lock manager's
+    arithmetic exactly (transient short locks net to zero, own-lock upgrades
+    swap masks, release-all bumps per held item); the per-(transaction, item)
+    cells hold the oldest before-image, which is all reverse undo restores.
+    Cursor Stability's CURSOR read duration behaves as LONG here: item-only
+    programs never move or close a cursor, and release-all drops every
+    duration alike.
     """
 
-    #: Immutable configuration plus the blockers interning memo; `s_mask`
-    #: stays all-zero here (reads never lock), so it never needs restoring.
-    _checkpoint_stable = ("flat", "_seed", "s_mask", "_blockers_cache")
+    def __init__(self, flat: _FlatPrograms, level: IsolationLevelName,
+                 seed: List[Any]):
+        policy = policy_for(level)
+        read_rule = policy.item_read
+        #: (has_rule, transient) per action kind; reads are always Share,
+        #: writes always Exclusive in Table 2.
+        self._read_locked = read_rule is not None
+        self._read_transient = (read_rule is not None
+                                and read_rule.duration is LockDuration.SHORT)
+        write_rule = policy.write
+        self._write_transient = write_rule.duration is LockDuration.SHORT
+        assert write_rule.mode is LockMode.EXCLUSIVE
+        super().__init__(flat, list(seed), [0] * len(seed))
+
+    def _read(self, S: List[Any], ti: int, bit: int,
+              k: int) -> Tuple[int, Any, Optional[int]]:
+        """(blockers, value, version) of a read of item ``k``."""
+        if self._read_locked:
+            share = S[self._item_count + k]
+            held = share | S[2 * self._item_count + k]
+            blocked = S[2 * self._item_count + k] & ~bit
+            if blocked:
+                return blocked, None, None
+            if self._read_transient:
+                # grant_transient_item: net zero unless a lock is already
+                # held (then the grant bumps the item).
+                if held & bit:
+                    self._bump(S, k)
+            else:
+                self._bump(S, k)
+                if not held & bit:
+                    S[self._item_count + k] = share | bit
+        value = S[k]
+        return 0, None if value is _ABSENT else value, None
+
+    def _write(self, S: List[Any], ti: int, bit: int, k: int, value: Any) -> int:
+        """Blockers of a write of item ``k``; 0 means it was applied."""
+        share = S[self._item_count + k]
+        exclusive = S[2 * self._item_count + k]
+        blocked = (share | exclusive) & ~bit
+        if blocked:
+            return blocked
+        own = (share | exclusive) & bit
+        if own or not self._write_transient:
+            self._bump(S, k)
+        if share & bit:  # upgrade
+            S[self._item_count + k] = share & ~bit
+            S[2 * self._item_count + k] = exclusive | bit
+        elif not own and not self._write_transient:
+            S[2 * self._item_count + k] = exclusive | bit
+        before = self._per + ti * self._item_count + k
+        if S[before] is _UNSET:
+            S[before] = S[k]
+        S[k] = value
+        return 0
+
+    #: Writes are already in place: commit only drops the before-images.
+    _commit = _FlatEmulator._clear_cells
+
+    def _rollback(self, S: List[Any], ti: int) -> None:
+        """Reverse undo: every written item back to its oldest before-image."""
+        base = self._per + ti * self._item_count
+        for k in range(self._item_count):
+            if S[base + k] is not _UNSET:
+                S[k] = S[base + k]
+                S[base + k] = _UNSET
+
+    def _release_all(self, S: List[Any], bit: int) -> None:
+        for k in range(self._item_count):
+            share = self._item_count + k
+            exclusive = share + self._item_count
+            if (S[share] | S[exclusive]) & bit:
+                S[share] &= ~bit
+                S[exclusive] &= ~bit
+                self._bump(S, k)
+
+    def _item_value(self, state: Sequence[Any], k: int) -> Any:
+        return state[k]
+
+
+class _ReadConsistencyFlat(_FlatEmulator):
+    """Flat emulator of ReadConsistencyEngine: versioned reads, X write locks.
+
+    The a- and b-cells hold each item's chain tip and chain length (there are
+    no Share masks: reads never lock) and the per-(transaction, item) cells
+    the write buffer.  Reads never block and report the newest committed
+    chain version (every commit timestamp is <= the statement's clock
+    reading, so the tip is always visible: value = tip, version = chain
+    length - 1).  Writes take long Exclusive item locks through the same
+    bitmask arithmetic as the locking emulator and buffer until commit, which
+    installs the buffer (chain += 1, tip = value).
+    """
 
     def __init__(self, flat: _FlatPrograms, seed: List[Any]):
-        item_count = len(flat.item_names)
-        txn_count = len(flat.txns)
-        self.flat = flat
-        self._seed = seed
-        self.chain_len: List[int] = [0 if value is _ABSENT else 1
-                                     for value in seed]
-        self.tip: List[Any] = [None if value is _ABSENT else value
-                               for value in seed]
-        self.s_mask: List[int] = [0] * item_count  # unused; _release_all shape
-        self.x_mask: List[int] = [0] * item_count
-        self.iver: List[int] = [0] * item_count
-        self.buf: List[Dict[int, Any]] = [{} for _ in range(txn_count)]
-        self.held: List[Set[int]] = [set() for _ in range(txn_count)]
-        self.est: List[int] = [_ACTIVE] * txn_count
-        self.counter: List[int] = [0] * txn_count
-        self.finished: List[bool] = [False] * txn_count
-        self.ctx: List[Dict[str, Any]] = [{} for _ in range(txn_count)]
-        self.parked: List[Optional[Tuple[int, int, Any, int]]] = [None] * txn_count
-        self.waits = WaitsForGraph()
-        self.ops: List[Operation] = []
-        self.deadlocks: List[Any] = []
-        self.abort_reasons: Dict[int, str] = {}
-        self.terminal: Set[int] = set()
-        self.blocked_events = 0
-        self.attempts = 0
-        self.stalled = False
-        self.maybe_cyclic = False
-        self.wmask = 0
-        self._blockers_cache = {}
+        super().__init__(
+            flat, [None if value is _ABSENT else value for value in seed],
+            [0 if value is _ABSENT else 1 for value in seed])
 
-    def _abort_engine(self, ti: int) -> None:
-        # Writes were buffered: abort discards the buffer, no undo needed.
-        self.buf[ti].clear()
-        self._release_all(ti)
-        self.est[ti] = _ABORTED
+    def _read(self, S: List[Any], ti: int, bit: int,
+              k: int) -> Tuple[int, Any, Optional[int]]:
+        buffered = S[self._per + ti * self._item_count + k]
+        if buffered is not _UNSET:
+            return 0, buffered, None
+        chain = S[self._item_count + k]
+        if chain:
+            return 0, S[k], chain - 1
+        return 0, None, None
 
-    def _attempt(self, ti: int) -> int:
-        if self.finished[ti]:
-            return 0
-        flat = self.flat
-        j = self.counter[ti]
-        total = flat.totals[ti]
-        if j >= total:
-            return 0
-        opcode, k, value, call, into, kind, cache = flat.steps[ti][j]
-        txn = flat.txns[ti]
-        bit = 1 << ti
-        memo = self.parked[ti]
-        blocked_mask = -1
-        replayed = False
-        version: Optional[int] = None
-        if memo is not None and memo[0] == j and self.iver[memo[3]] == memo[1]:
-            blockers = memo[2]
-            replayed = True
-        elif opcode == OP_READ:
-            buf = self.buf[ti]
-            if k in buf:
-                value = buf[k]
-            elif self.chain_len[k]:
-                value = self.tip[k]
-                version = self.chain_len[k] - 1
-            else:
-                value = None
-            self.ctx[ti][into] = value
-            blocked_mask = 0
-        elif opcode == OP_WRITE:
-            if call:
-                value = value(self.ctx[ti])
-            x_mask = self.x_mask
-            blocked_mask = x_mask[k] & ~bit
-            if not blocked_mask:
-                self.iver[k] += 1
-                if not x_mask[k] & bit:
-                    x_mask[k] |= bit
-                    self.held[ti].add(k)
-                self.buf[ti][k] = value
-        elif opcode == OP_COMMIT:
-            for k, buffered in self.buf[ti].items():
-                self.chain_len[k] += 1
-                self.tip[k] = buffered
-            self.buf[ti].clear()
-            self._release_all(ti)
-            self.est[ti] = _COMMITTED
-        else:  # OP_ABORT (program abort)
-            if self.est[ti] == _ACTIVE:
-                self._abort_engine(ti)
+    def _write(self, S: List[Any], ti: int, bit: int, k: int, value: Any) -> int:
+        exclusive = S[2 * self._item_count + k]
+        blocked = exclusive & ~bit
+        if blocked:
+            return blocked
+        self._bump(S, k)
+        S[2 * self._item_count + k] = exclusive | bit
+        S[self._per + ti * self._item_count + k] = value
+        return 0
 
-        if blocked_mask > 0 or replayed:
-            if not replayed:
-                blockers = self._blockers(blocked_mask)
-                self.parked[ti] = (j, self.iver[k], blockers, k)
-            self.blocked_events += 1
-            self.waits.set_waits(txn, blockers)
-            self.wmask |= bit
-            if self.maybe_cyclic or self.waits.any_waiting(blockers):
-                self._resolve_deadlock()
-            return 1
+    def _commit(self, S: List[Any], ti: int) -> None:
+        base = self._per + ti * self._item_count
+        for k in range(self._item_count):
+            if S[base + k] is not _UNSET:
+                S[self._item_count + k] += 1
+                S[k] = S[base + k]
+                S[base + k] = _UNSET
 
-        if self.wmask & bit:
-            self.waits.clear_waits(txn)
-            self.wmask &= ~bit
-        if opcode == OP_READ or opcode == OP_WRITE:
-            # `version` is None unless the READ branch set it; WRITE records
-            # version=None, same as the stepwise engine.
-            key = (value, version)
-            try:
-                operation = cache.get(key)
-            except TypeError:  # unhashable recorded value
-                operation = Operation(kind, txn, item=flat.item_names[k],
-                                      value=value, version=version)
-            else:
-                if operation is None:
-                    operation = Operation(kind, txn, item=flat.item_names[k],
-                                          value=value, version=version)
-                    if len(cache) < 4096:
-                        cache[key] = operation
-            self.ops.append(operation)
-        elif opcode == OP_COMMIT:
-            self.ops.append(flat.commit_ops[ti])
-            self.terminal.add(txn)
-        else:
-            self.ops.append(flat.abort_ops[ti])
-            self.terminal.add(txn)
-        j += 1
-        self.counter[ti] = j
-        if opcode == OP_COMMIT or opcode == OP_ABORT or j >= total:
-            self.finished[ti] = True
-            self.waits.remove_transaction(txn)
-            self.wmask &= ~bit
-            if opcode == OP_ABORT:
-                self.abort_reasons.setdefault(txn, "program abort")
-        return 1
+    #: Writes were buffered: abort discards the buffer, no undo needed.
+    _rollback = _FlatEmulator._clear_cells
 
-    def checkpoint(self) -> Tuple:
-        return (
-            list(self.chain_len), list(self.tip), list(self.x_mask),
-            list(self.iver),
-            [dict(buf) for buf in self.buf], [set(held) for held in self.held],
-            list(self.est), list(self.counter), list(self.finished),
-            [dict(ctx) for ctx in self.ctx], list(self.parked),
-            self.waits.checkpoint(), len(self.ops), len(self.deadlocks),
-            self.blocked_events, dict(self.abort_reasons), self.attempts,
-            self.stalled, self.maybe_cyclic, set(self.terminal), self.wmask,
-        )
+    def _release_all(self, S: List[Any], bit: int) -> None:
+        for k in range(self._item_count):
+            exclusive = 2 * self._item_count + k
+            if S[exclusive] & bit:
+                S[exclusive] &= ~bit
+                self._bump(S, k)
 
-    def restore(self, token: Tuple) -> None:
-        (chain_len, tip, x_mask, iver, buf, held, est, counter, finished, ctx,
-         parked, waits, ops_len, deadlocks_len, blocked_events, abort_reasons,
-         attempts, stalled, maybe_cyclic, terminal, wmask) = token
-        self.chain_len = list(chain_len)
-        self.tip = list(tip)
-        self.x_mask = list(x_mask)
-        self.iver = list(iver)
-        self.buf = [dict(entry) for entry in buf]
-        self.held = [set(entry) for entry in held]
-        self.est = list(est)
-        self.counter = list(counter)
-        self.finished = list(finished)
-        self.ctx = [dict(entry) for entry in ctx]
-        self.parked = list(parked)
-        self.waits.restore(waits)
-        del self.ops[ops_len:]
-        del self.deadlocks[deadlocks_len:]
-        self.blocked_events = blocked_events
-        self.abort_reasons = dict(abort_reasons)
-        self.attempts = attempts
-        self.stalled = stalled
-        self.maybe_cyclic = maybe_cyclic
-        self.terminal = set(terminal)
-        self.wmask = wmask
-
-    def sync_database(self, database: Database) -> None:
-        chain_len = self.chain_len
-        tip = self.tip
-        for k, name in enumerate(self.flat.item_names):
-            if chain_len[k]:
-                database.set_item(name, tip[k])
-            else:
-                database.delete_item(name)
+    def _item_value(self, state: Sequence[Any], k: int) -> Any:
+        return state[k] if state[self._item_count + k] else _ABSENT
 
 
 class _EmulatorKernel:
     """DFS batch driver over one flat emulator, mirroring the trie executor.
 
-    Schedules are lexsorted (numpy), consecutive common prefixes computed in
-    one vectorized pass, and each row restores the deepest shared emulator
-    checkpoint before applying only its divergent suffix — the same
-    one-lookahead branch-point discipline as
+    Schedules are walked in sorted order and each row restores the deepest
+    shared emulator checkpoint before applying only its divergent suffix —
+    the same one-lookahead branch-point discipline as
     :meth:`repro.explorer.trie_executor.TrieExecutor.run_batch`.
     """
 
-    def __init__(self, emulator: Any, database: Database, engine_name: str,
-                 flat: _FlatPrograms,
+    def __init__(self, emulator: _FlatEmulator, database: Database,
+                 engine_name: str,
                  fallback: Optional[Callable[..., ExecutionOutcome]] = None):
-        self.stats = BatchStats()
+        self.stats = emulator.stats
         self.engine_name = engine_name
         self._database = database
-        self._flat = flat
-        self._known = frozenset(flat.txns)
+        self._known = frozenset(emulator.flat.txns)
         self._emulator = emulator
         self.fallback = fallback
         self._stack: List[Tuple[int, Tuple]] = [(0, emulator.checkpoint())]
         self.stats.checkpoints_created += 1
         self._previous: Optional[Sequence[int]] = None
-
-    @staticmethod
-    def _common_prefix(first: Sequence[int], second: Sequence[int]) -> int:
-        limit = min(len(first), len(second))
-        shared = 0
-        while shared < limit and first[shared] == second[shared]:
-            shared += 1
-        return shared
 
     def run_one(self, schedule: Sequence[int],
                 shared: Optional[int] = None,
@@ -850,7 +839,7 @@ class _EmulatorKernel:
         """Execute one schedule from the deepest checkpoint it shares.
 
         ``shared`` is the known common-prefix length with the previously
-        executed schedule (computed vectorized by :meth:`run_batch`);
+        executed schedule (computed once per batch by :meth:`run_batch`);
         ``prepare`` the branch point of the schedule that will run next,
         where the single lookahead checkpoint goes.
         """
@@ -868,7 +857,7 @@ class _EmulatorKernel:
             return self.fallback(schedule)
         emulator = self._emulator
         if shared is None:
-            shared = (self._common_prefix(self._previous, schedule)
+            shared = (_common_prefix(self._previous, schedule)
                       if self._previous is not None else 0)
         stack = self._stack
         while stack[-1][0] > shared:
@@ -1105,16 +1094,13 @@ def build_batch_kernel(database: Database,
                        fallback: Optional[Callable[..., ExecutionOutcome]] = None):
     """A batch kernel for one testbed, or None when the fast path can't apply.
 
-    Returns None — callers then keep the stepwise trie path — when numpy is
-    unavailable, when any program compiles to an ``OP_GENERIC`` step (rows,
-    predicates, cursors), when the engine was built with non-default options
-    (e.g. the First-Committer-Wins ablation), or when the level has no flat
-    emulation.  ``fallback`` (typically ``TrieExecutor.run_one``) handles
+    Returns None — callers then keep the stepwise trie path — when any
+    program compiles to an ``OP_GENERIC`` step (rows, predicates, cursors),
+    when the engine was built with non-default options (e.g. the
+    First-Committer-Wins ablation), or when the level has no flat emulation.  ``fallback`` (typically ``TrieExecutor.run_one``) handles
     per-row ejection for schedules the kernel declines at runtime.
     """
     if engine_options:
-        return None
-    if _numpy() is None:
         return None
     compiled = compile_programs(programs)
     tables = emit_batch_tables(compiled)
@@ -1124,10 +1110,10 @@ def build_batch_kernel(database: Database,
     seed = [database.get_item(name, _ABSENT) for name in flat.item_names]
     if level in POLICIES:
         return _EmulatorKernel(_LockingFlat(flat, level, seed), database,
-                               engine_name, flat, fallback)
+                               engine_name, fallback)
     if level is IsolationLevelName.ORACLE_READ_CONSISTENCY:
         return _EmulatorKernel(_ReadConsistencyFlat(flat, seed), database,
-                               engine_name, flat, fallback)
+                               engine_name, fallback)
     if level is IsolationLevelName.SNAPSHOT_ISOLATION:
         return _SnapshotKernel(flat, seed, database, engine_name, fallback)
     return None

@@ -557,10 +557,9 @@ def explore(spec: ProgramSetSpec,
         ``static_pruned_detectors`` cache stat.
     batch_kernel:
         Batch-drain kernel mode for the executors: ``"auto"`` uses the
-        vectorized flat-array kernel when numpy is importable and the
-        (level, workload) is supported, falling back to the stepwise trie
-        walk otherwise; ``"on"`` raises when the kernel cannot be built;
-        ``"off"`` disables it.  ``None`` (the default) defers to the
+        transition-memoized flat kernel when the (level, workload) is
+        supported, falling back to the stepwise trie walk otherwise;
+        ``"on"`` raises when the kernel cannot be built; ``"off"`` disables it.  ``None`` (the default) defers to the
         ``EXPLORER_BATCH_KERNEL`` environment variable (default ``"auto"``).
         Pure optimization — records are byte-identical in every mode.
     store:

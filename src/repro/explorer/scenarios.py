@@ -238,7 +238,7 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
 
     # One executor per (variant, level): the stepwise trie walk, chosen on
     # purpose — scenario programs are mostly cursor/predicate steps the batch
-    # kernel refuses, and "auto" would import numpy for no wall gain.  The
+    # kernel refuses, and these spaces are too small to repay its tables.  The
     # outcome's database is the executor's shared one, so each verdict is
     # read off at yield time, before the next schedule restores over it.
     executor = TrieExecutor(variant.build_database(), programs, level,

@@ -100,14 +100,14 @@ class TrieExecutor:
         "Performance knobs").  The kernel is byte-equal to stepwise execution
         for every engine level, so this only changes speed, never results.
     batch_kernel:
-        Route :meth:`run_batch` through the vectorized flat-array batch-drain
-        kernel (:mod:`repro.explorer.batch_kernel`) when one can be built for
-        this (level, program set).  ``"auto"`` (the default, or via
+        Route :meth:`run_batch` through the transition-memoized flat kernel
+        (:mod:`repro.explorer.batch_kernel`) when one can be built for this
+        (level, program set).  ``"auto"`` (the default, or via
         ``EXPLORER_BATCH_KERNEL``) silently falls back to the stepwise trie
-        walk when numpy is missing or the workload is unsupported; ``"on"``
-        raises instead; ``"off"`` never builds the kernel.  Byte-equal to the
-        stepwise path by construction — contended or unsupported rows are
-        ejected back to :meth:`run_one`, the source of truth.
+        walk when the workload is unsupported; ``"on"`` raises instead;
+        ``"off"`` never builds the kernel.  Byte-equal to the stepwise path
+        by construction — rows the tables cannot express are ejected back to
+        :meth:`run_one`, the source of truth.
     """
 
     def __init__(self, database: Database, programs: Sequence[TransactionProgram],
@@ -153,8 +153,8 @@ class TrieExecutor:
             if self._batch is None and batch_kernel == "on":
                 raise ValueError(
                     f"batch_kernel='on' but no batch kernel is available for "
-                    f"{level.value!r} (numpy missing, engine options set, or "
-                    f"non-item steps in the programs)")
+                    f"{level.value!r} (engine options set, or non-item steps "
+                    f"in the programs)")
 
     @property
     def batch_stats(self) -> BatchStats:
@@ -246,7 +246,7 @@ class TrieExecutor:
         checkpoint its successor will restore to.
 
         When the batch-drain kernel is active (``batch_kernel`` above), the
-        whole batch routes through its flat-array emulator instead; rows it
+        whole batch routes through its flat emulators instead; rows it
         cannot handle are ejected back to :meth:`run_one`.  Outcomes are
         byte-identical either way.
         """

@@ -333,7 +333,8 @@ def execute_chunk(task: ChunkTask,
         stats[f"trie_{name}"] = trie_after[name] - trie_before[name]
     batch_after = executor.batch_stats.as_dict()
     for name in ("schedules", "rows_fast", "rows_ejected",
-                 "slots_total", "slots_executed"):
+                 "slots_total", "slots_executed", "transitions_reused",
+                 "transitions_computed", "states"):
         stats[f"batch_{name}"] = batch_after[name] - batch_before[name]
     # Drain unconditionally: both memos outlive the chunk, and an undrained
     # fresh set would retain every entry twice for the life of the process.

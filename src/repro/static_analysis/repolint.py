@@ -1,6 +1,6 @@
 """Repo invariant linter: the rules the codebase silently depends on, enforced.
 
-Eight invariants keep the explorer's determinism and checkpoint/restore
+Seven invariants keep the explorer's determinism and checkpoint/restore
 contracts honest, and none of them is expressible in a generic linter:
 
 * **determinism** (AST) — no wall-clock reads (``time.time``,
@@ -16,11 +16,6 @@ contracts honest, and none of them is expressible in a generic linter:
   "immutable configuration, not state" marker).  A mutable attribute
   missing from both is exactly the bug that makes trie-executor restores
   diverge from fresh runs.
-* **optional-imports** (AST) — optional accelerator dependencies (numpy)
-  are never imported at module scope under ``src/repro``: the explorer's
-  batch kernel imports numpy lazily inside a probe function, and every core
-  module must stay importable on a pure-python install (the CI
-  ``tests-no-numpy`` leg runs the explorer suite exactly that way).
 * **picklability** (runtime) — every registered program set must survive
   the process boundary the parallel explorer ships it across:
   ``ProgramSetSpec`` round-trips through pickle and the registered builder
@@ -71,7 +66,6 @@ __all__ = [
     "Violation",
     "lint_determinism",
     "lint_checkpoints",
-    "lint_optional_imports",
     "lint_picklability",
     "lint_footprints",
     "lint_store_records",
@@ -142,59 +136,6 @@ def lint_determinism(tree: ast.AST, path: str) -> List[Violation]:
                 "determinism", path, node.lineno,
                 f"module-level random.{target[1]}() draws from interpreter-"
                 f"global state; use a seeded random.Random instance"))
-    return violations
-
-
-# -- optional imports ----------------------------------------------------------------
-
-#: Dependencies that must stay optional: importing one at module scope would
-#: make a core module unimportable on a pure-python install.
-_OPTIONAL_DEPENDENCIES = ("numpy",)
-
-
-def _module_scope_nodes(tree: ast.AST) -> Iterable[ast.AST]:
-    """Every node reachable without entering a function or lambda body."""
-    stack = list(ast.iter_child_nodes(tree))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _optional_dependency(name: Optional[str]) -> Optional[str]:
-    if name is None:
-        return None
-    root = name.split(".", 1)[0]
-    return root if root in _OPTIONAL_DEPENDENCIES else None
-
-
-def lint_optional_imports(tree: ast.AST, path: str) -> List[Violation]:
-    """Optional accelerator dependencies must be imported lazily.
-
-    An ``import numpy`` (or ``from numpy import ...``) at module scope —
-    including under module-level conditionals — would break plain imports of
-    that module on installs without the ``fast`` extra.  Function-local
-    imports (the lazy-probe pattern in ``repro.explorer.batch_kernel``) are
-    the sanctioned form.
-    """
-    violations: List[Violation] = []
-    for node in _module_scope_nodes(tree):
-        names: List[str] = []
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module] if node.module else []
-        for name in names:
-            dependency = _optional_dependency(name)
-            if dependency is not None:
-                violations.append(Violation(
-                    "optional-imports", path, node.lineno,
-                    f"module-scope import of optional dependency "
-                    f"{dependency!r}; import it lazily inside the function "
-                    f"that needs it so core modules stay importable without "
-                    f"the 'fast' extra"))
     return violations
 
 
@@ -573,8 +514,7 @@ def lint_certificate_records() -> List[Violation]:
 
 def lint_tree(tree: ast.AST, path: str) -> List[Violation]:
     """All AST checks over one parsed module."""
-    return (lint_determinism(tree, path) + lint_checkpoints(tree, path)
-            + lint_optional_imports(tree, path))
+    return lint_determinism(tree, path) + lint_checkpoints(tree, path)
 
 
 def lint_paths(paths: Iterable[Path]) -> List[Violation]:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.distrib.cli import main
+from repro.explorer import worker
 
 RUN = ["--program-set", "increments", "--max-schedules", "96",
        "--chunk-size", "16", "--seed", "3", "--campaign", "demo",
@@ -57,6 +58,31 @@ def test_bad_fault_spec_fails_before_any_work(store_path, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert "bad --faults" in str(excinfo.value)
+    assert not os.path.exists(store_path)
+
+
+def test_batch_kernel_off_runs_every_row_stepwise(store_path, capsys,
+                                                  monkeypatch):
+    """The flag takes the executor's own modes and reaches the workers."""
+    # Forked workers inherit this process's caches; an outcome memo an
+    # earlier test warmed would answer every schedule without executing it.
+    monkeypatch.setattr(worker, "_OUTCOME_MEMO_CACHE", {})
+    argv = ["run", "--store", store_path, "--stats", "--batch-kernel", "off"]
+    assert main(argv + RUN) == 0
+    out = capsys.readouterr().out
+    assert "campaign demo: complete" in out
+    stats = json.loads(out[out.index("{"):out.rindex("}") + 1])
+    assert stats["worker_batch_schedules"] == 0
+    assert stats["worker_trie_slots_executed"] > 0
+
+
+def test_unknown_batch_kernel_mode_exits_2_before_any_work(store_path, capsys):
+    import os
+    argv = ["run", "--store", store_path, "--batch-kernel", "numpy"] + RUN
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "--batch-kernel" in capsys.readouterr().err
     assert not os.path.exists(store_path)
 
 

@@ -1,13 +1,13 @@
 """The batch-drain kernel's determinism contract: byte-equal to the trie walk.
 
-The vectorized flat-array kernel (:mod:`repro.explorer.batch_kernel`) is a
+The transition-memoized kernel (:mod:`repro.explorer.batch_kernel`) is a
 pure optimization: for every engine level and every registered workload, a
 kernel-executed schedule must produce an :class:`ExecutionOutcome` that is
 byte-identical — history, statuses, contexts, abort reasons, blocked-event
 counts, deadlocks, stall flag, final database — to the stepwise trie
-executor's, including stalled and deadlock-aborted prefix schedules.  Rows the
-kernel cannot handle eject to the stepwise path; without numpy the kernel
-never builds and everything falls back, byte-equal by construction.
+executor's, including stalled and deadlock-aborted prefix schedules, whether
+the transition table is cold, warm, capped or bypassed.  Rows the kernel
+cannot handle eject to the stepwise path.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import random
 import pytest
 
 from repro.core.isolation import IsolationLevelName
+from repro.engine.programs import Commit, ReadItem, TransactionProgram, WriteItem
 from repro.explorer import ExploreOptions, explore
 from repro.explorer import batch_kernel as batch_kernel_module
-from repro.explorer.batch_kernel import BatchStats, build_batch_kernel, numpy_available
+from repro.explorer.batch_kernel import BatchStats, build_batch_kernel
 from repro.explorer.schedules import schedule_space
 from repro.explorer.trie_executor import TrieExecutor
-from repro.testbed import ALL_ENGINE_LEVELS
+from repro.storage.database import Database
 from repro.workloads.program_sets import (
     ProgramSetSpec,
     available_program_sets,
@@ -34,6 +35,13 @@ KERNEL_LEVELS = (IsolationLevelName.READ_COMMITTED,
                  IsolationLevelName.SERIALIZABLE,
                  IsolationLevelName.SNAPSHOT_ISOLATION,
                  IsolationLevelName.ORACLE_READ_CONSISTENCY)
+#: The levels whose kernel is a flat emulator behind a transition table
+#: (`_LockingFlat` for the Table 2 levels, `_ReadConsistencyFlat` for ORC).
+TABLE_LEVELS = (IsolationLevelName.READ_UNCOMMITTED,
+                IsolationLevelName.READ_COMMITTED,
+                IsolationLevelName.REPEATABLE_READ,
+                IsolationLevelName.SERIALIZABLE,
+                IsolationLevelName.ORACLE_READ_CONSISTENCY)
 
 CONTENTION = ProgramSetSpec.make("contention", transactions=3, items=3,
                                  hot_items=2, operations_per_transaction=2)
@@ -77,11 +85,14 @@ def randomized_schedules(programs, rng, count):
     return out
 
 
-def build_pair(spec, level):
+def build_pair(spec, level, builder=None):
     """A (stepwise executor, kernel) pair over fresh identical testbeds."""
-    db_trie, programs_trie = build_program_set(spec)
+    if builder is None:
+        def builder():
+            return build_program_set(spec)
+    db_trie, programs_trie = builder()
     trie = TrieExecutor(db_trie, programs_trie, level, batch_kernel="off")
-    db_kernel, programs_kernel = build_program_set(spec)
+    db_kernel, programs_kernel = builder()
     fallback_host = TrieExecutor(db_kernel, programs_kernel, level,
                                  batch_kernel="off")
     kernel = build_batch_kernel(db_kernel, programs_kernel, level,
@@ -90,11 +101,6 @@ def build_pair(spec, level):
     return trie, kernel
 
 
-needs_numpy = pytest.mark.skipif(not numpy_available(),
-                                 reason="batch kernel needs numpy")
-
-
-@needs_numpy
 @pytest.mark.parametrize("level", KERNEL_LEVELS, ids=lambda level: level.value)
 def test_randomized_sweep_byte_equal_across_workloads(level):
     """Seeded sweep: every registered workload, full/prefix/over-long rows."""
@@ -114,7 +120,6 @@ def test_randomized_sweep_byte_equal_across_workloads(level):
         assert kernel.stats.occupancy == 1.0
 
 
-@needs_numpy
 def test_deadlock_aborted_rows_match():
     """The sweep must actually cover deadlock resolution, not dodge it."""
     spec = ProgramSetSpec.make("increments")
@@ -132,7 +137,6 @@ def test_deadlock_aborted_rows_match():
     assert deadlocks > 0, "workload produced no deadlocks; pick another gate"
 
 
-@needs_numpy
 def test_unknown_transaction_rows_eject_to_fallback():
     """Slots naming foreign transactions route the row to the stepwise path."""
     level = IsolationLevelName.READ_COMMITTED
@@ -153,7 +157,6 @@ def test_unknown_transaction_rows_eject_to_fallback():
     assert kernel.stats.occupancy < 1.0
 
 
-@needs_numpy
 def test_without_fallback_unknown_rows_raise():
     _, programs = build_program_set(CONTENTION)
     schedules = schedule_space(programs, mode="sample", max_schedules=4,
@@ -167,47 +170,181 @@ def test_without_fallback_unknown_rows_raise():
         kernel.run_one((999,) + tuple(schedules[0]))
 
 
-@needs_numpy
 @pytest.mark.parametrize("level", KERNEL_LEVELS, ids=lambda level: level.value)
 def test_checkpoint_restore_round_trip_of_in_flight_state(level):
-    """Revisiting a schedule after others restores byte-identical state."""
+    """The same batch twice: a cold table the first time, a warm one after.
+
+    The second pass pops the checkpoint stack back through every in-flight
+    prefix the first pass created and answers every lookup from the table;
+    results must not drift, and both must be the stepwise runner's.
+    """
     _, programs = build_program_set(CONTENTION)
-    schedules = schedule_space(programs, mode="sample", max_schedules=24,
-                               seed=13).schedules
-    _, kernel = build_pair(CONTENTION, level)
-    first = [outcome_key(outcome)
-             for _, outcome in sorted(kernel.run_batch(schedules))]
-    # Re-running the same batch pops the checkpoint stack back through every
-    # in-flight prefix the first pass created; results must not drift.
-    second = [outcome_key(outcome)
-              for _, outcome in sorted(kernel.run_batch(schedules))]
-    assert first == second
+    schedules = randomized_schedules(programs, random.Random(13), 40)
+    trie, kernel = build_pair(CONTENTION, level)
+    expected = [outcome_key(outcome)
+                for _, outcome in sorted(trie.run_batch(schedules))]
+    cold = [outcome_key(outcome)
+            for _, outcome in sorted(kernel.run_batch(schedules))]
+    computed, reused = (kernel.stats.transitions_computed,
+                        kernel.stats.transitions_reused)
+    warm = [outcome_key(outcome)
+            for _, outcome in sorted(kernel.run_batch(schedules))]
+    assert cold == expected
+    assert warm == expected
+    if level in TABLE_LEVELS:
+        assert computed > 0
+        assert kernel.stats.transitions_computed == computed
+        assert kernel.stats.transitions_reused > reused
+        assert 0 < kernel.stats.states <= computed
 
 
-@needs_numpy
 def test_emulator_checkpoint_restore_mid_drain():
     """A raw emulator checkpoint taken mid-schedule restores exactly."""
-    level = IsolationLevelName.SERIALIZABLE
     _, programs = build_program_set(CONTENTION)
     schedule = schedule_space(programs, mode="sample", max_schedules=1,
                               seed=5).schedules[0]
-    _, kernel = build_pair(CONTENTION, level)
+    for level in TABLE_LEVELS:
+        _, kernel = build_pair(CONTENTION, level)
+        emulator = kernel._emulator
+        half = len(schedule) // 2
+        emulator.apply_slots(schedule[:half])
+        token = emulator.checkpoint()
+        emulator.apply_slots(schedule[half:])
+        emulator.drain()
+        first = emulator.build_outcome(kernel.engine_name, kernel._database)
+        first_key = outcome_key(first)
+        emulator.restore(token)
+        emulator.apply_slots(schedule[half:])
+        emulator.drain()
+        second = emulator.build_outcome(kernel.engine_name, kernel._database)
+        assert outcome_key(second) == first_key, level
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7])
+@pytest.mark.parametrize("level", TABLE_LEVELS, ids=lambda level: level.value)
+def test_capped_table_computes_without_storing(level, cap, monkeypatch):
+    """Past the cap rows run on the emulator, unstored, with equal outcomes."""
+    monkeypatch.setattr(batch_kernel_module, "TRANSITION_STATE_CAP", cap)
+    _, programs = build_program_set(CONTENTION)
+    schedules = randomized_schedules(programs, random.Random(cap), 40)
+    trie, kernel = build_pair(CONTENTION, level)
+    expected = {index: outcome_key(outcome)
+                for index, outcome in trie.run_batch(schedules)}
+    for _ in range(2):  # the second pass restores through raw-state tokens
+        for index, outcome in kernel.run_batch(schedules):
+            assert outcome_key(outcome) == expected[index], (level, cap, index)
+    assert kernel.stats.states == cap
+    assert kernel.stats.rows_ejected == 0
+
+
+def unhashable_values():
+    """A list travels through the database, a context and a history."""
+    database = Database()
+    database.set_item("x", 1)
+    database.set_item("y", 2)
+    return database, [
+        TransactionProgram(1, [WriteItem("x", [1, 2]), ReadItem("y"),
+                               WriteItem("x", 3), Commit()]),
+        TransactionProgram(2, [ReadItem("x"),
+                               WriteItem("y", lambda ctx: ctx["x"]), Commit()]),
+    ]
+
+
+@pytest.mark.parametrize("level", TABLE_LEVELS, ids=lambda level: level.value)
+def test_unhashable_values_stay_off_the_table_and_match(level):
+    _, programs = unhashable_values()
+    schedules = list(schedule_space(programs, mode="exhaustive").schedules)
+    schedules += randomized_schedules(programs, random.Random(4), 20)
+    trie, kernel = build_pair(None, level, builder=unhashable_values)
+    expected = {index: outcome_key(outcome)
+                for index, outcome in trie.run_batch(schedules)}
+    for index, outcome in kernel.run_batch(schedules):
+        assert outcome_key(outcome) == expected[index], (level, index)
+    assert kernel.stats.rows_ejected == 0
+    # States holding the list were never interned, yet rows rejoined the
+    # table once the list was overwritten or rolled back.
+    assert all(isinstance(hash(state), int) for state in kernel._emulator._states)
+    assert kernel.stats.transitions_reused > 0
+
+
+def unterminated_writer():
+    """T1 never commits, so whoever needs its lock stalls; x and z start absent."""
+    database = Database()
+    database.set_item("y", 5)
+    return database, [
+        TransactionProgram(1, [ReadItem("y"), WriteItem("x", 1)]),
+        TransactionProgram(2, [ReadItem("x"), WriteItem("x", 2), Commit()]),
+        TransactionProgram(3, [ReadItem("z"), WriteItem("y", 6), Commit()]),
+    ]
+
+
+@pytest.mark.parametrize("level", TABLE_LEVELS, ids=lambda level: level.value)
+def test_stalled_drains_and_absent_items_match(level):
+    _, programs = unterminated_writer()
+    schedules = list(schedule_space(programs, mode="exhaustive").schedules)
+    schedules += randomized_schedules(programs, random.Random(9), 20)
+    trie, kernel = build_pair(None, level, builder=unterminated_writer)
+    expected = {}
+    stalled = 0
+    for index, outcome in trie.run_batch(schedules):
+        expected[index] = outcome_key(outcome)
+        stalled += outcome.stalled
+    assert stalled > 0, "no schedule stalled; pick another gate"
+    for _ in range(2):
+        for index, outcome in kernel.run_batch(schedules):
+            assert outcome_key(outcome) == expected[index], (level, index)
+
+
+@pytest.mark.parametrize("level", TABLE_LEVELS, ids=lambda level: level.value)
+def test_rows_driven_to_the_attempt_budget_match(level):
+    """Slots past ``max_attempts`` are dropped, mid-row or mid-drain, exactly
+    as the runner drops them — on a cold table and on a warm one."""
+    spec = ProgramSetSpec.make("increments", transactions=3)
+    trie, kernel = build_pair(spec, level)
+    limit = kernel._emulator.flat.max_attempts
+    # All three read, then T1 retries its write: blocked by the others' read
+    # locks where reads lock, a finished transaction's no-op where they do
+    # not.  The sweep puts the budget's end in the slots, at the drain's
+    # first attempt, and between two transactions of one drain round.
+    schedules = [(1, 2, 3) + (1,) * extra
+                 for extra in range(limit - 10, limit + 3)]
+    schedules += [(1, 2, 3) + (2, 1) * (extra // 2)
+                  for extra in range(limit - 10, limit + 3)]
+    expected = {index: outcome_key(outcome)
+                for index, outcome in trie.run_batch(schedules)}
+    for _ in range(2):
+        for index, outcome in kernel.run_batch(schedules):
+            assert outcome_key(outcome) == expected[index], (level, index)
+
+
+def test_different_prefixes_share_one_state():
+    """The property the speedup rests on: a state is what the engine can
+    still do, not how it got there or what it has emitted so far."""
+    spec = ProgramSetSpec.make("increments")
+    level = IsolationLevelName.SERIALIZABLE
+    _, kernel = build_pair(spec, level)
     emulator = kernel._emulator
-    half = len(schedule) // 2
-    emulator.apply_slots(schedule[:half])
-    token = emulator.checkpoint()
-    emulator.apply_slots(schedule[half:])
-    emulator.drain()
-    first = emulator.build_outcome(kernel.engine_name, kernel._database)
-    first_key = outcome_key(first)
-    emulator.restore(token)
-    emulator.apply_slots(schedule[half:])
-    emulator.drain()
-    second = emulator.build_outcome(kernel.engine_name, kernel._database)
-    assert outcome_key(second) == first_key
+    root = emulator.checkpoint()
+
+    def reach(slots):
+        emulator.restore(root)
+        emulator.apply_slots(slots)
+        return (emulator._sid, [op.to_shorthand() for op in emulator.ops],
+                emulator.blocked_events, emulator.attempts)
+
+    # Two Share locks commute; the lock manager's version counters say who
+    # went first, the state does not.
+    first, first_ops, _, _ = reach((1, 2))
+    second, second_ops, _, _ = reach((2, 1))
+    assert first == second >= 0
+    assert first_ops != second_ops
+    # A replayed blocked attempt moves the outputs and nothing else.
+    once, _, blocked_once, attempts_once = reach((1, 2, 1))
+    twice, _, blocked_twice, attempts_twice = reach((1, 2, 1, 1))
+    assert once == twice >= 0
+    assert (blocked_twice, attempts_twice) == (blocked_once + 1, attempts_once + 1)
 
 
-@needs_numpy
 def test_explore_records_identical_with_and_without_kernel():
     """explore(batch_kernel=...) never changes records, only speed."""
     levels = (IsolationLevelName.READ_COMMITTED,
@@ -217,30 +354,6 @@ def test_explore_records_identical_with_and_without_kernel():
     off = explore(CONTENTION, ExploreOptions(
         levels=levels, mode="sample", max_schedules=200, seed=6, batch_kernel="off"))
     assert on.fingerprint() == off.fingerprint()
-
-
-def test_pure_python_fallback_without_numpy(monkeypatch):
-    """With numpy unavailable the kernel never builds and auto falls back."""
-    monkeypatch.setattr(batch_kernel_module, "_NUMPY", False)
-    assert not numpy_available()
-    db, programs = build_program_set(CONTENTION)
-    executor = TrieExecutor(db, programs, IsolationLevelName.READ_COMMITTED,
-                            batch_kernel="auto")
-    assert executor._batch is None
-    schedules = schedule_space(programs, mode="sample", max_schedules=12,
-                               seed=2).schedules
-    db2, progs2 = build_program_set(CONTENTION)
-    reference = TrieExecutor(db2, progs2, IsolationLevelName.READ_COMMITTED,
-                             batch_kernel="off")
-    expected = {index: outcome_key(outcome)
-                for index, outcome in reference.run_batch(schedules)}
-    for index, outcome in executor.run_batch(schedules):
-        assert outcome_key(outcome) == expected[index]
-    assert executor.batch_stats.schedules == 0
-    with pytest.raises(ValueError):
-        db3, progs3 = build_program_set(CONTENTION)
-        TrieExecutor(db3, progs3, IsolationLevelName.READ_COMMITTED,
-                     batch_kernel="on")
 
 
 def test_batch_stats_occupancy_and_dict_shape():
@@ -253,6 +366,7 @@ def test_batch_stats_occupancy_and_dict_shape():
     as_dict = stats.as_dict()
     for key in ("schedules", "rows_fast", "rows_ejected", "slots_total",
                 "slots_executed", "checkpoints_created", "restores",
+                "transitions_reused", "transitions_computed", "states",
                 "occupancy"):
         assert key in as_dict
 

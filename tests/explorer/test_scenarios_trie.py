@@ -10,14 +10,8 @@ engine-backed level, every curated variant and both reductions.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import repro
 from repro.engine.scheduler import ScheduleRunner
 from repro.explorer.explorer import terminal_scope_for
 from repro.explorer.reduction import build_execution_plan
@@ -111,17 +105,3 @@ def test_the_oracle_exercises_every_verdict_field():
     for field in ("manifested", "deadlocked", "engine_aborted"):
         assert any(getattr(e, field) for e in explorations), field
     assert any(e.witness_history for e in explorations)
-
-
-def test_table4_leaves_numpy_unimported():
-    """The bridge asks for the stepwise trie walk, so the batch kernel's
-    optional numpy import (and its resident memory) is never paid."""
-    script = ("import sys\n"
-              "from repro.analysis.matrix import compute_table4_explored\n"
-              "compute_table4_explored()\n"
-              "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
-    source_root = str(Path(repro.__file__).resolve().parents[1])
-    finished = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": source_root})
-    assert finished.returncode == 0, finished.stderr

@@ -9,7 +9,6 @@ from repro.static_analysis.repolint import (
     lint_checkpoints,
     lint_determinism,
     lint_footprints,
-    lint_optional_imports,
     lint_picklability,
     lint_repo,
     lint_store_records,
@@ -131,41 +130,6 @@ class TestCheckpoints:
         assert _lint(source, "checkpoints") == []
 
 
-class TestOptionalImports:
-    def _lint(self, source):
-        return lint_optional_imports(ast.parse(textwrap.dedent(source)), "<test>")
-
-    def test_flags_module_scope_numpy_import(self):
-        (violation,) = self._lint("import numpy as np\n")
-        assert violation.check == "optional-imports"
-        assert "numpy" in violation.message
-
-    def test_flags_from_import_and_guarded_import(self):
-        source = """
-            from numpy import ndarray
-            try:
-                import numpy.linalg
-            except ImportError:
-                pass
-        """
-        violations = self._lint(source)
-        assert len(violations) == 2
-
-    def test_allows_function_local_import(self):
-        source = """
-            def _probe():
-                try:
-                    import numpy
-                except ImportError:
-                    return None
-                return numpy
-        """
-        assert self._lint(source) == []
-
-    def test_ignores_required_dependencies(self):
-        assert self._lint("import os\nfrom dataclasses import dataclass\n") == []
-
-
 class TestStoreRecords:
     def test_current_serialization_is_clean(self):
         assert lint_store_records() == []
@@ -220,7 +184,6 @@ class TestRepoWide:
     def test_lint_tree_combines_all_ast_checks(self):
         source = textwrap.dedent("""
             import time
-            import numpy
             class Engine:
                 def __init__(self):
                     self.extra = 1
@@ -230,4 +193,4 @@ class TestRepoWide:
         """)
         violations = lint_tree(ast.parse(source), "<test>")
         assert {violation.check for violation in violations} == \
-            {"determinism", "checkpoint-completeness", "optional-imports"}
+            {"determinism", "checkpoint-completeness"}
