@@ -1,26 +1,23 @@
 """Diff a fresh BENCH_explorer.json against the committed baseline.
 
 Used by the ``bench-smoke`` CI job: after re-running the benchmark at the
-baseline's schedule budget, the fresh serial throughput must not fall more
-than ``BENCH_SMOKE_TOLERANCE`` (default 30%) below the committed number.
+baseline's schedule budget, the fresh batch-kernel aggregate throughput must
+not fall more than ``BENCH_SMOKE_TOLERANCE`` (default 30%) below the
+committed number.
 
 Usage: python benchmarks/check_bench_regression.py BASELINE.json FRESH.json
 
 Every throughput section present in *both* files is compared and its measured
 ratio reported (fresh / baseline), so a regression report shows the whole
-picture, not just the failing number — but only the serial headline and the
-batch-kernel aggregate are *gated*; the others are informational (they carry
-more machine variance).  The fresh ``batch_kernel`` section is additionally
-checked for correctness flags: every level must report ``byte_equal: true``
-and fast-path ``occupancy`` of 1.0 (the benchmark workload is item-only, so
-any ejection means the kernel stopped covering it).  The fresh
-``persistence`` section is likewise gated on its own machine-independent
-flag: ``serial_overhead_ratio`` (store-attached vs. store-free serial
-throughput, measured in the same run) must stay at or above
-``BENCH_PERSIST_MIN_RATIO`` (default 0.85 — the within-15% bar).
-A section missing from either file is reported by name with which file lacks
-it: that means the two files came from different benchmark versions or from
-partial runs (e.g. ``-k`` selections), not that performance regressed.
+picture, not just the failing number — but only the batch-kernel aggregate is
+*gated*; the others are informational (they carry more machine variance).
+The fresh ``batch_kernel`` section is additionally checked for correctness
+flags: every level must report ``byte_equal: true`` and fast-path
+``occupancy`` of 1.0 (the benchmark workload is item-only, so any ejection
+means the kernel stopped covering it).  A section missing from either file
+is reported by name with which file lacks it: that means the two files came
+from different benchmark versions or from partial runs (e.g. ``-k``
+selections), not that performance regressed.
 
 The comparison is only meaningful when both files were produced with the same
 ``schedules`` budget; a mismatch fails the check (it would be diffing apples
@@ -40,26 +37,13 @@ from typing import Any, Dict, List, Optional, Tuple
 #: (section path, human label, gated) — every known schedules-per-second
 #: metric.  ``gated`` marks the metrics whose regression fails the check.
 SECTIONS: Tuple[Tuple[Tuple[str, ...], str, bool], ...] = (
-    (("serial", "schedules_per_sec"), "serial schedules/sec", True),
     (("batch_kernel", "aggregate", "schedules_per_sec"),
      "batch kernel aggregate schedules/sec", True),
-    (("parallel", "schedules_per_sec"), "parallel schedules/sec", False),
     (("trie_executor", "trie_schedules_per_sec"), "trie executor schedules/sec", False),
-    (("table4_explored", "schedules_per_sec"), "explored Table 4 schedules/sec", False),
     (("streaming", "schedules_per_sec"), "streaming generation schedules/sec", False),
     (("outcome_memo", "speedup"), "outcome-memo speedup", False),
     (("static_pruning", "speedup"), "static-pruning speedup", False),
-    (("persistence", "store_schedules_per_sec"),
-     "sqlite-store schedules/sec", False),
-    (("distrib", "schedules_per_sec"),
-     "distributed campaign schedules/sec", False),
-    (("service", "anomalies_per_sec"),
-     "online certifier anomalies/sec", False),
 )
-
-#: The ISSUE 8 bar for the fresh ``persistence`` section: a SqliteStore may
-#: cost at most 15% of serial throughput versus the store-free run.
-PERSIST_MIN_RATIO = float(os.environ.get("BENCH_PERSIST_MIN_RATIO", "0.85"))
 
 
 def _lookup(data: Dict[str, Any], path: Tuple[str, ...]) -> Optional[float]:
@@ -110,70 +94,6 @@ def _check_batch_kernel(fresh: Dict[str, Any]) -> List[str]:
     return failures
 
 
-def _check_persistence(fresh: Dict[str, Any]) -> List[str]:
-    """The store-overhead flag inside the fresh ``persistence`` section.
-
-    ``serial_overhead_ratio`` is a same-run, same-machine comparison (store
-    attached vs. store-free), so unlike the absolute throughput sections it
-    carries no cross-machine variance and gets its own fixed floor: the
-    ISSUE 8 bar of staying within 15% of store-free throughput.  An absent
-    section means a partial run; the SECTIONS entry reports that.
-    """
-    section = fresh.get("persistence")
-    if not isinstance(section, dict):
-        return []
-    ratio = section.get("serial_overhead_ratio")
-    print(f"sqlite-store overhead: ratio {ratio} "
-          f"(floor {PERSIST_MIN_RATIO}), resume wall "
-          f"{section.get('resume_wall_s')}s")
-    if not isinstance(ratio, (int, float)) or ratio < PERSIST_MIN_RATIO:
-        return [f"persistence: store/plain throughput ratio {ratio!r} is "
-                f"below {PERSIST_MIN_RATIO} (tune via BENCH_PERSIST_MIN_RATIO)"]
-    return []
-
-
-def _check_distrib(fresh: Dict[str, Any]) -> List[str]:
-    """Correctness flags inside the fresh ``distrib`` section.
-
-    Throughput and recovery latency are informational (worker-process
-    overhead and lease tuning dominate both, and they vary by machine
-    class), but ``byte_equal`` is wrong at any speed: the distributed run
-    and the worker-kill run must both reproduce the serial fingerprint.
-    """
-    section = fresh.get("distrib")
-    if not isinstance(section, dict):
-        return []
-    byte_equal = section.get("byte_equal")
-    print(f"distributed campaign: "
-          f"{section.get('schedules_per_sec', 0):,.1f}/s at "
-          f"{section.get('workers')} workers, kill recovery "
-          f"{section.get('recovery_latency_ms')} ms, byte_equal {byte_equal}")
-    if byte_equal is not True:
-        return [f"distrib: byte_equal is {byte_equal!r}"]
-    return []
-
-
-def _check_service(fresh: Dict[str, Any]) -> List[str]:
-    """Correctness flag inside the fresh ``service`` section.
-
-    Anomalies/sec and classify latency are informational (client count and
-    machine class dominate them), but ``byte_equal`` is wrong at any speed:
-    every online stream verdict must match the offline classifier on the
-    same ops — the certifier service's whole correctness contract.
-    """
-    section = fresh.get("service")
-    if not isinstance(section, dict):
-        return []
-    byte_equal = section.get("byte_equal")
-    print(f"online certifier: "
-          f"{section.get('anomalies_per_sec', 0):,.1f} anomalies/s at "
-          f"{section.get('clients')} clients, p99 classify "
-          f"{section.get('p99_classify_us')} us, byte_equal {byte_equal}")
-    if byte_equal is not True:
-        return [f"service: byte_equal is {byte_equal!r}"]
-    return []
-
-
 def main(baseline_path: str, fresh_path: str) -> int:
     tolerance = float(os.environ.get("BENCH_SMOKE_TOLERANCE", "0.30"))
     baseline = _load(baseline_path)
@@ -220,9 +140,6 @@ def main(baseline_path: str, fresh_path: str) -> int:
             failures.append(f"{label}: {fresh_value:,.1f} < floor {floor:,.1f}")
 
     failures.extend(_check_batch_kernel(fresh))
-    failures.extend(_check_persistence(fresh))
-    failures.extend(_check_distrib(fresh))
-    failures.extend(_check_service(fresh))
     if compared == 0 and not failures:
         print("no comparable sections found in either file — nothing was checked")
         return 1

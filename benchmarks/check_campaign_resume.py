@@ -48,7 +48,7 @@ EXECUTED_LINE = re.compile(r"campaign (\S+): (\d+) schedules executed this run")
 
 
 def _cli(*args: str, timeout: float = 300.0) -> Tuple[int, str]:
-    command = [sys.executable, "-m", "repro.persist.cli", *args]
+    command = [sys.executable, "-m", "repro", "campaign", *args]
     proc = subprocess.run(command, capture_output=True, text=True,
                           timeout=timeout)
     output = proc.stdout + proc.stderr
@@ -88,7 +88,7 @@ def _kill_mid_stream(store: Path, total_scopes: int) -> bool:
                 path = Path(str(store) + suffix)
                 if path.exists():
                     path.unlink()
-        command = [sys.executable, "-m", "repro.persist.cli", "run",
+        command = [sys.executable, "-m", "repro", "campaign", "run",
                    "--store", str(store), *RUN_ARGS,
                    "--throttle-ms", str(throttle)]
         victim = subprocess.Popen(command, stdout=subprocess.DEVNULL,

@@ -61,7 +61,7 @@ def main() -> None:
             store.close()
 
     print("the same machinery from the command line:")
-    print("  PYTHONPATH=src python -m repro.distrib.cli verify \\")
+    print("  PYTHONPATH=src python -m repro distrib verify \\")
     print("      --store campaigns.sqlite --program-set increments \\")
     print("      --max-schedules 96 --chunk-size 16 --seed 3 \\")
     print("      --workers 2 --fault-seed 7")

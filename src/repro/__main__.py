@@ -1,15 +1,14 @@
 """``python -m repro`` — the unified command-line front door.
 
-One entry point, four subcommands, delegating to the per-subsystem CLIs
-(which remain runnable directly for compatibility):
+One entry point, four subcommands, delegating to the per-subsystem CLIs:
 
 * ``campaign`` — run/resume/inspect persistent exploration campaigns
-  (:mod:`repro.persist.cli`);
+  (``persist/cli.py``);
 * ``distrib``  — the fault-tolerant distributed campaign runner
-  (:mod:`repro.distrib.cli`);
+  (``distrib/cli.py``);
 * ``serve``    — the online isolation certifier server
-  (:mod:`repro.service.cli`);
-* ``bench``    — the certifier load benchmark (:mod:`repro.service.cli`).
+  (``service/cli.py``);
+* ``bench``    — the certifier load benchmark (``service/cli.py``).
 
 Exit codes are consistent across all subcommands: 0 success, 1 runtime
 failure, 2 usage/config error.

@@ -1,4 +1,4 @@
-"""``python -m repro.distrib.cli`` — fault-tolerant distributed campaigns.
+"""``python -m repro distrib`` — fault-tolerant distributed campaigns.
 
 Subcommands:
 
@@ -188,7 +188,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.distrib.cli",
+        prog="python -m repro distrib",
         description="Fault-tolerant distributed exploration campaigns.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -212,7 +212,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except StoreError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -27,11 +27,6 @@ from ..storage.predicates import Predicate
 from ..storage.rows import Row
 
 __all__ = [
-    "OP_READ",
-    "OP_WRITE",
-    "OP_COMMIT",
-    "OP_ABORT",
-    "OP_GENERIC",
     "OpStatus",
     "OpResult",
     "TransactionState",
@@ -39,18 +34,6 @@ __all__ = [
     "EngineError",
     "CheckpointError",
 ]
-
-#: Op codes of the compiled slot-program step kernel (see
-#: :func:`repro.engine.programs.compile_step`).  Kept here, next to
-#: :meth:`Engine.apply_step`, so engines and the compiler share one vocabulary
-#: without a circular import.  ``OP_GENERIC`` marks steps the kernel does not
-#: specialize; the runner falls back to ``Step.perform`` for those.
-OP_READ = 0
-OP_WRITE = 1
-OP_COMMIT = 2
-OP_ABORT = 3
-OP_GENERIC = 4
-
 
 class EngineError(RuntimeError):
     """Raised for protocol violations (acting on an unknown or finished txn, ...)."""
@@ -241,31 +224,6 @@ class Engine:
     def close_cursor(self, txn: int, cursor: str) -> OpResult:
         """Close a cursor, releasing any cursor-held locks."""
         raise NotImplementedError
-
-    # -- compiled-kernel entry point ---------------------------------------------------------
-
-    def apply_step(self, opcode: int, txn: int, item: Optional[str] = None,
-                   value: Any = None) -> OpResult:
-        """Narrow monomorphic entry point of the compiled step kernel.
-
-        Dispatches one compiled op code to the engine.  The base
-        implementation routes to the polymorphic methods, so every engine
-        supports compiled execution out of the box; the built-in engines
-        override it with fused fast paths.  Whatever the implementation, the
-        returned :class:`OpResult` (and every engine side effect) must be
-        identical to the corresponding stepwise call — the kernel's
-        byte-equality contract.
-        """
-        if opcode == OP_READ:
-            return self.read(txn, item)
-        if opcode == OP_WRITE:
-            return self.write(txn, item, value)
-        if opcode == OP_COMMIT:
-            return self.commit(txn)
-        if opcode == OP_ABORT:
-            # Matches Abort.perform: a scripted abort, not an engine-initiated one.
-            return self.abort(txn, reason="program abort")
-        raise EngineError(f"apply_step cannot dispatch opcode {opcode!r}")
 
     # -- blocking fingerprint ----------------------------------------------------------------
 

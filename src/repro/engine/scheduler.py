@@ -19,6 +19,12 @@ attempted next — and drives every program to completion:
 After the explicit interleaving is exhausted, remaining steps are drained
 round-robin, so an interleaving only needs to pin down the order of the
 *interesting* prefix of the schedule.
+
+Every attempt dispatches through ``Step.perform`` into the engine's public
+methods, so this runner is the source of truth every faster path is held to:
+the trie executor (:mod:`repro.explorer.trie_executor`) drives it from
+checkpoints, and the batch kernel (:mod:`repro.explorer.batch_kernel`) is
+gated byte-equal against it.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     List,
@@ -39,11 +44,6 @@ from ..core.history import History
 from ..core.operations import Operation, OperationKind
 from ..locking.deadlock import Deadlock, WaitsForGraph
 from .interface import (
-    OP_ABORT,
-    OP_COMMIT,
-    OP_GENERIC,
-    OP_READ,
-    OP_WRITE,
     Engine,
     OpResult,
     OpStatus,
@@ -53,7 +53,6 @@ from .outcomes import ExecutionOutcome, StepTrace
 from .programs import (
     Abort,
     Commit,
-    CompiledStep,
     CursorUpdate,
     DeleteRow,
     Fetch,
@@ -64,7 +63,6 @@ from .programs import (
     TransactionProgram,
     UpdateRow,
     WriteItem,
-    compile_step,
 )
 
 __all__ = ["ScheduleRunner", "RunnerCheckpoint", "run_schedule"]
@@ -74,19 +72,15 @@ class _ProgramState:
     """The runner's bookkeeping for one program (slotted: hot-path attribute access)."""
 
     __slots__ = ("program", "steps", "total", "counter", "finished", "context",
-                 "compiled", "parked", "commit_op", "abort_op")
+                 "parked")
 
-    def __init__(self, program: TransactionProgram,
-                 compiled: Optional[Tuple[CompiledStep, ...]] = None):
+    def __init__(self, program: TransactionProgram):
         self.program = program
         self.steps = program.steps
         self.total = len(program.steps)
         self.counter = 0
         self.finished = False
         self.context: Dict[str, Any] = {}
-        #: Compiled step table (see repro.engine.programs.compile_step), or
-        #: None when the runner drives the stepwise path.
-        self.compiled = compiled
         #: (step counter, blocking version, result, item) of the last blocked
         #: attempt — the runner's blocked-result memo, stored on the state
         #: slot so the hot path skips a dict lookup per attempt.  The version
@@ -95,10 +89,6 @@ class _ProgramState:
         #: ``item`` is None for non-item steps, falling back to the global
         #: blocking version.
         self.parked: Optional[Tuple[int, int, OpResult, Optional[str]]] = None
-        #: Precomputed terminal operations: a committed/aborted terminal
-        #: realizes the same value-equal Operation every time.
-        self.commit_op = Operation(OperationKind.COMMIT, program.txn)
-        self.abort_op = Operation(OperationKind.ABORT, program.txn)
 
     @property
     def txn(self) -> int:
@@ -142,19 +132,16 @@ class ScheduleRunner:
 
     #: Deliberately outside the checkpoint token (see repolint's
     #: checkpoint-completeness check): the programs, their order, and the
-    #: attempt budget are per-runner configuration; the compiled-step tables
-    #: and the dispatch function are one-way setup (enable_compiled); the
-    #: operation-interning cache memoizes a pure function, so a stale entry
-    #: can never change a realized operation.
+    #: attempt budget are per-runner configuration; the operation-interning
+    #: cache memoizes a pure function, so a stale entry can never change a
+    #: realized operation.
     _checkpoint_stable = ("_programs", "_order", "_max_attempts",
-                          "_collect_traces", "_compiled", "_compiled_tables",
-                          "_attempt_fn", "_op_cache")
+                          "_collect_traces", "_op_cache")
 
     def __init__(self, engine: Engine, programs: Sequence[TransactionProgram],
                  interleaving: Optional[Sequence[int]] = None,
                  max_attempts: Optional[int] = None,
-                 collect_traces: bool = True,
-                 compiled: bool = False):
+                 collect_traces: bool = True):
         if not programs:
             raise ValueError("at least one transaction program is required")
         txns = [program.txn for program in programs]
@@ -168,13 +155,6 @@ class ScheduleRunner:
         #: The schedule explorer turns traces off: records never consult them,
         #: and skipping a StepTrace per attempt is measurable on the hot path.
         self._collect_traces = collect_traces
-        #: Compiled step tables, one per program (see programs.compile_step).
-        #: Compiled once per runner and reused across reset()/replay().
-        self._compiled = False
-        self._compiled_tables: Optional[Dict[int, Tuple[CompiledStep, ...]]] = None
-        self._attempt_fn: Callable[[int], int] = self._attempt
-        if compiled:
-            self.enable_compiled()
         #: Interned realized operations, shared across runs of this runner:
         #: replaying thousands of schedules of the same programs realizes the
         #: same (kind, txn, item, value, version) operations over and over,
@@ -186,11 +166,8 @@ class ScheduleRunner:
 
     def _reset_state(self, interleaving: Optional[Sequence[int]]) -> None:
         """(Re)initialize all per-run bookkeeping."""
-        tables = self._compiled_tables
         self._states = {
-            program.txn: _ProgramState(
-                program, tables[program.txn] if tables is not None else None)
-            for program in self._programs
+            program.txn: _ProgramState(program) for program in self._programs
         }
         self._interleaving = list(interleaving) if interleaving is not None else []
         self._waits = WaitsForGraph()
@@ -240,36 +217,6 @@ class ScheduleRunner:
             self.apply_slot(txn)
         return self.drain()
 
-    # -- the compiled step kernel -----------------------------------------------------
-
-    def enable_compiled(self) -> None:
-        """Switch this runner onto the compiled slot-program step kernel.
-
-        Programs are flattened once (see
-        :func:`repro.engine.programs.compile_step`) and every subsequent
-        attempt dispatches on the step tables through the engines' narrow
-        :meth:`~repro.engine.interface.Engine.apply_step` entry point instead
-        of the polymorphic ``Step.perform`` path.  Execution stays byte-equal
-        to the stepwise path — same results, operations, traces, blocked
-        counts, deadlocks — which ``tests/engine/test_compiled_kernel.py``
-        gates for every engine level.
-        """
-        if self._compiled:
-            return
-        self._compiled = True
-        self._compiled_tables = {
-            program.txn: tuple(compile_step(step) for step in program.steps)
-            for program in self._programs
-        }
-        self._attempt_fn = self._attempt_compiled
-        for txn, state in getattr(self, "_states", {}).items():
-            state.compiled = self._compiled_tables[txn]
-
-    def run_compiled(self) -> ExecutionOutcome:
-        """:meth:`run`, forced onto the compiled kernel (compiling on first use)."""
-        self.enable_compiled()
-        return self.run()
-
     # -- stepwise API (the trie executor's entry points) ------------------------------------
 
     def begin_all(self) -> None:
@@ -290,7 +237,7 @@ class ScheduleRunner:
         """
         if self._attempts >= self._max_attempts:
             return 0
-        made = self._attempt_fn(txn)
+        made = self._attempt(txn)
         self._attempts += made
         return made
 
@@ -300,7 +247,7 @@ class ScheduleRunner:
         The trie executor applies whole divergent suffixes at once; hoisting
         the per-slot wrapper out of that loop is measurable at explorer scale.
         """
-        attempt = self._attempt_fn
+        attempt = self._attempt
         attempts = self._attempts
         limit = self._max_attempts
         for txn in txns:
@@ -325,7 +272,7 @@ class ScheduleRunner:
         bumps its items' versions and wakes the transactions it blocked.
         """
         states = self._states
-        attempt = self._attempt_fn
+        attempt = self._attempt
         blocking_version_for = self.engine.blocking_version_for
         while self._attempts < self._max_attempts:
             # Attempting only unfinished transactions, in schedule order, makes
@@ -481,116 +428,6 @@ class ScheduleRunner:
             state.finished = True
             self._waits.remove_transaction(txn)
             if isinstance(step, Abort):
-                self._abort_reasons.setdefault(txn, "program abort")
-        return 1
-
-    def _attempt_compiled(self, txn: int) -> int:
-        """Compiled twin of :meth:`_attempt`: dispatch on flattened step tables.
-
-        Behaviour-identical to :meth:`_attempt` by construction — every
-        branch below mirrors one of its branches, with the polymorphic
-        ``step.perform`` / ``_to_operation`` dispatches replaced by the
-        precomputed op code, item, value spec, describe string, and realized
-        operation kind of the compiled step.  The byte-equality tests in
-        tests/engine and tests/explorer hold the two in lockstep; change them
-        together.
-        """
-        state = self._states.get(txn)
-        if state is None or state.finished or state.counter >= state.total:
-            return 0
-        counter = state.counter
-        cstep = state.compiled[counter]
-        opcode = cstep[0]
-        engine = self.engine
-        # Blocked-result memo fast path — same rule as the stepwise attempt.
-        memo = state.parked
-        result = None
-        replayed = False
-        if memo is not None and memo[0] == counter:
-            version = engine.blocking_version_for(memo[3])
-            if version is not None and version == memo[1]:
-                result = memo[2]
-                replayed = True
-        if result is None:
-            if opcode == OP_READ:
-                result = engine.apply_step(OP_READ, txn, cstep[1])
-                if result.status is OpStatus.OK:
-                    state.context[cstep[4]] = result.value
-            elif opcode == OP_WRITE:
-                value = cstep[2]
-                if cstep[3]:
-                    value = value(state.context)
-                result = engine.apply_step(OP_WRITE, txn, cstep[1], value)
-            elif opcode == OP_GENERIC:
-                result = cstep[6].perform(engine, txn, state.context)
-            else:
-                result = engine.apply_step(opcode, txn)
-        if self._collect_traces:
-            self._traces.append(
-                StepTrace(txn, cstep[7], result.status, result.value, result.reason)
-            )
-
-        status = result.status
-        if status is OpStatus.BLOCKED:
-            if not replayed:
-                item = cstep[1]
-                version = engine.blocking_version_for(item)
-                if version is not None:
-                    state.parked = (counter, version, result, item)
-            self._blocked_events += 1
-            self._waits.set_waits(txn, result.blockers)
-            if self._waits_maybe_cyclic or self._waits.any_waiting(result.blockers):
-                self._resolve_deadlock()
-            return 1
-
-        self._waits.clear_waits(txn)
-
-        if status is OpStatus.ABORTED:
-            self._record_abort(txn, result.reason or "engine abort")
-            state.finished = True
-            self._waits.remove_transaction(txn)
-            return 1
-
-        # OK: record the realized operation and advance.
-        if opcode == OP_READ or opcode == OP_WRITE:
-            # Per-step operation interning: kind/txn/item are fixed for this
-            # step, so (value, version) identifies the realized operation.
-            cache = cstep[8]
-            opkey = (result.value, result.version)
-            try:
-                operation = cache.get(opkey)
-            except TypeError:  # unhashable recorded value
-                operation = Operation(cstep[5], txn, item=cstep[1],
-                                      value=result.value, version=result.version)
-            else:
-                if operation is None:
-                    operation = Operation(cstep[5], txn, item=cstep[1],
-                                          value=result.value,
-                                          version=result.version)
-                    if len(cache) < 4096:
-                        cache[opkey] = operation
-            self._operations.append(operation)
-        elif opcode == OP_COMMIT:
-            self._operations.append(state.commit_op)
-            self._terminal_recorded.add(txn)
-        elif opcode == OP_ABORT:
-            self._operations.append(state.abort_op)
-            self._terminal_recorded.add(txn)
-        else:
-            operation = self._to_operation(txn, cstep[6], result)
-            if operation is not None:
-                self._operations.append(operation)
-                opkind = operation.kind
-                if opkind is OperationKind.COMMIT or opkind is OperationKind.ABORT:
-                    self._terminal_recorded.add(txn)
-        state.counter = counter + 1
-        if (opcode == OP_COMMIT or opcode == OP_ABORT
-                or state.counter >= state.total
-                or (opcode == OP_GENERIC and isinstance(cstep[6], (Commit, Abort)))):
-            state.finished = True
-            self._waits.remove_transaction(txn)
-            if opcode == OP_ABORT or (
-                    opcode == OP_GENERIC and isinstance(cstep[6], Abort)):
                 self._abort_reasons.setdefault(txn, "program abort")
         return 1
 

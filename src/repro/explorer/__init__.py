@@ -3,11 +3,11 @@ in parallel, and measure which anomalies each isolation level actually admits.
 
 Quick use::
 
-    from repro.explorer import explore, ProgramSetSpec
+    from repro.explorer import ExploreOptions, explore, ProgramSetSpec
     from repro.analysis.coverage import build_coverage_report
 
     spec = ProgramSetSpec.make("increments", transactions=2)
-    result = explore(spec, max_schedules=500, seed=7, workers=4)
+    result = explore(spec, ExploreOptions(max_schedules=500, seed=7, workers=4))
     print(build_coverage_report(result).render())
 
 The public surface:
@@ -31,8 +31,7 @@ The public surface:
 * :mod:`~repro.explorer.worker` — the picklable chunk work units and the
   per-process state they reuse.
 * :mod:`~repro.explorer.memo` — memoized batched classification (one bounded
-  table keyed by history shorthand) and prefix-shared dependency-graph
-  construction.
+  table keyed by history shorthand) and the schedule-level outcome memo.
 """
 
 from .explorer import (
@@ -43,7 +42,7 @@ from .explorer import (
     explore,
 )
 from .options import REDUCTIONS, ExploreOptions
-from .memo import BatchClassifier, HistoryClassification, PrefixGraphBuilder
+from .memo import BatchClassifier, HistoryClassification
 from .reduction import (
     CommutationOracle,
     ExecutionPlan,
@@ -86,7 +85,6 @@ __all__ = [
     "explore",
     "BatchClassifier",
     "HistoryClassification",
-    "PrefixGraphBuilder",
     "CommutationOracle",
     "ExecutionPlan",
     "StreamingReducer",

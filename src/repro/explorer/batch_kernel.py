@@ -2,12 +2,13 @@
 
 The trie executor replays schedules through full engine objects — lock lists,
 undo logs, OpResult values, deep checkpoint tokens.  For the program shapes
-the explorer actually enumerates (item reads/writes + commit/abort, compiled
-to :func:`repro.engine.programs.emit_batch_tables` int tables), every engine
-rule the runner can observe is a small arithmetic fact over per-item holder
-bitmasks, and Table 2 makes each locking level a *deterministic* rule over
-lock scope and duration.  Under a fixed program set a flat emulator is
-therefore a finite-state machine, and this module runs it as one:
+the explorer actually enumerates (``ReadItem`` / ``WriteItem`` / ``Commit`` /
+``Abort`` steps, flattened into per-transaction int tables by
+:class:`_FlatPrograms`), every engine rule the runner can observe is a small
+arithmetic fact over per-item holder bitmasks, and Table 2 makes each locking
+level a *deterministic* rule over lock scope and duration.  Under a fixed
+program set a flat emulator is therefore a finite-state machine, and this
+module runs it as one:
 
 * **The emulators** (:class:`_LockingFlat`, :class:`_ReadConsistencyFlat`)
   keep the whole engine + runner state in one flat list and know how to take
@@ -26,7 +27,7 @@ therefore a finite-state machine, and this module runs it as one:
   transaction's stream is static and a row is one fold over commit order.
 * Batches are walked in sorted (DFS) order so consecutive rows restore the
   deepest checkpoint they share, exactly like the trie executor.
-* Rows the tables cannot express (``OP_GENERIC`` steps, custom engine
+* Rows the tables cannot express (any other step type, custom engine
   options) never reach the kernel — :func:`build_batch_kernel` refuses to
   build and the caller keeps the stepwise path; a per-row escape hatch
   (``fallback``) ejects any row that names a transaction outside the tables.
@@ -69,7 +70,9 @@ runner's — history, statuses, contexts, abort reasons, blocked counts,
 deadlocks, stall flag, and the shared database's items at yield time —
 for every supported engine level, on a cold table, a warm one and a capped
 one.  ``tests/explorer/test_batch_kernel.py`` gates this against randomized
-schedule sweeps, including stalled and deadlock-aborted prefixes.
+schedule sweeps, including stalled and deadlock-aborted prefixes, and
+``tests/property/test_batch_kernel_properties.py`` against random program
+sets.
 """
 
 from __future__ import annotations
@@ -89,20 +92,14 @@ from typing import (
 from ..core.history import History
 from ..core.isolation import IsolationLevelName
 from ..core.operations import Operation, OperationKind
-from ..engine.interface import (
-    OP_ABORT,
-    OP_COMMIT,
-    OP_READ,
-    OP_WRITE,
-    TransactionState,
-)
+from ..engine.interface import TransactionState
 from ..engine.outcomes import ExecutionOutcome
 from ..engine.programs import (
-    BatchTableSet,
-    CompiledProgramSet,
+    Abort,
+    Commit,
+    ReadItem,
     TransactionProgram,
-    compile_programs,
-    emit_batch_tables,
+    WriteItem,
 )
 from ..locking.deadlock import Deadlock, WaitsForGraph
 from ..locking.modes import LockDuration, LockMode
@@ -110,6 +107,16 @@ from ..locking.policy import POLICIES, policy_for
 from ..storage.database import Database
 
 __all__ = ["BatchStats", "TRANSITION_STATE_CAP", "build_batch_kernel"]
+
+#: The kernel's step vocabulary: the four exact step types its tables express.
+#: Any other step type (rows, predicates, cursors, or a subclass overriding
+#: ``perform``) keeps the whole program set on the stepwise path.
+_OP_READ, _OP_WRITE, _OP_COMMIT, _OP_ABORT = 0, 1, 2, 3
+_OPCODES = {ReadItem: _OP_READ, WriteItem: _OP_WRITE, Commit: _OP_COMMIT,
+            Abort: _OP_ABORT}
+#: The history operation each op code realizes.
+_KINDS = (OperationKind.READ, OperationKind.WRITE, OperationKind.COMMIT,
+          OperationKind.ABORT)
 
 #: Sentinel for "item absent from the database" — mirrors the undo log's
 #: missing-item marker so before-image rollback can delete created items.
@@ -187,7 +194,7 @@ def _sorted_order_and_lcps(schedules: Sequence[Sequence[int]],
 def _intern_step_op(cache: Dict[Any, Operation], kind: OperationKind,
                     txn: int, item: str, value: Any,
                     version: Optional[int]) -> Operation:
-    """Per-step operation interning — same policy as the compiled runner."""
+    """Per-step operation interning: one small cache per read/write step."""
     key = (value, version)
     try:
         operation = cache.get(key)
@@ -201,42 +208,53 @@ def _intern_step_op(cache: Dict[Any, Operation], kind: OperationKind,
 
 
 class _FlatPrograms:
-    """The per-transaction step tables every kernel dispatches on."""
+    """The per-transaction step tables every kernel dispatches on.
+
+    Built straight from the step objects: item names are interned in first
+    encounter order (programs in order, steps in order), and every read or
+    write step gets its own operation-interning cache.
+    """
 
     __slots__ = ("txns", "tindex", "opcodes", "items", "into", "values",
-                 "calls", "kinds", "totals", "commit_ops", "abort_ops",
-                 "op_caches", "item_names", "max_attempts", "order")
+                 "calls", "totals", "commit_ops", "abort_ops", "op_caches",
+                 "item_names", "max_attempts", "order")
 
-    def __init__(self, compiled: CompiledProgramSet, tables: BatchTableSet):
-        by_txn = {program.txn: program for program in compiled.programs}
-        self.txns: List[int] = [program.txn for program in tables.programs]
+    def __init__(self, programs: Sequence[TransactionProgram]):
+        self.txns: List[int] = [program.txn for program in programs]
         self.order = list(range(len(self.txns)))
         self.tindex: Dict[int, int] = {txn: ti for ti, txn in enumerate(self.txns)}
-        self.item_names: Tuple[str, ...] = tables.item_names
         self.opcodes: List[Tuple[int, ...]] = []
         self.items: List[Tuple[int, ...]] = []
         self.into: List[Tuple[Optional[str], ...]] = []
         self.values: List[Tuple[Any, ...]] = []
         self.calls: List[Tuple[bool, ...]] = []
-        self.kinds: List[Tuple[OperationKind, ...]] = []
         self.totals: List[int] = []
         self.commit_ops: List[Operation] = []
         self.abort_ops: List[Operation] = []
-        #: Shared with the compiled runner's step tables (cstep[8]), so both
-        #: kernels realize the same interned Operation instances.
         self.op_caches: List[Tuple[Dict[Any, Operation], ...]] = []
-        for program in tables.programs:
-            csteps = by_txn[program.txn].steps
-            self.opcodes.append(program.opcodes)
-            self.items.append(program.item_ids)
-            self.into.append(tuple(cstep[4] for cstep in csteps))
-            self.values.append(tuple(cstep[2] for cstep in csteps))
-            self.calls.append(tuple(cstep[3] for cstep in csteps))
-            self.kinds.append(tuple(cstep[5] for cstep in csteps))
-            self.op_caches.append(tuple(cstep[8] for cstep in csteps))
-            self.totals.append(len(program.opcodes))
+        ids: Dict[str, int] = {}
+        for program in programs:
+            opcodes: List[int] = []
+            items: List[int] = []
+            into: List[Optional[str]] = []
+            values: List[Any] = []
+            for step in program.steps:
+                opcode = _OPCODES[type(step)]
+                opcodes.append(opcode)
+                items.append(ids.setdefault(step.item, len(ids))
+                             if opcode in (_OP_READ, _OP_WRITE) else -1)
+                into.append(step.into or step.item if opcode == _OP_READ else None)
+                values.append(step.value if opcode == _OP_WRITE else None)
+            self.opcodes.append(tuple(opcodes))
+            self.items.append(tuple(items))
+            self.into.append(tuple(into))
+            self.values.append(tuple(values))
+            self.calls.append(tuple(callable(value) for value in values))
+            self.op_caches.append(tuple({} for _ in opcodes))
+            self.totals.append(len(opcodes))
             self.commit_ops.append(Operation(OperationKind.COMMIT, program.txn))
             self.abort_ops.append(Operation(OperationKind.ABORT, program.txn))
+        self.item_names: Tuple[str, ...] = tuple(ids)
         self.max_attempts = sum(self.totals) * 20 + 100
 
 
@@ -305,10 +323,10 @@ class _FlatEmulator:
             steps = []
             for j, opcode in enumerate(flat.opcodes[ti]):
                 at = -1
-                if opcode == OP_READ:
+                if opcode == _OP_READ:
                     at = names.setdefault(flat.into[ti][j], slot + len(names))
                 steps.append((opcode, flat.items[ti][j], flat.values[ti][j],
-                              flat.calls[ti][j], at, flat.kinds[ti][j],
+                              flat.calls[ti][j], at, _KINDS[opcode],
                               flat.op_caches[ti][j]))
             self._steps.append(tuple(steps))
             self._ctx_names.append(tuple(names.items()))
@@ -443,22 +461,22 @@ class _FlatEmulator:
         replayed = S[self._pv] & bit
         if replayed:
             pass
-        elif opcode == OP_READ:
+        elif opcode == _OP_READ:
             blocked, value, version = self._read(S, ti, bit, k)
             if not blocked:
                 S[into] = value
-        elif opcode == OP_WRITE:
+        elif opcode == _OP_WRITE:
             # The runner computes the (possibly callable) value before the
             # engine call, even for attempts that come back blocked.
             if call:
                 value = value({name: S[slot] for name, slot in self._ctx_names[ti]
                                if S[slot] is not _UNSET})
             blocked = self._write(S, ti, bit, k, value)
-        elif opcode == OP_COMMIT:
+        elif opcode == _OP_COMMIT:
             self._commit(S, ti)
             self._release_all(S, bit)
             S[self._est + ti] = _COMMITTED
-        else:  # OP_ABORT (program abort)
+        else:  # _OP_ABORT (program abort)
             self._rollback(S, ti)
             self._release_all(S, bit)
             S[self._est + ti] = _ABORTED
@@ -472,15 +490,15 @@ class _FlatEmulator:
         # succeeds under locking; aborts happen through deadlock resolution).
         S[self._wt + ti] = 0
         flat = self.flat
-        if opcode == OP_READ or opcode == OP_WRITE:
+        if opcode == _OP_READ or opcode == _OP_WRITE:
             out.append(_intern_step_op(cache, kind, flat.txns[ti],
                                        flat.item_names[k], value, version))
-        elif opcode == OP_COMMIT:
+        elif opcode == _OP_COMMIT:
             out.append(flat.commit_ops[ti])
         else:
             out.append(flat.abort_ops[ti])
         S[self._cnt + ti] = j + 1
-        if opcode == OP_COMMIT or opcode == OP_ABORT or j + 1 >= len(steps):
+        if opcode == _OP_COMMIT or opcode == _OP_ABORT or j + 1 >= len(steps):
             self._forget(S, ti)
         return 1
 
@@ -695,8 +713,8 @@ class _LockingFlat(_FlatEmulator):
             if blocked:
                 return blocked, None, None
             if self._read_transient:
-                # grant_transient_item: net zero unless a lock is already
-                # held (then the grant bumps the item).
+                # A SHORT grant plus release_short: net zero unless a lock
+                # is already held (then the grant bumps the item).
                 if held & bit:
                     self._bump(S, k)
             else:
@@ -844,7 +862,7 @@ class _EmulatorKernel:
         where the single lookahead checkpoint goes.
         """
         if not self._known.issuperset(schedule):
-            # Slots referencing transactions outside the compiled tables take
+            # Slots referencing transactions outside the step tables take
             # the stepwise path (the runner treats them as no-ops; ejecting
             # keeps the kernel's tables closed over the program set).
             if self.fallback is None:
@@ -936,7 +954,7 @@ class _SnapshotKernel:
             eff = flat.totals[ti]
             for j in range(flat.totals[ti]):
                 opcode = flat.opcodes[ti][j]
-                if opcode == OP_READ:
+                if opcode == _OP_READ:
                     k = flat.items[ti][j]
                     version: Optional[int] = None
                     if k in buf:
@@ -947,20 +965,20 @@ class _SnapshotKernel:
                     else:
                         value = None
                     pre_ops.append(_intern_step_op(
-                        flat.op_caches[ti][j], flat.kinds[ti][j], txn,
+                        flat.op_caches[ti][j], OperationKind.READ, txn,
                         flat.item_names[k], value, version))
                     ctx[flat.into[ti][j]] = value
-                elif opcode == OP_WRITE:
+                elif opcode == _OP_WRITE:
                     value = flat.values[ti][j]
                     if flat.calls[ti][j]:
                         value = value(ctx)
                     k = flat.items[ti][j]
                     buf[k] = value
                     pre_ops.append(_intern_step_op(
-                        flat.op_caches[ti][j], flat.kinds[ti][j], txn,
+                        flat.op_caches[ti][j], OperationKind.WRITE, txn,
                         flat.item_names[k], value, None))
                 else:
-                    terminal = 1 if opcode == OP_COMMIT else 2
+                    terminal = 1 if opcode == _OP_COMMIT else 2
                     eff = j + 1
                     pre_ops.append(None)
                     break
@@ -1095,18 +1113,19 @@ def build_batch_kernel(database: Database,
     """A batch kernel for one testbed, or None when the fast path can't apply.
 
     Returns None — callers then keep the stepwise trie path — when any
-    program compiles to an ``OP_GENERIC`` step (rows, predicates, cursors),
-    when the engine was built with non-default options (e.g. the
-    First-Committer-Wins ablation), or when the level has no flat emulation.  ``fallback`` (typically ``TrieExecutor.run_one``) handles
-    per-row ejection for schedules the kernel declines at runtime.
+    program holds a step that is not exactly a ``ReadItem``, ``WriteItem``,
+    ``Commit`` or ``Abort`` (rows, predicates, cursors, subclasses), when the
+    engine was built with non-default options (e.g. the First-Committer-Wins
+    ablation), or when the level has no flat emulation.  ``fallback``
+    (typically ``TrieExecutor.run_one``) handles per-row ejection for
+    schedules the kernel declines at runtime.
     """
-    if engine_options:
+    if engine_options or not programs:
         return None
-    compiled = compile_programs(programs)
-    tables = emit_batch_tables(compiled)
-    if not tables.supported or not tables.programs:
+    if any(type(step) not in _OPCODES
+           for program in programs for step in program.steps):
         return None
-    flat = _FlatPrograms(compiled, tables)
+    flat = _FlatPrograms(programs)
     seed = [database.get_item(name, _ABSENT) for name in flat.item_names]
     if level in POLICIES:
         return _EmulatorKernel(_LockingFlat(flat, level, seed), database,

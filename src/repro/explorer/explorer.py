@@ -49,7 +49,6 @@ import hashlib
 import multiprocessing
 import os
 import time
-import warnings
 from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -472,17 +471,13 @@ def _resolve_worker_count(workers: Union[int, str]) -> int:
 
 
 def explore(spec: ProgramSetSpec,
-            options: Optional[ExploreOptions] = None,
-            **kwargs) -> ExplorationResult:
+            options: Optional[ExploreOptions] = None) -> ExplorationResult:
     """Explore the schedule space of a program set under several isolation levels.
 
-    The preferred call passes one :class:`~repro.explorer.options.ExploreOptions`
-    parameter object: ``explore(spec, ExploreOptions(workers=4, seed=7))``.
-    The historical loose-kwargs surface (``explore(spec, workers=4, seed=7)``)
-    remains as a deprecated shim: the kwargs are folded into an
-    ``ExploreOptions`` internally, so both spellings validate identically and
-    produce byte-identical results (the fingerprint equivalence tests gate
-    this).  Mixing both raises ``TypeError``.
+    Every knob travels in one :class:`~repro.explorer.options.ExploreOptions`
+    parameter object: ``explore(spec, ExploreOptions(workers=4, seed=7))``
+    (``None`` means the defaults).  Anything else in that position raises
+    ``TypeError``.
 
     Parameters
     ----------
@@ -602,28 +597,11 @@ def explore(spec: ProgramSetSpec,
         :class:`repro.persist.CampaignConfigMismatch` otherwise.  Requires
         ``store``.
     """
-    if options is not None:
-        if kwargs:
-            raise TypeError(
-                "explore() takes either an ExploreOptions object or legacy "
-                "keyword knobs, not both")
-        if not isinstance(options, ExploreOptions):
-            raise TypeError(
-                f"options must be an ExploreOptions, got "
-                f"{type(options).__name__}; legacy knobs must be passed by "
-                f"keyword")
-    else:
-        unknown = set(kwargs) - set(ExploreOptions.field_names())
-        if unknown:
-            raise TypeError(
-                f"explore() got unexpected keyword arguments: "
-                f"{', '.join(sorted(unknown))}")
-        if kwargs:
-            warnings.warn(
-                "passing explore() knobs as loose keyword arguments is "
-                "deprecated; pass an ExploreOptions object instead",
-                DeprecationWarning, stacklevel=2)
-        options = ExploreOptions(**kwargs)
+    if options is None:
+        options = ExploreOptions()
+    elif not isinstance(options, ExploreOptions):
+        raise TypeError(
+            f"options must be an ExploreOptions, got {type(options).__name__}")
     levels = options.levels
     mode = options.mode
     max_schedules = options.max_schedules

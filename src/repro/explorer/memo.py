@@ -5,19 +5,16 @@ are heavily redundant in two ways:
 
 * **Whole-history duplicates** — many interleavings realize the *same*
   history (blocking collapses schedule prefixes), so classification results
-  are cached per distinct history.
-* **Shared prefixes** — distinct realized histories usually agree on a long
-  prefix, so dependency-graph construction is organized as a trie over
-  operation sequences: each trie node stores the conflict edges its operation
-  contributes and a persistent per-item/per-predicate conflict index, and a
-  history only pays for the suffix the trie has not seen before.  This is the
-  incremental-maintenance idea of Berkholz et al.'s "answering queries under
-  updates" applied to the conflict-graph view of a growing history.
+  are cached per distinct history (:class:`BatchClassifier`).
+* **Equivalent schedules** — commutation-equivalent interleavings realize
+  equivalent histories, so :class:`ScheduleOutcomeMemo` executes one
+  canonical member per equivalence class and reuses its outcome.
 
-The resulting :class:`DependencyGraph` has exactly the same nodes and
-labelled edge set as :func:`repro.core.dependency.build_dependency_graph`
-(edge *representatives* — which concrete operation pair witnesses a labelled
-edge — may differ, which nothing downstream observes).
+A miss pays one classification pass.  A single-version history gets the
+phenomenon detectors and a conflict-graph serializability verdict over one
+shared :class:`~repro.core.phenomena.HistoryIndex`.  A multiversion history
+takes one fused walk that yields its MV serializability verdict and the
+single-valued mapping the detectors then run on.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.dependency import DependencyEdge, DependencyGraph, _edge_kind
 from ..core.history import History
 from ..core.mv_analysis import _strip_version
 from ..core.operations import Operation, OperationKind
@@ -36,7 +32,6 @@ from .schedules import Interleaving
 
 __all__ = [
     "HistoryClassification",
-    "PrefixGraphBuilder",
     "BatchClassifier",
     "CLASSIFICATION_MEMO_CAP",
     "ScheduleOutcome",
@@ -135,117 +130,6 @@ class ScheduleOutcomeMemo:
 
     def __len__(self) -> int:
         return len(self._outcomes)
-
-
-class _TrieNode:
-    """One operation-prefix of some previously classified history."""
-
-    __slots__ = ("children", "by_item", "by_predicate", "edges", "depth")
-
-    def __init__(self, children=None, by_item=None, by_predicate=None,
-                 edges=(), depth=0):
-        self.children: Dict[Operation, "_TrieNode"] = children if children is not None else {}
-        #: item -> tuple of (position, op) for earlier data accesses on the item.
-        self.by_item: Dict[str, Tuple[Tuple[int, Operation], ...]] = by_item or {}
-        #: predicate -> tuple of (position, op) for earlier predicate operations.
-        self.by_predicate: Dict[str, Tuple[Tuple[int, Operation], ...]] = by_predicate or {}
-        #: Conflict edges contributed by the whole prefix, in discovery order.
-        self.edges: Tuple[DependencyEdge, ...] = edges
-        self.depth = depth
-
-
-class PrefixGraphBuilder:
-    """Dependency-graph construction with memoized operation prefixes.
-
-    ``max_nodes`` bounds trie memory; once exceeded, new suffixes are computed
-    without being recorded (correctness is unaffected, only reuse).
-    """
-
-    def __init__(self, max_nodes: int = 200_000):
-        self._root = _TrieNode()
-        self._max_nodes = max_nodes
-        self.nodes_created = 0
-        self.nodes_reused = 0
-
-    # -- trie maintenance ---------------------------------------------------------
-
-    def _extend(self, node: _TrieNode, op: Operation) -> _TrieNode:
-        """The child of ``node`` for ``op``, creating (and caching) it if new."""
-        child = node.children.get(op)
-        if child is not None:
-            self.nodes_reused += 1
-            return child
-        child = self._make_child(node, op)
-        if self.nodes_created < self._max_nodes:
-            node.children[op] = child
-        self.nodes_created += 1
-        return child
-
-    def _make_child(self, node: _TrieNode, op: Operation) -> _TrieNode:
-        if not op.kind.is_data_access:
-            # Commits/aborts extend the path but contribute no conflicts.
-            return _TrieNode(None, node.by_item, node.by_predicate,
-                             node.edges, node.depth + 1)
-
-        # Collect the earlier operations that can possibly conflict with op.
-        candidates: Dict[int, Operation] = {}
-        if op.item is not None:
-            for position, earlier in node.by_item.get(op.item, ()):
-                candidates[position] = earlier
-        if op.predicate is not None:
-            for position, earlier in node.by_predicate.get(op.predicate, ()):
-                candidates[position] = earlier
-
-        new_edges: List[DependencyEdge] = []
-        for position in sorted(candidates):
-            earlier = candidates[position]
-            if earlier.conflicts_with(op):
-                new_edges.append(DependencyEdge(
-                    source=earlier.txn, target=op.txn,
-                    kind=_edge_kind(earlier, op),
-                    item=earlier.item if earlier.item is not None else op.item,
-                    source_op=earlier, target_op=op,
-                ))
-
-        by_item = node.by_item
-        if op.item is not None:
-            by_item = dict(by_item)
-            by_item[op.item] = by_item.get(op.item, ()) + ((node.depth, op),)
-        by_predicate = node.by_predicate
-        if op.predicate is not None:
-            by_predicate = dict(by_predicate)
-            by_predicate[op.predicate] = by_predicate.get(op.predicate, ()) + ((node.depth, op),)
-
-        return _TrieNode(None, by_item, by_predicate,
-                         node.edges + tuple(new_edges), node.depth + 1)
-
-    # -- public API ---------------------------------------------------------------
-
-    def graph_for(self, history: History, committed_only: bool = True) -> DependencyGraph:
-        """The dependency graph of ``history``, reusing any known prefix."""
-        node = self._root
-        for op in history:
-            node = self._extend(node, op)
-
-        if committed_only:
-            included = history.committed_transactions()
-        else:
-            included = set(history.transactions())
-        nodes: List[int] = []
-        for op in history:
-            if op.txn in included and op.txn not in nodes:
-                nodes.append(op.txn)
-        edges: List[DependencyEdge] = []
-        seen: Set[Tuple[int, int, str, Optional[str]]] = set()
-        for edge in node.edges:
-            if edge.source not in included or edge.target not in included:
-                continue
-            key = (edge.source, edge.target, edge.kind, edge.item)
-            if key in seen:
-                continue
-            seen.add(key)
-            edges.append(edge)
-        return DependencyGraph(nodes, edges)
 
 
 def _graph_is_acyclic(adjacency: Dict[int, Set[int]]) -> bool:

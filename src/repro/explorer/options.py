@@ -12,10 +12,8 @@ workers.  This module consolidates them into one frozen dataclass:
   environment variables, so scripts and CI jobs configure a run without
   threading a dozen flags.
 
-``explore(spec, options)`` is the preferred call; the legacy
-``explore(spec, workers=..., chunk_size=...)`` kwargs remain as a thin shim
-that builds an :class:`ExploreOptions` internally (see ``explorer.py``) and
-produces byte-identical results — the equivalence tests fingerprint both.
+``explore(spec, options)`` is the only call: loose keyword knobs raise
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -112,9 +110,7 @@ class ExploreOptions:
 
     Field semantics are documented on :func:`repro.explorer.explore` (this
     class is its parameter object).  Validation happens eagerly at
-    construction, with the same messages the inline checks historically
-    raised, so ``ExploreOptions(workers=0)`` fails exactly like
-    ``explore(spec, workers=0)`` always did.
+    construction, so ``ExploreOptions(workers=0)`` fails before any work.
     """
 
     levels: Tuple[IsolationLevelName, ...] = DEFAULT_LEVELS
@@ -160,11 +156,6 @@ class ExploreOptions:
         return dataclasses.replace(self, **changes)
 
     @classmethod
-    def field_names(cls) -> Tuple[str, ...]:
-        """The knob names, in signature order (the legacy kwargs surface)."""
-        return tuple(f.name for f in dataclasses.fields(cls))
-
-    @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None,
                  **overrides: Any) -> "ExploreOptions":
         """Build options from the ``EXPLORER_*`` environment variables.
@@ -207,7 +198,3 @@ class ExploreOptions:
         values = {knob: value for knob, value in values.items() if value is not None}
         values.update(overrides)
         return cls(**values)
-
-    def explore_kwargs(self) -> dict:
-        """The legacy keyword mapping (for shims and config fingerprints)."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}

@@ -21,6 +21,12 @@ over their shared-prefix trie:
 * ``checkpoint_spacing`` bounds live checkpoints to ``total_slots / spacing``
   (+ the root): larger spacing trades re-executed slots for memory.
 
+Every slot goes through the stepwise :class:`~repro.engine.scheduler.ScheduleRunner`
+(``Step.perform`` into the engine's read / write / commit / abort methods) —
+the one implementation of the Table 2 rules.  The only faster path is the
+batch kernel (:mod:`repro.explorer.batch_kernel`), which :meth:`run_batch`
+routes whole batches through when the program set allows it.
+
 Determinism contract: a trie-executed schedule produces a byte-identical
 :class:`~repro.engine.outcomes.ExecutionOutcome` (history, statuses, abort
 reasons, blocked counts, deadlocks, stall flag) to a from-scratch run of the
@@ -42,7 +48,7 @@ from ..engine.scheduler import RunnerCheckpoint, ScheduleRunner
 from ..storage.database import Database
 from ..testbed import make_engine
 from .batch_kernel import BatchStats, build_batch_kernel
-from .options import BATCH_KERNEL_MODES, env_bool, env_choice
+from .options import BATCH_KERNEL_MODES, env_choice
 from .schedules import Interleaving
 
 __all__ = ["TrieExecutor", "TrieStats"]
@@ -94,11 +100,6 @@ class TrieExecutor:
         Push a checkpoint every this-many slots (default 1: every slot).
         Larger values bound checkpoint memory at the cost of re-executing up
         to ``spacing - 1`` extra slots per schedule.
-    compiled:
-        Drive the runner through the compiled slot-program step kernel
-        (default: on, unless ``EXPLORER_COMPILED_KERNEL=0`` — see README
-        "Performance knobs").  The kernel is byte-equal to stepwise execution
-        for every engine level, so this only changes speed, never results.
     batch_kernel:
         Route :meth:`run_batch` through the transition-memoized flat kernel
         (:mod:`repro.explorer.batch_kernel`) when one can be built for this
@@ -112,13 +113,10 @@ class TrieExecutor:
 
     def __init__(self, database: Database, programs: Sequence[TransactionProgram],
                  level: IsolationLevelName, checkpoint_spacing: int = 1,
-                 compiled: Optional[bool] = None,
                  batch_kernel: Optional[str] = None,
                  **engine_options):
         if checkpoint_spacing < 1:
             raise ValueError("checkpoint_spacing must be >= 1")
-        if compiled is None:
-            compiled = env_bool("EXPLORER_COMPILED_KERNEL", True)
         if batch_kernel is None:
             batch_kernel = env_choice("EXPLORER_BATCH_KERNEL",
                                       BATCH_KERNEL_MODES, "auto")
@@ -127,15 +125,13 @@ class TrieExecutor:
                              f" got {batch_kernel!r}")
         self.level = level
         self.spacing = checkpoint_spacing
-        self.compiled = bool(compiled)
         self.batch_kernel = batch_kernel
         self.stats = TrieStats()
         self._engine = make_engine(database, level, **engine_options)
         if not self._engine.supports_checkpoints:
             raise ValueError(
                 f"engine for {level.value!r} does not support checkpoints")
-        self._runner = ScheduleRunner(self._engine, programs, collect_traces=False,
-                                      compiled=self.compiled)
+        self._runner = ScheduleRunner(self._engine, programs, collect_traces=False)
         self._runner.begin_all()
         #: (depth, checkpoint) pairs; the root (depth 0, post-begin) never pops.
         self._stack: List[Tuple[int, RunnerCheckpoint]] = [

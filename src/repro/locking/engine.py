@@ -19,16 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.isolation import IsolationLevelName
-from ..engine.interface import (
-    OP_ABORT,
-    OP_COMMIT,
-    OP_READ,
-    OP_WRITE,
-    Engine,
-    EngineError,
-    OpResult,
-    TransactionState,
-)
+from ..engine.interface import Engine, EngineError, OpResult
 from ..storage.database import Database
 from ..storage.predicates import Predicate
 from ..storage.recovery import UndoLog
@@ -65,12 +56,10 @@ class LockingEngine(Engine):
 
     supports_checkpoints = True
 
-    #: Outside the checkpoint token by design: the policy (and the names and
-    #: lock plans derived from it) is immutable per-engine configuration, and
-    #: the blocked-result cache interns immutable values of a pure function
-    #: of its key — restoring around either cannot change any outcome.
-    _checkpoint_stable = ("policy", "level", "name", "_read_plan",
-                          "_write_plan", "_blocked_results")
+    #: Outside the checkpoint token by design: the policy (and the names
+    #: derived from it) is immutable per-engine configuration — restoring
+    #: around it cannot change any outcome.
+    _checkpoint_stable = ("policy", "level", "name")
 
     def __init__(self, database: Database,
                  level: IsolationLevelName = IsolationLevelName.SERIALIZABLE,
@@ -82,36 +71,9 @@ class LockingEngine(Engine):
         self.locks = LockManager()
         self.undo = UndoLog()
         self._cursors: Dict[Tuple[int, str], CursorState] = {}
-        #: Precomputed (mode, is_short, duration) plans of the policy's item
-        #: read and write rules, for the compiled-kernel fast path.
-        read_rule = self.policy.item_read
-        self._read_plan = (None if read_rule is None else
-                           (read_rule.mode,
-                            read_rule.duration is LockDuration.SHORT,
-                            read_rule.duration))
-        write_rule = self.policy.write
-        self._write_plan = (None if write_rule is None else
-                            (write_rule.mode,
-                             write_rule.duration is LockDuration.SHORT,
-                             write_rule.duration))
-        #: Interned blocked results, keyed by (item, mode value, blockers):
-        #: the schedule explorer retries blocked steps constantly, and the
-        #: result (an immutable value) is fully determined by the key.
-        self._blocked_results: Dict[Tuple[str, str, Any], OpResult] = {}
-
-    def _blocked_result(self, item: str, mode: LockMode, blockers: Any) -> OpResult:
-        key = (item, mode.value, blockers)
-        cached = self._blocked_results.get(key)
-        if cached is None:
-            cached = OpResult.blocked(
-                blockers, reason=f"waiting for {mode.value} lock on {item}")
-            if len(self._blocked_results) < 100_000:
-                self._blocked_results[key] = cached
-        return cached
 
     def _item_target(self, item: str) -> ItemTarget:
-        # One interning cache for both the stepwise and compiled paths: the
-        # lock manager's (request_item uses it too).
+        # The lock manager interns one immutable target per item name.
         return self.locks.item_target(item)
 
     def blocking_version(self) -> int:
@@ -146,63 +108,6 @@ class LockingEngine(Engine):
         """Release short-duration locks once the action has completed."""
         if rule is not None and rule.duration is LockDuration.SHORT:
             self.locks.release_short(txn)
-
-    # -- compiled-kernel entry point ---------------------------------------------------
-
-    def apply_step(self, opcode: int, txn: int, item: Optional[str] = None,
-                   value: Any = None) -> OpResult:
-        """Fused fast path of the compiled step kernel.
-
-        One monomorphic dispatch replaces the ``Step.perform`` → engine-method
-        double dispatch of the stepwise path, with the policy-rule lookup,
-        lock request, and short-lock release flattened inline.  Behaviour is
-        byte-equal to :meth:`read` / :meth:`write` / :meth:`commit` /
-        :meth:`abort`, including the lock table's ``version`` accounting the
-        schedule runner's blocked-result memo is keyed on (see
-        :meth:`LockManager.grant_transient_item` for the fused
-        short-lock arithmetic).
-        """
-        if opcode == OP_ABORT:
-            # abort() tolerates already-terminated transactions (returns OK);
-            # route it before the active guard to keep that behaviour.
-            return self.abort(txn, reason="program abort")
-        if self._states.get(txn) is not TransactionState.ACTIVE:
-            guard = self._require_active(txn)
-            if guard is not None:
-                return guard
-        if opcode == OP_READ:
-            plan = self._read_plan
-            if plan is not None:
-                mode, is_short, duration = plan
-                if is_short:
-                    blocked = self.locks.grant_transient_item(txn, item, mode)
-                else:
-                    result = self.locks.request_item(txn, item, mode, duration)
-                    blocked = None if result.granted else result
-                if blocked is not None:
-                    return self._blocked_result(item, mode, blocked.blockers)
-            return OpResult.ok(self.database.get_item(item))
-        if opcode == OP_WRITE:
-            plan = self._write_plan
-            if plan is not None:
-                mode, is_short, duration = plan
-                if is_short:
-                    blocked = self.locks.grant_transient_item(txn, item, mode)
-                else:
-                    result = self.locks.request_item(txn, item, mode, duration)
-                    blocked = None if result.granted else result
-                if blocked is not None:
-                    return self._blocked_result(item, mode, blocked.blockers)
-            self.undo.record_item(txn, self.database, item)
-            self.database.set_item(item, value)
-            return OpResult.ok(value)
-        if opcode == OP_COMMIT:
-            self.undo.forget(txn)
-            self.locks.release_all(txn)
-            self._drop_cursors(txn)
-            self._mark_committed(txn)
-            return OpResult.ok()
-        return super().apply_step(opcode, txn, item, value)
 
     # -- item reads and writes ----------------------------------------------------------
 

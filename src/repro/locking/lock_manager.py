@@ -13,7 +13,7 @@ state machine over the granted-lock table, which makes it easy to test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .modes import (
@@ -81,8 +81,8 @@ class LockManager:
         #: schedule runner memoizes blocked results keyed on this version and
         #: skips re-submitting a retry the table cannot have changed.
         self.version = 0
-        #: Interned ItemTargets for the compiled-kernel fast path: one
-        #: immutable target instance per item name serves every request.
+        #: Interned ItemTargets: one immutable target instance per item name
+        #: serves every request.
         self._item_targets: Dict[str, ItemTarget] = {}
         #: Per-item-name version counters, bumped alongside ``version``
         #: whenever a table change touches a lock on that :class:`ItemTarget`.
@@ -224,101 +224,6 @@ class LockManager:
         if target is None:
             target = self._item_targets[name] = ItemTarget(name)
         return target
-
-    def request_item(self, txn: int, name: str, mode: LockMode,
-                     duration: LockDuration) -> LockRequestResult:
-        """:meth:`request` specialized for plain item targets (the hot path).
-
-        Behaviour-identical to ``request(txn, ItemTarget(name), mode,
-        duration)`` — same blockers, same ``blocked_requests`` and ``version``
-        accounting, same upgrade rules — with the target-overlap and
-        mode-conflict calls inlined: an :class:`ItemTarget` only ever overlaps
-        an :class:`ItemTarget` of the same name, and two modes conflict
-        exactly when either is Exclusive.
-        """
-        self._short_grant = None
-        exclusive = LockMode.EXCLUSIVE
-        blockers = None
-        own = None
-        for lock in self._locks:
-            target = lock.target
-            if type(target) is not ItemTarget or target.name != name:
-                continue
-            if lock.txn == txn:
-                own = lock
-            elif lock.mode is exclusive or mode is exclusive:
-                if blockers is None:
-                    blockers = {lock.txn}
-                else:
-                    blockers.add(lock.txn)
-        if blockers:
-            self.blocked_requests += 1
-            return LockRequestResult.blocked(blockers)
-
-        self.version += 1
-        self._bump_item(name)
-        if own is not None:
-            if mode is exclusive:
-                own.mode = exclusive
-            own.duration = _stronger_duration(own.duration, duration)
-            return _GRANTED
-        granted = HeldLock(txn, self.item_target(name), mode, duration, None)
-        self._locks.append(granted)
-        if duration is LockDuration.SHORT:
-            self._short_grant = (self.version, granted)
-        return _GRANTED
-
-    def grant_transient_item(self, txn: int, name: str,
-                             mode: LockMode) -> Optional[LockRequestResult]:
-        """Fused ``request_item(..., SHORT) + release_short`` for one action.
-
-        The locking engines take a SHORT-duration lock at the start of an
-        action and release it as soon as the action completes; between the two
-        calls nothing else observes the table (the runner is cooperative), so
-        the pair can be applied as one step.  It relies on the engines'
-        standing invariant that a transaction holds no SHORT lock when an
-        action starts (every action drops its short locks before returning,
-        and blocked actions never acquire), under which the net table effect
-        is:
-
-        * no lock held on the item → a new SHORT entry would be appended and
-          immediately dropped again: table unchanged, ``version`` unchanged
-          (the release rolls the grant's bump back — see
-          :meth:`release_short`);
-        * a (LONG/CURSOR) lock already held → the grant strengthens its mode
-          for an Exclusive request and leaves its duration at the stronger
-          value, and the release then finds no SHORT lock: ``version`` +1.
-
-        Returns a blocked result, or None when granted — with ``version`` and
-        ``blocked_requests`` accounting identical to the unfused pair.
-        """
-        self._short_grant = None
-        exclusive = LockMode.EXCLUSIVE
-        blockers = None
-        own = None
-        for lock in self._locks:
-            target = lock.target
-            if type(target) is not ItemTarget or target.name != name:
-                continue
-            if lock.txn == txn:
-                own = lock
-            elif lock.mode is exclusive or mode is exclusive:
-                if blockers is None:
-                    blockers = {lock.txn}
-                else:
-                    blockers.add(lock.txn)
-        if blockers:
-            self.blocked_requests += 1
-            return LockRequestResult.blocked(blockers)
-        if own is not None:
-            self.version += 1
-            self._bump_item(name)
-            if mode is exclusive:
-                own.mode = exclusive
-        # No lock already held: the unfused pair appends a new SHORT entry
-        # (version +1, transient-grant marker set) and release_short removes
-        # it again, rolling the version back — net zero, no table change.
-        return None
 
     def _find(self, txn: int, target: LockTarget) -> Optional[HeldLock]:
         for lock in self._locks:

@@ -28,16 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.isolation import IsolationLevelName
-from ..engine.interface import (
-    OP_ABORT,
-    OP_COMMIT,
-    OP_READ,
-    OP_WRITE,
-    Engine,
-    EngineError,
-    OpResult,
-    TransactionState,
-)
+from ..engine.interface import Engine, EngineError, OpResult
 from ..locking.lock_manager import LockManager
 from ..locking.modes import LockDuration, LockMode, RowTarget
 from ..storage.database import Database
@@ -108,43 +99,6 @@ class ReadConsistencyEngine(Engine):
         # A blocked write waits only for write locks on its own item.
         locks = self.locks
         return locks.version_for(item) if item is not None else locks.version
-
-    # -- compiled-kernel entry point -----------------------------------------------------
-
-    def apply_step(self, opcode: int, txn: int, item: Optional[str] = None,
-                   value: Any = None) -> OpResult:
-        """Fused fast path of the compiled step kernel.
-
-        Byte-equal to the stepwise :meth:`read` / :meth:`write` /
-        :meth:`commit` / :meth:`abort`, including the write-lock table's
-        ``version`` accounting (writes go through the same
-        :meth:`LockManager.request_item` arithmetic as ``request``).
-        """
-        if opcode == OP_ABORT:
-            # abort() tolerates already-terminated transactions (returns OK).
-            return self.abort(txn, reason="program abort")
-        if self._states.get(txn) is not TransactionState.ACTIVE:
-            guard = self._require_active(txn)
-            if guard is not None:
-                return guard
-        state = self._txns[txn]
-        if opcode == OP_READ:
-            writes = state.item_writes
-            if item in writes:
-                return OpResult.ok(writes[item])
-            read_value, version = self.store.read_item(item, self.clock.now())
-            return OpResult.ok(read_value, version=version)
-        if opcode == OP_WRITE:
-            result = self.locks.request_item(txn, item, LockMode.EXCLUSIVE,
-                                             LockDuration.LONG)
-            if not result.granted:
-                return OpResult.blocked(result.blockers,
-                                        reason=f"waiting for write lock on {item}")
-            state.item_writes[item] = value
-            return OpResult.ok(value)
-        if opcode == OP_COMMIT:
-            return self.commit(txn)
-        return super().apply_step(opcode, txn, item, value)
 
     # -- reads: statement-level snapshots ------------------------------------------------
 

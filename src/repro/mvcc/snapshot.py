@@ -23,16 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.isolation import IsolationLevelName
-from ..engine.interface import (
-    OP_ABORT,
-    OP_COMMIT,
-    OP_READ,
-    OP_WRITE,
-    Engine,
-    EngineError,
-    OpResult,
-    TransactionState,
-)
+from ..engine.interface import Engine, EngineError, OpResult
 from ..storage.database import Database
 from ..storage.predicates import Predicate
 from ..storage.rows import Row
@@ -105,46 +96,6 @@ class SnapshotIsolationEngine(Engine):
             return self._txns[txn]
         except KeyError:
             raise EngineError(f"unknown transaction T{txn}") from None
-
-    # -- compiled-kernel entry point -----------------------------------------------------
-
-    def apply_step(self, opcode: int, txn: int, item: Optional[str] = None,
-                   value: Any = None) -> OpResult:
-        """Fused fast path of the compiled step kernel.
-
-        Byte-equal to the stepwise :meth:`read` / :meth:`write` /
-        :meth:`commit` / :meth:`abort`, with the active guard and
-        per-transaction state lookup flattened into one pass.
-        """
-        if opcode == OP_ABORT:
-            # abort() tolerates already-terminated transactions (returns OK).
-            return self.abort(txn, reason="program abort")
-        if self._states.get(txn) is not TransactionState.ACTIVE:
-            guard = self._require_active(txn)
-            if guard is not None:
-                return guard
-        state = self._txns[txn]
-        if opcode == OP_READ:
-            writes = state.item_writes
-            if item in writes:
-                return OpResult.ok(writes[item])
-            read_value, version = self.store.read_item(item, state.start_ts)
-            return OpResult.ok(read_value, version=version)
-        if opcode == OP_WRITE:
-            state.item_writes[item] = value
-            return OpResult.ok(value)
-        if opcode == OP_COMMIT:
-            if self.first_committer_wins:
-                conflict = self._first_committer_conflict(state)
-                if conflict is not None:
-                    self.fcw_aborts += 1
-                    self._mark_aborted(txn, conflict)
-                    return OpResult.aborted(conflict)
-            commit_ts = self.clock.next_commit()
-            self._install(txn, state, commit_ts)
-            self._mark_committed(txn)
-            return OpResult.ok()
-        return super().apply_step(opcode, txn, item, value)
 
     # -- reads (never block) ------------------------------------------------------------
 

@@ -25,8 +25,8 @@ What lives here:
   drives (progress cursors, chunk commits, dedupe-tier exchange);
 * :mod:`~repro.persist.analytics` — coverage/witness-edge persistence and
   the SQL-shaped analytics front end;
-* :mod:`~repro.persist.cli` — ``python -m repro.persist.cli`` to run,
-  resume, and inspect campaigns.
+* ``cli`` — the ``python -m repro campaign`` subcommand: run, resume, and
+  inspect campaigns.
 """
 
 from .analytics import fingerprint_from_store

@@ -1,4 +1,4 @@
-"""``python -m repro.persist.cli`` — run, resume, and inspect campaigns.
+"""``python -m repro campaign`` — run, resume, and inspect campaigns.
 
 Subcommands:
 
@@ -234,7 +234,7 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.persist.cli",
+        prog="python -m repro campaign",
         description="Run, resume, and inspect persistent exploration campaigns.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -290,7 +290,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # instead of dumping a traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

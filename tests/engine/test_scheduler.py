@@ -15,9 +15,11 @@ from repro.engine.programs import (
     WriteItem,
 )
 from repro.engine.scheduler import ScheduleRunner, run_schedule
+from repro.explorer.schedules import enumerate_interleavings
 from repro.locking.engine import LockingEngine
 from repro.mvcc.snapshot import SnapshotIsolationEngine
 from repro.storage.database import Database
+from repro.testbed import make_engine
 
 
 def _database() -> Database:
@@ -162,3 +164,65 @@ class TestRunnerValidation:
             TransactionProgram(1, [ReadItem("x"), Commit()]),
         ], interleaving=[9, 1, 9, 1]).run()
         assert outcome.committed(1)
+
+    def test_reset_returns_the_runner_and_clears_the_run(self):
+        engine = LockingEngine(_database(), level=IsolationLevelName.SERIALIZABLE)
+        runner = ScheduleRunner(engine, _transfer_programs())
+        runner.run()
+        fresh = LockingEngine(_database(), level=IsolationLevelName.SERIALIZABLE)
+        assert runner.reset(fresh, [2, 2, 2]) is runner
+        assert runner.engine is fresh
+        outcome = runner.run()
+        assert outcome.history.to_shorthand().startswith("r2[x=100] r2[y=100] c2")
+
+    def test_there_is_no_compiled_runner(self):
+        engine = LockingEngine(_database())
+        with pytest.raises(TypeError, match="compiled"):
+            ScheduleRunner(engine, [TransactionProgram(1, [Commit()])],
+                           compiled=True)
+
+
+ALL_LEVELS = (
+    IsolationLevelName.READ_UNCOMMITTED,
+    IsolationLevelName.READ_COMMITTED,
+    IsolationLevelName.CURSOR_STABILITY,
+    IsolationLevelName.REPEATABLE_READ,
+    IsolationLevelName.SERIALIZABLE,
+    IsolationLevelName.SNAPSHOT_ISOLATION,
+    IsolationLevelName.ORACLE_READ_CONSISTENCY,
+)
+
+
+def _outcome_key(outcome):
+    """Everything observable about an execution, traces included."""
+    return (
+        outcome.history.to_shorthand(),
+        tuple(sorted((txn, state.value) for txn, state in outcome.statuses.items())),
+        tuple(sorted((txn, tuple(sorted(ctx.items())))
+                     for txn, ctx in outcome.contexts.items())),
+        tuple(sorted(outcome.abort_reasons.items())),
+        outcome.blocked_events,
+        tuple((d.cycle, d.victim) for d in outcome.deadlocks),
+        tuple((t.txn, t.step, t.status.value, t.reason) for t in outcome.traces),
+        outcome.stalled,
+        tuple(sorted(outcome.database.items())),
+    )
+
+
+class TestReplay:
+    @pytest.mark.parametrize("level", ALL_LEVELS, ids=lambda lvl: lvl.value)
+    def test_replay_matches_a_fresh_runner(self, level):
+        """One runner replayed over every interleaving of a contended pair
+        leaves nothing behind between runs."""
+        programs = [
+            TransactionProgram(1, [ReadItem("x", into="v"),
+                                   WriteItem("x", lambda ctx: ctx["v"] + 1),
+                                   WriteItem("y", 7), Commit()]),
+            TransactionProgram(2, [ReadItem("x"), WriteItem("x", 99), Commit()]),
+        ]
+        reused = ScheduleRunner(make_engine(_database(), level), programs)
+        for interleaving in enumerate_interleavings([1, 2], [4, 3]):
+            fresh = ScheduleRunner(make_engine(_database(), level), programs,
+                                   interleaving).run()
+            replayed = reused.replay(make_engine(_database(), level), interleaving)
+            assert _outcome_key(replayed) == _outcome_key(fresh), interleaving

@@ -17,13 +17,31 @@ import random
 import pytest
 
 from repro.core.isolation import IsolationLevelName
-from repro.engine.programs import Commit, ReadItem, TransactionProgram, WriteItem
+from repro.engine.programs import (
+    Abort,
+    Commit,
+    Fetch,
+    OpenCursor,
+    ReadItem,
+    TransactionProgram,
+    WriteItem,
+)
+from repro.engine.scheduler import ScheduleRunner
 from repro.explorer import ExploreOptions, explore
 from repro.explorer import batch_kernel as batch_kernel_module
-from repro.explorer.batch_kernel import BatchStats, build_batch_kernel
-from repro.explorer.schedules import schedule_space
+from repro.explorer.batch_kernel import (
+    _OP_ABORT,
+    _OP_COMMIT,
+    _OP_READ,
+    _OP_WRITE,
+    BatchStats,
+    _FlatPrograms,
+    build_batch_kernel,
+)
+from repro.explorer.schedules import enumerate_interleavings, schedule_space
 from repro.explorer.trie_executor import TrieExecutor
 from repro.storage.database import Database
+from repro.testbed import make_engine
 from repro.workloads.program_sets import (
     ProgramSetSpec,
     available_program_sets,
@@ -376,3 +394,145 @@ def test_invalid_batch_kernel_mode_rejected():
     with pytest.raises(ValueError):
         TrieExecutor(db, programs, IsolationLevelName.READ_COMMITTED,
                      batch_kernel="sometimes")
+
+
+class _TracingRead(ReadItem):
+    """A ReadItem subclass: its own perform() is outside the kernel's tables."""
+
+    def perform(self, engine, txn, context):
+        return super().perform(engine, txn, context)
+
+
+@pytest.mark.parametrize("steps", [
+    [_TracingRead("x"), Commit()],
+    [OpenCursor("c", ["x"]), Fetch("c"), Commit()],
+], ids=["subclassed-read", "cursor"])
+def test_build_refuses_step_types_outside_its_tables(steps):
+    level = IsolationLevelName.READ_COMMITTED
+    database = Database()
+    database.set_item("x", 0)
+    plain = [TransactionProgram(1, [ReadItem("x"), Commit()])]
+    assert build_batch_kernel(database, plain, level, "engine") is not None
+    programs = [TransactionProgram(1, steps)]
+    assert build_batch_kernel(database, programs, level, "engine") is None
+    with pytest.raises(ValueError, match="no batch kernel"):
+        TrieExecutor(database, programs, level, batch_kernel="on")
+
+
+ALL_LEVELS = (IsolationLevelName.READ_UNCOMMITTED,
+              IsolationLevelName.READ_COMMITTED,
+              IsolationLevelName.CURSOR_STABILITY,
+              IsolationLevelName.REPEATABLE_READ,
+              IsolationLevelName.SERIALIZABLE,
+              IsolationLevelName.SNAPSHOT_ISOLATION,
+              IsolationLevelName.ORACLE_READ_CONSISTENCY)
+
+
+def contended_pair():
+    """A read-modify-write racing a blind overwrite of the same item."""
+    database = Database()
+    database.set_item("x", 0)
+    database.set_item("y", 0)
+    return database, [
+        TransactionProgram(1, [ReadItem("x", into="v"),
+                               WriteItem("x", lambda ctx: ctx["v"] + 1),
+                               WriteItem("y", 7), Commit()]),
+        TransactionProgram(2, [ReadItem("x"), WriteItem("x", 99), Commit()]),
+    ]
+
+
+def aborting_writer():
+    """T1 writes then aborts; T2 may read the dirty value before the rollback."""
+    database = Database()
+    database.set_item("x", 10)
+    database.set_item("y", 20)
+    return database, [
+        TransactionProgram(1, [WriteItem("x", 11), ReadItem("y"), Abort()]),
+        TransactionProgram(2, [ReadItem("x", into="v"),
+                               WriteItem("y", lambda ctx: ctx["v"] + 1), Commit()]),
+    ]
+
+
+@pytest.mark.parametrize("level", ALL_LEVELS, ids=lambda level: level.value)
+def test_every_interleaving_of_a_contended_pair(level):
+    schedules = list(enumerate_interleavings([1, 2], [4, 3]))
+    trie, kernel = build_pair(None, level, builder=contended_pair)
+    assert kernel is not None
+    expected = {index: outcome_key(outcome)
+                for index, outcome in trie.run_batch(schedules)}
+    for index, outcome in kernel.run_batch(schedules):
+        assert outcome_key(outcome) == expected[index], (level, schedules[index])
+    assert kernel.stats.rows_fast == len(schedules)
+
+
+@pytest.mark.parametrize("level", ALL_LEVELS, ids=lambda level: level.value)
+def test_program_aborts_roll_back_as_the_engine_does(level):
+    schedules = list(enumerate_interleavings([1, 2], [3, 3]))
+    trie, kernel = build_pair(None, level, builder=aborting_writer)
+    expected = {index: outcome_key(outcome)
+                for index, outcome in trie.run_batch(schedules)}
+    for index, outcome in kernel.run_batch(schedules):
+        assert outcome_key(outcome) == expected[index], (level, schedules[index])
+        assert outcome.abort_reasons.get(1) == "program abort"
+        assert outcome.database.get_item("x") == 10
+    assert kernel.stats.rows_ejected == 0
+
+
+def test_build_refuses_custom_engine_options():
+    database, programs = contended_pair()
+    level = IsolationLevelName.SNAPSHOT_ISOLATION
+    assert build_batch_kernel(database, programs, level, "engine") is not None
+    assert build_batch_kernel(database, programs, level, "engine",
+                              engine_options={"first_committer_wins": False}) is None
+
+
+def test_build_refuses_an_empty_program_set():
+    database, _ = contended_pair()
+    assert build_batch_kernel(database, [], IsolationLevelName.SERIALIZABLE,
+                              "engine") is None
+
+
+class TestFlatPrograms:
+    """The per-step tables the kernel builds straight from the step objects."""
+
+    def _flat(self):
+        return _FlatPrograms([
+            TransactionProgram(1, [ReadItem("y"), WriteItem("x", 1),
+                                   ReadItem("x", into="seen"), Commit()]),
+            TransactionProgram(2, [WriteItem("z", lambda ctx: 2),
+                                   ReadItem("y"), Abort()]),
+        ])
+
+    def test_opcodes_follow_the_step_types(self):
+        flat = self._flat()
+        assert flat.opcodes == [(_OP_READ, _OP_WRITE, _OP_READ, _OP_COMMIT),
+                                (_OP_WRITE, _OP_READ, _OP_ABORT)]
+        assert flat.totals == [4, 3]
+        assert flat.txns == [1, 2] and flat.tindex == {1: 0, 2: 1}
+
+    def test_items_are_interned_in_first_encounter_order(self):
+        flat = self._flat()
+        assert flat.item_names == ("y", "x", "z")
+        # One table across programs; terminal steps name no item.
+        assert flat.items == [(0, 1, 1, -1), (2, 0, -1)]
+
+    def test_read_bindings_default_to_the_item_name(self):
+        assert self._flat().into == [("y", None, "seen", None),
+                                     (None, "y", None)]
+
+    def test_write_values_keep_constants_and_flag_callables(self):
+        flat = self._flat()
+        assert flat.values[0] == (None, 1, None, None)
+        assert flat.calls == [(False, False, False, False),
+                              (True, False, False)]
+        # Every step owns its operation cache; no cache is shared.
+        caches = [cache for per_txn in flat.op_caches for cache in per_txn]
+        assert len(caches) == 7
+        assert len({id(cache) for cache in caches}) == 7
+
+    def test_attempt_budget_is_the_runners(self):
+        programs = contended_pair()[1]
+        runner = ScheduleRunner(make_engine(contended_pair()[0],
+                                            IsolationLevelName.SERIALIZABLE),
+                                programs)
+        assert _FlatPrograms(programs).max_attempts == runner._max_attempts

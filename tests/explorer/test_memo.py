@@ -3,50 +3,12 @@
 from __future__ import annotations
 
 
-from repro.core.dependency import build_dependency_graph, is_serializable
+from repro.core.dependency import is_serializable
 from repro.core.history import parse_history
 from repro.core.mv_analysis import assign_write_versions, mv_is_serializable, mv_to_sv
 from repro.core.phenomena import detect_all
-from repro.explorer.memo import BatchClassifier, PrefixGraphBuilder
+from repro.explorer.memo import BatchClassifier
 from repro.workloads.generators import history_corpus
-
-
-def labelled_edges(graph):
-    return {(edge.source, edge.target, edge.kind, edge.item) for edge in graph.edges}
-
-
-class TestPrefixGraphBuilder:
-    def test_agrees_with_direct_construction_on_a_corpus(self):
-        builder = PrefixGraphBuilder()
-        for history in history_corpus(seed=99, count=150, transactions=4,
-                                      operations_per_transaction=4):
-            direct = build_dependency_graph(history)
-            memoized = builder.graph_for(history)
-            assert set(memoized.nodes) == set(direct.nodes), history.to_shorthand()
-            assert labelled_edges(memoized) == labelled_edges(direct), history.to_shorthand()
-            assert memoized.is_acyclic() == direct.is_acyclic()
-
-    def test_handles_predicate_operations(self):
-        history = parse_history("r1[P] w2[insert y to P] c2 r1[P] c1")
-        direct = build_dependency_graph(history)
-        memoized = PrefixGraphBuilder().graph_for(history)
-        assert labelled_edges(memoized) == labelled_edges(direct)
-
-    def test_prefix_reuse_actually_happens(self):
-        builder = PrefixGraphBuilder()
-        h1 = parse_history("w1[x] r2[x] c1 c2")
-        h2 = parse_history("w1[x] r2[x] c2 c1")  # shares a 2-op prefix
-        builder.graph_for(h1)
-        created_after_first = builder.nodes_created
-        builder.graph_for(h2)
-        assert builder.nodes_reused >= 2
-        assert builder.nodes_created == created_after_first + 2
-
-    def test_node_budget_disables_caching_not_correctness(self):
-        builder = PrefixGraphBuilder(max_nodes=1)
-        history = parse_history("w1[x] r2[x] w2[y] r1[y] c1 c2")
-        direct = build_dependency_graph(history)
-        assert labelled_edges(builder.graph_for(history)) == labelled_edges(direct)
 
 
 class TestBatchClassifier:

@@ -1,23 +1,18 @@
-"""ExploreOptions: validation, from_env, and legacy-kwargs equivalence.
+"""ExploreOptions: validation, from_env, and the one way to call explore().
 
-The ISSUE 10 API contract: ``explore(spec, ExploreOptions(...))`` and the
-deprecated ``explore(spec, **kwargs)`` spelling must produce byte-identical
-``ExplorationResult`` streams (same determinism fingerprint), validate with
-the same error messages, and never silently mix.  ``from_env`` is the CI
-configuration surface — malformed variables must fail naming the variable.
+``explore(spec, ExploreOptions(...))`` is the only spelling: anything else in
+the options position, or any loose keyword knob, raises ``TypeError``.
+``from_env`` is the CI configuration surface — malformed variables must fail
+naming the variable.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.isolation import IsolationLevelName
 from repro.explorer import ExploreOptions, explore, worker
-from repro.explorer.options import DEFAULT_LEVELS, REDUCTIONS
+from repro.explorer.options import DEFAULT_LEVELS
 from repro.explorer.trie_executor import TrieExecutor
 from repro.workloads.program_sets import ProgramSetSpec, build_program_set
 
@@ -25,8 +20,6 @@ SPEC = ProgramSetSpec.make("contention", transactions=2, items=2, hot_items=1,
                            operations_per_transaction=2)
 LEVELS = (IsolationLevelName.READ_COMMITTED,
           IsolationLevelName.SNAPSHOT_ISOLATION)
-
-COMMON_SETTINGS = settings(max_examples=15, deadline=None)
 
 
 class TestValidation:
@@ -71,25 +64,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             ExploreOptions(**kwargs)
 
-    def test_explore_rejects_same_values_identically(self):
-        # The shim folds kwargs into ExploreOptions, so the loose spelling
-        # fails with the parameter object's exact message.
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            explore(SPEC, ExploreOptions(workers=0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="workers must be >= 1"):
-                explore(SPEC, workers=0)
+    def test_positional_non_options_raises(self):
+        with pytest.raises(TypeError, match="must be an ExploreOptions"):
+            explore(SPEC, {"seed": 1})
 
-    def test_field_names_are_the_legacy_surface(self):
-        assert ExploreOptions.field_names() == (
-            "levels", "mode", "max_schedules", "seed", "workers",
-            "chunk_size", "reduction", "outcome_memo",
-            "static_pruning", "batch_kernel", "store", "campaign_id")
-
-    def test_explore_kwargs_round_trips(self):
-        options = ExploreOptions(mode="sample", max_schedules=7, seed=9)
-        assert ExploreOptions(**options.explore_kwargs()) == options
+    def test_loose_keyword_knobs_raise(self):
+        with pytest.raises(TypeError, match="seed"):
+            explore(SPEC, seed=1)
 
 
 class TestFromEnv:
@@ -163,7 +144,6 @@ class TestExecutorEnvVars:
         ("EXPLORER_CHECKPOINT_SPACING", "0", _serial_explore),
         ("EXPLORER_BATCH_KERNEL", "fast", _build_executor),
         ("EXPLORER_BATCH_KERNEL", "fast", ExploreOptions.from_env),
-        ("EXPLORER_COMPILED_KERNEL", "maybe", _build_executor),
     ])
     def test_malformed_values_name_the_variable(self, monkeypatch, name, raw,
                                                 trigger):
@@ -172,58 +152,11 @@ class TestExecutorEnvVars:
         with pytest.raises(ValueError, match=f"{name} must be .*{raw!r}"):
             trigger()
 
+    def test_retired_compiled_kernel_variable_is_not_read(self, monkeypatch):
+        monkeypatch.setenv("EXPLORER_COMPILED_KERNEL", "maybe")
+        _build_executor()
 
-class TestLegacyEquivalence:
-    def test_legacy_kwargs_emit_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            explore(SPEC, levels=LEVELS, mode="sample", max_schedules=20,
-                    seed=1)
 
-    def test_options_path_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            explore(SPEC, ExploreOptions(levels=LEVELS, mode="sample",
-                                         max_schedules=20, seed=1))
-
-    def test_mixing_options_and_kwargs_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            explore(SPEC, ExploreOptions(), seed=1)
-
-    def test_positional_non_options_raises(self):
-        with pytest.raises(TypeError, match="must be an ExploreOptions"):
-            explore(SPEC, {"seed": 1})
-
-    def test_unknown_kwarg_raises(self):
-        with pytest.raises(TypeError, match="unexpected keyword arguments: "
-                                            "shceduels"):
-            explore(SPEC, shceduels=5)
-
-    @COMMON_SETTINGS
-    @given(
-        mode=st.sampled_from(["auto", "sample"]),
-        max_schedules=st.integers(min_value=5, max_value=60),
-        seed=st.integers(min_value=0, max_value=2**16),
-        chunk_size=st.sampled_from([1, 8, 64]),
-        reduction=st.sampled_from(REDUCTIONS),
-    )
-    def test_fingerprints_byte_equal(self, mode, max_schedules, seed,
-                                     chunk_size, reduction):
-        """The ISSUE 10 equivalence property: both spellings, one stream."""
-        kwargs = dict(levels=LEVELS, mode=mode, max_schedules=max_schedules,
-                      seed=seed, chunk_size=chunk_size, reduction=reduction)
-        via_options = explore(SPEC, ExploreOptions(**kwargs))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_kwargs = explore(SPEC, **kwargs)
-        assert via_options.fingerprint() == via_kwargs.fingerprint()
-        assert via_options.total_schedules() == via_kwargs.total_schedules()
-
-    def test_fingerprints_byte_equal_exhaustive(self):
-        # The property above samples; this pins the exhaustive path (the
-        # workload's full space is 252 interleavings, within budget).
-        kwargs = dict(levels=LEVELS, mode="exhaustive", max_schedules=300)
-        via_options = explore(SPEC, ExploreOptions(**kwargs))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_kwargs = explore(SPEC, **kwargs)
-        assert via_options.fingerprint() == via_kwargs.fingerprint()
+def test_trie_executor_has_no_compiled_option():
+    with pytest.raises(TypeError, match="compiled"):
+        TrieExecutor(*build_program_set(SPEC), LEVELS[0], compiled=True)

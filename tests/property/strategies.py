@@ -11,11 +11,9 @@ from repro.core.operations import Operation, OperationKind
 from repro.engine.programs import (
     Abort,
     Commit,
-    CompiledProgramSet,
     ReadItem,
     TransactionProgram,
     WriteItem,
-    compile_programs,
 )
 
 ITEMS = ("x", "y", "z")
@@ -69,7 +67,7 @@ def transaction_programs(draw, max_transactions: int = 3,
                          max_ops: int = 3) -> List[TransactionProgram]:
     """Random executable program sets: reads/writes over shared items, then a
     terminal (mostly commit).  Value specs mix literals and context-derived
-    callables, so compiled WRITE steps exercise both resolution paths."""
+    callables, so WRITE steps exercise both resolution paths."""
     count = draw(st.integers(min_value=1, max_value=max_transactions))
     programs: List[TransactionProgram] = []
     for txn in range(1, count + 1):
@@ -106,13 +104,3 @@ def interleavings_for(draw, programs: List[TransactionProgram]) -> Tuple[int, ..
         remaining[choice] -= 1
         slots.append(choice)
     return tuple(slots)
-
-
-@st.composite
-def compiled_program_sets(draw, max_transactions: int = 3,
-                          max_ops: int = 3) -> Tuple[List[TransactionProgram],
-                                                     CompiledProgramSet]:
-    """A random program set together with its compiled step tables."""
-    programs = draw(transaction_programs(max_transactions=max_transactions,
-                                         max_ops=max_ops))
-    return programs, compile_programs(programs)

@@ -49,3 +49,22 @@ def test_bench_runs_in_process(capsys):
                  "--in-process"]) == 0
     out = capsys.readouterr().out
     assert '"byte_equal": true' in out
+
+
+@pytest.mark.parametrize("command", ["campaign", "distrib"])
+def test_subcommand_help_names_the_unified_program(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: python -m repro {command} ")
+
+
+@pytest.mark.parametrize("command", ["campaign", "distrib"])
+def test_subcommand_usage_errors_name_the_unified_program(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "run", "--no-such-flag"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"usage: python -m repro {command} run " in err
+    assert f"python -m repro {command} run: error:" in err
+    assert ".cli" not in err
