@@ -23,6 +23,7 @@ from .operations import Operation
 __all__ = [
     "DependencyEdge",
     "DependencyGraph",
+    "adjacency_is_acyclic",
     "build_dependency_graph",
     "is_serializable",
     "equivalent_serial_orders",
@@ -215,6 +216,36 @@ def build_dependency_graph(history: History,
             )
         )
     return DependencyGraph(nodes, edges)
+
+
+def adjacency_is_acyclic(adjacency: Dict[int, Set[int]]) -> bool:
+    """Iterative three-color DFS over a handful of transaction nodes.
+
+    ``adjacency`` must hold a (possibly empty) successor set for every node
+    an edge reaches.  The classifiers' verdict, without labelled edges.
+    """
+    state: Dict[int, int] = {}
+    for root in adjacency:
+        if root in state:
+            continue
+        stack = [(root, iter(adjacency[root]))]
+        state[root] = 1
+        while stack:
+            node, successors = stack[-1]
+            advanced = False
+            for successor in successors:
+                mark = state.get(successor)
+                if mark == 1:
+                    return False
+                if mark is None:
+                    state[successor] = 1
+                    stack.append((successor, iter(adjacency[successor])))
+                    advanced = True
+                    break
+            if not advanced:
+                state[node] = 2
+                stack.pop()
+    return True
 
 
 def is_serializable(history: History) -> bool:

@@ -30,8 +30,9 @@ Interpretation notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .dependency import adjacency_is_acyclic
 from .history import History
 from .operations import Operation, OperationKind
 
@@ -56,6 +57,7 @@ __all__ = [
     "by_code",
     "detect_all",
     "detect_flags",
+    "sweep",
 ]
 
 
@@ -105,9 +107,6 @@ class HistoryIndex:
         self.predicate_writes_by_predicate: Dict[str, List[Tuple[int, Operation]]] = {}
         #: First terminal position per transaction (None entries omitted).
         self.terminals: Dict[int, int] = {}
-        # Local bindings + get-or-create instead of setdefault: this loop runs
-        # once per distinct history on the explorer's hot path, and setdefault
-        # allocates a fresh empty list per call even on hits.
         reads = self.reads
         writes = self.writes
         cursor_reads = self.cursor_reads
@@ -192,8 +191,8 @@ class Phenomenon:
         """All occurrences of the phenomenon in the history.
 
         ``index`` lets a caller running several detectors over the same
-        history (``detect_all``, the explorer's classifier) share one
-        :class:`HistoryIndex`; without it each detector builds its own.
+        history (``detect_all``) share one :class:`HistoryIndex`; without it
+        each detector builds its own.
         """
         return list(self._scan(history, self._index_for(history, index)))
 
@@ -201,25 +200,17 @@ class Phenomenon:
                   index: Optional[HistoryIndex] = None) -> bool:
         """True when the phenomenon occurs at least once.
 
-        Short-circuits on the first occurrence.  Detectors override
-        :meth:`_occurs` with a plain boolean loop — same candidate walk as
-        :meth:`_scan`, minus the generator frames and the
-        :class:`Occurrence` rendering — so the explorer's classifier (which
-        only records presence booleans) skips the occurrence machinery
-        entirely.  ``tests/property`` gates ``occurs_in == bool(find())``.
+        Stops at the first occurrence the lazy :meth:`_scan` (the paper's
+        definition) yields.  Callers that want every flag of a history at
+        once use :func:`sweep`, which answers all of them in one pass;
+        ``tests/property`` holds the two equal.
         """
-        return self._occurs(history, self._index_for(history, index))
-
-    def _occurs(self, history: History, index: HistoryIndex) -> bool:
-        """Boolean twin of :meth:`_scan` (default: drive the scan lazily)."""
-        for _ in self._scan(history, index):
+        for _ in self._scan(history, self._index_for(history, index)):
             return True
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{self.code} {self.name}>"
-
-    # -- shared helpers --------------------------------------------------------
 
     @staticmethod
     def _index_for(history: History,
@@ -260,17 +251,6 @@ class DirtyWrite(Phenomenon):
                         ),
                     )
 
-    def _occurs(self, history: History, index: HistoryIndex) -> bool:
-        terminals = index.terminals
-        item_writes = index.item_writes
-        for i, first in index.writes:
-            terminal = terminals.get(first.txn)
-            txn = first.txn
-            for j, second in item_writes(first.item):
-                if j > i and second.txn != txn and (terminal is None or j < terminal):
-                    return True
-        return False
-
 
 class DirtyRead(Phenomenon):
     """P1: ``w1[x]...r2[x]...(c1 or a1)``.
@@ -305,17 +285,6 @@ class DirtyRead(Phenomenon):
                         ),
                     )
 
-    def _occurs(self, history: History, index: HistoryIndex) -> bool:
-        terminals = index.terminals
-        item_reads = index.item_reads
-        for i, write_op in index.writes:
-            terminal = terminals.get(write_op.txn)
-            txn = write_op.txn
-            for j, read_op in item_reads(write_op.item):
-                if j > i and read_op.txn != txn and (terminal is None or j < terminal):
-                    return True
-        return False
-
 
 class FuzzyRead(Phenomenon):
     """P2: ``r1[x]...w2[x]...(c1 or a1)``.
@@ -348,17 +317,6 @@ class FuzzyRead(Phenomenon):
                             f"read it and before T{read_op.txn} terminated"
                         ),
                     )
-
-    def _occurs(self, history: History, index: HistoryIndex) -> bool:
-        terminals = index.terminals
-        item_writes = index.item_writes
-        for i, read_op in index.reads:
-            terminal = terminals.get(read_op.txn)
-            txn = read_op.txn
-            for j, write_op in item_writes(read_op.item):
-                if j > i and write_op.txn != txn and (terminal is None or j < terminal):
-                    return True
-        return False
 
 
 class Phantom(Phenomenon):
@@ -433,28 +391,6 @@ class DirtyReadStrict(Phenomenon):
                     ),
                 )
 
-    def _occurs(self, history: History, index: HistoryIndex) -> bool:
-        aborted = history.aborted_set()
-        committed = history.committed_set()
-        if not aborted or not committed:
-            return False
-        item_reads = index.item_reads
-        terminals = index.terminals
-        for i, write_op in index.writes:
-            txn = write_op.txn
-            if txn not in aborted:
-                continue
-            abort_index = terminals.get(txn)
-            for j, read_op in item_reads(write_op.item):
-                if j <= i or read_op.txn == txn:
-                    continue
-                if read_op.txn not in committed:
-                    continue
-                if abort_index is not None and j > abort_index:
-                    continue
-                return True
-        return False
-
 
 class FuzzyReadStrict(Phenomenon):
     """A2: ``r1[x]...w2[x]...c2...r1[x]...c1``.
@@ -493,26 +429,6 @@ class FuzzyReadStrict(Phenomenon):
                             f"committed update by T{write_op.txn}"
                         ),
                     )
-
-    def _occurs(self, history: History, index: HistoryIndex) -> bool:
-        committed = history.committed_set()
-        item_writes = index.item_writes
-        item_reads = index.item_reads
-        terminals = index.terminals
-        for i, first_read in index.reads:
-            txn = first_read.txn
-            if txn not in committed:
-                continue
-            for j, write_op in item_writes(first_read.item):
-                if j <= i or write_op.txn == txn:
-                    continue
-                commit_index = terminals.get(write_op.txn)
-                if write_op.txn not in committed or commit_index is None or commit_index < j:
-                    continue
-                for k, second_read in item_reads(first_read.item):
-                    if k > commit_index and second_read.txn == txn:
-                        return True
-        return False
 
 
 class PhantomStrict(Phenomenon):
@@ -594,21 +510,6 @@ class LostUpdate(Phenomenon):
                         ),
                     )
 
-    def _occurs(self, history: History, index: HistoryIndex) -> bool:
-        committed = history.committed_set()
-        for i, read_op in index.reads:
-            txn = read_op.txn
-            if txn not in committed:
-                continue
-            item_writes = index.item_writes(read_op.item)
-            for j, other_write in item_writes:
-                if j <= i or other_write.txn == txn:
-                    continue
-                for k, own_write in item_writes:
-                    if k > j and own_write.txn == txn:
-                        return True
-        return False
-
 
 class CursorLostUpdate(Phenomenon):
     """P4C: ``rc1[x]...w2[x]...w1[x]...c1``.
@@ -644,23 +545,6 @@ class CursorLostUpdate(Phenomenon):
                             f"{read_op.item} read through a cursor"
                         ),
                     )
-
-    def _occurs(self, history: History, index: HistoryIndex) -> bool:
-        if not index.cursor_reads:
-            return False
-        committed = history.committed_set()
-        for i, read_op in index.cursor_reads:
-            txn = read_op.txn
-            if txn not in committed:
-                continue
-            item_writes = index.item_writes(read_op.item)
-            for j, other_write in item_writes:
-                if j <= i or other_write.txn == txn:
-                    continue
-                for k, own_write in item_writes:
-                    if k > j and own_write.txn == txn:
-                        return True
-        return False
 
 
 class ReadSkew(Phenomenon):
@@ -706,34 +590,6 @@ class ReadSkew(Phenomenon):
                             ),
                         )
 
-    def _occurs(self, history: History, index: HistoryIndex) -> bool:
-        committed = history.committed_set()
-        if not committed or not index.writes or not index.reads:
-            return False
-        item_writes = index.item_writes
-        item_reads = index.item_reads
-        txn_writes = index.txn_writes
-        terminals = index.terminals
-        for i, first_read in index.reads:
-            txn = first_read.txn
-            for j, write_x in item_writes(first_read.item):
-                if j <= i or write_x.txn == txn:
-                    continue
-                if write_x.txn not in committed:
-                    continue
-                commit_index = terminals.get(write_x.txn)
-                if commit_index is None or commit_index < j:
-                    continue
-                for k, write_y in txn_writes(write_x.txn):
-                    if write_y.item == write_x.item:
-                        continue
-                    if not (i < k < commit_index or i < j < commit_index):
-                        continue
-                    for m, second_read in item_reads(write_y.item):
-                        if m > commit_index and second_read.txn == txn:
-                            return True
-        return False
-
 
 class WriteSkew(Phenomenon):
     """A5B: ``r1[x]...r2[y]...w1[y]...w2[x]...(c1 and c2 occur)`` with x ≠ y.
@@ -777,30 +633,6 @@ class WriteSkew(Phenomenon):
                                 f"{{{read_x.item}, {read_y.item}}} and wrote the other"
                             ),
                         )
-
-    def _occurs(self, history: History, index: HistoryIndex) -> bool:
-        committed = history.committed_set()
-        if len(committed) < 2 or not index.writes or not index.reads:
-            return False
-        item_writes = index.item_writes
-        txn_reads = index.txn_reads
-        for i, read_x in index.reads:
-            t1 = read_x.txn
-            if t1 not in committed:
-                continue
-            for j, write_x in item_writes(read_x.item):
-                if j <= i or write_x.txn == t1:
-                    continue
-                t2 = write_x.txn
-                if t2 not in committed:
-                    continue
-                for k, read_y in txn_reads(t2):
-                    if read_y.item == read_x.item:
-                        continue
-                    for m, write_y in item_writes(read_y.item):
-                        if m > k and write_y.txn == t1:
-                            return True
-        return False
 
 
 # -- registry ---------------------------------------------------------------------
@@ -848,7 +680,7 @@ STRICT_ANOMALIES: Tuple[Phenomenon, ...] = (
 )
 
 
-#: Detector tuple reused by detect_all/detect_flags (list(...) per call adds up).
+#: Detector tuple reused by detect_all (list(...) per call adds up).
 _ALL_DETECTORS: Tuple[Phenomenon, ...] = tuple(ALL_PHENOMENA.values())
 
 
@@ -880,18 +712,178 @@ def detect_all(history: History,
 
 
 def detect_flags(history: History,
-                 codes: Optional[Iterable[str]] = None,
-                 index: Optional[HistoryIndex] = None) -> Dict[str, bool]:
+                 codes: Optional[Iterable[str]] = None) -> Dict[str, bool]:
     """Presence booleans for every (or the selected) phenomenon.
 
-    The cheap sibling of :func:`detect_all`: each detector short-circuits on
-    its first occurrence instead of enumerating all of them.  Used by the
-    schedule explorer's classifier, which only records which phenomena occur.
+    The cheap sibling of :func:`detect_all`: the flags of :func:`sweep`,
+    restricted to ``codes`` when given.
     """
-    selected = (
-        [by_code(code) for code in codes] if codes is not None
-        else _ALL_DETECTORS
-    )
-    if index is None:
-        index = HistoryIndex(history)
-    return {detector.code: detector._occurs(history, index) for detector in selected}
+    flags = sweep(history)[1]
+    if codes is None:
+        return flags
+    return {code: flags[code]
+            for code in (by_code(name).code for name in codes)}
+
+
+def sweep(history: History) -> Tuple[bool, Dict[str, bool]]:
+    """Conflict serializability and every phenomenon flag, in one pass.
+
+    Every detector above matches a pattern anchored on a pair of conflicting
+    operations ``a`` (at ``i``) and ``b`` (at ``j > i``) of two transactions
+    on one item or one predicate, and the conflict graph is built from
+    exactly those pairs.  So one walk over the per-item and per-predicate
+    operation groups visits each such pair once and decides everything the
+    pair can witness:
+
+    * ww / wr / rw between committed transactions: a conflict edge;
+    * ww, wr, rw while ``a``'s transaction is active: P0, P1, P2;
+    * wr before ``a``'s transaction aborts, with ``b``'s committed: A1;
+    * rw with ``a`` committed and a later write by ``a``'s transaction: P4,
+      and P4C when ``a`` is a cursor read;
+    * rw with ``b`` committed after ``j`` and a re-read of the item (A2, both
+      committed) or of another item ``b`` wrote (A5A) by ``a``'s transaction
+      after that commit;
+    * committed rw pairs ``t1 -> t2`` on x and ``t2 -> t1`` on y != x: A5B;
+    * the predicate rw pairs: P3 and A3.
+
+    The third operation a pattern needs (a later own write, a re-read) is
+    answered from per-(item, transaction) last positions gathered by the
+    grouping pass.  Returns ``(serializable, flags)`` with ``flags`` keyed
+    by every code in :data:`ALL_PHENOMENA`; ``tests/property`` holds it equal
+    to ``find`` and ``build_dependency_graph(history).is_acyclic()``.
+    """
+    committed = history.committed_set()
+    aborted = history.aborted_set()
+    terminals: Dict[int, int] = {}
+    #: item -> [(position, txn, is_write, is_cursor_read)] in history order.
+    item_groups: Dict[str, List[Tuple[int, int, bool, bool]]] = {}
+    #: predicate -> [(position, txn, is_write)] in history order.
+    predicate_groups: Dict[str, List[Tuple[int, int, bool]]] = {}
+    last_read: Dict[Tuple[str, int], int] = {}
+    last_write: Dict[Tuple[str, int], int] = {}
+    last_predicate_read: Dict[Tuple[str, int], int] = {}
+    written: Dict[int, Set[str]] = {}
+    commit = OperationKind.COMMIT
+    abort = OperationKind.ABORT
+    read = OperationKind.READ
+    cursor_read = OperationKind.CURSOR_READ
+    predicate_read = OperationKind.PREDICATE_READ
+    for i, op in enumerate(history.operations):
+        kind = op.kind
+        txn = op.txn
+        if kind is read or kind is cursor_read:
+            item = op.item
+            group = item_groups.get(item)
+            if group is None:
+                group = item_groups[item] = []
+            group.append((i, txn, False, kind is cursor_read))
+            last_read[item, txn] = i
+        elif kind is commit or kind is abort:
+            if txn not in terminals:
+                terminals[txn] = i
+        elif kind is predicate_read:
+            predicate = op.predicate
+            group = predicate_groups.get(predicate)
+            if group is None:
+                group = predicate_groups[predicate] = []
+            group.append((i, txn, False))
+            last_predicate_read[predicate, txn] = i
+        else:
+            item = op.item
+            if item is not None:
+                group = item_groups.get(item)
+                if group is None:
+                    group = item_groups[item] = []
+                group.append((i, txn, True, False))
+                last_write[item, txn] = i
+                items = written.get(txn)
+                if items is None:
+                    items = written[txn] = set()
+                items.add(item)
+            predicate = op.predicate
+            if predicate is not None:
+                group = predicate_groups.get(predicate)
+                if group is None:
+                    group = predicate_groups[predicate] = []
+                group.append((i, txn, True))
+
+    p0 = p1 = p2 = p3 = a1 = a2 = a3 = p4 = p4c = a5a = False
+    adjacency: Dict[int, Set[int]] = {txn: set() for txn in committed}
+    #: (t1, t2) -> items of committed rw pairs t1 -> t2 (A5B's two halves).
+    rw_items: Dict[Tuple[int, int], Set[str]] = {}
+    for item, group in item_groups.items():
+        size = len(group)
+        for first in range(size - 1):
+            i, ta, a_writes, a_cursor = group[first]
+            terminal = terminals.get(ta)
+            a_committed = ta in committed
+            for j, tb, b_writes, _ in group[first + 1:]:
+                if tb == ta or not (a_writes or b_writes):
+                    continue
+                active = terminal is None or j < terminal
+                b_committed = tb in committed
+                if a_committed and b_committed:
+                    adjacency[ta].add(tb)
+                if a_writes:
+                    if b_writes:
+                        if active:
+                            p0 = True
+                    elif active:
+                        p1 = True
+                        if ta in aborted and b_committed:
+                            a1 = True
+                    continue
+                # rw: a reads the item, b later writes it.
+                if active:
+                    p2 = True
+                if a_committed:
+                    if last_write.get((item, ta), -1) > j:
+                        p4 = True
+                        if a_cursor:
+                            p4c = True
+                    if b_committed:
+                        pair = rw_items.get((ta, tb))
+                        if pair is None:
+                            pair = rw_items[ta, tb] = set()
+                        pair.add(item)
+                if b_committed:
+                    commit_b = terminals[tb]
+                    if commit_b > j:
+                        if a_committed and last_read[item, ta] > commit_b:
+                            a2 = True
+                        if not a5a:
+                            for other in written[tb]:
+                                if (other != item and last_read.get(
+                                        (other, ta), -1) > commit_b):
+                                    a5a = True
+                                    break
+    for predicate, group in predicate_groups.items():
+        size = len(group)
+        for first in range(size - 1):
+            i, ta, a_writes = group[first]
+            terminal = terminals.get(ta)
+            a_committed = ta in committed
+            for j, tb, b_writes in group[first + 1:]:
+                if tb == ta or not (a_writes or b_writes):
+                    continue
+                b_committed = tb in committed
+                if a_committed and b_committed:
+                    adjacency[ta].add(tb)
+                if a_writes or not b_writes:
+                    continue
+                if terminal is None or j < terminal:
+                    p3 = True
+                if a_committed and b_committed:
+                    commit_b = terminals[tb]
+                    if (commit_b > j and last_predicate_read[predicate, ta]
+                            > commit_b):
+                        a3 = True
+    a5b = False
+    for (t1, t2), forward in rw_items.items():
+        backward = rw_items.get((t2, t1))
+        if backward is not None and len(forward | backward) >= 2:
+            a5b = True
+            break
+    flags = {"P0": p0, "P1": p1, "P2": p2, "P3": p3, "A1": a1, "A2": a2,
+             "A3": a3, "P4": p4, "P4C": p4c, "A5A": a5a, "A5B": a5b}
+    return adjacency_is_acyclic(adjacency), flags

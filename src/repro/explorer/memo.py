@@ -10,11 +10,12 @@ are heavily redundant in two ways:
   equivalent histories, so :class:`ScheduleOutcomeMemo` executes one
   canonical member per equivalence class and reuses its outcome.
 
-A miss pays one classification pass.  A single-version history gets the
-phenomenon detectors and a conflict-graph serializability verdict over one
-shared :class:`~repro.core.phenomena.HistoryIndex`.  A multiversion history
-takes one fused walk that yields its MV serializability verdict and the
-single-valued mapping the detectors then run on.
+A miss pays one classification pass.  A single-version history gets one
+:func:`~repro.core.phenomena.sweep` over its conflicting operation pairs, which
+yields every phenomenon flag and the conflict-graph serializability verdict
+together.  A multiversion history takes one fused walk that yields its MV
+serializability verdict and the single-valued mapping, whose flags come from
+the same sweep (memoized per mapped history).
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..core.dependency import adjacency_is_acyclic
 from ..core.history import History
 from ..core.mv_analysis import _strip_version
 from ..core.operations import Operation, OperationKind
-from ..core.phenomena import HistoryIndex, detect_flags
+from ..core.phenomena import sweep
 from ..engine.programs import TransactionProgram
 from .reduction import CommutationOracle
 from .schedules import Interleaving
@@ -130,32 +132,6 @@ class ScheduleOutcomeMemo:
 
     def __len__(self) -> int:
         return len(self._outcomes)
-
-
-def _graph_is_acyclic(adjacency: Dict[int, Set[int]]) -> bool:
-    """Iterative three-color DFS over a handful of transaction nodes."""
-    state: Dict[int, int] = {}
-    for root in adjacency:
-        if root in state:
-            continue
-        stack = [(root, iter(adjacency[root]))]
-        state[root] = 1
-        while stack:
-            node, successors = stack[-1]
-            advanced = False
-            for successor in successors:
-                mark = state.get(successor)
-                if mark == 1:
-                    return False
-                if mark is None:
-                    state[successor] = 1
-                    stack.append((successor, iter(adjacency[successor])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    return True
 
 
 def _mv_classify_core(history: History,
@@ -288,7 +264,7 @@ def _mv_classify_core(history: History,
             if (earlier_writer != later_writer and earlier_writer in committed
                     and later_writer in committed):
                 adjacency[earlier_writer].add(later_writer)  # ww
-    serializable = _graph_is_acyclic(adjacency)
+    serializable = adjacency_is_acyclic(adjacency)
 
     # Pass 4: the Section 4.2 MV -> SV mapping (mv_to_sv), on the same
     # effective versions: foreign-version reads at the start point, writes /
@@ -321,49 +297,6 @@ def _mv_classify_core(history: History,
         operations.extend(block)
     name = f"{history.name}.SV" if history.name else None
     return serializable, History(operations, name=name, validate=False)
-
-
-def _sv_is_serializable(history: History, index: HistoryIndex) -> bool:
-    """Acyclicity of the committed-transaction conflict graph, built directly.
-
-    Equivalent to ``build_dependency_graph(history).is_acyclic()`` (same node
-    set, same reachability): conflicts only arise between operations sharing
-    an item or a predicate, so candidate pairs come straight from the shared
-    :class:`~repro.core.phenomena.HistoryIndex` groups instead of an O(n^2)
-    scan — and the adjacency sets are built without materializing labelled
-    edge objects at all.  The explorer's hot path classifies hundreds of
-    thousands of distinct histories; this is its serializability verdict.
-    """
-    committed = history.committed_set()
-    adjacency: Dict[int, Set[int]] = {txn: set() for txn in committed}
-
-    def link(earlier_entries, later_entries) -> None:
-        # Every (earlier, later) pair with earlier position < later position
-        # yields an edge earlier.txn -> later.txn; entries are in history
-        # order, so a single forward sweep covers exactly those pairs.
-        for i, earlier in earlier_entries:
-            if earlier.txn not in committed:
-                continue
-            source = adjacency[earlier.txn]
-            for j, later in later_entries:
-                if j <= i or later.txn == earlier.txn:
-                    continue
-                if later.txn in committed:
-                    source.add(later.txn)
-
-    for item, writes in index.writes_by_item.items():
-        reads = index.reads_by_item.get(item, ())
-        link(writes, writes)   # ww
-        link(writes, reads)    # wr
-        link(reads, writes)    # rw
-    for predicate, writes in index.predicate_writes_by_predicate.items():
-        reads = [entry for entry in index.predicate_reads
-                 if entry[1].predicate == predicate]
-        link(writes, writes)
-        link(writes, reads)
-        link(reads, writes)
-
-    return _graph_is_acyclic(adjacency)
 
 
 #: Entries the classification memo (and, separately, the mapped-flags table)
@@ -403,10 +336,10 @@ class BatchClassifier:
         #: Items present in the initial database, for MV version completion
         #: (see assign_write_versions).  None assumes every item pre-exists.
         self.initial_items = None if initial_items is None else frozenset(initial_items)
-        #: detect_flags results keyed by the *mapped* SV history: many
-        #: distinct MV histories (differing only in version subscripts /
-        #: snapshot timing) map to the same single-valued history, so the
-        #: detector pass is shared across them.
+        #: Full sweep flags keyed by the *mapped* SV history: many distinct
+        #: MV histories (differing only in version subscripts / snapshot
+        #: timing) map to the same single-valued history, so the sweep is
+        #: shared across them.  ``codes`` filters on read.
         self._mapped_flags: Dict[History, Dict[str, bool]] = {}
         self.hits = 0
         self.misses = 0
@@ -469,18 +402,17 @@ class BatchClassifier:
             serializable, mapped = _mv_classify_core(history, self.initial_items)
             flags = self._mapped_flags.get(mapped)
             if flags is None:
-                flags = detect_flags(mapped, codes=codes)
+                flags = sweep(mapped)[1]
                 if len(self._mapped_flags) < CLASSIFICATION_MEMO_CAP:
                     self._mapped_flags[mapped] = flags
         else:
-            index = HistoryIndex(history)
-            serializable = _sv_is_serializable(history, index)
-            flags = detect_flags(history, codes=codes, index=index)
+            serializable, flags = sweep(history)
+        selected = flags if codes is None else codes
         classification = HistoryClassification(
             shorthand=shorthand,
             serializable=serializable,
             phenomena=tuple(sorted(
-                code for code, found in flags.items() if found
+                code for code in selected if flags[code]
             )),
             committed=tuple(sorted(history.committed_set())),
             aborted=tuple(sorted(history.aborted_set())),

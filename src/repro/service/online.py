@@ -1,10 +1,11 @@
 """The incremental online classifier behind the isolation certifier service.
 
 The offline pipeline (:class:`repro.explorer.memo.BatchClassifier`) re-walks a
-complete history: one :class:`~repro.core.phenomena.HistoryIndex` pass, eleven
-detector scans, one conflict-graph acyclicity check.  A live stream cannot
-afford that per operation, so this module maintains the detector state and the
-committed-transaction conflict graph *incrementally*, one operation at a time
+complete history: one :func:`~repro.core.phenomena.sweep` over its same-item and
+same-predicate operation pairs yields every detector flag and the conflict-graph
+verdict.  A live stream cannot afford even one walk per operation, so this
+module maintains the detector state and the committed-transaction conflict
+graph *incrementally*, one operation at a time
 (the update-time maintenance idea of Berkholz et al., "FO+MOD queries under
 updates") — and proves the paper's detectors admit it:
 
@@ -41,9 +42,11 @@ Snapshot Isolation engines) follow the paper's Section 4.2 touchstone: the
 verdict is judged on the MV serialization graph and the ``mv_to_sv`` mapping,
 neither of which is prefix-monotone (a later commit re-stamps where snapshot
 reads land in the mapped history).  Such streams are therefore buffered and
-re-classified through the offline core at each terminal operation — byte
-equality is structural — and cannot be combined with eviction (pass
-``evict=False``).  The single-version path is the fully incremental one.
+re-classified through the offline core (the fused MV walk, then one sweep of
+the mapped history, which also yields any new certificate's witness) at
+each terminal operation — byte equality is structural — and cannot be
+combined with eviction (pass ``evict=False``).  The single-version path is
+the fully incremental one.
 
 Certificates are :class:`repro.persist.records.CertificateRecord` rows:
 ``(stream, seq, code, txns, items, op_index, witness)``, where ``witness`` is
@@ -59,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.history import History, HistoryError, parse_history
 from ..core.operations import Operation, OperationKind
-from ..core.phenomena import ALL_PHENOMENA, detect_all, detect_flags
+from ..core.phenomena import ALL_PHENOMENA, detect_all, sweep
 from ..persist.records import CertificateRecord
 
 __all__ = [
@@ -257,7 +260,7 @@ class OnlineClassifier:
     def verdict(self) -> StreamVerdict:
         """The verdict over everything fed so far (offline-byte-equal)."""
         if self.multiversion:
-            serializable, flags = self._mv_classify()
+            serializable, flags, _ = self._mv_classify()
             phenomena = tuple(sorted(c for c, f in flags.items() if f))
         else:
             serializable = self._serializable
@@ -827,22 +830,23 @@ class OnlineClassifier:
 
     # -- multiversion buffered path --------------------------------------------
 
-    def _mv_classify(self) -> Tuple[bool, Dict[str, bool]]:
+    def _mv_classify(self) -> Tuple[bool, Dict[str, bool], History]:
+        """``(serializable, flags, target)`` over the buffered stream.
+
+        ``target`` is the history the flags were swept on: the ``mv_to_sv``
+        mapping, or the buffer itself while no versioned operation has
+        arrived (the offline classifier's single-version dispatch).
+        """
         from ..explorer.memo import _mv_classify_core
         history = History(tuple(self._mv_ops), name=self.stream,
                           validate=False)
         if not history.is_multiversion():
-            # A prefix with no versioned op yet still classifies fine on the
-            # MV core's degenerate path; keep the offline dispatch faithful.
-            from ..core.phenomena import HistoryIndex
-            from ..explorer.memo import _sv_is_serializable
-            index = HistoryIndex(history)
-            return (_sv_is_serializable(history, index),
-                    detect_flags(history, index=index))
+            serializable, flags = sweep(history)
+            return serializable, flags, history
         serializable, mapped = _mv_classify_core(
             history, None if self._initial_items is None
             else frozenset(self._initial_items))
-        return serializable, detect_flags(mapped)
+        return serializable, sweep(mapped)[1], mapped
 
     def _feed_mv(self, op: Operation, pos: int) -> None:
         self._mv_ops.append(op)
@@ -853,24 +857,16 @@ class OnlineClassifier:
         else:
             return
         # Re-classify at terminal boundaries only; emit first-seen certificates.
-        serializable, flags = self._mv_classify()
+        serializable, flags, target = self._mv_classify()
         if not serializable and self._serializable:
             self._serializable = False
             self._certificates.append(CertificateRecord(
                 stream=self.stream, seq=len(self._certificates),
                 code="CYCLE", txns=(op.txn,), items=(), op_index=pos,
                 witness=self._witness_for((op.txn,))))
-        history = History(tuple(self._mv_ops), name=self.stream, validate=False)
         fresh = [code for code, found in flags.items()
                  if found and not self._fired[code]]
         if fresh:
-            from ..explorer.memo import _mv_classify_core
-            if history.is_multiversion():
-                _, target = _mv_classify_core(
-                    history, None if self._initial_items is None
-                    else frozenset(self._initial_items))
-            else:
-                target = history
             found = detect_all(target, codes=fresh)
             for code in sorted(fresh):
                 occurrences = found.get(code) or []

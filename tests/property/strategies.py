@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from typing import List, Tuple
 
 from hypothesis import strategies as st
 
 from repro.core.history import History
-from repro.core.operations import Operation, OperationKind
+from repro.core.operations import Operation, OperationKind, WriteAction
 from repro.engine.programs import (
     Abort,
     Commit,
@@ -17,38 +18,80 @@ from repro.engine.programs import (
 )
 
 ITEMS = ("x", "y", "z")
+PREDICATES = ("P", "Q")
+
+_C = OperationKind.COMMIT
+_A = OperationKind.ABORT
+#: Every data-access kind the detectors distinguish.
+ALL_KINDS = (OperationKind.READ, OperationKind.WRITE,
+             OperationKind.CURSOR_READ, OperationKind.CURSOR_WRITE,
+             OperationKind.PREDICATE_READ, OperationKind.PREDICATE_WRITE)
 
 
-@st.composite
-def transaction_bodies(draw, max_ops: int = 4):
-    """Per-transaction operation bodies: a few reads/writes then commit/abort."""
-    transactions = draw(st.integers(min_value=1, max_value=3))
-    bodies: List[List[Operation]] = []
-    for txn in range(1, transactions + 1):
-        length = draw(st.integers(min_value=1, max_value=max_ops))
-        ops: List[Operation] = []
-        for _ in range(length):
-            item = draw(st.sampled_from(ITEMS))
-            kind = draw(st.sampled_from((OperationKind.READ, OperationKind.WRITE)))
+def _body(txn: int, pick, max_ops: int, every_kind: bool) -> List[Operation]:
+    """One transaction's operations; ``pick(options)`` chooses one option.
+
+    ``every_kind`` widens the plain read/write bodies to cursor and predicate
+    operations and lets the transaction stay unterminated.
+    """
+    ops: List[Operation] = []
+    for _ in range(pick(range(1, max_ops + 1))):
+        item = pick(ITEMS)
+        kind = pick(ALL_KINDS if every_kind
+                    else (OperationKind.READ, OperationKind.WRITE))
+        if kind is OperationKind.PREDICATE_READ:
+            ops.append(Operation(kind, txn, predicate=pick(PREDICATES)))
+        elif kind is OperationKind.PREDICATE_WRITE:
+            ops.append(Operation(kind, txn, item=item,
+                                 predicate=pick(PREDICATES),
+                                 write_action=pick(tuple(WriteAction))))
+        else:
             ops.append(Operation(kind, txn, item=item))
-        terminal = draw(st.sampled_from((OperationKind.COMMIT, OperationKind.COMMIT,
-                                         OperationKind.COMMIT, OperationKind.ABORT)))
+    terminal = pick((_C, _C, _C, _A, None) if every_kind else (_C, _C, _C, _A))
+    if terminal is not None:
         ops.append(Operation(terminal, txn))
-        bodies.append(ops)
-    return bodies
+    return ops
 
 
-@st.composite
-def histories(draw, max_ops: int = 4) -> History:
-    """Random complete histories: random interleavings of random transactions."""
-    bodies = draw(transaction_bodies(max_ops=max_ops))
+def _interleave(bodies: List[List[Operation]], pick) -> History:
     remaining = [list(body) for body in bodies]
     merged: List[Operation] = []
     while any(remaining):
-        candidates = [index for index, body in enumerate(remaining) if body]
-        choice = draw(st.sampled_from(candidates))
+        choice = pick([index for index, body in enumerate(remaining) if body])
         merged.append(remaining[choice].pop(0))
     return History(merged)
+
+
+@st.composite
+def transaction_bodies(draw, max_ops: int = 4, every_kind: bool = False):
+    """Per-transaction operation bodies: a few reads/writes then commit/abort.
+
+    With ``every_kind`` the bodies also use cursor and predicate operations
+    and may end without a terminal.
+    """
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    return [_body(txn, pick, max_ops, every_kind)
+            for txn in range(1, pick(range(1, 4)) + 1)]
+
+
+@st.composite
+def histories(draw, max_ops: int = 4, every_kind: bool = False) -> History:
+    """Random histories: random interleavings of random transactions."""
+    bodies = draw(transaction_bodies(max_ops=max_ops, every_kind=every_kind))
+    return _interleave(bodies, lambda options: draw(st.sampled_from(options)))
+
+
+def seeded_histories(seed: int, count: int, max_ops: int = 4) -> List[History]:
+    """A fixed corpus of ``every_kind`` histories from ``random.Random(seed)``."""
+    pick = random.Random(seed).choice
+    corpus = []
+    for _ in range(count):
+        bodies = [_body(txn, pick, max_ops, True)
+                  for txn in range(1, pick(range(1, 4)) + 1)]
+        corpus.append(_interleave(bodies, pick))
+    return corpus
 
 
 @st.composite
