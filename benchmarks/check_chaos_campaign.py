@@ -4,8 +4,9 @@ The ``chaos-campaign`` CI job runs this script.  It is the tentpole
 contract of ``repro.distrib`` staged as a matrix: for each of several
 seeds, ``FaultPlan.random(seed)`` derives a deterministic schedule of
 worker SIGKILLs, heartbeat hangs, slow commits, and transient SQLite lock
-errors; the campaign runs under that schedule on **both** store backends
-with real supervised worker processes; and the coverage report plus
+errors; the campaign runs under that schedule on **two** store legs — a
+store file and ``SqliteStore(":memory:")``, so the lock faults fire on
+both — with real supervised worker processes; and the coverage report plus
 fingerprint rebuilt from the store must be **byte-identical** to a
 fault-free serial run.  A fault-free control leg rides along so a failure
 can be attributed to the faults rather than the distribution.
@@ -48,7 +49,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         kwargs["workers"] = args.workers
 
     from repro.distrib.faults import FaultPlan, run_fault_matrix
-    from repro.persist import InMemoryStore, SqliteStore
+    from repro.persist import SqliteStore
     from repro.workloads.program_sets import ProgramSetSpec
 
     spec = ProgramSetSpec.make("increments")
@@ -61,7 +62,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     legs = run_fault_matrix(
         spec, None, plans,
-        [("memory", lambda index: InMemoryStore()),
+        [("memory", lambda index: SqliteStore(":memory:")),
          ("sqlite", lambda index: SqliteStore(outdir / f"leg{index}.sqlite"))],
         **kwargs)
 
@@ -87,7 +88,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("FAIL: " + "; ".join(failures))
         return 1
     print(f"PASS — {len(legs)} legs byte-identical to serial "
-          f"({len(plans)} fault plans x 2 backends)")
+          f"({len(plans)} fault plans x 2 store legs)")
     return 0
 
 

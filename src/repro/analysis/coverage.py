@@ -401,7 +401,7 @@ def coverage_report_from_store(store, campaign_id: str,
     """Rebuild a campaign's coverage report from its persisted records.
 
     The store-reading constructor: loads every stored scope's record stream
-    from a :class:`~repro.persist.CampaignStore` and aggregates it exactly
+    from a :class:`~repro.persist.SqliteStore` and aggregates it exactly
     like :func:`build_coverage_report` does for a live
     :class:`~repro.explorer.ExplorationResult` — for a completed campaign the
     two renders are byte-identical (the kill-and-resume determinism tests

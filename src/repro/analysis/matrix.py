@@ -178,7 +178,7 @@ def compute_table4_explored(levels: Sequence[IsolationLevelName] = TABLE_4_LEVEL
     rendered table; the default stays off so the headline reproduction keeps
     executing every cell.
 
-    With ``store`` (a :class:`~repro.persist.CampaignStore`), the matrix
+    With ``store`` (a :class:`~repro.persist.SqliteStore`), the matrix
     itself becomes a resumable campaign at (level, scenario)-cell granularity:
     each finished cell is committed as it completes, and a re-run — after a
     crash or on a later day — skips every stored cell and explores only the

@@ -21,7 +21,7 @@ Fault kinds and where they bite:
 * ``sqlite-lock`` — the store's write transaction fails ``count``
   consecutive times with a transient ``database is locked`` error at its
   Nth transaction, *beneath* the busy-retry wrapper.  Exercises the
-  seeded-jitter retry path (a no-op on the in-memory backend).
+  seeded-jitter retry path, on a store file and on ``:memory:`` alike.
 
 Worker faults are addressed by ``(worker, incarnation, ordinal)`` — the
 ordinal counts chunks executed by that specific incarnation — so a chunk
@@ -311,12 +311,12 @@ def run_fault_matrix(spec, levels, plans: Sequence[FaultPlan],
                      max_attempts: int = 6,
                      batch_kernel: Optional[str] = None,
                      deadline_s: float = 120.0) -> List[Dict[str, object]]:
-    """Every plan on every backend, byte-diffed against the serial control.
+    """Every plan on every store leg, byte-diffed against the serial control.
 
-    ``store_factories`` is ``[(backend_name, factory(run_index) -> store)]``
-    — a fresh store per run.  Returns one result dict per (plan, backend)
-    leg with ``byte_equal`` verdicts; raises nothing itself so the caller
-    (test or CI script) decides how to fail.
+    ``store_factories`` is ``[(leg_name, factory(run_index) -> store)]``
+    — a fresh store per run.  Returns one result dict per (plan, store) leg,
+    named under ``"backend"``, with ``byte_equal`` verdicts; raises nothing
+    itself so the caller (test or CI script) decides how to fail.
     """
     control_render, control_fingerprint = serial_reference(
         spec, levels, mode=mode, max_schedules=max_schedules, seed=seed,

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..explorer.worker import ScheduleRecord
 from ..persist.records import LeaseRecord
-from ..persist.store import CampaignStore
+from ..persist.sqlite_store import SqliteStore
 
 __all__ = ["Lease", "ReclaimedLease", "PoisonedChunk", "LeaseQueue"]
 
@@ -96,7 +96,7 @@ class _Unit:
 class LeaseQueue:
     """Parent-side lease manager over one campaign's chunk stream."""
 
-    def __init__(self, store: CampaignStore, campaign_id: str, *,
+    def __init__(self, store: SqliteStore, campaign_id: str, *,
                  lease_duration: float = 5.0,
                  max_attempts: int = 5,
                  backoff_base: float = 0.05,

@@ -47,7 +47,7 @@ from ..explorer.schedules import Interleaving, schedule_space
 from ..explorer.worker import ChunkTask, execute_chunk
 from ..persist.records import default_campaign_id, merge_stats
 from ..persist.session import campaign_config
-from ..persist.store import CampaignStore
+from ..persist.sqlite_store import SqliteStore
 from ..workloads.program_sets import ProgramSetSpec, resolve_program_set
 from .faults import (
     FaultPlan,
@@ -137,7 +137,7 @@ def _worker_main(worker_index: int, incarnation: int, conn,
 class CampaignRunner:
     """Supervise N leased workers until the campaign commits (or degrades)."""
 
-    def __init__(self, store: CampaignStore, spec: ProgramSetSpec, *,
+    def __init__(self, store: SqliteStore, spec: ProgramSetSpec, *,
                  levels: Sequence[IsolationLevelName] = DEFAULT_LEVELS,
                  mode: str = "auto", max_schedules: int = 1000, seed: int = 0,
                  chunk_size: int = 64,
@@ -222,7 +222,7 @@ class CampaignRunner:
             jitter_seed=self.jitter_seed)
         queue.commit_hook = commit_hook_for(self.faults.specs)
         busy_hook = busy_hook_for(self.faults.specs)
-        if busy_hook is not None and hasattr(self.store, "busy_fault_hook"):
+        if busy_hook is not None:
             self.store.busy_fault_hook = busy_hook
 
         progress = self.store.scope_progress(self.campaign_id)

@@ -558,7 +558,7 @@ def explore(spec: ProgramSetSpec,
         ``EXPLORER_BATCH_KERNEL`` environment variable (default ``"auto"``).
         Pure optimization — records are byte-identical in every mode.
     store:
-        An optional :class:`repro.persist.CampaignStore` making the run a
+        An optional :class:`repro.persist.SqliteStore` making the run a
         **persistent campaign**: every chunk of every level commits
         atomically (records + progress cursor) as its result arrives, so a
         killed run resumes from its last durable chunk — skipping the stored

@@ -17,10 +17,11 @@ What lives here:
 * :mod:`~repro.persist.records` — canonical serialization of everything a
   store persists (schedule records, memoized outcomes, classifications,
   Table 4 cells);
-* :mod:`~repro.persist.store` — the :class:`CampaignStore` abstract
-  interface and the dict-backed :class:`InMemoryStore`;
-* :mod:`~repro.persist.sqlite_store` — :class:`SqliteStore`: WAL-mode
-  SQLite with atomic chunk commits and window-function analytics;
+* :mod:`~repro.persist.store` — the store's error types and the rows its
+  queries answer with;
+* :mod:`~repro.persist.sqlite_store` — :class:`SqliteStore`, the store:
+  WAL-mode SQLite with atomic chunk commits and window-function analytics
+  (``SqliteStore(":memory:")`` for throwaway in-process runs);
 * :mod:`~repro.persist.session` — parent-side glue ``explore(store=...)``
   drives (progress cursors, chunk commits, dedupe-tier exchange);
 * :mod:`~repro.persist.analytics` — coverage/witness-edge persistence and
@@ -41,9 +42,7 @@ from .store import (
     AnomalyFrequencyRow,
     CampaignConfigMismatch,
     CampaignInfo,
-    CampaignStore,
     ConflictEdgeRow,
-    InMemoryStore,
     ScopeProgress,
     StaleLeaseError,
     StoredWitness,
@@ -51,8 +50,6 @@ from .store import (
 )
 
 __all__ = [
-    "CampaignStore",
-    "InMemoryStore",
     "SqliteStore",
     "CampaignInfo",
     "ScopeProgress",

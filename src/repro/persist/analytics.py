@@ -2,8 +2,8 @@
 
 The store's row tables make anomaly analytics *queries* instead of python
 walks (frequency over logical time, witness lookup by Table 4 cell,
-conflict-edge aggregation — see :class:`~repro.persist.store.CampaignStore`'s
-analytics methods and their SQL in :mod:`repro.persist.sqlite_store`).  This
+conflict-edge aggregation — see the analytics methods of
+:class:`~repro.persist.sqlite_store.SqliteStore` and their SQL).  This
 module is the write side and the human-facing summary:
 
 * :func:`persist_result` — after a campaign finishes, derive and store its
@@ -21,10 +21,10 @@ from typing import List, Optional, Tuple
 from ..core.dependency import build_dependency_graph
 from ..core.history import History
 from .records import LEASE_STATES, canonical_json, encode_interleaving
-from .store import CampaignStore
+from .sqlite_store import SqliteStore
 
 
-def _lease_summary(store: CampaignStore, campaign_id: str) -> Optional[dict]:
+def _lease_summary(store: SqliteStore, campaign_id: str) -> Optional[dict]:
     """Per-state lease counts and the quarantined chunk list, or ``None``.
 
     Distributed campaigns (and fault-injected ones) leave their durable
@@ -49,7 +49,7 @@ __all__ = ["persist_result", "witness_edge_rows", "campaign_summary",
            "campaign_summary_data", "fingerprint_from_store"]
 
 
-def fingerprint_from_store(store: CampaignStore, campaign_id: str) -> str:
+def fingerprint_from_store(store: SqliteStore, campaign_id: str) -> str:
     """The campaign's record fingerprint, rebuilt purely from stored rows.
 
     Byte-compatible with ``ExplorationResult.fingerprint()``: scopes are
@@ -90,7 +90,7 @@ def witness_edge_rows(report) -> List[Tuple[str, str, int, int, str,
     return rows
 
 
-def persist_result(store: CampaignStore, campaign_id: str, result,
+def persist_result(store: SqliteStore, campaign_id: str, result,
                    codes: Optional[Tuple[str, ...]] = None):
     """Derive and store a finished campaign's coverage cells and witness edges.
 
@@ -112,15 +112,15 @@ def persist_result(store: CampaignStore, campaign_id: str, result,
     return report
 
 
-def campaign_summary_data(store: CampaignStore, campaign_id: str,
+def campaign_summary_data(store: SqliteStore, campaign_id: str,
                           codes: Tuple[str, ...] = ("P1", "P2", "P3",
                                                     "A5A", "A5B"),
                           ) -> Optional[dict]:
-    """The ``inspect --json`` payload: :func:`campaign_summary` as data.
+    """The ``inspect --json`` payload, which :func:`campaign_summary` renders.
 
-    Same queries, machine-shaped: one dict per campaign with per-scope
-    progress, per-code anomaly totals and first witnesses, and the ranked
-    conflict-edge summary.  ``None`` when the campaign does not exist.
+    One dict per campaign with per-scope progress, per-code anomaly totals
+    and first witnesses, and the ranked conflict-edge summary.  ``None``
+    when the campaign does not exist.
     """
     info = store.get_campaign(campaign_id)
     if info is None:
@@ -160,41 +160,32 @@ def campaign_summary_data(store: CampaignStore, campaign_id: str,
     return payload
 
 
-def campaign_summary(store: CampaignStore, campaign_id: str,
+def campaign_summary(store: SqliteStore, campaign_id: str,
                      codes: Tuple[str, ...] = ("P1", "P2", "P3", "A5A", "A5B"),
                      ) -> str:
-    """A plain-text inspection of one campaign: progress, analytics, edges."""
-    info = store.get_campaign(campaign_id)
-    if info is None:
+    """A plain-text inspection of one campaign: :func:`campaign_summary_data`
+    rendered — progress, analytics, edges."""
+    data = campaign_summary_data(store, campaign_id, codes)
+    if data is None:
         return f"campaign {campaign_id!r}: not found"
     lines = [f"campaign {campaign_id}",
-             f"  store: {store.description()}",
-             f"  config: {canonical_json(dict(info.config))}"]
-    progress = store.scope_progress(campaign_id)
-    if not progress:
+             f"  store: {data['store']}",
+             f"  config: {canonical_json(data['config'])}"]
+    if not data["scopes"]:
         lines.append("  no progress recorded yet")
-    for scope in sorted(progress):
-        state = progress[scope]
-        status = "complete" if state.complete else f"cursor={state.cursor}"
-        lines.append(f"  [{scope}] {status}, {state.records} records")
-        for code in codes:
-            series = store.anomaly_frequency(campaign_id, scope, code)
-            total = series[-1].cumulative if series else 0
-            if not total:
-                continue
-            witness = store.witness_for(campaign_id, scope, code)
-            assert witness is not None
-            lines.append(f"    {code}: {total} witnesses over "
-                         f"{len(series)} chunks; first at schedule "
-                         f"#{witness.schedule_index}: "
-                         f"{encode_interleaving(witness.interleaving)}")
-    edges = store.conflict_edge_summary(campaign_id)
-    if edges:
+    for scope in data["scopes"]:
+        status = "complete" if scope["complete"] else f"cursor={scope['cursor']}"
+        lines.append(f"  [{scope['scope']}] {status}, {scope['records']} records")
+        for anomaly in scope["anomalies"]:
+            lines.append(f"    {anomaly['code']}: {anomaly['witnesses']} witnesses "
+                         f"over {anomaly['chunks']} chunks; first at schedule "
+                         f"#{anomaly['first_schedule']}: {anomaly['witness']}")
+    if data["conflict_edges"]:
         lines.append("  witness conflict edges (count-ranked per scope):")
-        for row in edges:
-            lines.append(f"    [{row.scope}] {row.kind}: {row.count} "
-                         f"(rank {row.rank})")
-    leases = _lease_summary(store, campaign_id)
+        for row in data["conflict_edges"]:
+            lines.append(f"    [{row['scope']}] {row['kind']}: {row['count']} "
+                         f"(rank {row['rank']})")
+    leases = data.get("leases")
     if leases is not None:
         counts = leases["counts"]
         lines.append("  chunk leases: " + ", ".join(
@@ -203,7 +194,6 @@ def campaign_summary(store: CampaignStore, campaign_id: str,
             lines.append(f"    quarantined: [{chunk['scope']}] chunk "
                          f"#{chunk['chunk_index']} after "
                          f"{chunk['attempts']} attempts")
-    certificates = store.load_certificates(campaign_id)
-    if certificates:
-        lines.append(f"  anomaly certificates: {len(certificates)}")
+    if "certificates" in data:
+        lines.append(f"  anomaly certificates: {data['certificates']}")
     return "\n".join(lines)

@@ -32,7 +32,7 @@ from ..core.isolation import IsolationLevelName
 from ..workloads.program_sets import ProgramSetSpec, available_program_sets
 from .analytics import campaign_summary, campaign_summary_data, persist_result
 from .sqlite_store import SqliteStore
-from .store import CampaignStore, StoreError
+from .store import StoreError
 
 __all__ = ["main"]
 
@@ -52,7 +52,7 @@ def _existing_store(path: str) -> SqliteStore:
 class _ThrottledStore:
     """A store proxy that sleeps per chunk commit (CI kill-window widening)."""
 
-    def __init__(self, inner: CampaignStore, delay_s: float):
+    def __init__(self, inner: SqliteStore, delay_s: float):
         self._inner = inner
         self._delay_s = delay_s
 
@@ -104,13 +104,13 @@ def _workers_from_arg(raw: str):
     return raw if raw == "auto" else int(raw)
 
 
-def _maybe_throttled(store: CampaignStore, throttle_ms: float):
+def _maybe_throttled(store: SqliteStore, throttle_ms: float):
     if throttle_ms <= 0:
         return store
     return _ThrottledStore(store, throttle_ms / 1000.0)
 
 
-def _run_explore(store: CampaignStore, spec: ProgramSetSpec,
+def _run_explore(store: SqliteStore, spec: ProgramSetSpec,
                  args: argparse.Namespace, config: Dict[str, Any],
                  campaign_id: Optional[str]) -> int:
     from ..explorer.explorer import explore
@@ -177,14 +177,14 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     store = _existing_store(args.store)
     try:
+        if args.campaign is not None and store.get_campaign(args.campaign) is None:
+            raise SystemExit(f"unknown campaign {args.campaign!r}")
         if args.json:
             if args.campaign is None:
                 payload: Any = [campaign_summary_data(store, info.campaign_id)
                                 for info in store.list_campaigns()]
             else:
                 payload = campaign_summary_data(store, args.campaign)
-                if payload is None:
-                    raise SystemExit(f"unknown campaign {args.campaign!r}")
             print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
         if args.campaign is None:

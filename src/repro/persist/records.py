@@ -1,8 +1,8 @@
 """Canonical serialization of campaign records: dataclasses ↔ stored rows.
 
-Everything a :class:`~repro.persist.store.CampaignStore` persists crosses
-through this module, in both directions, so the two backends cannot drift:
-per-schedule :class:`~repro.explorer.worker.ScheduleRecord` rows, memoized
+Everything a :class:`~repro.persist.sqlite_store.SqliteStore` persists
+crosses through this module, in both directions: per-schedule
+:class:`~repro.explorer.worker.ScheduleRecord` rows, memoized
 :class:`~repro.explorer.memo.ScheduleOutcome` entries keyed by canonical
 interleaving, shared :class:`~repro.explorer.memo.HistoryClassification`
 entries keyed by history shorthand, and measured
@@ -18,7 +18,10 @@ byte-identical coverage reports, so ``decode(encode(x)) == x`` exactly and
 ``store-records`` check and the round-trip property tests in
 ``tests/persist/test_records_roundtrip.py`` both enforce this across all
 five supported isolation levels, stalled and deadlock-aborted outcomes
-included).
+included).  Decoding is also where a hostile row is caught: malformed JSON,
+a non-integer where an integer belongs, or a phenomenon code outside the
+catalog raises ``ValueError``/``TypeError``, which the store re-raises as a
+:class:`~repro.persist.store.StoreError` naming the row's campaign and scope.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.coverage import ExploredCell
 from ..core.isolation import Possibility
+from ..core.phenomena import ALL_PHENOMENA
 from ..explorer.memo import HistoryClassification, ScheduleOutcome
 from ..explorer.schedules import Interleaving
 from ..explorer.worker import ScheduleRecord
@@ -37,14 +41,13 @@ from ..workloads.program_sets import ProgramSetSpec
 
 __all__ = [
     "RECORD_COLUMNS",
-    "OUTCOME_COLUMNS",
-    "CLASSIFICATION_COLUMNS",
     "encode_interleaving",
     "decode_interleaving",
     "encode_ints",
     "decode_ints",
     "encode_strs",
     "decode_strs",
+    "decode_codes",
     "canonical_json",
     "record_to_row",
     "record_from_row",
@@ -57,7 +60,6 @@ __all__ = [
     "cell_to_payload",
     "cell_from_payload",
     "LEASE_STATES",
-    "LEASE_COLUMNS",
     "LeaseRecord",
     "lease_to_row",
     "lease_from_row",
@@ -65,22 +67,11 @@ __all__ = [
     "config_fingerprint",
 ]
 
-#: Column order of a serialized :class:`ScheduleRecord` row (after whatever
-#: key prefix the backend adds).
+#: Column order of a serialized :class:`ScheduleRecord` row: the ``records``
+#: and ``rep_records`` columns after their key columns.
 RECORD_COLUMNS: Tuple[str, ...] = (
     "interleaving", "history", "serializable", "phenomena", "committed",
     "aborted", "blocked_events", "deadlocks", "stalled",
-)
-
-#: Column order of a serialized :class:`ScheduleOutcome` row.
-OUTCOME_COLUMNS: Tuple[str, ...] = (
-    "history", "serializable", "phenomena", "committed", "aborted",
-    "blocked_events", "deadlocks", "stalled",
-)
-
-#: Column order of a serialized :class:`HistoryClassification` row.
-CLASSIFICATION_COLUMNS: Tuple[str, ...] = (
-    "serializable", "phenomena", "committed", "aborted",
 )
 
 
@@ -118,6 +109,21 @@ def decode_strs(text: str) -> Tuple[str, ...]:
     return tuple(str(value) for value in json.loads(text))
 
 
+def decode_codes(text: str) -> Tuple[str, ...]:
+    """A stored phenomenon list; a code outside the catalog is a ValueError.
+
+    Most records manifest nothing, so the empty list skips both the JSON
+    parse and the catalog check.
+    """
+    if text == "[]":
+        return ()
+    codes = decode_strs(text)
+    unknown = [code for code in codes if code not in ALL_PHENOMENA]
+    if unknown:
+        raise ValueError(f"unknown phenomenon code(s) {unknown} in {text!r}")
+    return codes
+
+
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON: sorted keys, fixed separators, no whitespace drift."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -147,7 +153,7 @@ def record_from_row(row: Sequence) -> ScheduleRecord:
         interleaving=decode_interleaving(row[0]),
         history=row[1],
         serializable=bool(row[2]),
-        phenomena=decode_strs(row[3]),
+        phenomena=decode_codes(row[3]),
         committed=decode_ints(row[4]),
         aborted=decode_ints(row[5]),
         blocked_events=int(row[6]),
@@ -169,7 +175,8 @@ def record_from_bytes(blob: bytes) -> ScheduleRecord:
 
 
 def outcome_to_row(key: Interleaving, outcome: ScheduleOutcome) -> Tuple:
-    """``(canonical key, *OUTCOME_COLUMNS)`` for the store's outcome table."""
+    """A record row whose interleaving is the canonical key, for the store's
+    ``outcomes`` table."""
     return (
         encode_interleaving(key),
         outcome.history,
@@ -187,7 +194,7 @@ def outcome_from_row(row: Sequence) -> Tuple[Interleaving, ScheduleOutcome]:
     return decode_interleaving(row[0]), ScheduleOutcome(
         history=row[1],
         serializable=bool(row[2]),
-        phenomena=decode_strs(row[3]),
+        phenomena=decode_codes(row[3]),
         committed=decode_ints(row[4]),
         aborted=decode_ints(row[5]),
         blocked_events=int(row[6]),
@@ -201,7 +208,7 @@ def outcome_from_row(row: Sequence) -> Tuple[Interleaving, ScheduleOutcome]:
 
 def classification_to_row(shorthand: str,
                           classification: HistoryClassification) -> Tuple:
-    """``(shorthand, *CLASSIFICATION_COLUMNS)`` for the classification table."""
+    """A row of the store's ``classifications`` table."""
     return (
         shorthand,
         int(classification.serializable),
@@ -216,7 +223,7 @@ def classification_from_row(row: Sequence) -> Tuple[str, HistoryClassification]:
     return shorthand, HistoryClassification(
         shorthand=shorthand,
         serializable=bool(row[1]),
-        phenomena=decode_strs(row[2]),
+        phenomena=decode_codes(row[2]),
         committed=decode_ints(row[3]),
         aborted=decode_ints(row[4]),
     )
@@ -276,12 +283,6 @@ def cell_from_payload(payload: str) -> ExploredCell:
 #: ``poisoned`` chunks exhausted their retry budget and are quarantined.
 LEASE_STATES: Tuple[str, ...] = ("pending", "leased", "done", "poisoned")
 
-#: Column order of a serialized :class:`LeaseRecord` row (after whatever
-#: key prefix the backend adds).
-LEASE_COLUMNS: Tuple[str, ...] = (
-    "scope", "chunk_index", "state", "token", "owner", "attempts",
-)
-
 
 @dataclass(frozen=True)
 class LeaseRecord:
@@ -304,7 +305,7 @@ class LeaseRecord:
 
 
 def lease_to_row(lease: LeaseRecord) -> Tuple:
-    """A lease as a flat tuple of SQL-native scalars, in LEASE_COLUMNS order."""
+    """A lease as a row of the store's ``leases`` table, campaign omitted."""
     if lease.state not in LEASE_STATES:
         raise ValueError(f"unknown lease state {lease.state!r} "
                          f"(expected one of {LEASE_STATES})")
@@ -342,12 +343,6 @@ CERTIFICATE_CODES: Tuple[str, ...] = (
     "CYCLE",
 )
 
-#: Column order of a serialized :class:`CertificateRecord` row (after whatever
-#: key prefix the backend adds).
-CERTIFICATE_COLUMNS: Tuple[str, ...] = (
-    "stream", "seq", "code", "txns", "items", "op_index", "witness",
-)
-
 
 @dataclass(frozen=True)
 class CertificateRecord:
@@ -371,7 +366,7 @@ class CertificateRecord:
 
 
 def certificate_to_row(certificate: CertificateRecord) -> Tuple:
-    """A certificate as a flat tuple of SQL-native scalars, in CERTIFICATE_COLUMNS order."""
+    """A certificate as a row of the ``certificates`` table, campaign omitted."""
     if certificate.code not in CERTIFICATE_CODES:
         raise ValueError(f"unknown certificate code {certificate.code!r} "
                          f"(expected one of {CERTIFICATE_CODES})")
@@ -401,7 +396,6 @@ def certificate_from_row(row: Sequence) -> CertificateRecord:
 
 __all__.extend([
     "CERTIFICATE_CODES",
-    "CERTIFICATE_COLUMNS",
     "CertificateRecord",
     "certificate_to_row",
     "certificate_from_row",

@@ -1,4 +1,4 @@
-"""Parent-side glue between ``explore()`` and a :class:`CampaignStore`.
+"""Parent-side glue between ``explore()`` and a :class:`SqliteStore`.
 
 A :class:`CampaignSession` owns one campaign of one ``explore()`` call: it
 derives the canonical campaign config from the explore inputs, opens (or
@@ -30,7 +30,7 @@ from ..explorer.schedules import Interleaving
 from ..explorer.worker import ScheduleRecord, preload_outcome_entries
 from ..workloads.program_sets import ProgramSetSpec
 from .records import default_campaign_id, workload_key
-from .store import CampaignStore
+from .sqlite_store import SqliteStore
 
 __all__ = ["CampaignSession", "LevelPersistence", "campaign_config"]
 
@@ -146,7 +146,7 @@ class LevelPersistence:
 class CampaignSession:
     """One campaign of one ``explore()`` call against one store."""
 
-    def __init__(self, store: CampaignStore, spec: ProgramSetSpec,
+    def __init__(self, store: SqliteStore, spec: ProgramSetSpec,
                  config: Mapping[str, Any],
                  campaign_id: Optional[str] = None):
         self.store = store

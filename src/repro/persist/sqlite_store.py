@@ -1,4 +1,8 @@
-"""SQLite campaign store: durable chunks, WAL crash-safety, SQL analytics.
+"""The campaign store: durable chunks, WAL crash-safety, SQL analytics.
+
+:class:`SqliteStore` is the one store implementation.  A path names a
+durable store file; ``SqliteStore(":memory:")`` is the same store in
+process memory, for tests and throwaway in-process runs.
 
 The schema follows the row encodings of :mod:`repro.persist.records` —
 every collection column is canonical JSON, so the JSON1 functions
@@ -34,6 +38,13 @@ work-queue state (chunk lease state, fencing token, attempt count).  v3
 adds the ``certificates`` table: the online certifier service's anomaly
 certificates, keyed ``(campaign, stream, seq)``.  Older stores migrate in
 place — both tables are purely additive.
+
+Hostile files fail closed: a file that is not an SQLite database, a schema
+from a future build, a corrupt page, or a row that does not decode (see
+:mod:`repro.persist.records`) raises :class:`~repro.persist.store.StoreError`
+naming the file — and, for a bad row, its campaign and scope — so every CLI
+entry exits 2 with ``error: …`` instead of a traceback or a silently
+shorter report.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ import json
 import random
 import sqlite3
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterator, Mapping, Optional, Sequence,
                     Tuple, TypeVar, Union)
@@ -54,7 +66,6 @@ from .store import (
     AnomalyFrequencyRow,
     CampaignConfigMismatch,
     CampaignInfo,
-    CampaignStore,
     ConflictEdgeRow,
     ScopeProgress,
     StaleLeaseError,
@@ -207,12 +218,23 @@ INSERT INTO rep_records (campaign, scope, chunk_index, position,
 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
 """
 
-_RECORD_COLS = ("interleaving, history, serializable, phenomena, committed, "
-                "aborted, blocked_events, deadlocks, stalled")
+_RECORD_COLS = ", ".join(rec.RECORD_COLUMNS)
 
 
-class SqliteStore(CampaignStore):
-    """Campaign store on a single SQLite file (stdlib ``sqlite3``, WAL mode)."""
+#: Errors a hostile file or row raises on the way out of the store: SQLite's
+#: own (not a database, corrupt page, undecodable text, malformed JSON) and
+#: the row codec's.
+_UNREADABLE = (sqlite3.DatabaseError, ValueError, TypeError)
+
+
+class SqliteStore:
+    """Campaign persistence on one SQLite file (stdlib ``sqlite3``, WAL mode).
+
+    Guarantees: (1) ``commit_chunk`` is atomic with the cursor advance;
+    (2) chunks commit contiguously; (3) reads decode to objects equal to
+    what was written (:mod:`repro.persist.records` round-trip); (4) a file
+    or row this build cannot read raises :class:`StoreError`.
+    """
 
     def __init__(self, path: Union[str, Path],
                  synchronous: str = "NORMAL",
@@ -232,34 +254,60 @@ class SqliteStore(CampaignStore):
         self._conn = sqlite3.connect(self.path)
         self._conn.isolation_level = None      # explicit BEGIN/COMMIT below
         cur = self._conn.cursor()
-        cur.execute("PRAGMA journal_mode=WAL")
-        cur.execute(f"PRAGMA synchronous={synchronous}")
-        cur.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
-        cur.executescript(_SCHEMA)
-        cur.execute("INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", str(SCHEMA_VERSION)))
-        stored = int(cur.execute("SELECT value FROM meta WHERE key = ?",
-                                 ("schema_version",)).fetchone()[0])
-        if stored in (1, 2):
-            # v1 → v2 (leases) and v2 → v3 (certificates) are purely additive
-            # (the executescript above already created the empty tables);
-            # stamp the store in place.
-            cur.execute("UPDATE meta SET value = ? WHERE key = ?",
-                        (str(SCHEMA_VERSION), "schema_version"))
-            stored = SCHEMA_VERSION
+        try:
+            cur.execute("PRAGMA journal_mode=WAL")
+            cur.execute(f"PRAGMA synchronous={synchronous}")
+            cur.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
+            cur.executescript(_SCHEMA)
+            cur.execute("INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
+                        ("schema_version", str(SCHEMA_VERSION)))
+            stored = int(cur.execute("SELECT value FROM meta WHERE key = ?",
+                                     ("schema_version",)).fetchone()[0])
+            if stored in (1, 2):
+                # v1 → v2 (leases) and v2 → v3 (certificates) are purely
+                # additive (the executescript above already created the empty
+                # tables); stamp the store in place.
+                cur.execute("UPDATE meta SET value = ? WHERE key = ?",
+                            (str(SCHEMA_VERSION), "schema_version"))
+                stored = SCHEMA_VERSION
+        except _UNREADABLE as error:
+            self._conn.close()
+            raise StoreError(f"store {self.path!r} is not a campaign store "
+                             f"this build can open: {error}") from error
         if stored != SCHEMA_VERSION:
+            self._conn.close()
             raise StoreError(f"store {self.path!r} has schema version {stored}, "
                              f"this build expects {SCHEMA_VERSION}")
-        self._conn.commit()
+
+    # -- lifecycle --------------------------------------------------------------------
 
     def close(self) -> None:
         self._conn.close()
 
     def description(self) -> str:
+        """One-line store description for CLI output."""
         return f"SqliteStore ({self.path}, schema v{SCHEMA_VERSION})"
 
     def stats(self) -> Dict[str, int]:
+        """Write transactions and lock-contention retries so far."""
         return dict(self._stats)
+
+    @contextmanager
+    def _reading(self, campaign_id: Optional[str] = None,
+                 scope: Optional[str] = None) -> Iterator[None]:
+        """Re-raise a corrupt page or undecodable row as a :class:`StoreError`
+        naming the file and, when known, the campaign and scope read."""
+        try:
+            yield
+        except _UNREADABLE as error:
+            raise self._unreadable(error, campaign_id, scope) from error
+
+    def _unreadable(self, error: BaseException, campaign_id: Optional[str] = None,
+                    scope: Optional[str] = None) -> StoreError:
+        where = f", campaign {campaign_id!r}" if campaign_id is not None else ""
+        if scope is not None:
+            where += f", scope {scope!r}"
+        return StoreError(f"store {self.path!r} is unreadable{where}: {error}")
 
     # -- write transactions -----------------------------------------------------------
 
@@ -270,7 +318,9 @@ class SqliteStore(CampaignStore):
         reader holding the file, a checkpoint, an injected fault — are
         retried up to ``busy_retries`` times with exponential backoff and
         seeded jitter; anything else (including store-invariant errors
-        raised by ``fn`` itself) rolls back and propagates immediately.
+        raised by ``fn`` itself) rolls back and propagates immediately — a
+        corrupt page or a constraint the file's rows break as a
+        :class:`StoreError`.
         """
         attempt = 0
         while True:
@@ -291,6 +341,9 @@ class SqliteStore(CampaignStore):
                 self._stats["busy_retries"] += 1
                 delay = self._busy_backoff_s * (2 ** (attempt - 1))
                 time.sleep(delay * (0.5 + self._busy_rng.random()))
+            except sqlite3.DatabaseError as error:
+                self._rollback(cur)
+                raise self._unreadable(error) from error
             except BaseException:
                 self._rollback(cur)
                 raise
@@ -308,9 +361,16 @@ class SqliteStore(CampaignStore):
 
     def open_campaign(self, campaign_id: str,
                       config: Optional[Mapping[str, Any]] = None) -> CampaignInfo:
-        row = self._conn.execute(
-            "SELECT config FROM campaigns WHERE campaign = ?",
-            (campaign_id,)).fetchone()
+        """Create the campaign or validate ``config`` against the stored one.
+
+        Raises :class:`CampaignConfigMismatch` when the campaign exists with a
+        different config, and :class:`StoreError` when it does not exist and
+        no config was supplied.
+        """
+        with self._reading(campaign_id):
+            row = self._conn.execute(
+                "SELECT config FROM campaigns WHERE campaign = ?",
+                (campaign_id,)).fetchone()
         if row is not None:
             stored = row[0]
         else:
@@ -340,43 +400,73 @@ class SqliteStore(CampaignStore):
             raise CampaignConfigMismatch(
                 f"campaign {campaign_id!r} exists with a different config: "
                 f"stored {stored}, got {rec.canonical_json(dict(config))}")
-        return CampaignInfo(campaign_id, json.loads(stored))
+        with self._reading(campaign_id):
+            return CampaignInfo(campaign_id, json.loads(stored))
 
     def get_campaign(self, campaign_id: str) -> Optional[CampaignInfo]:
-        row = self._conn.execute("SELECT config FROM campaigns WHERE campaign = ?",
-                                 (campaign_id,)).fetchone()
-        if row is None:
-            return None
-        return CampaignInfo(campaign_id, json.loads(row[0]))
+        """The stored campaign, or ``None``."""
+        with self._reading(campaign_id):
+            row = self._conn.execute(
+                "SELECT config FROM campaigns WHERE campaign = ?",
+                (campaign_id,)).fetchone()
+            if row is None:
+                return None
+            return CampaignInfo(campaign_id, json.loads(row[0]))
 
     def list_campaigns(self) -> Tuple[CampaignInfo, ...]:
-        rows = self._conn.execute(
-            "SELECT campaign, config FROM campaigns ORDER BY seq").fetchall()
-        return tuple(CampaignInfo(cid, json.loads(cfg)) for cid, cfg in rows)
+        """Every stored campaign, in creation order."""
+        with self._reading():
+            rows = self._conn.execute(
+                "SELECT campaign, config FROM campaigns ORDER BY seq").fetchall()
+            return tuple(CampaignInfo(cid, json.loads(cfg)) for cid, cfg in rows)
 
     # -- progress ---------------------------------------------------------------------
 
     def _require_campaign(self, campaign_id: str) -> None:
-        row = self._conn.execute("SELECT 1 FROM campaigns WHERE campaign = ?",
-                                 (campaign_id,)).fetchone()
+        with self._reading(campaign_id):
+            row = self._conn.execute("SELECT 1 FROM campaigns WHERE campaign = ?",
+                                     (campaign_id,)).fetchone()
         if row is None:
             raise StoreError(f"unknown campaign {campaign_id!r}")
 
     def scope_progress(self, campaign_id: str) -> Dict[str, ScopeProgress]:
+        """Durable progress per scope (empty for a fresh campaign)."""
         self._require_campaign(campaign_id)
         out: Dict[str, ScopeProgress] = {}
-        rows = self._conn.execute(
-            "SELECT scope, cursor, records, complete, total_chunks, stats "
-            "FROM cursors WHERE campaign = ?", (campaign_id,)).fetchall()
-        for scope, cursor, count, complete, total, stats in rows:
-            out[scope] = ScopeProgress(scope, cursor, count, bool(complete), total,
-                                       json.loads(stats) if stats else {})
+        with self._reading(campaign_id):
+            rows = self._conn.execute(
+                "SELECT scope, cursor, records, complete, total_chunks, stats "
+                "FROM cursors WHERE campaign = ?", (campaign_id,)).fetchall()
+            for scope, cursor, count, complete, total, stats in rows:
+                out[scope] = ScopeProgress(scope, cursor, count, bool(complete),
+                                           total, json.loads(stats) if stats else {})
         return out
+
+    def cursor(self, campaign_id: str, scope: str) -> int:
+        """The contiguous committed-chunk high-water mark for one scope."""
+        progress = self.scope_progress(campaign_id).get(scope)
+        return progress.cursor if progress else 0
 
     def commit_chunk(self, campaign_id: str, scope: str, chunk_index: int,
                      records: Sequence[ScheduleRecord],
                      rep_records: Optional[Sequence[ScheduleRecord]] = None,
                      lease_token: Optional[int] = None) -> None:
+        """Durably commit one chunk's records and advance the cursor, atomically.
+
+        ``records`` are the assembled per-schedule records of the chunk (what
+        the exploration stream yields); ``rep_records`` are the freshly
+        executed representative records when sleep-set reduction is active
+        (needed to rebuild the executed-representative stream on resume).
+        ``chunk_index`` must equal the current cursor — chunks are committed
+        contiguously, in stream order.
+
+        When ``lease_token`` is given the commit is *fenced*: inside the same
+        transaction the chunk's lease row must be in state ``leased`` holding
+        exactly this token, else :class:`StaleLeaseError` is raised and
+        nothing lands.  On success the lease row transitions to ``done``
+        atomically with the records and the cursor, so a reclaimed-and-
+        regranted chunk can only ever be committed by the current holder.
+        """
         self._require_campaign(campaign_id)
 
         def txn(cur: sqlite3.Cursor) -> None:
@@ -428,24 +518,27 @@ class SqliteStore(CampaignStore):
 
     def load_chunk(self, campaign_id: str, scope: str, chunk_index: int,
                    ) -> Tuple[Tuple[ScheduleRecord, ...], Tuple[ScheduleRecord, ...]]:
-        row = self._conn.execute(
-            "SELECT cursor FROM cursors WHERE campaign = ? AND scope = ?",
-            (campaign_id, scope)).fetchone()
-        if row is None or chunk_index >= row[0]:
-            raise StoreError(f"chunk {chunk_index} of {campaign_id!r}/{scope!r} "
-                             f"is not committed")
-        records = tuple(rec.record_from_row(r) for r in self._conn.execute(
-            f"SELECT {_RECORD_COLS} FROM records WHERE campaign = ? AND scope = ? "
-            f"AND chunk_index = ? ORDER BY schedule_index",
-            (campaign_id, scope, chunk_index)).fetchall())
-        reps = tuple(rec.record_from_row(r) for r in self._conn.execute(
-            f"SELECT {_RECORD_COLS} FROM rep_records WHERE campaign = ? AND "
-            f"scope = ? AND chunk_index = ? ORDER BY position",
-            (campaign_id, scope, chunk_index)).fetchall())
+        """The committed chunk's (records, rep_records), decoded."""
+        with self._reading(campaign_id, scope):
+            row = self._conn.execute(
+                "SELECT cursor FROM cursors WHERE campaign = ? AND scope = ?",
+                (campaign_id, scope)).fetchone()
+            if row is None or chunk_index >= row[0]:
+                raise StoreError(f"chunk {chunk_index} of {campaign_id!r}/{scope!r} "
+                                 f"is not committed")
+            records = tuple(rec.record_from_row(r) for r in self._conn.execute(
+                f"SELECT {_RECORD_COLS} FROM records WHERE campaign = ? AND "
+                f"scope = ? AND chunk_index = ? ORDER BY schedule_index",
+                (campaign_id, scope, chunk_index)).fetchall())
+            reps = tuple(rec.record_from_row(r) for r in self._conn.execute(
+                f"SELECT {_RECORD_COLS} FROM rep_records WHERE campaign = ? AND "
+                f"scope = ? AND chunk_index = ? ORDER BY position",
+                (campaign_id, scope, chunk_index)).fetchall())
         return records, reps
 
     def mark_scope_complete(self, campaign_id: str, scope: str, total_chunks: int,
                             stats: Optional[Mapping[str, int]] = None) -> None:
+        """Record that every chunk of the scope is durably committed."""
         self._require_campaign(campaign_id)
         encoded = rec.canonical_json(dict(stats)) if stats else None
         self._write(lambda cur: cur.execute(
@@ -456,26 +549,31 @@ class SqliteStore(CampaignStore):
             (campaign_id, scope, total_chunks, encoded)))
 
     def iter_records(self, campaign_id: str, scope: str) -> Iterator[ScheduleRecord]:
-        for row in self._conn.execute(
-                f"SELECT {_RECORD_COLS} FROM records WHERE campaign = ? AND "
-                f"scope = ? ORDER BY schedule_index", (campaign_id, scope)):
-            yield rec.record_from_row(row)
+        """Every committed record of the scope, in stream order."""
+        with self._reading(campaign_id, scope):
+            for row in self._conn.execute(
+                    f"SELECT {_RECORD_COLS} FROM records WHERE campaign = ? AND "
+                    f"scope = ? ORDER BY schedule_index", (campaign_id, scope)):
+                yield rec.record_from_row(row)
 
-    # -- leases -----------------------------------------------------------------------
+    # -- leases (the distributed runner's durable work-queue state) -------------------
 
     def load_leases(self, campaign_id: str,
                     ) -> Dict[Tuple[str, int], rec.LeaseRecord]:
+        """Every stored lease of the campaign, keyed ``(scope, chunk_index)``."""
         self._require_campaign(campaign_id)
         out: Dict[Tuple[str, int], rec.LeaseRecord] = {}
-        for row in self._conn.execute(
-                "SELECT scope, chunk_index, state, token, owner, attempts "
-                "FROM leases WHERE campaign = ? ORDER BY scope, chunk_index",
-                (campaign_id,)):
-            lease = rec.lease_from_row(row)
-            out[(lease.scope, lease.chunk_index)] = lease
+        with self._reading(campaign_id):
+            for row in self._conn.execute(
+                    "SELECT scope, chunk_index, state, token, owner, attempts "
+                    "FROM leases WHERE campaign = ? ORDER BY scope, chunk_index",
+                    (campaign_id,)):
+                lease = rec.lease_from_row(row)
+                out[(lease.scope, lease.chunk_index)] = lease
         return out
 
     def put_lease(self, campaign_id: str, lease: rec.LeaseRecord) -> None:
+        """Upsert one chunk's lease row (grant, reclaim, poison, requeue)."""
         self._require_campaign(campaign_id)
         row = rec.lease_to_row(lease)
         self._write(lambda cur: cur.execute(
@@ -483,10 +581,12 @@ class SqliteStore(CampaignStore):
             "token, owner, attempts) VALUES (?, ?, ?, ?, ?, ?, ?)",
             (campaign_id,) + row))
 
-    # -- anomaly certificates ---------------------------------------------------------
+    # -- anomaly certificates (the online certifier service) --------------------------
 
     def save_certificates(self, campaign_id: str,
                           certificates: Sequence[rec.CertificateRecord]) -> int:
+        """Upsert anomaly certificates keyed ``(stream, seq)``; returns how
+        many were new.  Re-saving a stream's certificates is idempotent."""
         self._require_campaign(campaign_id)
         if not certificates:
             return 0
@@ -510,6 +610,8 @@ class SqliteStore(CampaignStore):
 
     def load_certificates(self, campaign_id: str, stream: Optional[str] = None,
                           ) -> Tuple[rec.CertificateRecord, ...]:
+        """Stored certificates (optionally one stream's), ordered by
+        ``(stream, seq)``."""
         self._require_campaign(campaign_id)
         query = ("SELECT stream, seq, code, txns, items, op_index, witness "
                  "FROM certificates WHERE campaign = ?")
@@ -518,30 +620,36 @@ class SqliteStore(CampaignStore):
             query += " AND stream = ?"
             params += (stream,)
         query += " ORDER BY stream, seq"
-        return tuple(rec.certificate_from_row(row)
-                     for row in self._conn.execute(query, params))
+        with self._reading(campaign_id):
+            return tuple(rec.certificate_from_row(row)
+                         for row in self._conn.execute(query, params))
 
     # -- dedupe tiers -----------------------------------------------------------------
 
     def load_outcomes(self, workload: str, scope: str,
                       ) -> Dict[Interleaving, ScheduleOutcome]:
+        """Memoized canonical-form outcomes for one (workload, scope)."""
         out: Dict[Interleaving, ScheduleOutcome] = {}
-        for row in self._conn.execute(
-                "SELECT key, history, serializable, phenomena, committed, aborted, "
-                "blocked_events, deadlocks, stalled FROM outcomes "
-                "WHERE workload = ? AND scope = ?", (workload, scope)):
-            key, outcome = rec.outcome_from_row(row)
-            out[key] = outcome
+        with self._reading(scope=scope):
+            for row in self._conn.execute(
+                    "SELECT key, history, serializable, phenomena, committed, "
+                    "aborted, blocked_events, deadlocks, stalled FROM outcomes "
+                    "WHERE workload = ? AND scope = ?", (workload, scope)):
+                key, outcome = rec.outcome_from_row(row)
+                out[key] = outcome
         return out
 
     def save_outcomes(self, workload: str, scope: str,
                       entries: Mapping[Interleaving, ScheduleOutcome]) -> int:
+        """Add memoized outcomes; returns how many keys were new.
+
+        An entry is a pure function of its key, so a key already stored keeps
+        its row; the cursor's rowcount is then the number of new rows, at the
+        cost of the batch and not of the table (saves come per chunk).
+        """
         if not entries:
             return 0
 
-        # An entry is a pure function of its key, so an existing row is left
-        # as it is; the cursor's rowcount is then the number of new rows, at
-        # the cost of the batch and not of the table (saves come per chunk).
         def txn(cur: sqlite3.Cursor) -> int:
             cur.executemany(
                 "INSERT OR IGNORE INTO outcomes (workload, scope, key, history, "
@@ -554,16 +662,21 @@ class SqliteStore(CampaignStore):
         return self._write(txn)
 
     def load_classifications(self) -> Dict[str, HistoryClassification]:
+        """Every stored history classification (shared across workloads)."""
         out: Dict[str, HistoryClassification] = {}
-        for row in self._conn.execute(
-                "SELECT shorthand, serializable, phenomena, committed, aborted "
-                "FROM classifications"):
-            shorthand, classification = rec.classification_from_row(row)
-            out[shorthand] = classification
+        with self._reading():
+            for row in self._conn.execute(
+                    "SELECT shorthand, serializable, phenomena, committed, aborted "
+                    "FROM classifications"):
+                shorthand, classification = rec.classification_from_row(row)
+                out[shorthand] = classification
         return out
 
     def save_classifications(self,
                              entries: Mapping[str, HistoryClassification]) -> int:
+        """Add classifications by shorthand (a pure function of its key, so an
+        existing key keeps its row, as for outcomes); returns how many were
+        new."""
         if not entries:
             return 0
 
@@ -582,6 +695,11 @@ class SqliteStore(CampaignStore):
     def save_coverage(self, campaign_id: str,
                       rows: Sequence[Tuple[str, str, int, Optional[str],
                                            Optional[str]]]) -> None:
+        """Replace the campaign's coverage cells.
+
+        Rows are ``(scope, code, witnessed, witness_interleaving,
+        witness_history)`` with the interleaving already encoded.
+        """
         self._require_campaign(campaign_id)
 
         def txn(cur: sqlite3.Cursor) -> None:
@@ -596,6 +714,11 @@ class SqliteStore(CampaignStore):
     def save_witness_edges(self, campaign_id: str,
                            rows: Sequence[Tuple[str, str, int, int, str,
                                                 Optional[str]]]) -> None:
+        """Replace the campaign's witness conflict edges.
+
+        Rows are ``(scope, code, source, target, kind, item)`` — the
+        dependency edges of each witnessed cell's witness history.
+        """
         self._require_campaign(campaign_id)
 
         def txn(cur: sqlite3.Cursor) -> None:
@@ -610,70 +733,97 @@ class SqliteStore(CampaignStore):
 
     def save_table4_cell(self, campaign_id: str, scope: str, code: str,
                          payload: str) -> None:
+        """Upsert one explored Table 4 cell (canonical JSON payload)."""
         self._require_campaign(campaign_id)
         self._write(lambda cur: cur.execute(
             "INSERT OR REPLACE INTO table4_cells (campaign, scope, code, "
             "payload) VALUES (?, ?, ?, ?)", (campaign_id, scope, code, payload)))
 
     def load_table4_cells(self, campaign_id: str) -> Dict[Tuple[str, str], str]:
-        return {(scope, code): payload for scope, code, payload in
-                self._conn.execute("SELECT scope, code, payload FROM table4_cells "
-                                   "WHERE campaign = ?", (campaign_id,))}
+        """Every stored Table 4 cell payload, keyed ``(scope, code)``."""
+        with self._reading(campaign_id):
+            return {(scope, code): payload for scope, code, payload in
+                    self._conn.execute("SELECT scope, code, payload FROM "
+                                       "table4_cells WHERE campaign = ?",
+                                       (campaign_id,))}
 
     # -- SQL analytics ----------------------------------------------------------------
 
+    def _check_phenomena(self, campaign_id: str, scope: str) -> None:
+        """Decode every distinct non-empty phenomenon list of the scope.
+
+        ``json_each`` would count a record whose list is malformed or names
+        an unknown code as witnessing nothing — a silently shorter answer.
+        Decoding the distinct lists (a handful per scope) makes such a row
+        fail the query instead.
+        """
+        for (text,) in self._conn.execute(
+                "SELECT DISTINCT phenomena FROM records WHERE campaign = ? AND "
+                "scope = ? AND phenomena != '[]'", (campaign_id, scope)):
+            rec.decode_codes(text)
+
     def anomaly_frequency(self, campaign_id: str, scope: str,
                           code: str) -> Tuple[AnomalyFrequencyRow, ...]:
-        rows = self._conn.execute(
-            """
-            SELECT chunk_index,
-                   COUNT(*) AS schedules,
-                   SUM(hit) AS witnessed,
-                   SUM(SUM(hit)) OVER (ORDER BY chunk_index
-                                       ROWS UNBOUNDED PRECEDING) AS cumulative
-            FROM (
+        """Witness counts of one phenomenon per chunk, with running totals."""
+        with self._reading(campaign_id, scope):
+            self._check_phenomena(campaign_id, scope)
+            rows = self._conn.execute(
+                """
                 SELECT chunk_index,
-                       EXISTS (SELECT 1 FROM json_each(r.phenomena) j
-                               WHERE j.value = ?) AS hit
-                FROM records r
-                WHERE r.campaign = ? AND r.scope = ?
-            )
-            GROUP BY chunk_index
-            ORDER BY chunk_index
-            """, (code, campaign_id, scope)).fetchall()
+                       COUNT(*) AS schedules,
+                       SUM(hit) AS witnessed,
+                       SUM(SUM(hit)) OVER (ORDER BY chunk_index
+                                           ROWS UNBOUNDED PRECEDING) AS cumulative
+                FROM (
+                    SELECT chunk_index,
+                           EXISTS (SELECT 1 FROM json_each(r.phenomena) j
+                                   WHERE j.value = ?) AS hit
+                    FROM records r
+                    WHERE r.campaign = ? AND r.scope = ?
+                )
+                GROUP BY chunk_index
+                ORDER BY chunk_index
+                """, (code, campaign_id, scope)).fetchall()
         return tuple(AnomalyFrequencyRow(chunk, schedules, witnessed, cumulative)
                      for chunk, schedules, witnessed, cumulative in rows)
 
     def witness_for(self, campaign_id: str, scope: str,
                     code: str) -> Optional[StoredWitness]:
-        row = self._conn.execute(
-            """
-            SELECT schedule_index, interleaving, history
-            FROM (
-                SELECT schedule_index, interleaving, history,
-                       ROW_NUMBER() OVER (ORDER BY schedule_index) AS rn
-                FROM records r
-                WHERE r.campaign = ? AND r.scope = ?
-                  AND EXISTS (SELECT 1 FROM json_each(r.phenomena) j
-                              WHERE j.value = ?)
-            )
-            WHERE rn = 1
-            """, (campaign_id, scope, code)).fetchone()
-        if row is None:
-            return None
-        index, interleaving, history = row
-        return StoredWitness(index, rec.decode_interleaving(interleaving), history)
+        """The earliest stored witness of one (scope, code) cell, if any."""
+        with self._reading(campaign_id, scope):
+            self._check_phenomena(campaign_id, scope)
+            row = self._conn.execute(
+                """
+                SELECT schedule_index, interleaving, history
+                FROM (
+                    SELECT schedule_index, interleaving, history,
+                           ROW_NUMBER() OVER (ORDER BY schedule_index) AS rn
+                    FROM records r
+                    WHERE r.campaign = ? AND r.scope = ?
+                      AND EXISTS (SELECT 1 FROM json_each(r.phenomena) j
+                                  WHERE j.value = ?)
+                )
+                WHERE rn = 1
+                """, (campaign_id, scope, code)).fetchone()
+            if row is None:
+                return None
+            index, interleaving, history = row
+            return StoredWitness(index, rec.decode_interleaving(interleaving),
+                                 history)
 
     def conflict_edge_summary(self, campaign_id: str) -> Tuple[ConflictEdgeRow, ...]:
-        rows = self._conn.execute(
-            """
-            SELECT scope, kind, COUNT(*) AS n,
-                   RANK() OVER (PARTITION BY scope
-                                ORDER BY COUNT(*) DESC) AS rnk
-            FROM witness_edges
-            WHERE campaign = ?
-            GROUP BY scope, kind
-            ORDER BY scope, rnk, kind
-            """, (campaign_id,)).fetchall()
+        """Witness conflict edges aggregated by (scope, kind), ranked per scope
+        (``RANK()``: tied counts share a rank, the next rank skips)."""
+        with self._reading(campaign_id):
+            rows = self._conn.execute(
+                """
+                SELECT scope, kind, COUNT(*) AS n,
+                       RANK() OVER (PARTITION BY scope
+                                    ORDER BY COUNT(*) DESC) AS rnk
+                FROM witness_edges
+                WHERE campaign = ?
+                GROUP BY scope, kind
+                ORDER BY scope, rnk, kind
+                """, (campaign_id,)).fetchall()
         return tuple(ConflictEdgeRow(scope, kind, n, rank)
                      for scope, kind, n, rank in rows)

@@ -13,7 +13,7 @@ first fires.
 * :mod:`repro.service.server` — the asyncio TCP server
   (:class:`CertifierServer`): JSON-lines protocol, many concurrent client
   sessions, optional certificate persistence into a
-  :class:`repro.persist.CampaignStore`.
+  :class:`repro.persist.SqliteStore`.
 * :mod:`repro.service.loadgen` — the seeded load generator: zipfian
   hotspots, bursty arrival, configurable client counts, and the
   ``anomalies/sec`` / p99-classify-latency report the ``service`` bench

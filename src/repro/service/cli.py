@@ -18,6 +18,7 @@ import signal
 import sys
 from typing import Optional, Sequence
 
+from ..persist.store import StoreError
 from .loadgen import LoadConfig, run_load, run_load_tcp
 from .server import CertifierServer
 
@@ -80,6 +81,11 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         return asyncio.run(_serve(args))
     except KeyboardInterrupt:
         return 0
+    except StoreError as error:
+        # A store file that is not a database, has a future schema, or is
+        # corrupt is a usage error, as under ``campaign`` and ``distrib``.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

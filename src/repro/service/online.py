@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 #: The certificate type is the persist-layer record — emitted instances can be
-#: committed to a CampaignStore without translation.
+#: committed to a SqliteStore without translation.
 AnomalyCertificate = CertificateRecord
 
 #: Detector codes in registry order (the verdict sorts them lexically, like

@@ -35,7 +35,7 @@ connection alive; stream errors (operations after a terminal) poison only the
 offending stream.  A line longer than :data:`MAX_LINE_BYTES` answers
 ``{"type": "error", "kind": "request", "error": "line exceeds 65536 bytes"}``
 and closes that connection — other connections and every stream stay as they
-were.  With a :class:`repro.persist.CampaignStore` attached, certificates are
+were.  With a :class:`repro.persist.SqliteStore` attached, certificates are
 committed on ``close`` under the configured campaign.
 """
 

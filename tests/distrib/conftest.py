@@ -1,10 +1,10 @@
-"""Shared fixtures: both store backends, plus a controllable clock."""
+"""Shared fixtures: an in-memory and an on-disk store, plus a controllable clock."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.persist import InMemoryStore, SqliteStore
+from repro.persist import SqliteStore
 
 
 class FakeClock:
@@ -22,9 +22,9 @@ class FakeClock:
 
 @pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
-    """One of each backend; lease-machine tests run against both."""
+    """``:memory:`` and a file; lease-machine tests run on both."""
     if request.param == "memory":
-        backing = InMemoryStore()
+        backing = SqliteStore(":memory:")
     else:
         backing = SqliteStore(tmp_path / "campaign.sqlite")
     yield backing

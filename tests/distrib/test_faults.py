@@ -18,7 +18,7 @@ from repro.distrib.runner import _worker_main
 from repro.explorer.explorer import OUTCOME_MEMO_AUTO_LIMIT
 from repro.explorer.schedules import schedule_space
 from repro.explorer.worker import ChunkTask, execute_chunk
-from repro.persist import InMemoryStore, SqliteStore, StaleLeaseError
+from repro.persist import SqliteStore, StaleLeaseError
 from repro.workloads.program_sets import ProgramSetSpec, resolve_program_set
 
 SPEC = ProgramSetSpec.make("bank-transfer")
@@ -55,7 +55,8 @@ def test_random_plans_are_pure_functions_of_seed():
 
 def test_fault_matrix_byte_identical_on_both_backends(tmp_path):
     """The acceptance gate in miniature: kills, hangs, slow commits, and
-    lock storms on both backends all reproduce the serial bytes."""
+    lock storms on an in-memory and an on-disk store all reproduce the
+    serial bytes."""
     plans = [
         FaultPlan(),                                       # control leg
         FaultPlan.parse(["kill:worker=0:ordinal=1",
@@ -65,7 +66,7 @@ def test_fault_matrix_byte_identical_on_both_backends(tmp_path):
     ]
     legs = run_fault_matrix(
         SPEC, None, plans,
-        [("memory", lambda index: InMemoryStore()),
+        [("memory", lambda index: SqliteStore(":memory:")),
          ("sqlite", lambda index: SqliteStore(tmp_path / f"m{index}.sqlite"))],
         max_schedules=120, seed=3, chunk_size=16, workers=2)
     assert len(legs) == 6

@@ -1,6 +1,6 @@
 """The lease state machine: grants, renewal, reclaim, poison, fencing.
 
-Deterministic edge tests run against both store backends on a hand-advanced
+Deterministic edge tests run on an in-memory and an on-disk store with a hand-advanced
 clock; the Hypothesis block drives one chunk through random operation
 sequences and checks the machine's invariants against a tiny model.
 """
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.distrib.queue import LeaseQueue
 from repro.explorer.worker import ScheduleRecord
-from repro.persist import InMemoryStore, StaleLeaseError
+from repro.persist import SqliteStore, StaleLeaseError
 
 from .conftest import FakeClock
 
@@ -191,7 +191,7 @@ _OPS = st.lists(
 @given(ops=_OPS, max_attempts=st.integers(min_value=1, max_value=4))
 @settings(max_examples=60, deadline=None)
 def test_single_chunk_invariants_under_random_ops(ops, max_attempts):
-    store = InMemoryStore()
+    store = SqliteStore(":memory:")
     clock = FakeClock()
     store.open_campaign(CAMPAIGN, {"spec_name": "t"})
     queue = LeaseQueue(store, CAMPAIGN, clock=clock, lease_duration=1.0,

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.coverage import coverage_report_from_store
 from repro.distrib import CampaignRunner
 from repro.distrib.faults import FaultPlan, serial_reference
-from repro.persist import InMemoryStore, SqliteStore, fingerprint_from_store
+from repro.persist import SqliteStore, fingerprint_from_store
 from repro.workloads.program_sets import ProgramSetSpec
 
 SPEC = ProgramSetSpec.make("bank-transfer")
@@ -73,7 +73,7 @@ def test_all_workers_lost_degrades_then_resume_completes(store, control):
 
 def test_worker_kill_recovers_and_measures_latency(control):
     _, fingerprint = control
-    store = InMemoryStore()
+    store = SqliteStore(":memory:")
     plan = FaultPlan.parse(["kill:worker=0:ordinal=1"])
     runner, result = _run(store, faults=plan)
     assert result.success

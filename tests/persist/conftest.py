@@ -1,17 +1,17 @@
-"""Shared fixtures: both store backends behind one parametrized fixture."""
+"""Shared fixtures: an in-memory and an on-disk store behind one fixture."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.persist import InMemoryStore, SqliteStore
+from repro.persist import SqliteStore
 
 
 @pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
-    """One of each backend; every test in this package runs against both."""
+    """``:memory:`` and a file; every test in this package runs on both."""
     if request.param == "memory":
-        backing = InMemoryStore()
+        backing = SqliteStore(":memory:")
     else:
         backing = SqliteStore(tmp_path / "campaign.sqlite")
     yield backing

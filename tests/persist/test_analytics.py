@@ -1,8 +1,9 @@
-"""SQL analytics agreement: InMemoryStore's python mirrors vs SqliteStore's SQL.
+"""The store's SQL analytics against literal expected rows.
 
-The same campaign data must yield identical anomaly-frequency series,
-witness lookups, and conflict-edge rankings from both backends — window
-functions and ``json_each`` on one side, plain python on the other.
+Window functions and ``json_each`` over a small hand-built campaign: the
+anomaly-frequency series, the earliest-witness lookup, and the
+``RANK()``-ed conflict-edge summary, each checked row by row on
+``SqliteStore(":memory:")`` and on a store file.
 """
 
 from __future__ import annotations
@@ -11,7 +12,12 @@ import pytest
 
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.explorer.worker import ScheduleRecord
-from repro.persist import InMemoryStore, SqliteStore
+from repro.persist import (
+    AnomalyFrequencyRow,
+    ConflictEdgeRow,
+    StoredWitness,
+    StoreError,
+)
 from repro.persist.analytics import campaign_summary, persist_result
 
 CONFIG = {"spec_name": "increments", "spec_params": [], "mode": "auto",
@@ -24,15 +30,6 @@ def record(index: int, codes=()) -> ScheduleRecord:
         interleaving=(1, 2, index), history=f"h{index}",
         serializable=not codes, phenomena=tuple(codes), committed=(1, 2),
         aborted=(), blocked_events=0, deadlocks=0, stalled=False)
-
-
-@pytest.fixture
-def both_stores(tmp_path):
-    memory = InMemoryStore()
-    sqlite = SqliteStore(tmp_path / "c.sqlite")
-    yield memory, sqlite
-    memory.close()
-    sqlite.close()
 
 
 def fill(store) -> None:
@@ -51,77 +48,101 @@ def fill(store) -> None:
     ])
 
 
-class TestBackendAgreement:
-    def test_anomaly_frequency_agrees(self, both_stores):
-        for store in both_stores:
-            fill(store)
-        memory, sqlite = both_stores
-        for code in ("P1", "P2", "P9"):
-            assert (memory.anomaly_frequency("c1", "scope", code)
-                    == sqlite.anomaly_frequency("c1", "scope", code))
+class TestQueries:
+    def test_anomaly_frequency_rows(self, store):
+        fill(store)
+        assert store.anomaly_frequency("c1", "scope", "P2") == (
+            AnomalyFrequencyRow(0, 3, 1, 1),
+            AnomalyFrequencyRow(1, 2, 1, 2),
+            AnomalyFrequencyRow(2, 1, 0, 2),
+        )
 
-    def test_witness_for_agrees(self, both_stores):
-        for store in both_stores:
-            fill(store)
-        memory, sqlite = both_stores
-        for code in ("P1", "P2", "P9"):
-            assert (memory.witness_for("c1", "scope", code)
-                    == sqlite.witness_for("c1", "scope", code))
+    def test_witness_for_rows(self, store):
+        fill(store)
+        assert store.witness_for("c1", "scope", "P1") == \
+            StoredWitness(1, (1, 2, 1), "h1")
+        assert store.witness_for("c1", "scope", "P2") == \
+            StoredWitness(2, (1, 2, 2), "h2")
 
-    def test_conflict_edges_agree_including_tied_ranks(self, both_stores):
-        for store in both_stores:
-            fill(store)
-        memory, sqlite = both_stores
-        rows = memory.conflict_edge_summary("c1")
-        assert rows == sqlite.conflict_edge_summary("c1")
-        by_kind = {row.kind: row for row in rows}
-        assert by_kind["rw"].rank == by_kind["ww"].rank == 1  # shared rank
-        assert by_kind["wr"].rank == 3                        # RANK skips 2
+    def test_conflict_edge_rows_with_tied_ranks(self, store):
+        fill(store)
+        assert store.conflict_edge_summary("c1") == (
+            ConflictEdgeRow("scope", "rw", 2, 1),   # tied with ww: shared rank
+            ConflictEdgeRow("scope", "ww", 2, 1),
+            ConflictEdgeRow("scope", "wr", 1, 3),   # RANK skips 2
+        )
 
 
 class TestFrequencySemantics:
-    def test_cumulative_is_a_running_total_over_chunks(self, both_stores):
-        for store in both_stores:
-            fill(store)
-        memory, _ = both_stores
-        series = memory.anomaly_frequency("c1", "scope", "P1")
+    def test_cumulative_is_a_running_total_over_chunks(self, store):
+        fill(store)
+        series = store.anomaly_frequency("c1", "scope", "P1")
         assert [(row.chunk_index, row.schedules, row.witnessed, row.cumulative)
                 for row in series] == [(0, 3, 2, 2), (1, 2, 0, 2), (2, 1, 1, 3)]
 
-    def test_witness_is_the_earliest_schedule(self, both_stores):
-        for store in both_stores:
-            fill(store)
-        memory, sqlite = both_stores
-        for store in (memory, sqlite):
-            witness = store.witness_for("c1", "scope", "P2")
-            assert witness.schedule_index == 2
-            assert witness.interleaving == (1, 2, 2)
-            assert witness.history == "h2"
+    def test_witness_is_the_earliest_schedule(self, store):
+        fill(store)
+        witness = store.witness_for("c1", "scope", "P2")
+        assert witness.schedule_index == 2
+        assert witness.interleaving == (1, 2, 2)
+        assert witness.history == "h2"
 
-    def test_unknown_code_yields_empty_series_and_no_witness(self, both_stores):
-        for store in both_stores:
-            fill(store)
-        for store in both_stores:
-            series = store.anomaly_frequency("c1", "scope", "P9")
-            assert all(row.witnessed == 0 for row in series)
-            assert store.witness_for("c1", "scope", "P9") is None
+    def test_unknown_code_yields_empty_series_and_no_witness(self, store):
+        fill(store)
+        series = store.anomaly_frequency("c1", "scope", "P9")
+        assert all(row.witnessed == 0 for row in series)
+        assert store.witness_for("c1", "scope", "P9") is None
+
+
+class TestHostileRows:
+    """A stored phenomenon list that does not decode fails the query; it is
+    never counted as witnessing nothing."""
+
+    @pytest.mark.parametrize("text", ['["P1"', '["ZZ"]', '["P1","ZZ"]'])
+    def test_bad_list_fails_closed_naming_campaign_and_scope(self, store, text):
+        fill(store)
+        store._conn.execute("UPDATE records SET phenomena = ? "
+                            "WHERE schedule_index = 1", (text,))
+        for query in (store.anomaly_frequency, store.witness_for):
+            with pytest.raises(StoreError, match="campaign 'c1', scope 'scope'"):
+                query("c1", "scope", "P2")
+        with pytest.raises(StoreError, match="campaign 'c1', scope 'scope'"):
+            list(store.iter_records("c1", "scope"))
 
 
 class TestEndToEndAnalytics:
-    """The full path: explore → persist_result → query, on both backends."""
+    """The full path: explore → persist_result → query."""
 
-    def test_campaign_summaries_agree(self, both_stores):
+    def test_campaign_summary(self, store):
         spec = ProgramSetSpec.make("increments")
-        summaries = []
-        for store in both_stores:
-            result = explore(spec, ExploreOptions(
-                max_schedules=120, chunk_size=8, store=store, campaign_id="c1"))
-            persist_result(store, "c1", result)
-            summary = campaign_summary(store, "c1")
-            summaries.append(summary.replace(store.description(), "<store>"))
-        assert summaries[0] == summaries[1]
-        assert "witness conflict edges" in summaries[0]
+        result = explore(spec, ExploreOptions(
+            max_schedules=120, chunk_size=8, store=store, campaign_id="c1"))
+        persist_result(store, "c1", result)
+        lines = campaign_summary(store, "c1").splitlines()
+        assert lines[1] == f"  store: SqliteStore ({store.path}, schema v3)"
+        del lines[1:3]                                  # store path and config
+        assert lines == [
+            "campaign c1",
+            "  [READ COMMITTED] complete, 20 records",
+            "    P2: 12 witnesses over 3 chunks; first at schedule #4: "
+            "1,2,1,1,2,2",
+            "  [READ UNCOMMITTED] complete, 20 records",
+            "    P1: 6 witnesses over 3 chunks; first at schedule #1: "
+            "1,1,2,1,2,2",
+            "    P2: 12 witnesses over 3 chunks; first at schedule #4: "
+            "1,2,1,1,2,2",
+            "  [REPEATABLE READ] complete, 20 records",
+            "  [SERIALIZABLE] complete, 20 records",
+            "  [Snapshot Isolation] complete, 20 records",
+            "    P2: 18 witnesses over 3 chunks; first at schedule #1: "
+            "1,1,2,1,2,2",
+            "  witness conflict edges (count-ranked per scope):",
+            "    [READ COMMITTED] rw: 4 (rank 1)",
+            "    [READ COMMITTED] ww: 2 (rank 2)",
+            "    [READ UNCOMMITTED] rw: 5 (rank 1)",
+            "    [READ UNCOMMITTED] ww: 3 (rank 2)",
+            "    [READ UNCOMMITTED] wr: 1 (rank 3)",
+        ]
 
-    def test_summary_of_missing_campaign(self, both_stores):
-        for store in both_stores:
-            assert "not found" in campaign_summary(store, "ghost")
+    def test_summary_of_missing_campaign(self, store):
+        assert "not found" in campaign_summary(store, "ghost")

@@ -48,6 +48,16 @@ def test_resume_unknown_campaign_fails(store_path):
         main(["resume", "--store", store_path, "--campaign", "ghost"])
 
 
+def test_inspect_unknown_campaign_fails(store_path, capsys):
+    """Text and --report inspect refuse a campaign the store lacks, as --json
+    does, instead of printing "not found" (and then a KeyError traceback)."""
+    assert main(RUN + ["--store", store_path]) == 0
+    for extra in ([], ["--report"]):
+        with pytest.raises(SystemExit, match="unknown campaign 'ghost'"):
+            main(["inspect", "--store", store_path, "--campaign", "ghost",
+                  *extra])
+
+
 def test_inspect_and_list(store_path, capsys):
     assert main(RUN + ["--store", store_path]) == 0
     capsys.readouterr()

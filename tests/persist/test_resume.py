@@ -14,7 +14,7 @@ from repro.analysis.coverage import (
     coverage_report_from_store,
 )
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore
-from repro.persist import InMemoryStore, SqliteStore
+from repro.persist import SqliteStore
 
 
 class Interrupted(RuntimeError):
@@ -164,7 +164,7 @@ class TestCrossRunDedupe:
 
 class TestParallelCampaigns:
     def test_parallel_run_matches_and_dedupes(self, baseline):
-        store = InMemoryStore()
+        store = SqliteStore(":memory:")
         first = explore(SPEC, ExploreOptions(
             workers=2, store=store, campaign_id="par", **EXPLORE_KWARGS))
         assert first.fingerprint() == baseline["none"].fingerprint()
@@ -174,7 +174,7 @@ class TestParallelCampaigns:
         assert rerun.fingerprint() == first.fingerprint()
 
     def test_serial_resume_of_parallel_campaign(self, baseline):
-        store = InMemoryStore()
+        store = SqliteStore(":memory:")
         with pytest.raises(Interrupted):
             explore(SPEC, ExploreOptions(
                 workers=2, store=InterruptingStore(store, 2),
@@ -225,8 +225,8 @@ class TestTiersAreSavedWithTheChunk:
         assert set(store.load_classifications()) == _distinct_histories(result)
         # The memo belongs to the call, not to the process: a second explore()
         # here has everything to learn again, so a new store is filled too.
-        another = (InMemoryStore() if isinstance(store, InMemoryStore)
-                   else SqliteStore(tmp_path / "another.sqlite"))
+        another = SqliteStore(":memory:" if store.path == ":memory:"
+                              else tmp_path / "another.sqlite")
         try:
             again = explore(SPEC, ExploreOptions(
                 workers=workers, store=another, campaign_id="c1", **self.OPTIONS))

@@ -1,7 +1,7 @@
 """The store contract: campaigns, cursors, atomic chunk commits, dedupe tables.
 
-Every test runs against both backends via the parametrized ``store`` fixture
-— the contract is the point, not either implementation.
+Every test runs on ``SqliteStore(":memory:")`` and on a store file via the
+parametrized ``store`` fixture.
 """
 
 from __future__ import annotations

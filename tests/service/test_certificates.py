@@ -6,7 +6,6 @@ import pytest
 
 from repro.persist import (
     CertificateRecord,
-    InMemoryStore,
     SqliteStore,
     StoreError,
 )
@@ -46,8 +45,8 @@ class TestCodec:
 class TestStores:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_save_load_round_trip(self, backend, tmp_path):
-        store = (InMemoryStore() if backend == "memory"
-                 else SqliteStore(tmp_path / "svc.db"))
+        store = SqliteStore(":memory:" if backend == "memory"
+                            else tmp_path / "svc.db")
         try:
             store.open_campaign("svc", {"kind": "service"})
             other = CertificateRecord("client-0", 0, "P1", (1, 2), ("x",),
@@ -63,7 +62,7 @@ class TestStores:
             store.close()
 
     def test_unknown_campaign_rejected(self):
-        store = InMemoryStore()
+        store = SqliteStore(":memory:")
         with pytest.raises(StoreError):
             store.save_certificates("ghost", [_FIXTURE])
         with pytest.raises(StoreError):

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.persist import InMemoryStore
+from repro.persist import SqliteStore
 from repro.service import CertifierServer, LoadConfig, generate_stream, run_load
 from repro.service.loadgen import drain_offline, run_load_tcp
 from repro.service.server import MAX_LINE_BYTES
@@ -116,7 +116,7 @@ class TestProtocol:
         _run(scenario())
 
     def test_close_persists_certificates_to_the_store(self):
-        store = InMemoryStore()
+        store = SqliteStore(":memory:")
 
         async def scenario():
             server = CertifierServer(store=store, campaign_id="svc")
