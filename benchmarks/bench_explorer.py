@@ -1,4 +1,4 @@
-"""Schedule-space explorer byte-equality gates: kernel, trie, memo, reduction.
+"""Schedule-space explorer byte-equality gates: kernel, trie, reduction, pruning.
 
 Not a paper figure.  End-to-end timing claims belong to the layered ledger
 (``BENCHMARK.json``, ``benchmarks/ledger/``); this file keeps the gates the
@@ -13,9 +13,8 @@ Hard checks enforced here:
   walk at every level it supports, with no row ejected;
 * the trie executor must produce byte-identical records to from-scratch
   execution while re-executing strictly fewer slots;
-* the schedule-outcome memo and sleep-set reduction must report *identical*
-  per-level anomaly coverage to the full run, reduction by >= 2x fewer
-  executions on a registered program set;
+* sleep-set reduction must report *identical* per-level anomaly coverage to
+  the full run, with >= 2x fewer executions on a registered program set;
 * static pruning must leave the explored Table 4 unchanged cell for cell;
 * sampling ``BENCH_EXPLORER_STREAM`` schedules must run under streaming,
   never materializing the schedule list.
@@ -264,58 +263,6 @@ def test_trie_executor_vs_from_scratch(print_report):
     assert byte_equal, "trie-executed outcomes must be byte-equal to from-scratch"
     assert stats.slots_executed < stats.slots_total, \
         "prefix sharing must save at least some slots"
-
-
-def test_schedule_outcome_memo(print_report):
-    """Outcome memo: oversampled/exhaustive streams stop re-executing
-    commutation-equivalent schedules, with coverage identical to the full run.
-    """
-    # A spec no other benchmark touches, so the per-process memo starts cold.
-    memo_spec = ProgramSetSpec.make("contention", transactions=3, items=4,
-                                    hot_items=2, operations_per_transaction=1)
-    memo_levels = (IsolationLevelName.READ_COMMITTED,
-                   IsolationLevelName.SNAPSHOT_ISOLATION)
-    budget = 5000
-    started = time.perf_counter()
-    full = explore(memo_spec, ExploreOptions(
-        levels=memo_levels, mode="sample", max_schedules=budget, seed=SEED,
-        outcome_memo=False))
-    full_time = time.perf_counter() - started
-    started = time.perf_counter()
-    memoized = explore(memo_spec, ExploreOptions(
-        levels=memo_levels, mode="sample", max_schedules=budget, seed=SEED,
-        outcome_memo=True))
-    memo_time = time.perf_counter() - started
-
-    assert coverage_mismatches(full, memoized, levels=memo_levels) == []
-    covered = memoized.total_schedules()
-    executed = memoized.executed_schedules()
-    assert executed < covered, "the memo must skip at least some executions"
-    speedup = full_time / memo_time if memo_time else float("inf")
-    _BASELINE["outcome_memo"] = {
-        "workload": memo_spec.describe(),
-        "space": memoized.space.total,
-        "covered": covered,
-        "executed": executed,
-        "reuse_ratio": round(covered / executed, 2) if executed else float("inf"),
-        "full_wall_s": round(full_time, 3),
-        "memo_wall_s": round(memo_time, 3),
-        "speedup": round(speedup, 2),
-        "coverage_matches": True,
-    }
-    print_report(
-        f"Schedule-outcome memo ({covered} schedules over a "
-        f"{memoized.space.total}-schedule space)",
-        render_table(
-            ["metric", "value"],
-            [["covered schedules", f"{covered:,}"],
-             ["executed schedules", f"{executed:,}"],
-             ["reuse ratio", f"{covered / max(1, executed):.1f}x"],
-             ["wall (no memo)", f"{full_time:.2f}s"],
-             ["wall (memo)", f"{memo_time:.2f}s"],
-             ["speedup", f"{speedup:.2f}x"]],
-        ),
-    )
 
 
 def test_reduction_ratio_and_soundness(print_report):

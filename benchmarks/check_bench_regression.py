@@ -41,7 +41,6 @@ SECTIONS: Tuple[Tuple[Tuple[str, ...], str, bool], ...] = (
      "batch kernel aggregate schedules/sec", True),
     (("trie_executor", "trie_schedules_per_sec"), "trie executor schedules/sec", False),
     (("streaming", "schedules_per_sec"), "streaming generation schedules/sec", False),
-    (("outcome_memo", "speedup"), "outcome-memo speedup", False),
     (("static_pruning", "speedup"), "static-pruning speedup", False),
 )
 

@@ -90,7 +90,7 @@ class CoverageReport:
     levels: Dict[IsolationLevelName, LevelCoverage]
     #: Caveats that would otherwise hide in stats dicts: sampling truncation
     #: (the dedupe seen-set cap was exceeded, so the sample may repeat
-    #: schedules) and statically pruned detector counts.
+    #: schedules).
     notes: Tuple[str, ...] = ()
 
     def witnessed(self, level: IsolationLevelName, code: str) -> int:
@@ -357,15 +357,6 @@ def build_coverage_report(result, codes: Optional[Sequence[str]] = None) -> Cove
             f"sampled {space.selected} of {space.total} schedules without "
             f"dedupe tracking (seen-set cap exceeded): counts may include "
             f"repeated schedules")
-    pruned_by_level = []
-    for level, exploration in result.levels.items():
-        stats = getattr(exploration, "cache_stats", None) or {}
-        count = stats.get("static_pruned_detectors", 0)
-        if count:
-            pruned_by_level.append(f"{level.value}: {count}")
-    if pruned_by_level:
-        notes.append("statically pruned detectors — " +
-                     "; ".join(pruned_by_level))
     return CoverageReport(
         spec=result.spec.describe(),
         mode=result.space.mode,
@@ -382,7 +373,6 @@ class _StoredLevel:
     """Shim matching ``LevelExploration`` structurally for report building."""
 
     records: Tuple
-    cache_stats: Dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -437,13 +427,10 @@ def coverage_report_from_store(store, campaign_id: str,
                     if level.value in progress and level not in ordered]
     else:
         ordered = [level for level in levels if level.value in progress]
-    stored_levels: Dict[IsolationLevelName, _StoredLevel] = {}
-    for level in ordered:
-        state = progress[level.value]
-        stored_levels[level] = _StoredLevel(
-            records=tuple(store.iter_records(campaign_id, level.value)),
-            cache_stats=dict(state.stats),
-        )
+    stored_levels = {
+        level: _StoredLevel(tuple(store.iter_records(campaign_id, level.value)))
+        for level in ordered
+    }
     return build_coverage_report(
         _StoredResult(spec=spec, space=space, levels=stored_levels),
         codes=codes)

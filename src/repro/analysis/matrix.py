@@ -189,17 +189,17 @@ def compute_table4_explored(levels: Sequence[IsolationLevelName] = TABLE_4_LEVEL
     mixing incompatible cells.
 
     An :class:`~repro.explorer.options.ExploreOptions` may replace the loose
-    exploration knobs (``mode``/``max_schedules``/``seed``/``reduction``/
-    ``static_pruning``); ``levels``, ``store``, and ``campaign_id`` keep
-    their own parameters because the matrix aggregates per level and manages
-    its own campaign identity.
+    exploration knobs (``mode``/``max_schedules``/``seed``/``reduction``);
+    ``levels``, ``static_pruning``, ``store``, and ``campaign_id`` keep
+    their own parameters because the matrix aggregates per level, prunes
+    whole variant spaces (which :func:`~repro.explorer.explore` never does)
+    and manages its own campaign identity.
     """
     if options is not None:
         mode = options.mode
         max_schedules = options.max_schedules
         seed = options.seed
         reduction = options.reduction
-        static_pruning = options.static_pruning
     stored_cells: Dict[Tuple[str, str], str] = {}
     if store is not None:
         from ..persist.records import cell_to_payload, config_fingerprint

@@ -30,19 +30,12 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.isolation import IsolationLevelName
-# OUTCOME_MEMO_AUTO_LIMIT: the runner must resolve the outcome memo exactly
-# like serial ``explore()`` does, or its records would differ from the
-# serial control's for small spaces.
-from ..explorer.explorer import (
-    DEFAULT_LEVELS,
-    OUTCOME_MEMO_AUTO_LIMIT,
-    _resolve_worker_count,
-)
+from ..explorer.explorer import DEFAULT_LEVELS, _resolve_worker_count
 from ..explorer.schedules import Interleaving, schedule_space
 from ..explorer.worker import ChunkTask, execute_chunk
 from ..persist.records import default_campaign_id, merge_stats
@@ -203,11 +196,6 @@ class CampaignRunner:
         space = schedule_space(programs, mode=self.mode,
                                max_schedules=self.max_schedules,
                                seed=self.seed)
-        # Same resolution rule as serial explore(outcome_memo="auto"): the
-        # memo changes which realized history a record carries (its
-        # canonical member's), so the runner must flip it exactly when the
-        # serial control would.
-        outcome_memo = space.total <= OUTCOME_MEMO_AUTO_LIMIT
         chunks: List[Tuple[int, Tuple[Interleaving, ...]]] = \
             list(space.iter_chunks(self.chunk_size))
         total_chunks = len(chunks)
@@ -264,7 +252,6 @@ class CampaignRunner:
             level = level_of[lease.scope]
             task = ChunkTask(lease.chunk_index, self.spec, level,
                              payloads[lease.chunk_index], builder,
-                             outcome_memo=outcome_memo,
                              batch_kernel=self.batch_kernel)
             try:
                 handle.conn.send(("chunk", task, lease.token))
@@ -384,8 +371,7 @@ class CampaignRunner:
                 scope = level.value
                 if scope not in already_complete:
                     self.store.mark_scope_complete(
-                        self.campaign_id, scope, total_chunks,
-                        {"static_pruned_detectors": 0})
+                        self.campaign_id, scope, total_chunks)
         stats = queue.lease_stats()
         merge_stats(stats, {f"worker_{key}": value
                             for key, value in worker_stats.items()})

@@ -15,7 +15,7 @@ The public surface:
 * :func:`explore` / :class:`ExplorationResult` — the orchestrator
   (`explorer.py`), with a hard determinism contract: output depends only on
   the spec, levels, mode, budget, seed, and reduction — never on worker
-  count.  Schedules stream lazily (O(chunk) memory), ``workers="auto"`` uses
+  count, and without reduction every record is its own schedule's execution.  Schedules stream lazily (O(chunk) memory), ``workers="auto"`` uses
   every usable core, and each process keeps one classification memo per run.
 * :mod:`~repro.explorer.schedules` — interleaving combinatorics (multinomial
   counting, exhaustive enumeration, seeded deduplicated sampling), streamed.
@@ -31,7 +31,7 @@ The public surface:
 * :mod:`~repro.explorer.worker` — the picklable chunk work units and the
   per-process state they reuse.
 * :mod:`~repro.explorer.memo` — memoized batched classification (one bounded
-  table keyed by history shorthand) and the schedule-level outcome memo.
+  table keyed by history shorthand).
 """
 
 from .explorer import (

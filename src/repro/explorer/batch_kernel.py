@@ -52,8 +52,8 @@ a stored drain is reused only where ``attempts + its delta`` stays under
 
 **Purity.**  A stored transition replays what a program's value callable
 returned the first time.  That is sound exactly where ``_TESTBED_CACHE`` and
-:class:`~repro.explorer.memo.ScheduleOutcomeMemo` are: value callables must be
-pure functions of the context they are handed.  Values that compare equal
+the sleep-set plan are: value callables must be pure functions of the context
+they are handed.  Values that compare equal
 (``1``, ``1.0``, ``True``) are one value to the table, as they already are to
 the per-step operation interning caches.  A state holding an unhashable value
 cannot be interned: it lives in the emulator's list only, its transitions are

@@ -33,11 +33,15 @@ Four scaling layers sit on the hot path:
 
 Determinism contract: the full output (every record, in order) is a pure
 function of ``(spec, levels, mode, max_schedules, seed, reduction)``.  Worker
-count, chunk size, and memo warmth only change wall-clock time, never
-results — the schedule stream is fixed by the seed before any execution,
-chunks are indexed, records are reassembled by chunk index, execution is
-byte-equal to from-scratch runs (the trie executor's contract), and
-classification is a pure function of the realized history.
+count, chunk size, batch-kernel mode, classification-memo warmth and the
+classifications an attached store already holds only change wall-clock time,
+never results — the schedule stream is fixed by the seed before any
+execution, chunks are indexed, records are reassembled by chunk index,
+execution is byte-equal to from-scratch runs (the trie executor's contract),
+and classification is a pure function of the realized history.  Without
+reduction every record is its own schedule's execution; with it, the one
+executed representative of each class is fixed by the stream, not by which
+process met the class first.
 ``ExplorationResult.fingerprint()`` hashes the record stream so tests can
 assert byte-identical serial/parallel output.
 """
@@ -54,7 +58,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.isolation import IsolationLevelName
-from ..core.phenomena import ALL_PHENOMENA
 from ..static_analysis import StaticVerdict, Verdict, analyze_programs
 from ..workloads.program_sets import ProgramSetSpec, resolve_program_set
 from .memo import BatchClassifier
@@ -81,12 +84,6 @@ __all__ = [
 
 # DEFAULT_LEVELS and REDUCTIONS are defined in .options (the consolidated
 # configuration surface) and re-exported here for their historical importers.
-
-#: ``outcome_memo="auto"`` enables the schedule-level outcome memo only for
-#: spaces at most this big: small (exhaustive or oversampled) spaces revisit
-#: commutation-equivalence classes constantly, while a sample of a huge space
-#: almost never does — there the canonicalization would be pure overhead.
-OUTCOME_MEMO_AUTO_LIMIT = 10_000
 
 
 def available_workers() -> int:
@@ -127,12 +124,11 @@ class ExplorationResult:
     chunk_size: int
     levels: Dict[IsolationLevelName, LevelExploration]
     reduction: str = "none"
-    outcome_memo: bool = False
-    #: Per-level static verdicts from the SDG pass (always attached), and
-    #: whether statically-impossible detectors were actually skipped.
+    #: Per-level static verdicts from the SDG pass, always attached: what the
+    #: program set's dependency graph proves about each detector, reported
+    #: beside the records it never changes.
     static_verdicts: Dict[IsolationLevelName, Dict[str, StaticVerdict]] = \
         dataclasses.field(default_factory=dict)
-    static_pruning: bool = False
 
     def pruned_detectors(self, level: IsolationLevelName) -> Tuple[str, ...]:
         """The detector codes statically proven impossible for one level."""
@@ -290,10 +286,8 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
                    chunks: _ChunkStreamCache, plan: Optional[_ScopePlan],
                    chunk_size: int, builder,
                    pool, classifier: Optional[BatchClassifier],
-                   outcome_memo: bool = False,
-                   codes: Optional[Tuple[str, ...]] = None,
                    batch_kernel: Optional[str] = None,
-                   persistence=None, programs=None) -> LevelExploration:
+                   persistence=None) -> LevelExploration:
     """Stream one level's chunks through execution (in-process or pooled).
 
     ``classifier`` is the run's classification memo when the chunks execute
@@ -309,14 +303,12 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
     executed, every freshly executed chunk is committed atomically as its
     result arrives — results come back in chunk-index order, so the cursor
     stays a contiguous high-water mark — together with the classifications
-    and outcomes it newly computed, and the serial dedupe tiers are
-    preloaded from the store.  The stored prefix of the stream always comes
-    before every live chunk, so loaded records land in stream order.
+    it newly computed, and the serial classification memo is preloaded from
+    the store.  The stored prefix of the stream always comes before every
+    live chunk, so loaded records land in stream order.
     """
-    if persistence is not None:
-        if classifier is not None:
-            persistence.preload_classifier(classifier)
-        persistence.preload_outcome_memo(spec, programs)
+    if persistence is not None and classifier is not None:
+        persistence.preload_classifier(classifier)
     started = time.perf_counter()
     records: List[ScheduleRecord] = []
     executed_records: List[ScheduleRecord] = []
@@ -356,7 +348,6 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
                     continue
                 order.append(("live", index))
                 yield ChunkTask(index, spec, level, chunk, builder,
-                                outcome_memo=outcome_memo, codes=codes,
                                 batch_kernel=batch_kernel,
                                 export_fresh=export_fresh)
 
@@ -378,13 +369,9 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
             if persistence is not None:
                 persistence.commit_chunk(
                     entry[1], result.records,
-                    fresh_classifications=result.fresh_classifications,
-                    fresh_outcomes=result.fresh_outcomes)
+                    fresh_classifications=result.fresh_classifications)
         drain_stored()
-        if outcome_memo:
-            executed = sum(part.get("outcome_executed", 0) for part in stats_parts)
-        else:
-            executed = len(records) - loaded_records
+        executed = len(records) - loaded_records
     else:
         plan_stream = plan.stream(chunks.iter_chunks(chunk_size))
         # The task generator advances the plan stream; assembly pulls the
@@ -401,7 +388,7 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
                 order.append(("live", index))
                 pending.append((chunk, len(chunk)))
                 yield ChunkTask(index, spec, level, fresh, builder,
-                                codes=codes, batch_kernel=batch_kernel,
+                                batch_kernel=batch_kernel,
                                 export_fresh=export_fresh)
 
         position = 0
@@ -506,9 +493,11 @@ def explore(spec: ProgramSetSpec,
         Schedules per work unit.  Affects only load balancing and streaming
         granularity.
     reduction:
-        ``"none"`` executes every schedule; ``"sleep-set"`` executes one
-        representative per commutation-equivalence class and reuses its
-        classification for the rest (see :mod:`repro.explorer.reduction`).
+        ``"none"`` executes every schedule, and every record carries the
+        history its own schedule realized.  ``"sleep-set"`` is the one
+        equivalence-class dedupe: it executes one representative per
+        commutation-equivalence class and reuses its classification for the
+        rest (see :mod:`repro.explorer.reduction`).
         Canonicalization streams chunk by chunk; at most one plan per
         terminal scope is built and replayed across the levels of that kind.
         The commutation oracle is level-aware: single-version locking levels
@@ -521,35 +510,9 @@ def explore(spec: ProgramSetSpec,
         (equivalent up to the order of commuting adjacent steps), so a
         coverage witness pair under reduction shows the class's
         representative history, not a replay of that exact interleaving.
-    outcome_memo:
-        Schedule-level outcome memoization for streams explored *without*
-        reduction: schedules are canonicalized
-        (:meth:`~repro.explorer.reduction.CommutationOracle.canonical_key`,
-        level-aware terminal scope) and each equivalence class executes its
-        canonical member exactly once per process — every other member reuses
-        the memoized outcome.  ``"auto"`` (the
-        default) enables it only when ``reduction == "none"`` and the space
-        holds at most :data:`OUTCOME_MEMO_AUTO_LIMIT` schedules — exhaustive
-        or oversampled streams, where classes are revisited constantly; a
-        sparse sample of a huge space keeps it off (the memo would never
-        hit).  Record semantics under the memo match reduction's: a record
-        keeps its own interleaving but carries its *canonical member's*
-        realized history and blocked/deadlock/stall counts.  Records stay a
-        pure function of the explore() inputs — the canonical member (never
-        the first-encountered one) is what executes, so worker count, chunk
-        size, and memo warmth cannot change any record.
-    static_pruning:
-        Skip the phenomenon detectors the static dependency graph proves
-        impossible for this program set at each level (see
-        :mod:`repro.static_analysis`).  The per-level
-        :class:`~repro.static_analysis.StaticVerdict` map is attached to the
-        result either way (``result.static_verdicts``); pruning only controls
-        whether ``IMPOSSIBLE`` detectors are actually dropped from the
-        classification pass.  Sound — a pruned detector cannot fire on any
-        history realizable at its level, so records are byte-identical with
-        pruning on or off (the fingerprint tests assert exactly this); the
-        skipped detector count is reported per level as the
-        ``static_pruned_detectors`` cache stat.
+        On an exhaustive stream the representative is the first class member
+        in lexicographic order, which is also the class's
+        :meth:`~repro.explorer.reduction.CommutationOracle.canonical_key`.
     batch_kernel:
         Batch-drain kernel mode for the executors: ``"auto"`` uses the
         transition-memoized flat kernel when the (level, workload) is
@@ -564,19 +527,18 @@ def explore(spec: ProgramSetSpec,
         killed run resumes from its last durable chunk — skipping the stored
         prefix of the stream by *loading* its records — and produces a
         byte-identical result to an uninterrupted run.  The store also backs
-        the dedupe tiers across runs and workloads: memoized canonical-form
-        outcomes (per workload+level) and history classifications (shared by
-        every workload).  Whatever a chunk newly computes of either is saved
-        with that chunk, serial and parallel alike, so the tiers hold
-        exactly what the committed chunks learned.  The serial path also
-        *preloads* both tiers, once per run, so a new campaign on a warm
-        store skips what the store already knows.  Pool workers are not
-        seeded from the store at all: the pool is created by
+        one dedupe tier across runs and workloads: history classifications
+        (keyed by shorthand, shared by every workload).  Whatever a chunk
+        newly classifies is saved with that chunk, serial and parallel
+        alike, so the tier holds exactly what the committed chunks learned.
+        The serial path also *preloads* the tier, once per run, so a new
+        campaign on a warm store skips what the store already knows.  Pool
+        workers are not seeded from the store at all: the pool is created by
         ``multiprocessing.Pool(processes=workers)`` with no initializer, and
-        the only other channel — tiers parked in module globals for ``fork``
+        the only other channel — a tier parked in module globals for ``fork``
         to copy — would make a run's cost depend on the start method.  A
         parallel run still resumes from the cursor and a re-run of a complete
-        campaign executes 0 schedules; what it gives up is the stored tiers
+        campaign executes 0 schedules; what it gives up is the stored tier
         on a *new* campaign.  Measured on the ledger's spec, seed 977 after
         seed 42 on one store, ``chunk_size=256``: 3,008 of the second
         campaign's 17,569 distinct histories (17%) are already stored; the
@@ -608,8 +570,6 @@ def explore(spec: ProgramSetSpec,
     seed = options.seed
     chunk_size = options.chunk_size
     reduction = options.reduction
-    outcome_memo = options.outcome_memo
-    static_pruning = options.static_pruning
     batch_kernel = options.batch_kernel
     store = options.store
     campaign_id = options.campaign_id
@@ -620,16 +580,6 @@ def explore(spec: ProgramSetSpec,
     database, programs = builder(**spec.kwargs())
     initial_items = _initial_items(database)
     space = schedule_space(programs, mode=mode, max_schedules=max_schedules, seed=seed)
-    if outcome_memo == "auto":
-        # Deterministic resolution: a pure function of the explore() inputs
-        # (the space is fixed by (spec, mode, max_schedules, seed)), so the
-        # determinism contract is preserved.
-        outcome_memo = reduction == "none" and space.total <= OUTCOME_MEMO_AUTO_LIMIT
-    else:
-        # Sleep-set reduction already executes one representative per class
-        # in the parent, so the memo has nothing to add there: resolve an
-        # explicit True to False so the result reports what actually ran.
-        outcome_memo = bool(outcome_memo) and reduction == "none"
 
     # The reduction plan depends on the level only through the terminal rule;
     # at most two plans are built (one per scope in use) and shared across the
@@ -648,22 +598,14 @@ def explore(spec: ProgramSetSpec,
         return plans[scope]
 
     # The static pass runs unconditionally (it is a few microseconds of set
-    # algebra over the footprints) so every result carries its verdict map;
-    # only the detector skipping is gated on ``static_pruning``.
+    # algebra over the footprints) so every result carries its verdict map.
+    # It skips no detector: one sweep computes every flag at once.
     static_verdicts: Dict[IsolationLevelName, Dict[str, StaticVerdict]] = {}
-    level_codes: Dict[IsolationLevelName, Optional[Tuple[str, ...]]] = {}
     for level in levels:
         try:
-            verdicts = analyze_programs(programs, level)
-        except KeyError:  # a level without an engine profile: never prune
-            level_codes[level] = None
+            static_verdicts[level] = analyze_programs(programs, level)
+        except KeyError:  # a level without an engine profile
             continue
-        static_verdicts[level] = verdicts
-        pruned = frozenset(code for code, verdict in verdicts.items()
-                           if verdict.verdict is Verdict.IMPOSSIBLE)
-        level_codes[level] = (
-            tuple(code for code in ALL_PHENOMENA if code not in pruned)
-            if static_pruning and pruned else None)
 
     session = None
     if store is not None:
@@ -671,20 +613,11 @@ def explore(spec: ProgramSetSpec,
         # scope, so the dependency must point one way only.
         from ..persist.session import CampaignSession, campaign_config
         session = CampaignSession(
-            store, spec,
+            store,
             campaign_config(spec, mode=mode, max_schedules=max_schedules,
                             seed=seed, reduction=reduction,
                             chunk_size=chunk_size),
             campaign_id=campaign_id)
-
-    def _persistence_for(level: IsolationLevelName, serial: bool):
-        if session is None:
-            return None
-        persistence = session.level(level, outcome_memo, serial)
-        codes = level_codes[level]
-        persistence.static_pruned = (len(ALL_PHENOMENA) - len(codes)
-                                     if codes is not None else 0)
-        return persistence
 
     chunk_cache = _ChunkStreamCache(space)
 
@@ -693,10 +626,8 @@ def explore(spec: ProgramSetSpec,
         return {
             level: _explore_level(
                 spec, level, chunk_cache, _plan_for(level), chunk_size, builder,
-                pool, classifier, outcome_memo=outcome_memo,
-                codes=level_codes[level], batch_kernel=batch_kernel,
-                persistence=_persistence_for(level, serial=pool is None),
-                programs=programs)
+                pool, classifier, batch_kernel=batch_kernel,
+                persistence=session.level(level) if session is not None else None)
             for level in levels
         }
 
@@ -709,12 +640,7 @@ def explore(spec: ProgramSetSpec,
     else:
         with multiprocessing.Pool(processes=workers) as pool:
             explorations = _run_levels(pool, None)
-    for level, exploration in explorations.items():
-        codes = level_codes[level]
-        exploration.cache_stats["static_pruned_detectors"] = (
-            len(ALL_PHENOMENA) - len(codes) if codes is not None else 0)
     return ExplorationResult(spec=spec, space=space, workers=workers,
                              chunk_size=chunk_size, levels=explorations,
-                             reduction=reduction, outcome_memo=outcome_memo,
-                             static_verdicts=static_verdicts,
-                             static_pruning=static_pruning)
+                             reduction=reduction,
+                             static_verdicts=static_verdicts)

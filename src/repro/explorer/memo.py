@@ -1,14 +1,12 @@
 """Memoized batched history classification for the schedule-space explorer.
 
-Exploring an interleaving space produces thousands of realized histories that
-are heavily redundant in two ways:
-
-* **Whole-history duplicates** — many interleavings realize the *same*
-  history (blocking collapses schedule prefixes), so classification results
-  are cached per distinct history (:class:`BatchClassifier`).
-* **Equivalent schedules** — commutation-equivalent interleavings realize
-  equivalent histories, so :class:`ScheduleOutcomeMemo` executes one
-  canonical member per equivalence class and reuses its outcome.
+Exploring an interleaving space produces thousands of realized histories, and
+many interleavings realize the *same* history (blocking collapses schedule
+prefixes), so classification results are cached per distinct history
+(:class:`BatchClassifier`).  Commutation-equivalent interleavings are a
+different redundancy, and the explorer has one answer to it: the sleep-set
+plan of :mod:`repro.explorer.reduction`, which executes one representative
+per equivalence class.
 
 A miss pays one classification pass.  A single-version history gets one
 :func:`~repro.core.phenomena.sweep` over its conflicting operation pairs, which
@@ -28,16 +26,11 @@ from ..core.history import History
 from ..core.mv_analysis import _strip_version
 from ..core.operations import Operation, OperationKind
 from ..core.phenomena import sweep
-from ..engine.programs import TransactionProgram
-from .reduction import CommutationOracle
-from .schedules import Interleaving
 
 __all__ = [
     "HistoryClassification",
     "BatchClassifier",
     "CLASSIFICATION_MEMO_CAP",
-    "ScheduleOutcome",
-    "ScheduleOutcomeMemo",
 ]
 
 
@@ -50,88 +43,6 @@ class HistoryClassification:
     phenomena: Tuple[str, ...]
     committed: Tuple[int, ...]
     aborted: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ScheduleOutcome:
-    """The full per-schedule record payload, minus the interleaving itself.
-
-    What the schedule-level outcome memo stores per equivalence class:
-    executing the class's canonical member realizes this history and
-    classification, and every member of the class shares it (the reduction
-    layer's record semantics).  Plain strings and tuples — picklable in a
-    :class:`~repro.explorer.worker.ChunkResult` and storable as a row.
-    """
-
-    history: str
-    serializable: bool
-    phenomena: Tuple[str, ...]
-    committed: Tuple[int, ...]
-    aborted: Tuple[int, ...]
-    blocked_events: int
-    deadlocks: int
-    stalled: bool
-
-
-class ScheduleOutcomeMemo:
-    """Schedule-level outcome memo keyed on the reduction layer's canonical form.
-
-    Sampled and exhaustive streams explored without ``reduction="sleep-set"``
-    re-execute commutation-equivalent schedules over and over; this memo maps
-    each schedule to the canonical member of its Mazurkiewicz equivalence
-    class (:meth:`CommutationOracle.canonical_key`) and caches the *outcome*
-    of executing that canonical member.  Every class member gets the
-    canonical member's record — byte-identical across worker counts and chunk
-    sizes because the canonical member (not the first-encountered one) is
-    what executes, making the memo deterministic by construction.
-
-    Soundness is the sleep-set reduction argument (see
-    :mod:`repro.explorer.reduction`): equivalent schedules realize equivalent
-    histories with identical classifications, and the oracle's terminal scope
-    must match the engine family (``"footprint"`` only for single-version
-    locking levels).
-    """
-
-    def __init__(self, programs: Sequence[TransactionProgram],
-                 terminal_scope: str = "component"):
-        self.oracle = CommutationOracle(programs, terminal_scope=terminal_scope)
-        self.terminal_scope = terminal_scope
-        self._outcomes: Dict[Interleaving, ScheduleOutcome] = {}
-        #: Outcomes computed since the last :meth:`drain_fresh` (drained after
-        #: every chunk whether or not a store wants them, so it never grows
-        #: past one chunk's worth).
-        self._fresh: Dict[Interleaving, ScheduleOutcome] = {}
-
-    def canonical(self, interleaving: Interleaving) -> Interleaving:
-        """The canonical member of the schedule's equivalence class."""
-        return self.oracle.canonical_key(interleaving)
-
-    def peek(self, key: Interleaving) -> Optional[ScheduleOutcome]:
-        """The memoized outcome for a canonical key, or None."""
-        return self._outcomes.get(key)
-
-    def put(self, key: Interleaving, outcome: ScheduleOutcome) -> None:
-        self._outcomes[key] = outcome
-        self._fresh[key] = outcome
-
-    def preload(self, entries: Mapping[Interleaving, ScheduleOutcome]) -> None:
-        """Seed with outcomes computed elsewhere (a campaign store's tier).
-
-        Sound because an entry is a pure function of (programs, level,
-        canonical key) — a preloaded outcome can only save an execution,
-        never change a record.
-        """
-        self._outcomes.update(entries)
-
-    def drain_fresh(self) -> Dict[Interleaving, ScheduleOutcome]:
-        """The outcomes computed here since the last drain — the memo is
-        per-process and long-lived, so each chunk takes its own."""
-        fresh = self._fresh
-        self._fresh = {}
-        return fresh
-
-    def __len__(self) -> int:
-        return len(self._outcomes)
 
 
 def _mv_classify_core(history: History,
@@ -320,9 +231,6 @@ class BatchClassifier:
     its values and versions — so an entry is the same whichever level, chunk
     or process realized the history, and entries computed elsewhere
     (:meth:`preload`) sit in the same table as the ones computed here.
-    ``codes`` only selects detectors on a miss: static pruning drops a code
-    only where no history realizable at that level exhibits it, so an entry
-    computed under one level's restricted codes is the full classification.
     One instance serves one workload: multiversion version completion reads
     ``initial_items``, so entries must not cross initial databases.
     """
@@ -339,7 +247,7 @@ class BatchClassifier:
         #: Full sweep flags keyed by the *mapped* SV history: many distinct
         #: MV histories (differing only in version subscripts / snapshot
         #: timing) map to the same single-valued history, so the sweep is
-        #: shared across them.  ``codes`` filters on read.
+        #: shared across them.
         self._mapped_flags: Dict[History, Dict[str, bool]] = {}
         self.hits = 0
         self.misses = 0
@@ -377,8 +285,7 @@ class BatchClassifier:
     def __len__(self) -> int:
         return len(self._memo)
 
-    def classify(self, history: History,
-                 codes: Optional[Sequence[str]] = None) -> HistoryClassification:
+    def classify(self, history: History) -> HistoryClassification:
         """Serializability verdict plus the phenomena present in the history.
 
         Multiversion histories (realized by the Snapshot Isolation and Read
@@ -407,13 +314,10 @@ class BatchClassifier:
                     self._mapped_flags[mapped] = flags
         else:
             serializable, flags = sweep(history)
-        selected = flags if codes is None else codes
         classification = HistoryClassification(
             shorthand=shorthand,
             serializable=serializable,
-            phenomena=tuple(sorted(
-                code for code in selected if flags[code]
-            )),
+            phenomena=tuple(sorted(code for code, fired in flags.items() if fired)),
             committed=tuple(sorted(history.committed_set())),
             aborted=tuple(sorted(history.aborted_set())),
         )

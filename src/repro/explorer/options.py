@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_LEVELS",
     "REDUCTIONS",
     "ExploreOptions",
-    "env_bool",
     "env_choice",
     "env_int",
 ]
@@ -71,21 +70,6 @@ def env_int(name: str, default: Optional[int] = None, minimum: Optional[int] = N
     return value
 
 
-def env_bool(name: str, default: Optional[bool] = None,
-             environ: Optional[Mapping[str, str]] = None) -> Optional[bool]:
-    """``$name`` as a boolean flag, or ``default`` when unset."""
-    raw = (os.environ if environ is None else environ).get(name)
-    if raw is None:
-        return default
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"{name} must be a boolean flag "
-                     f"(1/0/true/false/yes/no/on/off), got {raw!r}")
-
-
 def env_choice(name: str, choices: Sequence[str], default: Optional[str] = None,
                environ: Optional[Mapping[str, str]] = None) -> Optional[str]:
     """``$name`` as one of ``choices``, or ``default`` when unset."""
@@ -120,8 +104,6 @@ class ExploreOptions:
     workers: Union[int, str] = 1
     chunk_size: int = 64
     reduction: str = "none"
-    outcome_memo: Union[bool, str] = "auto"
-    static_pruning: bool = False
     batch_kernel: Optional[str] = None
     store: Any = field(default=None, compare=False)
     campaign_id: Optional[str] = None
@@ -144,10 +126,6 @@ class ExploreOptions:
         if self.reduction not in REDUCTIONS:
             raise ValueError(
                 f"unknown reduction {self.reduction!r}; choose from {REDUCTIONS}")
-        if not (self.outcome_memo in (True, False) or self.outcome_memo == "auto"):
-            raise ValueError(
-                f"outcome_memo must be True, False, or 'auto', "
-                f"got {self.outcome_memo!r}")
         if self.campaign_id is not None and self.store is None:
             raise ValueError("campaign_id requires a store")
 
@@ -169,8 +147,6 @@ class ExploreOptions:
             EXPLORER_WORKERS         int or "auto"
             EXPLORER_CHUNK_SIZE      int
             EXPLORER_REDUCTION       none | sleep-set
-            EXPLORER_OUTCOME_MEMO    bool flag or "auto"
-            EXPLORER_STATIC_PRUNING  bool flag
             EXPLORER_BATCH_KERNEL    auto | on | off
 
         Explicit ``overrides`` win over the environment.  Malformed values
@@ -185,8 +161,6 @@ class ExploreOptions:
             "workers": _or_auto(env_int, "EXPLORER_WORKERS", environ),
             "chunk_size": env_int("EXPLORER_CHUNK_SIZE", environ=environ),
             "reduction": environ.get("EXPLORER_REDUCTION"),
-            "outcome_memo": _or_auto(env_bool, "EXPLORER_OUTCOME_MEMO", environ),
-            "static_pruning": env_bool("EXPLORER_STATIC_PRUNING", environ=environ),
             "batch_kernel": env_choice("EXPLORER_BATCH_KERNEL", BATCH_KERNEL_MODES,
                                        environ=environ),
         }

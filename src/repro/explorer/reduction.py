@@ -94,9 +94,9 @@ def terminal_scope_for(level: IsolationLevelName) -> str:
     Single-version locking engines take the relaxed ``"footprint"`` rule;
     multiversion engines need the component-wide ``"component"`` rule because
     their commits are snapshot boundaries (see the module docstring).  The
-    single definition serves both the reduction layer and the
-    schedule-outcome memo — the two must canonicalize with the same
-    equivalence relation.
+    single definition serves the explorer's streamed plans and the Table 4
+    bridge's cached ones — both must canonicalize with the same equivalence
+    relation.
     """
     return "footprint" if is_single_version(level) else "component"
 

@@ -181,10 +181,11 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
     """Evaluate ``variant.manifests`` over its whole interleaving space.
 
     An :class:`~repro.explorer.options.ExploreOptions` may be passed instead
-    of the loose knobs; its ``mode``/``max_schedules``/``seed``/``reduction``/
-    ``static_pruning`` fields then take precedence (the level still comes
-    from the ``level`` argument — a variant exploration is per-level by
-    construction).
+    of the loose knobs; its ``mode``/``max_schedules``/``seed``/``reduction``
+    fields then take precedence (the level still comes from the ``level``
+    argument — a variant exploration is per-level by construction, and
+    ``static_pruning`` stays an argument: skipping a whole variant space is
+    this bridge's setting, not :func:`~repro.explorer.explore`'s).
 
     The space is walked by one stepwise
     :class:`~repro.explorer.trie_executor.TrieExecutor` per call: a schedule
@@ -213,7 +214,6 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
         max_schedules = options.max_schedules
         seed = options.seed
         reduction = options.reduction
-        static_pruning = options.static_pruning
     if reduction not in REDUCTIONS:
         raise ValueError(f"unknown reduction {reduction!r}; choose from {REDUCTIONS}")
     programs = variant.build_programs()
@@ -306,7 +306,7 @@ def explore_scenario(scenario: AnomalyScenario, level: IsolationLevelName,
     the verdict executing them would reach); the cell aggregation is
     unchanged.  As with :func:`explore_variant`, an
     :class:`~repro.explorer.options.ExploreOptions` may replace the loose
-    knobs.
+    space knobs; ``static_pruning`` is always this argument.
     """
     if not scenario.variants:
         raise ValueError(

@@ -19,9 +19,11 @@ count and chunk scheduling.
 ``multiprocessing.Pool`` of ``explore(workers=N)`` and the leased workers of
 :class:`repro.distrib.runner.CampaignRunner`), and it is stateless towards
 them: nothing but the task goes in and nothing but the :class:`ChunkResult`
-comes out.  What a process keeps between chunks — testbeds, outcome memos and
-the classification memo below — is a cache of pure functions of the task, so
-it can change how long a chunk takes and never what it returns.  Worker
+comes out.  What a process keeps between chunks — testbeds and the
+classification memo below — is a cache of pure functions of the task, so it
+can change how long a chunk takes and never what it returns.  Every schedule
+of a task executes: equivalence-class dedupe is the parent's sleep-set plan,
+which hands a chunk only the representatives it must run.  Worker
 processes live exactly one run, so these caches do too; nothing is exchanged
 between workers while they run.  Each worker therefore classifies a history
 the first time *it* meets it: on the ledger's 30,000-schedule stream two
@@ -30,46 +32,32 @@ computes 17,492, which costs less than moving the answers between processes
 did.
 
 With ``task.export_fresh`` (a campaign store is attached) the chunk's newly
-computed classifications and outcome-memo entries travel back in the
-:class:`ChunkResult` and the supervisor saves them with the chunk.
+computed classifications travel back in the :class:`ChunkResult` and the
+supervisor saves them with the chunk.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.isolation import IsolationLevelName
-from ..engine.programs import TransactionProgram
 from ..storage.database import Database
 from ..workloads.program_sets import ProgramSet, ProgramSetSpec, resolve_program_set
-from .memo import (
-    BatchClassifier,
-    HistoryClassification,
-    ScheduleOutcome,
-    ScheduleOutcomeMemo,
-)
+from .memo import BatchClassifier, HistoryClassification
 from .options import env_int
-from .reduction import terminal_scope_for
 from .schedules import Interleaving
 from .trie_executor import TrieExecutor
 
-__all__ = ["ChunkTask", "ScheduleRecord", "ChunkResult", "execute_chunk",
-           "preload_outcome_entries"]
+__all__ = ["ChunkTask", "ScheduleRecord", "ChunkResult", "execute_chunk"]
 
 #: Per-process testbeds, one per (spec, level, batch-kernel mode): the trie
-#: executor, the workload's initial item set (captured *before* any execution
-#: mutates the database), and the programs.  Builders are deterministic by the
+#: executor and the workload's initial item set (captured *before* any
+#: execution mutates the database).  Builders are deterministic by the
 #: explorer's contract, so a cached testbed is equivalent to a fresh build.
 _TESTBED_CACHE: Dict[Tuple[ProgramSetSpec, IsolationLevelName, Optional[str]],
-                     Tuple[TrieExecutor, Tuple[str, ...],
-                           Tuple[TransactionProgram, ...]]] = {}
-
-#: Per-process schedule-outcome memos, one per (spec, level) — the canonical
-#: form is level-scope-dependent, and outcomes are level-dependent.
-_OUTCOME_MEMO_CACHE: Dict[Tuple[ProgramSetSpec, IsolationLevelName],
-                          ScheduleOutcomeMemo] = {}
+                     Tuple[TrieExecutor, Tuple[str, ...]]] = {}
 
 #: Per-process classification memos, one per initial item set: an entry is
 #: level-independent, but multiversion version completion depends on which
@@ -96,25 +84,13 @@ class ChunkTask:
     level: IsolationLevelName
     schedules: Tuple[Interleaving, ...]
     builder: Optional[Callable[..., ProgramSet]] = None
-    #: Route the chunk through the schedule-level outcome memo: schedules are
-    #: canonicalized, only one canonical member per commutation-equivalence
-    #: class executes, and every member reuses its outcome (see
-    #: :class:`repro.explorer.memo.ScheduleOutcomeMemo`).
-    outcome_memo: bool = False
-    #: Phenomenon codes the classifier should detect; ``None`` means all.
-    #: Set by the static pruning pass, which drops the codes proven
-    #: impossible for (spec, level) — sound because a pruned code occurs in
-    #: no history realizable at this level, so restricted and full
-    #: classifications agree on every history the chunk can produce (and the
-    #: cross-level classification memo stays coherent).
-    codes: Optional[Tuple[str, ...]] = None
     #: Batch-drain kernel mode for the executor ("auto"/"on"/"off"); ``None``
     #: defers to ``EXPLORER_BATCH_KERNEL`` (default "auto").  Pure
     #: optimization — the kernel is byte-equal to the stepwise trie walk.
     batch_kernel: Optional[str] = None
-    #: Return what this chunk newly computed — classifications and, with the
-    #: outcome memo, outcomes — in the :class:`ChunkResult`, for a supervisor
-    #: that saves them to a campaign store with the chunk.
+    #: Return the classifications this chunk newly computed in the
+    #: :class:`ChunkResult`, for a supervisor that saves them to a campaign
+    #: store with the chunk.
     export_fresh: bool = False
 
 
@@ -142,11 +118,9 @@ class ChunkResult:
     #: Counters and microsecond timers of this chunk alone (deltas, not the
     #: process's running totals), so summing results gives the run's totals.
     cache_stats: Dict[str, int]
-    #: What the chunk newly computed, present only when the task set
-    #: ``export_fresh``: classifications by shorthand, and outcome-memo
-    #: entries by canonical interleaving (``None`` without the memo).
+    #: The classifications the chunk newly computed, by shorthand — present
+    #: only when the task set ``export_fresh``.
     fresh_classifications: Optional[Dict[str, HistoryClassification]] = None
-    fresh_outcomes: Optional[Dict[Interleaving, ScheduleOutcome]] = None
 
 
 def _initial_items(database: Database) -> Tuple[str, ...]:
@@ -157,17 +131,16 @@ def _initial_items(database: Database) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def _testbed_for(task: ChunkTask) -> Tuple[TrieExecutor, Tuple[str, ...],
-                                           Tuple[TransactionProgram, ...], int]:
-    """The cached (executor, initial items, programs) for a task.
+def _testbed_for(task: ChunkTask) -> Tuple[TrieExecutor, Tuple[str, ...], int]:
+    """The cached (executor, initial items) for a task.
 
-    Returns the build time in microseconds as the fourth element (0 on a
+    Returns the build time in microseconds as the third element (0 on a
     cache hit) for the benchmark's phase breakdown.
     """
     key = (task.spec, task.level, task.batch_kernel)
     cached = _TESTBED_CACHE.get(key)
     if cached is not None:
-        return cached[0], cached[1], cached[2], 0
+        return cached[0], cached[1], 0
     started = time.perf_counter()
     builder = task.builder if task.builder is not None else resolve_program_set(task.spec)
     database, programs = builder(**task.spec.kwargs())
@@ -180,40 +153,8 @@ def _testbed_for(task: ChunkTask) -> Tuple[TrieExecutor, Tuple[str, ...],
                             checkpoint_spacing=spacing,
                             batch_kernel=task.batch_kernel)
     build_us = int((time.perf_counter() - started) * 1e6)
-    programs = tuple(programs)
-    _TESTBED_CACHE[key] = (executor, items, programs)
-    return executor, items, programs, build_us
-
-
-def _outcome_memo_for(spec: ProgramSetSpec, level: IsolationLevelName,
-                      programs: Sequence[TransactionProgram]) -> ScheduleOutcomeMemo:
-    """The per-process outcome memo for (spec, level), building on first use.
-
-    The oracle's terminal scope is level-aware, exactly like the reduction
-    layer's (single-version locking levels take the relaxed ``"footprint"``
-    rule, multiversion engines the component-wide one).
-    """
-    key = (spec, level)
-    memo = _OUTCOME_MEMO_CACHE.get(key)
-    if memo is None:
-        memo = _OUTCOME_MEMO_CACHE[key] = ScheduleOutcomeMemo(
-            programs, terminal_scope=terminal_scope_for(level))
-    return memo
-
-
-def preload_outcome_entries(spec: ProgramSetSpec, level: IsolationLevelName,
-                            programs: Sequence[TransactionProgram],
-                            entries) -> int:
-    """Seed this process's outcome memo for (spec, level) with stored entries.
-
-    The campaign store's serial path runs in the parent process, where the
-    memo lives in this module's per-process cache; preloading it here lets a
-    resumed or repeated campaign answer whole equivalence classes from the
-    store without executing them.  Sound because an entry is a pure function
-    of (programs, level, canonical key).
-    """
-    _outcome_memo_for(spec, level, programs).preload(entries)
-    return len(entries)
+    _TESTBED_CACHE[key] = (executor, items)
+    return executor, items, build_us
 
 
 def execute_chunk(task: ChunkTask,
@@ -225,51 +166,24 @@ def execute_chunk(task: ChunkTask,
     caller's process; worker processes pass nothing and get the process's memo
     for the workload's initial item set, which lives as long as the worker.
 
-    With ``task.outcome_memo`` set, schedules are first canonicalized and the
-    per-process :class:`~repro.explorer.memo.ScheduleOutcomeMemo` answers
-    every schedule whose equivalence class has already executed; only one
-    canonical member per unseen class runs through the engine.  Executing the
-    *canonical* member (rather than the first-encountered one) keeps records
-    a pure function of the schedule, independent of worker count, chunking,
-    and memo warmth.
-
     Schedules are *executed* in lexicographic order — the DFS order of their
     shared-prefix trie — and the records reassembled in input order; the trie
     executor's byte-equality contract makes the two orders indistinguishable
     in the output.
     """
-    executor, initial_items, programs, build_us = _testbed_for(task)
+    executor, initial_items, build_us = _testbed_for(task)
     if classifier is None:
         classifier = _CLASSIFIER_CACHE.get(initial_items)
         if classifier is None:
             classifier = _CLASSIFIER_CACHE[initial_items] = BatchClassifier(
                 initial_items=initial_items)
     memo_before = classifier.stats
-    memo: Optional[ScheduleOutcomeMemo] = None
-    canonical_us = 0
-    executed_keys: List[Interleaving] = []
-    if task.outcome_memo:
-        memo = _outcome_memo_for(task.spec, task.level, programs)
-        started = time.perf_counter()
-        canonical = memo.canonical
-        keys = [canonical(schedule) for schedule in task.schedules]
-        seen_misses = set()
-        for key in keys:
-            if memo.peek(key) is None and key not in seen_misses:
-                seen_misses.add(key)
-                executed_keys.append(key)
-        canonical_us = int((time.perf_counter() - started) * 1e6)
-        to_execute: Sequence[Interleaving] = executed_keys
-    else:
-        keys = None
-        to_execute = task.schedules
     trie_before = executor.stats.as_dict()
     batch_before = executor.batch_stats.as_dict()
     records: List[Optional[ScheduleRecord]] = [None] * len(task.schedules)
     execute_us = 0
     classify_us = 0
-    codes = task.codes
-    batch = executor.run_batch(to_execute)
+    batch = executor.run_batch(task.schedules)
     while True:
         started = time.perf_counter()
         try:
@@ -278,56 +192,26 @@ def execute_chunk(task: ChunkTask,
             execute_us += int((time.perf_counter() - started) * 1e6)
             break
         mid = time.perf_counter()
-        classification = classifier.classify(outcome.history, codes)
+        classification = classifier.classify(outcome.history)
         ended = time.perf_counter()
         execute_us += int((mid - started) * 1e6)
         classify_us += int((ended - mid) * 1e6)
-        if memo is not None:
-            memo.put(executed_keys[index], ScheduleOutcome(
-                history=classification.shorthand,
-                serializable=classification.serializable,
-                phenomena=classification.phenomena,
-                committed=classification.committed,
-                aborted=classification.aborted,
-                blocked_events=outcome.blocked_events,
-                deadlocks=len(outcome.deadlocks),
-                stalled=outcome.stalled,
-            ))
-        else:
-            records[index] = ScheduleRecord(
-                interleaving=tuple(task.schedules[index]),
-                history=classification.shorthand,
-                serializable=classification.serializable,
-                phenomena=classification.phenomena,
-                committed=classification.committed,
-                aborted=classification.aborted,
-                blocked_events=outcome.blocked_events,
-                deadlocks=len(outcome.deadlocks),
-                stalled=outcome.stalled,
-            )
-    if memo is not None:
-        for position, key in enumerate(keys):
-            outcome_record = memo.peek(key)
-            records[position] = ScheduleRecord(
-                interleaving=tuple(task.schedules[position]),
-                history=outcome_record.history,
-                serializable=outcome_record.serializable,
-                phenomena=outcome_record.phenomena,
-                committed=outcome_record.committed,
-                aborted=outcome_record.aborted,
-                blocked_events=outcome_record.blocked_events,
-                deadlocks=outcome_record.deadlocks,
-                stalled=outcome_record.stalled,
-            )
+        records[index] = ScheduleRecord(
+            interleaving=tuple(task.schedules[index]),
+            history=classification.shorthand,
+            serializable=classification.serializable,
+            phenomena=classification.phenomena,
+            committed=classification.committed,
+            aborted=classification.aborted,
+            blocked_events=outcome.blocked_events,
+            deadlocks=len(outcome.deadlocks),
+            stalled=outcome.stalled,
+        )
     stats = {name: count - memo_before[name]
              for name, count in classifier.stats.items()}
     stats["us_testbed_build"] = build_us
     stats["us_step_execution"] = execute_us
     stats["us_classification"] = classify_us
-    if memo is not None:
-        stats["us_canonicalization"] = canonical_us
-        stats["outcome_executed"] = len(executed_keys)
-        stats["outcome_hits"] = len(task.schedules) - len(executed_keys)
     trie_after = executor.stats.as_dict()
     for name in ("slots_total", "slots_executed", "checkpoints_created", "restores"):
         stats[f"trie_{name}"] = trie_after[name] - trie_before[name]
@@ -336,12 +220,9 @@ def execute_chunk(task: ChunkTask,
                  "slots_total", "slots_executed", "transitions_reused",
                  "transitions_computed", "states"):
         stats[f"batch_{name}"] = batch_after[name] - batch_before[name]
-    # Drain unconditionally: both memos outlive the chunk, and an undrained
+    # Drain unconditionally: the memo outlives the chunk, and an undrained
     # fresh set would retain every entry twice for the life of the process.
     fresh_classifications = classifier.drain_fresh()
-    fresh_outcomes = memo.drain_fresh() if memo is not None else None
-    if not task.export_fresh:
-        fresh_classifications = fresh_outcomes = None
     return ChunkResult(task.chunk_index, tuple(records), stats,
-                       fresh_classifications=fresh_classifications,
-                       fresh_outcomes=fresh_outcomes)
+                       fresh_classifications=(fresh_classifications
+                                              if task.export_fresh else None))

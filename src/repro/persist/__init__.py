@@ -15,7 +15,7 @@ with "storage" in their nature, on opposite sides of the experiment:
 What lives here:
 
 * :mod:`~repro.persist.records` — canonical serialization of everything a
-  store persists (schedule records, memoized outcomes, classifications,
+  store persists (schedule records, classifications, leases, certificates,
   Table 4 cells);
 * :mod:`~repro.persist.store` — the store's error types and the rows its
   queries answer with;
@@ -23,7 +23,7 @@ What lives here:
   WAL-mode SQLite with atomic chunk commits and window-function analytics
   (``SqliteStore(":memory:")`` for throwaway in-process runs);
 * :mod:`~repro.persist.session` — parent-side glue ``explore(store=...)``
-  drives (progress cursors, chunk commits, dedupe-tier exchange);
+  drives (progress cursors, chunk commits, classification-tier exchange);
 * :mod:`~repro.persist.analytics` — coverage/witness-edge persistence and
   the SQL-shaped analytics front end;
 * ``cli`` — the ``python -m repro campaign`` subcommand: run, resume, and
@@ -35,7 +35,6 @@ from .records import (
     CertificateRecord,
     LeaseRecord,
     default_campaign_id,
-    workload_key,
 )
 from .sqlite_store import SqliteStore
 from .store import (
@@ -61,7 +60,6 @@ __all__ = [
     "AnomalyFrequencyRow",
     "StoredWitness",
     "ConflictEdgeRow",
-    "workload_key",
     "default_campaign_id",
     "fingerprint_from_store",
 ]

@@ -2,10 +2,9 @@
 
 Everything a :class:`~repro.persist.sqlite_store.SqliteStore` persists
 crosses through this module, in both directions: per-schedule
-:class:`~repro.explorer.worker.ScheduleRecord` rows, memoized
-:class:`~repro.explorer.memo.ScheduleOutcome` entries keyed by canonical
-interleaving, shared :class:`~repro.explorer.memo.HistoryClassification`
-entries keyed by history shorthand, and measured
+:class:`~repro.explorer.worker.ScheduleRecord` rows, shared
+:class:`~repro.explorer.memo.HistoryClassification` entries keyed by history
+shorthand, lease and certificate rows, and measured
 :class:`~repro.analysis.coverage.ExploredCell` payloads for the explored
 Table 4.
 
@@ -19,8 +18,9 @@ byte-identical coverage reports, so ``decode(encode(x)) == x`` exactly and
 ``tests/persist/test_records_roundtrip.py`` both enforce this across all
 five supported isolation levels, stalled and deadlock-aborted outcomes
 included).  Decoding is also where a hostile row is caught: malformed JSON,
-a non-integer where an integer belongs, or a phenomenon code outside the
-catalog raises ``ValueError``/``TypeError``, which the store re-raises as a
+a non-integer where an integer belongs, a phenomenon code outside the
+catalog, or a lease state outside its vocabulary raises
+``ValueError``/``TypeError``, which the store re-raises as a
 :class:`~repro.persist.store.StoreError` naming the row's campaign and scope.
 """
 
@@ -34,10 +34,9 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 from ..analysis.coverage import ExploredCell
 from ..core.isolation import Possibility
 from ..core.phenomena import ALL_PHENOMENA
-from ..explorer.memo import HistoryClassification, ScheduleOutcome
+from ..explorer.memo import HistoryClassification
 from ..explorer.schedules import Interleaving
 from ..explorer.worker import ScheduleRecord
-from ..workloads.program_sets import ProgramSetSpec
 
 __all__ = [
     "RECORD_COLUMNS",
@@ -53,8 +52,6 @@ __all__ = [
     "record_from_row",
     "record_to_bytes",
     "record_from_bytes",
-    "outcome_to_row",
-    "outcome_from_row",
     "classification_to_row",
     "classification_from_row",
     "cell_to_payload",
@@ -63,7 +60,6 @@ __all__ = [
     "LeaseRecord",
     "lease_to_row",
     "lease_from_row",
-    "workload_key",
     "config_fingerprint",
 ]
 
@@ -169,38 +165,6 @@ def record_to_bytes(record: ScheduleRecord) -> bytes:
 
 def record_from_bytes(blob: bytes) -> ScheduleRecord:
     return record_from_row(json.loads(blob.decode("utf-8")))
-
-
-# -- ScheduleOutcome (cross-run execution dedupe) -------------------------------------
-
-
-def outcome_to_row(key: Interleaving, outcome: ScheduleOutcome) -> Tuple:
-    """A record row whose interleaving is the canonical key, for the store's
-    ``outcomes`` table."""
-    return (
-        encode_interleaving(key),
-        outcome.history,
-        int(outcome.serializable),
-        encode_strs(outcome.phenomena),
-        encode_ints(outcome.committed),
-        encode_ints(outcome.aborted),
-        int(outcome.blocked_events),
-        int(outcome.deadlocks),
-        int(outcome.stalled),
-    )
-
-
-def outcome_from_row(row: Sequence) -> Tuple[Interleaving, ScheduleOutcome]:
-    return decode_interleaving(row[0]), ScheduleOutcome(
-        history=row[1],
-        serializable=bool(row[2]),
-        phenomena=decode_codes(row[3]),
-        committed=decode_ints(row[4]),
-        aborted=decode_ints(row[5]),
-        blocked_events=int(row[6]),
-        deadlocks=int(row[7]),
-        stalled=bool(row[8]),
-    )
 
 
 # -- HistoryClassification (cross-run *and* cross-workload dedupe) --------------------
@@ -320,7 +284,11 @@ def lease_to_row(lease: LeaseRecord) -> Tuple:
 
 
 def lease_from_row(row: Sequence) -> LeaseRecord:
-    """The exact lease a :func:`lease_to_row` row encodes."""
+    """The exact lease a :func:`lease_to_row` row encodes; a state outside
+    :data:`LEASE_STATES` is a ValueError, as it is on the way in."""
+    if row[2] not in LEASE_STATES:
+        raise ValueError(f"unknown lease state {row[2]!r} "
+                         f"(expected one of {LEASE_STATES})")
     return LeaseRecord(
         scope=row[0],
         chunk_index=int(row[1]),
@@ -403,16 +371,6 @@ __all__.extend([
 
 
 # -- keys -----------------------------------------------------------------------------
-
-
-def workload_key(spec: ProgramSetSpec) -> str:
-    """The cross-run dedupe key of a workload: builder name + parameters.
-
-    Registered builders are deterministic by the explorer's contract, so two
-    specs with the same key build identical programs — the precondition for
-    reusing a canonical schedule's memoized outcome across runs.
-    """
-    return f"{spec.name}|{canonical_json(dict(spec.params))}"
 
 
 def config_fingerprint(config: Mapping[str, Any]) -> str:

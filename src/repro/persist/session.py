@@ -7,11 +7,10 @@ validates) the campaign row, and hands each isolation level a
 
 * ``cursor`` — how many chunks of this scope are already durable; the level
   loop skips executing those and loads their records instead;
-* ``commit_chunk`` — the chunk's fresh classifications and outcome-memo
-  entries, then one atomic store write of its records + cursor advance;
-* ``preload_classifier`` / ``preload_outcome_memo`` — seed the serial
-  dedupe tiers from the store before the level streams (the classification
-  tier once per run: the run's memo spans levels);
+* ``commit_chunk`` — the chunk's fresh classifications, then one atomic
+  store write of its records + cursor advance;
+* ``preload_classifier`` — seed the serial classification memo from the
+  store's tier, once per run (the run's memo spans levels);
 * ``finish`` — mark the scope complete.
 
 Everything here runs in the parent process only.  Workers never see the
@@ -25,11 +24,10 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.isolation import IsolationLevelName
-from ..explorer.memo import BatchClassifier, HistoryClassification, ScheduleOutcome
-from ..explorer.schedules import Interleaving
-from ..explorer.worker import ScheduleRecord, preload_outcome_entries
+from ..explorer.memo import BatchClassifier, HistoryClassification
+from ..explorer.worker import ScheduleRecord
 from ..workloads.program_sets import ProgramSetSpec
-from .records import default_campaign_id, workload_key
+from .records import default_campaign_id
 from .sqlite_store import SqliteStore
 
 __all__ = ["CampaignSession", "LevelPersistence", "campaign_config"]
@@ -39,11 +37,13 @@ def campaign_config(spec: ProgramSetSpec, mode: str, max_schedules: int,
                     seed: int, reduction: str, chunk_size: int) -> Dict[str, Any]:
     """The canonical campaign config: every input the record stream depends on.
 
-    Deliberately excludes workers, outcome_memo, static_pruning, and
-    batch_kernel — those change wall-clock behaviour only, never records
-    (the explorer's determinism contract), so a campaign may be resumed with
-    different values for them.  ``chunk_size`` *is* included: it fixes the
-    chunk boundaries the progress cursor counts.
+    Deliberately excludes workers and batch_kernel — those change
+    wall-clock behaviour only, never records (the explorer's determinism
+    contract), so a campaign may be resumed with different values for them.
+    ``chunk_size`` *is* included: it fixes the chunk boundaries the progress
+    cursor counts.  A campaign a pre-v4 build may have written through the
+    retired schedule-outcome memo never matches this config: the store's
+    v3 → v4 migration tags its stored config with one more key.
     """
     return {
         "spec_name": spec.name,
@@ -57,20 +57,12 @@ def campaign_config(spec: ProgramSetSpec, mode: str, max_schedules: int,
 
 
 class LevelPersistence:
-    """One scope's resume cursor, chunk commits, and dedupe preloads."""
+    """One scope's resume cursor, chunk commits, and classification preload."""
 
-    def __init__(self, session: "CampaignSession", level: IsolationLevelName,
-                 outcome_memo: bool, serial: bool):
+    def __init__(self, session: "CampaignSession", level: IsolationLevelName):
         self.session = session
-        self.level = level
         self.scope = level.value
-        self.serial = serial
-        self.outcome_memo = outcome_memo
-        store = session.store
-        self.cursor = store.cursor(session.campaign_id, self.scope)
-        #: Statically pruned detector count, stored with the scope stats so
-        #: store-read coverage reports carry the same pruning note.
-        self.static_pruned = 0
+        self.cursor = session.store.cursor(session.campaign_id, self.scope)
         self.stats: Dict[str, int] = {}
         self._committed = 0
 
@@ -92,12 +84,10 @@ class LevelPersistence:
                      rep_records: Optional[Sequence[ScheduleRecord]] = None,
                      fresh_classifications: Optional[
                          Mapping[str, HistoryClassification]] = None,
-                     fresh_outcomes: Optional[Mapping[Interleaving,
-                                                      ScheduleOutcome]] = None,
                      ) -> None:
-        """Save what the chunk newly computed, then commit the chunk.
+        """Save the chunk's new classifications, then commit the chunk.
 
-        Tiers first: a kill between the writes then leaves a tier entry whose
+        Tier first: a kill between the writes then leaves a tier entry whose
         chunk re-executes (harmless), never a committed chunk whose histories
         the tier lacks — resume loads that chunk and would not classify it
         again.
@@ -105,8 +95,6 @@ class LevelPersistence:
         store = self.session.store
         if fresh_classifications:
             store.save_classifications(fresh_classifications)
-        if fresh_outcomes:
-            store.save_outcomes(self.session.workload, self.scope, fresh_outcomes)
         store.commit_chunk(self.session.campaign_id, self.scope, chunk_index,
                            records, rep_records)
         self._committed += 1
@@ -116,12 +104,10 @@ class LevelPersistence:
 
     def finish(self, total_chunks: int) -> None:
         """Mark the scope durably complete."""
-        stats = dict(self.stats)
-        stats["static_pruned_detectors"] = self.static_pruned
         self.session.store.mark_scope_complete(
-            self.session.campaign_id, self.scope, total_chunks, stats)
+            self.session.campaign_id, self.scope, total_chunks, self.stats)
 
-    # -- dedupe preloads ---------------------------------------------------------------
+    # -- dedupe preload ----------------------------------------------------------------
 
     def preload_classifier(self, classifier: BatchClassifier) -> None:
         """Seed the run's memo from the stored tier, on the run's first level."""
@@ -133,33 +119,20 @@ class LevelPersistence:
             self.stats["store_classifications_preloaded"] = \
                 classifier.preload(stored)
 
-    def preload_outcome_memo(self, spec: ProgramSetSpec, programs) -> None:
-        """Seed the parent-process outcome memo from the store (serial path)."""
-        if not (self.serial and self.outcome_memo):
-            return
-        stored = self.session.store.load_outcomes(self.session.workload, self.scope)
-        if stored:
-            preload_outcome_entries(spec, self.level, programs, stored)
-            self.stats["store_outcomes_preloaded"] = len(stored)
-
 
 class CampaignSession:
     """One campaign of one ``explore()`` call against one store."""
 
-    def __init__(self, store: SqliteStore, spec: ProgramSetSpec,
-                 config: Mapping[str, Any],
+    def __init__(self, store: SqliteStore, config: Mapping[str, Any],
                  campaign_id: Optional[str] = None):
         self.store = store
-        self.spec = spec
         self.config = dict(config)
         self.campaign_id = campaign_id or default_campaign_id(self.config)
-        self.workload = workload_key(spec)
         store.open_campaign(self.campaign_id, self.config)
         #: The classification tier is loaded into the run's memo once, by the
         #: first level; the memo then carries it (and everything learned
         #: since) through the remaining levels.
         self.classifier_preloaded = False
 
-    def level(self, level: IsolationLevelName, outcome_memo: bool,
-              serial: bool) -> LevelPersistence:
-        return LevelPersistence(self, level, outcome_memo, serial)
+    def level(self, level: IsolationLevelName) -> LevelPersistence:
+        return LevelPersistence(self, level)

@@ -36,8 +36,15 @@ injection harness can force transient lock errors beneath the wrapper via
 Schema v2 adds the ``leases`` table: the distributed runner's durable
 work-queue state (chunk lease state, fencing token, attempt count).  v3
 adds the ``certificates`` table: the online certifier service's anomaly
-certificates, keyed ``(campaign, stream, seq)``.  Older stores migrate in
-place — both tables are purely additive.
+certificates, keyed ``(campaign, stream, seq)``.  v4 drops the ``outcomes``
+table of the retired schedule-outcome memo from new stores.  Older stores
+migrate in place, in one transaction: the v2 and v3 tables are purely
+additive, and v4 marks every explore or distributed campaign run with
+``reduction: "none"`` as memo-era (:func:`_mark_memo_era`), because a build
+before v4 may have written its records through the memo.  Resuming such a
+campaign then raises :class:`~repro.persist.store.CampaignConfigMismatch`
+instead of mixing memo records with records that each carry their own
+schedule's history.
 
 Hostile files fail closed: a file that is not an SQLite database, a schema
 from a future build, a corrupt page, or a row that does not decode (see
@@ -58,8 +65,7 @@ from pathlib import Path
 from typing import (Any, Callable, Dict, Iterator, Mapping, Optional, Sequence,
                     Tuple, TypeVar, Union)
 
-from ..explorer.memo import HistoryClassification, ScheduleOutcome
-from ..explorer.schedules import Interleaving
+from ..explorer.memo import HistoryClassification
 from ..explorer.worker import ScheduleRecord
 from . import records as rec
 from .store import (
@@ -75,7 +81,7 @@ from .store import (
 
 __all__ = ["SqliteStore", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _T = TypeVar("_T")
 
@@ -132,20 +138,6 @@ CREATE TABLE IF NOT EXISTS rep_records (
     deadlocks      INTEGER NOT NULL,
     stalled        INTEGER NOT NULL,
     PRIMARY KEY (campaign, scope, chunk_index, position)
-);
-CREATE TABLE IF NOT EXISTS outcomes (
-    workload       TEXT NOT NULL,
-    scope          TEXT NOT NULL,
-    key            TEXT NOT NULL,
-    history        TEXT NOT NULL,
-    serializable   INTEGER NOT NULL,
-    phenomena      TEXT NOT NULL,
-    committed      TEXT NOT NULL,
-    aborted        TEXT NOT NULL,
-    blocked_events INTEGER NOT NULL,
-    deadlocks      INTEGER NOT NULL,
-    stalled        INTEGER NOT NULL,
-    PRIMARY KEY (workload, scope, key)
 );
 CREATE TABLE IF NOT EXISTS classifications (
     shorthand    TEXT PRIMARY KEY,
@@ -227,6 +219,28 @@ _RECORD_COLS = ", ".join(rec.RECORD_COLUMNS)
 _UNREADABLE = (sqlite3.DatabaseError, ValueError, TypeError)
 
 
+def _mark_memo_era(cur: sqlite3.Cursor) -> None:
+    """The v3 → v4 migration: tag campaigns a pre-v4 build may have written
+    through the schedule-outcome memo.
+
+    That memo was on by default for every ``reduction: "none"`` explore or
+    distributed campaign whose space held at most 10,000 schedules, and it
+    stored another schedule's history in most records.  The space size is not
+    in the config, so every such campaign is tagged: adding
+    ``"outcome_memo": "auto"`` makes its config differ from any this build
+    writes.  Table 4 campaigns (``"kind": "table4-explored"``) and sleep-set
+    campaigns never used the memo and are left untouched.
+    """
+    for campaign, config in cur.execute(
+            "SELECT campaign, config FROM campaigns").fetchall():
+        decoded = json.loads(config)
+        if (isinstance(decoded, dict) and decoded.get("reduction") == "none"
+                and decoded.get("kind") != "table4-explored"):
+            decoded["outcome_memo"] = "auto"
+            cur.execute("UPDATE campaigns SET config = ? WHERE campaign = ?",
+                        (rec.canonical_json(decoded), campaign))
+
+
 class SqliteStore:
     """Campaign persistence on one SQLite file (stdlib ``sqlite3``, WAL mode).
 
@@ -263,12 +277,16 @@ class SqliteStore:
                         ("schema_version", str(SCHEMA_VERSION)))
             stored = int(cur.execute("SELECT value FROM meta WHERE key = ?",
                                      ("schema_version",)).fetchone()[0])
-            if stored in (1, 2):
+            if stored in (1, 2, 3):
                 # v1 → v2 (leases) and v2 → v3 (certificates) are purely
                 # additive (the executescript above already created the empty
-                # tables); stamp the store in place.
+                # tables); v3 → v4 tags memo-era campaigns.  One transaction,
+                # stamp included, so a kill leaves the file at its old version.
+                cur.execute("BEGIN IMMEDIATE")
+                _mark_memo_era(cur)
                 cur.execute("UPDATE meta SET value = ? WHERE key = ?",
                             (str(SCHEMA_VERSION), "schema_version"))
+                cur.execute("COMMIT")
                 stored = SCHEMA_VERSION
         except _UNREADABLE as error:
             self._conn.close()
@@ -624,42 +642,7 @@ class SqliteStore:
             return tuple(rec.certificate_from_row(row)
                          for row in self._conn.execute(query, params))
 
-    # -- dedupe tiers -----------------------------------------------------------------
-
-    def load_outcomes(self, workload: str, scope: str,
-                      ) -> Dict[Interleaving, ScheduleOutcome]:
-        """Memoized canonical-form outcomes for one (workload, scope)."""
-        out: Dict[Interleaving, ScheduleOutcome] = {}
-        with self._reading(scope=scope):
-            for row in self._conn.execute(
-                    "SELECT key, history, serializable, phenomena, committed, "
-                    "aborted, blocked_events, deadlocks, stalled FROM outcomes "
-                    "WHERE workload = ? AND scope = ?", (workload, scope)):
-                key, outcome = rec.outcome_from_row(row)
-                out[key] = outcome
-        return out
-
-    def save_outcomes(self, workload: str, scope: str,
-                      entries: Mapping[Interleaving, ScheduleOutcome]) -> int:
-        """Add memoized outcomes; returns how many keys were new.
-
-        An entry is a pure function of its key, so a key already stored keeps
-        its row; the cursor's rowcount is then the number of new rows, at the
-        cost of the batch and not of the table (saves come per chunk).
-        """
-        if not entries:
-            return 0
-
-        def txn(cur: sqlite3.Cursor) -> int:
-            cur.executemany(
-                "INSERT OR IGNORE INTO outcomes (workload, scope, key, history, "
-                "serializable, phenomena, committed, aborted, blocked_events, "
-                "deadlocks, stalled) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                [(workload, scope) + rec.outcome_to_row(key, outcome)
-                 for key, outcome in entries.items()])
-            return cur.rowcount
-
-        return self._write(txn)
+    # -- the classification tier ------------------------------------------------------
 
     def load_classifications(self) -> Dict[str, HistoryClassification]:
         """Every stored history classification (shared across workloads)."""
@@ -674,9 +657,12 @@ class SqliteStore:
 
     def save_classifications(self,
                              entries: Mapping[str, HistoryClassification]) -> int:
-        """Add classifications by shorthand (a pure function of its key, so an
-        existing key keeps its row, as for outcomes); returns how many were
-        new."""
+        """Add classifications by shorthand; returns how many keys were new.
+
+        An entry is a pure function of its key, so a key already stored keeps
+        its row; the cursor's rowcount is then the number of new rows, at the
+        cost of the batch and not of the table (saves come per chunk).
+        """
         if not entries:
             return 0
 

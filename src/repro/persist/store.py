@@ -15,9 +15,9 @@ persists five kinds of state:
 * **schedule records** — every realized :class:`ScheduleRecord`, row per
   schedule, queryable by the SQL analytics layer and reloadable chunk by
   chunk for byte-identical resume;
-* **dedupe tiers** — memoized canonical-form outcomes (keyed by workload)
-  and history classifications (keyed by shorthand, shared across
-  workloads), the cross-run extension of the in-process memo;
+* **the classification tier** — history classifications keyed by shorthand
+  and shared across workloads, the cross-run extension of the in-process
+  classification memo (the store's one dedupe tier);
 * **derived artifacts** — coverage cells, witness conflict edges, and
   explored Table 4 cells, written once a campaign completes.
 

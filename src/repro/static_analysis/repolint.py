@@ -30,7 +30,7 @@ contracts honest, and none of them is expressible in a generic linter:
   (:mod:`repro.persist.records`) is canonical and lossless:
   ``decode(encode(x)) == x`` exactly, encoding is a pure function, and
   every row element is an SQL-native scalar, across representative
-  schedule records, memoized outcomes, classifications, and Table 4 cells
+  schedule records, classifications, and Table 4 cells
   (stalled and deadlock-aborted shapes included).  This is the invariant
   that makes resumed campaigns byte-identical to uninterrupted ones.
 * **lease-records** (runtime) — the distributed runner's lease rows obey
@@ -304,7 +304,7 @@ def _store_record_fixtures():
     """Representative campaign-store payloads, worst cases included."""
     from ..analysis.coverage import ExploredCell
     from ..core.isolation import Possibility
-    from ..explorer.memo import HistoryClassification, ScheduleOutcome
+    from ..explorer.memo import HistoryClassification
     from ..explorer.worker import ScheduleRecord
 
     records = [
@@ -315,9 +315,6 @@ def _store_record_fixtures():
         ScheduleRecord((10, 11, 10), "w10[x] r11[x]", False, ("P1",),
                        (), (10, 11), 3, 0, True),         # stalled, 2-digit txns
     ]
-    outcomes = [ScheduleOutcome(r.history, r.serializable, r.phenomena,
-                                r.committed, r.aborted, r.blocked_events,
-                                r.deadlocks, r.stalled) for r in records]
     classification = HistoryClassification(
         shorthand="w1[x] c1", serializable=True, phenomena=(),
         committed=(1,), aborted=())
@@ -326,7 +323,7 @@ def _store_record_fixtures():
         manifested=3, stalled=1, witness=("variant-a", (1, 2, 1), "r1[x] w2[x]"),
         variant_frequencies=(("variant-a", 0.5), ("variant-b", 0.0)),
         pruned_variants=1, static_reasons=(("variant-c", "no rw edge"),))
-    return records, outcomes, classification, cell
+    return records, classification, cell
 
 
 def lint_store_records() -> List[Violation]:
@@ -335,7 +332,7 @@ def lint_store_records() -> List[Violation]:
     The persist layer's determinism contract: ``decode(encode(x)) == x``
     exactly, ``encode`` is a pure function (same input → same row twice),
     and every row element is an SQL-native scalar — for schedule records,
-    memoized outcomes, shared classifications, and explored Table 4 cells,
+    shared classifications, and explored Table 4 cells,
     including stalled and deadlock-aborted shapes.  A breach here is the bug
     that makes a resumed campaign's coverage report drift from the
     uninterrupted one.
@@ -371,17 +368,13 @@ def lint_store_records() -> List[Violation]:
                 "store-records", where, 0,
                 f"{kind} does not round-trip: {value!r} -> {decoded!r}"))
 
-    records, outcomes, classification, cell = _store_record_fixtures()
+    records, classification, cell = _store_record_fixtures()
     for record in records:
         check("ScheduleRecord", record, rec.record_to_row, rec.record_from_row)
         if rec.record_from_bytes(rec.record_to_bytes(record)) != record:
             violations.append(Violation(
                 "store-records", where, 0,
                 f"ScheduleRecord bytes round-trip fails for {record!r}"))
-    for outcome in outcomes:
-        check("ScheduleOutcome", outcome,
-              lambda value: rec.outcome_to_row((1, 2, 1), value),
-              lambda row: rec.outcome_from_row(row)[1])
     check("HistoryClassification", classification,
           lambda value: rec.classification_to_row(value.shorthand, value),
           lambda row: rec.classification_from_row(row)[1])

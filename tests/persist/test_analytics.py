@@ -119,7 +119,7 @@ class TestEndToEndAnalytics:
             max_schedules=120, chunk_size=8, store=store, campaign_id="c1"))
         persist_result(store, "c1", result)
         lines = campaign_summary(store, "c1").splitlines()
-        assert lines[1] == f"  store: SqliteStore ({store.path}, schema v3)"
+        assert lines[1] == f"  store: SqliteStore ({store.path}, schema v4)"
         del lines[1:3]                                  # store path and config
         assert lines == [
             "campaign c1",

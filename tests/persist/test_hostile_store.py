@@ -1,8 +1,9 @@
 """Hostile store files fail closed at every CLI entry.
 
-A finished small campaign file is mutated — truncated, byte-flipped inside
-a record's JSON column, stamped with a future schema version, given an
-unknown phenomenon code, or replaced by junk — and every entry that opens
+A finished small distributed campaign file is mutated — truncated,
+byte-flipped inside a record's JSON column, stamped with a future schema
+version, given an unknown phenomenon code or lease state, or replaced by
+junk — and every entry that opens
 a store is called in-process on it: ``campaign run / resume / inspect
 [--report] / list``, ``distrib verify`` and ``serve --store``.  Each call
 must either exit 2 with a named ``error:`` on stderr, or exit 0 with output
@@ -86,10 +87,15 @@ def _call(entry: str, path: str):
 
 @pytest.fixture(scope="module")
 def finished(tmp_path_factory):
-    """A finished ``increments`` campaign file and every entry's output on it."""
+    """A finished ``increments`` campaign file and every entry's output on it.
+
+    Run distributed, so the file holds lease rows as well as records.
+    """
     root = tmp_path_factory.mktemp("hostile")
     base = str(root / "base.sqlite")
-    assert _call("run", base)[0] == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert distrib_main(["run", "--store", base, "--workers", "1",
+                             *FLAGS]) == 0
     expected = {}
     for entry in ENTRIES:
         copy = str(root / "reference.sqlite")
@@ -143,6 +149,13 @@ def _mutate(kind: str, path: str, data) -> None:
                             label="version")
         _sql(path, "UPDATE meta SET value = ? WHERE key = 'schema_version'",
              str(version))
+    elif kind == "lease state":
+        conn = sqlite3.connect(path)
+        rowids = [rowid for (rowid,) in conn.execute(
+            "SELECT rowid FROM leases ORDER BY rowid")]
+        conn.close()
+        _sql(path, "UPDATE leases SET state = 'zombie' WHERE rowid = ?",
+             data.draw(st.sampled_from(rowids), label="lease"))
     elif kind == "unknown code":
         rowid, phenomena, _, _ = data.draw(st.sampled_from(_record_rows(path)),
                                            label="row")
@@ -160,7 +173,7 @@ def _mutate(kind: str, path: str, data) -> None:
 
 
 @pytest.mark.parametrize("kind", ["truncate", "flip", "schema",
-                                  "unknown code", "junk"])
+                                  "unknown code", "lease state", "junk"])
 @settings(max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -249,3 +262,11 @@ def test_an_unknown_phenomenon_code_is_rejected(campaign_file, capsys):
                           "c1", "--report"]) == 2
     err = capsys.readouterr().err
     assert "unknown phenomenon code" in err and "campaign 'c1'" in err
+
+
+def test_an_unknown_lease_state_is_rejected(campaign_file, capsys):
+    _sql(campaign_file, "UPDATE leases SET state = 'zombie' WHERE rowid = 1")
+    assert campaign_main(["inspect", "--store", campaign_file,
+                          "--campaign", "c1"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown lease state 'zombie'" in err and "campaign 'c1'" in err

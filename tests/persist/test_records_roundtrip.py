@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.explorer.explorer import DEFAULT_LEVELS
-from repro.explorer.memo import HistoryClassification, ScheduleOutcome
+from repro.explorer.memo import HistoryClassification
 from repro.explorer.worker import ScheduleRecord
 from repro.persist import records as rec
 
@@ -44,15 +44,6 @@ def schedule_records(draw) -> ScheduleRecord:
     )
 
 
-@st.composite
-def schedule_outcomes(draw) -> ScheduleOutcome:
-    record = draw(schedule_records())
-    return ScheduleOutcome(record.history, record.serializable,
-                           record.phenomena, record.committed, record.aborted,
-                           record.blocked_events, record.deadlocks,
-                           record.stalled)
-
-
 class TestGeneratedPayloads:
     @COMMON_SETTINGS
     @given(schedule_records())
@@ -68,14 +59,6 @@ class TestGeneratedPayloads:
         blob = rec.record_to_bytes(record)
         assert rec.record_from_bytes(blob) == record
         assert rec.record_to_bytes(record) == blob
-
-    @COMMON_SETTINGS
-    @given(interleavings, schedule_outcomes())
-    def test_outcome_row_round_trips(self, key, outcome):
-        row = rec.outcome_to_row(key, outcome)
-        decoded_key, decoded = rec.outcome_from_row(row)
-        assert decoded_key == key
-        assert decoded == outcome
 
     @COMMON_SETTINGS
     @given(histories, st.booleans(), phenomena, int_tuples, int_tuples)

@@ -125,28 +125,11 @@ class TestCrossRunDedupe:
         assert rerun.fingerprint() == first.fingerprint()
         assert rerun.fingerprint() == baseline["none"].fingerprint()
 
-    def test_fresh_campaign_reuses_stored_outcome_memo(self, store):
-        # Hermetic: the process-global memo would otherwise supply every hit
-        # itself, leaving the store with nothing to prove.
-        from repro.explorer.worker import _OUTCOME_MEMO_CACHE
-        _OUTCOME_MEMO_CACHE.clear()
-        explore(SPEC, ExploreOptions(store=store, campaign_id="c1", **EXPLORE_KWARGS))
-        assert store.load_classifications()
-        _OUTCOME_MEMO_CACHE.clear()
-        second = explore(SPEC, ExploreOptions(
-            store=store, campaign_id="c2", **EXPLORE_KWARGS))
-        stats = second.levels[next(iter(second.levels))].cache_stats
-        assert stats.get("store_classifications_preloaded", 0) > 0
-        assert stats.get("store_outcomes_preloaded", 0) > 0
-
     def test_cross_workload_classification_dedupe(self, store):
-        from repro.explorer.worker import _OUTCOME_MEMO_CACHE
-        _OUTCOME_MEMO_CACHE.clear()
         explore(SPEC, ExploreOptions(store=store, campaign_id="c1", **EXPLORE_KWARGS))
         stored = set(store.load_classifications())
         assert stored
         other = ProgramSetSpec.make("contention")
-        _OUTCOME_MEMO_CACHE.clear()
         result = explore(other, ExploreOptions(
             store=store, campaign_id="c2", **EXPLORE_KWARGS))
         stats = result.levels[next(iter(result.levels))].cache_stats
@@ -185,7 +168,8 @@ class TestParallelCampaigns:
 
 
 class SaveCountingStore:
-    """Proxy that records how many rows each dedupe-tier save was handed."""
+    """Proxy that records how many rows each classification-tier save was
+    handed."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -209,19 +193,15 @@ def _distinct_histories(result):
 
 
 class TestTiersAreSavedWithTheChunk:
-    """Whatever a chunk newly computed is saved with that chunk — serial and
-    parallel alike — so the tiers hold exactly what the committed chunks
+    """Whatever a chunk newly classified is saved with that chunk — serial
+    and parallel alike — so the tier holds exactly what the committed chunks
     learned, whichever process learned it."""
-
-    #: No outcome memo: every schedule executes and is classified, so the
-    #: process-global outcome cache of an earlier test cannot empty the run.
-    OPTIONS = dict(outcome_memo=False, **EXPLORE_KWARGS)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_classification_rows_equal_distinct_histories(self, store, workers,
                                                           tmp_path):
         result = explore(SPEC, ExploreOptions(
-            workers=workers, store=store, campaign_id="c1", **self.OPTIONS))
+            workers=workers, store=store, campaign_id="c1", **EXPLORE_KWARGS))
         assert set(store.load_classifications()) == _distinct_histories(result)
         # The memo belongs to the call, not to the process: a second explore()
         # here has everything to learn again, so a new store is filled too.
@@ -229,7 +209,7 @@ class TestTiersAreSavedWithTheChunk:
                               else tmp_path / "another.sqlite")
         try:
             again = explore(SPEC, ExploreOptions(
-                workers=workers, store=another, campaign_id="c1", **self.OPTIONS))
+                workers=workers, store=another, campaign_id="c1", **EXPLORE_KWARGS))
             assert again.fingerprint() == result.fingerprint()
             assert set(another.load_classifications()) == _distinct_histories(result)
         finally:
@@ -238,17 +218,17 @@ class TestTiersAreSavedWithTheChunk:
     def test_serial_run_saves_each_classification_exactly_once(self, store):
         counting = SaveCountingStore(store)
         result = explore(SPEC, ExploreOptions(
-            store=counting, campaign_id="c1", **self.OPTIONS))
+            store=counting, campaign_id="c1", **EXPLORE_KWARGS))
         assert sum(counting.classification_batches) == \
             len(_distinct_histories(result)) == len(store.load_classifications())
 
     def test_warm_store_is_preloaded_once_and_nothing_is_saved_again(self, store):
         first = explore(SPEC, ExploreOptions(
-            store=store, campaign_id="c1", **self.OPTIONS))
+            store=store, campaign_id="c1", **EXPLORE_KWARGS))
         stored = len(store.load_classifications())
         counting = SaveCountingStore(store)
         second = explore(SPEC, ExploreOptions(
-            store=counting, campaign_id="c2", **self.OPTIONS))
+            store=counting, campaign_id="c2", **EXPLORE_KWARGS))
         assert second.fingerprint() == first.fingerprint()
         assert counting.classification_batches == []
         preloaded = [level.cache_stats.get("store_classifications_preloaded", 0)
@@ -265,27 +245,12 @@ class TestTiersAreSavedWithTheChunk:
         with pytest.raises(Interrupted):
             explore(SPEC, ExploreOptions(
                 workers=workers, store=InterruptingStore(store, 3),
-                campaign_id="c1", **self.OPTIONS))
+                campaign_id="c1", **EXPLORE_KWARGS))
         scope = next(iter(store.scope_progress("c1")))
         committed = {record.history
                      for chunk in range(store.cursor("c1", scope))
                      for record in store.load_chunk("c1", scope, chunk)[0]}
         assert committed and committed <= set(store.load_classifications())
         resumed = explore(SPEC, ExploreOptions(
-            workers=workers, store=store, campaign_id="c1", **self.OPTIONS))
+            workers=workers, store=store, campaign_id="c1", **EXPLORE_KWARGS))
         assert set(store.load_classifications()) == _distinct_histories(resumed)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_outcome_rows_cover_every_executed_class(self, store, workers):
-        from repro.explorer.worker import _OUTCOME_MEMO_CACHE
-        from repro.persist.records import workload_key
-        _OUTCOME_MEMO_CACHE.clear()      # forked workers inherit it too
-        result = explore(SPEC, ExploreOptions(
-            workers=workers, outcome_memo=True, store=store, campaign_id="c1",
-            **EXPLORE_KWARGS))
-        _OUTCOME_MEMO_CACHE.clear()
-        serial = explore(SPEC, ExploreOptions(outcome_memo=True, **EXPLORE_KWARGS))
-        assert result.fingerprint() == serial.fingerprint()
-        for level, exploration in serial.levels.items():
-            rows = store.load_outcomes(workload_key(SPEC), level.value)
-            assert len(rows) == exploration.executed > 0

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.explorer.memo import HistoryClassification, ScheduleOutcome
+from repro.explorer.memo import HistoryClassification
 from repro.explorer.worker import ScheduleRecord
 from repro.persist import (
     CampaignConfigMismatch,
@@ -33,13 +33,6 @@ def record(index: int, stalled: bool = False) -> ScheduleRecord:
         deadlocks=0,
         stalled=stalled,
     )
-
-
-def outcome(index: int) -> ScheduleOutcome:
-    rec = record(index)
-    return ScheduleOutcome(rec.history, rec.serializable, rec.phenomena,
-                           rec.committed, rec.aborted, rec.blocked_events,
-                           rec.deadlocks, rec.stalled)
 
 
 class TestCampaigns:
@@ -145,22 +138,6 @@ class TestChunkCommits:
 
 
 class TestDedupeTables:
-    def test_outcomes_round_trip(self, store):
-        entries = {(1, 2): outcome(0), (2, 1): outcome(1)}
-        assert store.save_outcomes("workload", "scope", entries) == 2
-        assert store.load_outcomes("workload", "scope") == entries
-
-    def test_outcome_saves_report_only_new_entries(self, store):
-        store.save_outcomes("workload", "scope", {(1, 2): outcome(0)})
-        added = store.save_outcomes("workload", "scope",
-                                    {(1, 2): outcome(0), (2, 1): outcome(1)})
-        assert added == 1
-
-    def test_outcomes_are_keyed_by_workload_and_scope(self, store):
-        store.save_outcomes("w1", "s1", {(1, 2): outcome(0)})
-        assert store.load_outcomes("w1", "s2") == {}
-        assert store.load_outcomes("w2", "s1") == {}
-
     def test_classifications_round_trip_and_are_global(self, store):
         entry = HistoryClassification(shorthand="w1[x] c1", serializable=True,
                                       phenomena=(), committed=(1,), aborted=())

@@ -1,4 +1,4 @@
-"""Crash-hardening of the SQLite store: busy retry, stats, schema v2, leases."""
+"""Crash-hardening of the SQLite store: busy retry, stats, migrations, leases."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pytest
 
 from repro.persist import LeaseRecord, SqliteStore
 from repro.persist.records import lease_from_row, lease_to_row
+from repro.persist.sqlite_store import SCHEMA_VERSION
 
 CONFIG = {"spec_name": "t", "seed": 0}
 
@@ -85,7 +86,7 @@ def test_schema_v1_store_migrates_in_place(tmp_path):
     upgraded.put_lease("c", LeaseRecord("S", 0, "pending", 1))
     [(version,)] = upgraded._conn.execute(
         "SELECT value FROM meta WHERE key = 'schema_version'").fetchall()
-    assert version == "3"
+    assert version == str(SCHEMA_VERSION)
     assert upgraded.get_campaign("c") is not None   # old data intact
     upgraded.close()
 
@@ -95,3 +96,7 @@ def test_lease_rows_round_trip_through_the_codec():
     assert lease_from_row(lease_to_row(lease)) == lease
     with pytest.raises(ValueError):
         lease_to_row(LeaseRecord("S", 0, "limbo", 1))
+    # Decoding checks the vocabulary too: a stored row in an unknown state is
+    # an unreadable row, not a lease the queue and ``inspect`` must guess at.
+    with pytest.raises(ValueError, match="unknown lease state 'zombie'"):
+        lease_from_row(("S", 0, "zombie", 1, None, 0))
