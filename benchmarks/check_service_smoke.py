@@ -2,13 +2,15 @@
 
 The ``service-smoke`` CI job runs this script.  It stages the ISSUE 10
 tentpole contract end to end, with a real server process and real sockets
-rather than the in-process classifier path the benchmarks time:
+rather than an in-process classifier:
 
 1. **Boot** — start ``python -m repro serve`` as a subprocess on an
    OS-assigned port with a SQLite store attached, and parse the listening
    banner for the resolved address.
-2. **Drive** — run the seeded load generator's TCP client fleet against it;
-   every client opens its own stream, feeds its ops in bursts, and closes.
+2. **Drive** — send seeded zipfian streams over a few connections, closed
+   loop, with the benchmark ledger's own stream generator and driver
+   (``benchmarks/ledger/streams.py``, imported read-only); every stream is
+   opened, fed in bursts, asked for its verdict and closed.
 3. **Certify** — the run must emit at least one anomaly certificate, the
    server's stats must account for every op fed, and the certificates must
    be durably committed to the store (read back out of plain SQLite).
@@ -30,7 +32,6 @@ Usage: python benchmarks/check_service_smoke.py [--dir OUTDIR]
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import signal
@@ -42,6 +43,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+#: ``ledger.streams`` is read, never edited, from here.
+sys.path.insert(1, str(REPO_ROOT / "benchmarks"))
 
 #: The server subprocess needs ``repro`` importable too; prepending src/
 #: works for both the pip-installed CI case (harmless) and bare checkouts.
@@ -50,14 +53,16 @@ SERVER_ENV["PYTHONPATH"] = os.pathsep.join(
     [str(REPO_ROOT / "src")] + ([SERVER_ENV["PYTHONPATH"]]
                                 if SERVER_ENV.get("PYTHONPATH") else []))
 
+from ledger.streams import (  # noqa: E402
+    StreamShape, closed_loop, multiplex, stream_requests, zipf_tokens)
 from repro.persist import SqliteStore  # noqa: E402
-from repro.service import LoadConfig  # noqa: E402
-from repro.service.loadgen import run_load_tcp  # noqa: E402
 
-#: Modest client fleet: the smoke proves the protocol and lifecycle, the
-#: benchmark section proves throughput at 50 clients.
-CONFIG = LoadConfig(clients=8, transactions_per_client=10,
-                    ops_per_transaction=6, seed=0)
+#: A modest fleet: the smoke proves the protocol and lifecycle; the ledger's
+#: ``certify_tcp`` workload measures throughput.
+STREAMS = 8
+CONNECTIONS = 4
+SHAPE = StreamShape(transactions=10)
+SEED = 0
 BOOT_TIMEOUT_S = 30.0
 CAMPAIGN = "service-ci"
 BURST = 64
@@ -108,6 +113,34 @@ class _Client:
         if self.reader.read() != b"":
             raise SystemExit("server sent bytes nobody asked for")
         self.sock.close()
+
+
+def _drive_leg(host: str, port: int) -> int:
+    """Send every stream's whole life; return the certificates received."""
+    requests = [stream_requests(f"client-{index}",
+                                zipf_tokens(SEED, index, SHAPE), SHAPE.burst)
+                for index in range(STREAMS)]
+    run = closed_loop((host, port), multiplex(requests, CONNECTIONS))
+    if run["errors"]:
+        raise SystemExit(f"drive: {run['errors']}")
+    replies = [json.loads(line) for lines in run["replies"] for line in lines]
+    errors = [reply for reply in replies if reply.get("type") == "error"]
+    if errors:
+        raise SystemExit(f"drive: error replies {errors[:3]}")
+    acks = [reply for reply in replies if reply["type"] == "ack"]
+    ops = sum(ack["ops"] for ack in acks)
+    certificates = sum(len(ack["certificates"]) for ack in acks)
+    client = _Client(host, port)
+    client.sock.sendall(_line(type="stats"))
+    (stats,) = client.replies(1)
+    client.finish()
+    if stats.get("ops") != ops:
+        raise SystemExit(f"drive: server counted {stats.get('ops')} ops, "
+                         f"clients fed {ops}")
+    print(f"drove {ops} ops over {STREAMS} streams on {CONNECTIONS} "
+          f"connections: {certificates} certificates, "
+          f"p99 classify {stats['p99_classify_us']:.0f} us")
+    return certificates
 
 
 def _oversized_line_leg(host: str, port: int) -> None:
@@ -162,13 +195,10 @@ def main(outdir: Path) -> int:
                                 stderr=stderr, text=True, env=SERVER_ENV)
     try:
         host, port = _wait_for_banner(proc)
-        report = asyncio.run(run_load_tcp(host, port, CONFIG))
-        print(f"drove {report.ops} ops over {report.clients} clients: "
-              f"{report.certificates} certificates, "
-              f"p99 classify {report.p99_classify_us:.0f} us")
-        if report.certificates < 1:
-            raise SystemExit("no certified anomalies — the load generator "
-                             "must provoke at least one")
+        certificates = _drive_leg(host, port)
+        if certificates < 1:
+            raise SystemExit("no certified anomalies — the streams must "
+                             "provoke at least one")
 
         _oversized_line_leg(host, port)
         _pipelined_burst_leg(host, port)
@@ -197,10 +227,10 @@ def main(outdir: Path) -> int:
         store.close()
     print(f"store holds {len(persisted)} certificates for "
           f"campaign {CAMPAIGN!r}")
-    if len(persisted) != report.certificates:
+    if len(persisted) != certificates:
         raise SystemExit(
             f"store persisted {len(persisted)} certificates but the run "
-            f"emitted {report.certificates}")
+            f"emitted {certificates}")
     print("service smoke OK: boot, certify, oversized line, pipelined burst, "
           "persist, clean shutdown")
     return 0

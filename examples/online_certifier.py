@@ -10,9 +10,10 @@ classifier would have concluded over the same ops.  This walkthrough:
 1. feeds the paper's dirty-read and lost-update shapes op by op and shows
    the certificates firing mid-stream;
 2. demonstrates the byte-equality contract against the offline classifier;
-3. boots the real asyncio certifier server in-process, drives the seeded
-   zipfian load generator's TCP client fleet against it, and persists the
-   resulting certificates to a campaign store queried back out.
+3. boots the real asyncio certifier server in-process, sends the paper's
+   dirty-read, lost-update and write-skew streams to it over concurrent TCP
+   connections, and persists the resulting certificates to a campaign store
+   queried back out.
 
 Run with:  PYTHONPATH=src python examples/online_certifier.py
 """
@@ -20,14 +21,21 @@ Run with:  PYTHONPATH=src python examples/online_certifier.py
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import tempfile
 
-from repro.core.history import History, parse_history
+from repro.core.history import parse_history
 from repro.explorer.memo import BatchClassifier
 from repro.persist import SqliteStore
-from repro.service import CertifierServer, LoadConfig, OnlineClassifier
-from repro.service.loadgen import drain_offline, generate_stream, run_load_tcp
+from repro.service import CertifierServer, OnlineClassifier
+
+#: Streams shaped like the paper's histories, one per stream name.
+PAPER_STREAMS = {
+    "dirty-read": "w1[x] r2[x] a1 c2",                         # P1
+    "lost-update": "r1[x] r2[x] w2[x] c2 w1[x] c1",            # P4, H4
+    "write-skew": "r1[x] r1[y] r2[x] r2[y] w1[y] w2[x] c1 c2",  # A5B, H5
+}
 
 
 def live_certificates() -> None:
@@ -48,35 +56,52 @@ def live_certificates() -> None:
 
 def byte_equality() -> None:
     print("== online verdicts are byte-equal to the offline classifier ==")
-    config = LoadConfig(clients=4, transactions_per_client=8, seed=3)
     classifier = BatchClassifier()
-    for client in range(config.clients):
-        online = OnlineClassifier(f"client-{client}")
-        for token in generate_stream(config, client):
+    for name, text in PAPER_STREAMS.items():
+        online = OnlineClassifier(name)
+        for token in text.split():
             online.feed_shorthand(token)
-        ops = [op for token in generate_stream(config, client)
-               for op in parse_history(token)]
-        offline = classifier.classify(History(ops, validate=False))
+        offline = classifier.classify(parse_history(text))
         verdict = online.verdict()
-        assert verdict.serializable == offline.serializable
-        assert verdict.phenomena == offline.phenomena
-        assert drain_offline(config, client).committed == verdict.committed
-        print(f"  client-{client}: serializable={verdict.serializable} "
+        assert verdict.classification_fields() == (
+            offline.serializable, offline.phenomena, offline.committed,
+            offline.aborted)
+        print(f"  {name}: serializable={verdict.serializable} "
               f"phenomena={verdict.phenomena} — matches offline")
 
 
-async def tcp_fleet(store: SqliteStore) -> int:
+async def certify_over_tcp(host: str, port: int, name: str, text: str):
+    """One client: open a stream, send its operations, close it."""
+    reader, writer = await asyncio.open_connection(host, port)
+
+    async def call(**payload):
+        writer.write((json.dumps(payload) + "\n").encode("utf-8"))
+        await writer.drain()
+        return json.loads(await reader.readline())
+
+    await call(type="open", stream=name)
+    ack = await call(type="ops", stream=name, ops=text)
+    closed = await call(type="close", stream=name)
+    writer.close()
+    return [certificate["code"] for certificate in ack["certificates"]], \
+        closed["persisted"]
+
+
+async def tcp_clients(store: SqliteStore) -> int:
     server = CertifierServer(store=store, campaign_id="demo")
     await server.start()
-    print(f"== server on 127.0.0.1:{server.port}, driving 6 TCP clients ==")
+    print(f"== server on 127.0.0.1:{server.port}, "
+          f"{len(PAPER_STREAMS)} concurrent TCP clients ==")
     try:
-        config = LoadConfig(clients=6, transactions_per_client=10, seed=1)
-        report = await run_load_tcp(server.host, server.port, config)
-        print(f"  {report.ops} ops -> {report.certificates} certificates, "
-              f"p99 classify {report.p99_classify_us:.0f} us")
-        return report.certificates
+        results = await asyncio.gather(*(
+            certify_over_tcp(server.host, server.port, name, text)
+            for name, text in PAPER_STREAMS.items()))
     finally:
         await server.stop()
+    for name, (codes, persisted) in zip(PAPER_STREAMS, results):
+        print(f"  {name}: certificates {', '.join(codes)} "
+              f"({persisted} persisted)")
+    return sum(persisted for _, persisted in results)
 
 
 def main() -> None:
@@ -85,7 +110,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmpdir:
         store = SqliteStore(os.path.join(tmpdir, "certs.sqlite"))
         try:
-            emitted = asyncio.run(tcp_fleet(store))
+            emitted = asyncio.run(tcp_clients(store))
             persisted = store.load_certificates("demo")
             by_code: dict = {}
             for certificate in persisted:

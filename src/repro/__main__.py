@@ -1,14 +1,13 @@
 """``python -m repro`` — the unified command-line front door.
 
-One entry point, four subcommands, delegating to the per-subsystem CLIs:
+One entry point, three subcommands, delegating to the per-subsystem CLIs:
 
 * ``campaign`` — run/resume/inspect persistent exploration campaigns
   (``persist/cli.py``);
 * ``distrib``  — the fault-tolerant distributed campaign runner
   (``distrib/cli.py``);
 * ``serve``    — the online isolation certifier server
-  (``service/cli.py``);
-* ``bench``    — the certifier load benchmark (``service/cli.py``).
+  (``service/cli.py``).
 
 Exit codes are consistent across all subcommands: 0 success, 1 runtime
 failure, 2 usage/config error.
@@ -26,7 +25,6 @@ commands:
   campaign   run, resume, and inspect persistent exploration campaigns
   distrib    drive a campaign through the fault-tolerant distributed runner
   serve      run the online isolation certifier server
-  bench      benchmark the certifier under concurrent load
 
 Run `python -m repro <command> --help` for command options.
 """
@@ -50,9 +48,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if command == "serve":
         from .service.cli import serve_main
         return serve_main(rest)
-    if command == "bench":
-        from .service.cli import bench_main
-        return bench_main(rest)
     print(f"error: unknown command {command!r}\n", file=sys.stderr)
     print(_USAGE, file=sys.stderr, end="")
     return 2

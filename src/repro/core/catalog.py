@@ -3,9 +3,8 @@
 Every history quoted in the paper is reproduced here verbatim (in shorthand)
 as a :class:`PaperHistory` carrying the properties the paper asserts about it:
 whether it is serializable, which phenomena it exhibits, which it avoids, and
-the section that introduces it.  The test-suite and the `bench_histories`
-benchmark verify each assertion against the detectors and the dependency-graph
-machinery.
+the section that introduces it.  ``tests/core/test_catalog.py`` verifies each
+assertion against the detectors and the dependency-graph machinery.
 """
 
 from __future__ import annotations

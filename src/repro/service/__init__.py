@@ -14,10 +14,11 @@ first fires.
   (:class:`CertifierServer`): JSON-lines protocol, many concurrent client
   sessions, optional certificate persistence into a
   :class:`repro.persist.SqliteStore`.
-* :mod:`repro.service.loadgen` — the seeded load generator: zipfian
-  hotspots, bursty arrival, configurable client counts, and the
-  ``anomalies/sec`` / p99-classify-latency report the ``service`` bench
-  section publishes.
+* :mod:`repro.service.cli` — ``python -m repro serve``.
+
+Load is measured by the ``certify_tcp`` workload of the benchmark ledger
+(``BENCHMARK.json``, ``benchmarks/ledger/``), which generates its own
+streams and drives the server over real sockets.
 """
 
 from .online import (
@@ -27,7 +28,6 @@ from .online import (
     StreamVerdict,
 )
 from .server import CertifierServer
-from .loadgen import LoadConfig, LoadReport, generate_stream, run_load
 
 __all__ = [
     "AnomalyCertificate",
@@ -35,8 +35,4 @@ __all__ = [
     "StreamError",
     "StreamVerdict",
     "CertifierServer",
-    "LoadConfig",
-    "LoadReport",
-    "generate_stream",
-    "run_load",
 ]

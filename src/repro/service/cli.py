@@ -1,28 +1,25 @@
-"""``python -m repro serve`` / ``python -m repro bench`` — the service CLI.
+"""``python -m repro serve`` — the service CLI.
 
 ``serve`` boots the online certifier server and runs until SIGTERM/SIGINT
-(clean shutdown exits 0).  ``bench`` boots an in-process server, drives the
-seeded load generator against it over real sockets, and prints the
-:class:`~repro.service.loadgen.LoadReport` as JSON.
+(clean shutdown exits 0).
 
 Exit codes follow the repo convention: 0 success, 1 runtime failure,
-2 usage/config error.
+2 usage/config error.  A port outside 0–65535 or an eviction interval
+below 1 is a usage error, caught before anything binds.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import signal
 import sys
 from typing import Optional, Sequence
 
 from ..persist.store import StoreError
-from .loadgen import LoadConfig, run_load, run_load_tcp
 from .server import CertifierServer
 
-__all__ = ["serve_main", "bench_main"]
+__all__ = ["serve_main"]
 
 
 def _open_store(path: Optional[str]):
@@ -32,12 +29,28 @@ def _open_store(path: Optional[str]):
     return SqliteStore(path)
 
 
+def _int_in(low: int, high: Optional[int] = None):
+    """An argparse ``type`` accepting integers in ``[low, high]``."""
+    bound = f"in {low}..{high}" if high is not None else f">= {low}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low and (high is None or value <= high):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected an integer {bound}, got {text!r}")
+    return parse
+
+
 def _serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
         description="Run the online isolation certifier server.")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0,
+    parser.add_argument("--port", type=_int_in(0, 65535), default=0,
                         help="TCP port (default: 0 = ephemeral; the bound "
                              "port is printed on stdout)")
     parser.add_argument("--store", default=None,
@@ -45,8 +58,8 @@ def _serve_parser() -> argparse.ArgumentParser:
                              "certificates are persisted there")
     parser.add_argument("--campaign", default="service",
                         help="campaign id for persisted certificates")
-    parser.add_argument("--evict-interval", type=int, default=256,
-                        help="operations between eviction passes")
+    parser.add_argument("--evict-interval", type=_int_in(1), default=256,
+                        help="operations between eviction passes (>= 1)")
     return parser
 
 
@@ -86,64 +99,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         # corrupt is a usage error, as under ``campaign`` and ``distrib``.
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-def _bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        description="Benchmark the online certifier: boot an in-process "
-                    "server, drive N concurrent load-generator clients over "
-                    "TCP, report anomalies/sec and classify latency.")
-    parser.add_argument("--clients", type=int, default=50)
-    parser.add_argument("--transactions", type=int, default=20,
-                        help="transactions per client")
-    parser.add_argument("--ops", type=int, default=6,
-                        help="operations per transaction")
-    parser.add_argument("--items", type=int, default=12,
-                        help="distinct data items (zipfian hotspots)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--in-process", action="store_true",
-                        help="skip the socket layer and bench the "
-                             "classifier directly (also re-verifies byte "
-                             "equality against the offline classifier)")
-    return parser
-
-
-async def _bench_tcp(config: LoadConfig) -> int:
-    server = CertifierServer()
-    await server.start()
-    try:
-        report = await run_load_tcp(server.host, server.port, config)
-    finally:
-        await server.stop()
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    return 0
-
-
-def bench_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _bench_parser().parse_args(argv)
-    try:
-        config = LoadConfig(clients=args.clients,
-                            transactions_per_client=args.transactions,
-                            ops_per_transaction=args.ops,
-                            items=args.items,
-                            seed=args.seed)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        if args.in_process:
-            report = run_load(config, verify=True)
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-            if report.byte_equal is False:
-                print("error: online verdicts diverged from the offline "
-                      "classifier", file=sys.stderr)
-                return 1
-            return 0
-        return asyncio.run(_bench_tcp(config))
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

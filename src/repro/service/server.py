@@ -31,8 +31,9 @@ replies together, so a client that pipelines requests may receive several
 replies in one segment; a client that waits for each reply sees one at a time.
 
 Malformed input answers ``{"type": "error", "error": ...}`` and keeps the
-connection alive; stream errors (operations after a terminal) poison only the
-offending stream.  A line longer than :data:`MAX_LINE_BYTES` answers
+connection alive (an ``open`` whose ``evict_interval`` or ``witness_window``
+is not an integer >= 1 among them); stream errors (operations after a
+terminal) poison only the offending stream.  A line longer than :data:`MAX_LINE_BYTES` answers
 ``{"type": "error", "kind": "request", "error": "line exceeds 65536 bytes"}``
 and closes that connection — other connections and every stream stay as they
 were.  With a :class:`repro.persist.SqliteStore` attached, certificates are
@@ -65,6 +66,15 @@ _LATENCY_WINDOW = 4096
 
 def _encode(reply: Dict[str, Any]) -> bytes:
     return (json.dumps(reply) + "\n").encode("utf-8")
+
+
+def _positive_int(request: Dict[str, Any], key: str, default: int) -> int:
+    """``request[key]`` as a JSON integer >= 1 (booleans, floats, strings,
+    ``Infinity`` and ``NaN`` are request errors)."""
+    value = request.get(key, default)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key!r} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def _certificate_payload(certificate) -> Dict[str, Any]:
@@ -219,10 +229,10 @@ class CertifierServer:
         self._streams[name] = OnlineClassifier(
             name,
             multiversion=multiversion,
-            evict_interval=int(request.get("evict_interval",
-                                           self.evict_interval)),
-            witness_window=int(request.get("witness_window",
-                                           self.witness_window)),
+            evict_interval=_positive_int(request, "evict_interval",
+                                         self.evict_interval),
+            witness_window=_positive_int(request, "witness_window",
+                                         self.witness_window),
             initial_items=request.get("initial_items"),
         )
         return {"type": "opened", "stream": name, "mv": multiversion}

@@ -1,16 +1,18 @@
-"""The certifier server's protocol, the load generator, and persistence."""
+"""The certifier server's protocol, its CLI, concurrent clients, and
+persistence."""
 
 from __future__ import annotations
 
 import asyncio
 import json
+import random
 import time
 
 import pytest
 
 from repro.persist import SqliteStore
-from repro.service import CertifierServer, LoadConfig, generate_stream, run_load
-from repro.service.loadgen import drain_offline, run_load_tcp
+from repro.service import CertifierServer, OnlineClassifier
+from repro.service.cli import serve_main
 from repro.service.server import MAX_LINE_BYTES
 
 
@@ -331,64 +333,105 @@ class TestFraming:
         assert max(round_trips) < 1.0
 
 
-class TestLoadgen:
-    def test_streams_are_deterministic(self):
-        config = LoadConfig(clients=3, transactions_per_client=5, seed=9)
-        assert generate_stream(config, 0) == generate_stream(config, 0)
-        assert generate_stream(config, 0) != generate_stream(config, 1)
-        reseeded = LoadConfig(clients=3, transactions_per_client=5, seed=10)
-        assert generate_stream(config, 0) != generate_stream(reseeded, 0)
+class TestOpenValidation:
+    @pytest.mark.parametrize("value", ["Infinity", "1e400", "NaN", "0", "true",
+                                       '"8"'])
+    @pytest.mark.parametrize("field", ["evict_interval", "witness_window"])
+    def test_a_hostile_open_is_a_named_error(self, field, value):
+        """Anything but a JSON integer >= 1 is a request error; the stream is
+        not opened and the connection keeps serving."""
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(f'{{"type": "open", "stream": "a", "{field}": {value}}}\n'
+                         .encode("utf-8")
+                         + _line({"type": "stats"})
+                         + _line({"type": "open", "stream": "a"}))
+            error, stats, opened = await _replies(reader, 3)
+            assert error["type"] == "error" and error["kind"] == "request"
+            assert f"'{field}' must be an integer >= 1" in error["error"]
+            assert stats["type"] == "stats" and stats["streams"] == 0
+            assert opened["type"] == "opened"
+            writer.close()
+        _serving(scenario)
 
-    def test_transaction_ids_are_disjoint_across_clients(self):
-        config = LoadConfig(clients=2, transactions_per_client=4, seed=1)
-        txns = [set(), set()]
-        for client in (0, 1):
-            for token in generate_stream(config, client):
-                digits = "".join(ch for ch in token.split("[")[0]
-                                 if ch.isdigit())
-                txns[client].add(int(digits))
-        assert not (txns[0] & txns[1])
 
-    def test_run_load_verifies_byte_equality(self):
-        config = LoadConfig(clients=6, transactions_per_client=8, seed=4)
-        report = run_load(config, verify=True)
-        assert report.byte_equal is True
-        assert report.certificates > 0
-        assert report.ops > 0
-        assert report.p99_classify_us >= report.p50_classify_us
+class TestServeCli:
+    @pytest.mark.parametrize("argv", [["--port", "99999"], ["--port", "-1"],
+                                      ["--port", "http"],
+                                      ["--evict-interval", "0"]])
+    def test_a_config_it_cannot_run_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[0]}: expected an integer" in err
+        assert "error:" in err and "Traceback" not in err
 
-    def test_offline_drain_matches_generate_stream(self):
-        config = LoadConfig(clients=1, transactions_per_client=6, seed=2)
-        classification = drain_offline(config, 0)
-        # The generated stream must exercise the interesting region: at
-        # least one committed transaction and at least one phenomenon over
-        # the default config shape.
-        assert classification.committed
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError, match="clients"):
-            LoadConfig(clients=0)
-        with pytest.raises(ValueError, match="burst"):
-            LoadConfig(burst=0)
+def _seeded_stream(seed, transactions=4, ops_per_transaction=4, items=6):
+    """A seeded certifier stream: interleaved transactions over skewed items,
+    most committing, some aborting, some stalled (no terminal at all)."""
+    rng = random.Random(seed)
+    weights = [1.0 / rank for rank in range(1, items + 1)]
+    live = {txn: 0 for txn in range(1, transactions + 1)}
+    tokens = []
+    while live:
+        txn = rng.choice(sorted(live))
+        if live[txn] == ops_per_transaction:
+            del live[txn]
+            roll = rng.random()
+            if roll >= 0.1:
+                tokens.append(f"{'a' if roll < 0.2 else 'c'}{txn}")
+            continue
+        live[txn] += 1
+        (item,) = rng.choices(range(items), weights)
+        tokens.append(f"{'w' if rng.random() < 0.45 else 'r'}{txn}[k{item}]")
+    return tokens
+
+
+async def _drive_stream(host, port, name, tokens, burst=8):
+    """One TCP client's whole stream: open, bursts of ops, verdict, close."""
+    call, writer = await _session(host, port)
+    assert (await call({"type": "open", "stream": name}))["type"] == "opened"
+    ops = certificates = 0
+    for start in range(0, len(tokens), burst):
+        ack = await call({"type": "ops", "stream": name,
+                          "ops": " ".join(tokens[start:start + burst])})
+        assert ack["type"] == "ack", ack
+        ops += ack["ops"]
+        certificates += len(ack["certificates"])
+    verdict = await call({"type": "verdict", "stream": name})
+    assert (await call({"type": "close", "stream": name}))["type"] == "closed"
+    writer.close()
+    return (ops, certificates, verdict["serializable"], verdict["phenomena"],
+            verdict["committed"], verdict["aborted"])
 
 
 class TestEndToEndLoad:
     def test_fifty_concurrent_clients_over_tcp(self):
-        """The acceptance shape: >= 50 concurrent TCP clients, certificates
-        produced, and the TCP totals equal to the in-process ground truth."""
-        config = LoadConfig(clients=50, transactions_per_client=4, seed=3)
-        ground = run_load(config, verify=True)
-        assert ground.byte_equal is True
+        """>= 50 concurrent TCP clients, certificates produced, and each
+        client's totals and verdict equal to its stream drained in-process."""
+        streams = {f"client-{seed}": _seeded_stream(seed) for seed in range(50)}
+        expected = {}
+        for name, tokens in streams.items():
+            classifier = OnlineClassifier(name)
+            certificates = sum(len(classifier.feed_shorthand(token))
+                               for token in tokens)
+            verdict = classifier.verdict()
+            expected[name] = (classifier.ops, certificates,
+                              verdict.serializable, list(verdict.phenomena),
+                              list(verdict.committed), list(verdict.aborted))
 
         async def scenario():
             server = CertifierServer()
             await server.start()
             try:
-                return await run_load_tcp(server.host, server.port, config)
+                return await asyncio.gather(*(
+                    _drive_stream(server.host, server.port, name, tokens)
+                    for name, tokens in streams.items()))
             finally:
                 await server.stop()
 
-        report = _run(scenario())
-        assert report.clients == 50
-        assert report.ops == ground.ops
-        assert report.certificates == ground.certificates > 0
+        observed = dict(zip(streams, _run(scenario())))
+        assert observed == expected
+        assert sum(certificates for _, certificates, *_ in expected.values()) > 0

@@ -12,10 +12,12 @@ def test_no_arguments_is_a_usage_error(capsys):
     assert "usage: python -m repro" in capsys.readouterr().err
 
 
-def test_unknown_command_is_a_usage_error(capsys):
-    assert main(["frobnicate"]) == 2
+# ``bench`` is gone: load is measured by the benchmark ledger.
+@pytest.mark.parametrize("command", ["frobnicate", "bench"])
+def test_unknown_command_is_a_usage_error(command, capsys):
+    assert main([command]) == 2
     err = capsys.readouterr().err
-    assert "unknown command 'frobnicate'" in err
+    assert f"unknown command {command!r}" in err
     assert "usage: python -m repro" in err
 
 
@@ -23,8 +25,9 @@ def test_unknown_command_is_a_usage_error(capsys):
 def test_help_prints_usage_and_exits_zero(argv, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
-    for command in ("campaign", "distrib", "serve", "bench"):
+    for command in ("campaign", "distrib", "serve"):
         assert command in out
+    assert "bench" not in out
 
 
 def test_campaign_dispatches_to_persist_cli(tmp_path, capsys):
@@ -42,13 +45,6 @@ def test_campaign_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["campaign", "run", "--no-such-flag"])
     assert excinfo.value.code == 2
-
-
-def test_bench_runs_in_process(capsys):
-    assert main(["bench", "--clients", "2", "--transactions", "4",
-                 "--in-process"]) == 0
-    out = capsys.readouterr().out
-    assert '"byte_equal": true' in out
 
 
 @pytest.mark.parametrize("command", ["campaign", "distrib"])
