@@ -11,8 +11,8 @@ question undecidable.
 
 This walkthrough prints the static verdict grid next to the paper's
 expectations, shows the explaining edge sets, and then lets the explorer
-confirm the headline: with ``static_pruning=True`` the explored Table 4 is
-identical, while the statically-impossible scopes are skipped unexecuted.
+confirm the headline: the default explored Table 4, which skips the
+statically-impossible scopes unexecuted, still matches the paper.
 
 Run with:  PYTHONPATH=src python examples/static_anomaly_report.py
 """
@@ -67,10 +67,10 @@ def main() -> None:
     for verdict in scenario_verdicts("P4", IsolationLevelName.READ_COMMITTED):
         print(f"  {verdict.describe()}")
 
-    # 3. Static vs dynamic: the explored Table 4 with pruning enabled must
-    #    equal the fully-executed one — statically-impossible scopes count
-    #    as non-manifesting, which is exactly what running them measures.
-    table = compute_table4_explored(static_pruning=True)
+    # 3. Static vs dynamic: the explored Table 4, which prunes by default,
+    #    must equal the fully-executed one — statically-impossible scopes
+    #    count as non-manifesting, which is exactly what running them measures.
+    table = compute_table4_explored()
     print("\n" + table.render())
     agrees = table.possibilities() == EXPECTED_TABLE_4
     scopes = sum(len(scenario.variants) for scenario in ALL_SCENARIOS) * \

@@ -22,27 +22,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..explorer.options import BATCH_KERNEL_MODES
-from ..persist.cli import _levels_from_arg, _parse_param
+from ..explorer.options import BATCH_KERNEL_MODES, ExploreOptions
+from ..persist.cli import UsageError, _spec_from_args, options_from_args
 from ..persist.sqlite_store import SqliteStore
 from ..persist.store import StoreError
-from ..workloads.program_sets import ProgramSetSpec, available_program_sets
+from ..workloads.program_sets import available_program_sets
 from .faults import FaultPlan
 from .runner import CampaignRunner
 
 __all__ = ["main"]
 
 
-def _spec_from_args(args: argparse.Namespace) -> ProgramSetSpec:
-    params: Dict[str, Any] = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        params[key] = _parse_param(value)
-    return ProgramSetSpec.make(args.program_set, **params)
+def _options_from_args(args: argparse.Namespace) -> ExploreOptions:
+    """The exploration flags, checked before the store is opened."""
+    return options_from_args(
+        args, mode=args.mode, max_schedules=args.max_schedules, seed=args.seed,
+        chunk_size=args.chunk_size, workers=args.workers,
+        batch_kernel=args.batch_kernel)
 
 
 def _plan_from_args(args: argparse.Namespace) -> FaultPlan:
@@ -56,20 +54,17 @@ def _plan_from_args(args: argparse.Namespace) -> FaultPlan:
         raise SystemExit(f"bad --faults value: {error}")
 
 
-def _runner(store, spec, args: argparse.Namespace,
+def _runner(store, spec, args: argparse.Namespace, options: ExploreOptions,
             plan: FaultPlan) -> CampaignRunner:
-    levels = _levels_from_arg(args.levels)
-    kwargs: Dict[str, Any] = dict(
-        mode=args.mode, max_schedules=args.max_schedules, seed=args.seed,
-        chunk_size=args.chunk_size, workers=int(args.workers),
+    return CampaignRunner(
+        store, spec, levels=options.levels, mode=options.mode,
+        max_schedules=options.max_schedules, seed=options.seed,
+        chunk_size=options.chunk_size, workers=options.workers,
         campaign_id=args.campaign, lease_duration=args.lease_duration,
         heartbeat_interval=args.heartbeat_interval,
-        max_attempts=args.max_attempts, batch_kernel=args.batch_kernel,
+        max_attempts=args.max_attempts, batch_kernel=options.batch_kernel,
         faults=plan, requeue_poisoned=args.requeue_poisoned,
         deadline_s=args.deadline)
-    if levels is not None:
-        kwargs["levels"] = levels
-    return CampaignRunner(store, spec, **kwargs)
 
 
 def _describe(result) -> str:
@@ -97,10 +92,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from ..analysis.coverage import coverage_report_from_store
 
     spec = _spec_from_args(args)
+    options = _options_from_args(args)
     plan = _plan_from_args(args)
     store = SqliteStore(args.store)
     try:
-        runner = _runner(store, spec, args, plan)
+        runner = _runner(store, spec, args, options, plan)
         result = runner.run()
         print(_describe(result))
         if args.stats:
@@ -118,21 +114,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .faults import run_with_faults, serial_reference
 
     spec = _spec_from_args(args)
+    options = _options_from_args(args)
     plan = _plan_from_args(args)
-    levels = _levels_from_arg(args.levels)
     control_render, control_fingerprint = serial_reference(
-        spec, levels, mode=args.mode, max_schedules=args.max_schedules,
-        seed=args.seed, chunk_size=args.chunk_size,
-        batch_kernel=args.batch_kernel)
+        spec, options.levels, mode=options.mode,
+        max_schedules=options.max_schedules, seed=options.seed,
+        chunk_size=options.chunk_size, batch_kernel=options.batch_kernel)
     store = SqliteStore(args.store)
     try:
         result, render, fingerprint = run_with_faults(
-            store, spec, levels, plan, mode=args.mode,
-            max_schedules=args.max_schedules, seed=args.seed,
-            chunk_size=args.chunk_size, workers=int(args.workers),
+            store, spec, options.levels, plan, mode=options.mode,
+            max_schedules=options.max_schedules, seed=options.seed,
+            chunk_size=options.chunk_size, workers=options.workers,
             campaign_id=args.campaign, lease_duration=args.lease_duration,
             heartbeat_interval=args.heartbeat_interval,
-            max_attempts=args.max_attempts, batch_kernel=args.batch_kernel,
+            max_attempts=args.max_attempts, batch_kernel=options.batch_kernel,
             deadline_s=args.deadline)
     finally:
         store.close()
@@ -209,6 +205,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StoreError as error:
+    except (StoreError, UsageError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.isolation import IsolationLevelName
-from ..static_analysis import StaticVerdict, Verdict, analyze_programs
 from ..workloads.program_sets import ProgramSetSpec, resolve_program_set
 from .memo import BatchClassifier
 from .options import DEFAULT_LEVELS, REDUCTIONS, ExploreOptions
@@ -124,17 +123,6 @@ class ExplorationResult:
     chunk_size: int
     levels: Dict[IsolationLevelName, LevelExploration]
     reduction: str = "none"
-    #: Per-level static verdicts from the SDG pass, always attached: what the
-    #: program set's dependency graph proves about each detector, reported
-    #: beside the records it never changes.
-    static_verdicts: Dict[IsolationLevelName, Dict[str, StaticVerdict]] = \
-        dataclasses.field(default_factory=dict)
-
-    def pruned_detectors(self, level: IsolationLevelName) -> Tuple[str, ...]:
-        """The detector codes statically proven impossible for one level."""
-        verdicts = self.static_verdicts.get(level, {})
-        return tuple(code for code, verdict in verdicts.items()
-                     if verdict.verdict is Verdict.IMPOSSIBLE)
 
     def fingerprint(self) -> str:
         """SHA-256 over every record, in order — identical runs hash identically.
@@ -597,16 +585,6 @@ def explore(spec: ProgramSetSpec,
             plans[scope] = _ScopePlan(programs, scope)
         return plans[scope]
 
-    # The static pass runs unconditionally (it is a few microseconds of set
-    # algebra over the footprints) so every result carries its verdict map.
-    # It skips no detector: one sweep computes every flag at once.
-    static_verdicts: Dict[IsolationLevelName, Dict[str, StaticVerdict]] = {}
-    for level in levels:
-        try:
-            static_verdicts[level] = analyze_programs(programs, level)
-        except KeyError:  # a level without an engine profile
-            continue
-
     session = None
     if store is not None:
         # Imported lazily: repro.persist imports this package at module
@@ -642,5 +620,4 @@ def explore(spec: ProgramSetSpec,
             explorations = _run_levels(pool, None)
     return ExplorationResult(spec=spec, space=space, workers=workers,
                              chunk_size=chunk_size, levels=explorations,
-                             reduction=reduction,
-                             static_verdicts=static_verdicts)
+                             reduction=reduction)

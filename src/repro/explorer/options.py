@@ -117,6 +117,8 @@ class ExploreOptions:
                     f"workers must be an int or 'auto', got {workers!r}")
             if workers < 1:
                 raise ValueError("workers must be >= 1")
+        if self.max_schedules < 1:
+            raise ValueError("max_schedules must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if self.batch_kernel not in (None,) + BATCH_KERNEL_MODES:
@@ -156,7 +158,8 @@ class ExploreOptions:
             environ = os.environ
         values: dict = {
             "mode": environ.get("EXPLORER_MODE"),
-            "max_schedules": env_int("EXPLORER_MAX_SCHEDULES", environ=environ),
+            "max_schedules": env_int("EXPLORER_MAX_SCHEDULES", environ=environ,
+                                     minimum=1),
             "seed": env_int("EXPLORER_SEED", environ=environ),
             "workers": _or_auto(env_int, "EXPLORER_WORKERS", environ),
             "chunk_size": env_int("EXPLORER_CHUNK_SIZE", environ=environ),

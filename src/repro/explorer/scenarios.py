@@ -21,6 +21,11 @@ Stalled and engine-aborted schedules are the *common case* out here (locking
 engines block and deadlock freely once interleavings stop being hand-picked);
 both are first-class non-manifesting results, never errors.
 
+:func:`explore_scenario` skips, by default, every variant space that
+:mod:`repro.static_analysis` proves impossible at the level (the Table 2
+lock-scope arguments the paper itself uses for most "Not Possible" cells).
+:func:`explore_variant` always executes.
+
 ``reduction="sleep-set"`` executes one representative per commutation
 equivalence class (level-aware: locking levels use the relaxed ``"footprint"``
 terminal scope, multiversion levels the snapshot-safe ``"component"`` scope —
@@ -175,7 +180,6 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
                     scenario_code: str = "", mode: str = "auto",
                     max_schedules: int = DEFAULT_MAX_SCHEDULES, seed: int = 0,
                     reduction: str = "sleep-set",
-                    static_pruning: bool = False,
                     options: Optional[ExploreOptions] = None,
                     ) -> VariantExploration:
     """Evaluate ``variant.manifests`` over its whole interleaving space.
@@ -183,9 +187,7 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
     An :class:`~repro.explorer.options.ExploreOptions` may be passed instead
     of the loose knobs; its ``mode``/``max_schedules``/``seed``/``reduction``
     fields then take precedence (the level still comes from the ``level``
-    argument — a variant exploration is per-level by construction, and
-    ``static_pruning`` stays an argument: skipping a whole variant space is
-    this bridge's setting, not :func:`~repro.explorer.explore`'s).
+    argument — a variant exploration is per-level by construction).
 
     The space is walked by one stepwise
     :class:`~repro.explorer.trie_executor.TrieExecutor` per call: a schedule
@@ -202,12 +204,9 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
     under reduction its recorded history is its class representative's
     (identical up to the order of commuting adjacent steps).
 
-    With ``static_pruning`` (and a ``scenario_code``), the static dependency
-    graph is consulted first: a variant whose scenario is statically
-    ``IMPOSSIBLE`` at this level returns immediately with ``pruned=True``,
-    zero schedules executed, and the proof sketch in ``static_reason`` —
-    sound because an impossible scenario's ``manifests`` predicate cannot be
-    satisfied by any schedule in the space.
+    This always executes the space; skipping a statically impossible one is
+    :func:`explore_scenario`'s decision.  That makes this function the
+    oracle the static rules are held to.
     """
     if options is not None:
         mode = options.mode
@@ -217,16 +216,6 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
     if reduction not in REDUCTIONS:
         raise ValueError(f"unknown reduction {reduction!r}; choose from {REDUCTIONS}")
     programs = variant.build_programs()
-    if static_pruning and scenario_code:
-        verdict = analyze_scenario_programs(programs, scenario_code, level)
-        if verdict.verdict is Verdict.IMPOSSIBLE:
-            return VariantExploration(
-                scenario_code=scenario_code, variant_name=variant.name,
-                level=level, mode="pruned", space_size=0, schedules=0,
-                executed=0, manifested=0, stalled=0, deadlocked=0,
-                engine_aborted=0, witness=None, witness_history=None,
-                pruned=True, static_reason=verdict.reason,
-            )
     space = schedule_space(programs, mode=mode, max_schedules=max_schedules,
                            seed=seed)
     schedules = space.schedules
@@ -296,15 +285,20 @@ def explore_scenario(scenario: AnomalyScenario, level: IsolationLevelName,
                      mode: str = "auto",
                      max_schedules: int = DEFAULT_MAX_SCHEDULES, seed: int = 0,
                      reduction: str = "sleep-set",
-                     static_pruning: bool = False,
+                     static_pruning: bool = True,
                      options: Optional[ExploreOptions] = None,
                      ) -> ScenarioExploration:
     """Explore every variant space of a scenario under one isolation level.
 
-    ``static_pruning`` skips the variant spaces the static dependency graph
-    proves impossible at this level (they count as non-manifesting, exactly
-    the verdict executing them would reach); the cell aggregation is
-    unchanged.  As with :func:`explore_variant`, an
+    By default the static dependency graph is consulted first
+    (:func:`~repro.static_analysis.analyze_scenario_programs`): a variant
+    whose scenario is statically ``IMPOSSIBLE`` at this level is not
+    executed.  It counts as non-manifesting with ``pruned=True``, zero
+    schedules and the proof sketch in ``static_reason``.  That is exactly
+    the verdict executing it would reach, because no schedule can satisfy
+    an impossible scenario's ``manifests`` predicate, so the cell
+    aggregation is unchanged.  ``static_pruning=False`` executes every
+    space.  As with :func:`explore_variant`, an
     :class:`~repro.explorer.options.ExploreOptions` may replace the loose
     space knobs; ``static_pruning`` is always this argument.
     """
@@ -313,14 +307,25 @@ def explore_scenario(scenario: AnomalyScenario, level: IsolationLevelName,
             f"scenario {scenario.code} has no variants; refusing to call an "
             f"empty scenario POSSIBLE (all([]) is True)"
         )
+
+    def explored(variant: ScenarioVariant) -> VariantExploration:
+        if static_pruning:
+            verdict = analyze_scenario_programs(variant.build_programs(),
+                                                scenario.code, level)
+            if verdict.verdict is Verdict.IMPOSSIBLE:
+                return VariantExploration(
+                    scenario_code=scenario.code, variant_name=variant.name,
+                    level=level, mode="pruned", space_size=0, schedules=0,
+                    executed=0, manifested=0, stalled=0, deadlocked=0,
+                    engine_aborted=0, witness=None, witness_history=None,
+                    pruned=True, static_reason=verdict.reason,
+                )
+        return explore_variant(variant, level, scenario_code=scenario.code,
+                               mode=mode, max_schedules=max_schedules, seed=seed,
+                               reduction=reduction, options=options)
+
     return ScenarioExploration(
         scenario_code=scenario.code,
         level=level,
-        variants=tuple(
-            explore_variant(variant, level, scenario_code=scenario.code,
-                            mode=mode, max_schedules=max_schedules, seed=seed,
-                            reduction=reduction, static_pruning=static_pruning,
-                            options=options)
-            for variant in scenario.variants
-        ),
+        variants=tuple(explored(variant) for variant in scenario.variants),
     )

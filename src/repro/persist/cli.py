@@ -17,6 +17,9 @@ tables directly; this CLI only wraps the common operations.
 ``--throttle-ms`` injects a sleep into every chunk commit.  That exists for
 the kill-and-resume CI job (it widens the window in which a SIGKILL lands
 mid-campaign) and for demos; it changes wall-clock only, never records.
+
+A bad flag value (a budget below 1, an unknown program set or level) exits
+2 with ``error: …`` before the store is written, as a config mismatch does.
 """
 
 from __future__ import annotations
@@ -26,15 +29,38 @@ import json
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from ..core.isolation import IsolationLevelName
-from ..workloads.program_sets import ProgramSetSpec, available_program_sets
+from ..explorer.options import ExploreOptions
+from ..workloads.program_sets import (
+    ProgramSetSpec,
+    available_program_sets,
+    resolve_program_set,
+)
 from .analytics import campaign_summary, campaign_summary_data, persist_result
 from .sqlite_store import SqliteStore
 from .store import StoreError
 
-__all__ = ["main"]
+__all__ = ["main", "UsageError"]
+
+_T = TypeVar("_T")
+
+
+class UsageError(Exception):
+    """A bad flag value; ``main`` reports it as ``error: …`` and exits 2."""
+
+
+def _checked(build: Callable[[], _T]) -> _T:
+    """``build()``, with the named error a bad flag value raises as a UsageError.
+
+    Only the builders of options, specs and levels go through here, never
+    the run itself, so a real bug still ends in a traceback.
+    """
+    try:
+        return build()
+    except (ValueError, KeyError) as error:
+        raise UsageError(error.args[0] if error.args else repr(error)) from None
 
 
 def _existing_store(path: str) -> SqliteStore:
@@ -77,13 +103,16 @@ def _parse_param(raw: str) -> Any:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ProgramSetSpec:
+    """The ``--program-set``/``--set`` spec; its program set must exist."""
     params: Dict[str, Any] = {}
     for item in args.set or []:
         if "=" not in item:
             raise SystemExit(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         params[key] = _parse_param(value)
-    return ProgramSetSpec.make(args.program_set, **params)
+    spec = ProgramSetSpec.make(args.program_set, **params)
+    _checked(lambda: resolve_program_set(spec))
+    return spec
 
 
 def _levels_from_arg(raw: Optional[str]) -> Optional[List[IsolationLevelName]]:
@@ -96,12 +125,20 @@ def _levels_from_arg(raw: Optional[str]) -> Optional[List[IsolationLevelName]]:
             levels.append(IsolationLevelName(part))
         except ValueError:
             known = ", ".join(level.value for level in IsolationLevelName)
-            raise SystemExit(f"unknown isolation level {part!r}; one of: {known}")
+            raise UsageError(f"unknown isolation level {part!r}; one of: {known}")
     return levels
 
 
+def options_from_args(args: argparse.Namespace, **knobs: Any) -> ExploreOptions:
+    """``ExploreOptions(**knobs)`` with ``--levels``, checked before any store write."""
+    levels = _levels_from_arg(args.levels)
+    if levels is not None:
+        knobs["levels"] = levels
+    return _checked(lambda: ExploreOptions(**knobs))
+
+
 def _workers_from_arg(raw: str):
-    return raw if raw == "auto" else int(raw)
+    return raw if raw == "auto" else _checked(lambda: int(raw))
 
 
 def _maybe_throttled(store: SqliteStore, throttle_ms: float):
@@ -110,26 +147,25 @@ def _maybe_throttled(store: SqliteStore, throttle_ms: float):
     return _ThrottledStore(store, throttle_ms / 1000.0)
 
 
-def _run_explore(store: SqliteStore, spec: ProgramSetSpec,
-                 args: argparse.Namespace, config: Dict[str, Any],
-                 campaign_id: Optional[str]) -> int:
-    from ..explorer.explorer import explore
-    from ..explorer.options import ExploreOptions
-    from .records import default_campaign_id
-
-    levels = _levels_from_arg(getattr(args, "levels", None))
-    kwargs: Dict[str, Any] = dict(
-        mode=config["mode"], max_schedules=config["max_schedules"],
+def _campaign_options(args: argparse.Namespace,
+                      config: Dict[str, Any]) -> ExploreOptions:
+    """A campaign config's options plus this invocation's levels and workers."""
+    return options_from_args(
+        args, mode=config["mode"], max_schedules=config["max_schedules"],
         seed=config["seed"], reduction=config["reduction"],
         chunk_size=config["chunk_size"],
-        workers=_workers_from_arg(args.workers),
-        store=_maybe_throttled(store, args.throttle_ms),
-        campaign_id=campaign_id or default_campaign_id(config),
-    )
-    if levels is not None:
-        kwargs["levels"] = levels
-    result = explore(spec, ExploreOptions(**kwargs))
-    campaign = kwargs["campaign_id"]
+        workers=_workers_from_arg(args.workers))
+
+
+def _run_explore(store: SqliteStore, spec: ProgramSetSpec,
+                 args: argparse.Namespace, config: Dict[str, Any],
+                 options: ExploreOptions, campaign_id: Optional[str]) -> int:
+    from ..explorer.explorer import explore
+    from .records import default_campaign_id
+
+    campaign = campaign_id or default_campaign_id(config)
+    result = explore(spec, options.replace(
+        store=_maybe_throttled(store, args.throttle_ms), campaign_id=campaign))
     report = persist_result(store, campaign, result)
     executed = result.executed_schedules()
     print(report.render(title=f"campaign {campaign}"))
@@ -146,9 +182,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                              max_schedules=args.max_schedules, seed=args.seed,
                              reduction=args.reduction,
                              chunk_size=args.chunk_size)
+    options = _campaign_options(args, config)
     with_store = SqliteStore(args.store)
     try:
-        return _run_explore(with_store, spec, args, config, args.campaign)
+        return _run_explore(with_store, spec, args, config, options,
+                            args.campaign)
     finally:
         with_store.close()
 
@@ -169,7 +207,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         spec = ProgramSetSpec.make(config["spec_name"],
                                    **{key: value
                                       for key, value in config["spec_params"]})
-        return _run_explore(store, spec, args, config, args.campaign)
+        return _run_explore(store, spec, args, config,
+                            _campaign_options(args, config), args.campaign)
     finally:
         store.close()
 
@@ -284,9 +323,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StoreError as error:
-        # Config mismatches and store-invariant violations are user errors
-        # (wrong flags, wrong campaign, wrong store) — report them cleanly
-        # instead of dumping a traceback.
+    except (StoreError, UsageError) as error:
+        # Bad flag values, config mismatches and store-invariant violations
+        # are user errors (wrong flags, wrong campaign, wrong store) — report
+        # them cleanly instead of dumping a traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
-"""Per-(phenomenon, level) static verdicts over a dependency graph.
+"""Per-(scenario, level) static verdicts over a dependency graph.
 
-Each rule below answers "can this phenomenon's defining pattern form in any
-interleaving of these programs under this level?" by combining three kinds
-of argument:
+There is one rule per Table 4 column.  Each answers "can this scenario's
+``manifests`` predicate hold in any interleaving of these programs under
+this level?" by combining three kinds of argument:
 
 * **Structural**: the pattern's candidate edges simply do not exist (no two
   programs write a common item ⇒ no P0).  Only sound when every footprint is
@@ -17,21 +17,15 @@ of argument:
 * **Multiversion semantics**: the engines in :mod:`repro.mvcc` never expose
   uncommitted writes, and the single-valued mapping the classifier applies
   (``repro.explorer.memo``) emits each transaction's writes atomically with
-  its terminal — so P0/P1/A1 cannot appear in any mapped history.  Snapshot
+  its terminal — so P0/P1 cannot appear in any mapped history.  Snapshot
   reads additionally pin all of a transaction's foreign reads to one
-  instant, killing A2/A5A when no program rereads its own writes.
+  instant, killing the strict P2 and A5A when no program rereads its own
+  writes.
 
-Two rule sets share those arguments but answer different questions:
-
-* :func:`analyze_programs` — **pattern semantics**: sound with respect to
-  the detectors in :mod:`repro.core.phenomena` run on realized (or
-  MV-mapped) histories.  This is what justifies dropping a detector from
-  :func:`repro.explorer.explorer.explore`'s classification pass.
-* :func:`analyze_scenario_programs` — **scenario semantics**: sound with
-  respect to a curated scenario's ``manifests`` predicate.  The P2 and P3
-  scenarios assert a *committed* reread/re-select observing a change (the
-  strict A2/A3 shape), so they inherit the stricter rules; every other
-  scenario manifests exactly when its pattern does.
+An ``IMPOSSIBLE`` verdict from :func:`analyze_scenario_programs` is what
+licenses :func:`~repro.explorer.scenarios.explore_scenario` to skip a whole
+variant space.  ``tests/integration/test_static_dynamic_agreement.py`` holds
+every such verdict to the executed space.
 """
 
 from __future__ import annotations
@@ -46,11 +40,9 @@ from .sdg import ConflictEdge, StaticDependencyGraph, Verdict, build_sdg
 
 __all__ = [
     "StaticVerdict",
-    "PATTERN_CODES",
+    "SCENARIO_RULES",
     "analyze_sdg",
-    "analyze_programs",
     "analyze_scenario_programs",
-    "impossible_codes",
 ]
 
 
@@ -128,8 +120,7 @@ def _rule_dirty_write(code: str, sdg: StaticDependencyGraph,
 
 def _rule_dirty_read(code: str, sdg: StaticDependencyGraph,
                      p: LevelProfile) -> StaticVerdict:
-    """P1 ``w1[x] .. r2[x]`` before T1's terminal (A1 adds abort/commit
-    constraints, which only shrink the pattern — same impossibility rule)."""
+    """P1 ``w1[x] .. r2[x]`` before T1's terminal."""
     wr = sdg.edges_of("wr")
     if not wr and not sdg.has_opaque:
         return _impossible(code, p, "no program reads an item another "
@@ -148,26 +139,6 @@ def _rule_dirty_read(code: str, sdg: StaticDependencyGraph,
         return _possible(code, p, "reads take no lock (or the writer's lock "
                                   "is short); each wr edge is a candidate "
                                   "w1[x]..r2[x]", wr)
-    return _unknown(code, p, _OPAQUE_NOTE)
-
-
-def _rule_fuzzy_read(code: str, sdg: StaticDependencyGraph,
-                     p: LevelProfile) -> StaticVerdict:
-    """Broad P2 ``r1[x] .. w2[x]`` before T1's terminal."""
-    rw = sdg.edges_of("rw")
-    if not rw and not sdg.has_opaque:
-        return _impossible(code, p, "no item read by one program is written "
-                                    "by another, so no r1[x]..w2[x] pair "
-                                    "exists")
-    if p.single_version and p.read_locks_long:
-        return _impossible(code, p, "long read locks hold every read item "
-                                    "to the reader's terminal, so a foreign "
-                                    "write cannot intervene")
-    if rw:
-        return _possible(code, p, "read locks are short or absent (and "
-                                  "multiversion engines do not block "
-                                  "writers); each rw edge is a candidate "
-                                  "r1[x]..w2[x]", rw)
     return _unknown(code, p, _OPAQUE_NOTE)
 
 
@@ -201,7 +172,7 @@ def _rule_strict_fuzzy_read(code: str, sdg: StaticDependencyGraph,
 
 def _rule_phantom(code: str, sdg: StaticDependencyGraph,
                   p: LevelProfile) -> StaticVerdict:
-    """P3/A3: a predicate read whose extent a foreign write changes.
+    """P3: a predicate read whose extent a foreign write changes.
 
     Predicate reads are exactly the opaque footprints, so structure decides
     the no-opaque case and locks decide the SERIALIZABLE case; anything else
@@ -319,85 +290,46 @@ def _rule_write_skew(code: str, sdg: StaticDependencyGraph,
     return _unknown(code, p, _OPAQUE_NOTE)
 
 
-#: Pattern semantics: sound w.r.t. the detectors on realized / mapped
-#: histories.  The broad P2 rule covers A2's pattern superset, and P4's
-#: pattern does not require the foreign writer to commit — so at SI the lost
-#: update *pattern* stays possible (aborted-writer histories) even though
-#: the first-committer-wins check stops committed lost updates.
-PATTERN_RULES: Dict[str, _Rule] = {
+#: The rule table, one per Table 4 column, in the paper's column order.  The
+#: P2 scenario requires a committed transaction to observe two different
+#: values for one item (the strict A2 shape) and the P3 scenario an observed
+#: change across a re-select, so both take the strict rules; every other
+#: scenario manifests exactly when its pattern occurs.
+SCENARIO_RULES: Dict[str, _Rule] = {
     "P0": _rule_dirty_write,
     "P1": _rule_dirty_read,
-    "A1": _rule_dirty_read,
-    "P2": _rule_fuzzy_read,
-    "A2": _rule_strict_fuzzy_read,
-    "P3": _rule_phantom,
-    "A3": _rule_phantom,
-    "P4": _rule_lost_update,
     "P4C": _rule_cursor_lost_update,
+    "P4": _rule_lost_update,
+    "P2": _rule_strict_fuzzy_read,
+    "P3": _rule_phantom,
     "A5A": _rule_read_skew,
     "A5B": _rule_write_skew,
 }
 
-#: Scenario-manifestation semantics: what the curated scenarios' `manifests`
-#: predicates assert.  The P2 scenario requires a committed transaction to
-#: observe two different values for one item (the strict A2 shape), and the
-#: P3 scenario likewise asserts an observed change across a re-select, so
-#: both use the stricter rules; all other scenarios manifest exactly when
-#: their pattern occurs.
-SCENARIO_RULES: Dict[str, _Rule] = dict(PATTERN_RULES)
-SCENARIO_RULES["P2"] = _rule_strict_fuzzy_read
-
-#: The codes the pattern analysis can rule on (== the detector registry).
-PATTERN_CODES: Tuple[str, ...] = tuple(PATTERN_RULES)
-
 
 def analyze_sdg(sdg: StaticDependencyGraph, level: IsolationLevelName,
                 codes: Optional[Sequence[str]] = None,
-                rules: Optional[Dict[str, _Rule]] = None,
                 ) -> Dict[str, StaticVerdict]:
-    """Verdicts for ``codes`` (default: all) on a prebuilt graph."""
+    """Verdicts for ``codes`` (default: every Table 4 column) on a prebuilt graph."""
     profile = profile_for(level)
-    table = PATTERN_RULES if rules is None else rules
-    selected = tuple(table) if codes is None else tuple(codes)
+    selected = tuple(SCENARIO_RULES) if codes is None else tuple(codes)
     verdicts = {}
     for code in selected:
         try:
-            rule = table[code]
+            rule = SCENARIO_RULES[code]
         except KeyError:
-            raise KeyError(f"no static rule for phenomenon {code!r}") from None
+            raise KeyError(f"no static rule for scenario {code!r}") from None
         verdicts[code] = rule(code, sdg, profile)
     return verdicts
-
-
-def analyze_programs(programs: Sequence[TransactionProgram],
-                     level: IsolationLevelName,
-                     codes: Optional[Sequence[str]] = None,
-                     ) -> Dict[str, StaticVerdict]:
-    """Pattern-semantics verdicts for a program set at one level.
-
-    ``IMPOSSIBLE`` here licenses skipping the phenomenon's *detector* for
-    every history these programs can realize at this level.
-    """
-    return analyze_sdg(build_sdg(programs), level, codes)
 
 
 def analyze_scenario_programs(programs: Sequence[TransactionProgram],
                               code: str,
                               level: IsolationLevelName) -> StaticVerdict:
-    """Scenario-manifestation verdict for one curated scenario variant.
+    """The verdict for one curated scenario variant's programs at one level.
 
     ``IMPOSSIBLE`` here licenses skipping the variant's entire interleaving
     space at this level: no schedule can satisfy the scenario's
     ``manifests`` predicate.
     """
-    sdg = build_sdg(programs)
-    return analyze_sdg(sdg, level, (code,), SCENARIO_RULES)[code]
-
-
-def impossible_codes(programs: Sequence[TransactionProgram],
-                     level: IsolationLevelName,
-                     codes: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
-    """The codes statically impossible for these programs at this level."""
-    verdicts = analyze_programs(programs, level, codes)
-    return tuple(code for code, verdict in verdicts.items()
-                 if verdict.verdict is Verdict.IMPOSSIBLE)
+    return analyze_sdg(build_sdg(programs), level, (code,))[code]

@@ -61,6 +61,8 @@ class TestValidation:
         (dict(workers="many"), "workers must be an int or 'auto'"),
         (dict(batch_kernel="maybe"), "batch_kernel must be None, 'auto'"),
         (dict(campaign_id="c"), "campaign_id requires a store"),
+        (dict(max_schedules=0), "max_schedules must be >= 1"),
+        (dict(max_schedules=-5), "max_schedules must be >= 1"),
     ])
     def test_bad_values_rejected_eagerly(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -108,6 +110,7 @@ class TestFromEnv:
 
     @pytest.mark.parametrize("name,raw,match", [
         ("EXPLORER_MAX_SCHEDULES", "many", "EXPLORER_MAX_SCHEDULES"),
+        ("EXPLORER_MAX_SCHEDULES", "0", "EXPLORER_MAX_SCHEDULES must be >= 1"),
         ("EXPLORER_SEED", "1.5", "EXPLORER_SEED"),
         ("EXPLORER_WORKERS", "two", "EXPLORER_WORKERS"),
         ("EXPLORER_CHUNK_SIZE", "", "EXPLORER_CHUNK_SIZE"),

@@ -110,7 +110,8 @@ class TestExploreVariant:
 class TestExploreScenario:
     def test_aggregates_variants_into_a_cell(self):
         scenario = scenario_by_code("P4")
-        exploration = explore_scenario(scenario, IsolationLevelName.CURSOR_STABILITY)
+        exploration = explore_scenario(scenario, IsolationLevelName.CURSOR_STABILITY,
+                                       static_pruning=False)
         assert exploration.possibility is Possibility.SOMETIMES_POSSIBLE
         by_name = {variant.variant_name: variant for variant in exploration.variants}
         assert by_name["plain-read-modify-write"].manifests
@@ -121,9 +122,23 @@ class TestExploreScenario:
 
     def test_not_possible_cell_has_no_witness(self):
         scenario = scenario_by_code("A5A")
-        exploration = explore_scenario(scenario, SI)
+        exploration = explore_scenario(scenario, SI, static_pruning=False)
         assert exploration.possibility is Possibility.NOT_POSSIBLE
         assert exploration.witness is None
+        assert exploration.pruned_variants == 0
+        assert all(variant.executed > 0 for variant in exploration.variants)
+
+    def test_default_skips_statically_impossible_spaces(self):
+        """A5A at SI is ruled out statically: same cell, nothing executed."""
+        scenario = scenario_by_code("A5A")
+        pruned = explore_scenario(scenario, SI)
+        full = explore_scenario(scenario, SI, static_pruning=False)
+        assert pruned.possibility is full.possibility is Possibility.NOT_POSSIBLE
+        assert pruned.pruned_variants == len(scenario.variants)
+        for variant in pruned.variants:
+            assert variant.pruned and variant.mode == "pruned"
+            assert variant.executed == variant.schedules == 0
+            assert variant.static_reason
 
     def test_empty_scenario_raises(self):
         empty = AnomalyScenario(code="PX", name="empty", description="",

@@ -12,9 +12,12 @@ Two directions, both load-bearing for the soundness contract of
   unpruned (``POSSIBLE`` or ``UNKNOWN``), so the explorer still gets to find
   the witness.
 
-The gate also pins the headline end-to-end property: the explored Table 4
-with static pruning enabled reproduces ``EXPECTED_TABLE_4`` exactly, while
+The gate also pins the headline end-to-end property: the explored Table 4,
+which prunes by default, reproduces ``EXPECTED_TABLE_4`` exactly while
 actually skipping a substantial share of the variant spaces.
+
+The first direction executes every scope through ``explore_variant``, which
+never prunes, so it cannot pass by skipping the spaces it checks.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.analysis.matrix import (
     compute_table4_explored,
 )
 from repro.core.isolation import IsolationLevelName, Possibility
-from repro.explorer.scenarios import explore_scenario
+from repro.explorer.scenarios import explore_variant
 from repro.static_analysis import Verdict, analyze_scenario_programs
 from repro.workloads.scenarios import ALL_SCENARIOS, scenario_by_code
 
@@ -53,21 +56,17 @@ class TestNoFalseImpossibility:
         checked = 0
         for level in ALL_LEVELS:
             for scenario in ALL_SCENARIOS:
-                verdicts = {
-                    variant.name: _static_verdict(scenario.code, variant, level)
-                    for variant in scenario.variants
-                }
-                if not any(v.verdict is Verdict.IMPOSSIBLE
-                           for v in verdicts.values()):
-                    continue
-                exploration = explore_scenario(scenario, level)
-                for explored in exploration.variants:
-                    verdict = verdicts[explored.variant_name]
+                for variant in scenario.variants:
+                    verdict = _static_verdict(scenario.code, variant, level)
                     if verdict.verdict is not Verdict.IMPOSSIBLE:
                         continue
+                    explored = explore_variant(variant, level,
+                                               scenario_code=scenario.code)
                     checked += 1
+                    assert explored.executed > 0 and not explored.pruned
+                    assert explored.schedules == explored.space_size
                     assert explored.manifested == 0, (
-                        f"{scenario.code}/{explored.variant_name} at "
+                        f"{scenario.code}/{variant.name} at "
                         f"{level.value}: statically impossible "
                         f"({verdict.reason}) but dynamically witnessed")
         # The gate must actually exercise a large set of scopes, or a
@@ -101,7 +100,7 @@ class TestNoFalseImpossibility:
 
 class TestPrunedTable4:
     def test_pruned_table_reproduces_the_paper_and_skips_work(self):
-        pruned = compute_table4_explored(static_pruning=True)
+        pruned = compute_table4_explored()
         assert pruned.possibilities() == EXPECTED_TABLE_4
         assert pruned.static_pruning
         assert pruned.total_pruned_variants() > 0

@@ -10,9 +10,12 @@ stalled and deadlocked schedules that arbitrary interleavings inevitably
 produce under locking engines handled as first-class non-manifesting results
 (no ``RuntimeError`` anywhere in the run).
 
-``TABLE4_EXPLORE_BUDGET`` caps the per-variant schedule budget (default
-covers every curated variant space exhaustively; the CI smoke job sets it
-explicitly).
+``TABLE4_EXPLORE_BUDGET`` caps the per-variant schedule budget (the default
+covers every curated variant space exhaustively).
+
+The module's table executes every space (``static_pruning=False``); the
+default, statically pruned table must agree with it cell for cell, witness
+for witness.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ EXHAUSTIVE = BUDGET >= 924
 
 @pytest.fixture(scope="module")
 def explored() -> ExploredTable4:
-    return compute_table4_explored(max_schedules=BUDGET)
+    return compute_table4_explored(max_schedules=BUDGET, static_pruning=False)
 
 
 def test_explored_matrix_matches_the_paper_cell_for_cell(explored):
@@ -106,3 +109,18 @@ def test_exploration_covers_the_full_curated_spaces(explored):
             assert cell.schedules > 0
     # The curated scenario spaces total 1367 schedules per level.
     assert explored.total_schedules() == 1367 * len(TABLE_4_LEVELS)
+
+
+def test_default_pruned_table_keeps_every_cell_and_witness(explored):
+    """Pruning skips only spaces that never manifest, so nothing observable moves."""
+    pruned = compute_table4_explored(max_schedules=BUDGET)
+    assert pruned.static_pruning and not explored.static_pruning
+    assert pruned.possibilities() == explored.possibilities()
+    assert pruned.total_pruned_variants() > 0
+    assert pruned.total_schedules() < explored.total_schedules()
+    for level in TABLE_4_LEVELS:
+        for code in TABLE_4_COLUMNS:
+            kept, full = pruned.cell(level, code), explored.cell(level, code)
+            assert kept.witness == full.witness
+            assert kept.manifested == full.manifested
+            assert kept.variant_frequencies == full.variant_frequencies

@@ -107,6 +107,53 @@ def test_config_mismatch_is_refused(store):
                                 store=store, max_schedules=301)
 
 
+class TestUnprunedCampaigns:
+    """Campaigns stored unpruned, the default before pruning became it."""
+
+    @pytest.fixture
+    def unfinished(self, store) -> str:
+        with pytest.raises(Interrupted):
+            compute_table4_explored(LEVELS, SCENARIOS, static_pruning=False,
+                                    store=InterruptingStore(store, 2), **KWARGS)
+        (campaign,) = store.list_campaigns()
+        return campaign.campaign_id
+
+    @staticmethod
+    def unpruned():
+        return compute_table4_explored(LEVELS, SCENARIOS, static_pruning=False,
+                                       **KWARGS)
+
+    def test_explicit_unpruned_resume_finishes_unchanged(self, store,
+                                                         unfinished):
+        resumed = compute_table4_explored(LEVELS, SCENARIOS, store=store,
+                                          campaign_id=unfinished,
+                                          static_pruning=False, **KWARGS)
+        unpruned = self.unpruned()
+        assert resumed == unpruned
+        assert resumed.render() == unpruned.render()
+        assert table4_explored_from_store(store, unfinished) == resumed
+
+    def test_default_call_opens_a_second_pruned_campaign(self, store,
+                                                         unfinished):
+        pruned = compute_table4_explored(LEVELS, SCENARIOS, store=store,
+                                         **KWARGS)
+        assert pruned.total_pruned_variants() > 0
+        assert pruned.possibilities() == self.unpruned().possibilities()
+        campaigns = {info.campaign_id for info in store.list_campaigns()}
+        assert len(campaigns) == 2 and unfinished in campaigns
+        assert len(store.load_table4_cells(unfinished)) == 2
+        compute_table4_explored(LEVELS, SCENARIOS, store=store,
+                                campaign_id=unfinished, static_pruning=False,
+                                **KWARGS)
+        assert table4_explored_from_store(store, unfinished) == self.unpruned()
+
+    def test_explicit_id_with_the_pruned_default_is_refused(self, store,
+                                                            unfinished):
+        with pytest.raises(CampaignConfigMismatch):
+            compute_table4_explored(LEVELS, SCENARIOS, store=store,
+                                    campaign_id=unfinished, **KWARGS)
+
+
 def test_campaign_id_requires_a_store():
     with pytest.raises(ValueError):
         compute_table4_explored(LEVELS, SCENARIOS, campaign_id="t4", **KWARGS)

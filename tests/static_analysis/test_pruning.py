@@ -1,35 +1,19 @@
-"""Static verdicts on explorer results, and the coverage report's notes.
+"""The coverage report's notes on how much of a space was explored.
 
 Pruning whole variant spaces is the Table 4 bridge's business
 (``tests/integration/test_static_dynamic_agreement.py``); ``explore()``
-attaches the verdicts and skips no detector.
+prunes nothing.
 """
 
 from __future__ import annotations
 
 from repro.core.isolation import IsolationLevelName
 from repro.explorer.explorer import ExploreOptions, explore
-from repro.static_analysis import Verdict
 from repro.workloads.program_sets import ProgramSetSpec
 
 RC = IsolationLevelName.READ_COMMITTED
 
 SPEC = ProgramSetSpec.make("increments")
-
-
-class TestStaticVerdicts:
-    def test_verdicts_are_recorded_either_way(self):
-        """Every result carries the static verdict map; nothing is pruned.
-
-        ``explore()`` runs every detector (one sweep yields all of them), so
-        the verdicts are a report beside the records, never a filter on them.
-        """
-        result = explore(SPEC, ExploreOptions(levels=(RC,)))
-        assert result.static_verdicts[RC]
-        codes = result.pruned_detectors(RC)
-        assert codes  # increments statically rules out several phenomena at RC
-        for code in codes:
-            assert result.static_verdicts[RC][code].verdict is Verdict.IMPOSSIBLE
 
 
 class TestCoverageReportNotes:

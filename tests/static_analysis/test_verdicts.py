@@ -6,13 +6,8 @@ import pytest
 
 from repro.core.isolation import IsolationLevelName
 from repro.engine.programs import Commit, ReadItem, TransactionProgram, WriteItem
-from repro.static_analysis import (
-    PATTERN_CODES,
-    Verdict,
-    analyze_programs,
-    analyze_scenario_programs,
-    impossible_codes,
-)
+from repro.analysis.matrix import TABLE_4_COLUMNS
+from repro.static_analysis import SCENARIO_RULES, Verdict, analyze_scenario_programs
 from repro.static_analysis.levels import PROFILED_LEVELS, profile_for
 from repro.workloads.scenarios import scenario_by_code
 
@@ -64,10 +59,12 @@ class TestProfiles:
 
 
 class TestPatternAnalysis:
+    """Each rule's conflict-pattern argument on plain hand-built programs."""
+
     def test_covers_every_pattern_code(self):
-        verdicts = analyze_programs(_lost_update_programs(), RC)
-        assert set(verdicts) == set(PATTERN_CODES)
-        for code, verdict in verdicts.items():
+        assert tuple(SCENARIO_RULES) == TABLE_4_COLUMNS
+        for code in TABLE_4_COLUMNS:
+            verdict = analyze_scenario_programs(_lost_update_programs(), code, RC)
             assert verdict.code == code
             assert verdict.level is RC
             assert verdict.reason
@@ -79,40 +76,37 @@ class TestPatternAnalysis:
             _program(1, ReadItem("x"), Commit()),
             _program(2, ReadItem("x"), Commit()),
         ]
-        verdicts = analyze_programs(readers, D0)
         for code in ("P0", "P1", "P2", "P4", "A5A", "A5B"):
-            assert verdicts[code].verdict is Verdict.IMPOSSIBLE, code
+            verdict = analyze_scenario_programs(readers, code, D0)
+            assert verdict.verdict is Verdict.IMPOSSIBLE, code
 
     def test_long_write_locks_kill_p0(self):
-        verdicts = analyze_programs(_lost_update_programs(), RU)
-        assert verdicts["P0"].verdict is Verdict.IMPOSSIBLE
+        assert analyze_scenario_programs(_lost_update_programs(), "P0", RU) \
+            .verdict is Verdict.IMPOSSIBLE
         # ...but not at Degree 0, whose write locks are short.
-        assert analyze_programs(_lost_update_programs(), D0)["P0"].verdict \
-            is not Verdict.IMPOSSIBLE
+        assert analyze_scenario_programs(_lost_update_programs(), "P0", D0) \
+            .verdict is not Verdict.IMPOSSIBLE
 
     def test_possible_verdicts_carry_witnessing_edges(self):
-        verdicts = analyze_programs(_lost_update_programs(), RC)
-        p4 = verdicts["P4"]
+        p4 = analyze_scenario_programs(_lost_update_programs(), "P4", RC)
         assert p4.verdict is Verdict.POSSIBLE
         assert p4.edges
         assert any("x" in edge.describe() for edge in p4.edges)
 
     def test_serializable_kills_every_pattern_here(self):
-        assert set(impossible_codes(_lost_update_programs(), SER)) == \
-            set(PATTERN_CODES)
-
-    def test_pattern_p2_survives_snapshot_isolation(self):
-        # Pattern semantics: the *broad* P2 (r1..w2 in any commit order)
-        # stays achievable on SI histories, unlike the scenario's strict
-        # non-repeatable read.  The detector-pruning path must not claim
-        # IMPOSSIBLE here.
-        verdicts = analyze_programs(_lost_update_programs(), SI)
-        assert verdicts["P2"].verdict is not Verdict.IMPOSSIBLE
+        for code in TABLE_4_COLUMNS:
+            verdict = analyze_scenario_programs(_lost_update_programs(), code, SER)
+            assert verdict.verdict is Verdict.IMPOSSIBLE, code
 
     def test_unprofiled_level_raises(self):
         with pytest.raises(KeyError):
-            analyze_programs(_lost_update_programs(),
-                             IsolationLevelName.ANOMALY_SERIALIZABLE)
+            analyze_scenario_programs(_lost_update_programs(), "P0",
+                                      IsolationLevelName.ANOMALY_SERIALIZABLE)
+
+    def test_codes_outside_table_4_have_no_rule(self):
+        for code in ("A1", "A2", "A3", "P5"):
+            with pytest.raises(KeyError, match="no static rule"):
+                analyze_scenario_programs(_lost_update_programs(), code, RC)
 
 
 class TestScenarioVerdicts:

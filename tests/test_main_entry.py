@@ -47,6 +47,23 @@ def test_campaign_usage_error_exits_two(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["campaign", "run", "--program-set", "increments", "--chunk-size", "0"],
+    ["campaign", "run", "--program-set", "increments", "--max-schedules", "-5"],
+    ["campaign", "run", "--program-set", "nope"],
+    ["campaign", "run", "--program-set", "increments", "--levels", "BOGUS"],
+    ["distrib", "run", "--program-set", "increments", "--workers", "0"],
+])
+def test_bad_flag_value_is_a_clean_error_before_any_store_write(argv, tmp_path,
+                                                                capsys):
+    store = tmp_path / "c.sqlite"
+    assert main(argv + ["--store", str(store)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not store.exists()       # no campaign row, not even an empty file
+
+
 @pytest.mark.parametrize("command", ["campaign", "distrib"])
 def test_subcommand_help_names_the_unified_program(command, capsys):
     with pytest.raises(SystemExit) as excinfo:
