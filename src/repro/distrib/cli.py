@@ -45,13 +45,13 @@ def _options_from_args(args: argparse.Namespace) -> ExploreOptions:
 
 def _plan_from_args(args: argparse.Namespace) -> FaultPlan:
     if args.faults and args.fault_seed is not None:
-        raise SystemExit("--faults and --fault-seed are mutually exclusive")
+        raise UsageError("--faults and --fault-seed are mutually exclusive")
     if args.fault_seed is not None:
         return FaultPlan.random(args.fault_seed, workers=int(args.workers))
     try:
         return FaultPlan.parse(args.faults or [])
     except ValueError as error:
-        raise SystemExit(f"bad --faults value: {error}")
+        raise UsageError(f"bad --faults value: {error}") from None
 
 
 def _runner(store, spec, args: argparse.Namespace, options: ExploreOptions,

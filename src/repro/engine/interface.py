@@ -277,6 +277,29 @@ class Engine:
         """Reset the engine (database included) to a previously captured token."""
         raise CheckpointError(f"{type(self).__name__} does not support checkpoints")
 
+    #: Left out of :meth:`_base_state_key`, with why no later step can tell.
+    _state_key_derivable = (
+        ("_abort_reasons", "read only when an aborted transaction acts "
+                           "again, and the runner finishes every program "
+                           "the engine aborts"),
+    )
+
+    def state_key(self) -> Any:
+        """A canonical, hashable value of the state :meth:`checkpoint` captures.
+
+        Two engine states with equal keys must answer every later action
+        alike, so the key holds what a later step can observe and nothing
+        else: counters nothing reads, orders nothing reads and values
+        another field already determines stay out (each engine lists them
+        in ``_state_key_derivable``).  The trie executor's transition table
+        interns states by this key (see :mod:`repro.explorer.transition_table`).
+        """
+        raise CheckpointError(f"{type(self).__name__} does not support state keys")
+
+    def _base_state_key(self) -> Any:
+        """State key of the lifecycle bookkeeping shared by all engines."""
+        return tuple(self._states.items())
+
     def _base_checkpoint(self) -> Any:
         """Checkpoint of the lifecycle bookkeeping shared by all engines."""
         return dict(self._states), dict(self._abort_reasons)

@@ -43,6 +43,7 @@ from typing import (
 from ..core.history import History
 from ..core.operations import Operation, OperationKind
 from ..locking.deadlock import Deadlock, WaitsForGraph
+from ..storage.rows import freeze
 from .interface import (
     Engine,
     OpResult,
@@ -138,6 +139,27 @@ class ScheduleRunner:
     _checkpoint_stable = ("_programs", "_order", "_max_attempts",
                           "_collect_traces", "_op_cache")
 
+    #: Left out of :meth:`state_key`, with why no later step can tell.  The
+    #: outputs travel as per-transition deltas in the trie executor's
+    #: transition table instead (:meth:`output_mark`, :meth:`outputs_since`).
+    _state_key_derivable = (
+        ("_operations", "an output"),
+        ("_traces", "an output"),
+        ("_deadlocks", "an output"),
+        ("_blocked_events", "an output"),
+        ("_abort_reasons", "an output"),
+        ("_stalled", "an output of drain(), false before it"),
+        ("_attempts", "an output, except against the attempt budget, which "
+                      "the transition table checks before reusing a record"),
+        ("_waits_maybe_cyclic", "only decides whether detect() runs, and is "
+                                "true whenever the waits-for graph has a "
+                                "cycle; on an acyclic graph detect() finds "
+                                "nothing either way"),
+        ("_terminal_recorded", "the finished transactions whose commit or "
+                               "abort is recorded; only unfinished ones are "
+                               "ever aborted again"),
+    )
+
     def __init__(self, engine: Engine, programs: Sequence[TransactionProgram],
                  interleaving: Optional[Sequence[int]] = None,
                  max_attempts: Optional[int] = None,
@@ -187,6 +209,11 @@ class ScheduleRunner:
         self._waits_maybe_cyclic = False
 
     # -- public API -----------------------------------------------------------------
+
+    @property
+    def max_attempts(self) -> int:
+        """The attempt budget: slots and drain rounds stop once it is spent."""
+        return self._max_attempts
 
     def reset(self, engine: Optional[Engine] = None,
               interleaving: Optional[Sequence[int]] = None) -> "ScheduleRunner":
@@ -361,6 +388,50 @@ class ScheduleRunner:
             state.parked = None
         for txn, parked in token.blocked_memo:
             self._states[txn].parked = parked
+
+    # -- state keys and output deltas (the transition table's view) ----------------------
+
+    def state_key(self) -> Tuple:
+        """A canonical, hashable value of everything that steers a later slot.
+
+        Per program: step counter, finished flag, context bindings (see
+        :func:`~repro.storage.rows.freeze`) and one fact about the parked
+        blocked-result memo — whether it still holds, i.e. whether the lock
+        state of the item it waits on has not moved since it parked.  The
+        engine's :meth:`~repro.engine.interface.Engine.state_key` and the
+        waits-for graph complete it.  Outputs are left out (see
+        ``_state_key_derivable``): two prefixes that differ only in what they
+        emitted reach one state.
+        """
+        version_for = self.engine.blocking_version_for
+        programs = []
+        for state in self._states.values():
+            parked = state.parked
+            programs.append((
+                state.counter, state.finished,
+                tuple([(name, freeze(value))
+                       for name, value in state.context.items()]),
+                parked is not None and parked[0] == state.counter
+                and parked[1] == version_for(parked[3]),
+            ))
+        return (self.engine.state_key(), tuple(programs),
+                self._waits.state_key())
+
+    def output_mark(self) -> Tuple[int, int, int, int, int]:
+        """Where the outputs stand now, for :meth:`outputs_since`."""
+        return (len(self._operations), self._attempts, self._blocked_events,
+                len(self._deadlocks), len(self._abort_reasons))
+
+    def outputs_since(self, mark: Tuple[int, int, int, int, int]) -> Tuple:
+        """What the runner emitted since ``mark``: (operations, attempts,
+        blocked events, deadlocks, abort reasons), the last as (txn, reason)
+        pairs — a transaction's reason is recorded once, when it finishes."""
+        operations, attempts, blocked, deadlocks, aborts = mark
+        return (tuple(self._operations[operations:]),
+                self._attempts - attempts,
+                self._blocked_events - blocked,
+                tuple(self._deadlocks[deadlocks:]),
+                tuple(self._abort_reasons.items())[aborts:])
 
     # -- single-step execution -----------------------------------------------------------
 

@@ -1,32 +1,29 @@
-"""The batch kernel: every engine state once, every later visit a table hit.
+"""The batch kernel: flat emulators behind the transition table.
 
 The trie executor replays schedules through full engine objects — lock lists,
-undo logs, OpResult values, deep checkpoint tokens.  For the program shapes
-the explorer actually enumerates (``ReadItem`` / ``WriteItem`` / ``Commit`` /
-``Abort`` steps, flattened into per-transaction int tables by
-:class:`_FlatPrograms`), every engine rule the runner can observe is a small
-arithmetic fact over per-item holder bitmasks, and Table 2 makes each locking
-level a *deterministic* rule over lock scope and duration.  Under a fixed
-program set a flat emulator is therefore a finite-state machine, and this
-module runs it as one:
+undo logs, OpResult values, deep checkpoint tokens — behind the transition
+table of :mod:`repro.explorer.transition_table`, so a real engine runs only
+the transitions no earlier schedule of its testbed took.  For the program
+shapes the explorer actually enumerates (``ReadItem`` / ``WriteItem`` /
+``Commit`` / ``Abort`` steps, flattened into per-transaction int tables by
+:class:`_FlatPrograms`), every engine rule the runner can observe is also a
+small arithmetic fact over per-item holder bitmasks, and this module puts
+that cheaper machine behind the *same* table:
 
 * **The emulators** (:class:`_LockingFlat`, :class:`_ReadConsistencyFlat`)
   keep the whole engine + runner state in one flat list and know how to take
-  a single step (``_attempt``) or a phase-2 drain from it.
-* **The transition table** in front of them interns every state the testbed
-  reaches (``tuple(state list)`` *is* the key) and maps
-  ``(state id, transaction) -> (next state id, emitted operations, attempt and
-  blocked deltas, deadlocks)`` and ``pre-drain state id -> drain result``.  The
-  emulator runs only on a miss; a slot that hits is two list indexings and an
-  extend, a checkpoint is ``(state id, len(ops), len(deadlocks), blocked,
-  attempts)``, and the outcome's statuses, contexts and database items are
-  read off the final state.  Schedules that reach one state by *different*
-  prefixes share it — on the ledger's 30,000-schedule sample 94% of all
-  attempts are answers the table already holds.
+  a single step (``_attempt``) or a phase-2 drain from it.  They are
+  :class:`~repro.explorer.transition_table.TableWalk` machines: interning,
+  the record shape, the budget-checked slot loop, the cap and the DFS walk
+  are the table's, shared with the real-engine path; a miss here costs one
+  emulator step instead of a runner sync plus an engine call.
+  ``tuple(state list)`` *is* the key; a checkpoint is ``(state id, output
+  lengths)``, and the outcome's statuses, contexts, abort reasons and
+  database items are read off the final state.  On the ledger's
+  30,000-schedule sample 94% of all attempts are answers the table already
+  holds.
 * :class:`_SnapshotKernel` needs no table: under Snapshot Isolation every
   transaction's stream is static and a row is one fold over commit order.
-* Batches are walked in sorted (DFS) order so consecutive rows restore the
-  deepest checkpoint they share, exactly like the trie executor.
 * Rows the tables cannot express (any other step type, custom engine
   options) never reach the kernel — :func:`build_batch_kernel` refuses to
   build and the caller keeps the stepwise path; a per-row escape hatch
@@ -42,28 +39,9 @@ monotone — two visits to the same engine situation never agree on them — and
 the runner reads them for one thing only, "has this item's lock state moved
 since the transaction parked", which the validity bitmask answers directly
 (any grant or release on an item clears the bit of every transaction parked
-on it).  ``ops``, ``deadlocks``, ``blocked_events`` and ``attempts`` are
-*outputs*: they never steer a step, so they are carried as per-transition
-deltas and two prefixes that differ only in what they already emitted still
-meet in one state.  The attempt budget is the one place an output steers:
-rows whose budget could run out inside a call take the checked slot loop, and
-a stored drain is reused only where ``attempts + its delta`` stays under
-``max_attempts`` (otherwise the drain runs on the emulator, unstored).
-
-**Purity.**  A stored transition replays what a program's value callable
-returned the first time.  That is sound exactly where ``_TESTBED_CACHE`` and
-the sleep-set plan are: value callables must be pure functions of the context
-they are handed.  Values that compare equal
-(``1``, ``1.0``, ``True``) are one value to the table, as they already are to
-the per-step operation interning caches.  A state holding an unhashable value
-cannot be interned: it lives in the emulator's list only, its transitions are
-computed and not stored, and the row rejoins the table at the next state that
-can be.
-
-**The cap.**  One testbed admits :data:`TRANSITION_STATE_CAP` states; past it
-transitions are computed and not stored (the policy of
-``CLASSIFICATION_MEMO_CAP``), so a space that never repeats pays the emulator
-it always paid and cannot grow the process.
+on it).  Outputs travel as record deltas (see the table's module docstring),
+and the real engines' ``state_key()`` leaves out the same things for the same
+reasons.
 
 Determinism contract: kernel outcomes are value-identical to the stepwise
 runner's — history, statuses, contexts, abort reasons, blocked counts,
@@ -81,7 +59,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -105,8 +82,9 @@ from ..locking.deadlock import Deadlock, WaitsForGraph
 from ..locking.modes import LockDuration, LockMode
 from ..locking.policy import POLICIES, policy_for
 from ..storage.database import Database
+from .transition_table import TableWalk, slot_record, sorted_order_and_lcps
 
-__all__ = ["BatchStats", "TRANSITION_STATE_CAP", "build_batch_kernel"]
+__all__ = ["BatchStats", "build_batch_kernel"]
 
 #: The kernel's step vocabulary: the four exact step types its tables express.
 #: Any other step type (rows, predicates, cursors, or a subclass overriding
@@ -125,15 +103,6 @@ _ABSENT = object()
 #: Sentinel for an empty state slot: no before-image taken, nothing buffered,
 #: context name not bound yet.
 _UNSET = object()
-
-#: States one testbed's transition table admits before it stops growing.
-#: Measured on the ledger's 30,000-schedule run (4 transactions over 2 hot
-#: items, 32 slots per state): the four locking levels intern 9,609 states
-#: (4,414 the largest table) with 24,607 stored transitions and 1,455 drains
-#: in 6.7 MB of allocations, 5.9 MB of peak RSS — 0.7 KB per state, its key,
-#: dict entry and 2.6 transition records included.  A full table is 23 MB at
-#: that ratio; wider program sets have longer keys.
-TRANSITION_STATE_CAP = 1 << 15
 
 
 class BatchStats:
@@ -170,25 +139,6 @@ class BatchStats:
         counters = {name: getattr(self, name) for name in self.__slots__}
         counters["occupancy"] = self.occupancy
         return counters
-
-
-def _common_prefix(first: Sequence[int], second: Sequence[int]) -> int:
-    limit = min(len(first), len(second))
-    shared = 0
-    while shared < limit and first[shared] == second[shared]:
-        shared += 1
-    return shared
-
-
-def _sorted_order_and_lcps(schedules: Sequence[Sequence[int]],
-                           sort: bool) -> Tuple[List[int], List[int]]:
-    """DFS order of a batch plus each row's common prefix with its predecessor."""
-    order = (sorted(range(len(schedules)), key=schedules.__getitem__) if sort
-             else list(range(len(schedules))))
-    lcps = [0] if order else []
-    for before, after in zip(order, order[1:]):
-        lcps.append(_common_prefix(schedules[before], schedules[after]))
-    return order, lcps
 
 
 def _intern_step_op(cache: Dict[Any, Operation], kind: OperationKind,
@@ -266,8 +216,8 @@ _STATES = (TransactionState.ACTIVE, TransactionState.COMMITTED,
 _ABORT_REASONS = {_ABORTED: "program abort", _VICTIM: "deadlock victim"}
 
 
-class _FlatEmulator:
-    """One engine + runner state as a flat list, behind its transition table.
+class _FlatEmulator(TableWalk):
+    """One engine + runner state as a flat list, behind the transition table.
 
     The state is one list (``T`` transactions, ``K`` items)::
 
@@ -288,23 +238,21 @@ class _FlatEmulator:
     version counter, ``_bump`` clears the ``pv`` bit of every transaction
     parked on that item — the only thing the counter is ever read for.
 
-    ``tuple(state)`` is the state's key in the transition table (see the
-    module docstring).  ``_sid`` is the current state's id, or -1 while the
-    state cannot be interned (table full, unhashable value) and lives in
-    ``_S`` only; ``_live`` names the state ``_S`` currently holds, so a run of
-    misses along one path loads nothing.
+    ``tuple(state)`` is the state's key in the transition table (see
+    :mod:`repro.explorer.transition_table`, which also walks the batch).
+    A state that cannot be interned (table full, unhashable value) lives in
+    ``_S`` only; ``_live`` names the state ``_S`` currently holds, so a run
+    of misses along one path loads nothing.
     """
 
-    #: Immutable configuration, plus the tables: append-only memos of pure
-    #: functions of (state, transaction), valid whatever a restore rewinds.
-    _checkpoint_stable = ("flat", "stats", "_txn_count", "_item_count",
-                          "_est", "_cnt", "_wt", "_pv", "_per", "_steps",
-                          "_ctx_names", "_ids", "_states", "_trans", "_drains")
-
     def __init__(self, flat: _FlatPrograms, a_cells: List[Any],
-                 b_cells: List[Any]):
+                 b_cells: List[Any], database: Database, engine_name: str,
+                 fallback: Optional[Callable[..., ExecutionOutcome]] = None):
+        super().__init__(flat.txns, flat.max_attempts, BatchStats())
         self.flat = flat
-        self.stats = BatchStats()
+        self.engine_name = engine_name
+        self.fallback = fallback
+        self._database = database
         txn_count = self._txn_count = len(flat.txns)
         item_count = self._item_count = len(flat.item_names)
         self._est = 3 * item_count
@@ -335,38 +283,12 @@ class _FlatEmulator:
             a_cells + b_cells + [0] * item_count
             + [_ACTIVE] * txn_count + [0] * (2 * txn_count + 1)
             + [_UNSET] * (slot - self._per))
-        self._ids: Dict[Tuple[Any, ...], int] = {}
-        self._states: List[Tuple[Any, ...]] = []
-        #: (next state id, emitted ops, attempts made, blocked events,
-        #: deadlocks) at ``state id * T + transaction index``, None until
-        #: computed; a drain record carries the stall flag as a sixth field.
-        self._trans: List[Optional[Tuple[Any, ...]]] = []
-        self._drains: Dict[int, Tuple[Any, ...]] = {}
-        self._sid = self._live = self._intern()
-        self.ops: List[Operation] = []
-        self.deadlocks: List[Deadlock] = []
-        self.blocked_events = 0
-        self.attempts = 0
-        self.stalled = False
+        self._live = -1
+        self._open(tuple(self._S))
+        self._live = self._sid
+        self.stats.checkpoints_created += 1
 
-    # -- the transition table --------------------------------------------------------
-
-    def _intern(self) -> int:
-        """The id of the state ``_S`` holds, admitting it if the cap allows."""
-        key = tuple(self._S)
-        try:
-            sid = self._ids.get(key)
-        except TypeError:  # an unhashable value: this state stays off the table
-            return -1
-        if sid is None:
-            sid = len(self._states)
-            if sid >= TRANSITION_STATE_CAP:
-                return -1
-            self._ids[key] = sid
-            self._states.append(key)
-            self._trans.extend([None] * self._txn_count)
-            self.stats.states = sid + 1
-        return sid
+    # -- the machine behind the table --------------------------------------------------
 
     def _load(self, sid: int) -> List[Any]:
         """``_S`` holding state ``sid`` (already does when ``sid`` is -1)."""
@@ -376,21 +298,17 @@ class _FlatEmulator:
         self._live = -1
         return self._S
 
-    def _compute(self, sid: int, ti: int) -> Tuple[Any, ...]:
-        """Run one attempt on the emulator; store it when both ends have ids."""
+    def _step(self, sid: int, ti: int, position: int) -> Tuple[Any, ...]:
+        """Run one attempt on the emulator."""
         self._load(sid)
         out: List[Operation] = []
         found: List[Deadlock] = []
         code = self._attempt(ti, out, found)
-        self._live = successor = self._intern()
-        record = (successor, tuple(out), 1 if code else 0,
-                  1 if code == 2 else 0, tuple(found))
-        if sid >= 0 and successor >= 0:
-            self._trans[sid * self._txn_count + ti] = record
-        self.stats.transitions_computed += 1
-        return record
+        self._live = successor = self._intern(tuple(self._S))
+        return slot_record(successor, tuple(out), 1 if code else 0,
+                           1 if code == 2 else 0, tuple(found))
 
-    def _compute_drain(self, sid: int) -> Tuple[Any, ...]:
+    def _drain_step(self, sid: int) -> Tuple[Any, ...]:
         """Phase 2 from state ``sid`` on the emulator, mirroring the runner."""
         S = self._load(sid)
         est, cnt, wt, pv = self._est, self._cnt, self._wt, self._pv
@@ -423,21 +341,41 @@ class _FlatEmulator:
             if not progressed and not self._resolve_deadlock(out, found):
                 stalled = True
                 break
-        self._live = final = self._intern()
-        record = (final, tuple(out), attempts - start, blocked, tuple(found),
-                  stalled)
-        # A drain that ran into the budget depends on where it started.
-        if sid >= 0 and final >= 0 and attempts < limit:
-            self._drains[sid] = record
-        self.stats.transitions_computed += 1
-        return record
+        self._live = final = self._intern(tuple(S))
+        # Abort reasons are read off the final state's lifecycle codes, so
+        # the records carry none; the outcome reads the final state itself.
+        return slot_record(final, tuple(out), attempts - start, blocked,
+                           tuple(found)) + (stalled, None)
 
-    def _take(self, record: Tuple[Any, ...]) -> None:
-        self._sid = record[0]
-        self.ops += record[1]
-        self.attempts += record[2]
-        self.blocked_events += record[3]
-        self.deadlocks += record[4]
+    def _hold(self) -> Tuple[Any, ...]:
+        return tuple(self._S)
+
+    def _resume(self, held: Tuple[Any, ...]) -> None:
+        self._S[:] = held
+        self._live = -1
+
+    def _enter_row(self, schedule: Sequence[int], depth: int, shared: int,
+                   prepare: Optional[int]) -> None:
+        total = len(schedule)
+        stats = self.stats
+        stats.restores += 1
+        stats.rows_fast += 1
+        stats.slots_executed += total - depth
+        if prepare is not None and depth < prepare < total:
+            stats.checkpoints_created += 1
+
+    def _foreign(self, schedule: Sequence[int]) -> ExecutionOutcome:
+        # Slots referencing transactions outside the step tables take the
+        # real engines (the runner treats them as no-ops; ejecting keeps
+        # the kernel's tables closed over the program set).
+        if self.fallback is None:
+            raise ValueError(
+                "schedule references transactions outside the program set"
+                " and no stepwise fallback is attached")
+        self.stats.schedules += 1
+        self.stats.rows_ejected += 1
+        self.stats.slots_total += len(schedule)
+        return self.fallback(schedule)
 
     # -- one step of the emulator ----------------------------------------------------
 
@@ -559,98 +497,11 @@ class _FlatEmulator:
         self._forget(S, victim)
         return True
 
-    # -- the runner's slot / drain protocol ------------------------------------------
-
-    def apply_slots(self, slots: Sequence[int]) -> None:
-        sid = self._sid
-        attempts = self.attempts
-        if sid < 0 or attempts + len(slots) >= self.flat.max_attempts:
-            self._apply_checked(slots)
-            return
-        # Each slot makes at most one attempt, so the budget cannot run out
-        # in here and the loop needs no check.
-        trans = self._trans
-        tindex = self.flat.tindex
-        width = self._txn_count
-        ops = self.ops
-        blocked = self.blocked_events
-        computed = self.stats.transitions_computed
-        rest: List[int] = []
-        walk = iter(slots)
-        for txn in walk:
-            ti = tindex[txn]
-            record = trans[sid * width + ti]
-            if record is None:
-                record = self._compute(sid, ti)
-                if record[0] < 0:
-                    rest = list(walk)  # off the table: finish on the checked loop
-            sid, emitted, made, waited, found = record
-            ops += emitted
-            attempts += made
-            blocked += waited
-            if found:
-                self.deadlocks += found
-        self._sid = sid
-        self.attempts = attempts
-        self.blocked_events = blocked
-        # One lookup per slot walked here; the misses among them were counted
-        # by _compute.
-        self.stats.transitions_reused += (
-            len(slots) - len(rest) + computed - self.stats.transitions_computed)
-        if rest:
-            self._apply_checked(rest)
-
-    def _apply_checked(self, slots: Iterable[int]) -> None:
-        """The slot loop with the budget check, on or off the table."""
-        trans = self._trans
-        tindex = self.flat.tindex
-        limit = self.flat.max_attempts
-        for txn in slots:
-            if self.attempts >= limit:
-                break
-            ti = tindex[txn]
-            sid = self._sid
-            record = trans[sid * self._txn_count + ti] if sid >= 0 else None
-            if record is None:
-                record = self._compute(sid, ti)
-            else:
-                self.stats.transitions_reused += 1
-            self._take(record)
-
-    def drain(self) -> None:
-        record = self._drains.get(self._sid)
-        if (record is None
-                or self.attempts + record[2] >= self.flat.max_attempts):
-            record = self._compute_drain(self._sid)
-        else:
-            self.stats.transitions_reused += 1
-        self._take(record)
-        if record[5]:
-            self.stalled = True
-
-    # -- checkpoint / restore (trie discipline: backwards along one path) ---------
-
-    def checkpoint(self) -> Tuple:
-        sid = self._sid
-        return (sid if sid >= 0 else tuple(self._S), len(self.ops),
-                len(self.deadlocks), self.blocked_events, self.attempts)
-
-    def restore(self, token: Tuple) -> None:
-        state, ops_len, deadlocks_len, self.blocked_events, self.attempts = token
-        if state.__class__ is int:
-            self._sid = state
-        else:
-            self._S[:] = state
-            self._sid = self._live = -1
-        del self.ops[ops_len:]
-        del self.deadlocks[deadlocks_len:]
-        # Checkpoints are taken before the drain, the only place a row stalls.
-        self.stalled = False
-
     # -- outcome ------------------------------------------------------------------
 
-    def build_outcome(self, engine_name: str, database: Database) -> ExecutionOutcome:
+    def build_outcome(self) -> ExecutionOutcome:
         state = self._S if self._sid < 0 else self._states[self._sid]
+        database = self._database
         flat = self.flat
         for k, name in enumerate(flat.item_names):
             value = self._item_value(state, k)
@@ -661,7 +512,7 @@ class _FlatEmulator:
         txns = flat.txns
         codes = state[self._est:self._cnt]
         return ExecutionOutcome(
-            engine_name=engine_name,
+            engine_name=self.engine_name,
             history=History(self.ops, validate=False),
             statuses={txn: _STATES[code] for txn, code in zip(txns, codes)},
             contexts={txn: {name: state[slot] for name, slot in names
@@ -690,7 +541,8 @@ class _LockingFlat(_FlatEmulator):
     """
 
     def __init__(self, flat: _FlatPrograms, level: IsolationLevelName,
-                 seed: List[Any]):
+                 seed: List[Any], database: Database, engine_name: str,
+                 fallback: Optional[Callable[..., ExecutionOutcome]] = None):
         policy = policy_for(level)
         read_rule = policy.item_read
         #: (has_rule, transient) per action kind; reads are always Share,
@@ -701,7 +553,8 @@ class _LockingFlat(_FlatEmulator):
         write_rule = policy.write
         self._write_transient = write_rule.duration is LockDuration.SHORT
         assert write_rule.mode is LockMode.EXCLUSIVE
-        super().__init__(flat, list(seed), [0] * len(seed))
+        super().__init__(flat, list(seed), [0] * len(seed), database,
+                         engine_name, fallback)
 
     def _read(self, S: List[Any], ti: int, bit: int,
               k: int) -> Tuple[int, Any, Optional[int]]:
@@ -782,10 +635,13 @@ class _ReadConsistencyFlat(_FlatEmulator):
     installs the buffer (chain += 1, tip = value).
     """
 
-    def __init__(self, flat: _FlatPrograms, seed: List[Any]):
+    def __init__(self, flat: _FlatPrograms, seed: List[Any], database: Database,
+                 engine_name: str,
+                 fallback: Optional[Callable[..., ExecutionOutcome]] = None):
         super().__init__(
             flat, [None if value is _ABSENT else value for value in seed],
-            [0 if value is _ABSENT else 1 for value in seed])
+            [0 if value is _ABSENT else 1 for value in seed], database,
+            engine_name, fallback)
 
     def _read(self, S: List[Any], ti: int, bit: int,
               k: int) -> Tuple[int, Any, Optional[int]]:
@@ -827,90 +683,6 @@ class _ReadConsistencyFlat(_FlatEmulator):
 
     def _item_value(self, state: Sequence[Any], k: int) -> Any:
         return state[k] if state[self._item_count + k] else _ABSENT
-
-
-class _EmulatorKernel:
-    """DFS batch driver over one flat emulator, mirroring the trie executor.
-
-    Schedules are walked in sorted order and each row restores the deepest
-    shared emulator checkpoint before applying only its divergent suffix —
-    the same one-lookahead branch-point discipline as
-    :meth:`repro.explorer.trie_executor.TrieExecutor.run_batch`.
-    """
-
-    def __init__(self, emulator: _FlatEmulator, database: Database,
-                 engine_name: str,
-                 fallback: Optional[Callable[..., ExecutionOutcome]] = None):
-        self.stats = emulator.stats
-        self.engine_name = engine_name
-        self._database = database
-        self._known = frozenset(emulator.flat.txns)
-        self._emulator = emulator
-        self.fallback = fallback
-        self._stack: List[Tuple[int, Tuple]] = [(0, emulator.checkpoint())]
-        self.stats.checkpoints_created += 1
-        self._previous: Optional[Sequence[int]] = None
-
-    def run_one(self, schedule: Sequence[int],
-                shared: Optional[int] = None,
-                prepare: Optional[int] = None) -> ExecutionOutcome:
-        """Execute one schedule from the deepest checkpoint it shares.
-
-        ``shared`` is the known common-prefix length with the previously
-        executed schedule (computed once per batch by :meth:`run_batch`);
-        ``prepare`` the branch point of the schedule that will run next,
-        where the single lookahead checkpoint goes.
-        """
-        if not self._known.issuperset(schedule):
-            # Slots referencing transactions outside the step tables take
-            # the stepwise path (the runner treats them as no-ops; ejecting
-            # keeps the kernel's tables closed over the program set).
-            if self.fallback is None:
-                raise ValueError(
-                    "schedule references transactions outside the program set"
-                    " and no stepwise fallback is attached")
-            self.stats.schedules += 1
-            self.stats.rows_ejected += 1
-            self.stats.slots_total += len(schedule)
-            return self.fallback(schedule)
-        emulator = self._emulator
-        if shared is None:
-            shared = (_common_prefix(self._previous, schedule)
-                      if self._previous is not None else 0)
-        stack = self._stack
-        while stack[-1][0] > shared:
-            stack.pop()
-        depth, token = stack[-1]
-        emulator.restore(token)
-        self.stats.restores += 1
-        total = len(schedule)
-        if prepare is not None and depth < prepare < total:
-            emulator.apply_slots(schedule[depth:prepare])
-            stack.append((prepare, emulator.checkpoint()))
-            self.stats.checkpoints_created += 1
-            emulator.apply_slots(schedule[prepare:total])
-        else:
-            emulator.apply_slots(schedule[depth:total])
-        emulator.drain()
-        self.stats.schedules += 1
-        self.stats.rows_fast += 1
-        self.stats.slots_total += total
-        self.stats.slots_executed += total - depth
-        self._previous = schedule
-        return emulator.build_outcome(self.engine_name, self._database)
-
-    def run_batch(self, schedules: Sequence[Sequence[int]],
-                  sort: bool = True) -> Iterator[Tuple[int, ExecutionOutcome]]:
-        """Execute a batch, yielding ``(original_index, outcome)`` pairs."""
-        order, lcps = _sorted_order_and_lcps(schedules, sort)
-        count = len(order)
-        for position, index in enumerate(order):
-            schedule = schedules[index]
-            # The first row of a batch may still share a prefix with the last
-            # row of the previous batch (the executor persists across chunks).
-            shared = lcps[position] if position else None
-            prepare = lcps[position + 1] if position + 1 < count else None
-            yield index, self.run_one(schedule, shared, prepare)
 
 
 class _SnapshotKernel:
@@ -1099,7 +871,7 @@ class _SnapshotKernel:
     def run_batch(self, schedules: Sequence[Sequence[int]],
                   sort: bool = True) -> Iterator[Tuple[int, ExecutionOutcome]]:
         """Execute a batch, yielding ``(original_index, outcome)`` pairs."""
-        order, _ = _sorted_order_and_lcps(schedules, sort)
+        order, _ = sorted_order_and_lcps(schedules, sort)
         for index in order:
             yield index, self.run_one(schedules[index])
 
@@ -1112,7 +884,7 @@ def build_batch_kernel(database: Database,
                        fallback: Optional[Callable[..., ExecutionOutcome]] = None):
     """A batch kernel for one testbed, or None when the fast path can't apply.
 
-    Returns None — callers then keep the stepwise trie path — when any
+    Returns None — callers then keep the real engines — when any
     program holds a step that is not exactly a ``ReadItem``, ``WriteItem``,
     ``Commit`` or ``Abort`` (rows, predicates, cursors, subclasses), when the
     engine was built with non-default options (e.g. the First-Committer-Wins
@@ -1128,11 +900,10 @@ def build_batch_kernel(database: Database,
     flat = _FlatPrograms(programs)
     seed = [database.get_item(name, _ABSENT) for name in flat.item_names]
     if level in POLICIES:
-        return _EmulatorKernel(_LockingFlat(flat, level, seed), database,
-                               engine_name, fallback)
+        return _LockingFlat(flat, level, seed, database, engine_name, fallback)
     if level is IsolationLevelName.ORACLE_READ_CONSISTENCY:
-        return _EmulatorKernel(_ReadConsistencyFlat(flat, seed), database,
-                               engine_name, fallback)
+        return _ReadConsistencyFlat(flat, seed, database, engine_name,
+                                    fallback)
     if level is IsolationLevelName.SNAPSHOT_ISOLATION:
         return _SnapshotKernel(flat, seed, database, engine_name, fallback)
     return None

@@ -502,9 +502,9 @@ def explore(spec: ProgramSetSpec,
         in lexicographic order, which is also the class's
         :meth:`~repro.explorer.reduction.CommutationOracle.canonical_key`.
     batch_kernel:
-        Batch-drain kernel mode for the executors: ``"auto"`` uses the
-        transition-memoized flat kernel when the (level, workload) is
-        supported, falling back to the stepwise trie walk otherwise;
+        Batch-drain kernel mode for the executors: ``"auto"`` puts the flat
+        emulators behind the transition table when the (level, workload) is
+        supported, falling back to the real engines behind it otherwise;
         ``"on"`` raises when the kernel cannot be built; ``"off"`` disables it.  ``None`` (the default) defers to the
         ``EXPLORER_BATCH_KERNEL`` environment variable (default ``"auto"``).
         Pure optimization — records are byte-identical in every mode.

@@ -5,8 +5,9 @@ interleaving; :mod:`repro.workloads.scenarios` replays exactly those.  This
 module upgrades the claim from an anecdote to a measurement: for one scenario
 variant under one isolation level, enumerate (or sample) the variant's entire
 interleaving space with :func:`~repro.explorer.schedules.schedule_space`,
-execute every schedule through one prefix-sharing
-:class:`~repro.explorer.trie_executor.TrieExecutor` (each outcome
+execute every schedule through one
+:class:`~repro.explorer.trie_executor.TrieExecutor` — the real engines behind
+a transition table that visits each engine state once (each outcome
 byte-identical to a run against a fresh database and a fresh engine), and
 evaluate the variant's ``manifests`` predicate on every realized outcome.  The
 result per variant is a manifestation *set* — how many schedules produced the
@@ -189,10 +190,11 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
     fields then take precedence (the level still comes from the ``level``
     argument — a variant exploration is per-level by construction).
 
-    The space is walked by one stepwise
+    The space is walked by one
     :class:`~repro.explorer.trie_executor.TrieExecutor` per call: a schedule
-    re-executes only the suffix past the prefix it shares with its DFS
-    predecessor, and by the executor's byte-equality contract its outcome is
+    walks only the suffix past the prefix it shares with its DFS predecessor,
+    the engine runs only the transitions the executor's table has not seen
+    yet, and by the executor's byte-equality contract its outcome is
     the one a fresh database and a fresh engine for ``level`` would produce
     (``tests/explorer/test_scenarios_trie.py`` holds the whole bridge to that
     from-scratch oracle).  Nothing outlives the call — no executor, outcome or
@@ -225,11 +227,13 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
         plan = _cached_plan(space, programs, terminal_scope_for(level))
         to_execute = plan.executed
 
-    # One executor per (variant, level): the stepwise trie walk, chosen on
-    # purpose — scenario programs are mostly cursor/predicate steps the batch
-    # kernel refuses, and these spaces are too small to repay its tables.  The
-    # outcome's database is the executor's shared one, so each verdict is
-    # read off at yield time, before the next schedule restores over it.
+    # One executor per (variant, level): the real engines behind the
+    # transition table, so a schedule runs on the engine only the transitions
+    # no earlier schedule of the space took.  The batch kernel stays off on
+    # purpose — scenario programs are mostly cursor/predicate steps it
+    # refuses, and Table 4 is settled by the real engines alone.  The
+    # outcome's database is the executor's shared view, so each verdict is
+    # read off at yield time, before the next schedule's outcome replaces it.
     executor = TrieExecutor(variant.build_database(), programs, level,
                             batch_kernel="off")
     verdicts: List[Optional[_Verdict]] = [None] * len(to_execute)

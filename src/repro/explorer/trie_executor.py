@@ -1,46 +1,56 @@
-"""The prefix-sharing trie executor: schedules re-execute only their divergent suffix.
+"""The trie executor: the real engines behind the transition table.
 
 Executing every schedule of a chunk from scratch repeats enormous amounts of
 work: interleavings that agree on a prefix drive the engine through *exactly*
-the same states for that prefix.  Stateless model checkers (and the DPOR
-family the explorer's sleep-set reduction borrows from) win their orders of
-magnitude by sharing that work, and the explorer's enumeration order exposes
-the same structure here.
+the same states for that prefix, and interleavings that disagree on a prefix
+still meet in the same states (two Share locks taken in either order, a
+blocked retry replayed).  :class:`TrieExecutor` shares both:
 
-:class:`TrieExecutor` walks a batch of interleavings as a depth-first search
-over their shared-prefix trie:
+* **The transition table** (:mod:`repro.explorer.transition_table`) interns
+  every state the testbed reaches by ``ScheduleRunner.state_key()`` — the
+  runner's programs and waits-for graph plus the engine's own
+  ``state_key()`` — and memoizes ``(state, transaction) -> (next state,
+  emitted operations, deltas)`` and ``pre-drain state -> drain record``.  A
+  slot or drain that hits never touches the engine.
+* **The shared-prefix trie is the miss path.**  One testbed (database +
+  programs + engine + runner) is built per executor — never per schedule.
+  The state right after ``begin_all`` is the *root checkpoint*.  On a miss
+  the runner is brought to the current state by restoring the deepest live
+  checkpoint on the current path and replaying the slots walked since, then
+  the missing slot or drain runs on the engine.  While the runner executes,
+  it checkpoints at the branch point the next schedule will restore to
+  (with lookahead) or every ``checkpoint_spacing`` slots (without);
+  ``checkpoint_spacing`` snaps the branch point to its grid, bounding live
+  checkpoints to ``total_slots / spacing`` (+ the root).
+* The outcome's history, blocked events, deadlocks and abort reasons are the
+  walk's accumulated record deltas; statuses, contexts and the database at
+  yield time come from the drain record (the database restored from its
+  ``Database.checkpoint()`` token into one view database per executor).
 
-* One testbed (database + programs + engine + runner) is built per executor —
-  never per schedule.  The state right after ``begin_all`` is the *root
-  checkpoint*; "rebuilding the testbed" for the next schedule is one
-  ``restore``.
-* While applying a schedule's slots, checkpoints are pushed onto a stack every
-  ``checkpoint_spacing`` slots.  The next schedule pops the stack down to its
-  longest common prefix with the previous schedule and re-executes only the
-  slots past the deepest surviving checkpoint, then drains phase 2 as usual.
-* ``checkpoint_spacing`` bounds live checkpoints to ``total_slots / spacing``
-  (+ the root): larger spacing trades re-executed slots for memory.
+Every engine call goes through the stepwise
+:class:`~repro.engine.scheduler.ScheduleRunner` (``Step.perform`` into the
+engine's read / write / commit / abort methods) — the one implementation of
+the Table 2 rules.  The only other machine is the batch kernel
+(:mod:`repro.explorer.batch_kernel`), flat emulators behind the same table,
+which :meth:`run_batch` routes whole batches through when the program set
+allows it.
 
-Every slot goes through the stepwise :class:`~repro.engine.scheduler.ScheduleRunner`
-(``Step.perform`` into the engine's read / write / commit / abort methods) —
-the one implementation of the Table 2 rules.  The only faster path is the
-batch kernel (:mod:`repro.explorer.batch_kernel`), which :meth:`run_batch`
-routes whole batches through when the program set allows it.
-
-Determinism contract: a trie-executed schedule produces a byte-identical
-:class:`~repro.engine.outcomes.ExecutionOutcome` (history, statuses, abort
-reasons, blocked counts, deadlocks, stall flag) to a from-scratch run of the
-same schedule, for every engine level — ``tests/explorer/test_trie_executor.py``
-gates this.  Execution *order* within a batch is therefore free: sorting a
-batch lexicographically before walking it maximizes shared prefixes without
-changing any result, which is how :func:`repro.explorer.worker.execute_chunk`
-uses it.
+Determinism contract: a trie-executed schedule produces a value-identical
+:class:`~repro.engine.outcomes.ExecutionOutcome` (history, statuses,
+contexts, abort reasons, blocked counts, deadlocks, stall flag, database) to
+a from-scratch run of the same schedule, for every engine level, on a cold,
+warm or capped table — ``tests/explorer/test_trie_executor.py`` and
+``tests/explorer/test_scenarios_trie.py`` gate this.  Execution *order*
+within a batch is therefore free: sorting a batch lexicographically before
+walking it maximizes shared prefixes without changing any result, which is
+how :func:`repro.explorer.worker.execute_chunk` uses it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.history import History
 from ..core.isolation import IsolationLevelName
 from ..engine.outcomes import ExecutionOutcome
 from ..engine.programs import TransactionProgram
@@ -50,6 +60,7 @@ from ..testbed import make_engine
 from .batch_kernel import BatchStats, build_batch_kernel
 from .options import BATCH_KERNEL_MODES, env_choice
 from .schedules import Interleaving
+from .transition_table import TableWalk, common_prefix, slot_record
 
 __all__ = ["TrieExecutor", "TrieStats"]
 
@@ -58,16 +69,24 @@ class TrieStats:
     """Cumulative work counters of one executor (for benchmarks and reports)."""
 
     __slots__ = ("schedules", "slots_total", "slots_executed",
-                 "checkpoints_created", "restores")
+                 "checkpoints_created", "restores", "transitions_reused",
+                 "transitions_computed", "states")
 
     def __init__(self) -> None:
         self.schedules = 0
-        #: Slots the schedules contained vs. slots actually re-executed; the
-        #: gap is the work the shared-prefix trie saved.
+        #: Slots the schedules contained vs. slots the engine actually
+        #: executed (replays to a miss included); the gap is the work the
+        #: transition table and the shared-prefix trie saved.
         self.slots_total = 0
         self.slots_executed = 0
         self.checkpoints_created = 0
         self.restores = 0
+        #: Table lookups (one per slot, one per drain) answered from the
+        #: transition table vs. run on the engine, and the states interned —
+        #: the names :class:`~repro.explorer.batch_kernel.BatchStats` uses.
+        self.transitions_reused = 0
+        self.transitions_computed = 0
+        self.states = 0
 
     @property
     def replayed_ratio(self) -> float:
@@ -77,17 +96,153 @@ class TrieStats:
         return self.slots_executed / self.slots_total
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "schedules": self.schedules,
-            "slots_total": self.slots_total,
-            "slots_executed": self.slots_executed,
-            "checkpoints_created": self.checkpoints_created,
-            "restores": self.restores,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+class _EngineWalk(TableWalk):
+    """The transition table over a schedule runner and its real engine.
+
+    ``_at`` is how many slots of the current row the runner physically holds
+    (None once it has drained or left the row's path); ``_phys`` the runner
+    checkpoints on the current path, shallowest first, never deeper than
+    ``_at``.
+    """
+
+    def __init__(self, runner: ScheduleRunner, txns: Sequence[int],
+                 view: Database, spacing: int, stats: TrieStats):
+        super().__init__(txns, runner.max_attempts, stats)
+        self._runner = runner
+        self._engine_name = runner.engine.name
+        #: Outcomes show the database at yield time here, restored from the
+        #: drain record, so the runner's own database stays where it is.
+        self._view = view
+        self._shown: Any = None
+        self._spacing = spacing
+        self._phys: List[Tuple[int, RunnerCheckpoint]] = [
+            (0, runner.checkpoint())]
+        stats.checkpoints_created += 1
+        self._at: Optional[int] = 0
+        self._row: Sequence[int] = ()
+        self._prepare: Optional[int] = None
+        self._open(runner.state_key())
+
+    # -- the runner, synced on demand ---------------------------------------------
+
+    def _enter_row(self, schedule: Sequence[int], depth: int, shared: int,
+                   prepare: Optional[int]) -> None:
+        phys = self._phys
+        while phys[-1][0] > shared:
+            phys.pop()
+        if self._at is not None and self._at > shared:
+            self._at = None
+        self._row = schedule
+        if prepare is not None and self._spacing > 1:
+            # Snap the branch-point checkpoint down to the spacing grid: live
+            # checkpoints stay bounded by total/spacing (+ root) at the cost
+            # of replaying at most spacing-1 extra slots.
+            prepare -= prepare % self._spacing
+        self._prepare = prepare
+
+    def _sync(self, position: int) -> None:
+        """Bring the runner to the state after ``position`` slots of the row."""
+        at = self._at
+        if at is None or at > position:
+            phys = self._phys
+            while phys[-1][0] > position:
+                phys.pop()
+            at, token = phys[-1]
+            self._runner.restore(token)
+            self.stats.restores += 1
+            self._at = at
+        if at < position:
+            self._advance(position)
+
+    def _advance(self, stop: int) -> None:
+        """Execute the row's slots from ``_at`` to ``stop`` on the runner."""
+        runner = self._runner
+        row = self._row
+        at = self._at
+        prepare = self._prepare
+        if prepare is None:
+            spacing = self._spacing
+            total = len(row)
+            for position in range(at, stop):
+                runner.apply_slot(row[position])
+                applied = position + 1
+                if applied < total and applied % spacing == 0:
+                    self._push(applied)
+        elif at < prepare <= stop and prepare < len(row):
+            # With lookahead exactly one checkpoint is placed — at the branch
+            # point the next schedule restores to.
+            runner.apply_many(row[at:prepare])
+            self._push(prepare)
+            runner.apply_many(row[prepare:stop])
+        else:
+            runner.apply_many(row[at:stop])
+        self.stats.slots_executed += stop - at
+        self._at = stop
+
+    def _push(self, depth: int) -> None:
+        self._phys.append((depth, self._runner.checkpoint()))
+        self.stats.checkpoints_created += 1
+
+    # -- the machine behind the table --------------------------------------------------
+
+    def _step(self, sid: int, ti: int, position: int) -> Tuple[Any, ...]:
+        self._sync(position)
+        runner = self._runner
+        mark = runner.output_mark()
+        self._advance(position + 1)
+        return slot_record(self._intern(runner.state_key()),
+                           *runner.outputs_since(mark))
+
+    def _drain_step(self, sid: int) -> Tuple[Any, ...]:
+        self._sync(len(self._row))
+        runner = self._runner
+        mark = runner.output_mark()
+        outcome = runner.drain()
+        self._at = None
+        final = self._intern(runner.state_key())
+        view = (outcome.statuses, outcome.contexts,
+                runner.engine.database.checkpoint())
+        return (slot_record(final, *runner.outputs_since(mark))
+                + (outcome.stalled, view))
+
+    def _foreign(self, schedule: Sequence[int]) -> ExecutionOutcome:
+        # The runner treats a slot of an unknown transaction as a no-op, so
+        # the schedule without them is the same schedule.
+        return self.run_one(tuple(txn for txn in schedule if txn in self._known))
+
+    def _hold(self) -> None:
+        # A state off the table is rebuilt by replay from the runner's
+        # checkpoints, which the logical checkpoint need not carry.
+        return None
+
+    def _resume(self, held: None) -> None:
+        pass
+
+    def build_outcome(self) -> ExecutionOutcome:
+        statuses, contexts, token = self._final
+        view = self._view
+        if token is not self._shown:
+            view.restore_checkpoint(token)
+            self._shown = token
+        return ExecutionOutcome(
+            engine_name=self._engine_name,
+            history=History(self.ops, validate=False),
+            statuses=dict(statuses),
+            contexts={txn: dict(context) for txn, context in contexts.items()},
+            database=view,
+            abort_reasons=dict(self.aborts),
+            blocked_events=self.blocked_events,
+            deadlocks=list(self.deadlocks),
+            traces=[],
+            stalled=self.stalled,
+        )
 
 
 class TrieExecutor:
-    """Executes interleavings of one program set with shared-prefix checkpoints.
+    """Executes interleavings of one program set behind the transition table.
 
     Parameters
     ----------
@@ -97,17 +252,19 @@ class TrieExecutor:
     level:
         The isolation level whose engine executes the schedules.
     checkpoint_spacing:
-        Push a checkpoint every this-many slots (default 1: every slot).
-        Larger values bound checkpoint memory at the cost of re-executing up
-        to ``spacing - 1`` extra slots per schedule.
+        Without lookahead, checkpoint the runner every this-many slots it
+        executes (default 1: every slot); with lookahead, snap the one
+        branch-point checkpoint down to this grid.  Larger values bound
+        checkpoint memory at the cost of replaying up to ``spacing - 1``
+        extra slots per miss.
     batch_kernel:
-        Route :meth:`run_batch` through the transition-memoized flat kernel
+        Route :meth:`run_batch` through the flat emulators
         (:mod:`repro.explorer.batch_kernel`) when one can be built for this
         (level, program set).  ``"auto"`` (the default, or via
-        ``EXPLORER_BATCH_KERNEL``) silently falls back to the stepwise trie
-        walk when the workload is unsupported; ``"on"`` raises instead;
-        ``"off"`` never builds the kernel.  Byte-equal to the stepwise path
-        by construction — rows the tables cannot express are ejected back to
+        ``EXPLORER_BATCH_KERNEL``) silently falls back to the real engines
+        when the workload is unsupported; ``"on"`` raises instead; ``"off"``
+        never builds the kernel.  Byte-equal to the real engines by
+        construction — rows the emulators cannot express are ejected back to
         :meth:`run_one`, the source of truth.
     """
 
@@ -127,24 +284,21 @@ class TrieExecutor:
         self.spacing = checkpoint_spacing
         self.batch_kernel = batch_kernel
         self.stats = TrieStats()
+        view = database.clone()
         self._engine = make_engine(database, level, **engine_options)
         if not self._engine.supports_checkpoints:
             raise ValueError(
                 f"engine for {level.value!r} does not support checkpoints")
-        self._runner = ScheduleRunner(self._engine, programs, collect_traces=False)
-        self._runner.begin_all()
-        #: (depth, checkpoint) pairs; the root (depth 0, post-begin) never pops.
-        self._stack: List[Tuple[int, RunnerCheckpoint]] = [
-            (0, self._runner.checkpoint())
-        ]
-        self.stats.checkpoints_created += 1
-        self._previous: Optional[Interleaving] = None
-        # Built after the root checkpoint: begin_all never touches item
-        # values, so the kernel still captures the pristine seed database.
+        runner = ScheduleRunner(self._engine, programs, collect_traces=False)
+        runner.begin_all()
+        self._walk = _EngineWalk(runner, [program.txn for program in programs],
+                                 view, checkpoint_spacing, self.stats)
+        # The kernel seeds from, and shows its outcomes in, a copy of the
+        # pristine database: the runner's own must only ever change under it.
         self._batch = None
         if batch_kernel != "off":
             self._batch = build_batch_kernel(
-                database, programs, level, self._engine.name,
+                view.clone(), programs, level, self._engine.name,
                 engine_options=engine_options or None, fallback=self.run_one)
             if self._batch is None and batch_kernel == "on":
                 raise ValueError(
@@ -159,19 +313,11 @@ class TrieExecutor:
 
     # -- execution -------------------------------------------------------------------
 
-    @staticmethod
-    def _common_prefix(first: Interleaving, second: Interleaving) -> int:
-        limit = min(len(first), len(second))
-        shared = 0
-        while shared < limit and first[shared] == second[shared]:
-            shared += 1
-        return shared
-
     def run_one(self, interleaving: Interleaving,
                 next_schedule: Optional[Interleaving] = None) -> ExecutionOutcome:
-        """Execute one schedule, reusing the deepest checkpoint it shares.
+        """Execute one schedule from the deepest state it shares.
 
-        The outcome is byte-identical to a from-scratch run of the same
+        The outcome is value-identical to a from-scratch run of the same
         schedule; consecutive calls share whatever prefix consecutive
         schedules share, so callers should feed schedules in an order that
         groups shared prefixes (sorted / enumeration order).
@@ -179,55 +325,12 @@ class TrieExecutor:
         When the caller knows the schedule that will execute next (the batch
         walk does), passing it as ``next_schedule`` places exactly *one*
         checkpoint — at the branch point the next schedule will restore to —
-        instead of one per ``checkpoint_spacing`` slots.  In DFS order every
-        shallower restore target is already on the stack, so one is all it
-        takes, and checkpoint cost drops from O(slots) to O(1) per schedule.
+        instead of one per ``checkpoint_spacing`` slots.
         """
-        runner = self._runner
-        previous = self._previous
-        shared = 0
-        if previous is not None:
-            shared = self._common_prefix(previous, interleaving)
-        stack = self._stack
-        while stack[-1][0] > shared:
-            stack.pop()
-        depth, token = stack[-1]
-        runner.restore(token)
-        self.stats.restores += 1
-
-        total = len(interleaving)
+        prepare = None
         if next_schedule is not None:
-            prepare = self._common_prefix(interleaving, next_schedule)
-            if self.spacing > 1:
-                # Snap the branch-point checkpoint down to the spacing grid:
-                # live checkpoints stay bounded by total/spacing (+ root) at
-                # the cost of re-executing at most spacing-1 extra slots.
-                prepare -= prepare % self.spacing
-            # With lookahead, exactly one checkpoint is placed — at the branch
-            # point the next schedule restores to — so the suffix splits into
-            # (at most) two bulk slot runs around it.
-            if depth < prepare < total:
-                runner.apply_many(interleaving[depth:prepare])
-                stack.append((prepare, runner.checkpoint()))
-                self.stats.checkpoints_created += 1
-                runner.apply_many(interleaving[prepare:total])
-            else:
-                runner.apply_many(interleaving[depth:total])
-        else:
-            for position in range(depth, total):
-                runner.apply_slot(interleaving[position])
-                applied = position + 1
-                if applied < total and applied % self.spacing == 0:
-                    stack.append((applied, runner.checkpoint()))
-                    self.stats.checkpoints_created += 1
-
-        self.stats.schedules += 1
-        self.stats.slots_total += total
-        self.stats.slots_executed += total - depth
-        self._previous = interleaving
-        # drain() mutates past the deepest checkpoint, which is fine: the next
-        # schedule restores to a depth <= its shared prefix anyway.
-        return runner.drain()
+            prepare = common_prefix(interleaving, next_schedule)
+        return self._walk.run_one(interleaving, None, prepare)
 
     def run_batch(self, schedules: Sequence[Interleaving],
                   sort: bool = True) -> Iterator[Tuple[int, ExecutionOutcome]]:
@@ -235,25 +338,16 @@ class TrieExecutor:
 
         With ``sort=True`` (the default) the batch is walked in lexicographic
         order — the DFS order of its shared-prefix trie — which maximizes
-        checkpoint reuse; outcomes are tagged with their original position so
-        callers can reassemble input order.  Sorting never changes any
-        individual outcome (see the determinism contract above).  The walk
-        uses one-schedule lookahead, so each execution places only the single
-        checkpoint its successor will restore to.
+        table and checkpoint reuse; outcomes are tagged with their original
+        position so callers can reassemble input order.  Sorting never
+        changes any individual outcome (see the determinism contract above).
 
         When the batch-drain kernel is active (``batch_kernel`` above), the
         whole batch routes through its flat emulators instead; rows it
         cannot handle are ejected back to :meth:`run_one`.  Outcomes are
-        byte-identical either way.
+        value-identical either way.
         """
         if self._batch is not None:
             yield from self._batch.run_batch(schedules, sort=sort)
             return
-        if sort:
-            order = sorted(range(len(schedules)), key=schedules.__getitem__)
-        else:
-            order = list(range(len(schedules)))
-        for position, index in enumerate(order):
-            following = (schedules[order[position + 1]]
-                         if position + 1 < len(order) else None)
-            yield index, self.run_one(schedules[index], next_schedule=following)
+        yield from self._walk.run_batch(schedules, sort=sort)

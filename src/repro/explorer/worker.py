@@ -86,7 +86,7 @@ class ChunkTask:
     builder: Optional[Callable[..., ProgramSet]] = None
     #: Batch-drain kernel mode for the executor ("auto"/"on"/"off"); ``None``
     #: defers to ``EXPLORER_BATCH_KERNEL`` (default "auto").  Pure
-    #: optimization — the kernel is byte-equal to the stepwise trie walk.
+    #: optimization — the kernel is byte-equal to the real engines.
     batch_kernel: Optional[str] = None
     #: Return the classifications this chunk newly computed in the
     #: :class:`ChunkResult`, for a supervisor that saves them to a campaign
@@ -213,7 +213,8 @@ def execute_chunk(task: ChunkTask,
     stats["us_step_execution"] = execute_us
     stats["us_classification"] = classify_us
     trie_after = executor.stats.as_dict()
-    for name in ("slots_total", "slots_executed", "checkpoints_created", "restores"):
+    for name in ("slots_total", "slots_executed", "checkpoints_created", "restores",
+                 "transitions_reused", "transitions_computed", "states"):
         stats[f"trie_{name}"] = trie_after[name] - trie_before[name]
     batch_after = executor.batch_stats.as_dict()
     for name in ("schedules", "rows_fast", "rows_ejected",

@@ -93,6 +93,11 @@ class WaitsForGraph:
         """Reset the edge set to a :meth:`checkpoint` token (reusable)."""
         self._edges = {waiter: set(holders) for waiter, holders in token}
 
+    def state_key(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        """The edge set as one canonical value (detection reads it sorted)."""
+        return tuple(sorted((waiter, tuple(sorted(holders)))
+                            for waiter, holders in self._edges.items()))
+
     def waits_on(self, waiter: int) -> Set[int]:
         """The transactions a waiter is blocked on."""
         return set(self._edges.get(waiter, set()))

@@ -300,6 +300,16 @@ class LockingEngine(Engine):
              for key, state in self._cursors.items()},
         )
 
+    def state_key(self):
+        return (
+            self._base_state_key(),
+            self.database.state_key(),
+            self.locks.state_key(),
+            self.undo.state_key(),
+            tuple(sorted((key, tuple(state.items), state.position)
+                         for key, state in self._cursors.items())),
+        )
+
     def restore(self, token) -> None:
         base, database, locks, undo, cursors = token
         self._base_restore(base)

@@ -14,13 +14,15 @@ state machine over the granted-lock table, which makes it easy to test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from ..storage.rows import freeze
 from .modes import (
     ItemTarget,
     LockDuration,
     LockMode,
     LockTarget,
+    RowTarget,
     modes_conflict,
 )
 
@@ -71,6 +73,18 @@ class LockManager:
     #: The ItemTarget interning cache stays out of the checkpoint token: one
     #: immutable target per item name, a pure function of the name.
     _checkpoint_stable = ("_item_targets",)
+
+    #: Left out of :meth:`state_key`, with why no later step can tell.
+    _state_key_derivable = (
+        ("blocked_requests", "a benchmark counter; no request reads it"),
+        ("version", "read only to ask whether a parked blocked request "
+                    "could come out differently, which the runner's key "
+                    "answers as one fact per parked transaction"),
+        ("_item_versions", "the per-item form of version; same reason"),
+        ("_short_grant", "always None between engine actions: every action "
+                         "that grants a short lock releases it before "
+                         "returning"),
+    )
 
     def __init__(self) -> None:
         self._locks: List[HeldLock] = []
@@ -164,6 +178,17 @@ class LockManager:
             self.version,
             dict(self._item_versions),
         )
+
+    def state_key(self) -> FrozenSet[Tuple]:
+        """The granted-lock table as one hashable value.
+
+        A set: no request reads the table's order.  Row targets carry their
+        before/after images (predicate locks test them), keyed by content.
+        """
+        return frozenset([
+            (lock.txn, _target_key(lock.target), lock.mode, lock.duration,
+             lock.cursor)
+            for lock in self._locks])
 
     def restore(self, token: Tuple) -> None:
         """Reset the granted-lock table to a :meth:`checkpoint` token (reusable)."""
@@ -335,6 +360,14 @@ class LockManager:
 
     def __len__(self) -> int:
         return len(self._locks)
+
+
+def _target_key(target: LockTarget) -> Any:
+    """A lock target as a hashable value (row images keyed by content)."""
+    if type(target) is RowTarget:
+        return (RowTarget, target.table, target.row_key,
+                freeze(target.before), freeze(target.after))
+    return target
 
 
 #: Duration strength order, hoisted out of _stronger_duration (hot path).

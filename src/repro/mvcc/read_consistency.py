@@ -33,7 +33,7 @@ from ..locking.lock_manager import LockManager
 from ..locking.modes import LockDuration, LockMode, RowTarget
 from ..storage.database import Database
 from ..storage.predicates import Predicate
-from ..storage.rows import Row
+from ..storage.rows import Row, freeze
 from .timestamps import TimestampAuthority
 from .version_store import VersionStore
 
@@ -68,6 +68,14 @@ class ReadConsistencyEngine(Engine):
     level = IsolationLevelName.ORACLE_READ_CONSISTENCY
     name = "Oracle Read Consistency"
     supports_checkpoints = True
+
+    #: Left out of :meth:`state_key`, with why no later step can tell.
+    _state_key_derivable = (
+        ("database", "the committed tip: every item and row is its chain's "
+                     "newest version in the store"),
+        ("clock", "counts commits: it equals the number of COMMITTED "
+                  "transactions, each of which took exactly one timestamp"),
+    )
 
     def __init__(self, database: Database,
                  authority: Optional[TimestampAuthority] = None):
@@ -316,6 +324,23 @@ class ReadConsistencyEngine(Engine):
                        for name, cursor in state.cursors.items()})
                 for txn, state in self._txns.items()
             },
+        )
+
+    def state_key(self):
+        return (
+            self._base_state_key(),
+            self.store.state_key(),
+            self.locks.state_key(),
+            tuple([
+                (txn,
+                 tuple([(item, freeze(value))
+                        for item, value in state.item_writes.items()]),
+                 tuple([(key, freeze(value))
+                        for key, value in state.row_writes.items()]),
+                 tuple(sorted((name, tuple(cursor.items), cursor.open_ts,
+                               cursor.position)
+                              for name, cursor in state.cursors.items())))
+                for txn, state in self._txns.items()]),
         )
 
     def restore(self, token) -> None:

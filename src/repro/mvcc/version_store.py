@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..storage.database import Database
-from ..storage.rows import Row
+from ..storage.rows import Row, freeze
 
 __all__ = ["ItemVersion", "RowVersion", "VersionStore"]
 
@@ -44,6 +44,12 @@ class RowVersion:
 
 class VersionStore:
     """Committed version chains for items and rows."""
+
+    #: Left out of :meth:`state_key`, with why no later step can tell.
+    _state_key_derivable = (
+        ("_tables", "the keys of each table's chains in _rows; visible_rows "
+                    "reads nothing else"),
+    )
 
     def __init__(self, database: Database):
         self._items: Dict[str, List[ItemVersion]] = {}
@@ -130,6 +136,23 @@ class VersionStore:
         return sorted(self._tables.get(table, set()))
 
     # -- checkpoints -----------------------------------------------------------------
+
+    def state_key(self) -> Tuple:
+        """Every chain as (value, commit timestamp) pairs, sorted by name.
+
+        Commit timestamps stay: the engines' clocks count commits, so a
+        timestamp already is the version's rank in commit order, and reads
+        and First-Committer-Wins compare exactly those ranks.  A version's
+        writer stays out: no engine action reads it.
+        """
+        return (
+            tuple([(item, tuple([(freeze(version.value), version.commit_ts)
+                                 for version in versions]))
+                   for item, versions in sorted(self._items.items())]),
+            tuple([(key, tuple([(freeze(version.row), version.commit_ts)
+                                for version in versions]))
+                   for key, versions in sorted(self._rows.items())]),
+        )
 
     def checkpoint(self) -> Tuple:
         """A truncation token: per-chain lengths plus the table key sets.

@@ -71,7 +71,7 @@ def _existing_store(path: str) -> SqliteStore:
     up front with the real problem instead.
     """
     if not os.path.exists(path):
-        raise SystemExit(f"store file not found: {path}")
+        raise UsageError(f"store file not found: {path}")
     return SqliteStore(path)
 
 
@@ -107,7 +107,7 @@ def _spec_from_args(args: argparse.Namespace) -> ProgramSetSpec:
     params: Dict[str, Any] = {}
     for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
+            raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         params[key] = _parse_param(value)
     spec = ProgramSetSpec.make(args.program_set, **params)
@@ -197,11 +197,11 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         info = store.get_campaign(args.campaign)
         if info is None:
             known = ", ".join(c.campaign_id for c in store.list_campaigns())
-            raise SystemExit(f"unknown campaign {args.campaign!r}; "
+            raise UsageError(f"unknown campaign {args.campaign!r}; "
                              f"store has: {known or '<none>'}")
         config = info.config
         if config.get("kind") == "table4-explored":
-            raise SystemExit(
+            raise UsageError(
                 f"campaign {args.campaign!r} is a Table 4 campaign; resume it "
                 f"by re-running compute_table4_explored with the same store")
         spec = ProgramSetSpec.make(config["spec_name"],
@@ -217,7 +217,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     store = _existing_store(args.store)
     try:
         if args.campaign is not None and store.get_campaign(args.campaign) is None:
-            raise SystemExit(f"unknown campaign {args.campaign!r}")
+            raise UsageError(f"unknown campaign {args.campaign!r}")
         if args.json:
             if args.campaign is None:
                 payload: Any = [campaign_summary_data(store, info.campaign_id)

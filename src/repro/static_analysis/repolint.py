@@ -16,6 +16,12 @@ contracts honest, and none of them is expressible in a generic linter:
   "immutable configuration, not state" marker).  A mutable attribute
   missing from both is exactly the bug that makes trie-executor restores
   diverge from fresh runs.
+  A class that also defines ``state_key`` (the transition table's state
+  identity) must carry every attribute its checkpoint/restore machinery
+  references into the key as well, or list it in a class-level
+  ``_state_key_derivable`` tuple of ``(attribute, reason)`` pairs — a field
+  the key silently leaves out is exactly the bug that merges two states a
+  later step can tell apart.
 * **picklability** (runtime) — every registered program set must survive
   the process boundary the parallel explorer ships it across:
   ``ProgramSetSpec`` round-trips through pickle and the registered builder
@@ -60,7 +66,7 @@ import pkgutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "Violation",
@@ -188,14 +194,71 @@ def _stable_names(cls: ast.ClassDef) -> Set[str]:
     return set()
 
 
+def _is_stub(func: ast.FunctionDef) -> bool:
+    """A body that only raises (after an optional docstring)."""
+    body = [stmt for stmt in func.body
+            if not (isinstance(stmt, ast.Expr)
+                    and isinstance(stmt.value, ast.Constant))]
+    return all(isinstance(stmt, ast.Raise) for stmt in body)
+
+
+def _state_attrs(funcs: Iterable[ast.FunctionDef]) -> Dict[str, int]:
+    """``self.X`` values the functions touch (method calls excluded), by first line."""
+    calls = {id(node.func) for func in funcs for node in ast.walk(func)
+             if isinstance(node, ast.Call)}
+    found: Dict[str, int] = {}
+    for func in funcs:
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and id(node) not in calls):
+                found.setdefault(node.attr, node.lineno)
+    return found
+
+
+def _derivable_names(cls: ast.ClassDef, path: str,
+                     violations: List[Violation]) -> Set[str]:
+    """The ``_state_key_derivable`` pairs; a pair without a reason is flagged."""
+    for node in cls.body:
+        if not (isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name)
+                and target.id == "_state_key_derivable"
+                for target in node.targets)):
+            continue
+        try:
+            entries = ast.literal_eval(node.value)
+        except ValueError:
+            entries = None
+        names: Set[str] = set()
+        for entry in entries if isinstance(entries, tuple) else (entries,):
+            if (isinstance(entry, tuple) and len(entry) == 2
+                    and all(isinstance(part, str) for part in entry)
+                    and entry[1].strip()):
+                names.add(entry[0])
+            else:
+                violations.append(Violation(
+                    "state-key-completeness", path, node.lineno,
+                    f"{cls.name}._state_key_derivable entries must be "
+                    f"(attribute, reason) string pairs, got {entry!r}"))
+        return names
+    return set()
+
+
 def lint_checkpoints(tree: ast.AST, path: str) -> List[Violation]:
-    """Every ``__init__``-assigned attribute must reach the checkpoint token.
+    """Every ``__init__``-assigned attribute must reach the checkpoint token,
+    and every checkpointed attribute the state key.
 
     The reference scan covers the class's ``checkpoint`` and ``restore``
     methods plus any sibling method whose name mentions ``checkpoint`` (the
     helper pattern), so tokens assembled via ``self._base_checkpoint()``
     count.  ``_checkpoint_stable = ("attr", ...)`` marks immutable
     configuration that deliberately stays out of the token.
+
+    A class with a (non-stub) ``state_key`` — or a helper whose name
+    mentions it — is held to the key the same way: every attribute value its
+    checkpoint machinery touches must be touched by a key method too, or be
+    declared in ``_state_key_derivable = (("attr", "reason"), ...)``.
     """
     violations: List[Violation] = []
     for cls in ast.walk(tree):
@@ -203,17 +266,27 @@ def lint_checkpoints(tree: ast.AST, path: str) -> List[Violation]:
             continue
         methods = {node.name: node for node in cls.body
                    if isinstance(node, ast.FunctionDef)}
+        scan = [func for name, func in methods.items()
+                if name in ("checkpoint", "restore") or "checkpoint" in name]
+        keys = [func for name, func in methods.items()
+                if "state_key" in name and not _is_stub(func)]
+        if keys:
+            derivable = _derivable_names(cls, path, violations)
+            keyed = _state_attrs(keys)
+            for attr, line in _state_attrs(scan).items():
+                if attr in keyed or attr in derivable:
+                    continue
+                violations.append(Violation(
+                    "state-key-completeness", path, line,
+                    f"{cls.name}'s checkpoint machinery captures self.{attr} "
+                    f"but its state key never reads it; add it to the key "
+                    f"or declare it in _state_key_derivable with a reason"))
         init = methods.get("__init__")
         checkpoint = methods.get("checkpoint")
         if init is None or checkpoint is None:
             continue
-        body = [stmt for stmt in checkpoint.body
-                if not (isinstance(stmt, ast.Expr)
-                        and isinstance(stmt.value, ast.Constant))]
-        if all(isinstance(stmt, ast.Raise) for stmt in body):
+        if _is_stub(checkpoint):
             continue  # an unsupported-checkpoint stub has no token to audit
-        scan = [func for name, func in methods.items()
-                if name in ("checkpoint", "restore") or "checkpoint" in name]
         referenced = _referenced_self_attrs(scan)
         stable = _stable_names(cls)
         for attr, line in _assigned_self_attrs(init):

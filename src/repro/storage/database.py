@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .constraints import Constraint
 from .predicates import Predicate
-from .rows import Row, Table
+from .rows import Row, Table, freeze
 
 __all__ = ["Database", "DatabaseSnapshot"]
 
@@ -165,6 +165,19 @@ class Database:
             name: Table(name, (row.copy() for row in rows))
             for name, rows in tables.items()
         }
+
+    def state_key(self) -> Tuple:
+        """Items and tables as one hashable value (see :func:`~.rows.freeze`).
+
+        Items are sorted by name: nothing reads their insertion order.  Rows
+        keep table order, because a select returns them in it.
+        """
+        return (
+            tuple([(name, freeze(value))
+                   for name, value in sorted(self._items.items())]),
+            tuple([(name, tuple([freeze(row) for row in table]))
+                   for name, table in self._tables.items()]),
+        )
 
     def clone(self) -> "Database":
         """An independent copy of the database (constraints shared by reference)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from .database import Database
-from .rows import Row
+from .rows import Row, freeze
 
 __all__ = ["UndoRecord", "UndoLog"]
 
@@ -95,6 +95,13 @@ class UndoLog:
     def restore(self, token: Dict[int, Tuple[UndoRecord, ...]]) -> None:
         """Reset the log to a :meth:`checkpoint` token (reusable)."""
         self._records = {txn: list(records) for txn, records in token.items()}
+
+    def state_key(self) -> Tuple:
+        """The log as one hashable value: each transaction's images, in order."""
+        return tuple(sorted(
+            (txn, tuple([(record.kind, record.target, freeze(record.before))
+                         for record in records]))
+            for txn, records in self._records.items()))
 
     @staticmethod
     def _apply(record: UndoRecord, database: Database) -> None:

@@ -14,7 +14,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-__all__ = ["Row", "Table"]
+__all__ = ["Row", "Table", "freeze"]
 
 
 @dataclass
@@ -130,3 +130,23 @@ class Table:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Table {self.name!r} rows={len(self)}>"
+
+
+def freeze(value: Any) -> Any:
+    """A hashable stand-in for an engine value, equal exactly when the values are.
+
+    State keys (``state_key()`` on the engines and their stores) hold item
+    values, context bindings and row images.  Rows and lists of rows — what
+    a predicate select binds — are mutable and unhashable, so they are keyed
+    by content: a row by its key and sorted attributes, a list by its
+    elements, each tagged with its type so a list never equals a tuple.
+    Every other value is its own key; one that is still unhashable keeps
+    its state off the transition table.
+    """
+    kind = type(value)
+    if kind is Row:
+        return (Row, value.key, tuple(sorted(
+            (name, freeze(item)) for name, item in value.attributes.items())))
+    if kind is list:
+        return (list, tuple([freeze(item) for item in value]))
+    return value

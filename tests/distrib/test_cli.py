@@ -42,21 +42,20 @@ def test_verify_reports_byte_identity(store_path, capsys):
     assert "byte-identical to serial" in capsys.readouterr().out
 
 
-def test_fault_flags_are_mutually_exclusive(store_path):
+def test_fault_flags_are_mutually_exclusive(store_path, capsys):
     argv = (["run", "--store", store_path, "--faults", "kill:worker=0",
              "--fault-seed", "1"] + RUN)
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    assert "mutually exclusive" in str(excinfo.value)
+    assert main(argv) == 2
+    assert "error: --faults and --fault-seed are mutually exclusive" in \
+        capsys.readouterr().err
 
 
-def test_bad_fault_spec_fails_before_any_work(store_path, tmp_path):
+def test_bad_fault_spec_fails_before_any_work(store_path, tmp_path, capsys):
     import os
     argv = (["run", "--store", store_path, "--faults", "meteor:worker=0"]
             + RUN)
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    assert "bad --faults" in str(excinfo.value)
+    assert main(argv) == 2
+    assert "error: bad --faults" in capsys.readouterr().err
     assert not os.path.exists(store_path)
 
 

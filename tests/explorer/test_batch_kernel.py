@@ -1,4 +1,4 @@
-"""The batch-drain kernel's determinism contract: byte-equal to the trie walk.
+"""The batch-drain kernel's determinism contract: byte-equal to the real engines.
 
 The transition-memoized kernel (:mod:`repro.explorer.batch_kernel`) is a
 pure optimization: for every engine level and every registered workload, a
@@ -28,7 +28,7 @@ from repro.engine.programs import (
 )
 from repro.engine.scheduler import ScheduleRunner
 from repro.explorer import ExploreOptions, explore
-from repro.explorer import batch_kernel as batch_kernel_module
+from repro.explorer import transition_table
 from repro.explorer.batch_kernel import (
     _OP_ABORT,
     _OP_COMMIT,
@@ -113,7 +113,8 @@ def build_pair(spec, level, builder=None):
     db_kernel, programs_kernel = builder()
     fallback_host = TrieExecutor(db_kernel, programs_kernel, level,
                                  batch_kernel="off")
-    kernel = build_batch_kernel(db_kernel, programs_kernel, level,
+    # The host owns db_kernel: the kernel shows its outcomes in a copy.
+    kernel = build_batch_kernel(db_kernel.clone(), programs_kernel, level,
                                 fallback_host._engine.name,
                                 fallback=fallback_host.run_one)
     return trie, kernel
@@ -223,18 +224,18 @@ def test_emulator_checkpoint_restore_mid_drain():
                               seed=5).schedules[0]
     for level in TABLE_LEVELS:
         _, kernel = build_pair(CONTENTION, level)
-        emulator = kernel._emulator
+        emulator = kernel
         half = len(schedule) // 2
         emulator.apply_slots(schedule[:half])
         token = emulator.checkpoint()
         emulator.apply_slots(schedule[half:])
         emulator.drain()
-        first = emulator.build_outcome(kernel.engine_name, kernel._database)
+        first = emulator.build_outcome()
         first_key = outcome_key(first)
         emulator.restore(token)
         emulator.apply_slots(schedule[half:])
         emulator.drain()
-        second = emulator.build_outcome(kernel.engine_name, kernel._database)
+        second = emulator.build_outcome()
         assert outcome_key(second) == first_key, level
 
 
@@ -242,7 +243,7 @@ def test_emulator_checkpoint_restore_mid_drain():
 @pytest.mark.parametrize("level", TABLE_LEVELS, ids=lambda level: level.value)
 def test_capped_table_computes_without_storing(level, cap, monkeypatch):
     """Past the cap rows run on the emulator, unstored, with equal outcomes."""
-    monkeypatch.setattr(batch_kernel_module, "TRANSITION_STATE_CAP", cap)
+    monkeypatch.setattr(transition_table, "TRANSITION_STATE_CAP", cap)
     _, programs = build_program_set(CONTENTION)
     schedules = randomized_schedules(programs, random.Random(cap), 40)
     trie, kernel = build_pair(CONTENTION, level)
@@ -281,7 +282,7 @@ def test_unhashable_values_stay_off_the_table_and_match(level):
     assert kernel.stats.rows_ejected == 0
     # States holding the list were never interned, yet rows rejoined the
     # table once the list was overwritten or rolled back.
-    assert all(isinstance(hash(state), int) for state in kernel._emulator._states)
+    assert all(isinstance(hash(state), int) for state in kernel._states)
     assert kernel.stats.transitions_reused > 0
 
 
@@ -319,7 +320,7 @@ def test_rows_driven_to_the_attempt_budget_match(level):
     as the runner drops them — on a cold table and on a warm one."""
     spec = ProgramSetSpec.make("increments", transactions=3)
     trie, kernel = build_pair(spec, level)
-    limit = kernel._emulator.flat.max_attempts
+    limit = kernel.flat.max_attempts
     # All three read, then T1 retries its write: blocked by the others' read
     # locks where reads lock, a finished transaction's no-op where they do
     # not.  The sweep puts the budget's end in the slots, at the drain's
@@ -341,7 +342,7 @@ def test_different_prefixes_share_one_state():
     spec = ProgramSetSpec.make("increments")
     level = IsolationLevelName.SERIALIZABLE
     _, kernel = build_pair(spec, level)
-    emulator = kernel._emulator
+    emulator = kernel
     root = emulator.checkpoint()
 
     def reach(slots):

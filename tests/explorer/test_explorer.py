@@ -216,6 +216,18 @@ class TestCoverageReport:
         assert result.executed_schedules() == 20
         assert stats["hits"] + stats["misses"] == 20
 
+    def test_real_engine_table_counters_are_reported(self):
+        """With the kernel off the real engines' transition table does the
+        sharing, and its hit rate reaches cache_stats."""
+        spec = ProgramSetSpec.make("increments", transactions=2)
+        result = explore(spec, ExploreOptions(
+            levels=(IsolationLevelName.SERIALIZABLE,),
+            mode="exhaustive", max_schedules=50, batch_kernel="off"))
+        stats = result.levels[IsolationLevelName.SERIALIZABLE].cache_stats
+        assert stats["trie_transitions_reused"] > stats["trie_transitions_computed"] > 0
+        assert 0 < stats["trie_states"] <= stats["trie_transitions_computed"]
+        assert stats["trie_slots_executed"] < stats["trie_slots_total"]
+
 
 class TestScale:
     def test_ten_thousand_sampled_schedules(self):

@@ -68,7 +68,7 @@ def test_sampled_stream_byte_equal_to_from_scratch(level):
     schedules = schedule_space(programs, mode="sample", max_schedules=60,
                                seed=11).schedules
     expected = from_scratch_keys(CONTENTION, level, schedules)
-    # This module gates the stepwise trie walk itself; the batch-drain kernel
+    # This module gates the real engines behind the table; the batch kernel
     # (the default run_batch route) has its own suite in test_batch_kernel.py.
     actual, executor = trie_keys(CONTENTION, level, schedules,
                                  batch_kernel="off")
@@ -160,6 +160,28 @@ def test_unsorted_batch_matches_sorted_batch():
     for index, outcome in executor.run_batch(schedules, sort=False):
         unsorted_keys[index] = outcome_key(outcome)
     assert unsorted_keys == sorted_keys
+
+
+@pytest.mark.parametrize("level", ALL_LEVELS, ids=lambda level: level.value)
+def test_rows_driven_to_the_attempt_budget_match(level):
+    """The table reuses a record only where the attempt budget cannot run
+    out inside it: slots past ``max_attempts`` are dropped exactly as a
+    fresh runner drops them, on a cold table and on a warm one."""
+    spec = ProgramSetSpec.make("increments", transactions=3)
+    database, programs = build_program_set(spec)
+    limit = ScheduleRunner(make_engine(database, level), programs).max_attempts
+    schedules = [(1, 2, 3) + (1,) * extra
+                 for extra in range(limit - 10, limit + 3)]
+    schedules += [(1, 2, 3) + (2, 1) * (extra // 2)
+                  for extra in range(limit - 10, limit + 3)]
+    expected = from_scratch_keys(spec, level, schedules)
+    database, programs = build_program_set(spec)
+    executor = TrieExecutor(database, programs, level, batch_kernel="off")
+    for _ in range(2):
+        keys = [None] * len(schedules)
+        for index, outcome in executor.run_batch(schedules):
+            keys[index] = outcome_key(outcome)
+        assert keys == expected
 
 
 def test_rejects_invalid_configuration():

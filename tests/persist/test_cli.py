@@ -42,20 +42,22 @@ def test_resume_needs_no_workload_flags(store_path, capsys):
     assert "0 schedules executed this run" in capsys.readouterr().out
 
 
-def test_resume_unknown_campaign_fails(store_path):
+def test_resume_unknown_campaign_fails(store_path, capsys):
     assert main(RUN + ["--store", store_path]) == 0
-    with pytest.raises(SystemExit):
-        main(["resume", "--store", store_path, "--campaign", "ghost"])
+    capsys.readouterr()
+    assert main(["resume", "--store", store_path, "--campaign", "ghost"]) == 2
+    assert "error: unknown campaign 'ghost'" in capsys.readouterr().err
 
 
 def test_inspect_unknown_campaign_fails(store_path, capsys):
     """Text and --report inspect refuse a campaign the store lacks, as --json
     does, instead of printing "not found" (and then a KeyError traceback)."""
     assert main(RUN + ["--store", store_path]) == 0
+    capsys.readouterr()
     for extra in ([], ["--report"]):
-        with pytest.raises(SystemExit, match="unknown campaign 'ghost'"):
-            main(["inspect", "--store", store_path, "--campaign", "ghost",
-                  *extra])
+        assert main(["inspect", "--store", store_path, "--campaign", "ghost",
+                     *extra]) == 2
+        assert "error: unknown campaign 'ghost'" in capsys.readouterr().err
 
 
 def test_inspect_and_list(store_path, capsys):
@@ -101,9 +103,8 @@ def test_missing_store_file_fails_cleanly(store_path, capsys):
     for argv in (["resume", "--store", store_path, "--campaign", "demo"],
                  ["inspect", "--store", store_path],
                  ["list", "--store", store_path]):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert "store file not found" in str(excinfo.value)
+        assert main(argv) == 2
+        assert "error: store file not found" in capsys.readouterr().err
     import os
     assert not os.path.exists(store_path)       # no empty file left behind
 
@@ -136,9 +137,9 @@ def test_inspect_json_is_machine_readable(store_path, capsys):
     listing = json.loads(capsys.readouterr().out)
     assert [entry["campaign_id"] for entry in listing] == ["demo"]
 
-    with pytest.raises(SystemExit):
-        main(["inspect", "--store", store_path, "--campaign", "ghost",
-              "--json"])
+    assert main(["inspect", "--store", store_path, "--campaign", "ghost",
+                 "--json"]) == 2
+    assert "error: unknown campaign 'ghost'" in capsys.readouterr().err
 
 
 def test_inspect_reports_lease_and_quarantine_state(store_path, capsys):

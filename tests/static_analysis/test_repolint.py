@@ -130,6 +130,75 @@ class TestCheckpoints:
         assert _lint(source, "checkpoints") == []
 
 
+class TestStateKeys:
+    """A state key must carry everything the checkpoint carries, or say why not."""
+
+    KEYED = """
+        class Manager:
+            _state_key_derivable = (
+                ("version", "read only to ask whether a parked request moved"),
+            )
+            def __init__(self):
+                self.locks = []
+                self.version = 0
+            def _base_checkpoint(self):
+                return tuple(self.locks)
+            def checkpoint(self):
+                return (self._base_checkpoint(), self.version)
+            def restore(self, token):
+                self.locks = list(token[0])
+                self.version = token[1]
+            def _base_state_key(self):
+                return frozenset(self.locks)
+            def state_key(self):
+                return self._base_state_key()
+    """
+
+    def test_accepts_a_complete_key(self):
+        # Helpers on both sides count; method calls are not state.
+        assert _lint(self.KEYED, "checkpoints") == []
+
+    def test_flags_a_planted_attribute_missing_from_the_key(self):
+        source = self.KEYED.replace(
+            "self.version = 0", "self.version = 0\n                self.undo = {}"
+        ).replace(
+            "return (self._base_checkpoint(), self.version)",
+            "return (self._base_checkpoint(), self.version, dict(self.undo))")
+        (violation,) = _lint(source, "checkpoints")
+        assert violation.check == "state-key-completeness"
+        assert "self.undo" in violation.message
+
+    def test_flags_an_undeclared_derivable_attribute(self):
+        source = self.KEYED.replace(
+            '("version", "read only to ask whether a parked request moved"),',
+            "")
+        (violation,) = _lint(source, "checkpoints")
+        assert violation.check == "state-key-completeness"
+        assert "self.version" in violation.message
+
+    def test_a_derivable_entry_needs_a_reason(self):
+        source = self.KEYED.replace(
+            '("version", "read only to ask whether a parked request moved"),',
+            '("version", "  "),')
+        violations = _lint(source, "checkpoints")
+        assert [v.check for v in violations] == ["state-key-completeness"] * 2
+        assert "(attribute, reason)" in violations[0].message
+
+    def test_stub_keys_are_not_audited(self):
+        source = """
+            class Engine:
+                def __init__(self):
+                    self.state = {}
+                def checkpoint(self):
+                    return dict(self.state)
+                def restore(self, token):
+                    self.state = dict(token)
+                def state_key(self):
+                    raise RuntimeError("no state keys here")
+        """
+        assert _lint(source, "checkpoints") == []
+
+
 class TestStoreRecords:
     def test_current_serialization_is_clean(self):
         assert lint_store_records() == []

@@ -53,6 +53,11 @@ def test_campaign_usage_error_exits_two(capsys):
     ["campaign", "run", "--program-set", "nope"],
     ["campaign", "run", "--program-set", "increments", "--levels", "BOGUS"],
     ["distrib", "run", "--program-set", "increments", "--workers", "0"],
+    ["campaign", "run", "--program-set", "increments", "--set", "transactions"],
+    ["distrib", "run", "--program-set", "increments", "--faults", "bogus"],
+    ["distrib", "run", "--program-set", "increments",
+     "--faults", "kill:worker=0", "--fault-seed", "1"],
+    ["campaign", "inspect"],
 ])
 def test_bad_flag_value_is_a_clean_error_before_any_store_write(argv, tmp_path,
                                                                 capsys):
@@ -62,6 +67,20 @@ def test_bad_flag_value_is_a_clean_error_before_any_store_write(argv, tmp_path,
     assert "error:" in err
     assert "Traceback" not in err
     assert not store.exists()       # no campaign row, not even an empty file
+
+
+@pytest.mark.parametrize("command", ["resume", "inspect"])
+def test_unknown_campaign_is_a_clean_error(command, tmp_path, capsys):
+    store = str(tmp_path / "c.sqlite")
+    assert main(["campaign", "run", "--store", store,
+                 "--program-set", "increments", "--max-schedules", "40",
+                 "--campaign", "entry"]) == 0
+    capsys.readouterr()
+    assert main(["campaign", command, "--store", store,
+                 "--campaign", "ghost"]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown campaign 'ghost'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["campaign", "distrib"])
