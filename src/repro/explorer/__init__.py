@@ -31,7 +31,8 @@ The public surface:
 * :mod:`~repro.explorer.worker` — the picklable chunk work units and the
   per-process state they reuse.
 * :mod:`~repro.explorer.memo` — memoized batched classification (one bounded
-  table keyed by history shorthand).
+  table keyed by history shorthand, and behind it one per history kind keyed
+  by the orders the classification passes read).
 """
 
 from .explorer import (

@@ -8,12 +8,23 @@ different redundancy, and the explorer has one answer to it: the sleep-set
 plan of :mod:`repro.explorer.reduction`, which executes one representative
 per equivalence class.
 
-A miss pays one classification pass.  A single-version history gets one
-:func:`~repro.core.phenomena.sweep` over its conflicting operation pairs, which
-yields every phenomenon flag and the conflict-graph serializability verdict
-together.  A multiversion history takes one fused walk that yields its MV
-serializability verdict and the single-valued mapping, whose flags come from
-the same sweep (memoized per mapped history).
+Behind that memo sits a class table per history kind.  The paper's
+definitions read far less than a whole history — P0–P3, A1–A5B and the
+conflict graph compare only operations on one item or predicate and the
+commit or abort of a transaction that touched it (Section 2.1), and the
+Section 4.2 MV→SV mapping reads only each transaction's operations and where
+it starts and commits — so a memo miss builds a class key of just those
+orders (see the key functions below) and classifies only when the class is
+new.  On the ledger's 30,000-schedule stream (seed 42) the memo misses
+17,492 times and the class tables 1,509 times: 728 single-version and 781
+multiversion classes.
+
+A class miss pays one classification pass.  A single-version history gets
+one :func:`~repro.core.phenomena.sweep` over its conflicting operation pairs,
+which yields every phenomenon flag and the conflict-graph serializability
+verdict together.  A multiversion history takes one fused walk that yields
+its MV serializability verdict and the single-valued mapping, whose flags
+come from the same sweep.
 """
 
 from __future__ import annotations
@@ -210,16 +221,175 @@ def _mv_classify_core(history: History,
     return serializable, History(operations, name=name, validate=False)
 
 
-#: Entries the classification memo (and, separately, the mapped-flags table)
-#: admits.  A full table stops admitting — later distinct histories are
-#: computed and returned, never stored, and nothing is evicted — so a stream of
-#: any length holds at most this many.  Measured on the ledger's 20-operation
-#: histories: 559 B per memo entry (178-character shorthand key, the
-#: classification and its tuples, the dict slot), so a full memo is 73 MB per
-#: process; the ledger's 30,000-schedule run admits 17,492, 13% of it.  A
-#: mapped-flags entry is 1,388 B (the mapped history is the key) and 781 of
-#: that run's 6,000 multiversion histories add one: 182 MB if it ever filled,
-#: which at that ratio takes a million distinct multiversion histories.
+#: What a class table stores: a classification without its shorthand.
+_ClassEntry = Tuple[bool, Tuple[str, ...], Tuple[int, ...], Tuple[int, ...]]
+
+
+def _classify_pass(history: History, initial_items) -> _ClassEntry:
+    """Classify one history without any table: one :func:`sweep`, or the fused
+    MV core and a sweep of the single-valued history it maps to."""
+    if history.is_multiversion():
+        serializable, mapped = _mv_classify_core(history, initial_items)
+        flags = sweep(mapped)[1]
+    else:
+        serializable, flags = sweep(history)
+    return (serializable,
+            tuple(sorted(code for code, fired in flags.items() if fired)),
+            tuple(sorted(history.committed_set())),
+            tuple(sorted(history.aborted_set())))
+
+
+# -- class keys ------------------------------------------------------------------
+#
+# Neither pass reads a whole history.  Both keys list each transaction's
+# operations as a block in program order (an operation is its shorthand, as
+# in the front memo), blocks sorted by transaction; every other component is
+# a sequence of transaction ids over one scope, where the k-th occurrence of
+# T is T's k-th operation in that scope (which the block names) and, after
+# them, T's commit or abort.  So two histories with one key differ only in
+# how operations of unrelated scopes interleave, and what each pass reads is
+# fixed by a key component:
+#
+#   sweep reads                                  fixed by
+#   committed_set / aborted_set                  the blocks
+#   group membership, is_write, is_cursor_read   the blocks (kind, item, predicate)
+#   group positions: the pair order i < j        the item's or predicate's sequence
+#   terminals[t] against a position in a group   t's terminal in that group's
+#     that t joined                                sequence
+#   last_read / last_write (item, t) against j   the item's sequence
+#   written[t]                                   the blocks
+#   last_read (other, ta) against terminals[tb]  other's sequence: tb wrote
+#     (A5A)                                        other, so its terminal is in it
+#   last_predicate_read (P, t) against           the predicate's sequence
+#     terminals[tb] (A3)
+#
+#   _mv_classify_core reads                      fixed by
+#   ops_by_txn, kinds, items, versions           the blocks
+#   version stamping: commits in order,          the event sequence (terminals)
+#     item by item in program order
+#   explicit versions registered between         the event sequence (versioned
+#     commits (which writer a version keeps)       writes)
+#   last_own_write (txn, item)                   the blocks
+#   committed_set, the initial items             the blocks, the classifier
+#   first_index / order, terminals, total+order  the event sequence (starts,
+#     (where the mapping places each block)        terminals)
+#
+# and sweep reads nothing of a multiversion history but the mapped history
+# those passes return.  The argument needs each transaction's operations to
+# end at its first terminal; a history where one follows it (the engines
+# never produce one) gets no key and takes the uncached path.  Transaction
+# ids that do not sort (mixed types) do too.
+
+
+def _sorted_blocks(blocks: Dict[int, List[str]]) -> tuple:
+    return tuple(sorted([(txn, tuple(block)) for txn, block in blocks.items()]))
+
+
+def _sv_class_key(ops: Sequence[Operation],
+                  names: Sequence[str]) -> Optional[tuple]:
+    """Single-version class key: the blocks, then per item and per predicate
+    the transactions of sweep's group in order, each transaction's terminal
+    placed in every group it joined."""
+    read = OperationKind.READ
+    cursor_read = OperationKind.CURSOR_READ
+    predicate_read = OperationKind.PREDICATE_READ
+    commit = OperationKind.COMMIT
+    abort = OperationKind.ABORT
+    blocks: Dict[int, List[str]] = {}
+    #: txn -> the groups its operations joined; None once it terminated.
+    joined_by_txn: Dict[int, Optional[Dict[object, List[int]]]] = {}
+    item_groups: Dict[str, List[int]] = {}
+    predicate_groups: Dict[str, List[int]] = {}
+    for op, name in zip(ops, names):
+        txn = op.txn
+        joined = joined_by_txn.get(txn)
+        if joined is None:
+            if txn in joined_by_txn:
+                return None
+            joined = joined_by_txn[txn] = {}
+            blocks[txn] = [name]
+        else:
+            blocks[txn].append(name)
+        kind = op.kind
+        if kind is commit or kind is abort:
+            for group in joined.values():
+                group.append(txn)
+            joined_by_txn[txn] = None
+            continue
+        if kind is not predicate_read:
+            item = op.item
+            if item is not None:
+                group = item_groups.get(item)
+                if group is None:
+                    group = item_groups[item] = []
+                group.append(txn)
+                joined[item] = group
+            if kind is read or kind is cursor_read:
+                continue
+        predicate = op.predicate
+        if predicate is not None:
+            group = predicate_groups.get(predicate)
+            if group is None:
+                group = predicate_groups[predicate] = []
+            group.append(txn)
+            joined[(predicate,)] = group
+    try:
+        return (_sorted_blocks(blocks),
+                tuple(sorted([(item, tuple(group))
+                              for item, group in item_groups.items()])),
+                tuple(sorted([(predicate, tuple(group))
+                              for predicate, group in predicate_groups.items()])))
+    except TypeError:
+        return None
+
+
+def _mv_class_key(ops: Sequence[Operation],
+                  names: Sequence[str]) -> Optional[tuple]:
+    """Multiversion class key: the blocks, then the transactions of every
+    start, terminal and explicitly versioned write in history order."""
+    write = OperationKind.WRITE
+    cursor_write = OperationKind.CURSOR_WRITE
+    predicate_write = OperationKind.PREDICATE_WRITE
+    commit = OperationKind.COMMIT
+    abort = OperationKind.ABORT
+    blocks: Dict[int, List[str]] = {}
+    #: txn -> its block while it runs; None once it terminated.
+    running: Dict[int, Optional[List[str]]] = {}
+    events: List[int] = []
+    for op, name in zip(ops, names):
+        txn = op.txn
+        block = running.get(txn)
+        if block is None:
+            if txn in running:
+                return None
+            block = running[txn] = blocks[txn] = [name]
+            events.append(txn)
+        else:
+            block.append(name)
+        kind = op.kind
+        if kind is commit or kind is abort:
+            events.append(txn)
+            running[txn] = None
+        elif (op.version is not None and op.item is not None
+              and (kind is write or kind is cursor_write
+                   or kind is predicate_write)):
+            events.append(txn)
+    try:
+        return _sorted_blocks(blocks), tuple(events)
+    except TypeError:
+        return None
+
+
+#: Entries each of the classifier's tables — the shorthand memo and the two
+#: class tables — admits.  A full table stops admitting (later distinct
+#: histories or classes are computed and returned, never stored, and nothing
+#: is evicted), so a stream of any length holds at most this many per table.
+#: Measured on the ledger's 20-operation histories: 559 B per memo entry
+#: (178-character shorthand key, the classification and its tuples, the dict
+#: slot), so a full memo is 73 MB per process; the ledger's 30,000-schedule
+#: run admits 17,492, 13% of it.  A class entry is 1.35 kB single-version and
+#: 1.06 kB multiversion (the key's tuples; its operation strings are the
+#: operations' own), and that run admits 728 and 781 of them, 1.8 MB together.
 CLASSIFICATION_MEMO_CAP = 1 << 17
 
 
@@ -244,14 +414,16 @@ class BatchClassifier:
         #: Items present in the initial database, for MV version completion
         #: (see assign_write_versions).  None assumes every item pre-exists.
         self.initial_items = None if initial_items is None else frozenset(initial_items)
-        #: Full sweep flags keyed by the *mapped* SV history: many distinct
-        #: MV histories (differing only in version subscripts / snapshot
-        #: timing) map to the same single-valued history, so the sweep is
-        #: shared across them.
-        self._mapped_flags: Dict[History, Dict[str, bool]] = {}
+        #: Class tables behind the memo, one per history kind, keyed by
+        #: _sv_class_key / _mv_class_key: a memo miss classifies only when
+        #: its class is new.
+        self._sv_classes: Dict[tuple, _ClassEntry] = {}
+        self._mv_classes: Dict[tuple, _ClassEntry] = {}
         self.hits = 0
         self.misses = 0
         self.shared_hits = 0
+        self.class_hits = 0
+        self.class_misses = 0
 
     def preload(self, entries: Mapping[str, HistoryClassification]) -> int:
         """Admit classifications computed elsewhere (a campaign store's tier).
@@ -296,7 +468,9 @@ class BatchClassifier:
         raw versioned operations — otherwise every snapshot read of an old
         version would look like a dirty read.
         """
-        shorthand = history.to_shorthand()
+        ops = history.operations
+        names = [op.to_shorthand() for op in ops]
+        shorthand = " ".join(names)
         cached = self._memo.get(shorthand)
         if cached is not None:
             if shorthand in self._preloaded:
@@ -306,21 +480,20 @@ class BatchClassifier:
             return cached
         self.misses += 1
         if history.is_multiversion():
-            serializable, mapped = _mv_classify_core(history, self.initial_items)
-            flags = self._mapped_flags.get(mapped)
-            if flags is None:
-                flags = sweep(mapped)[1]
-                if len(self._mapped_flags) < CLASSIFICATION_MEMO_CAP:
-                    self._mapped_flags[mapped] = flags
+            key = _mv_class_key(ops, names)
+            classes = self._mv_classes
         else:
-            serializable, flags = sweep(history)
-        classification = HistoryClassification(
-            shorthand=shorthand,
-            serializable=serializable,
-            phenomena=tuple(sorted(code for code, fired in flags.items() if fired)),
-            committed=tuple(sorted(history.committed_set())),
-            aborted=tuple(sorted(history.aborted_set())),
-        )
+            key = _sv_class_key(ops, names)
+            classes = self._sv_classes
+        entry = None if key is None else classes.get(key)
+        if entry is None:
+            self.class_misses += 1
+            entry = _classify_pass(history, self.initial_items)
+            if key is not None and len(classes) < CLASSIFICATION_MEMO_CAP:
+                classes[key] = entry
+        else:
+            self.class_hits += 1
+        classification = HistoryClassification(shorthand, *entry)
         if len(self._memo) < CLASSIFICATION_MEMO_CAP:
             self._memo[shorthand] = classification
         self._fresh[shorthand] = classification
@@ -333,4 +506,6 @@ class BatchClassifier:
             "hits": self.hits,
             "misses": self.misses,
             "shared_hits": self.shared_hits,
+            "class_hits": self.class_hits,
+            "class_misses": self.class_misses,
         }

@@ -25,11 +25,12 @@ can change how long a chunk takes and never what it returns.  Every schedule
 of a task executes: equivalence-class dedupe is the parent's sleep-set plan,
 which hands a chunk only the representatives it must run.  Worker
 processes live exactly one run, so these caches do too; nothing is exchanged
-between workers while they run.  Each worker therefore classifies a history
-the first time *it* meets it: on the ledger's 30,000-schedule stream two
-workers compute 20,767-21,922 classifications (five runs) where one process
-computes 17,492, which costs less than moving the answers between processes
-did.
+between workers while they run.  Each worker therefore meets a history, and
+classifies a history class, the first time *it* sees one: on the ledger's
+30,000-schedule stream two workers miss their memos 20,541-21,341 times and
+run 2,575-2,608 classification passes (three runs) where one process misses
+17,492 times and runs 1,509, which costs less than moving the answers
+between processes did.
 
 With ``task.export_fresh`` (a campaign store is attached) the chunk's newly
 computed classifications travel back in the :class:`ChunkResult` and the

@@ -100,7 +100,7 @@ class TestCap:
         distinct = {record.history for record in result.records}
         assert len(distinct) > 5
         assert len(capped) == 5
-        assert len(capped._mapped_flags) <= 5
+        assert len(capped._mv_classes) == 5
         assert result.cache_stats["misses"] >= len(distinct)
         monkeypatch.undo()
         roomy = BatchClassifier(initial_items=("a0", "a1", "a2"))

@@ -22,6 +22,7 @@ import shutil
 import signal
 import sqlite3
 import traceback
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -127,7 +128,7 @@ def _record_rows(path: str):
 def _mutate(kind: str, path: str, data) -> None:
     """Apply one drawn mutation of ``kind`` to the store file at ``path``."""
     if kind == "truncate":
-        size = len(open(path, "rb").read())
+        size = len(Path(path).read_bytes())
         # A 0- or 1-byte file is, to SQLite, an empty database: nothing is
         # left to detect, so the cut keeps at least two bytes.
         with open(path, "r+b") as handle:
@@ -182,7 +183,7 @@ def test_every_entry_fails_closed_or_reports_identically(finished, kind, data):
     mutated = str(root / "mutated.sqlite")
     shutil.copyfile(base, mutated)
     _mutate(kind, mutated, data)
-    pristine = open(mutated, "rb").read()
+    pristine = Path(mutated).read_bytes()
     for entry in ENTRIES:
         path = str(root / "entry.sqlite")
         for suffix in ("-wal", "-shm"):
