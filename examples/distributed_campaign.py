@@ -19,6 +19,7 @@ import tempfile
 
 from repro.distrib import CampaignRunner, FaultPlan
 from repro.distrib.faults import serial_reference
+from repro.explorer import ExploreOptions
 from repro.persist import SqliteStore, fingerprint_from_store
 from repro.workloads.program_sets import ProgramSetSpec
 
@@ -29,7 +30,7 @@ def main() -> None:
     tmp = tempfile.mkdtemp()
 
     # The serial control every distributed run must reproduce exactly.
-    _, control = serial_reference(spec, None, **kwargs)
+    _, control = serial_reference(spec, ExploreOptions(**kwargs))
     print(f"serial control fingerprint: {control[:16]}…\n")
 
     legs = [

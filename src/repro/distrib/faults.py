@@ -31,12 +31,13 @@ and the matrix converges instead of poisoning.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "FaultSpec",
@@ -81,8 +82,9 @@ class FaultSpec:
                              f"got {self.position!r}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.duration < 0.0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and >= 0, "
+                             f"got {self.duration}")
         if min(self.worker, self.incarnation, self.ordinal) < 0:
             raise ValueError("worker, incarnation, and ordinal must be >= 0")
 
@@ -248,79 +250,64 @@ def commit_hook_for(specs: Sequence[FaultSpec],
 # -- the byte-identity harness --------------------------------------------------------
 
 
-def serial_reference(spec, levels, mode: str = "auto",
-                     max_schedules: int = 1000, seed: int = 0,
-                     chunk_size: int = 64,
-                     batch_kernel: Optional[str] = None) -> Tuple[str, str]:
+def serial_reference(spec, options) -> Tuple[str, str]:
     """The fault-free serial control: (rendered coverage report, fingerprint).
 
-    Runs a plain in-process ``explore()`` with the same record-affecting
-    inputs the distributed runner uses; its render and fingerprint are the
-    bytes every chaos run must reproduce.
+    Runs a plain in-process ``explore()`` of ``options`` (an
+    :class:`~repro.explorer.ExploreOptions`) pinned to what the distributed
+    runner honours: one worker, ``reduction="none"``, and no store, so the
+    control writes nowhere.  Its render and fingerprint are the bytes every
+    chaos run must reproduce.
     """
     from ..analysis.coverage import build_coverage_report
-    from ..explorer import ExploreOptions, explore
-    from ..explorer.explorer import DEFAULT_LEVELS
+    from ..explorer import explore
     from ..workloads.program_sets import ProgramSetSpec
-    levels = tuple(levels) if levels is not None else DEFAULT_LEVELS
     spec = ProgramSetSpec.make(spec.name, **spec.kwargs())
-    result = explore(spec, ExploreOptions(
-        levels=levels, mode=mode, max_schedules=max_schedules, seed=seed,
-        chunk_size=chunk_size, batch_kernel=batch_kernel))
+    result = explore(spec, options.replace(workers=1, reduction="none",
+                                           store=None, campaign_id=None))
     return build_coverage_report(result).render(), result.fingerprint()
 
 
-def run_with_faults(store, spec, levels, plan: FaultPlan, *,
-                    mode: str = "auto", max_schedules: int = 1000,
-                    seed: int = 0, chunk_size: int = 64, workers: int = 2,
+def run_with_faults(store, spec, options, plan: FaultPlan, *,
                     campaign_id: Optional[str] = None,
                     lease_duration: float = 0.4,
                     heartbeat_interval: float = 0.1,
                     max_attempts: int = 6,
-                    batch_kernel: Optional[str] = None,
                     deadline_s: float = 120.0):
-    """One distributed campaign under one fault plan.
+    """One distributed campaign of ``options`` under one fault plan.
 
     Returns ``(runner_result, rendered_report, fingerprint)`` where report
     and fingerprint are rebuilt purely from the store's rows.
     """
     from ..analysis.coverage import coverage_report_from_store
-    from ..explorer.explorer import DEFAULT_LEVELS
     from ..persist.analytics import fingerprint_from_store
     from .runner import CampaignRunner
-    levels = tuple(levels) if levels is not None else DEFAULT_LEVELS
     runner = CampaignRunner(
-        store, spec, levels=levels, mode=mode, max_schedules=max_schedules,
-        seed=seed, chunk_size=chunk_size, workers=workers,
+        store, spec, levels=options.levels, mode=options.mode,
+        max_schedules=options.max_schedules, seed=options.seed,
+        chunk_size=options.chunk_size, workers=options.workers,
         campaign_id=campaign_id, lease_duration=lease_duration,
         heartbeat_interval=heartbeat_interval, max_attempts=max_attempts,
-        batch_kernel=batch_kernel, faults=plan, deadline_s=deadline_s)
+        faults=plan, deadline_s=deadline_s)
     result = runner.run()
     report = coverage_report_from_store(store, result.campaign_id,
-                                        levels=levels)
+                                        levels=options.levels)
     return result, report.render(), fingerprint_from_store(
         store, result.campaign_id)
 
 
-def run_fault_matrix(spec, levels, plans: Sequence[FaultPlan],
+def run_fault_matrix(spec, options, plans: Sequence[FaultPlan],
                      store_factories: Sequence[Tuple[str, Callable[[int], object]]],
-                     *, mode: str = "auto", max_schedules: int = 1000,
-                     seed: int = 0, chunk_size: int = 64, workers: int = 2,
-                     lease_duration: float = 0.4,
-                     heartbeat_interval: float = 0.1,
-                     max_attempts: int = 6,
-                     batch_kernel: Optional[str] = None,
-                     deadline_s: float = 120.0) -> List[Dict[str, object]]:
+                     **supervision: Any) -> List[Dict[str, object]]:
     """Every plan on every store leg, byte-diffed against the serial control.
 
     ``store_factories`` is ``[(leg_name, factory(run_index) -> store)]``
-    — a fresh store per run.  Returns one result dict per (plan, store) leg,
+    — a fresh store per run; ``supervision`` is passed to
+    :func:`run_with_faults`.  Returns one result dict per (plan, store) leg,
     named under ``"backend"``, with ``byte_equal`` verdicts; raises nothing
     itself so the caller (test or CI script) decides how to fail.
     """
-    control_render, control_fingerprint = serial_reference(
-        spec, levels, mode=mode, max_schedules=max_schedules, seed=seed,
-        chunk_size=chunk_size, batch_kernel=batch_kernel)
+    control_render, control_fingerprint = serial_reference(spec, options)
     legs: List[Dict[str, object]] = []
     run_index = 0
     for plan_index, plan in enumerate(plans):
@@ -329,13 +316,7 @@ def run_fault_matrix(spec, levels, plans: Sequence[FaultPlan],
             run_index += 1
             try:
                 result, render, fingerprint = run_with_faults(
-                    store, spec, levels, plan, mode=mode,
-                    max_schedules=max_schedules, seed=seed,
-                    chunk_size=chunk_size, workers=workers,
-                    lease_duration=lease_duration,
-                    heartbeat_interval=heartbeat_interval,
-                    max_attempts=max_attempts, batch_kernel=batch_kernel,
-                    deadline_s=deadline_s)
+                    store, spec, options, plan, **supervision)
             finally:
                 store.close()
             legs.append({

@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.isolation import IsolationLevelName
 from ..explorer.explorer import DEFAULT_LEVELS, _resolve_worker_count
+from ..explorer.options import distinct_levels
 from ..explorer.schedules import Interleaving, schedule_space
 from ..explorer.worker import ChunkTask, execute_chunk
 from ..persist.records import default_campaign_id, merge_stats
@@ -142,7 +143,6 @@ class CampaignRunner:
                  backoff_base: float = 0.05,
                  backoff_cap: float = 2.0,
                  jitter_seed: int = 0,
-                 batch_kernel: Optional[str] = None,
                  faults: Optional[FaultPlan] = None,
                  requeue_poisoned: bool = False,
                  stall_timeout: Optional[float] = None,
@@ -155,7 +155,7 @@ class CampaignRunner:
         # normalizes up front to keep stored-config renders byte-identical
         # however the caller ordered the tuple.
         self.spec = ProgramSetSpec.make(spec.name, **spec.kwargs())
-        self.levels = tuple(levels)
+        self.levels = distinct_levels(levels)
         self.mode = mode
         self.max_schedules = int(max_schedules)
         self.seed = int(seed)
@@ -167,7 +167,6 @@ class CampaignRunner:
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
         self.jitter_seed = int(jitter_seed)
-        self.batch_kernel = batch_kernel
         self.faults = faults or FaultPlan()
         self.requeue_poisoned = requeue_poisoned
         self.stall_timeout = (float(stall_timeout) if stall_timeout is not None
@@ -251,8 +250,7 @@ class CampaignRunner:
                 return False
             level = level_of[lease.scope]
             task = ChunkTask(lease.chunk_index, self.spec, level,
-                             payloads[lease.chunk_index], builder,
-                             batch_kernel=self.batch_kernel)
+                             payloads[lease.chunk_index], builder)
             try:
                 handle.conn.send(("chunk", task, lease.token))
             except (BrokenPipeError, OSError):

@@ -274,7 +274,7 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
                    chunks: _ChunkStreamCache, plan: Optional[_ScopePlan],
                    chunk_size: int, builder,
                    pool, classifier: Optional[BatchClassifier],
-                   batch_kernel: Optional[str] = None,
+                   batch_kernel: str = "auto",
                    persistence=None) -> LevelExploration:
     """Stream one level's chunks through execution (in-process or pooled).
 
@@ -461,8 +461,7 @@ def explore(spec: ProgramSetSpec,
         registered builder (workers rebuild the programs from it).
     options:
         An :class:`~repro.explorer.options.ExploreOptions` carrying every
-        knob below (build one with :meth:`ExploreOptions.from_env` to read
-        the ``EXPLORER_*`` environment variables).
+        knob below.
     levels:
         Isolation levels to run every schedule under (default: the Table 4 rows
         every engine implements).
@@ -505,9 +504,8 @@ def explore(spec: ProgramSetSpec,
         Batch-drain kernel mode for the executors: ``"auto"`` puts the flat
         emulators behind the transition table when the (level, workload) is
         supported, falling back to the real engines behind it otherwise;
-        ``"on"`` raises when the kernel cannot be built; ``"off"`` disables it.  ``None`` (the default) defers to the
-        ``EXPLORER_BATCH_KERNEL`` environment variable (default ``"auto"``).
-        Pure optimization — records are byte-identical in every mode.
+        ``"on"`` raises when the kernel cannot be built; ``"off"`` disables
+        it.  Pure optimization — records are byte-identical in every mode.
     store:
         An optional :class:`repro.persist.SqliteStore` making the run a
         **persistent campaign**: every chunk of every level commits

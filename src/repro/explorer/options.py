@@ -1,16 +1,9 @@
-"""`ExploreOptions` — the consolidated configuration surface of :func:`explore`.
+"""`ExploreOptions` — the one configuration surface of :func:`explore`.
 
-Nine PRs grew :func:`repro.explorer.explore` to twelve loose keyword knobs
-plus a handful of ``EXPLORER_*`` environment variables read deep inside the
-workers.  This module consolidates them into one frozen dataclass:
-
-* :class:`ExploreOptions` carries every knob, validates them eagerly in
-  ``__post_init__`` (same error messages, same order as the historical
-  inline checks), and is immutable — pass it around, derive variants with
-  :meth:`ExploreOptions.replace`.
-* :meth:`ExploreOptions.from_env` builds one from the ``EXPLORER_*``
-  environment variables, so scripts and CI jobs configure a run without
-  threading a dozen flags.
+:class:`ExploreOptions` carries every knob, validates them eagerly in
+``__post_init__``, and is immutable — pass it around, derive variants with
+:meth:`ExploreOptions.replace`.  The command line (:mod:`repro.cli`) builds
+one from its flags; nothing reads the environment.
 
 ``explore(spec, options)`` is the only call: loose keyword knobs raise
 ``TypeError``.
@@ -19,9 +12,8 @@ workers.  This module consolidates them into one frozen dataclass:
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, Optional, Tuple, Union
 
 from ..core.isolation import IsolationLevelName
 
@@ -30,8 +22,7 @@ __all__ = [
     "DEFAULT_LEVELS",
     "REDUCTIONS",
     "ExploreOptions",
-    "env_choice",
-    "env_int",
+    "distinct_levels",
 ]
 
 #: The Table 4 rows the coverage report mirrors by default.
@@ -46,46 +37,22 @@ DEFAULT_LEVELS: Tuple[IsolationLevelName, ...] = (
 #: Accepted reduction strategies.
 REDUCTIONS = ("none", "sleep-set")
 
-#: Accepted explicit batch-kernel modes (``None`` defers to the environment).
+#: Accepted batch-kernel modes.
 BATCH_KERNEL_MODES = ("auto", "on", "off")
 
 
-def env_int(name: str, default: Optional[int] = None, minimum: Optional[int] = None,
-            environ: Optional[Mapping[str, str]] = None) -> Optional[int]:
-    """``$name`` as an int, or ``default`` when unset.
+def distinct_levels(levels: Iterable[IsolationLevelName]
+                    ) -> Tuple[IsolationLevelName, ...]:
+    """``levels`` as a tuple; a level named twice is a :class:`ValueError`.
 
-    This and its siblings are the one way ``EXPLORER_*`` variables are read:
-    a malformed value raises :class:`ValueError` naming the variable, whether
-    :meth:`ExploreOptions.from_env` or a worker deep in a pool reads it.
+    Each level is one scope of a campaign, so a repeat would run (or, on a
+    store, register) the same scope twice.
     """
-    raw = (os.environ if environ is None else environ).get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {raw!r}")
-    return value
-
-
-def env_choice(name: str, choices: Sequence[str], default: Optional[str] = None,
-               environ: Optional[Mapping[str, str]] = None) -> Optional[str]:
-    """``$name`` as one of ``choices``, or ``default`` when unset."""
-    raw = (os.environ if environ is None else environ).get(name)
-    if raw is None:
-        return default
-    if raw not in choices:
-        raise ValueError(f"{name} must be one of {tuple(choices)}, got {raw!r}")
-    return raw
-
-
-def _or_auto(reader: Any, name: str, environ: Mapping[str, str]) -> Any:
-    """``reader``'s value for ``$name``, or the literal ``"auto"`` it also accepts."""
-    if environ.get(name, "").strip() == "auto":
-        return "auto"
-    return reader(name, environ=environ)
+    levels = tuple(levels)
+    for index, level in enumerate(levels):
+        if level in levels[:index]:
+            raise ValueError(f"isolation level {level.value!r} given twice")
+    return levels
 
 
 @dataclass(frozen=True)
@@ -104,12 +71,12 @@ class ExploreOptions:
     workers: Union[int, str] = 1
     chunk_size: int = 64
     reduction: str = "none"
-    batch_kernel: Optional[str] = None
+    batch_kernel: str = "auto"
     store: Any = field(default=None, compare=False)
     campaign_id: Optional[str] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(self.levels))
+        object.__setattr__(self, "levels", distinct_levels(self.levels))
         workers = self.workers
         if workers != "auto":
             if isinstance(workers, bool) or not isinstance(workers, int):
@@ -121,9 +88,9 @@ class ExploreOptions:
             raise ValueError("max_schedules must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.batch_kernel not in (None,) + BATCH_KERNEL_MODES:
+        if self.batch_kernel not in BATCH_KERNEL_MODES:
             raise ValueError(
-                f"batch_kernel must be None, 'auto', 'on', or 'off', "
+                f"batch_kernel must be 'auto', 'on', or 'off', "
                 f"got {self.batch_kernel!r}")
         if self.reduction not in REDUCTIONS:
             raise ValueError(
@@ -134,44 +101,3 @@ class ExploreOptions:
     def replace(self, **changes: Any) -> "ExploreOptions":
         """A copy with the given fields replaced (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def from_env(cls, environ: Optional[Mapping[str, str]] = None,
-                 **overrides: Any) -> "ExploreOptions":
-        """Build options from the ``EXPLORER_*`` environment variables.
-
-        Recognized variables (unset ones keep the dataclass default)::
-
-            EXPLORER_LEVELS          comma-separated level names
-            EXPLORER_MODE            auto | exhaustive | sample
-            EXPLORER_MAX_SCHEDULES   int
-            EXPLORER_SEED            int
-            EXPLORER_WORKERS         int or "auto"
-            EXPLORER_CHUNK_SIZE      int
-            EXPLORER_REDUCTION       none | sleep-set
-            EXPLORER_BATCH_KERNEL    auto | on | off
-
-        Explicit ``overrides`` win over the environment.  Malformed values
-        raise :class:`ValueError` naming the offending variable.
-        """
-        if environ is None:
-            environ = os.environ
-        values: dict = {
-            "mode": environ.get("EXPLORER_MODE"),
-            "max_schedules": env_int("EXPLORER_MAX_SCHEDULES", environ=environ,
-                                     minimum=1),
-            "seed": env_int("EXPLORER_SEED", environ=environ),
-            "workers": _or_auto(env_int, "EXPLORER_WORKERS", environ),
-            "chunk_size": env_int("EXPLORER_CHUNK_SIZE", environ=environ),
-            "reduction": environ.get("EXPLORER_REDUCTION"),
-            "batch_kernel": env_choice("EXPLORER_BATCH_KERNEL", BATCH_KERNEL_MODES,
-                                       environ=environ),
-        }
-        raw = environ.get("EXPLORER_LEVELS")
-        if raw is not None:
-            values["levels"] = tuple(
-                IsolationLevelName(part.strip())
-                for part in raw.split(",") if part.strip())
-        values = {knob: value for knob, value in values.items() if value is not None}
-        values.update(overrides)
-        return cls(**values)

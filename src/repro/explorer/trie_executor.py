@@ -19,9 +19,7 @@ blocked retry replayed).  :class:`TrieExecutor` shares both:
   checkpoint on the current path and replaying the slots walked since, then
   the missing slot or drain runs on the engine.  While the runner executes,
   it checkpoints at the branch point the next schedule will restore to
-  (with lookahead) or every ``checkpoint_spacing`` slots (without);
-  ``checkpoint_spacing`` snaps the branch point to its grid, bounding live
-  checkpoints to ``total_slots / spacing`` (+ the root).
+  (with lookahead) or after every slot (without).
 * The outcome's history, blocked events, deadlocks and abort reasons are the
   walk's accumulated record deltas; statuses, contexts and the database at
   yield time come from the drain record (the database restored from its
@@ -58,7 +56,7 @@ from ..engine.scheduler import RunnerCheckpoint, ScheduleRunner
 from ..storage.database import Database
 from ..testbed import make_engine
 from .batch_kernel import BatchStats, build_batch_kernel
-from .options import BATCH_KERNEL_MODES, env_choice
+from .options import BATCH_KERNEL_MODES
 from .schedules import Interleaving
 from .transition_table import TableWalk, common_prefix, slot_record
 
@@ -109,7 +107,7 @@ class _EngineWalk(TableWalk):
     """
 
     def __init__(self, runner: ScheduleRunner, txns: Sequence[int],
-                 view: Database, spacing: int, stats: TrieStats):
+                 view: Database, stats: TrieStats):
         super().__init__(txns, runner.max_attempts, stats)
         self._runner = runner
         self._engine_name = runner.engine.name
@@ -117,7 +115,6 @@ class _EngineWalk(TableWalk):
         #: drain record, so the runner's own database stays where it is.
         self._view = view
         self._shown: Any = None
-        self._spacing = spacing
         self._phys: List[Tuple[int, RunnerCheckpoint]] = [
             (0, runner.checkpoint())]
         stats.checkpoints_created += 1
@@ -136,11 +133,6 @@ class _EngineWalk(TableWalk):
         if self._at is not None and self._at > shared:
             self._at = None
         self._row = schedule
-        if prepare is not None and self._spacing > 1:
-            # Snap the branch-point checkpoint down to the spacing grid: live
-            # checkpoints stay bounded by total/spacing (+ root) at the cost
-            # of replaying at most spacing-1 extra slots.
-            prepare -= prepare % self._spacing
         self._prepare = prepare
 
     def _sync(self, position: int) -> None:
@@ -164,13 +156,12 @@ class _EngineWalk(TableWalk):
         at = self._at
         prepare = self._prepare
         if prepare is None:
-            spacing = self._spacing
+            # Without lookahead, checkpoint after every slot short of the end.
             total = len(row)
             for position in range(at, stop):
                 runner.apply_slot(row[position])
-                applied = position + 1
-                if applied < total and applied % spacing == 0:
-                    self._push(applied)
+                if position + 1 < total:
+                    self._push(position + 1)
         elif at < prepare <= stop and prepare < len(row):
             # With lookahead exactly one checkpoint is placed — at the branch
             # point the next schedule restores to.
@@ -251,37 +242,23 @@ class TrieExecutor:
         not mutate the database afterwards).
     level:
         The isolation level whose engine executes the schedules.
-    checkpoint_spacing:
-        Without lookahead, checkpoint the runner every this-many slots it
-        executes (default 1: every slot); with lookahead, snap the one
-        branch-point checkpoint down to this grid.  Larger values bound
-        checkpoint memory at the cost of replaying up to ``spacing - 1``
-        extra slots per miss.
     batch_kernel:
         Route :meth:`run_batch` through the flat emulators
         (:mod:`repro.explorer.batch_kernel`) when one can be built for this
-        (level, program set).  ``"auto"`` (the default, or via
-        ``EXPLORER_BATCH_KERNEL``) silently falls back to the real engines
-        when the workload is unsupported; ``"on"`` raises instead; ``"off"``
-        never builds the kernel.  Byte-equal to the real engines by
-        construction — rows the emulators cannot express are ejected back to
-        :meth:`run_one`, the source of truth.
+        (level, program set).  ``"auto"`` (the default) silently falls back
+        to the real engines when the workload is unsupported; ``"on"``
+        raises instead; ``"off"`` never builds the kernel.  Byte-equal to
+        the real engines by construction — rows the emulators cannot express
+        are ejected back to :meth:`run_one`, the source of truth.
     """
 
     def __init__(self, database: Database, programs: Sequence[TransactionProgram],
-                 level: IsolationLevelName, checkpoint_spacing: int = 1,
-                 batch_kernel: Optional[str] = None,
+                 level: IsolationLevelName, batch_kernel: str = "auto",
                  **engine_options):
-        if checkpoint_spacing < 1:
-            raise ValueError("checkpoint_spacing must be >= 1")
-        if batch_kernel is None:
-            batch_kernel = env_choice("EXPLORER_BATCH_KERNEL",
-                                      BATCH_KERNEL_MODES, "auto")
         if batch_kernel not in BATCH_KERNEL_MODES:
             raise ValueError(f"batch_kernel must be one of {BATCH_KERNEL_MODES},"
                              f" got {batch_kernel!r}")
         self.level = level
-        self.spacing = checkpoint_spacing
         self.batch_kernel = batch_kernel
         self.stats = TrieStats()
         view = database.clone()
@@ -292,7 +269,7 @@ class TrieExecutor:
         runner = ScheduleRunner(self._engine, programs, collect_traces=False)
         runner.begin_all()
         self._walk = _EngineWalk(runner, [program.txn for program in programs],
-                                 view, checkpoint_spacing, self.stats)
+                                 view, self.stats)
         # The kernel seeds from, and shows its outcomes in, a copy of the
         # pristine database: the runner's own must only ever change under it.
         self._batch = None
@@ -325,7 +302,7 @@ class TrieExecutor:
         When the caller knows the schedule that will execute next (the batch
         walk does), passing it as ``next_schedule`` places exactly *one*
         checkpoint — at the branch point the next schedule will restore to —
-        instead of one per ``checkpoint_spacing`` slots.
+        instead of one per slot.
         """
         prepare = None
         if next_schedule is not None:

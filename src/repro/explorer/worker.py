@@ -47,7 +47,6 @@ from ..core.isolation import IsolationLevelName
 from ..storage.database import Database
 from ..workloads.program_sets import ProgramSet, ProgramSetSpec, resolve_program_set
 from .memo import BatchClassifier, HistoryClassification
-from .options import env_int
 from .schedules import Interleaving
 from .trie_executor import TrieExecutor
 
@@ -57,7 +56,7 @@ __all__ = ["ChunkTask", "ScheduleRecord", "ChunkResult", "execute_chunk"]
 #: executor and the workload's initial item set (captured *before* any
 #: execution mutates the database).  Builders are deterministic by the
 #: explorer's contract, so a cached testbed is equivalent to a fresh build.
-_TESTBED_CACHE: Dict[Tuple[ProgramSetSpec, IsolationLevelName, Optional[str]],
+_TESTBED_CACHE: Dict[Tuple[ProgramSetSpec, IsolationLevelName, str],
                      Tuple[TrieExecutor, Tuple[str, ...]]] = {}
 
 #: Per-process classification memos, one per initial item set: an entry is
@@ -85,10 +84,9 @@ class ChunkTask:
     level: IsolationLevelName
     schedules: Tuple[Interleaving, ...]
     builder: Optional[Callable[..., ProgramSet]] = None
-    #: Batch-drain kernel mode for the executor ("auto"/"on"/"off"); ``None``
-    #: defers to ``EXPLORER_BATCH_KERNEL`` (default "auto").  Pure
+    #: Batch-drain kernel mode for the executor ("auto"/"on"/"off").  Pure
     #: optimization — the kernel is byte-equal to the real engines.
-    batch_kernel: Optional[str] = None
+    batch_kernel: str = "auto"
     #: Return the classifications this chunk newly computed in the
     #: :class:`ChunkResult`, for a supervisor that saves them to a campaign
     #: store with the chunk.
@@ -146,12 +144,7 @@ def _testbed_for(task: ChunkTask) -> Tuple[TrieExecutor, Tuple[str, ...], int]:
     builder = task.builder if task.builder is not None else resolve_program_set(task.spec)
     database, programs = builder(**task.spec.kwargs())
     items = _initial_items(database)
-    # EXPLORER_CHECKPOINT_SPACING bounds live checkpoints to roughly
-    # total_slots/spacing per testbed, trading re-executed slots for memory
-    # (see README "Performance knobs"); 1 checkpoints at every branch point.
-    spacing = env_int("EXPLORER_CHECKPOINT_SPACING", 1, minimum=1)
     executor = TrieExecutor(database, programs, task.level,
-                            checkpoint_spacing=spacing,
                             batch_kernel=task.batch_kernel)
     build_us = int((time.perf_counter() - started) * 1e6)
     _TESTBED_CACHE[key] = (executor, items)

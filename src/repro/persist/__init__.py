@@ -25,9 +25,10 @@ What lives here:
 * :mod:`~repro.persist.session` — parent-side glue ``explore(store=...)``
   drives (progress cursors, chunk commits, classification-tier exchange);
 * :mod:`~repro.persist.analytics` — coverage/witness-edge persistence and
-  the SQL-shaped analytics front end;
-* ``cli`` — the ``python -m repro campaign`` subcommand: run, resume, and
-  inspect campaigns.
+  the SQL-shaped analytics front end.
+
+``python -m repro campaign`` (:mod:`repro.cli`) runs, resumes and inspects
+campaigns from the command line.
 """
 
 from .analytics import fingerprint_from_store

@@ -265,7 +265,11 @@ class SqliteStore:
         #: attempt; returning True makes that attempt fail with a transient
         #: ``database is locked`` error beneath the retry wrapper.
         self.busy_fault_hook: Optional[Callable[[], bool]] = None
-        self._conn = sqlite3.connect(self.path)
+        try:
+            self._conn = sqlite3.connect(self.path)
+        except sqlite3.OperationalError as error:    # a directory, no parent
+            raise StoreError(f"store {self.path!r} cannot be opened: "
+                             f"{error}") from error
         self._conn.isolation_level = None      # explicit BEGIN/COMMIT below
         cur = self._conn.cursor()
         try:

@@ -13,8 +13,8 @@ first fires.
 * :mod:`repro.service.server` — the asyncio TCP server
   (:class:`CertifierServer`): JSON-lines protocol, many concurrent client
   sessions, optional certificate persistence into a
-  :class:`repro.persist.SqliteStore`.
-* :mod:`repro.service.cli` — ``python -m repro serve``.
+  :class:`repro.persist.SqliteStore`; ``python -m repro serve``
+  (:mod:`repro.cli`) runs it.
 
 Load is measured by the ``certify_tcp`` workload of the benchmark ledger
 (``BENCHMARK.json``, ``benchmarks/ledger/``), which generates its own

@@ -16,6 +16,7 @@ workload for throughput studies.  Register project-specific sets with
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -29,6 +30,7 @@ __all__ = [
     "register_program_set",
     "resolve_program_set",
     "build_program_set",
+    "check_program_set",
     "available_program_sets",
 ]
 
@@ -82,6 +84,33 @@ def resolve_program_set(spec: ProgramSetSpec) -> Callable[..., ProgramSet]:
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "<none>"
         raise KeyError(f"unknown program set {spec.name!r}; registered: {known}")
+
+
+def check_program_set(spec: ProgramSetSpec) -> List[TransactionProgram]:
+    """The spec's programs; a named error unless it builds at least one.
+
+    Every parameter must be one the builder declares, with a value of its
+    default's type if it has one (an ``int`` default takes an integer, a
+    ``float`` default any number; never a bool).  Ranges are the builder's
+    to check.
+    """
+    builder = resolve_program_set(spec)
+    parameters = inspect.signature(builder).parameters
+    for key, value in spec.params:
+        if key not in parameters:
+            raise ValueError(f"program set {spec.name!r} has no parameter "
+                             f"{key!r}; it takes: {', '.join(parameters)}")
+        default = parameters[key].default
+        if default is inspect.Parameter.empty:
+            continue
+        expected = (float, int) if isinstance(default, float) else type(default)
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise ValueError(f"program set parameter {key!r} must be of type "
+                             f"{type(default).__name__}, got {value!r}")
+    programs = builder(**spec.kwargs())[1]
+    if not programs:
+        raise ValueError(f"program set {spec.describe()} has no transactions")
+    return programs
 
 
 def build_program_set(spec: ProgramSetSpec) -> ProgramSet:
@@ -228,6 +257,9 @@ def contention(seed: int = 0, transactions: int = 4, items: int = 6,
                hot_items: int = 2, read_only_fraction: float = 0.25,
                operations_per_transaction: int = 2) -> ProgramSet:
     """The generators.py contention workload, sized for schedule exploration."""
+    if items < 1 or hot_items < 0:
+        raise ValueError(f"contention needs items >= 1 and hot_items >= 0, "
+                         f"got items={items}, hot_items={hot_items}")
     database = uniform_database(items)
     programs = random_programs(
         seed,

@@ -15,6 +15,7 @@ from repro.distrib.faults import (
 )
 from repro.distrib.queue import LeaseQueue
 from repro.distrib.runner import _worker_main
+from repro.explorer import ExploreOptions
 from repro.explorer.schedules import schedule_space
 from repro.explorer.worker import ChunkTask, execute_chunk
 from repro.persist import SqliteStore, StaleLeaseError
@@ -64,10 +65,10 @@ def test_fault_matrix_byte_identical_on_both_backends(tmp_path):
                          "slow-commit:ordinal=3:duration=0.05"]),
     ]
     legs = run_fault_matrix(
-        SPEC, None, plans,
+        SPEC, ExploreOptions(max_schedules=120, seed=3, chunk_size=16,
+                             workers=2), plans,
         [("memory", lambda index: SqliteStore(":memory:")),
-         ("sqlite", lambda index: SqliteStore(tmp_path / f"m{index}.sqlite"))],
-        max_schedules=120, seed=3, chunk_size=16, workers=2)
+         ("sqlite", lambda index: SqliteStore(tmp_path / f"m{index}.sqlite"))])
     assert len(legs) == 6
     for leg in legs:
         assert leg["success"], leg
@@ -75,6 +76,18 @@ def test_fault_matrix_byte_identical_on_both_backends(tmp_path):
         assert leg["poisoned"] == [], leg
     killed = [leg for leg in legs if any("kill" in f for f in leg["plan"])]
     assert all(leg["respawns"] == 1 for leg in killed)
+
+
+def test_serial_reference_pins_what_the_runner_honours():
+    """The control ignores a reduction, store or campaign the distributed
+    side cannot honour, so it neither diverges from it nor writes."""
+    plain = ExploreOptions(max_schedules=40, seed=3, chunk_size=16)
+    store = SqliteStore(":memory:")
+    loaded = plain.replace(reduction="sleep-set", store=store,
+                           campaign_id="control", workers=2)
+    assert serial_reference(SPEC, loaded) == serial_reference(SPEC, plain)
+    assert not store.list_campaigns()
+    store.close()
 
 
 def test_unkillable_chunk_is_poisoned_but_campaign_degrades_gracefully(tmp_path):
@@ -111,8 +124,8 @@ def test_unkillable_chunk_is_poisoned_but_campaign_degrades_gracefully(tmp_path)
     assert not stuck.success and len(stuck.poisoned) == 1
     healed = runner(requeue_poisoned=True).run()
     assert healed.success and healed.poisoned == ()
-    _, control_fingerprint = serial_reference(SPEC, None, max_schedules=120,
-                                              seed=3, chunk_size=16)
+    _, control_fingerprint = serial_reference(
+        SPEC, ExploreOptions(max_schedules=120, seed=3, chunk_size=16))
     from repro.persist import fingerprint_from_store
     assert fingerprint_from_store(store, healed.campaign_id) \
         == control_fingerprint

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.coverage import coverage_report_from_store
+from repro.core.isolation import IsolationLevelName
 from repro.distrib import CampaignRunner
 from repro.distrib.faults import FaultPlan, serial_reference
+from repro.explorer import ExploreOptions
 from repro.persist import SqliteStore, fingerprint_from_store
 from repro.workloads.program_sets import ProgramSetSpec
 
@@ -17,8 +19,8 @@ N, SEED, CHUNK = 120, 3, 16
 @pytest.fixture(scope="module")
 def control():
     """The serial explore() bytes every distributed run must reproduce."""
-    return serial_reference(SPEC, None, max_schedules=N, seed=SEED,
-                            chunk_size=CHUNK)
+    return serial_reference(SPEC, ExploreOptions(max_schedules=N, seed=SEED,
+                                                 chunk_size=CHUNK))
 
 
 def _run(store, **kwargs):
@@ -100,7 +102,7 @@ def test_distrib_campaign_is_cross_resumable_with_serial_explore(tmp_path,
                                                                  control):
     """The runner writes the same campaign a serial explore(store=...) run
     would: serial code can finish what the distributed runner started."""
-    from repro.explorer import ExploreOptions, explore
+    from repro.explorer import explore
 
     render, fingerprint = control
     store = SqliteStore(tmp_path / "cross.sqlite")
@@ -115,3 +117,10 @@ def test_distrib_campaign_is_cross_resumable_with_serial_explore(tmp_path,
     assert coverage_report_from_store(store, runner.campaign_id).render() \
         == render
     store.close()
+
+
+def test_a_repeated_level_is_rejected_before_the_store_is_touched(store):
+    level = IsolationLevelName.SERIALIZABLE
+    with pytest.raises(ValueError, match="'SERIALIZABLE' given twice"):
+        CampaignRunner(store, SPEC, levels=(level, level))
+    assert not store.list_campaigns()

@@ -231,7 +231,3 @@ class TestRemovedSurface:
     def test_explore_rejects_shared_cache_by_name(self):
         with pytest.raises(TypeError, match="shared_cache"):
             explore(CONTENTION, shared_cache=False)
-
-    def test_shared_cache_variable_is_not_read(self):
-        assert ExploreOptions.from_env({"EXPLORER_SHARED_CACHE": "maybe"}) == \
-            ExploreOptions()

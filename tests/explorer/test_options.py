@@ -1,9 +1,8 @@
-"""ExploreOptions: validation, from_env, and the one way to call explore().
+"""ExploreOptions: validation, and the one way to call explore().
 
 ``explore(spec, ExploreOptions(...))`` is the only spelling: anything else in
 the options position, or any loose keyword knob, raises ``TypeError``.
-``from_env`` is the CI configuration surface — malformed variables must fail
-naming the variable.
+Nothing reads the environment.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import pytest
 from repro.core.isolation import IsolationLevelName
 from repro.explorer import ExploreOptions, explore, worker
 from repro.explorer.options import DEFAULT_LEVELS
+from repro.explorer.schedules import schedule_space
 from repro.explorer.trie_executor import TrieExecutor
 from repro.workloads.program_sets import ProgramSetSpec, build_program_set
 
@@ -33,7 +33,7 @@ class TestValidation:
         assert options.workers == 1
         assert options.chunk_size == 64
         assert options.reduction == "none"
-        assert options.batch_kernel is None
+        assert options.batch_kernel == "auto"
         assert len(dataclasses.fields(ExploreOptions)) == 10
 
     def test_levels_sequence_normalized_to_tuple(self):
@@ -59,7 +59,8 @@ class TestValidation:
         (dict(chunk_size=0), "chunk_size must be >= 1"),
         (dict(reduction="dpor"), "unknown reduction 'dpor'"),
         (dict(workers="many"), "workers must be an int or 'auto'"),
-        (dict(batch_kernel="maybe"), "batch_kernel must be None, 'auto'"),
+        (dict(batch_kernel="maybe"), "batch_kernel must be 'auto'"),
+        (dict(batch_kernel=None), "batch_kernel must be 'auto'"),
         (dict(campaign_id="c"), "campaign_id requires a store"),
         (dict(max_schedules=0), "max_schedules must be >= 1"),
         (dict(max_schedules=-5), "max_schedules must be >= 1"),
@@ -67,6 +68,11 @@ class TestValidation:
     def test_bad_values_rejected_eagerly(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ExploreOptions(**kwargs)
+
+    def test_repeated_level_rejected_before_any_work(self):
+        with pytest.raises(ValueError,
+                           match="isolation level 'READ COMMITTED' given twice"):
+            explore(SPEC, ExploreOptions(levels=LEVELS + LEVELS[:1]))
 
     def test_positional_non_options_raises(self):
         with pytest.raises(TypeError, match="must be an ExploreOptions"):
@@ -77,99 +83,45 @@ class TestValidation:
             explore(SPEC, seed=1)
 
 
-class TestFromEnv:
-    def test_empty_environment_gives_defaults(self):
-        assert ExploreOptions.from_env({}) == ExploreOptions()
-
-    def test_reads_every_variable(self):
-        options = ExploreOptions.from_env({
-            "EXPLORER_LEVELS": "READ COMMITTED, SERIALIZABLE",
-            "EXPLORER_MODE": "sample",
-            "EXPLORER_MAX_SCHEDULES": "123",
-            "EXPLORER_SEED": "7",
-            "EXPLORER_WORKERS": "auto",
-            "EXPLORER_CHUNK_SIZE": "16",
-            "EXPLORER_REDUCTION": "sleep-set",
-            "EXPLORER_BATCH_KERNEL": "off",
-        })
-        assert options.levels == (IsolationLevelName.READ_COMMITTED,
-                                  IsolationLevelName.SERIALIZABLE)
-        assert options.mode == "sample"
-        assert options.max_schedules == 123
-        assert options.seed == 7
-        assert options.workers == "auto"
-        assert options.chunk_size == 16
-        assert options.reduction == "sleep-set"
-        assert options.batch_kernel == "off"
-
-    def test_overrides_beat_environment(self):
-        options = ExploreOptions.from_env({"EXPLORER_SEED": "7"}, seed=11,
-                                          mode="exhaustive")
-        assert options.seed == 11
-        assert options.mode == "exhaustive"
-
-    @pytest.mark.parametrize("name,raw,match", [
-        ("EXPLORER_MAX_SCHEDULES", "many", "EXPLORER_MAX_SCHEDULES"),
-        ("EXPLORER_MAX_SCHEDULES", "0", "EXPLORER_MAX_SCHEDULES must be >= 1"),
-        ("EXPLORER_SEED", "1.5", "EXPLORER_SEED"),
-        ("EXPLORER_WORKERS", "two", "EXPLORER_WORKERS"),
-        ("EXPLORER_CHUNK_SIZE", "", "EXPLORER_CHUNK_SIZE"),
-    ])
-    def test_malformed_values_name_the_variable(self, name, raw, match):
-        with pytest.raises(ValueError, match=match):
-            ExploreOptions.from_env({name: raw})
-
-    def test_invalid_level_name_rejected(self):
-        with pytest.raises(ValueError):
-            ExploreOptions.from_env({"EXPLORER_LEVELS": "CHAOS MODE"})
+def _serial_fingerprint():
+    return explore(SPEC, ExploreOptions(levels=LEVELS, mode="sample",
+                                        max_schedules=16)).fingerprint()
 
 
-def _serial_explore():
-    explore(SPEC, ExploreOptions(levels=LEVELS[:1], mode="sample",
-                                 max_schedules=4))
+def _executor_counts():
+    database, programs = build_program_set(SPEC)
+    schedules = schedule_space(programs, mode="sample", max_schedules=8,
+                               seed=1).schedules
+    executor = TrieExecutor(database, programs, LEVELS[0])
+    for schedule in schedules:                   # the trie walk, checkpoints
+        executor.run_one(schedule)
+    list(executor.run_batch(schedules))          # the batch kernel
+    return (executor.batch_kernel, executor.stats.as_dict(),
+            executor.batch_stats.as_dict())
 
 
-def _build_executor():
-    TrieExecutor(*build_program_set(SPEC), LEVELS[0])
-
-
-class TestExecutorEnvVars:
-    """The variables read below ``from_env`` — inside the executor and the
-    workers — fail closed with the same named error ``from_env`` raises.
-    """
-
-    @pytest.mark.parametrize("name,raw,trigger", [
-        ("EXPLORER_CHECKPOINT_SPACING", "abc", _serial_explore),
-        ("EXPLORER_CHECKPOINT_SPACING", "0", _serial_explore),
-        ("EXPLORER_BATCH_KERNEL", "fast", _build_executor),
-        ("EXPLORER_BATCH_KERNEL", "fast", ExploreOptions.from_env),
-    ])
-    def test_malformed_values_name_the_variable(self, monkeypatch, name, raw,
-                                                trigger):
-        monkeypatch.setattr(worker, "_TESTBED_CACHE", {})  # force a build
+def test_no_environment_variable_is_read(monkeypatch):
+    """Nothing reads ``EXPLORER_*``: malformed values of the variables the
+    workers once read, and of the retired ones, change neither ``explore()``
+    nor the executor."""
+    monkeypatch.setattr(worker, "_TESTBED_CACHE", {})
+    expected = _serial_fingerprint(), _executor_counts()
+    for name, raw in (("EXPLORER_BATCH_KERNEL", "fast"),
+                      ("EXPLORER_CHECKPOINT_SPACING", "0"),
+                      ("EXPLORER_COMPILED_KERNEL", "maybe"),
+                      ("EXPLORER_OUTCOME_MEMO", "sometimes"),
+                      ("EXPLORER_STATIC_PRUNING", "2"),
+                      ("EXPLORER_SHARED_CACHE", "maybe")):
         monkeypatch.setenv(name, raw)
-        with pytest.raises(ValueError, match=f"{name} must be .*{raw!r}"):
-            trigger()
+    monkeypatch.setattr(worker, "_TESTBED_CACHE", {})   # force a rebuild
+    assert (_serial_fingerprint(), _executor_counts()) == expected
+    assert not hasattr(ExploreOptions, "from_env")
 
-    def test_retired_compiled_kernel_variable_is_not_read(self, monkeypatch):
-        monkeypatch.setenv("EXPLORER_COMPILED_KERNEL", "maybe")
-        _build_executor()
 
-    def test_retired_outcome_memo_variable_is_not_read(self, monkeypatch):
-        monkeypatch.setenv("EXPLORER_OUTCOME_MEMO", "sometimes")
-        assert ExploreOptions.from_env(
-            {"EXPLORER_OUTCOME_MEMO": "sometimes"}) == ExploreOptions()
-        _serial_explore()
-        with pytest.raises(TypeError, match="outcome_memo"):
-            ExploreOptions(outcome_memo=True)
-
-    def test_retired_static_pruning_variable_is_not_read(self, monkeypatch):
-        monkeypatch.setenv("EXPLORER_STATIC_PRUNING", "2")
-        assert ExploreOptions.from_env(
-            {"EXPLORER_STATIC_PRUNING": "2"}) == ExploreOptions()
-        _serial_explore()
-        with pytest.raises(TypeError, match="static_pruning"):
-            ExploreOptions(static_pruning=True)
+@pytest.mark.parametrize("knob", ["outcome_memo", "static_pruning"])
+def test_retired_knobs_are_rejected_by_name(knob):
+    with pytest.raises(TypeError, match=knob):
+        ExploreOptions(**{knob: True})
 
 
 def test_trie_executor_has_no_compiled_option():

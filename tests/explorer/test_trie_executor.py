@@ -97,30 +97,6 @@ def test_exhaustive_stream_byte_equal_across_key_levels(spec):
         assert executor.stats.replayed_ratio < 1.0
 
 
-def test_checkpoint_spacing_bounds_checkpoints_not_results():
-    _, programs = build_program_set(CONTENTION)
-    schedules = schedule_space(programs, mode="sample", max_schedules=40,
-                               seed=5).schedules
-    level = IsolationLevelName.READ_COMMITTED
-    reference = None
-    previous_checkpoints = None
-    for spacing in (1, 3, 7):
-        database, programs = build_program_set(CONTENTION)
-        executor = TrieExecutor(database, programs, level,
-                                checkpoint_spacing=spacing)
-        keys = [None] * len(schedules)
-        # Without batch lookahead the spacing grid governs checkpoint counts.
-        for index, schedule in enumerate(schedules):
-            keys[index] = outcome_key(executor.run_one(schedule))
-        if reference is None:
-            reference = keys
-        else:
-            assert keys == reference
-        if previous_checkpoints is not None:
-            assert executor.stats.checkpoints_created <= previous_checkpoints
-        previous_checkpoints = executor.stats.checkpoints_created
-
-
 def test_duplicate_schedules_in_the_stream():
     _, programs = build_program_set(CONTENTION)
     schedules = schedule_space(programs, mode="sample", max_schedules=10,
@@ -182,10 +158,3 @@ def test_rows_driven_to_the_attempt_budget_match(level):
         for index, outcome in executor.run_batch(schedules):
             keys[index] = outcome_key(outcome)
         assert keys == expected
-
-
-def test_rejects_invalid_configuration():
-    database, programs = build_program_set(CONTENTION)
-    with pytest.raises(ValueError):
-        TrieExecutor(database, programs, IsolationLevelName.READ_COMMITTED,
-                     checkpoint_spacing=0)

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.persist import SqliteStore
-from repro.persist.cli import main
+
+
+def main(argv):
+    return cli_main(["campaign", *argv])
+
 
 RUN = ["run", "--program-set", "increments", "--max-schedules", "120",
        "--chunk-size", "16", "--campaign", "demo"]
@@ -58,6 +63,25 @@ def test_inspect_unknown_campaign_fails(store_path, capsys):
         assert main(["inspect", "--store", store_path, "--campaign", "ghost",
                      *extra]) == 2
         assert "error: unknown campaign 'ghost'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [{"kind": "service"},
+                                    {"kind": "table4-explored"}])
+def test_resume_and_report_refuse_a_non_exploration_campaign(store_path,
+                                                             config, capsys):
+    """A ``serve --store`` or Table 4 campaign names no program set: resume
+    and ``inspect --report`` say so and exit 2, not a KeyError traceback."""
+    store = SqliteStore(store_path)
+    store.open_campaign("other", config)
+    store.close()
+    for argv in (["resume", "--store", store_path, "--campaign", "other"],
+                 ["inspect", "--store", store_path, "--campaign", "other",
+                  "--report"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: campaign 'other' is " in captured.err
+        assert captured.out == ""
+    assert main(["inspect", "--store", store_path, "--campaign", "other"]) == 0
 
 
 def test_inspect_and_list(store_path, capsys):

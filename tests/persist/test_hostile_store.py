@@ -29,14 +29,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core.phenomena import ALL_PHENOMENA
-from repro.distrib.cli import main as distrib_main
 from repro.persist import SqliteStore, StoreError
 from repro.persist import records as rec
-from repro.persist.cli import main as campaign_main
 from repro.persist.sqlite_store import SCHEMA_VERSION
-from repro.service.cli import serve_main
 from repro.service.server import CertifierServer
+
+
+def campaign_main(argv):
+    return main(["campaign", *argv])
+
+
+def distrib_main(argv):
+    return main(["distrib", *argv])
+
+
+def serve_main(argv):
+    return main(["serve", *argv])
+
 
 FLAGS = ["--program-set", "increments", "--max-schedules", "50",
          "--chunk-size", "8", "--campaign", "c1"]
@@ -232,6 +243,18 @@ def test_a_file_that_is_not_a_database_fails_closed(tmp_path, capsys):
         assert err.startswith(f"error: store {junk!r}") and "not a" in err
     assert serve_main(["--store", junk]) == 2
     assert capsys.readouterr().err.startswith(f"error: store {junk!r}")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_a_path_that_cannot_be_opened_fails_closed(where, tmp_path, capsys):
+    path = str(tmp_path if where == "directory" else tmp_path / "no" / "s.db")
+    for entry, argv in ((campaign_main, ["run", "--store", path, *FLAGS]),
+                        (distrib_main, ["run", "--store", path,
+                                        "--workers", "1", *FLAGS]),
+                        (serve_main, ["--store", path])):
+        assert entry(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: store {path!r} cannot be opened")
 
 
 def test_a_malformed_row_fails_closed_naming_campaign_and_scope(campaign_file,

@@ -21,16 +21,14 @@ import pytest
 
 from repro.analysis.matrix import compute_table4_explored
 from repro.core.isolation import IsolationLevelName
-from repro.distrib.cli import main as distrib_main
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.persist import CampaignConfigMismatch, SqliteStore, StoreError
-from repro.persist.cli import main as campaign_main
 from repro.persist.records import default_campaign_id
 from repro.persist.session import campaign_config
 from repro.persist.sqlite_store import SCHEMA_VERSION
 from repro.workloads.scenarios import ALL_SCENARIOS
 
-from .test_hostile_store import _serve
+from .test_hostile_store import _serve, campaign_main, distrib_main
 
 SPEC = ProgramSetSpec.make("bank-transfer")
 RC = IsolationLevelName.READ_COMMITTED

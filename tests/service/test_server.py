@@ -10,9 +10,9 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.persist import SqliteStore
 from repro.service import CertifierServer, OnlineClassifier
-from repro.service.cli import serve_main
 from repro.service.server import MAX_LINE_BYTES
 
 
@@ -361,7 +361,7 @@ class TestServeCli:
                                       ["--evict-interval", "0"]])
     def test_a_config_it_cannot_run_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            serve_main(argv)
+            main(["serve", *argv])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {argv[0]}: expected an integer" in err

@@ -1,6 +1,6 @@
 """SIGKILL a live campaign, resume it, and diff the coverage byte-for-byte.
 
-The ``campaign-resume`` CI job runs this script.  It stages the tentpole
+The ``system`` CI job runs this script (pytest does not collect it).  It stages the tentpole
 contract of the persistent campaign store end to end, with a real process
 and a real signal rather than an in-process store proxy:
 
@@ -18,7 +18,7 @@ and a real signal rather than an in-process store proxy:
 The store files are left behind in ``--dir`` so CI can upload them as an
 artifact (they are plain SQLite — any client can autopsy a failure).
 
-Usage: python benchmarks/check_campaign_resume.py [--dir OUTDIR]
+Usage: python tests/system/check_campaign_resume.py [--dir OUTDIR]
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Chaos the distributed campaign runner and byte-diff every leg vs serial.
 
-The ``chaos-campaign`` CI job runs this script.  It is the tentpole
+The ``system`` CI job runs this script (pytest does not collect it).  It is the tentpole
 contract of ``repro.distrib`` staged as a matrix: for each of several
 seeds, ``FaultPlan.random(seed)`` derives a deterministic schedule of
 worker SIGKILLs, heartbeat hangs, slow commits, and transient SQLite lock
@@ -16,8 +16,8 @@ The SQLite stores and a JSON log of every leg are left behind in ``--dir``
 so CI can upload them as an artifact (the stores are plain SQLite — any
 client can autopsy a failure).
 
-Usage: python benchmarks/check_chaos_campaign.py [--dir OUTDIR]
-                                                 [--seeds N] [--workers N]
+Usage: python tests/system/check_chaos_campaign.py [--dir OUTDIR]
+                                                   [--seeds N] [--workers N]
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-CAMPAIGN_KWARGS = dict(max_schedules=200, seed=0, chunk_size=8, workers=2,
-                       lease_duration=0.4, heartbeat_interval=0.1,
-                       max_attempts=6, deadline_s=120.0)
+CAMPAIGN = dict(max_schedules=200, seed=0, chunk_size=8, workers=2)
+SUPERVISION = dict(lease_duration=0.4, heartbeat_interval=0.1,
+                   max_attempts=6, deadline_s=120.0)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -44,16 +44,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     outdir = Path(args.dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    kwargs = dict(CAMPAIGN_KWARGS)
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
 
     from repro.distrib.faults import FaultPlan, run_fault_matrix
+    from repro.explorer import ExploreOptions
     from repro.persist import SqliteStore
     from repro.workloads.program_sets import ProgramSetSpec
 
     spec = ProgramSetSpec.make("increments")
-    plans = [FaultPlan()] + [FaultPlan.random(seed, workers=kwargs["workers"])
+    options = ExploreOptions(**CAMPAIGN)
+    if args.workers is not None:
+        options = options.replace(workers=args.workers)
+    plans = [FaultPlan()] + [FaultPlan.random(seed, workers=options.workers)
                              for seed in range(args.seeds)]
     for index, plan in enumerate(plans):
         label = "control" if index == 0 else f"seed {index - 1}"
@@ -61,10 +62,10 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{list(plan.encode()) or 'no faults'}")
 
     legs = run_fault_matrix(
-        spec, None, plans,
+        spec, options, plans,
         [("memory", lambda index: SqliteStore(":memory:")),
          ("sqlite", lambda index: SqliteStore(outdir / f"leg{index}.sqlite"))],
-        **kwargs)
+        **SUPERVISION)
 
     failures = []
     for leg in legs:

@@ -1,6 +1,6 @@
 """Boot the online certifier service for real and certify anomalies over TCP.
 
-The ``service-smoke`` CI job runs this script.  It stages the ISSUE 10
+The ``system`` CI job runs this script (pytest does not collect it).  It stages the ISSUE 10
 tentpole contract end to end, with a real server process and real sockets
 rather than an in-process classifier:
 
@@ -26,7 +26,7 @@ rather than an in-process classifier:
 The store file and the server's stderr are left behind in ``--dir`` so CI
 can upload them as artifacts (plain SQLite — any client can autopsy a failure).
 
-Usage: python benchmarks/check_service_smoke.py [--dir OUTDIR]
+Usage: python tests/system/check_service_smoke.py [--dir OUTDIR]
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import sys
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 #: ``ledger.streams`` is read, never edited, from here.
 sys.path.insert(1, str(REPO_ROOT / "benchmarks"))
