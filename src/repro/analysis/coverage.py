@@ -12,6 +12,7 @@ becomes a frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.isolation import IsolationLevelName, Possibility
@@ -306,49 +307,39 @@ class ExploredTable4:
         return table
 
 
-def build_coverage_report(result, codes: Optional[Sequence[str]] = None) -> CoverageReport:
-    """Aggregate an :class:`~repro.explorer.explorer.ExplorationResult` into a report.
-
-    ``codes`` selects and orders the report columns (default: every detector,
-    in catalogue order).  Accepts the result object structurally — anything
-    with ``spec``, ``space``, and ``levels`` of records works, which keeps
-    ``analysis`` free of an import cycle with ``explorer``.
-    """
+def _report(spec, space, codes: Optional[Sequence[str]], tallies) -> CoverageReport:
+    """The report from ``{level: (groups, witness_at)}``: each group is
+    ``(codes, schedules, serializable, stalled, first schedule index)`` and
+    ``witness_at(index)`` gives that schedule's ``(interleaving, history)``."""
     columns = tuple(codes) if codes is not None else tuple(ALL_PHENOMENA)
     levels: Dict[IsolationLevelName, LevelCoverage] = {}
-    for level, exploration in result.levels.items():
-        records = exploration.records
-        total = len(records)
+    for level, (groups, witness_at) in tallies.items():
+        schedules = serializable = stalled = 0
         witnessed: Dict[str, int] = {code: 0 for code in columns}
-        witness: Dict[str, Tuple[Tuple[int, ...], str]] = {}
-        serializable = 0
-        stalled = 0
-        for record in records:
-            if record.serializable:
-                serializable += 1
-            if record.stalled:
-                stalled += 1
-            for code in record.phenomena:
-                if code not in witnessed:
-                    continue
-                witnessed[code] += 1
-                witness.setdefault(code, (record.interleaving, record.history))
-        phenomena = {
-            code: PhenomenonCoverage(
-                code=code,
-                witnessed=witnessed[code],
-                total=total,
-                witness_interleaving=witness.get(code, (None, None))[0],
-                witness_history=witness.get(code, (None, None))[1],
-            )
-            for code in columns
-        }
+        first: Dict[str, int] = {}
+        for listed, count, serial, stall, index in groups:
+            schedules += count
+            serializable += serial
+            stalled += stall
+            for code in listed:
+                if code in witnessed:
+                    witnessed[code] += count
+                    first[code] = min(first.get(code, index), index)
+        witness = {code: witness_at(index) for code, index in first.items()}
         levels[level] = LevelCoverage(
-            level=level, schedules=total, serializable=serializable,
-            stalled=stalled, phenomena=phenomena,
-        )
+            level=level, schedules=schedules, serializable=serializable,
+            stalled=stalled,
+            phenomena={
+                code: PhenomenonCoverage(
+                    code=code,
+                    witnessed=witnessed[code],
+                    total=schedules,
+                    witness_interleaving=witness.get(code, (None, None))[0],
+                    witness_history=witness.get(code, (None, None))[1],
+                )
+                for code in columns
+            })
     notes: List[str] = []
-    space = result.space
     if space.mode == "sample" and not getattr(space, "dedupe", True):
         # _should_dedupe refused the seen-set (distinct-tracking would exceed
         # its memory cap), so the sample may repeat schedules — a caveat that
@@ -358,45 +349,58 @@ def build_coverage_report(result, codes: Optional[Sequence[str]] = None) -> Cove
             f"dedupe tracking (seen-set cap exceeded): counts may include "
             f"repeated schedules")
     return CoverageReport(
-        spec=result.spec.describe(),
-        mode=result.space.mode,
-        space_size=result.space.total,
-        explored=result.space.selected,
+        spec=spec.describe(),
+        mode=space.mode,
+        space_size=space.total,
+        explored=space.selected,
         columns=columns,
         levels=levels,
         notes=tuple(notes),
     )
 
 
-@dataclass(frozen=True)
-class _StoredLevel:
-    """Shim matching ``LevelExploration`` structurally for report building."""
+def build_coverage_report(result, codes: Optional[Sequence[str]] = None) -> CoverageReport:
+    """Aggregate an :class:`~repro.explorer.explorer.ExplorationResult` into a report.
 
-    records: Tuple
+    ``codes`` selects and orders the report columns (default: every detector,
+    in catalogue order).  Accepts the result object structurally — anything
+    with ``spec``, ``space``, and ``levels`` of records works, which keeps
+    ``analysis`` free of an import cycle with ``explorer``.
+    """
+    return _report(result.spec, result.space, codes, {
+        level: (_groups(exploration.records),
+                lambda index, records=exploration.records:
+                    (records[index].interleaving, records[index].history))
+        for level, exploration in result.levels.items()})
 
 
-@dataclass(frozen=True)
-class _StoredResult:
-    """Shim matching ``ExplorationResult`` structurally for report building."""
-
-    spec: object
-    space: object
-    levels: Dict[IsolationLevelName, _StoredLevel]
+def _groups(records) -> List[Tuple]:
+    """In-memory :meth:`~repro.persist.SqliteStore.coverage_groups`."""
+    groups: Dict[Tuple[str, ...], List[int]] = {}
+    for index, record in enumerate(records):
+        group = groups.get(record.phenomena)
+        if group is None:
+            groups[record.phenomena] = [1, int(record.serializable),
+                                        int(record.stalled), index]
+        else:
+            group[0] += 1
+            group[1] += record.serializable
+            group[2] += record.stalled
+    return [(codes, *group) for codes, group in groups.items()]
 
 
 def coverage_report_from_store(store, campaign_id: str,
                                codes: Optional[Sequence[str]] = None,
                                levels: Optional[Sequence[IsolationLevelName]]
                                = None) -> CoverageReport:
-    """Rebuild a campaign's coverage report from its persisted records.
+    """Rebuild a campaign's coverage report from SQL aggregates of its rows.
 
-    The store-reading constructor: loads every stored scope's record stream
-    from a :class:`~repro.persist.SqliteStore` and aggregates it exactly
-    like :func:`build_coverage_report` does for a live
-    :class:`~repro.explorer.ExplorationResult` — for a completed campaign the
-    two renders are byte-identical (the kill-and-resume determinism tests
-    assert this).  The schedule space is re-derived from the stored campaign
-    config; deterministic, so the header and sampling notes match too.
+    The cost is the report's size, not the data's: per level one ``GROUP BY
+    phenomena`` (:meth:`~repro.persist.SqliteStore.coverage_groups`) and one
+    row fetch per witness; no record is decoded.  The render is byte-equal
+    to :func:`build_coverage_report` over the same records, and a cell of the
+    wrong type raises :class:`~repro.persist.StoreError` naming the campaign
+    and scope.  The schedule space is re-derived from the stored config.
 
     ``levels`` fixes the report's row order (matching the ``levels`` the
     campaign was explored with); by default the explorer's
@@ -427,10 +431,7 @@ def coverage_report_from_store(store, campaign_id: str,
                     if level.value in progress and level not in ordered]
     else:
         ordered = [level for level in levels if level.value in progress]
-    stored_levels = {
-        level: _StoredLevel(tuple(store.iter_records(campaign_id, level.value)))
-        for level in ordered
-    }
-    return build_coverage_report(
-        _StoredResult(spec=spec, space=space, levels=stored_levels),
-        codes=codes)
+    return _report(spec, space, codes, {
+        level: (store.coverage_groups(campaign_id, level.value),
+                partial(store.witness_at, campaign_id, level.value))
+        for level in ordered})

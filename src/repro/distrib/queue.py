@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..explorer.worker import ScheduleRecord
@@ -114,6 +114,7 @@ class LeaseQueue:
         self._rng = random.Random(jitter_seed)
         self._clock = clock
         self._scopes: List[str] = []                       #: registration order
+        self._affinity: Dict[str, str] = {}                #: owner -> last scope
         self._units: Dict[Tuple[str, int], _Unit] = {}
         self._totals: Dict[str, int] = {}
         self._cursors: Dict[str, int] = {}                 #: store flush cursor
@@ -168,14 +169,22 @@ class LeaseQueue:
     # -- grants -----------------------------------------------------------------------
 
     def acquire(self, owner: str) -> Optional[Lease]:
-        """Grant the earliest eligible pending chunk, or ``None``.
+        """Grant the earliest eligible pending chunk of the owner's best
+        scope, or ``None``.
 
-        Scopes are served in registration order and chunks in stream order,
-        which keeps the out-of-order commit buffer shallow (at most one
-        chunk per outstanding worker).
+        Each scope is its own engine, whose transition table and history
+        classes a worker reuses, so an owner keeps to a scope: its next grant
+        comes from the scope of its previous grant while that has grantable
+        chunks; else from the first scope, in registration order, that no
+        other owner holds a lease in; else from any scope.  Chunks go in
+        stream order, which keeps each scope's commit buffer shallow.
         """
         now = self._clock()
-        for scope in self._scopes:
+        last = self._affinity.get(owner)
+        held = {scope for (scope, _), unit in self._units.items()
+                if unit.state == "leased" and unit.owner != owner}
+        for scope in sorted(self._scopes,
+                            key=lambda scope: (scope != last, scope in held)):
             for chunk in range(self._cursors[scope], self._totals[scope]):
                 unit = self._units[(scope, chunk)]
                 if unit.state != "pending" or unit.not_before > now:
@@ -187,27 +196,10 @@ class LeaseQueue:
                 unit.deadline = now + self.lease_duration
                 self._put(scope, chunk, unit, "leased")
                 self.stats["leases_granted"] += 1
+                self._affinity[owner] = scope
                 return Lease(scope, chunk, unit.token, unit.deadline,
                              unit.attempts)
         return None
-
-    def next_ready_delay(self) -> Optional[float]:
-        """Seconds until the earliest backoff-gated pending chunk is grantable.
-
-        ``0.0`` when something is grantable now; ``None`` when nothing is
-        pending at all (everything is leased, done, or poisoned).
-        """
-        now = self._clock()
-        best: Optional[float] = None
-        for unit in self._units.values():
-            if unit.state != "pending":
-                continue
-            wait = max(0.0, unit.not_before - now)
-            if best is None or wait < best:
-                best = wait
-            if best == 0.0:
-                break
-        return best
 
     # -- heartbeats -------------------------------------------------------------------
 
@@ -344,13 +336,9 @@ class LeaseQueue:
     def all_committed(self) -> bool:
         return all(self.scope_committed(scope) for scope in self._scopes)
 
-    def outstanding(self) -> int:
-        """Currently leased chunks."""
-        return sum(1 for unit in self._units.values() if unit.state == "leased")
-
     def has_open_work(self) -> bool:
-        """Anything still grantable or in flight (pending, leased, or an
-        accepted-but-unflushed buffer waiting behind a gap)."""
+        """Anything still grantable or in flight: a pending or leased chunk.
+        Accepted chunks buffered behind a poisoned gap are not open work."""
         return any(unit.state in ("pending", "leased")
                    for unit in self._units.values())
 

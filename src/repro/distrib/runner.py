@@ -14,8 +14,16 @@ through the ordinary :func:`~repro.explorer.worker.execute_chunk`
 trie/batch-kernel path, send back the records.  All policy — granting,
 heartbeat renewal, expiry reclaim, backoff, poison quarantine, in-order
 fenced commits, death detection, respawn — lives in the parent loop, which
-is also the only process that ever touches the store (the PR 8 parent-only
-protocol, unchanged).
+is also the only process that ever touches the store.
+
+A worker holds :data:`PREFETCH` leases, the chunk it executes and one
+queued, so its next task waits in the worker while the parent commits; and
+:meth:`~repro.distrib.queue.LeaseQueue.acquire` keeps it on one scope, whose
+transition table and history classes it then reuses.  A beat renews every
+lease its worker holds, so the queued one cannot lapse behind a long chunk;
+when beats stop (a hang) both lapse under the expiry rule.  A dead worker is
+charged one attempt, for the chunk it was running (read what it sent before
+dying first); its queued lease is released free (``leases_released``).
 
 Determinism: the records a chunk produces are a pure function of the
 campaign config (the explorer's contract), the chunk stream is fixed before
@@ -30,8 +38,9 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
+from queue import SimpleQueue
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.isolation import IsolationLevelName
@@ -53,6 +62,9 @@ from .heartbeats import HeartbeatSender
 from .queue import LeaseQueue, PoisonedChunk
 
 __all__ = ["CampaignRunner", "CampaignRunResult"]
+
+#: Leases a worker holds at once: the chunk it executes plus one queued.
+PREFETCH = 2
 
 
 @dataclass(frozen=True)
@@ -80,7 +92,7 @@ class _WorkerHandle:
     incarnation: int
     process: multiprocessing.Process
     conn: Any                                 #: parent end of the duplex pipe
-    busy: Optional[Tuple[str, int, int]] = None    #: (scope, chunk, token)
+    leases: List[Tuple[str, int, int]] = field(default_factory=list)  #: pipe order, [0] runs
     last_seen: float = 0.0
     broken: bool = False                      #: pipe hit EOF; await death
 
@@ -88,9 +100,20 @@ class _WorkerHandle:
 def _worker_main(worker_index: int, incarnation: int, conn,
                  heartbeat_interval: float,
                  fault_specs: Sequence) -> None:
-    """Worker process body: pull tasks, execute, heartbeat, report."""
+    """Worker process body: pull tasks, execute, heartbeat, report.  A reader
+    thread drains the pipe, so sending a queued task never blocks the parent."""
     injector = WorkerFaultInjector(fault_specs)
     send_lock = threading.Lock()
+    inbox: SimpleQueue = SimpleQueue()
+
+    def read() -> None:
+        message: Any = ()
+        while message is not None:
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                message = None
+            inbox.put(message)
 
     def post(payload: Tuple) -> None:
         with send_lock:
@@ -104,13 +127,11 @@ def _worker_main(worker_index: int, incarnation: int, conn,
             ("hb", worker_index, incarnation, scope, chunk, token)),
         heartbeat_interval)
     heartbeat.start()
+    threading.Thread(target=read, daemon=True).start()
     ordinal = 0
     try:
         while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
+            message = inbox.get()
             if message is None:
                 break
             _, task, token = message
@@ -254,11 +275,12 @@ class CampaignRunner:
             try:
                 handle.conn.send(("chunk", task, lease.token))
             except (BrokenPipeError, OSError):
-                # Worker died between liveness check and send; the lease
-                # reclaims on the death path below.
+                # Worker died before the task reached it: the lease goes
+                # back free, and the death path below respawns the worker.
                 handle.broken = True
+                queue.release(lease.scope, lease.chunk_index, lease.token)
                 return False
-            handle.busy = (lease.scope, lease.chunk_index, lease.token)
+            handle.leases.append((lease.scope, lease.chunk_index, lease.token))
             return True
 
         def note_lost(scope: str, chunk: int) -> None:
@@ -270,20 +292,29 @@ class CampaignRunner:
                 _, windex, inc, scope, chunk, token = message
                 if inc == handle.incarnation:
                     handle.last_seen = time.monotonic()
-                queue.renew(scope, chunk, token)
+                for held in {(scope, chunk, token), *handle.leases}:
+                    queue.renew(*held)
             elif kind == "result":
                 (_, windex, inc, scope, chunk, token, records,
                  cache_stats) = message
                 if inc == handle.incarnation:
                     handle.last_seen = time.monotonic()
-                    if handle.busy == (scope, chunk, token):
-                        handle.busy = None
+                    if (scope, chunk, token) in handle.leases:
+                        handle.leases.remove((scope, chunk, token))
                 accepted = queue.complete(scope, chunk, token, records)
                 if accepted:
                     merge_stats(worker_stats, cache_stats)
                     lost_at = pending_recovery.pop((scope, chunk), None)
                     if lost_at is not None:
                         latencies.append(time.monotonic() - lost_at)
+
+        def receive(handle: _WorkerHandle) -> None:
+            try:
+                message = handle.conn.recv()
+            except (EOFError, OSError):
+                handle.broken = True
+                return
+            handle_message(handle, message)
 
         if not queue.all_committed():
             handles = [spawn(index, 0) for index in range(self.workers)]
@@ -300,13 +331,7 @@ class CampaignRunner:
                               and handle.process.is_alive()]
                 for ready in mp_connection.wait(live_conns,
                                                 timeout=self.tick) if live_conns else ():
-                    handle = next(h for h in handles if h.conn is ready)
-                    try:
-                        message = ready.recv()
-                    except (EOFError, OSError):
-                        handle.broken = True
-                        continue
-                    handle_message(handle, message)
+                    receive(next(h for h in handles if h.conn is ready))
 
                 now = time.monotonic()
                 for reclaimed in queue.reclaim_expired():
@@ -314,20 +339,23 @@ class CampaignRunner:
 
                 for position, handle in enumerate(handles):
                     if not handle.process.is_alive():
-                        # Dead worker: reclaim its lease immediately and
-                        # respawn a fresh incarnation on a fresh pipe.
-                        if handle.busy is not None:
-                            scope, chunk, token = handle.busy
-                            reclaimed = queue.force_expire(scope, chunk, token)
-                            if reclaimed is not None:
+                        # Dead worker: read what it sent, charge the chunk it
+                        # was running, free the queued one, and respawn.
+                        while not handle.broken and handle.conn.poll():
+                            receive(handle)
+                        if handle.leases:
+                            (scope, chunk, token), *queued = handle.leases
+                            if queue.force_expire(scope, chunk, token) is not None:
                                 note_lost(scope, chunk)
-                            handle.busy = None
+                            for lease in queued:
+                                queue.release(*lease)
+                            handle.leases.clear()
                         handle.conn.close()
                         if respawns < self.max_respawns:
                             respawns += 1
                             handles[position] = spawn(handle.index,
                                                       handle.incarnation + 1)
-                    elif handle.busy is not None and \
+                    elif handle.leases and \
                             now - handle.last_seen > self.stall_timeout:
                         # Hung past any plausible slow chunk: kill it; the
                         # death path above reclaims and respawns next tick.
@@ -342,11 +370,12 @@ class CampaignRunner:
                                     for handle in handles):
                     break
 
+                granting = True
                 for handle in handles:
-                    if handle.busy is None and not handle.broken \
-                            and handle.process.is_alive():
-                        if not assign(handle):
-                            break
+                    if handle.broken or not handle.process.is_alive():
+                        continue
+                    while granting and len(handle.leases) < PREFETCH:
+                        granting = assign(handle)
         finally:
             for handle in handles:
                 if handle.process.is_alive():

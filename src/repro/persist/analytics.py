@@ -130,17 +130,19 @@ def campaign_summary_data(store: SqliteStore, campaign_id: str,
     for scope in sorted(progress):
         state = progress[scope]
         anomalies = []
+        groups = store.coverage_groups(campaign_id, scope)
+        chunks = store.chunk_count(campaign_id, scope)
         for code in codes:
-            series = store.anomaly_frequency(campaign_id, scope, code)
-            total = series[-1].cumulative if series else 0
-            if not total:
+            hits = [(first, count) for listed, count, _, _, first in groups
+                    if code in listed]
+            if not hits:
                 continue
-            witness = store.witness_for(campaign_id, scope, code)
-            assert witness is not None
+            first = min(hits)[0]
+            interleaving, _ = store.witness_at(campaign_id, scope, first)
             anomalies.append({
-                "code": code, "witnesses": total, "chunks": len(series),
-                "first_schedule": witness.schedule_index,
-                "witness": encode_interleaving(witness.interleaving),
+                "code": code, "witnesses": sum(count for _, count in hits),
+                "chunks": chunks, "first_schedule": first,
+                "witness": encode_interleaving(interleaving),
             })
         scopes.append({"scope": scope, "complete": state.complete,
                        "cursor": state.cursor, "records": state.records,

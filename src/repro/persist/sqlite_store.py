@@ -739,24 +739,55 @@ class SqliteStore:
 
     # -- SQL analytics ----------------------------------------------------------------
 
-    def _check_phenomena(self, campaign_id: str, scope: str) -> None:
-        """Decode every distinct non-empty phenomenon list of the scope.
+    def coverage_groups(self, campaign_id: str, scope: str) -> Tuple[Tuple, ...]:
+        """``(codes, schedules, serializable, stalled, first schedule_index)``
+        per distinct phenomenon list of the scope.  Every cell read is
+        checked: a list that does not decode, or a flag that is not a 0/1
+        integer, would give a silently different count, so such a row fails
+        the query instead."""
+        with self._reading(campaign_id, scope):
+            rows = self._conn.execute(
+                """
+                SELECT phenomena, COUNT(*), SUM(serializable), SUM(stalled),
+                       MIN(schedule_index),
+                       SUM(typeof(phenomena) != 'text'
+                           OR typeof(schedule_index) != 'integer'
+                           OR typeof(serializable) != 'integer'
+                           OR typeof(stalled) != 'integer'
+                           OR serializable NOT IN (0, 1) OR stalled NOT IN (0, 1))
+                FROM records WHERE campaign = ? AND scope = ? GROUP BY phenomena
+                """, (campaign_id, scope)).fetchall()
+            if any(bad for *_, bad in rows):
+                raise ValueError("a record's serializable, stalled, "
+                                 "schedule_index or phenomena cell has the wrong type")
+            return tuple((rec.decode_codes(codes), *counts) for codes, *counts, _ in rows)
 
-        ``json_each`` would count a record whose list is malformed or names
-        an unknown code as witnessing nothing — a silently shorter answer.
-        Decoding the distinct lists (a handful per scope) makes such a row
-        fail the query instead.
-        """
-        for (text,) in self._conn.execute(
-                "SELECT DISTINCT phenomena FROM records WHERE campaign = ? AND "
-                "scope = ? AND phenomena != '[]'", (campaign_id, scope)):
-            rec.decode_codes(text)
+    def chunk_count(self, campaign_id: str, scope: str) -> int:
+        """How many chunks of the scope hold stored records."""
+        with self._reading(campaign_id, scope):
+            return self._conn.execute(
+                "SELECT COUNT(DISTINCT chunk_index) FROM records "
+                "WHERE campaign = ? AND scope = ?", (campaign_id, scope)).fetchone()[0]
+
+    def witness_at(self, campaign_id: str, scope: str,
+                   schedule_index: int) -> Tuple[Tuple[int, ...], str]:
+        """The ``(interleaving, history)`` stored at one stream position."""
+        with self._reading(campaign_id, scope):
+            interleaving, history = self._conn.execute(
+                "SELECT interleaving, history FROM records WHERE campaign = ? "
+                "AND scope = ? AND schedule_index = ?",
+                (campaign_id, scope, schedule_index)).fetchone()
+            if not isinstance(history, str):
+                raise TypeError(f"history of schedule {schedule_index} is not text")
+            return rec.decode_interleaving(interleaving), history
 
     def anomaly_frequency(self, campaign_id: str, scope: str,
                           code: str) -> Tuple[AnomalyFrequencyRow, ...]:
         """Witness counts of one phenomenon per chunk, with running totals."""
         with self._reading(campaign_id, scope):
-            self._check_phenomena(campaign_id, scope)
+            # json_each would count a malformed list as witnessing nothing;
+            # coverage_groups decodes every distinct list and fails instead.
+            self.coverage_groups(campaign_id, scope)
             rows = self._conn.execute(
                 """
                 SELECT chunk_index,
@@ -780,26 +811,12 @@ class SqliteStore:
     def witness_for(self, campaign_id: str, scope: str,
                     code: str) -> Optional[StoredWitness]:
         """The earliest stored witness of one (scope, code) cell, if any."""
-        with self._reading(campaign_id, scope):
-            self._check_phenomena(campaign_id, scope)
-            row = self._conn.execute(
-                """
-                SELECT schedule_index, interleaving, history
-                FROM (
-                    SELECT schedule_index, interleaving, history,
-                           ROW_NUMBER() OVER (ORDER BY schedule_index) AS rn
-                    FROM records r
-                    WHERE r.campaign = ? AND r.scope = ?
-                      AND EXISTS (SELECT 1 FROM json_each(r.phenomena) j
-                                  WHERE j.value = ?)
-                )
-                WHERE rn = 1
-                """, (campaign_id, scope, code)).fetchone()
-            if row is None:
-                return None
-            index, interleaving, history = row
-            return StoredWitness(index, rec.decode_interleaving(interleaving),
-                                 history)
+        firsts = [first for codes, *_, first in
+                  self.coverage_groups(campaign_id, scope) if code in codes]
+        if not firsts:
+            return None
+        return StoredWitness(min(firsts),
+                             *self.witness_at(campaign_id, scope, min(firsts)))
 
     def conflict_edge_summary(self, campaign_id: str) -> Tuple[ConflictEdgeRow, ...]:
         """Witness conflict edges aggregated by (scope, kind), ranked per scope

@@ -114,10 +114,47 @@ def test_backoff_gates_regrant_until_clock_advances(store, clock):
     clock.advance(1.5)
     queue.reclaim_expired()
     assert queue.acquire("w1") is None               # backoff gate still closed
-    delay = queue.next_ready_delay()
-    assert delay is not None and delay > 0.0
-    clock.advance(delay)
+    # No backoff exceeds the cap times the largest jitter factor.
+    clock.advance(queue.backoff_cap * 1.5 + 0.01)
     assert queue.acquire("w1") is not None
+
+
+def test_owners_keep_their_scope_then_share_the_last_one(store, clock):
+    """Two owners holding two leases each over three scopes: each stays on
+    the scope it started, the first one free takes the scope nobody holds,
+    the other then takes work from it, and every scope commits in order."""
+    queue = _queue(store, clock)
+    for scope in ("A", "B", "C"):
+        queue.register_scope(scope, 4)
+    held = {"w0": [], "w1": []}
+    grants = {"w0": [], "w1": []}
+    deepest = 0
+    while True:
+        for owner in ("w0", "w1"):
+            while len(held[owner]) < 2:
+                lease = queue.acquire(owner)
+                if lease is None:
+                    break
+                held[owner].append(lease)
+                grants[owner].append((lease.scope, lease.chunk_index))
+        if not held["w0"] and not held["w1"]:
+            break
+        # w1 finishes first, so on the shared scope its later chunk
+        # completes before w0's earlier one and has to wait in the buffer.
+        for owner in ("w1", "w0"):
+            if held[owner]:
+                lease = held[owner].pop(0)
+                assert queue.complete(lease.scope, lease.chunk_index,
+                                      lease.token, _records(lease.chunk_index))
+                deepest = max(deepest, *map(len, queue._buffers.values()))
+    assert grants["w0"][:5] == [("A", 0), ("A", 1), ("A", 2), ("A", 3), ("C", 0)]
+    assert grants["w1"][:5] == [("B", 0), ("B", 1), ("B", 2), ("B", 3), ("C", 1)]
+    assert sorted(grants["w0"][4:] + grants["w1"][4:]) == [("C", c) for c in range(4)]
+    assert 0 < deepest <= 2 * len(held)
+    assert queue.all_committed()
+    for scope in ("A", "B", "C"):
+        assert [record.history for record in store.iter_records(CAMPAIGN, scope)] \
+            == [_records(chunk)[0].history for chunk in range(4)]
 
 
 def test_poisoned_chunk_quarantine_and_drain(store, clock):

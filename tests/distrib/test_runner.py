@@ -124,3 +124,47 @@ def test_a_repeated_level_is_rejected_before_the_store_is_touched(store):
     with pytest.raises(ValueError, match="'SERIALIZABLE' given twice"):
         CampaignRunner(store, SPEC, levels=(level, level))
     assert not store.list_campaigns()
+
+
+def _charged(store, runner):
+    """Attempts charged per (scope, chunk), where any were."""
+    return {key: lease.attempts for key, lease
+            in store.load_leases(runner.campaign_id).items() if lease.attempts}
+
+
+def _matches_control(store, runner, control):
+    render, fingerprint = control
+    assert fingerprint_from_store(store, runner.campaign_id) == fingerprint
+    assert coverage_report_from_store(store, runner.campaign_id).render() \
+        == render
+
+
+@pytest.mark.parametrize("ordinal", [0, 1])
+def test_a_worker_killed_holding_two_leases_is_charged_one(store, control,
+                                                          ordinal):
+    """Worker 0 dies on its Nth chunk with another lease queued: the running
+    chunk, and only it, is charged one attempt; the queued one is released
+    free.  Worker 0 starts on the first scope, so its Nth chunk is chunk N
+    there; at N = 1 the result it sent just before dying is read first."""
+    plan = FaultPlan.parse([f"kill:worker=0:ordinal={ordinal}"])
+    # Death is seen by the process check; a long lease keeps a slow start
+    # from lapsing some other lease on a loaded host.
+    runner, result = _run(store, faults=plan, lease_duration=5.0)
+    assert result.success and result.respawns == 1
+    assert result.stats["leases_reclaimed"] == 1
+    if ordinal == 0:       # both leases were granted before any result
+        assert result.stats["leases_released"] >= 1
+    assert _charged(store, runner) == {(runner.levels[0].value, ordinal): 1}
+    _matches_control(store, runner, control)
+
+
+def test_a_hang_past_the_lease_lapses_both_leases_and_still_matches(store,
+                                                                    control):
+    plan = FaultPlan.parse(["hang:worker=0:ordinal=0:duration=1.0"])
+    runner, result = _run(store, faults=plan)
+    assert result.success
+    # No beats renew either of worker 0's leases, so both lapse and are
+    # charged: its first two chunks of the first scope.
+    assert {(runner.levels[0].value, 0), (runner.levels[0].value, 1)} \
+        <= set(_charged(store, runner))
+    _matches_control(store, runner, control)

@@ -18,7 +18,11 @@ from repro.persist import (
     StoredWitness,
     StoreError,
 )
-from repro.persist.analytics import campaign_summary, persist_result
+from repro.persist.analytics import (
+    campaign_summary,
+    campaign_summary_data,
+    persist_result,
+)
 
 CONFIG = {"spec_name": "increments", "spec_params": [], "mode": "auto",
           "max_schedules": 100, "seed": 0, "reduction": "none",
@@ -63,6 +67,11 @@ class TestQueries:
             StoredWitness(1, (1, 2, 1), "h1")
         assert store.witness_for("c1", "scope", "P2") == \
             StoredWitness(2, (1, 2, 2), "h2")
+
+    def test_chunk_count(self, store):
+        fill(store)
+        assert store.chunk_count("c1", "scope") == 3
+        assert store.chunk_count("c1", "other") == 0
 
     def test_conflict_edge_rows_with_tied_ranks(self, store):
         fill(store)
@@ -143,6 +152,31 @@ class TestEndToEndAnalytics:
             "    [READ UNCOMMITTED] ww: 3 (rank 2)",
             "    [READ UNCOMMITTED] wr: 1 (rank 3)",
         ]
+
+    @pytest.mark.parametrize("reduction", ["none", "sleep-set"])
+    def test_summary_agrees_with_the_per_code_queries(self, store, reduction):
+        """The summary reads one ``GROUP BY`` per scope; the per-chunk series
+        and the earliest-witness query are its oracle."""
+        spec = ProgramSetSpec.make("contention")
+        explore(spec, ExploreOptions(
+            mode="sample", max_schedules=300, seed=7, chunk_size=32,
+            reduction=reduction, store=store, campaign_id="c1"))
+        data = campaign_summary_data(store, "c1")
+        assert any(scope["anomalies"] for scope in data["scopes"])
+        for scope in data["scopes"]:
+            expected = []
+            for code in ("P1", "P2", "P3", "A5A", "A5B"):
+                series = store.anomaly_frequency("c1", scope["scope"], code)
+                witness = store.witness_for("c1", scope["scope"], code)
+                if series[-1].cumulative:
+                    expected.append({
+                        "code": code, "witnesses": series[-1].cumulative,
+                        "chunks": len(series),
+                        "first_schedule": witness.schedule_index,
+                        "witness": ",".join(map(str, witness.interleaving))})
+                else:
+                    assert witness is None
+            assert scope["anomalies"] == expected
 
     def test_summary_of_missing_campaign(self, store):
         assert "not found" in campaign_summary(store, "ghost")

@@ -4,9 +4,11 @@ The ``system`` CI job runs this script (pytest does not collect it).  It is the 
 contract of ``repro.distrib`` staged as a matrix: for each of several
 seeds, ``FaultPlan.random(seed)`` derives a deterministic schedule of
 worker SIGKILLs, heartbeat hangs, slow commits, and transient SQLite lock
-errors; the campaign runs under that schedule on **two** store legs — a
-store file and ``SqliteStore(":memory:")``, so the lock faults fire on
-both — with real supervised worker processes; and the coverage report plus
+errors, and one fixed plan kills worker 0 on its first chunk while a second
+lease waits queued behind it; the campaign runs under each plan on **two**
+store legs — a store file and ``SqliteStore(":memory:")``, so the lock
+faults fire on both — with real supervised worker processes; and the
+coverage report plus
 fingerprint rebuilt from the store must be **byte-identical** to a
 fault-free serial run.  A fault-free control leg rides along so a failure
 can be attributed to the faults rather than the distribution.
@@ -46,6 +48,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     from repro.distrib.faults import FaultPlan, run_fault_matrix
+
+    # Worker 0 dies on its first chunk with a second lease queued behind it:
+    # the running chunk is charged, the queued one released.
+    PREFETCH_KILL = FaultPlan.parse(["kill:worker=0:ordinal=0"])
     from repro.explorer import ExploreOptions
     from repro.persist import SqliteStore
     from repro.workloads.program_sets import ProgramSetSpec
@@ -55,9 +61,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.workers is not None:
         options = options.replace(workers=args.workers)
     plans = [FaultPlan()] + [FaultPlan.random(seed, workers=options.workers)
-                             for seed in range(args.seeds)]
+                             for seed in range(args.seeds)] + [PREFETCH_KILL]
     for index, plan in enumerate(plans):
-        label = "control" if index == 0 else f"seed {index - 1}"
+        label = ("control" if index == 0 else "fixed prefetch kill"
+                 if plan is PREFETCH_KILL else f"seed {index - 1}")
         print(f"plan {index} ({label}): "
               f"{list(plan.encode()) or 'no faults'}")
 
@@ -69,7 +76,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     failures = []
     for leg in legs:
-        verdict = "ok" if (leg["success"] and leg["byte_equal"]
+        # The fixed leg must have taken the release-on-death path.
+        released = (leg["plan"] != list(PREFETCH_KILL.encode())
+                    or leg["stats"].get("leases_released", 0) >= 1)
+        verdict = "ok" if (leg["success"] and leg["byte_equal"] and released
                            and not leg["poisoned"]) else "FAIL"
         recovery = leg["recovery_latency_s"]
         print(f"plan {leg['plan_index']} on {leg['backend']:7s}: {verdict}  "
@@ -79,7 +89,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             failures.append(
                 f"plan {leg['plan_index']} ({leg['plan']}) on "
                 f"{leg['backend']}: success={leg['success']} "
-                f"byte_equal={leg['byte_equal']} poisoned={leg['poisoned']}")
+                f"byte_equal={leg['byte_equal']} poisoned={leg['poisoned']} "
+                f"released={leg['stats'].get('leases_released', 0)}")
 
     log_path = outdir / "legs.json"
     log_path.write_text(json.dumps(legs, indent=2, sort_keys=True))
