@@ -44,17 +44,20 @@ def main() -> None:
         "Write skew (A5B): disjoint writes after overlapping reads"))
     print()
 
-    # 3. Partial-order reduction: a sharded workload where most interleavings
-    #    differ only by commuting steps of disjoint transactions — one
-    #    representative per equivalence class is executed, coverage unchanged.
+    # 3. Commuting steps: a sharded workload where most interleavings differ
+    #    only in the order of steps of disjoint transactions.  Every schedule
+    #    executes; the classification memo's class tables see that the
+    #    histories differ only across items and classify them once.
     result = explore(ProgramSetSpec.make("sharded-increments"),
                  ExploreOptions(levels=LEVELS, mode="exhaustive",
-                                max_schedules=100, reduction="sleep-set"))
+                                max_schedules=100))
     print(build_coverage_report(result, codes=("P0", "P1", "P4")).render(
-        "Sharded increments under sleep-set reduction"))
+        "Sharded increments: commuting steps of disjoint transactions"))
+    stats = result.levels[IsolationLevelName.READ_COMMITTED].cache_stats
     print(f"\n  executed {result.executed_schedules() // len(LEVELS)} of "
-          f"{result.space.total} schedules per level "
-          f"({result.reduction_ratio():.0f}x reduction)\n")
+          f"{result.space.total} schedules per level; at READ COMMITTED "
+          f"{stats['misses']} distinct histories, "
+          f"{stats['class_misses']} classification pass(es)\n")
 
     # 4. A large sampled space: seeded, deterministic, streamed chunk by
     #    chunk across every usable core (workers="auto").

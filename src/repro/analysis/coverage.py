@@ -25,7 +25,6 @@ __all__ = [
     "CoverageReport",
     "build_coverage_report",
     "coverage_report_from_store",
-    "coverage_mismatches",
     "ExploredCell",
     "ExploredTable4",
     "build_explored_cell",
@@ -101,13 +100,7 @@ class CoverageReport:
 
     def witness(self, level: IsolationLevelName,
                 code: str) -> Optional[Tuple[Tuple[int, ...], str]]:
-        """The first witness (interleaving, history shorthand) for a cell, if any.
-
-        Under ``reduction="sleep-set"`` the history is the witnessing
-        *equivalence class's* representative history — replaying the returned
-        interleaving realizes a history identical up to the order of
-        commuting adjacent steps.
-        """
+        """The first witness (interleaving, history shorthand) for a cell, if any."""
         coverage = self.levels[level].phenomena.get(code)
         if coverage is None or coverage.witness_interleaving is None:
             return None
@@ -135,43 +128,6 @@ class CoverageReport:
         if self.notes:
             table += "".join(f"\nnote: {note}" for note in self.notes)
         return table
-
-
-def coverage_mismatches(full, reduced,
-                        levels: Optional[Sequence[IsolationLevelName]] = None,
-                        codes: Optional[Sequence[str]] = None) -> List[str]:
-    """Where two explorations disagree on coverage (empty list = identical).
-
-    The soundness gate for partial-order reduction: a reduced exploration must
-    report the same schedule counts, serializable counts, stall counts,
-    per-phenomenon witness counts, and witness *interleavings* as full
-    enumeration.  Witness histories are deliberately not compared — a reduced
-    record carries its representative's realized history, which may differ
-    from the pruned schedule's by the order of commuting adjacent steps.
-    """
-    full_report = build_coverage_report(full, codes=codes)
-    reduced_report = build_coverage_report(reduced, codes=codes)
-    selected = tuple(levels) if levels is not None else tuple(full_report.levels)
-    mismatches: List[str] = []
-    for level in selected:
-        complete = full_report.levels[level]
-        pruned = reduced_report.levels[level]
-        for field in ("schedules", "serializable", "stalled"):
-            expected, actual = getattr(complete, field), getattr(pruned, field)
-            if expected != actual:
-                mismatches.append(
-                    f"{level.value}: {field} {actual} != {expected}")
-        for code in full_report.columns:
-            expected, actual = complete.phenomena[code], pruned.phenomena[code]
-            if actual.witnessed != expected.witnessed:
-                mismatches.append(
-                    f"{level.value}/{code}: witnessed "
-                    f"{actual.witnessed} != {expected.witnessed}")
-            if actual.witness_interleaving != expected.witness_interleaving:
-                mismatches.append(
-                    f"{level.value}/{code}: witness interleaving "
-                    f"{actual.witness_interleaving} != {expected.witness_interleaving}")
-    return mismatches
 
 
 @dataclass(frozen=True)
@@ -247,7 +203,6 @@ class ExploredTable4:
     mode: str
     max_schedules: int
     seed: int
-    reduction: str
     columns: Tuple[str, ...]
     cells: Dict[IsolationLevelName, Dict[str, ExploredCell]]
     #: Whether statically-impossible (cell, level) scopes were skipped.
@@ -295,7 +250,7 @@ class ExploredTable4:
                 cells.append(cell.render_cell() if cell is not None else "?")
             rows.append(cells)
         header = title or (
-            f"Explored Table 4 [{self.mode}, reduction={self.reduction}]: "
+            f"Explored Table 4 [{self.mode}]: "
             f"{self.total_schedules()} schedules, "
             f"{self.total_stalled()} stalled (P/N/S + % of schedules manifesting)"
         )

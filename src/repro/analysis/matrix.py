@@ -131,8 +131,15 @@ def compute_table4(levels: Sequence[IsolationLevelName] = TABLE_4_LEVELS,
 def _table4_campaign_config(levels: Sequence[IsolationLevelName],
                             scenarios: Sequence[AnomalyScenario],
                             mode: str, max_schedules: int, seed: int,
-                            reduction: str, static_pruning: bool) -> Dict[str, object]:
-    """The persisted identity of a Table 4 campaign: its cell-affecting inputs."""
+                            static_pruning: bool) -> Dict[str, object]:
+    """The persisted identity of a Table 4 campaign: its cell-affecting inputs.
+
+    ``"reduction": "none"`` keeps the key every stored Table 4 config has; a
+    stored campaign with another value (the default of earlier builds) never
+    matches, so reopening it raises
+    :class:`~repro.persist.store.CampaignConfigMismatch`, and
+    :func:`table4_explored_from_store` still reads it.
+    """
     return {
         "kind": "table4-explored",
         "levels": [level.value for level in levels],
@@ -140,7 +147,7 @@ def _table4_campaign_config(levels: Sequence[IsolationLevelName],
         "mode": mode,
         "max_schedules": max_schedules,
         "seed": seed,
-        "reduction": reduction,
+        "reduction": "none",
         "static_pruning": static_pruning,
     }
 
@@ -150,7 +157,6 @@ def compute_table4_explored(levels: Sequence[IsolationLevelName] = TABLE_4_LEVEL
                             mode: str = "auto",
                             max_schedules: int = DEFAULT_MAX_SCHEDULES,
                             seed: int = 0,
-                            reduction: str = "sleep-set",
                             static_pruning: bool = True,
                             store=None,
                             campaign_id: Optional[str] = None,
@@ -185,13 +191,13 @@ def compute_table4_explored(levels: Sequence[IsolationLevelName] = TABLE_4_LEVEL
     each finished cell is committed as it completes, and a re-run — after a
     crash or on a later day — skips every stored cell and explores only the
     missing ones.  The campaign's identity is the cell-affecting inputs
-    (levels, scenarios, mode, budget, seed, reduction, static pruning);
+    (levels, scenarios, mode, budget, seed, static pruning);
     reopening it with different inputs raises
     :class:`~repro.persist.CampaignConfigMismatch` rather than silently
     mixing incompatible cells.
 
     An :class:`~repro.explorer.options.ExploreOptions` may replace the loose
-    exploration knobs (``mode``/``max_schedules``/``seed``/``reduction``);
+    exploration knobs (``mode``/``max_schedules``/``seed``);
     ``levels``, ``static_pruning``, ``store``, and ``campaign_id`` keep
     their own parameters because the matrix aggregates per level, prunes
     whole variant spaces (which :func:`~repro.explorer.explore` never does)
@@ -201,12 +207,11 @@ def compute_table4_explored(levels: Sequence[IsolationLevelName] = TABLE_4_LEVEL
         mode = options.mode
         max_schedules = options.max_schedules
         seed = options.seed
-        reduction = options.reduction
     stored_cells: Dict[Tuple[str, str], str] = {}
     if store is not None:
         from ..persist.records import cell_to_payload, config_fingerprint
         config = _table4_campaign_config(levels, scenarios, mode, max_schedules,
-                                         seed, reduction, static_pruning)
+                                         seed, static_pruning)
         if campaign_id is None:
             campaign_id = f"table4-{config_fingerprint(config)}"
         store.open_campaign(campaign_id, config)
@@ -223,7 +228,6 @@ def compute_table4_explored(levels: Sequence[IsolationLevelName] = TABLE_4_LEVEL
         built = build_explored_cell(
             explore_scenario(scenario, level, mode=mode,
                              max_schedules=max_schedules, seed=seed,
-                             reduction=reduction,
                              static_pruning=static_pruning)
         )
         if store is not None:
@@ -239,7 +243,6 @@ def compute_table4_explored(levels: Sequence[IsolationLevelName] = TABLE_4_LEVEL
         mode=mode,
         max_schedules=max_schedules,
         seed=seed,
-        reduction=reduction,
         columns=tuple(scenario.code for scenario in scenarios),
         cells=cells,
         static_pruning=static_pruning,
@@ -253,6 +256,8 @@ def table4_explored_from_store(store, campaign_id: str) -> ExploredTable4:
     with a ``store``; raises :class:`~repro.persist.store.StoreError` when
     any configured cell is missing (i.e. the campaign is unfinished — resume
     it by calling :func:`compute_table4_explored` with the same inputs).
+    Campaigns of earlier builds read the same way, whatever their stored
+    ``"reduction"``.
     """
     from ..persist.records import cell_from_payload
     from ..persist.store import StoreError
@@ -280,7 +285,6 @@ def table4_explored_from_store(store, campaign_id: str) -> ExploredTable4:
         mode=config["mode"],
         max_schedules=config["max_schedules"],
         seed=config["seed"],
-        reduction=config["reduction"],
         columns=columns,
         cells=cells,
         static_pruning=config["static_pruning"],

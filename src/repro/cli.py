@@ -42,9 +42,10 @@ import time
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, TypeVar
 
 from .core.isolation import IsolationLevelName
-from .explorer.options import REDUCTIONS, ExploreOptions, distinct_levels
-from .explorer.schedules import schedule_space
+from .explorer.options import ExploreOptions, distinct_levels
+from .explorer.schedules import MODES, schedule_space
 from .persist import SqliteStore, StoreError
+from .testbed import ALL_ENGINE_LEVELS
 from .workloads.program_sets import (
     ProgramSetSpec,
     available_program_sets,
@@ -124,7 +125,7 @@ def _levels(text: str) -> Tuple[IsolationLevelName, ...]:
         try:
             levels.append(IsolationLevelName(part))
         except ValueError:
-            known = ", ".join(level.value for level in IsolationLevelName)
+            known = ", ".join(level.value for level in ALL_ENGINE_LEVELS)
             raise argparse.ArgumentTypeError(
                 f"unknown isolation level {part!r}; one of: {known}") from None
     try:
@@ -189,8 +190,7 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="KEY=VALUE",
                         help="program-set parameter (repeatable; JSON values)")
     _add_campaign(parser, "campaign id (default: derived from the config)")
-    parser.add_argument("--mode", default="auto",
-                        choices=["auto", "exhaustive", "sample"])
+    parser.add_argument("--mode", default="auto", choices=MODES)
     parser.add_argument("--max-schedules", type=_int_in(1), default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--chunk-size", type=_int_in(1), default=64)
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", metavar="<action>", required=True)
     run = campaign.add_parser("run", help="start (or resume) a campaign")
     _add_campaign_flags(run)
-    run.add_argument("--reduction", default="none", choices=REDUCTIONS)
     _add_throttle(run)
     run.set_defaults(handler=_campaign_run)
 
@@ -370,7 +369,6 @@ def _campaign_options(args: argparse.Namespace,
                       config: Dict[str, Any]) -> ExploreOptions:
     return _options(args, mode=config["mode"],
                     max_schedules=config["max_schedules"], seed=config["seed"],
-                    reduction=config["reduction"],
                     chunk_size=config["chunk_size"])
 
 
@@ -399,7 +397,6 @@ def _campaign_run(args: argparse.Namespace) -> int:
     spec = _spec(args.program_set, dict(args.set or ()), vars(args))
     config = campaign_config(spec, mode=args.mode,
                              max_schedules=args.max_schedules, seed=args.seed,
-                             reduction=args.reduction,
                              chunk_size=args.chunk_size)
     options = _campaign_options(args, config)
     store = _open_store(args.store)

@@ -20,7 +20,7 @@ quarantined as *poisoned* so one bad chunk cannot stall the campaign; the
 poisoned set is reported, drainable, and requeueable.
 
 The determinism story is unchanged from the explorer's: records are a pure
-function of ``(spec, levels, mode, max_schedules, seed, reduction)``; the
+function of ``(spec, levels, mode, max_schedules, seed)``; the
 worker count, the fault schedule, and the lease timing only move wall-clock
 time.  :mod:`~repro.distrib.faults` turns that claim into a test harness —
 deterministic seeded fault plans (worker SIGKILL, heartbeat hangs, slow

@@ -255,16 +255,15 @@ def serial_reference(spec, options) -> Tuple[str, str]:
 
     Runs a plain in-process ``explore()`` of ``options`` (an
     :class:`~repro.explorer.ExploreOptions`) pinned to what the distributed
-    runner honours: one worker, ``reduction="none"``, and no store, so the
-    control writes nowhere.  Its render and fingerprint are the bytes every
+    runner honours: one worker and no store, so the control writes nowhere.  Its render and fingerprint are the bytes every
     chaos run must reproduce.
     """
     from ..analysis.coverage import build_coverage_report
     from ..explorer import explore
     from ..workloads.program_sets import ProgramSetSpec
     spec = ProgramSetSpec.make(spec.name, **spec.kwargs())
-    result = explore(spec, options.replace(workers=1, reduction="none",
-                                           store=None, campaign_id=None))
+    result = explore(spec, options.replace(workers=1, store=None,
+                                           campaign_id=None))
     return build_coverage_report(result).render(), result.fingerprint()
 
 

@@ -196,13 +196,11 @@ class CampaignRunner:
         self.max_respawns = int(max_respawns)
         self.tick = float(tick)
         self.deadline_s = deadline_s
-        # The distributed path executes every schedule (no sleep-set plan
-        # sharing across processes), so the campaign config pins
-        # reduction="none" — the same config a serial explore(store=...,
-        # reduction="none") run of this campaign would write.
+        # The same config a serial explore(store=...) of this campaign
+        # writes, so either path may resume the other's campaign.
         self.config = campaign_config(spec, mode=mode,
                                       max_schedules=self.max_schedules,
-                                      seed=self.seed, reduction="none",
+                                      seed=self.seed,
                                       chunk_size=self.chunk_size)
         self.campaign_id = campaign_id or default_campaign_id(self.config)
 

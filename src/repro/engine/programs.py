@@ -289,8 +289,8 @@ class Commit(Step):
 
     def footprint(self) -> StepFootprint:
         # A terminal step touches no new data; the locks it releases cover
-        # items earlier steps already claimed, which occurrence-level analyses
-        # (see repro.explorer.reduction) account for by accumulation.
+        # items earlier steps already claimed, which the static dependency
+        # graph accounts for through those steps' own footprints.
         return StepFootprint()
 
 

@@ -14,13 +14,12 @@ The public surface:
 
 * :func:`explore` / :class:`ExplorationResult` — the orchestrator
   (`explorer.py`), with a hard determinism contract: output depends only on
-  the spec, levels, mode, budget, seed, and reduction — never on worker
-  count, and without reduction every record is its own schedule's execution.  Schedules stream lazily (O(chunk) memory), ``workers="auto"`` uses
-  every usable core, and each process keeps one classification memo per run.
+  the spec, levels, mode, budget and seed — never on worker count — and
+  every record is its own schedule's execution.  Schedules stream lazily
+  (O(chunk) memory), ``workers="auto"`` uses every usable core, and each
+  process keeps one classification memo per run.
 * :mod:`~repro.explorer.schedules` — interleaving combinatorics (multinomial
   counting, exhaustive enumeration, seeded deduplicated sampling), streamed.
-* :mod:`~repro.explorer.reduction` — sleep-set/DPOR-style partial-order
-  reduction: execute one representative per commutation-equivalence class.
 * :mod:`~repro.explorer.scenarios` — the Table 4 bridge: exhaust a scenario
   variant's interleaving space and measure how often its anomaly manifests,
   with replayable witness interleavings (``explore_variant`` /
@@ -42,14 +41,8 @@ from .explorer import (
     available_workers,
     explore,
 )
-from .options import REDUCTIONS, ExploreOptions
+from .options import ExploreOptions
 from .memo import BatchClassifier, HistoryClassification
-from .reduction import (
-    CommutationOracle,
-    ExecutionPlan,
-    StreamingReducer,
-    build_execution_plan,
-)
 from .batch_kernel import BatchStats, build_batch_kernel
 from .trie_executor import TrieExecutor, TrieStats
 from .scenarios import (
@@ -78,7 +71,6 @@ from ..workloads.program_sets import (
 
 __all__ = [
     "DEFAULT_LEVELS",
-    "REDUCTIONS",
     "ExploreOptions",
     "ExplorationResult",
     "LevelExploration",
@@ -86,10 +78,6 @@ __all__ = [
     "explore",
     "BatchClassifier",
     "HistoryClassification",
-    "CommutationOracle",
-    "ExecutionPlan",
-    "StreamingReducer",
-    "build_execution_plan",
     "BatchStats",
     "build_batch_kernel",
     "TrieExecutor",

@@ -4,9 +4,8 @@ Exploring an interleaving space produces thousands of realized histories, and
 many interleavings realize the *same* history (blocking collapses schedule
 prefixes), so classification results are cached per distinct history
 (:class:`BatchClassifier`).  Commutation-equivalent interleavings are a
-different redundancy, and the explorer has one answer to it: the sleep-set
-plan of :mod:`repro.explorer.reduction`, which executes one representative
-per equivalence class.
+different redundancy: each is executed, and whatever their histories share
+is paid once here, by the class tables.
 
 Behind that memo sits a class table per history kind.  The paper's
 definitions read far less than a whole history — P0–P3, A1–A5B and the

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Tuple, Union
 
 from ..core.isolation import IsolationLevelName
+from ..testbed import ALL_ENGINE_LEVELS
+from .schedules import MODES
 
 __all__ = [
-    "BATCH_KERNEL_MODES",
     "DEFAULT_LEVELS",
-    "REDUCTIONS",
     "ExploreOptions",
     "distinct_levels",
 ]
@@ -34,22 +34,25 @@ DEFAULT_LEVELS: Tuple[IsolationLevelName, ...] = (
     IsolationLevelName.SERIALIZABLE,
 )
 
-#: Accepted reduction strategies.
-REDUCTIONS = ("none", "sleep-set")
-
-#: Accepted batch-kernel modes.
-BATCH_KERNEL_MODES = ("auto", "on", "off")
-
 
 def distinct_levels(levels: Iterable[IsolationLevelName]
                     ) -> Tuple[IsolationLevelName, ...]:
-    """``levels`` as a tuple; a level named twice is a :class:`ValueError`.
+    """``levels`` as a tuple; a level that is not an
+    :class:`IsolationLevelName`, one no engine implements, or one named
+    twice, is a :class:`ValueError`.
 
     Each level is one scope of a campaign, so a repeat would run (or, on a
-    store, register) the same scope twice.
+    store, register) the same scope twice; a level without an engine would
+    fail only once the scopes before it had run and committed.
     """
     levels = tuple(levels)
     for index, level in enumerate(levels):
+        if not isinstance(level, IsolationLevelName):
+            raise ValueError(
+                f"levels must be IsolationLevelName members, got {level!r}")
+        if level not in ALL_ENGINE_LEVELS:
+            raise ValueError(
+                f"no engine implements isolation level {level.value!r}")
         if level in levels[:index]:
             raise ValueError(f"isolation level {level.value!r} given twice")
     return levels
@@ -70,8 +73,6 @@ class ExploreOptions:
     seed: int = 0
     workers: Union[int, str] = 1
     chunk_size: int = 64
-    reduction: str = "none"
-    batch_kernel: str = "auto"
     store: Any = field(default=None, compare=False)
     campaign_id: Optional[str] = None
 
@@ -84,17 +85,16 @@ class ExploreOptions:
                     f"workers must be an int or 'auto', got {workers!r}")
             if workers < 1:
                 raise ValueError("workers must be >= 1")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("max_schedules", "chunk_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.max_schedules < 1:
             raise ValueError("max_schedules must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.batch_kernel not in BATCH_KERNEL_MODES:
-            raise ValueError(
-                f"batch_kernel must be 'auto', 'on', or 'off', "
-                f"got {self.batch_kernel!r}")
-        if self.reduction not in REDUCTIONS:
-            raise ValueError(
-                f"unknown reduction {self.reduction!r}; choose from {REDUCTIONS}")
         if self.campaign_id is not None and self.store is None:
             raise ValueError("campaign_id requires a store")
 

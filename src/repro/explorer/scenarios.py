@@ -25,29 +25,19 @@ both are first-class non-manifesting results, never errors.
 :func:`explore_scenario` skips, by default, every variant space that
 :mod:`repro.static_analysis` proves impossible at the level (the Table 2
 lock-scope arguments the paper itself uses for most "Not Possible" cells).
-:func:`explore_variant` always executes.
-
-``reduction="sleep-set"`` executes one representative per commutation
-equivalence class (level-aware: locking levels use the relaxed ``"footprint"``
-terminal scope, multiversion levels the snapshot-safe ``"component"`` scope —
-see :mod:`repro.explorer.reduction`) and reuses its verdict for the class;
-equivalence guarantees every member realizes the same observed values, final
-state, and commit statuses, so ``manifests`` cannot tell members apart.
+:func:`explore_variant` always executes, every schedule of the space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..core.isolation import IsolationLevelName, Possibility
-from ..engine.programs import TransactionProgram
 from ..static_analysis import Verdict, analyze_scenario_programs
 from ..workloads.scenarios import AnomalyScenario, ScenarioVariant
-from .explorer import REDUCTIONS, terminal_scope_for
 from .options import ExploreOptions
-from .reduction import ExecutionPlan, build_execution_plan
-from .schedules import Interleaving, ScheduleSpace, schedule_space
+from .schedules import Interleaving, schedule_space
 from .trie_executor import TrieExecutor
 
 __all__ = [
@@ -61,44 +51,6 @@ __all__ = [
 #: is far smaller (the largest, A5B through cursors, has 924 interleavings),
 #: so the default explores exhaustively.
 DEFAULT_MAX_SCHEDULES = 2000
-
-#: Reduction plans memoized across levels: a plan is a pure function of the
-#: schedule stream (the space's recipe), the programs' static footprints, and
-#: the terminal scope — so a full Table 4 sweep builds two plans per variant
-#: (one per scope) instead of one per level.  Bounded: scenario sweeps touch
-#: a few dozen (variant, scope) pairs.
-_PLAN_CACHE: dict = {}
-_PLAN_CACHE_MAX = 128
-
-
-def _cached_plan(space: ScheduleSpace, programs: Sequence[TransactionProgram],
-                 scope: str) -> ExecutionPlan:
-    key = (
-        (space.txns, space.step_counts, space.mode, space.seed,
-         space.selected, space.dedupe),
-        tuple((program.txn, program.footprints()) for program in programs),
-        scope,
-    )
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-            _PLAN_CACHE.clear()
-        plan = build_execution_plan(space.schedules, programs,
-                                    terminal_scope=scope)
-        _PLAN_CACHE[key] = plan
-    return plan
-
-
-@dataclass(frozen=True)
-class _Verdict:
-    """What one executed representative contributes to its equivalence class."""
-
-    manifested: bool
-    stalled: bool
-    deadlocked: bool
-    engine_aborted: bool
-    history: str
-
 
 @dataclass(frozen=True)
 class VariantExploration:
@@ -180,15 +132,14 @@ class ScenarioExploration:
 def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
                     scenario_code: str = "", mode: str = "auto",
                     max_schedules: int = DEFAULT_MAX_SCHEDULES, seed: int = 0,
-                    reduction: str = "sleep-set",
                     options: Optional[ExploreOptions] = None,
                     ) -> VariantExploration:
     """Evaluate ``variant.manifests`` over its whole interleaving space.
 
     An :class:`~repro.explorer.options.ExploreOptions` may be passed instead
-    of the loose knobs; its ``mode``/``max_schedules``/``seed``/``reduction``
-    fields then take precedence (the level still comes from the ``level``
-    argument — a variant exploration is per-level by construction).
+    of the loose knobs; its ``mode``/``max_schedules``/``seed`` fields then
+    take precedence (the level still comes from the ``level`` argument — a
+    variant exploration is per-level by construction).
 
     The space is walked by one
     :class:`~repro.explorer.trie_executor.TrieExecutor` per call: a schedule
@@ -197,14 +148,12 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
     yet, and by the executor's byte-equality contract its outcome is
     the one a fresh database and a fresh engine for ``level`` would produce
     (``tests/explorer/test_scenarios_trie.py`` holds the whole bridge to that
-    from-scratch oracle).  Nothing outlives the call — no executor, outcome or
-    verdict is cached across calls.  Stalled outcomes are non-manifesting by
+    from-scratch oracle).  Nothing outlives the call — no executor or
+    outcome is cached across calls.  Stalled outcomes are non-manifesting by
     definition (their ``manifests`` predicate is never consulted),
     engine-aborted outcomes flow through the predicate exactly like the
-    curated path does.  The witness is
-    the first manifesting schedule in the space's deterministic stream order;
-    under reduction its recorded history is its class representative's
-    (identical up to the order of commuting adjacent steps).
+    curated path does.  The witness is the first manifesting schedule in the
+    space's deterministic stream order, with the history it realized.
 
     This always executes the space; skipping a statically impossible one is
     :func:`explore_scenario`'s decision.  That makes this function the
@@ -214,58 +163,37 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
         mode = options.mode
         max_schedules = options.max_schedules
         seed = options.seed
-        reduction = options.reduction
-    if reduction not in REDUCTIONS:
-        raise ValueError(f"unknown reduction {reduction!r}; choose from {REDUCTIONS}")
     programs = variant.build_programs()
     space = schedule_space(programs, mode=mode, max_schedules=max_schedules,
                            seed=seed)
     schedules = space.schedules
-    plan = None
-    to_execute: Sequence[Interleaving] = schedules
-    if reduction == "sleep-set":
-        plan = _cached_plan(space, programs, terminal_scope_for(level))
-        to_execute = plan.executed
 
     # One executor per (variant, level): the real engines behind the
     # transition table, so a schedule runs on the engine only the transitions
     # no earlier schedule of the space took.  The batch kernel stays off on
     # purpose — scenario programs are mostly cursor/predicate steps it
     # refuses, and Table 4 is settled by the real engines alone.  The
-    # outcome's database is the executor's shared view, so each verdict is
-    # read off at yield time, before the next schedule's outcome replaces it.
+    # outcome's database is the executor's shared view, so each outcome is
+    # read at yield time, before the next schedule's outcome replaces it.
+    # Outcomes arrive in the walk's order, not the stream's: the witness is
+    # the manifesting schedule with the lowest stream index.
     executor = TrieExecutor(variant.build_database(), programs, level,
                             batch_kernel="off")
-    verdicts: List[Optional[_Verdict]] = [None] * len(to_execute)
-    for index, outcome in executor.run_batch(to_execute):
-        manifested = not outcome.stalled and variant.manifests(outcome)
-        verdicts[index] = _Verdict(
-            manifested=manifested,
-            stalled=outcome.stalled,
-            deadlocked=bool(outcome.deadlocks),
-            engine_aborted=any(
-                reason != "program abort"
-                for reason in outcome.abort_reasons.values()
-            ),
-            # Only a manifesting verdict can become the witness.
-            history=outcome.history.to_shorthand() if manifested else "",
-        )
-
     manifested = stalled = deadlocked = engine_aborted = 0
-    witness: Optional[Interleaving] = None
+    witness_index: Optional[int] = None
     witness_history: Optional[str] = None
-    for position, schedule in enumerate(schedules):
-        verdict = verdicts[plan.assignment[position] if plan else position]
-        if verdict.manifested:
-            manifested += 1
-            if witness is None:
-                witness = schedule
-                witness_history = verdict.history
-        if verdict.stalled:
+    for index, outcome in executor.run_batch(schedules):
+        if outcome.stalled:
             stalled += 1
-        if verdict.deadlocked:
+        elif variant.manifests(outcome):
+            manifested += 1
+            if witness_index is None or index < witness_index:
+                witness_index = index
+                witness_history = outcome.history.to_shorthand()
+        if outcome.deadlocks:
             deadlocked += 1
-        if verdict.engine_aborted:
+        if any(reason != "program abort"
+               for reason in outcome.abort_reasons.values()):
             engine_aborted += 1
 
     return VariantExploration(
@@ -275,12 +203,12 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
         mode=space.mode,
         space_size=space.total,
         schedules=len(schedules),
-        executed=len(to_execute),
+        executed=len(schedules),
         manifested=manifested,
         stalled=stalled,
         deadlocked=deadlocked,
         engine_aborted=engine_aborted,
-        witness=witness,
+        witness=schedules[witness_index] if witness_index is not None else None,
         witness_history=witness_history,
     )
 
@@ -288,7 +216,6 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
 def explore_scenario(scenario: AnomalyScenario, level: IsolationLevelName,
                      mode: str = "auto",
                      max_schedules: int = DEFAULT_MAX_SCHEDULES, seed: int = 0,
-                     reduction: str = "sleep-set",
                      static_pruning: bool = True,
                      options: Optional[ExploreOptions] = None,
                      ) -> ScenarioExploration:
@@ -326,7 +253,7 @@ def explore_scenario(scenario: AnomalyScenario, level: IsolationLevelName,
                 )
         return explore_variant(variant, level, scenario_code=scenario.code,
                                mode=mode, max_schedules=max_schedules, seed=seed,
-                               reduction=reduction, options=options)
+                               options=options)
 
     return ScenarioExploration(
         scenario_code=scenario.code,

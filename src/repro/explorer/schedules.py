@@ -31,6 +31,7 @@ from ..engine.programs import TransactionProgram
 from ..workloads.generators import SeedLike, as_rng
 
 __all__ = [
+    "MODES",
     "Interleaving",
     "ScheduleSpace",
     "count_interleavings",
@@ -275,6 +276,10 @@ class ScheduleSpace:
                 f"selected={self.selected}, seed={self.seed}, dedupe={self.dedupe})")
 
 
+#: The modes :func:`schedule_space` accepts.
+MODES = ("auto", "exhaustive", "sample")
+
+
 def schedule_space(programs: Sequence[TransactionProgram], mode: str = "auto",
                    max_schedules: int = 1000, seed: int = 0) -> ScheduleSpace:
     """Resolve the schedule stream for a program set.
@@ -286,7 +291,7 @@ def schedule_space(programs: Sequence[TransactionProgram], mode: str = "auto",
     sample).  No schedules are generated here — the returned space streams
     them on demand.
     """
-    if mode not in ("auto", "exhaustive", "sample"):
+    if mode not in MODES:
         raise ValueError(f"unknown schedule mode {mode!r}")
     txns = tuple(program.txn for program in programs)
     step_counts = tuple(len(program) for program in programs)

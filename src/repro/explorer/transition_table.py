@@ -33,9 +33,8 @@ they cannot).  :class:`TableWalk` memoizes the machine instead:
   one checkpoint at the branch point the next row will restore to.
 
 **Purity.**  A stored transition replays what a program's value callable
-returned the first time.  That is sound exactly where ``_TESTBED_CACHE`` and
-the sleep-set plan are: value callables must be pure functions of the
-context they are handed.  Values that compare equal (``1``, ``1.0``,
+returned the first time.  That is sound exactly where ``_TESTBED_CACHE`` is:
+value callables must be pure functions of the context they are handed.  Values that compare equal (``1``, ``1.0``,
 ``True``) are one value to the table, as they already are to the per-step
 operation interning caches.  A state whose key holds an unhashable value
 cannot be interned: it lives on the machine only, its transitions are

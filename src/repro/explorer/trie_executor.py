@@ -56,11 +56,13 @@ from ..engine.scheduler import RunnerCheckpoint, ScheduleRunner
 from ..storage.database import Database
 from ..testbed import make_engine
 from .batch_kernel import BatchStats, build_batch_kernel
-from .options import BATCH_KERNEL_MODES
 from .schedules import Interleaving
 from .transition_table import TableWalk, common_prefix, slot_record
 
 __all__ = ["TrieExecutor", "TrieStats"]
+
+#: Accepted ``batch_kernel`` modes of :class:`TrieExecutor`.
+BATCH_KERNEL_MODES = ("auto", "on", "off")
 
 
 class TrieStats:

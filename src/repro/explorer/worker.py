@@ -22,8 +22,8 @@ them: nothing but the task goes in and nothing but the :class:`ChunkResult`
 comes out.  What a process keeps between chunks — testbeds and the
 classification memo below — is a cache of pure functions of the task, so it
 can change how long a chunk takes and never what it returns.  Every schedule
-of a task executes: equivalence-class dedupe is the parent's sleep-set plan,
-which hands a chunk only the representatives it must run.  Worker
+of a task executes, through the batch kernel where it supports the (level,
+workload) and through the real engines otherwise.  Worker
 processes live exactly one run, so these caches do too; nothing is exchanged
 between workers while they run.  Each worker therefore meets a history, and
 classifies a history class, the first time *it* sees one: on the ledger's
@@ -52,11 +52,11 @@ from .trie_executor import TrieExecutor
 
 __all__ = ["ChunkTask", "ScheduleRecord", "ChunkResult", "execute_chunk"]
 
-#: Per-process testbeds, one per (spec, level, batch-kernel mode): the trie
-#: executor and the workload's initial item set (captured *before* any
-#: execution mutates the database).  Builders are deterministic by the
-#: explorer's contract, so a cached testbed is equivalent to a fresh build.
-_TESTBED_CACHE: Dict[Tuple[ProgramSetSpec, IsolationLevelName, str],
+#: Per-process testbeds, one per (spec, level): the trie executor and the
+#: workload's initial item set (captured *before* any execution mutates the
+#: database).  Builders are deterministic by the explorer's contract, so a
+#: cached testbed is equivalent to a fresh build.
+_TESTBED_CACHE: Dict[Tuple[ProgramSetSpec, IsolationLevelName],
                      Tuple[TrieExecutor, Tuple[str, ...]]] = {}
 
 #: Per-process classification memos, one per initial item set: an entry is
@@ -84,9 +84,6 @@ class ChunkTask:
     level: IsolationLevelName
     schedules: Tuple[Interleaving, ...]
     builder: Optional[Callable[..., ProgramSet]] = None
-    #: Batch-drain kernel mode for the executor ("auto"/"on"/"off").  Pure
-    #: optimization — the kernel is byte-equal to the real engines.
-    batch_kernel: str = "auto"
     #: Return the classifications this chunk newly computed in the
     #: :class:`ChunkResult`, for a supervisor that saves them to a campaign
     #: store with the chunk.
@@ -136,7 +133,7 @@ def _testbed_for(task: ChunkTask) -> Tuple[TrieExecutor, Tuple[str, ...], int]:
     Returns the build time in microseconds as the third element (0 on a
     cache hit) for the benchmark's phase breakdown.
     """
-    key = (task.spec, task.level, task.batch_kernel)
+    key = (task.spec, task.level)
     cached = _TESTBED_CACHE.get(key)
     if cached is not None:
         return cached[0], cached[1], 0
@@ -144,8 +141,7 @@ def _testbed_for(task: ChunkTask) -> Tuple[TrieExecutor, Tuple[str, ...], int]:
     builder = task.builder if task.builder is not None else resolve_program_set(task.spec)
     database, programs = builder(**task.spec.kwargs())
     items = _initial_items(database)
-    executor = TrieExecutor(database, programs, task.level,
-                            batch_kernel=task.batch_kernel)
+    executor = TrieExecutor(database, programs, task.level)
     build_us = int((time.perf_counter() - started) * 1e6)
     _TESTBED_CACHE[key] = (executor, items)
     return executor, items, build_us

@@ -34,17 +34,24 @@ __all__ = ["CampaignSession", "LevelPersistence", "campaign_config"]
 
 
 def campaign_config(spec: ProgramSetSpec, mode: str, max_schedules: int,
-                    seed: int, reduction: str, chunk_size: int) -> Dict[str, Any]:
+                    seed: int, chunk_size: int,
+                    reduction: str = "none") -> Dict[str, Any]:
     """The canonical campaign config: every input the record stream depends on.
 
-    Deliberately excludes workers and batch_kernel — those change
-    wall-clock behaviour only, never records (the explorer's determinism
-    contract), so a campaign may be resumed with different values for them.
-    ``chunk_size`` *is* included: it fixes the chunk boundaries the progress
-    cursor counts.  A campaign a pre-v4 build may have written through the
-    retired schedule-outcome memo never matches this config: the store's
-    v3 → v4 migration tags its stored config with one more key.
+    Deliberately excludes workers — it changes wall-clock behaviour only,
+    never records (the explorer's determinism contract), so a campaign may
+    be resumed with a different worker count.  ``chunk_size`` *is*
+    included: it fixes the chunk boundaries the progress cursor counts.
+    ``"reduction": "none"`` stays in the config, so derived campaign ids
+    are unchanged; a stored campaign with any other value (an earlier build's, which executed one schedule per
+    commutation-equivalence class) never matches, and resuming it raises
+    :class:`~repro.persist.store.CampaignConfigMismatch`.  Likewise a
+    campaign a pre-v4 build may have written through the retired
+    schedule-outcome memo: the store's v3 → v4 migration tags its stored
+    config with one more key.
     """
+    if reduction != "none":
+        raise ValueError(f"reduction must be 'none', got {reduction!r}")
     return {
         "spec_name": spec.name,
         "spec_params": [[key, value] for key, value in spec.params],
@@ -68,20 +75,18 @@ class LevelPersistence:
 
     # -- resume ------------------------------------------------------------------------
 
-    def load_chunk(self, chunk_index: int,
-                   ) -> Tuple[Tuple[ScheduleRecord, ...], Tuple[ScheduleRecord, ...]]:
-        records, reps = self.session.store.load_chunk(
+    def load_chunk(self, chunk_index: int) -> Tuple[ScheduleRecord, ...]:
+        records = self.session.store.load_chunk(
             self.session.campaign_id, self.scope, chunk_index)
         self.stats["store_chunks_loaded"] = self.stats.get("store_chunks_loaded", 0) + 1
         self.stats["store_records_loaded"] = (
             self.stats.get("store_records_loaded", 0) + len(records))
-        return records, reps
+        return records
 
     # -- commits -----------------------------------------------------------------------
 
     def commit_chunk(self, chunk_index: int,
                      records: Sequence[ScheduleRecord],
-                     rep_records: Optional[Sequence[ScheduleRecord]] = None,
                      fresh_classifications: Optional[
                          Mapping[str, HistoryClassification]] = None,
                      ) -> None:
@@ -96,7 +101,7 @@ class LevelPersistence:
         if fresh_classifications:
             store.save_classifications(fresh_classifications)
         store.commit_chunk(self.session.campaign_id, self.scope, chunk_index,
-                           records, rep_records)
+                           records)
         self._committed += 1
         self.stats["store_chunks_committed"] = self._committed
         self.stats["store_records_committed"] = (

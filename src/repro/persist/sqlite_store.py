@@ -85,6 +85,11 @@ SCHEMA_VERSION = 4
 
 _T = TypeVar("_T")
 
+#: ``rep_records`` holds the executed-representative records of campaigns
+#: earlier builds ran with ``reduction: "sleep-set"``.  This build neither
+#: writes nor reads it, and such a campaign never resumes (its config never
+#: matches); the table stays so v4 files keep one shape whichever build
+#: wrote them.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -200,13 +205,6 @@ _RECORD_INSERT = """
 INSERT INTO records (campaign, scope, chunk_index, schedule_index,
                      interleaving, history, serializable, phenomena, committed,
                      aborted, blocked_events, deadlocks, stalled)
-VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-"""
-
-_REP_INSERT = """
-INSERT INTO rep_records (campaign, scope, chunk_index, position,
-                         interleaving, history, serializable, phenomena,
-                         committed, aborted, blocked_events, deadlocks, stalled)
 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
 """
 
@@ -471,14 +469,10 @@ class SqliteStore:
 
     def commit_chunk(self, campaign_id: str, scope: str, chunk_index: int,
                      records: Sequence[ScheduleRecord],
-                     rep_records: Optional[Sequence[ScheduleRecord]] = None,
                      lease_token: Optional[int] = None) -> None:
         """Durably commit one chunk's records and advance the cursor, atomically.
 
-        ``records`` are the assembled per-schedule records of the chunk (what
-        the exploration stream yields); ``rep_records`` are the freshly
-        executed representative records when sleep-set reduction is active
-        (needed to rebuild the executed-representative stream on resume).
+        ``records`` are the chunk's per-schedule records, in stream order.
         ``chunk_index`` must equal the current cursor — chunks are committed
         contiguously, in stream order.
 
@@ -516,11 +510,6 @@ class SqliteStore:
                 (campaign_id, scope, chunk_index, base + offset)
                 + rec.record_to_row(record)
                 for offset, record in enumerate(records)])
-            if rep_records:
-                cur.executemany(_REP_INSERT, [
-                    (campaign_id, scope, chunk_index, position)
-                    + rec.record_to_row(record)
-                    for position, record in enumerate(rep_records)])
             if row is None:
                 cur.execute("INSERT INTO cursors (campaign, scope, cursor, records) "
                             "VALUES (?, ?, ?, ?)",
@@ -539,8 +528,8 @@ class SqliteStore:
         self._write(txn)
 
     def load_chunk(self, campaign_id: str, scope: str, chunk_index: int,
-                   ) -> Tuple[Tuple[ScheduleRecord, ...], Tuple[ScheduleRecord, ...]]:
-        """The committed chunk's (records, rep_records), decoded."""
+                   ) -> Tuple[ScheduleRecord, ...]:
+        """The committed chunk's records, decoded, in stream order."""
         with self._reading(campaign_id, scope):
             row = self._conn.execute(
                 "SELECT cursor FROM cursors WHERE campaign = ? AND scope = ?",
@@ -548,15 +537,10 @@ class SqliteStore:
             if row is None or chunk_index >= row[0]:
                 raise StoreError(f"chunk {chunk_index} of {campaign_id!r}/{scope!r} "
                                  f"is not committed")
-            records = tuple(rec.record_from_row(r) for r in self._conn.execute(
+            return tuple(rec.record_from_row(r) for r in self._conn.execute(
                 f"SELECT {_RECORD_COLS} FROM records WHERE campaign = ? AND "
                 f"scope = ? AND chunk_index = ? ORDER BY schedule_index",
                 (campaign_id, scope, chunk_index)).fetchall())
-            reps = tuple(rec.record_from_row(r) for r in self._conn.execute(
-                f"SELECT {_RECORD_COLS} FROM rep_records WHERE campaign = ? AND "
-                f"scope = ? AND chunk_index = ? ORDER BY position",
-                (campaign_id, scope, chunk_index)).fetchall())
-        return records, reps
 
     def mark_scope_complete(self, campaign_id: str, scope: str, total_chunks: int,
                             stats: Optional[Mapping[str, int]] = None) -> None:

@@ -6,8 +6,8 @@ in-process runs.  It is the durability boundary of the explorer and
 persists five kinds of state:
 
 * **campaigns** — one row per campaign: the identifier plus the canonical
-  config (workload spec, mode, budget, seed, reduction, chunk size) that a
-  resume must match exactly;
+  config (workload spec, mode, budget, seed, chunk size, and
+  ``"reduction": "none"``) that a resume must match exactly;
 * **progress cursors** — per scope (isolation level), the contiguous
   high-water mark of durably committed chunks.  ``commit_chunk`` is atomic:
   either the chunk's records *and* the advanced cursor land together or

@@ -3,8 +3,8 @@
 The paper's phenomena are defined over *conflict patterns* — P0 needs two
 writes of one item, A5B needs a crossed pair of read/write antidependencies —
 which makes much of Table 4 decidable from the transaction programs' static
-footprints alone.  :meth:`repro.engine.programs.Step.footprint` already
-exposes those footprints for partial-order reduction; this package builds a
+footprints alone.  :meth:`repro.engine.programs.Step.footprint` exposes
+those footprints; this package builds a
 level-aware **static dependency graph** (SDG) on top of them:
 
 * :func:`build_sdg` enumerates every possible ww/wr/rw conflict edge between

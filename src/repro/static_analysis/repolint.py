@@ -31,7 +31,7 @@ contracts honest, and none of them is expressible in a generic linter:
   ``footprint()`` or carries ``opaque_footprint = True``, the explicit
   "this step is opaque to the static analyzer" marker.  A step with
   neither would silently default to an opaque footprint, quietly degrading
-  both partial-order reduction and the static dependency graph.
+  the static dependency graph.
 * **store-records** (runtime) — the campaign store's serialization
   (:mod:`repro.persist.records`) is canonical and lossless:
   ``decode(encode(x)) == x`` exactly, encoding is a pure function, and

@@ -34,7 +34,6 @@ from .storage.rows import Row
 __all__ = [
     "LOCKING_LEVELS",
     "ALL_ENGINE_LEVELS",
-    "is_single_version",
     "make_engine",
     "engine_factory",
     "run_programs",
@@ -58,18 +57,6 @@ ALL_ENGINE_LEVELS = LOCKING_LEVELS + (
     IsolationLevelName.SNAPSHOT_ISOLATION,
     IsolationLevelName.ORACLE_READ_CONSISTENCY,
 )
-
-
-def is_single_version(level: IsolationLevelName) -> bool:
-    """Whether a level's engine is single-version (no snapshots, no old versions).
-
-    The locking engine operates directly on current values; Snapshot Isolation
-    and Read Consistency keep version chains and hand out old committed
-    versions.  The distinction matters to the schedule explorer's commutation
-    oracle: only multiversion engines need commits treated as component-wide
-    snapshot boundaries (see :mod:`repro.explorer.reduction`).
-    """
-    return level in LOCKING_LEVELS
 
 
 def make_engine(database: Database, level: IsolationLevelName, **options: Any) -> Engine:

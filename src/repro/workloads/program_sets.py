@@ -231,9 +231,8 @@ def sharded_increments(shards: int = 2, transactions_per_shard: int = 1,
     """Independent increment groups: shard s's transactions RMW only ``x<s>``.
 
     Transactions in different shards have disjoint footprints, so most
-    interleavings differ only by commuting cross-shard steps — the workload
-    partial-order reduction collapses by orders of magnitude while plain
-    enumeration pays the full multinomial.
+    interleavings differ only by commuting cross-shard steps: the space is
+    the full multinomial while its distinct histories are few.
     """
     database = Database()
     for shard in range(shards):

@@ -4,8 +4,9 @@
 one row per witness.  The oracle here is the builder it replaced: decode every
 stored record and aggregate it with :func:`build_coverage_report`.  The two
 renders must be byte-equal on every registered program set, sampled and
-exhaustive, with and without sleep-set reduction, on complete and partially
-committed campaigns; and a cell of the wrong type must fail closed.
+exhaustive, over the default Table 4 rows and over every engine-backed level
+(whose extra rows the report orders after the defaults), on complete and
+partially committed campaigns; and a cell of the wrong type must fail closed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.explorer.explorer import DEFAULT_LEVELS
 from repro.explorer.schedules import schedule_space
 from repro.persist import SqliteStore, StoreError
+from repro.testbed import ALL_ENGINE_LEVELS
 from repro.workloads.program_sets import available_program_sets, build_program_set
 
 from ..persist.test_resume import Interrupted, InterruptingStore
@@ -51,18 +53,20 @@ def _cases():
         if schedule_space(programs, max_schedules=300).mode == "exhaustive":
             modes.append("exhaustive")
         for mode in modes:
-            for reduction in ("none", "sleep-set"):
+            for levels, tag in ((DEFAULT_LEVELS, ""),
+                                (ALL_ENGINE_LEVELS, "all-levels-")):
                 for complete in (True, False):
-                    yield pytest.param(name, mode, reduction, complete,
-                                       id=f"{name}-{mode}-{reduction}-"
-                                          f"{'complete' if complete else 'partial'}")
+                    yield pytest.param(
+                        name, mode, levels, complete,
+                        id=f"{name}-{mode}-{tag}"
+                           f"{'complete' if complete else 'partial'}")
 
 
-@pytest.mark.parametrize("name,mode,reduction,complete", list(_cases()))
-def test_aggregate_render_equals_decoded_render(name, mode, reduction, complete):
+@pytest.mark.parametrize("name,mode,levels,complete", list(_cases()))
+def test_aggregate_render_equals_decoded_render(name, mode, levels, complete):
     store = SqliteStore(":memory:")
     options = ExploreOptions(mode=mode, max_schedules=300 if mode == "exhaustive" else 40,
-                             seed=5, chunk_size=8, reduction=reduction,
+                             seed=5, chunk_size=8, levels=levels,
                              store=store if complete else InterruptingStore(store, 7),
                              campaign_id="c1")
     if complete:

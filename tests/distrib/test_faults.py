@@ -79,12 +79,11 @@ def test_fault_matrix_byte_identical_on_both_backends(tmp_path):
 
 
 def test_serial_reference_pins_what_the_runner_honours():
-    """The control ignores a reduction, store or campaign the distributed
-    side cannot honour, so it neither diverges from it nor writes."""
+    """The control ignores a store, campaign or worker count the
+    distributed side sets, so it neither diverges from it nor writes."""
     plain = ExploreOptions(max_schedules=40, seed=3, chunk_size=16)
     store = SqliteStore(":memory:")
-    loaded = plain.replace(reduction="sleep-set", store=store,
-                           campaign_id="control", workers=2)
+    loaded = plain.replace(store=store, campaign_id="control", workers=2)
     assert serial_reference(SPEC, loaded) == serial_reference(SPEC, plain)
     assert not store.list_campaigns()
     store.close()

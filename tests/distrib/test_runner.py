@@ -112,7 +112,7 @@ def test_distrib_campaign_is_cross_resumable_with_serial_explore(tmp_path,
 
     explore(SPEC, ExploreOptions(
         max_schedules=N, seed=SEED, chunk_size=CHUNK,
-        reduction="none", store=store, campaign_id=runner.campaign_id))
+        store=store, campaign_id=runner.campaign_id))
     assert fingerprint_from_store(store, runner.campaign_id) == fingerprint
     assert coverage_report_from_store(store, runner.campaign_id).render() \
         == render

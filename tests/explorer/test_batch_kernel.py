@@ -365,14 +365,23 @@ def test_different_prefixes_share_one_state():
 
 
 def test_explore_records_identical_with_and_without_kernel():
-    """explore(batch_kernel=...) never changes records, only speed."""
+    """explore() runs the kernel; every record it returns is the one the
+    real engines, with the kernel off, realize for that schedule."""
     levels = (IsolationLevelName.READ_COMMITTED,
               IsolationLevelName.SNAPSHOT_ISOLATION)
-    on = explore(CONTENTION, ExploreOptions(
-        levels=levels, mode="sample", max_schedules=200, seed=6, batch_kernel="on"))
-    off = explore(CONTENTION, ExploreOptions(
-        levels=levels, mode="sample", max_schedules=200, seed=6, batch_kernel="off"))
-    assert on.fingerprint() == off.fingerprint()
+    result = explore(CONTENTION, ExploreOptions(
+        levels=levels, mode="sample", max_schedules=200, seed=6))
+    for level in levels:
+        exploration = result.levels[level]
+        assert exploration.cache_stats["batch_rows_fast"] > 0
+        executor = TrieExecutor(*build_program_set(CONTENTION), level,
+                                batch_kernel="off")
+        for record in exploration.records:
+            outcome = executor.run_one(record.interleaving)
+            assert (record.history, record.blocked_events, record.deadlocks,
+                    record.stalled) == (
+                outcome.history.to_shorthand(), outcome.blocked_events,
+                len(outcome.deadlocks), outcome.stalled)
 
 
 def test_batch_stats_occupancy_and_dict_shape():

@@ -9,6 +9,9 @@ import pytest
 from repro.analysis.coverage import build_coverage_report
 from repro.core.isolation import IsolationLevelName, Possibility
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore
+from repro.explorer.schedules import schedule_space
+from repro.explorer.trie_executor import TrieExecutor
+from repro.workloads.program_sets import build_program_set
 
 LEVELS_FAST = (
     IsolationLevelName.READ_COMMITTED,
@@ -98,7 +101,7 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             explore(spec, ExploreOptions(workers="turbo"))
         with pytest.raises(ValueError):
-            explore(spec, ExploreOptions(reduction="everything"))
+            explore(spec, ExploreOptions(mode="everything"))
 
     def test_streaming_matches_the_materialized_path(self):
         """Memory-bounded iteration realizes the same records as a materialized run."""
@@ -211,22 +214,26 @@ class TestCoverageReport:
             levels=(IsolationLevelName.SERIALIZABLE,),
             mode="exhaustive", max_schedules=50))
         stats = result.levels[IsolationLevelName.SERIALIZABLE].cache_stats
-        # Without reduction every schedule executes and is classified (a
-        # memo hit or a miss), however small the space.
+        # Every schedule executes and is classified (a memo hit or a
+        # miss), however small the space.
         assert result.executed_schedules() == 20
         assert stats["hits"] + stats["misses"] == 20
 
     def test_real_engine_table_counters_are_reported(self):
         """With the kernel off the real engines' transition table does the
-        sharing, and its hit rate reaches cache_stats."""
+        sharing, and its hit rate reaches the executor's counters."""
         spec = ProgramSetSpec.make("increments", transactions=2)
-        result = explore(spec, ExploreOptions(
-            levels=(IsolationLevelName.SERIALIZABLE,),
-            mode="exhaustive", max_schedules=50, batch_kernel="off"))
-        stats = result.levels[IsolationLevelName.SERIALIZABLE].cache_stats
-        assert stats["trie_transitions_reused"] > stats["trie_transitions_computed"] > 0
-        assert 0 < stats["trie_states"] <= stats["trie_transitions_computed"]
-        assert stats["trie_slots_executed"] < stats["trie_slots_total"]
+        database, programs = build_program_set(spec)
+        schedules = schedule_space(programs, mode="exhaustive",
+                                   max_schedules=50).schedules
+        executor = TrieExecutor(database, programs,
+                                IsolationLevelName.SERIALIZABLE,
+                                batch_kernel="off")
+        assert len(list(executor.run_batch(schedules))) == 20
+        stats = executor.stats.as_dict()
+        assert stats["transitions_reused"] > stats["transitions_computed"] > 0
+        assert 0 < stats["states"] <= stats["transitions_computed"]
+        assert stats["slots_executed"] < stats["slots_total"]
 
 
 class TestScale:

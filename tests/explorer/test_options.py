@@ -14,8 +14,9 @@ import pytest
 from repro.core.isolation import IsolationLevelName
 from repro.explorer import ExploreOptions, explore, worker
 from repro.explorer.options import DEFAULT_LEVELS
-from repro.explorer.schedules import schedule_space
+from repro.explorer.schedules import MODES, schedule_space
 from repro.explorer.trie_executor import TrieExecutor
+from repro.testbed import ALL_ENGINE_LEVELS
 from repro.workloads.program_sets import ProgramSetSpec, build_program_set
 
 SPEC = ProgramSetSpec.make("contention", transactions=2, items=2, hot_items=1,
@@ -32,9 +33,7 @@ class TestValidation:
         assert options.max_schedules == 1000
         assert options.workers == 1
         assert options.chunk_size == 64
-        assert options.reduction == "none"
-        assert options.batch_kernel == "auto"
-        assert len(dataclasses.fields(ExploreOptions)) == 10
+        assert len(dataclasses.fields(ExploreOptions)) == 8
 
     def test_levels_sequence_normalized_to_tuple(self):
         options = ExploreOptions(levels=list(LEVELS))
@@ -57,17 +56,57 @@ class TestValidation:
         (dict(workers=1.5), "workers must be an int or 'auto'"),
         (dict(workers=True), "workers must be an int or 'auto'"),
         (dict(chunk_size=0), "chunk_size must be >= 1"),
-        (dict(reduction="dpor"), "unknown reduction 'dpor'"),
         (dict(workers="many"), "workers must be an int or 'auto'"),
-        (dict(batch_kernel="maybe"), "batch_kernel must be 'auto'"),
-        (dict(batch_kernel=None), "batch_kernel must be 'auto'"),
         (dict(campaign_id="c"), "campaign_id requires a store"),
         (dict(max_schedules=0), "max_schedules must be >= 1"),
         (dict(max_schedules=-5), "max_schedules must be >= 1"),
+        (dict(mode="bogus"), "mode must be one of"),
+        (dict(mode=None), "mode must be one of"),
+        (dict(seed="7"), "seed must be an int"),
+        (dict(seed=True), "seed must be an int"),
+        (dict(chunk_size=True), "chunk_size must be an int"),
+        (dict(chunk_size=8.0), "chunk_size must be an int"),
+        (dict(max_schedules=2.5), "max_schedules must be an int"),
+        (dict(max_schedules=True), "max_schedules must be an int"),
+        (dict(levels=("read committed",)),
+         "levels must be IsolationLevelName members, got 'read committed'"),
+        (dict(levels=(IsolationLevelName.READ_COMMITTED, "SERIALIZABLE")),
+         "levels must be IsolationLevelName members"),
+        (dict(levels=(IsolationLevelName.ANSI_READ_UNCOMMITTED,)),
+         "no engine implements isolation level 'ANSI READ UNCOMMITTED'"),
+        (dict(levels=(IsolationLevelName.ANSI_READ_COMMITTED,)),
+         "no engine implements isolation level 'ANSI READ COMMITTED'"),
+        (dict(levels=(IsolationLevelName.ANSI_REPEATABLE_READ,)),
+         "no engine implements isolation level 'ANSI REPEATABLE READ'"),
+        (dict(levels=(IsolationLevelName.READ_COMMITTED,
+                      IsolationLevelName.ANOMALY_SERIALIZABLE)),
+         "no engine implements isolation level 'ANOMALY SERIALIZABLE'"),
     ])
     def test_bad_values_rejected_eagerly(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ExploreOptions(**kwargs)
+
+    @pytest.mark.parametrize("level", ALL_ENGINE_LEVELS,
+                             ids=lambda level: level.name)
+    def test_every_engine_level_is_accepted_and_explored(self, level):
+        """The eager checks admit every level an engine implements, and the
+        exploration runs on exactly that scope."""
+        options = ExploreOptions(levels=(level,), mode="sample",
+                                 max_schedules=4)
+        assert options.levels == (level,)
+        result = explore(SPEC, options)
+        assert list(result.levels) == [level]
+        assert result.executed_schedules() == 4
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_is_accepted(self, mode):
+        # The space holds 252 schedules: within budget, so auto enumerates.
+        options = ExploreOptions(levels=LEVELS[:1], mode=mode,
+                                 max_schedules=300)
+        assert options.mode == mode
+        result = explore(SPEC, options)
+        assert result.space.mode == ("exhaustive" if mode == "auto" else mode)
+        assert result.executed_schedules() == result.space.selected
 
     def test_repeated_level_rejected_before_any_work(self):
         with pytest.raises(ValueError,
@@ -118,7 +157,8 @@ def test_no_environment_variable_is_read(monkeypatch):
     assert not hasattr(ExploreOptions, "from_env")
 
 
-@pytest.mark.parametrize("knob", ["outcome_memo", "static_pruning"])
+@pytest.mark.parametrize("knob", ["outcome_memo", "static_pruning",
+                                  "reduction", "batch_kernel"])
 def test_retired_knobs_are_rejected_by_name(knob):
     with pytest.raises(TypeError, match=knob):
         ExploreOptions(**{knob: True})

@@ -30,7 +30,7 @@ class TestExploreVariant:
         assert exploration.space_size == 20
         assert exploration.schedules == 20
         assert exploration.mode == "exhaustive"
-        assert 0 < exploration.executed <= exploration.schedules
+        assert exploration.executed == exploration.schedules
         assert exploration.manifests
         assert 0.0 < exploration.frequency <= 1.0
         assert exploration.witness is not None
@@ -43,27 +43,6 @@ class TestExploreVariant:
         replay = run_variant(variant, engine_factory(RC), "P4",
                              interleaving=exploration.witness)
         assert replay.manifested
-
-    def test_reduction_matches_full_enumeration(self):
-        """Sleep-set counts must equal reduction="none" counts, per level."""
-        for code, variant_name, level in (
-            ("P4", "plain-read-modify-write", RC),
-            ("P4", "plain-read-modify-write", RR),   # deadlock territory
-            ("A5B", "plain-reads", SI),              # multiversion scope
-            ("P1", "read-of-rolled-back-write", RC),
-        ):
-            scenario = scenario_by_code(code)
-            variant = scenario.variant(variant_name)
-            full = explore_variant(variant, level, scenario_code=code,
-                                   reduction="none")
-            reduced = explore_variant(variant, level, scenario_code=code,
-                                      reduction="sleep-set")
-            for field in ("schedules", "manifested", "stalled", "deadlocked",
-                          "engine_aborted", "witness"):
-                assert getattr(reduced, field) == getattr(full, field), (
-                    f"{code}/{variant_name} under {level.value}: "
-                    f"{field} diverged under reduction")
-            assert reduced.executed <= full.executed
 
     def test_prevented_variant_has_no_witness_anywhere(self):
         scenario = scenario_by_code("P4")
@@ -100,11 +79,6 @@ class TestExploreVariant:
         # manifests returns True unconditionally, yet stalled schedules are
         # never counted: the predicate is only consulted on completed runs.
         assert exploration.manifested == exploration.schedules - exploration.stalled
-
-    def test_rejects_unknown_reduction(self):
-        scenario = scenario_by_code("P0")
-        with pytest.raises(ValueError, match="reduction"):
-            explore_variant(scenario.variants[0], RC, reduction="magic")
 
 
 class TestExploreScenario:

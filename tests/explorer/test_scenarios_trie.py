@@ -8,9 +8,10 @@ here as the from-scratch reference, at two grains: every field of every
 ``VariantExploration`` must agree, and so must every executed schedule's
 outcome (history, statuses, contexts, abort reasons, blocked events,
 deadlocks, stall flag, and the database's items and rows at yield time) —
-for every engine-backed level, every curated variant and both reductions,
-with the table cold, warm and capped.  Outcome-level equality is what keeps
-a wrong merge from hiding inside the totals.
+for every engine-backed level and every curated variant, with the table
+cold, warm and capped, on the stepwise executor ``explore_variant`` builds
+and on the ``batch_kernel="auto"`` one ``explore()`` builds.  Outcome-level
+equality is what keeps a wrong merge from hiding inside the totals.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import pytest
 
 from repro.engine.scheduler import ScheduleRunner
 from repro.explorer import transition_table
-from repro.explorer.explorer import terminal_scope_for
-from repro.explorer.reduction import build_execution_plan
 from repro.explorer.scenarios import (
     DEFAULT_MAX_SCHEDULES,
     VariantExploration,
@@ -134,17 +133,11 @@ def outcome_key(outcome):
     )
 
 
-def executed_schedules(variant, level, reduction):
+def executed_schedules(variant):
     """The schedules ``explore_variant`` executes, in stream order."""
-    programs = variant.build_programs()
-    schedules = schedule_space(programs, mode="auto",
-                               max_schedules=DEFAULT_MAX_SCHEDULES,
-                               seed=0).schedules
-    if reduction == "sleep-set":
-        return build_execution_plan(
-            schedules, programs,
-            terminal_scope=terminal_scope_for(level)).executed
-    return schedules
+    return schedule_space(variant.build_programs(), mode="auto",
+                          max_schedules=DEFAULT_MAX_SCHEDULES,
+                          seed=0).schedules
 
 
 def walked(executor, schedules):
@@ -155,7 +148,7 @@ def walked(executor, schedules):
     return keys
 
 
-def from_scratch(variant, level, scenario_code, reduction, outcomes=None):
+def from_scratch(variant, level, scenario_code, outcomes=None):
     """The per-schedule loop ``explore_variant`` used to run.
 
     ``outcomes``, when given, collects every executed schedule's
@@ -165,16 +158,10 @@ def from_scratch(variant, level, scenario_code, reduction, outcomes=None):
     space = schedule_space(programs, mode="auto",
                            max_schedules=DEFAULT_MAX_SCHEDULES, seed=0)
     schedules = space.schedules
-    plan = None
-    to_execute = schedules
-    if reduction == "sleep-set":
-        plan = build_execution_plan(schedules, programs,
-                                    terminal_scope=terminal_scope_for(level))
-        to_execute = plan.executed
 
     runner = None
     verdicts = []
-    for schedule in to_execute:
+    for schedule in schedules:
         engine = make_engine(variant.build_database(), level)
         if runner is None:
             runner = ScheduleRunner(engine, programs, schedule)
@@ -194,8 +181,7 @@ def from_scratch(variant, level, scenario_code, reduction, outcomes=None):
 
     manifested = stalled = deadlocked = engine_aborted = 0
     witness = witness_history = None
-    for position, schedule in enumerate(schedules):
-        verdict = verdicts[plan.assignment[position] if plan else position]
+    for schedule, verdict in zip(schedules, verdicts):
         if verdict[0]:
             manifested += 1
             if witness is None:
@@ -206,44 +192,79 @@ def from_scratch(variant, level, scenario_code, reduction, outcomes=None):
     return VariantExploration(
         scenario_code=scenario_code, variant_name=variant.name, level=level,
         mode=space.mode, space_size=space.total, schedules=len(schedules),
-        executed=len(to_execute), manifested=manifested, stalled=stalled,
+        executed=len(schedules), manifested=manifested, stalled=stalled,
         deadlocked=deadlocked, engine_aborted=engine_aborted,
         witness=witness, witness_history=witness_history,
     )
 
 
-@pytest.mark.parametrize("reduction", ["sleep-set", "none"])
 @pytest.mark.parametrize("code,variant", VARIANTS + PROBES,
                          ids=[f"{code}-{variant.name}"
                               for code, variant in VARIANTS + PROBES])
 @pytest.mark.parametrize("level", ALL_ENGINE_LEVELS, ids=lambda level: level.name)
-def test_equals_from_scratch(level, code, variant, reduction, monkeypatch):
-    explored = explore_variant(variant, level, scenario_code=code,
-                               reduction=reduction)
+def test_equals_from_scratch(level, code, variant, monkeypatch):
+    explored = explore_variant(variant, level, scenario_code=code)
     expected = []
     # Dataclass equality is field for field: counts, witness, witness_history,
     # stalled / deadlocked / engine_aborted included.
-    assert explored == from_scratch(variant, level, code, reduction, expected)
-    # No executor, outcome or verdict outlives a call: a second one agrees.
-    assert explore_variant(variant, level, scenario_code=code,
-                           reduction=reduction) == explored
+    assert explored == from_scratch(variant, level, code, expected)
+    # No executor or outcome outlives a call: a second one agrees.
+    assert explore_variant(variant, level, scenario_code=code) == explored
 
     # Schedule by schedule, on the executor explore_variant builds: a cold
     # table, the same table warm, and a capped one — no state at all (the
     # runner's checkpoints alone) or a few (on and off the table in a row).
-    schedules = executed_schedules(variant, level, reduction)
+    schedules = executed_schedules(variant)
     executor = TrieExecutor(variant.build_database(), variant.build_programs(),
                             level, batch_kernel="off")
     assert walked(executor, schedules) == expected, "cold"
     computed = executor.stats.transitions_computed
     assert walked(executor, schedules) == expected, "warm"
     assert executor.stats.transitions_computed == computed
-    cap = 0 if reduction == "none" else 3
-    monkeypatch.setattr(transition_table, "TRANSITION_STATE_CAP", cap)
-    capped = TrieExecutor(variant.build_database(), variant.build_programs(),
-                          level, batch_kernel="off")
-    assert walked(capped, schedules) == expected, f"cap {cap}"
-    assert capped.stats.states == cap
+    for cap in (0, 3):
+        monkeypatch.setattr(transition_table, "TRANSITION_STATE_CAP", cap)
+        capped = TrieExecutor(variant.build_database(),
+                              variant.build_programs(), level,
+                              batch_kernel="off")
+        assert walked(capped, schedules) == expected, f"cap {cap}"
+        assert capped.stats.states == cap
+
+
+@pytest.mark.parametrize("code,variant", VARIANTS + PROBES,
+                         ids=[f"{code}-{variant.name}"
+                              for code, variant in VARIANTS + PROBES])
+@pytest.mark.parametrize("level", ALL_ENGINE_LEVELS, ids=lambda level: level.name)
+def test_auto_executor_equals_from_scratch(level, code, variant, monkeypatch):
+    """The executor ``explore()`` builds (``batch_kernel="auto"``) on the same
+    spaces: the flat emulators where one builds, the real engines where the
+    programs hold rows or cursors or the level has no emulation — both
+    schedule for schedule equal to the from-scratch replay."""
+    expected = []
+    from_scratch(variant, level, code, expected)
+    schedules = executed_schedules(variant)
+
+    def auto_executor():
+        return TrieExecutor(variant.build_database(), variant.build_programs(),
+                            level, batch_kernel="auto")
+
+    executor = auto_executor()
+    kernel = executor._batch is not None
+    assert walked(executor, schedules) == expected, "cold"
+    stats = executor.batch_stats
+    if kernel:
+        assert stats.schedules == len(schedules)
+        assert stats.rows_fast + stats.rows_ejected == len(schedules)
+    else:
+        # The silent fallback: the kernel's counters never move.
+        assert (stats.schedules, stats.rows_fast, stats.rows_ejected) == \
+            (0, 0, 0)
+        assert executor.stats.slots_total > 0
+    assert walked(executor, schedules) == expected, "warm"
+    for cap in (0, 3):
+        monkeypatch.setattr(transition_table, "TRANSITION_STATE_CAP", cap)
+        capped = auto_executor()
+        assert (capped._batch is not None) == kernel
+        assert walked(capped, schedules) == expected, f"cap {cap}"
 
 
 def test_the_table_hits_on_table_4():
@@ -256,7 +277,7 @@ def test_the_table_hits_on_table_4():
                                     variant.build_programs(), level,
                                     batch_kernel="off")
             for _ in executor.run_batch(
-                    executed_schedules(variant, level, "sleep-set")):
+                    executed_schedules(variant)):
                 pass
             stats = executor.stats
             reused += stats.transitions_reused

@@ -153,14 +153,16 @@ class TestEndToEndAnalytics:
             "    [READ UNCOMMITTED] wr: 1 (rank 3)",
         ]
 
-    @pytest.mark.parametrize("reduction", ["none", "sleep-set"])
-    def test_summary_agrees_with_the_per_code_queries(self, store, reduction):
+    @pytest.mark.parametrize("spec,knobs", [
+        (ProgramSetSpec.make("contention"),
+         dict(mode="sample", max_schedules=300, seed=7, chunk_size=32)),
+        (ProgramSetSpec.make("write-skew"),
+         dict(mode="exhaustive", max_schedules=1000, chunk_size=32)),
+    ], ids=["sampled", "exhaustive"])
+    def test_summary_agrees_with_the_per_code_queries(self, store, spec, knobs):
         """The summary reads one ``GROUP BY`` per scope; the per-chunk series
         and the earliest-witness query are its oracle."""
-        spec = ProgramSetSpec.make("contention")
-        explore(spec, ExploreOptions(
-            mode="sample", max_schedules=300, seed=7, chunk_size=32,
-            reduction=reduction, store=store, campaign_id="c1"))
+        explore(spec, ExploreOptions(store=store, campaign_id="c1", **knobs))
         data = campaign_summary_data(store, "c1")
         assert any(scope["anomalies"] for scope in data["scopes"])
         for scope in data["scopes"]:

@@ -29,12 +29,13 @@ from repro.persist.sqlite_store import SCHEMA_VERSION
 from repro.workloads.scenarios import ALL_SCENARIOS
 
 from .test_hostile_store import _serve, campaign_main, distrib_main
+from .test_sleep_set_store import write_sleep_set_chunks
 
 SPEC = ProgramSetSpec.make("bank-transfer")
 RC = IsolationLevelName.READ_COMMITTED
 #: What ``campaign run --store S --program-set bank-transfer`` writes.
 CONFIG = campaign_config(SPEC, mode="auto", max_schedules=1000, seed=0,
-                         reduction="none", chunk_size=64)
+                         chunk_size=64)
 DEFAULT_ID = default_campaign_id(CONFIG)
 REDUCED = {**CONFIG, "reduction": "sleep-set"}
 
@@ -50,26 +51,28 @@ CREATE TABLE IF NOT EXISTS outcomes (
 
 
 def _memo_era_records():
-    """The first chunk of records the memo wrote for this campaign at READ
-    COMMITTED.  On an exhaustive space the memo executed each class's least
-    member, which is the member the sleep-set plan executes, so reduction
-    reproduces its records exactly (``test_sleep_set_dedupe`` pins this)."""
-    result = explore(SPEC, ExploreOptions(levels=(RC,), reduction="sleep-set"))
+    """The first chunk of this campaign at READ COMMITTED.  The memo's records
+    carried another schedule's history in most rows; no test here reads a
+    history, only that the chunk is there and is never appended to."""
+    result = explore(SPEC, ExploreOptions(levels=(RC,)))
     return result.levels[RC].records[:64]
 
 
 @pytest.fixture
 def v3_store(tmp_path):
     """A schema-v3 file: one half-run memo-era campaign under the default id,
-    plus a sleep-set campaign and a finished ``reduction="none"`` Table 4
+    plus a sleep-set campaign (its config row and a chunk with its
+    representative rows, written through the store as the build that ran
+    the plan wrote them) and a finished ``reduction="none"`` Table 4
     campaign (which never ran through the memo)."""
     path = str(tmp_path / "v3.sqlite")
     store = SqliteStore(path)
     store.open_campaign(DEFAULT_ID, CONFIG)
     store.commit_chunk(DEFAULT_ID, RC.value, 0, _memo_era_records())
-    store.open_campaign("reduced", REDUCED)
+    write_sleep_set_chunks(store, "reduced", REDUCED, RC.value,
+                           _memo_era_records())
     compute_table4_explored(levels=(RC,), scenarios=ALL_SCENARIOS[:1],
-                            reduction="none", store=store, campaign_id="table4")
+                            store=store, campaign_id="table4")
     store.close()
     conn = sqlite3.connect(path)
     conn.execute(_V3_OUTCOMES)
@@ -140,14 +143,17 @@ def test_the_migrated_file_stays_readable(v3_store):
         "--max-schedules", "20", "--chunk-size", "8", "--workers", "1",
         "--campaign", "fresh"])
     assert code == 0 and "byte-identical to serial" in out
-    # Campaigns the memo never touched still resume.
     store = SqliteStore(v3_store)
     try:
-        explore(SPEC, ExploreOptions(levels=(RC,), reduction="sleep-set",
-                                     store=store, campaign_id="reduced"))
+        # The untagged Table 4 campaign still resumes; the sleep-set one,
+        # also untagged, fails closed on its own config.
         assert compute_table4_explored(
-            levels=(RC,), scenarios=ALL_SCENARIOS[:1], reduction="none",
+            levels=(RC,), scenarios=ALL_SCENARIOS[:1],
             store=store, campaign_id="table4").possibilities()
+        with pytest.raises(CampaignConfigMismatch):
+            explore(SPEC, ExploreOptions(levels=(RC,), store=store,
+                                         campaign_id="reduced"))
+        assert store.cursor("reduced", RC.value) == 1
     finally:
         store.close()
 

@@ -44,27 +44,41 @@ class InterruptingStore:
 
 SPEC = ProgramSetSpec.make("increments")
 EXPLORE_KWARGS = dict(max_schedules=200, chunk_size=8)
+#: The streams the transparency and resume contracts run on: ``SPEC``'s
+#: whole space (it holds 100 schedules, so ``auto`` enumerates it), and a
+#: seeded sample of a space far larger than its budget.
+STREAMS = {
+    "exhaustive": (SPEC, EXPLORE_KWARGS),
+    "sampled": (ProgramSetSpec.make("contention"),
+                dict(mode="sample", max_schedules=120, seed=11, chunk_size=8)),
+}
 
 
 @pytest.fixture(scope="module")
 def baseline():
     """The uninterrupted, store-less result every variant must reproduce."""
-    return {
-        reduction: explore(SPEC, ExploreOptions(reduction=reduction, **EXPLORE_KWARGS))
-        for reduction in ("none", "sleep-set")
-    }
+    return explore(SPEC, ExploreOptions(**EXPLORE_KWARGS))
+
+
+@pytest.fixture(scope="module")
+def stream_baselines():
+    """``baseline`` for every stream of ``STREAMS``."""
+    return {name: explore(spec, ExploreOptions(**kwargs))
+            for name, (spec, kwargs) in STREAMS.items()}
 
 
 class TestStoreTransparency:
-    @pytest.mark.parametrize("reduction", ["none", "sleep-set"])
-    def test_store_backed_run_matches_plain_run(self, store, baseline, reduction):
-        result = explore(SPEC, ExploreOptions(
-            reduction=reduction, store=store, campaign_id="c1", **EXPLORE_KWARGS))
-        assert result.fingerprint() == baseline[reduction].fingerprint()
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_store_backed_run_matches_plain_run(self, store, stream_baselines,
+                                                stream):
+        spec, kwargs = STREAMS[stream]
+        result = explore(spec, ExploreOptions(
+            store=store, campaign_id="c1", **kwargs))
+        assert result.fingerprint() == stream_baselines[stream].fingerprint()
 
     def test_store_backed_report_renders_identically(self, store, baseline):
         explore(SPEC, ExploreOptions(store=store, campaign_id="c1", **EXPLORE_KWARGS))
-        live = build_coverage_report(baseline["none"]).render()
+        live = build_coverage_report(baseline).render()
         stored = coverage_report_from_store(store, "c1").render()
         assert stored == live
 
@@ -74,17 +88,18 @@ class TestStoreTransparency:
 
 
 class TestKillAndResume:
-    @pytest.mark.parametrize("reduction", ["none", "sleep-set"])
+    @pytest.mark.parametrize("stream", STREAMS)
     @pytest.mark.parametrize("fail_after", [0, 1, 3, 7])
-    def test_resume_is_byte_identical(self, store, baseline, reduction, fail_after):
+    def test_resume_is_byte_identical(self, store, stream_baselines, fail_after,
+                                      stream):
+        spec, kwargs = STREAMS[stream]
         with pytest.raises(Interrupted):
-            explore(SPEC, ExploreOptions(
-                reduction=reduction,
+            explore(spec, ExploreOptions(
                 store=InterruptingStore(store, fail_after),
-                campaign_id="c1", **EXPLORE_KWARGS))
-        resumed = explore(SPEC, ExploreOptions(
-            reduction=reduction, store=store, campaign_id="c1", **EXPLORE_KWARGS))
-        expected = baseline[reduction]
+                campaign_id="c1", **kwargs))
+        resumed = explore(spec, ExploreOptions(
+            store=store, campaign_id="c1", **kwargs))
+        expected = stream_baselines[stream]
         assert resumed.fingerprint() == expected.fingerprint()
         assert (coverage_report_from_store(store, "c1").render()
                 == build_coverage_report(expected).render())
@@ -112,7 +127,7 @@ class TestKillAndResume:
                     campaign_id="c1", **EXPLORE_KWARGS))
         resumed = explore(SPEC, ExploreOptions(
             store=store, campaign_id="c1", **EXPLORE_KWARGS))
-        assert resumed.fingerprint() == baseline["none"].fingerprint()
+        assert resumed.fingerprint() == baseline.fingerprint()
 
 
 class TestCrossRunDedupe:
@@ -123,7 +138,7 @@ class TestCrossRunDedupe:
             store=store, campaign_id="c1", **EXPLORE_KWARGS))
         assert rerun.executed_schedules() == 0
         assert rerun.fingerprint() == first.fingerprint()
-        assert rerun.fingerprint() == baseline["none"].fingerprint()
+        assert rerun.fingerprint() == baseline.fingerprint()
 
     def test_cross_workload_classification_dedupe(self, store):
         explore(SPEC, ExploreOptions(store=store, campaign_id="c1", **EXPLORE_KWARGS))
@@ -150,7 +165,7 @@ class TestParallelCampaigns:
         store = SqliteStore(":memory:")
         first = explore(SPEC, ExploreOptions(
             workers=2, store=store, campaign_id="par", **EXPLORE_KWARGS))
-        assert first.fingerprint() == baseline["none"].fingerprint()
+        assert first.fingerprint() == baseline.fingerprint()
         rerun = explore(SPEC, ExploreOptions(
             workers=2, store=store, campaign_id="par", **EXPLORE_KWARGS))
         assert rerun.executed_schedules() == 0
@@ -164,7 +179,7 @@ class TestParallelCampaigns:
                 campaign_id="par", **EXPLORE_KWARGS))
         resumed = explore(SPEC, ExploreOptions(
             workers=1, store=store, campaign_id="par", **EXPLORE_KWARGS))
-        assert resumed.fingerprint() == baseline["none"].fingerprint()
+        assert resumed.fingerprint() == baseline.fingerprint()
 
 
 class SaveCountingStore:
@@ -249,7 +264,7 @@ class TestTiersAreSavedWithTheChunk:
         scope = next(iter(store.scope_progress("c1")))
         committed = {record.history
                      for chunk in range(store.cursor("c1", scope))
-                     for record in store.load_chunk("c1", scope, chunk)[0]}
+                     for record in store.load_chunk("c1", scope, chunk)}
         assert committed and committed <= set(store.load_classifications())
         resumed = explore(SPEC, ExploreOptions(
             workers=workers, store=store, campaign_id="c1", **EXPLORE_KWARGS))

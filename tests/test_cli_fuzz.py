@@ -5,8 +5,9 @@ argv for ``campaign run / resume / inspect / list``, ``distrib run / verify``
 and the ``serve`` parser (a valid ``serve`` would block, so its handler is
 replaced) from each verb's real flag set, with hostile values beside small
 valid ones: 0, -1, nan, inf, empty strings, unknown names, repeated levels,
-a missing ``=``, a store path that is a directory, a campaign ``serve``
-wrote where an exploration campaign is expected.  Hypothesis draws
+levels no engine implements, a missing ``=``, a store path that is a
+directory, a campaign ``serve`` wrote where an exploration campaign is
+expected.  Hypothesis draws
 combinations; then each hostile value runs once alone, beside otherwise
 valid flags, so that it reaches past the flags the parser checks first.
 Work sizes are capped so that a valid argv stays small.
@@ -49,12 +50,12 @@ CAMPAIGN_FLAGS = {
     "--chunk-size": (["1", "8"], COUNT),
     "--levels": (["SERIALIZABLE", "READ COMMITTED,SNAPSHOT ISOLATION"],
                  ["SERIALIZABLE,SERIALIZABLE", "BOGUS", "", ",",
-                  "serializable"]),
+                  "serializable", "ANSI READ COMMITTED",
+                  "READ COMMITTED,ANOMALY SERIALIZABLE"]),
     "--workers": (["1", "auto"], ["0", "-1", "nan", "", "x"]),
 }
 RUN_FLAGS = {
     **CAMPAIGN_FLAGS,
-    "--reduction": (["none", "sleep-set"], ["", "dpor"]),
     "--throttle-ms": (["0", "1"], ["-1", "nan", "inf", ""]),
 }
 DISTRIB_FLAGS = {
