@@ -7,10 +7,27 @@ lead to an anomaly), to add the Dirty Write phenomenon P0, and to introduce
 the multiversion-era anomalies P4 (Lost Update), P4C (Cursor Lost Update),
 A5A (Read Skew) and A5B (Write Skew).
 
-Every detector in this module pattern-matches a :class:`~repro.core.history.History`
-and reports *occurrences* — the concrete operations that instantiate the
-forbidden subsequence — so that tests, the anomaly matrix (Table 4), and the
-hierarchy analysis (Figure 2) can all reuse the same machinery.
+Each phenomenon is a pattern over a :class:`~repro.core.history.History`,
+and every detector reports *occurrences* — the concrete operations that
+instantiate the forbidden subsequence — so that tests, the anomaly matrix
+(Table 4), and the hierarchy analysis (Figure 2) can all reuse the same
+machinery.
+
+Nine of the eleven patterns are anchored on one conflicting pair: an
+operation ``a`` at position ``i`` and ``b`` at ``j > i``, of two different
+transactions, on one item or one predicate.  They are the rows of one table,
+:data:`PATTERNS`, which says what each pair is, what must hold of ``a``'s
+and ``b``'s transactions, and the third operation the pattern needs, if any.
+Two readers share the rows:
+
+* :meth:`Phenomenon.find` and :meth:`Phenomenon.occurs_in` enumerate a row's
+  occurrences lazily, ordered by ``i``, then ``j``, then ``k``;
+* :func:`sweep` visits every conflicting pair once and asks each row not yet
+  fired whether the pair witnesses it, which gives every flag and the
+  conflict-graph serializability verdict in one pass.
+
+A5A and A5B relate two items of one transaction pair, so both readers match
+them by hand.
 
 Interpretation notes
 --------------------
@@ -30,34 +47,21 @@ Interpretation notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from .dependency import adjacency_is_acyclic
 from .history import History
-from .operations import Operation, OperationKind
+from .operations import OperationKind
 
 __all__ = [
-    "Occurrence",
-    "HistoryIndex",
-    "Phenomenon",
-    "P0_DIRTY_WRITE",
-    "P1_DIRTY_READ",
-    "P2_FUZZY_READ",
-    "P3_PHANTOM",
-    "A1_DIRTY_READ_STRICT",
-    "A2_FUZZY_READ_STRICT",
-    "A3_PHANTOM_STRICT",
-    "P4_LOST_UPDATE",
-    "P4C_CURSOR_LOST_UPDATE",
-    "A5A_READ_SKEW",
-    "A5B_WRITE_SKEW",
-    "ALL_PHENOMENA",
-    "BROAD_PHENOMENA",
-    "STRICT_ANOMALIES",
-    "by_code",
-    "detect_all",
-    "detect_flags",
-    "sweep",
+    "Occurrence", "Pattern", "PATTERNS", "Phenomenon",
+    "P0_DIRTY_WRITE", "P1_DIRTY_READ", "P2_FUZZY_READ", "P3_PHANTOM",
+    "A1_DIRTY_READ_STRICT", "A2_FUZZY_READ_STRICT", "A3_PHANTOM_STRICT",
+    "P4_LOST_UPDATE", "P4C_CURSOR_LOST_UPDATE", "A5A_READ_SKEW",
+    "A5B_WRITE_SKEW", "ALL_PHENOMENA", "BROAD_PHENOMENA", "STRICT_ANOMALIES",
+    "by_code", "detect_all", "sweep",
 ]
 
 
@@ -75,693 +79,162 @@ class Occurrence:
         return f"{self.phenomenon}: {self.description}"
 
 
-class HistoryIndex:
-    """Grouped (index, operation) views of one history, shared by the detectors.
-
-    Every detector used to rescan the full operation list and filter by item /
-    transaction in its inner loops; grouping once per history turns those
-    inner loops into walks over exactly the candidates that can match.  All
-    per-item / per-transaction lists preserve global history order, so a
-    detector iterating a grouped list visits the same operations in the same
-    order as the original full-scan-and-filter — occurrence output is
-    byte-identical.
-    """
-
-    __slots__ = ("history", "reads", "writes", "cursor_reads",
-                 "predicate_reads", "predicate_writes",
-                 "reads_by_item", "writes_by_item", "reads_by_txn",
-                 "writes_by_txn", "predicate_writes_by_predicate",
-                 "terminals")
-
-    def __init__(self, history: History):
-        self.history = history
-        self.reads: List[Tuple[int, Operation]] = []
-        self.writes: List[Tuple[int, Operation]] = []
-        self.cursor_reads: List[Tuple[int, Operation]] = []
-        self.predicate_reads: List[Tuple[int, Operation]] = []
-        self.predicate_writes: List[Tuple[int, Operation]] = []
-        self.reads_by_item: Dict[str, List[Tuple[int, Operation]]] = {}
-        self.writes_by_item: Dict[str, List[Tuple[int, Operation]]] = {}
-        self.reads_by_txn: Dict[int, List[Tuple[int, Operation]]] = {}
-        self.writes_by_txn: Dict[int, List[Tuple[int, Operation]]] = {}
-        self.predicate_writes_by_predicate: Dict[str, List[Tuple[int, Operation]]] = {}
-        #: First terminal position per transaction (None entries omitted).
-        self.terminals: Dict[int, int] = {}
-        reads = self.reads
-        writes = self.writes
-        cursor_reads = self.cursor_reads
-        reads_by_item = self.reads_by_item
-        writes_by_item = self.writes_by_item
-        reads_by_txn = self.reads_by_txn
-        writes_by_txn = self.writes_by_txn
-        terminals = self.terminals
-        commit = OperationKind.COMMIT
-        abort = OperationKind.ABORT
-        read = OperationKind.READ
-        cursor_read = OperationKind.CURSOR_READ
-        predicate_read = OperationKind.PREDICATE_READ
-        for i, op in enumerate(history):
-            kind = op.kind
-            if kind is commit or kind is abort:
-                if op.txn not in terminals:
-                    terminals[op.txn] = i
-                continue
-            entry = (i, op)
-            if kind is read or kind is cursor_read:
-                reads.append(entry)
-                group = reads_by_item.get(op.item)
-                if group is None:
-                    group = reads_by_item[op.item] = []
-                group.append(entry)
-                group = reads_by_txn.get(op.txn)
-                if group is None:
-                    group = reads_by_txn[op.txn] = []
-                group.append(entry)
-                if kind is cursor_read:
-                    cursor_reads.append(entry)
-            elif kind is predicate_read:
-                self.predicate_reads.append(entry)
-            elif kind.is_write:
-                if op.item is not None:
-                    writes.append(entry)
-                    group = writes_by_item.get(op.item)
-                    if group is None:
-                        group = writes_by_item[op.item] = []
-                    group.append(entry)
-                    group = writes_by_txn.get(op.txn)
-                    if group is None:
-                        group = writes_by_txn[op.txn] = []
-                    group.append(entry)
-                if op.predicate is not None:
-                    self.predicate_writes.append(entry)
-                    self.predicate_writes_by_predicate.setdefault(
-                        op.predicate, []).append(entry)
-
-    _EMPTY: Tuple = ()
-
-    def item_reads(self, item: Optional[str]) -> Sequence[Tuple[int, Operation]]:
-        return self.reads_by_item.get(item, self._EMPTY)
-
-    def item_writes(self, item: Optional[str]) -> Sequence[Tuple[int, Operation]]:
-        return self.writes_by_item.get(item, self._EMPTY)
-
-    def txn_reads(self, txn: int) -> Sequence[Tuple[int, Operation]]:
-        return self.reads_by_txn.get(txn, self._EMPTY)
-
-    def txn_writes(self, txn: int) -> Sequence[Tuple[int, Operation]]:
-        return self.writes_by_txn.get(txn, self._EMPTY)
-
-
-class Phenomenon:
-    """Base class for a named phenomenon / anomaly detector."""
-
-    #: Short code used in the paper ("P0", "A5B", ...).
-    code: str = ""
-    #: Human-readable name ("Dirty Write", "Write Skew", ...).
-    name: str = ""
-    #: "broad" for phenomena (P*), "strict" for anomalies (A*).
-    interpretation: str = "broad"
-
-    def _scan(self, history: History, index: HistoryIndex) -> Iterator[Occurrence]:
-        """Yield occurrences lazily, in the canonical (outer-loop) order."""
-        raise NotImplementedError
-
-    def find(self, history: History,
-             index: Optional[HistoryIndex] = None) -> List[Occurrence]:
-        """All occurrences of the phenomenon in the history.
-
-        ``index`` lets a caller running several detectors over the same
-        history (``detect_all``) share one :class:`HistoryIndex`; without it
-        each detector builds its own.
-        """
-        return list(self._scan(history, self._index_for(history, index)))
-
-    def occurs_in(self, history: History,
-                  index: Optional[HistoryIndex] = None) -> bool:
-        """True when the phenomenon occurs at least once.
-
-        Stops at the first occurrence the lazy :meth:`_scan` (the paper's
-        definition) yields.  Callers that want every flag of a history at
-        once use :func:`sweep`, which answers all of them in one pass;
-        ``tests/property`` holds the two equal.
-        """
-        for _ in self._scan(history, self._index_for(history, index)):
-            return True
-        return False
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{self.code} {self.name}>"
-
-    @staticmethod
-    def _index_for(history: History,
-                   index: Optional[HistoryIndex]) -> HistoryIndex:
-        return index if index is not None else HistoryIndex(history)
-
-
-class DirtyWrite(Phenomenon):
-    """P0: ``w1[x]...w2[x]...(c1 or a1)``.
-
-    T2 writes a data item that T1 has written and T1 has not yet terminated.
-    The paper argues (Remark 3) that *every* isolation level must forbid this,
-    both because constraints between items can be violated and because
-    before-image recovery becomes impossible.
-    """
-
-    code = "P0"
-    name = "Dirty Write"
-    interpretation = "broad"
-
-    def _scan(self, history: History,
-              index: HistoryIndex) -> Iterator[Occurrence]:
-        terminals = index.terminals
-        for i, first in index.writes:
-            terminal = terminals.get(first.txn)
-            for j, second in index.item_writes(first.item):
-                if j <= i or first.txn == second.txn:
-                    continue
-                if terminal is None or j < terminal:
-                    yield Occurrence(
-                        phenomenon=self.code,
-                        transactions=(first.txn, second.txn),
-                        items=(first.item,),
-                        indices=(i, j),
-                        description=(
-                            f"T{second.txn} overwrites {first.item} while "
-                            f"T{first.txn}'s write is uncommitted"
-                        ),
-                    )
-
-
-class DirtyRead(Phenomenon):
-    """P1: ``w1[x]...r2[x]...(c1 or a1)``.
-
-    T2 reads a data item that T1 has modified before T1 commits or aborts.
-    The broad interpretation forbids the pattern regardless of how the
-    transactions eventually terminate — this is what rules out the
-    inconsistent-analysis history H1.
-    """
-
-    code = "P1"
-    name = "Dirty Read"
-    interpretation = "broad"
-
-    def _scan(self, history: History,
-              index: HistoryIndex) -> Iterator[Occurrence]:
-        terminals = index.terminals
-        for i, write_op in index.writes:
-            terminal = terminals.get(write_op.txn)
-            for j, read_op in index.item_reads(write_op.item):
-                if j <= i or write_op.txn == read_op.txn:
-                    continue
-                if terminal is None or j < terminal:
-                    yield Occurrence(
-                        phenomenon=self.code,
-                        transactions=(write_op.txn, read_op.txn),
-                        items=(write_op.item,),
-                        indices=(i, j),
-                        description=(
-                            f"T{read_op.txn} reads {write_op.item} written by "
-                            f"uncommitted T{write_op.txn}"
-                        ),
-                    )
-
-
-class FuzzyRead(Phenomenon):
-    """P2: ``r1[x]...w2[x]...(c1 or a1)``.
-
-    T2 modifies a data item that T1 has read while T1 is still active.  This
-    broad interpretation (rather than the strict A2, which requires T1 to
-    reread the item) is needed to rule out history H2.
-    """
-
-    code = "P2"
-    name = "Fuzzy Read (Non-repeatable Read)"
-    interpretation = "broad"
-
-    def _scan(self, history: History,
-              index: HistoryIndex) -> Iterator[Occurrence]:
-        terminals = index.terminals
-        for i, read_op in index.reads:
-            terminal = terminals.get(read_op.txn)
-            for j, write_op in index.item_writes(read_op.item):
-                if j <= i or read_op.txn == write_op.txn:
-                    continue
-                if terminal is None or j < terminal:
-                    yield Occurrence(
-                        phenomenon=self.code,
-                        transactions=(read_op.txn, write_op.txn),
-                        items=(read_op.item,),
-                        indices=(i, j),
-                        description=(
-                            f"T{write_op.txn} writes {read_op.item} after T{read_op.txn} "
-                            f"read it and before T{read_op.txn} terminated"
-                        ),
-                    )
-
-
-class Phantom(Phenomenon):
-    """P3: ``r1[P]...w2[y in P]...(c1 or a1)``.
-
-    T1 reads the set of items satisfying a predicate; T2 then performs a
-    write (insert, update, or delete) affecting that predicate's extent while
-    T1 is still active.  Note the corrected definition covers *any* write, not
-    only the inserts that the ANSI English text mentions.
-    """
-
-    code = "P3"
-    name = "Phantom"
-    interpretation = "broad"
-
-    def _scan(self, history: History,
-              index: HistoryIndex) -> Iterator[Occurrence]:
-        terminals = index.terminals
-        for i, read_op in index.predicate_reads:
-            terminal = terminals.get(read_op.txn)
-            for j, write_op in index.predicate_writes_by_predicate.get(
-                    read_op.predicate, ()):
-                if j <= i or read_op.txn == write_op.txn:
-                    continue
-                if terminal is None or j < terminal:
-                    yield Occurrence(
-                        phenomenon=self.code,
-                        transactions=(read_op.txn, write_op.txn),
-                        items=tuple(filter(None, [write_op.item])),
-                        indices=(i, j),
-                        description=(
-                            f"T{write_op.txn} changes the extent of predicate "
-                            f"{read_op.predicate} read by active T{read_op.txn}"
-                        ),
-                    )
-
-
-class DirtyReadStrict(Phenomenon):
-    """A1: ``w1[x]...r2[x]...(a1 and c2 in either order)``.
-
-    The strict (anomaly) interpretation of Dirty Read: T2 actually commits
-    having read data that T1 then aborts.  Section 3 shows this is too weak —
-    history H1 is non-serializable yet contains no A1.
-    """
-
-    code = "A1"
-    name = "Dirty Read (strict)"
-    interpretation = "strict"
-
-    def _scan(self, history: History,
-              index: HistoryIndex) -> Iterator[Occurrence]:
-        for i, write_op in index.writes:
-            if not history.aborts(write_op.txn):
-                continue
-            abort_index = history.terminal_index(write_op.txn)
-            for j, read_op in index.item_reads(write_op.item):
-                if j <= i or read_op.txn == write_op.txn:
-                    continue
-                if not history.commits(read_op.txn):
-                    continue
-                # The read must happen while T1's write is still uncommitted.
-                if abort_index is not None and j > abort_index:
-                    continue
-                yield Occurrence(
-                    phenomenon=self.code,
-                    transactions=(write_op.txn, read_op.txn),
-                    items=(write_op.item,),
-                    indices=(i, j),
-                    description=(
-                        f"T{read_op.txn} committed after reading {write_op.item} "
-                        f"written by T{write_op.txn}, which aborted"
-                    ),
-                )
-
-
-class FuzzyReadStrict(Phenomenon):
-    """A2: ``r1[x]...w2[x]...c2...r1[x]...c1``.
-
-    The strict Non-repeatable Read: T1 reads an item twice, with a committed
-    update by T2 in between, and T1 commits.
-    """
-
-    code = "A2"
-    name = "Fuzzy Read (strict)"
-    interpretation = "strict"
-
-    def _scan(self, history: History,
-              index: HistoryIndex) -> Iterator[Occurrence]:
-        for i, first_read in index.reads:
-            if not history.commits(first_read.txn):
-                continue
-            for j, write_op in index.item_writes(first_read.item):
-                if j <= i or write_op.txn == first_read.txn:
-                    continue
-                commit_index = history.terminal_index(write_op.txn)
-                if not history.commits(write_op.txn) or commit_index is None or commit_index < j:
-                    continue
-                for k, second_read in index.item_reads(first_read.item):
-                    if k <= commit_index:
-                        continue
-                    if second_read.txn != first_read.txn:
-                        continue
-                    yield Occurrence(
-                        phenomenon=self.code,
-                        transactions=(first_read.txn, write_op.txn),
-                        items=(first_read.item,),
-                        indices=(i, j, k),
-                        description=(
-                            f"T{first_read.txn} reread {first_read.item} after a "
-                            f"committed update by T{write_op.txn}"
-                        ),
-                    )
-
-
-class PhantomStrict(Phenomenon):
-    """A3: ``r1[P]...w2[y in P]...c2...r1[P]...c1``.
-
-    The strict Phantom: T1 evaluates the same predicate twice and sees a
-    different set because of a committed write by T2 in between.
-    """
-
-    code = "A3"
-    name = "Phantom (strict)"
-    interpretation = "strict"
-
-    def _scan(self, history: History,
-              index: HistoryIndex) -> Iterator[Occurrence]:
-        predicate_reads = index.predicate_reads
-        for i, first_read in predicate_reads:
-            if not history.commits(first_read.txn):
-                continue
-            for j, write_op in index.predicate_writes_by_predicate.get(
-                    first_read.predicate, ()):
-                if j <= i or write_op.txn == first_read.txn:
-                    continue
-                commit_index = history.terminal_index(write_op.txn)
-                if not history.commits(write_op.txn) or commit_index is None or commit_index < j:
-                    continue
-                for k, second_read in predicate_reads:
-                    if k <= commit_index:
-                        continue
-                    if second_read.txn != first_read.txn:
-                        continue
-                    if second_read.predicate != first_read.predicate:
-                        continue
-                    yield Occurrence(
-                        phenomenon=self.code,
-                        transactions=(first_read.txn, write_op.txn),
-                        items=tuple(filter(None, [write_op.item])),
-                        indices=(i, j, k),
-                        description=(
-                            f"T{first_read.txn} re-evaluated predicate "
-                            f"{first_read.predicate} after a committed change by "
-                            f"T{write_op.txn}"
-                        ),
-                    )
-
-
-class LostUpdate(Phenomenon):
-    """P4: ``r1[x]...w2[x]...w1[x]...c1``.
-
-    T1 reads an item, T2 updates it, then T1 (based on its stale read) updates
-    it and commits — T2's update is lost.  Section 4.1 uses P4 to place Cursor
-    Stability strictly between READ COMMITTED and REPEATABLE READ.
-    """
-
-    code = "P4"
-    name = "Lost Update"
-    interpretation = "broad"
-
-    def _scan(self, history: History,
-              index: HistoryIndex) -> Iterator[Occurrence]:
-        for i, read_op in index.reads:
-            if not history.commits(read_op.txn):
-                continue
-            item_writes = index.item_writes(read_op.item)
-            for j, other_write in item_writes:
-                if j <= i or other_write.txn == read_op.txn:
-                    continue
-                for k, own_write in item_writes:
-                    if k <= j or own_write.txn != read_op.txn:
-                        continue
-                    yield Occurrence(
-                        phenomenon=self.code,
-                        transactions=(read_op.txn, other_write.txn),
-                        items=(read_op.item,),
-                        indices=(i, j, k),
-                        description=(
-                            f"T{read_op.txn} overwrote {read_op.item} based on a read "
-                            f"that predates T{other_write.txn}'s update"
-                        ),
-                    )
-
-
-class CursorLostUpdate(Phenomenon):
-    """P4C: ``rc1[x]...w2[x]...w1[x]...c1``.
-
-    The cursor form of Lost Update.  Cursor Stability holds a lock on the
-    current row of a cursor, so a read through a cursor followed by a write of
-    the same row cannot be interleaved with another transaction's write.
-    """
-
-    code = "P4C"
-    name = "Cursor Lost Update"
-    interpretation = "broad"
-
-    def _scan(self, history: History,
-              index: HistoryIndex) -> Iterator[Occurrence]:
-        for i, read_op in index.cursor_reads:
-            if not history.commits(read_op.txn):
-                continue
-            item_writes = index.item_writes(read_op.item)
-            for j, other_write in item_writes:
-                if j <= i or other_write.txn == read_op.txn:
-                    continue
-                for k, own_write in item_writes:
-                    if k <= j or own_write.txn != read_op.txn:
-                        continue
-                    yield Occurrence(
-                        phenomenon=self.code,
-                        transactions=(read_op.txn, other_write.txn),
-                        items=(read_op.item,),
-                        indices=(i, j, k),
-                        description=(
-                            f"T{read_op.txn} lost T{other_write.txn}'s update to "
-                            f"{read_op.item} read through a cursor"
-                        ),
-                    )
-
-
-class ReadSkew(Phenomenon):
-    """A5A: ``r1[x]...w2[x]...w2[y]...c2...r1[y]...(c1 or a1)`` with x ≠ y.
-
-    T1 reads x; T2 then updates both x and y and commits; T1 then reads y and
-    sees a state in which a constraint between x and y may not hold
-    (inconsistent analysis across two items).
-    """
-
-    code = "A5A"
-    name = "Read Skew"
-    interpretation = "strict"
-
-    def _scan(self, history: History,
-              index: HistoryIndex) -> Iterator[Occurrence]:
-        for i, first_read in index.reads:
-            for j, write_x in index.item_writes(first_read.item):
-                if j <= i or write_x.txn == first_read.txn:
-                    continue
-                if not history.commits(write_x.txn):
-                    continue
-                commit_index = history.terminal_index(write_x.txn)
-                if commit_index is None or commit_index < j:
-                    continue
-                for k, write_y in index.txn_writes(write_x.txn):
-                    if write_y.item == write_x.item:
-                        continue
-                    if not (i < k < commit_index or i < j < commit_index):
-                        continue
-                    for m, second_read in index.item_reads(write_y.item):
-                        if m <= commit_index or second_read.txn != first_read.txn:
-                            continue
-                        yield Occurrence(
-                            phenomenon=self.code,
-                            transactions=(first_read.txn, write_x.txn),
-                            items=(first_read.item, write_y.item),
-                            indices=(i, j, k, m),
-                            description=(
-                                f"T{first_read.txn} read {first_read.item} before and "
-                                f"{write_y.item} after T{write_x.txn}'s committed update "
-                                f"of both"
-                            ),
-                        )
-
-
-class WriteSkew(Phenomenon):
-    """A5B: ``r1[x]...r2[y]...w1[y]...w2[x]...(c1 and c2 occur)`` with x ≠ y.
-
-    Each of two committed transactions reads an item that the other writes
-    afterwards.  Each preserves a constraint over {x, y} in isolation, but the
-    interleaving can violate it (history H5).  Snapshot Isolation admits A5B;
-    REPEATABLE READ does not (Remark 9).
-    """
-
-    code = "A5B"
-    name = "Write Skew"
-    interpretation = "strict"
-
-    def _scan(self, history: History,
-              index: HistoryIndex) -> Iterator[Occurrence]:
-        committed = history.committed_transactions()
-        for i, read_x in index.reads:
-            if read_x.txn not in committed:
-                continue
-            for j, write_x in index.item_writes(read_x.item):
-                if j <= i or write_x.txn == read_x.txn:
-                    continue
-                if write_x.txn not in committed:
-                    continue
-                t1, t2 = read_x.txn, write_x.txn
-                # Now look for the mirror-image dependency on a different item.
-                for k, read_y in index.txn_reads(t2):
-                    if read_y.item == read_x.item:
-                        continue
-                    for m, write_y in index.item_writes(read_y.item):
-                        if m <= k or write_y.txn != t1:
-                            continue
-                        yield Occurrence(
-                            phenomenon=self.code,
-                            transactions=(t1, t2),
-                            items=(read_x.item, read_y.item),
-                            indices=(i, j, k, m),
-                            description=(
-                                f"T{t1} and T{t2} each read one of "
-                                f"{{{read_x.item}, {read_y.item}}} and wrote the other"
-                            ),
-                        )
-
-
-# -- registry ---------------------------------------------------------------------
-
-P0_DIRTY_WRITE = DirtyWrite()
-P1_DIRTY_READ = DirtyRead()
-P2_FUZZY_READ = FuzzyRead()
-P3_PHANTOM = Phantom()
-A1_DIRTY_READ_STRICT = DirtyReadStrict()
-A2_FUZZY_READ_STRICT = FuzzyReadStrict()
-A3_PHANTOM_STRICT = PhantomStrict()
-P4_LOST_UPDATE = LostUpdate()
-P4C_CURSOR_LOST_UPDATE = CursorLostUpdate()
-A5A_READ_SKEW = ReadSkew()
-A5B_WRITE_SKEW = WriteSkew()
-
-#: Every detector defined by the paper, keyed by its code.
-ALL_PHENOMENA: Dict[str, Phenomenon] = {
-    detector.code: detector
-    for detector in (
-        P0_DIRTY_WRITE,
-        P1_DIRTY_READ,
-        P2_FUZZY_READ,
-        P3_PHANTOM,
-        A1_DIRTY_READ_STRICT,
-        A2_FUZZY_READ_STRICT,
-        A3_PHANTOM_STRICT,
-        P4_LOST_UPDATE,
-        P4C_CURSOR_LOST_UPDATE,
-        A5A_READ_SKEW,
-        A5B_WRITE_SKEW,
-    )
-}
-
-#: The broad phenomena of Remark 5 (plus P4/P4C used for the intermediate levels).
-BROAD_PHENOMENA: Tuple[Phenomenon, ...] = (
-    P0_DIRTY_WRITE, P1_DIRTY_READ, P2_FUZZY_READ, P3_PHANTOM,
-    P4_LOST_UPDATE, P4C_CURSOR_LOST_UPDATE,
+class Pattern(NamedTuple):
+    """One row of :data:`PATTERNS`: a phenomenon anchored on ``a`` (at ``i``)
+    and ``b`` (at ``j > i``), two operations of different transactions on one
+    item or one predicate."""
+
+    code: str
+    name: str
+    #: "broad" for the phenomena, "strict" for the anomalies.
+    interpretation: str
+    #: The pair's operations: "w" an item write, "r" an item read (cursor
+    #: reads included), "rc" a cursor read, "r[P]" a predicate read, "w[P]"
+    #: a write that changes P's extent.
+    a: str
+    b: str
+    #: What must hold of a's transaction: "active at j", "active at j,
+    #: aborts" or "commits".
+    a_txn: str
+    #: What must hold of b's transaction: "", "commits" or "commits after j".
+    b_txn: str
+    #: The third operation, by a's transaction on the same item or
+    #: predicate: "", "own write after j" or "own re-read after c2" (which
+    #: needs b's commit after j).
+    third: str
+    #: What an occurrence names: "x" the pair's item, "y" the item b writes.
+    names: str
+    #: The paper's pattern, for readers.
+    paper: str
+    #: The occurrence description: {a}, {b} the transactions, {x} the item or
+    #: predicate of the pair.
+    describe: str
+
+
+_ACTIVE = "active at j"
+_ABORTS = "active at j, aborts"
+_COMMITS = "commits"
+_AFTER_J = "commits after j"
+_OWN_WRITE = "own write after j"
+_REREAD = "own re-read after c2"
+
+#: The paper's pair-anchored phenomena.
+PATTERNS: Tuple[Pattern, ...] = (
+    # Remark 3: every isolation level must forbid P0, for constraints
+    # between items and for before-image recovery.
+    Pattern("P0", "Dirty Write", "broad", "w", "w", _ACTIVE, "", "", "x",
+            "w1[x]...w2[x]...(c1 or a1)",
+            "T{b} overwrites {x} while T{a}'s write is uncommitted"),
+    # The broad reading rules out the inconsistent analysis of H1.
+    Pattern("P1", "Dirty Read", "broad", "w", "r", _ACTIVE, "", "", "x",
+            "w1[x]...r2[x]...(c1 or a1)",
+            "T{b} reads {x} written by uncommitted T{a}"),
+    # Too weak: H1 is non-serializable yet has no A1.
+    Pattern("A1", "Dirty Read (strict)", "strict", "w", "r", _ABORTS,
+            _COMMITS, "", "x",
+            "w1[x]...r2[x]...(a1 and c2 in either order)",
+            "T{b} committed after reading {x} written by T{a}, which aborted"),
+    # The broad reading (no re-read needed) rules out H2.
+    Pattern("P2", "Fuzzy Read (Non-repeatable Read)", "broad", "r", "w",
+            _ACTIVE, "", "", "x",
+            "r1[x]...w2[x]...(c1 or a1)",
+            "T{b} writes {x} after T{a} read it and before T{a} terminated"),
+    # Section 4.1 uses P4 to place Cursor Stability strictly between READ
+    # COMMITTED and REPEATABLE READ.
+    Pattern("P4", "Lost Update", "broad", "r", "w", _COMMITS, "", _OWN_WRITE,
+            "x", "r1[x]...w2[x]...w1[x]...c1",
+            "T{a} overwrote {x} based on a read that predates T{b}'s update"),
+    # Cursor Stability locks a cursor's current row, so this cannot happen.
+    Pattern("P4C", "Cursor Lost Update", "broad", "rc", "w", _COMMITS, "",
+            _OWN_WRITE, "x", "rc1[x]...w2[x]...w1[x]...c1",
+            "T{a} lost T{b}'s update to {x} read through a cursor"),
+    Pattern("A2", "Fuzzy Read (strict)", "strict", "r", "w", _COMMITS,
+            _AFTER_J, _REREAD, "x", "r1[x]...w2[x]...c2...r1[x]...c1",
+            "T{a} reread {x} after a committed update by T{b}"),
+    # Any write that changes the extent, not only the ANSI text's inserts.
+    Pattern("P3", "Phantom", "broad", "r[P]", "w[P]", _ACTIVE, "", "", "y",
+            "r1[P]...w2[y in P]...(c1 or a1)",
+            "T{b} changes the extent of predicate {x} read by active T{a}"),
+    # Too weak: H3 is a phantom that A3 misses.
+    Pattern("A3", "Phantom (strict)", "strict", "r[P]", "w[P]", _COMMITS,
+            _AFTER_J, _REREAD, "y", "r1[P]...w2[y in P]...c2...r1[P]...c1",
+            "T{a} re-evaluated predicate {x} after a committed change by "
+            "T{b}"),
 )
 
-#: The strict anomalies (ANSI A1–A3 and the constraint-violation anomalies A5A/A5B).
-STRICT_ANOMALIES: Tuple[Phenomenon, ...] = (
-    A1_DIRTY_READ_STRICT, A2_FUZZY_READ_STRICT, A3_PHANTOM_STRICT,
-    A5A_READ_SKEW, A5B_WRITE_SKEW,
-)
+# -- compiling the rows -------------------------------------------------------
+#
+# A group entry is ``(position, txn, class)``.  Item groups hold _W, _R and
+# _RC entries, predicate groups _PW and _PR entries.
+_W, _R, _RC, _PW, _PR = range(5)
+_CLASSES = {"w": (_W,), "r": (_R, _RC), "rc": (_RC,), "w[P]": (_PW,),
+            "r[P]": (_PR,)}
+
+# What holds of one pair, as bits; a row fires on the pair when it needs no
+# bit the pair lacks and its third operation exists.
+_A_IS_ACTIVE, _A_ABORTS, _A_COMMITS, _B_COMMITS = 1, 2, 4, 8
+_NEEDS = {_ACTIVE: _A_IS_ACTIVE, _ABORTS: _A_IS_ACTIVE | _A_ABORTS,
+          _COMMITS: _A_COMMITS}
+_B_NEEDS = {"": 0, _COMMITS: _B_COMMITS, _AFTER_J: _B_COMMITS}
+
+#: A row as the readers ask it: (code, bits needed, b commits after j, third).
+_Rule = Tuple[str, int, bool, str]
+#: The rules of one pair of operation classes, indexed by the pair's bits:
+#: entry ``facts`` holds the rules that need no bit outside ``facts``.
+_Slot = Tuple[Tuple[_Rule, ...], ...]
 
 
-#: Detector tuple reused by detect_all (list(...) per call adds up).
-_ALL_DETECTORS: Tuple[Phenomenon, ...] = tuple(ALL_PHENOMENA.values())
+def _rule(row: Pattern) -> _Rule:
+    if row.third == _REREAD and row.b_txn != _AFTER_J:
+        raise ValueError(f"{row.code}: a re-read after c2 needs b's commit "
+                         f"after j")
+    return (row.code, _NEEDS[row.a_txn] | _B_NEEDS[row.b_txn],
+            row.b_txn == _AFTER_J, row.third)
 
 
-def by_code(code: str) -> Phenomenon:
-    """Look up a detector by its paper code (case-insensitive)."""
-    try:
-        return ALL_PHENOMENA[code.upper()]
-    except KeyError:
-        raise KeyError(f"unknown phenomenon code: {code!r}") from None
+def _pair_rules() -> List[List[Optional[_Slot]]]:
+    """``[a class][b class]`` -> the slot of rules that pair can witness;
+    None when the two classes do not conflict (no write, or one item and one
+    predicate)."""
+    table: List[List[Optional[_Slot]]] = []
+    for a in range(5):
+        table.append([])
+        for b in range(5):
+            conflict = ((a in (_W, _PW) or b in (_W, _PW))
+                        and (a >= _PW) == (b >= _PW))
+            rules = [_rule(row) for row in PATTERNS
+                     if a in _CLASSES[row.a] and b in _CLASSES[row.b]]
+            table[a].append(tuple(
+                tuple(rule for rule in rules if not rule[1] & ~facts)
+                for facts in range(16)) if conflict else None)
+    return table
 
 
-def detect_all(history: History,
-               codes: Optional[Iterable[str]] = None,
-               index: Optional[HistoryIndex] = None) -> Dict[str, List[Occurrence]]:
-    """Run every (or the selected) detectors over a history.
+_PAIR_RULES = _pair_rules()
 
-    Returns a mapping from phenomenon code to the list of occurrences (which
-    may be empty).  Useful for building the anomaly matrices of Tables 1 and 4.
-    One :class:`HistoryIndex` is built (or taken from ``index``) and shared
-    across all the detectors.
-    """
-    selected = (
-        [by_code(code) for code in codes] if codes is not None
-        else _ALL_DETECTORS
-    )
-    if index is None:
-        index = HistoryIndex(history)
-    return {detector.code: detector.find(history, index) for detector in selected}
+# -- grouping ------------------------------------------------------------------
+
+_Groups = Dict[str, List[Tuple[int, int, int]]]
+#: (item or predicate, txn) -> the transaction's last position there.
+_Last = Dict[Tuple[str, int], int]
+#: One namespace: its groups, last reads and last writes.
+_Scope = Tuple[_Groups, _Last, _Last]
 
 
-def detect_flags(history: History,
-                 codes: Optional[Iterable[str]] = None) -> Dict[str, bool]:
-    """Presence booleans for every (or the selected) phenomenon.
-
-    The cheap sibling of :func:`detect_all`: the flags of :func:`sweep`,
-    restricted to ``codes`` when given.
-    """
-    flags = sweep(history)[1]
-    if codes is None:
-        return flags
-    return {code: flags[code]
-            for code in (by_code(name).code for name in codes)}
+#: What :func:`_group` returns.
+_Grouped = Tuple[Tuple[_Scope, _Scope], Dict[int, int], Dict[int, Set[str]]]
 
 
-def sweep(history: History) -> Tuple[bool, Dict[str, bool]]:
-    """Conflict serializability and every phenomenon flag, in one pass.
-
-    Every detector above matches a pattern anchored on a pair of conflicting
-    operations ``a`` (at ``i``) and ``b`` (at ``j > i``) of two transactions
-    on one item or one predicate, and the conflict graph is built from
-    exactly those pairs.  So one walk over the per-item and per-predicate
-    operation groups visits each such pair once and decides everything the
-    pair can witness:
-
-    * ww / wr / rw between committed transactions: a conflict edge;
-    * ww, wr, rw while ``a``'s transaction is active: P0, P1, P2;
-    * wr before ``a``'s transaction aborts, with ``b``'s committed: A1;
-    * rw with ``a`` committed and a later write by ``a``'s transaction: P4,
-      and P4C when ``a`` is a cursor read;
-    * rw with ``b`` committed after ``j`` and a re-read of the item (A2, both
-      committed) or of another item ``b`` wrote (A5A) by ``a``'s transaction
-      after that commit;
-    * committed rw pairs ``t1 -> t2`` on x and ``t2 -> t1`` on y != x: A5B;
-    * the predicate rw pairs: P3 and A3.
-
-    The third operation a pattern needs (a later own write, a re-read) is
-    answered from per-(item, transaction) last positions gathered by the
-    grouping pass.  Returns ``(serializable, flags)`` with ``flags`` keyed
-    by every code in :data:`ALL_PHENOMENA`; ``tests/property`` holds it equal
-    to ``find`` and ``build_dependency_graph(history).is_acyclic()``.
-    """
-    committed = history.committed_set()
-    aborted = history.aborted_set()
+def _group(history: History) -> _Grouped:
+    """One pass over a history: the item scope and the predicate scope, each
+    transaction's first terminal, and the items each transaction writes."""
     terminals: Dict[int, int] = {}
-    #: item -> [(position, txn, is_write, is_cursor_read)] in history order.
-    item_groups: Dict[str, List[Tuple[int, int, bool, bool]]] = {}
-    #: predicate -> [(position, txn, is_write)] in history order.
-    predicate_groups: Dict[str, List[Tuple[int, int, bool]]] = {}
-    last_read: Dict[Tuple[str, int], int] = {}
-    last_write: Dict[Tuple[str, int], int] = {}
-    last_predicate_read: Dict[Tuple[str, int], int] = {}
+    items: _Groups = {}
+    predicates: _Groups = {}
+    item_reads: _Last = {}
+    item_writes: _Last = {}
+    predicate_reads: _Last = {}
+    predicate_writes: _Last = {}
     written: Dict[int, Set[str]] = {}
     commit = OperationKind.COMMIT
     abort = OperationKind.ABORT
@@ -773,117 +246,354 @@ def sweep(history: History) -> Tuple[bool, Dict[str, bool]]:
         txn = op.txn
         if kind is read or kind is cursor_read:
             item = op.item
-            group = item_groups.get(item)
+            group = items.get(item)
             if group is None:
-                group = item_groups[item] = []
-            group.append((i, txn, False, kind is cursor_read))
-            last_read[item, txn] = i
+                group = items[item] = []
+            group.append((i, txn, _RC if kind is cursor_read else _R))
+            item_reads[item, txn] = i
         elif kind is commit or kind is abort:
             if txn not in terminals:
                 terminals[txn] = i
         elif kind is predicate_read:
             predicate = op.predicate
-            group = predicate_groups.get(predicate)
+            group = predicates.get(predicate)
             if group is None:
-                group = predicate_groups[predicate] = []
-            group.append((i, txn, False))
-            last_predicate_read[predicate, txn] = i
+                group = predicates[predicate] = []
+            group.append((i, txn, _PR))
+            predicate_reads[predicate, txn] = i
         else:
             item = op.item
             if item is not None:
-                group = item_groups.get(item)
+                group = items.get(item)
                 if group is None:
-                    group = item_groups[item] = []
-                group.append((i, txn, True, False))
-                last_write[item, txn] = i
-                items = written.get(txn)
-                if items is None:
-                    items = written[txn] = set()
-                items.add(item)
+                    group = items[item] = []
+                group.append((i, txn, _W))
+                item_writes[item, txn] = i
+                own = written.get(txn)
+                if own is None:
+                    own = written[txn] = set()
+                own.add(item)
             predicate = op.predicate
             if predicate is not None:
-                group = predicate_groups.get(predicate)
+                group = predicates.get(predicate)
                 if group is None:
-                    group = predicate_groups[predicate] = []
-                group.append((i, txn, True))
+                    group = predicates[predicate] = []
+                group.append((i, txn, _PW))
+                predicate_writes[predicate, txn] = i
+    return (((items, item_reads, item_writes),
+             (predicates, predicate_reads, predicate_writes)),
+            terminals, written)
 
-    p0 = p1 = p2 = p3 = a1 = a2 = a3 = p4 = p4c = a5a = False
+
+def _starts(groups: _Groups, classes: Tuple[int, ...]
+            ) -> List[Tuple[int, str, int]]:
+    """``(position, key, offset in its group)`` of every entry of ``classes``,
+    in history order."""
+    return sorted((entry[0], key, n) for key, group in groups.items()
+                  for n, entry in enumerate(group) if entry[2] in classes)
+
+
+# -- the matchers ----------------------------------------------------------------
+
+def _match(row: Pattern, history: History,
+           grouped: _Grouped) -> Iterator[Occurrence]:
+    """Every occurrence of one row, lazily: ordered by i, then j, then k."""
+    code, need, after_j, third = _rule(row)
+    a_classes, b_classes = _CLASSES[row.a], _CLASSES[row.b]
+    on_predicate = a_classes[0] >= _PW
+    scopes, terminals, _ = grouped
+    groups = scopes[on_predicate][0]
+    if third == _OWN_WRITE:
+        third_classes = (_PW,) if on_predicate else (_W,)
+    else:
+        third_classes = (_PR,) if on_predicate else (_R, _RC)
+    committed = history.committed_set()
+    aborted = history.aborted_set()
+    ops = history.operations
+    for i, key, n in _starts(groups, a_classes):
+        group = groups[key]
+        ta = group[n][1]
+        terminal = terminals.get(ta)
+        a_facts = (_A_COMMITS if ta in committed
+                   else _A_ABORTS if ta in aborted else 0)
+        for j, tb, b_class in group[n + 1:]:
+            if tb == ta or b_class not in b_classes:
+                continue
+            facts = a_facts | (_B_COMMITS if tb in committed else 0)
+            if terminal is None or j < terminal:
+                facts |= _A_IS_ACTIVE
+            if need & ~facts:
+                continue
+            bound = j
+            if after_j:
+                commit_b = terminals[tb]
+                if commit_b <= j:
+                    continue
+                if third == _REREAD:
+                    bound = commit_b
+            names = ((key,) if row.names == "x"
+                     else tuple(filter(None, [ops[j].item])))
+            description = row.describe.format(a=ta, b=tb, x=key)
+            if not third:
+                yield Occurrence(code, (ta, tb), names, (i, j), description)
+                continue
+            for k, tc, c_class in group[n + 1:]:
+                if k > bound and tc == ta and c_class in third_classes:
+                    yield Occurrence(code, (ta, tb), names, (i, j, k),
+                                     description)
+
+
+def _scan_read_skew(history: History,
+                    grouped: _Grouped) -> Iterator[Occurrence]:
+    """A5A: ``r1[x]...w2[x]...w2[y]...c2...r1[y]...(c1 or a1)`` with x ≠ y.
+
+    T1 reads x; T2 then updates both x and y and commits; T1 then reads y and
+    sees a state in which a constraint between x and y may not hold
+    (inconsistent analysis across two items).
+    """
+    ((groups, _, _), _), terminals, _ = grouped
+    committed = history.committed_set()
+    writes = _starts(groups, (_W,))
+    for i, x, n in _starts(groups, (_R, _RC)):
+        group = groups[x]
+        t1 = group[n][1]
+        for j, t2, b_class in group[n + 1:]:
+            if b_class != _W or t2 == t1 or t2 not in committed:
+                continue
+            c2 = terminals[t2]
+            if c2 < j:
+                continue
+            for k, y, offset in writes:
+                if y == x or groups[y][offset][1] != t2:
+                    continue
+                for m, tc, c_class in groups[y]:
+                    if m > c2 and tc == t1 and c_class != _W:
+                        yield Occurrence(
+                            "A5A", (t1, t2), (x, y), (i, j, k, m),
+                            f"T{t1} read {x} before and {y} after T{t2}'s "
+                            f"committed update of both")
+
+
+def _scan_write_skew(history: History,
+                     grouped: _Grouped) -> Iterator[Occurrence]:
+    """A5B: ``r1[x]...r2[y]...w1[y]...w2[x]...(c1 and c2 occur)`` with x ≠ y.
+
+    Each of two committed transactions reads an item that the other writes
+    afterwards.  Each preserves a constraint over {x, y} in isolation, but the
+    interleaving can violate it (history H5).  Snapshot Isolation admits A5B;
+    REPEATABLE READ does not (Remark 9).
+    """
+    ((groups, _, _), _), _, _ = grouped
+    committed = history.committed_set()
+    reads = _starts(groups, (_R, _RC))
+    for i, x, n in reads:
+        group = groups[x]
+        t1 = group[n][1]
+        if t1 not in committed:
+            continue
+        for j, t2, b_class in group[n + 1:]:
+            if b_class != _W or t2 == t1 or t2 not in committed:
+                continue
+            for k, y, offset in reads:
+                if y == x or groups[y][offset][1] != t2:
+                    continue
+                for m, tc, c_class in groups[y][offset + 1:]:
+                    if c_class == _W and tc == t1:
+                        yield Occurrence(
+                            "A5B", (t1, t2), (x, y), (i, j, k, m),
+                            f"T{t1} and T{t2} each read one of "
+                            f"{{{x}, {y}}} and wrote the other")
+
+
+# -- registry ---------------------------------------------------------------------
+
+class Phenomenon:
+    """A named phenomenon / anomaly detector over a lazy occurrence scan of a
+    grouped history."""
+
+    def __init__(self, code: str, name: str, interpretation: str,
+                 scan: Callable[[History, _Grouped], Iterator[Occurrence]]):
+        #: Short code used in the paper ("P0", "A5B", ...).
+        self.code = code
+        #: Human-readable name ("Dirty Write", "Write Skew", ...).
+        self.name = name
+        #: "broad" for phenomena (P*), "strict" for anomalies (A*).
+        self.interpretation = interpretation
+        self._scan = scan
+
+    def find(self, history: History) -> List[Occurrence]:
+        """All occurrences of the phenomenon in the history."""
+        return list(self._scan(history, _group(history)))
+
+    def occurs_in(self, history: History) -> bool:
+        """True when the phenomenon occurs at least once; stops at the first
+        occurrence.  :func:`sweep` answers every flag at once."""
+        for _ in self._scan(history, _group(history)):
+            return True
+        return False
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<{self.code} {self.name}>"
+
+
+_ROWS = {row.code: row for row in PATTERNS}
+
+
+def _detector(code: str) -> Phenomenon:
+    row = _ROWS[code]
+    return Phenomenon(row.code, row.name, row.interpretation,
+                      partial(_match, row))
+
+
+P0_DIRTY_WRITE = _detector("P0")
+P1_DIRTY_READ = _detector("P1")
+P2_FUZZY_READ = _detector("P2")
+P3_PHANTOM = _detector("P3")
+A1_DIRTY_READ_STRICT = _detector("A1")
+A2_FUZZY_READ_STRICT = _detector("A2")
+A3_PHANTOM_STRICT = _detector("A3")
+P4_LOST_UPDATE = _detector("P4")
+P4C_CURSOR_LOST_UPDATE = _detector("P4C")
+A5A_READ_SKEW = Phenomenon("A5A", "Read Skew", "strict", _scan_read_skew)
+A5B_WRITE_SKEW = Phenomenon("A5B", "Write Skew", "strict", _scan_write_skew)
+
+#: Every detector defined by the paper, keyed by its code.
+ALL_PHENOMENA: Dict[str, Phenomenon] = {
+    detector.code: detector
+    for detector in (
+        P0_DIRTY_WRITE, P1_DIRTY_READ, P2_FUZZY_READ, P3_PHANTOM,
+        A1_DIRTY_READ_STRICT, A2_FUZZY_READ_STRICT, A3_PHANTOM_STRICT,
+        P4_LOST_UPDATE, P4C_CURSOR_LOST_UPDATE, A5A_READ_SKEW, A5B_WRITE_SKEW,
+    )
+}
+
+#: Detector tuple reused by detect_all (list(...) per call adds up).
+_ALL_DETECTORS: Tuple[Phenomenon, ...] = tuple(ALL_PHENOMENA.values())
+
+#: The broad phenomena of Remark 5 (plus P4/P4C used for the intermediate levels).
+BROAD_PHENOMENA: Tuple[Phenomenon, ...] = tuple(
+    detector for detector in _ALL_DETECTORS
+    if detector.interpretation == "broad")
+
+#: The strict anomalies (ANSI A1–A3 and the constraint-violation anomalies A5A/A5B).
+STRICT_ANOMALIES: Tuple[Phenomenon, ...] = tuple(
+    detector for detector in _ALL_DETECTORS
+    if detector.interpretation == "strict")
+
+
+def by_code(code: str) -> Phenomenon:
+    """Look up a detector by its paper code (case-insensitive)."""
+    try:
+        return ALL_PHENOMENA[code.upper()]
+    except KeyError:
+        raise KeyError(f"unknown phenomenon code: {code!r}") from None
+
+
+def detect_all(history: History,
+               codes: Optional[Iterable[str]] = None
+               ) -> Dict[str, List[Occurrence]]:
+    """Run every (or the selected) detectors over a history.
+
+    Returns a mapping from phenomenon code to the list of occurrences (which
+    may be empty).  Useful for building the anomaly matrices of Tables 1 and 4.
+    The history is grouped once for all the detectors.
+    """
+    selected = (
+        [by_code(code) for code in codes] if codes is not None
+        else _ALL_DETECTORS
+    )
+    grouped = _group(history)
+    return {detector.code: list(detector._scan(history, grouped))
+            for detector in selected}
+
+
+def sweep(history: History) -> Tuple[bool, Dict[str, bool]]:
+    """Conflict serializability and every phenomenon flag, in one pass.
+
+    Every pattern is anchored on a pair of conflicting operations ``a`` (at
+    ``i``) and ``b`` (at ``j > i``) of two transactions on one item or one
+    predicate, and the conflict graph is built from exactly those pairs.  So
+    one walk over the per-item and per-predicate groups visits each such pair
+    once and decides everything it can witness:
+
+    * between committed transactions: a conflict edge;
+    * each :data:`PATTERNS` row not yet fired, for the pair's two operation
+      classes: a's terminal against ``j``, b's terminal against ``j``, and
+      a's last own write or re-read of the item or predicate, from the
+      last positions the grouping pass gathers;
+    * on a committed rw pair ``t1 -> t2`` on x, its item, so that a mirror
+      pair ``t2 -> t1`` on y != x gives A5B;
+    * on an rw pair whose b commits after ``j``, a re-read by a's
+      transaction after that commit of another item b wrote: A5A.
+
+    Returns ``(serializable, flags)`` with ``flags`` keyed by every code in
+    :data:`ALL_PHENOMENA`; ``tests/property`` holds it equal to ``find``,
+    ``build_dependency_graph(history).is_acyclic()`` and pinned digests.
+    """
+    scopes, terminals, written = _group(history)
+    item_reads = scopes[0][1]
+    committed = history.committed_set()
+    aborted = history.aborted_set()
+    flags = dict.fromkeys(ALL_PHENOMENA, False)
     adjacency: Dict[int, Set[int]] = {txn: set() for txn in committed}
     #: (t1, t2) -> items of committed rw pairs t1 -> t2 (A5B's two halves).
     rw_items: Dict[Tuple[int, int], Set[str]] = {}
-    for item, group in item_groups.items():
-        size = len(group)
-        for first in range(size - 1):
-            i, ta, a_writes, a_cursor = group[first]
-            terminal = terminals.get(ta)
-            a_committed = ta in committed
-            for j, tb, b_writes, _ in group[first + 1:]:
-                if tb == ta or not (a_writes or b_writes):
-                    continue
-                active = terminal is None or j < terminal
-                b_committed = tb in committed
-                if a_committed and b_committed:
-                    adjacency[ta].add(tb)
-                if a_writes:
-                    if b_writes:
-                        if active:
-                            p0 = True
-                    elif active:
-                        p1 = True
-                        if ta in aborted and b_committed:
-                            a1 = True
-                    continue
-                # rw: a reads the item, b later writes it.
-                if active:
-                    p2 = True
-                if a_committed:
-                    if last_write.get((item, ta), -1) > j:
-                        p4 = True
-                        if a_cursor:
-                            p4c = True
-                    if b_committed:
+    a5a = False
+    for groups, reads, writes in scopes:
+        for key, group in groups.items():
+            for first in range(len(group) - 1):
+                i, ta, a_class = group[first]
+                terminal = terminals.get(ta)
+                a_committed = ta in committed
+                a_facts = (_A_COMMITS if a_committed
+                           else _A_ABORTS if ta in aborted else 0)
+                by_b = _PAIR_RULES[a_class]
+                for j, tb, b_class in group[first + 1:]:
+                    slot = by_b[b_class]
+                    if slot is None or tb == ta:
+                        continue
+                    facts = a_facts
+                    if tb in committed:
+                        facts |= _B_COMMITS
+                        if a_committed:
+                            adjacency[ta].add(tb)
+                    if terminal is None or j < terminal:
+                        facts |= _A_IS_ACTIVE
+                    for code, _, after_j, third in slot[facts]:
+                        if flags[code]:
+                            continue
+                        if after_j:
+                            commit_b = terminals[tb]
+                            if commit_b <= j:
+                                continue
+                        if third:
+                            if third == _OWN_WRITE:
+                                if writes.get((key, ta), -1) <= j:
+                                    continue
+                            elif reads.get((key, ta), -1) <= commit_b:
+                                continue
+                        flags[code] = True
+                    if b_class != _W or a_class == _W or not facts & _B_COMMITS:
+                        continue
+                    # A committed b on an rw item pair: the hand-matched
+                    # anomalies.
+                    if a_committed:
                         pair = rw_items.get((ta, tb))
                         if pair is None:
                             pair = rw_items[ta, tb] = set()
-                        pair.add(item)
-                if b_committed:
-                    commit_b = terminals[tb]
-                    if commit_b > j:
-                        if a_committed and last_read[item, ta] > commit_b:
-                            a2 = True
-                        if not a5a:
+                        pair.add(key)
+                    if not a5a:
+                        commit_b = terminals[tb]
+                        if commit_b > j:
                             for other in written[tb]:
-                                if (other != item and last_read.get(
+                                if (other != key and item_reads.get(
                                         (other, ta), -1) > commit_b):
                                     a5a = True
                                     break
-    for predicate, group in predicate_groups.items():
-        size = len(group)
-        for first in range(size - 1):
-            i, ta, a_writes = group[first]
-            terminal = terminals.get(ta)
-            a_committed = ta in committed
-            for j, tb, b_writes in group[first + 1:]:
-                if tb == ta or not (a_writes or b_writes):
-                    continue
-                b_committed = tb in committed
-                if a_committed and b_committed:
-                    adjacency[ta].add(tb)
-                if a_writes or not b_writes:
-                    continue
-                if terminal is None or j < terminal:
-                    p3 = True
-                if a_committed and b_committed:
-                    commit_b = terminals[tb]
-                    if (commit_b > j and last_predicate_read[predicate, ta]
-                            > commit_b):
-                        a3 = True
-    a5b = False
+    flags["A5A"] = a5a
     for (t1, t2), forward in rw_items.items():
         backward = rw_items.get((t2, t1))
         if backward is not None and len(forward | backward) >= 2:
-            a5b = True
+            flags["A5B"] = True
             break
-    flags = {"P0": p0, "P1": p1, "P2": p2, "P3": p3, "A1": a1, "A2": a2,
-             "A3": a3, "P4": p4, "P4C": p4c, "A5A": a5a, "A5B": a5b}
     return adjacency_is_acyclic(adjacency), flags

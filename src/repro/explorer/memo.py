@@ -249,18 +249,21 @@ def _classify_pass(history: History, initial_items) -> _ClassEntry:
 # how operations of unrelated scopes interleave, and what each pass reads is
 # fixed by a key component:
 #
-#   sweep reads                                  fixed by
-#   committed_set / aborted_set                  the blocks
-#   group membership, is_write, is_cursor_read   the blocks (kind, item, predicate)
-#   group positions: the pair order i < j        the item's or predicate's sequence
-#   terminals[t] against a position in a group   t's terminal in that group's
-#     that t joined                                sequence
-#   last_read / last_write (item, t) against j   the item's sequence
-#   written[t]                                   the blocks
-#   last_read (other, ta) against terminals[tb]  other's sequence: tb wrote
-#     (A5A)                                        other, so its terminal is in it
-#   last_predicate_read (P, t) against           the predicate's sequence
-#     terminals[tb] (A3)
+#   sweep reads (a PATTERNS row's fields)        fixed by
+#   committed_set / aborted_set: a_txn           the blocks
+#     "commits" / "aborts", b_txn "commits"
+#   a's and b's classes (w, r, rc, r[P], w[P])   the blocks (kind, item, predicate)
+#     and group membership
+#   the pair order i < j                         the item's or predicate's sequence
+#   a's terminal against j: a_txn "active at j"  a's terminal in that group's
+#                                                  sequence
+#   b's terminal against j: b_txn "commits       b's terminal in that group's
+#     after j"                                     sequence
+#   a's last own write against j, or last        the item's or predicate's
+#     re-read against b's terminal: third          sequence (b's terminal is in it)
+#   written[t] (A5A, by hand)                    the blocks
+#   a's last read of another item b wrote        that item's sequence: b wrote
+#     against b's terminal (A5A, by hand)          it, so b's terminal is in it
 #
 #   _mv_classify_core reads                      fixed by
 #   ops_by_txn, kinds, items, versions           the blocks

@@ -62,7 +62,6 @@ class VariantExploration:
     mode: str
     space_size: int
     schedules: int
-    executed: int
     manifested: int
     stalled: int
     deadlocked: int
@@ -203,7 +202,6 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
         mode=space.mode,
         space_size=space.total,
         schedules=len(schedules),
-        executed=len(schedules),
         manifested=manifested,
         stalled=stalled,
         deadlocked=deadlocked,
@@ -247,8 +245,8 @@ def explore_scenario(scenario: AnomalyScenario, level: IsolationLevelName,
                 return VariantExploration(
                     scenario_code=scenario.code, variant_name=variant.name,
                     level=level, mode="pruned", space_size=0, schedules=0,
-                    executed=0, manifested=0, stalled=0, deadlocked=0,
-                    engine_aborted=0, witness=None, witness_history=None,
+                    manifested=0, stalled=0, deadlocked=0, engine_aborted=0,
+                    witness=None, witness_history=None,
                     pruned=True, static_reason=verdict.reason,
                 )
         return explore_variant(variant, level, scenario_code=scenario.code,

@@ -15,7 +15,7 @@ updates") — and proves the paper's detectors admit it:
   position constraints only reference operations at or before the op that
   completes the pattern).  So each code fires exactly once, at the first
   operation that completes it, and the per-stream verdict is the set of fired
-  codes — identical to running :func:`~repro.core.phenomena.detect_flags`
+  codes — identical to the flags :func:`~repro.core.phenomena.sweep` gives
   over the drained history.
 * Serializability is **monotone decreasing**: conflict edges are only added,
   so the flag is sticky-False.  A cycle becomes fully committed exactly when
@@ -127,8 +127,8 @@ class _TxnState:
         self.first_pred_reads: Dict[str, int] = {}
         #: item -> position of the last write (A2/A5A mark creation).
         self.last_writes: Dict[str, int] = {}
-        #: predicate -> position of the last predicate write (A3).
-        self.last_pred_writes: Dict[str, int] = {}
+        #: predicate -> (position, item) of the last predicate write (A3).
+        self.last_pred_writes: Dict[str, Tuple[int, Optional[str]]] = {}
 
 
 class OnlineClassifier:
@@ -184,16 +184,19 @@ class OnlineClassifier:
         #: there a foreign write after position p" in O(1) (P4/P4C).
         self._last_write: Dict[str, Tuple[int, int]] = {}
         self._last_write_other: Dict[str, Tuple[int, int]] = {}
-        # A1 dirty pairs: (writer, reader) recorded while the writer is active.
-        self._dirty_by_writer: Dict[int, Set[int]] = {}
+        # A1 dirty pairs: (writer, reader) recorded while the writer is
+        # active, with the first item the reader read dirty.
+        self._dirty_by_writer: Dict[int, Dict[int, str]] = {}
         self._dirty_by_reader: Dict[int, Set[int]] = {}
-        self._a1_ready: Dict[int, int] = {}          # reader -> aborted writer
+        self._a1_ready: Dict[int, Tuple[int, str]] = {}  # reader -> (aborted writer, item)
         # A2/A3/A5A marks placed at a writer's commit on still-active readers.
         self._fuzzy_marks: Dict[int, Dict[str, int]] = {}    # txn -> item -> writer
-        self._phantom_marks: Dict[int, Dict[str, int]] = {}  # txn -> pred -> writer
+        #: txn -> pred -> (writer, item the writer wrote in pred).
+        self._phantom_marks: Dict[int, Dict[str, Tuple[int, Optional[str]]]] = {}
         self._a2_armed: Dict[int, Tuple[int, str]] = {}      # txn -> (writer, item)
-        self._a3_armed: Dict[int, Tuple[int, str]] = {}
-        self._a5a_marks: Dict[int, Dict[str, int]] = {}      # txn -> item -> writer
+        self._a3_armed: Dict[int, Tuple[int, Optional[str]]] = {}  # txn -> (writer, item)
+        #: txn -> y -> (writer, x): the writer updated x and y, txn read x.
+        self._a5a_marks: Dict[int, Dict[str, Tuple[int, str]]] = {}
         # P4/P4C pending: pattern complete, waiting for T1's commit.
         self._p4_pending: Dict[int, Tuple[int, str]] = {}    # txn -> (other, item)
         self._p4c_pending: Dict[int, Tuple[int, str]] = {}
@@ -434,7 +437,8 @@ class OnlineClassifier:
             if not self._fired["A1"]:
                 for w in item_writers:
                     if w != txn and w in active:
-                        self._dirty_by_writer.setdefault(w, set()).add(txn)
+                        self._dirty_by_writer.setdefault(w, {}).setdefault(
+                            txn, item)
                         self._dirty_by_reader.setdefault(txn, set()).add(w)
             if self._serializable:
                 for w in item_writers:
@@ -442,7 +446,8 @@ class OnlineClassifier:
         if not self._fired["A5A"]:
             marks = self._a5a_marks.get(txn)
             if marks and item in marks:
-                self._fire("A5A", (txn, marks[item]), (item,), pos)
+                writer, first = marks[item]
+                self._fire("A5A", (txn, writer), (first, item), pos)
         if not self._fired["A2"] and txn not in self._a2_armed:
             info = self._fuzzy_marks.get(txn)
             if info and item in info:
@@ -460,7 +465,7 @@ class OnlineClassifier:
         if not self._fired["A3"] and txn not in self._a3_armed:
             info = self._phantom_marks.get(txn)
             if info and pred in info:
-                self._a3_armed[txn] = (info[pred], pred)
+                self._a3_armed[txn] = info[pred]
         pred_writers = self._pred_writers.get(pred)
         if pred_writers and self._serializable:
             for w in pred_writers:
@@ -554,7 +559,7 @@ class OnlineClassifier:
                     self._record_pair(w, txn)
             if txn not in pred_writers:
                 pred_writers[txn] = pos
-            state.last_pred_writes[pred] = pos
+            state.last_pred_writes[pred] = (pos, item)
 
     # -- terminal handling -----------------------------------------------------
 
@@ -576,11 +581,11 @@ class OnlineClassifier:
             writer, item = self._a2_armed.pop(txn)
             self._fire("A2", (txn, writer), (item,), pos)
         if not fired["A3"] and txn in self._a3_armed:
-            writer, pred = self._a3_armed.pop(txn)
-            self._fire("A3", (txn, writer), (pred,), pos)
+            writer, item = self._a3_armed.pop(txn)
+            self._fire("A3", (txn, writer), tuple(filter(None, [item])), pos)
         if not fired["A1"] and txn in self._a1_ready:
-            writer = self._a1_ready.pop(txn)
-            self._fire("A1", (writer, txn), (), pos)
+            writer, item = self._a1_ready.pop(txn)
+            self._fire("A1", (writer, txn), (item,), pos)
         # A1 pairs where this txn was the dirty *writer* can never fire now.
         if not fired["A1"]:
             for r in self._dirty_by_writer.pop(txn, ()):
@@ -599,10 +604,11 @@ class OnlineClassifier:
                     if a != txn and a in self._active and first_pos < last_pos:
                         self._fuzzy_marks.setdefault(a, {})[item] = txn
         if not fired["A3"]:
-            for pred, last_pos in state.last_pred_writes.items():
+            for pred, (last_pos, item) in state.last_pred_writes.items():
                 for a, first_pos in self._pred_readers.get(pred, {}).items():
                     if a != txn and a in self._active and first_pos < last_pos:
-                        self._phantom_marks.setdefault(a, {})[pred] = txn
+                        self._phantom_marks.setdefault(a, {})[pred] = (
+                            txn, item)
         if not fired["A5A"] and len(state.last_writes) >= 2:
             written = state.last_writes
             for item, last_pos in written.items():
@@ -611,7 +617,7 @@ class OnlineClassifier:
                         marks = self._a5a_marks.setdefault(a, {})
                         for other_item in written:
                             if other_item != item and other_item not in marks:
-                                marks[other_item] = txn
+                                marks[other_item] = (txn, item)
         # A5B: both sides committed with mutual rw dependencies on >= 2 items.
         if not fired["A5B"]:
             for p in list(self._rw_partners.get(txn, ())):
@@ -676,18 +682,18 @@ class OnlineClassifier:
         # A1: an aborted dirty writer fires against already-committed readers
         # and arms still-active ones.
         if not self._fired["A1"]:
-            for r in self._dirty_by_writer.pop(txn, ()):
+            for r, item in self._dirty_by_writer.pop(txn, {}).items():
                 readers = self._dirty_by_reader.get(r)
                 if readers is not None:
                     readers.discard(txn)
                 if r in self._committed:
-                    self._fire("A1", (txn, r), (), pos)
+                    self._fire("A1", (txn, r), (item,), pos)
                 elif r in self._active and r not in self._a1_ready:
-                    self._a1_ready[r] = txn
+                    self._a1_ready[r] = (txn, item)
             for w in self._dirty_by_reader.pop(txn, ()):
-                writers = self._dirty_by_writer.get(w)
-                if writers is not None:
-                    writers.discard(txn)
+                readers_of = self._dirty_by_writer.get(w)
+                if readers_of is not None:
+                    readers_of.pop(txn, None)
         self._a1_ready.pop(txn, None)
         self._fuzzy_marks.pop(txn, None)
         self._phantom_marks.pop(txn, None)
@@ -816,9 +822,9 @@ class OnlineClassifier:
             if readers is not None:
                 readers.discard(txn)
         for w in self._dirty_by_reader.pop(txn, ()):
-            writers = self._dirty_by_writer.get(w)
-            if writers is not None:
-                writers.discard(txn)
+            readers_of = self._dirty_by_writer.get(w)
+            if readers_of is not None:
+                readers_of.pop(txn, None)
         self._a1_ready.pop(txn, None)
         self._fuzzy_marks.pop(txn, None)
         self._phantom_marks.pop(txn, None)

@@ -30,7 +30,7 @@ class TestExploreVariant:
         assert exploration.space_size == 20
         assert exploration.schedules == 20
         assert exploration.mode == "exhaustive"
-        assert exploration.executed == exploration.schedules
+        assert not exploration.pruned
         assert exploration.manifests
         assert 0.0 < exploration.frequency <= 1.0
         assert exploration.witness is not None
@@ -100,7 +100,8 @@ class TestExploreScenario:
         assert exploration.possibility is Possibility.NOT_POSSIBLE
         assert exploration.witness is None
         assert exploration.pruned_variants == 0
-        assert all(variant.executed > 0 for variant in exploration.variants)
+        assert all(variant.schedules > 0 and not variant.pruned
+                   for variant in exploration.variants)
 
     def test_default_skips_statically_impossible_spaces(self):
         """A5A at SI is ruled out statically: same cell, nothing executed."""
@@ -111,7 +112,7 @@ class TestExploreScenario:
         assert pruned.pruned_variants == len(scenario.variants)
         for variant in pruned.variants:
             assert variant.pruned and variant.mode == "pruned"
-            assert variant.executed == variant.schedules == 0
+            assert variant.schedules == 0
             assert variant.static_reason
 
     def test_empty_scenario_raises(self):

@@ -192,8 +192,8 @@ def from_scratch(variant, level, scenario_code, outcomes=None):
     return VariantExploration(
         scenario_code=scenario_code, variant_name=variant.name, level=level,
         mode=space.mode, space_size=space.total, schedules=len(schedules),
-        executed=len(schedules), manifested=manifested, stalled=stalled,
-        deadlocked=deadlocked, engine_aborted=engine_aborted,
+        manifested=manifested, stalled=stalled, deadlocked=deadlocked,
+        engine_aborted=engine_aborted,
         witness=witness, witness_history=witness_history,
     )
 

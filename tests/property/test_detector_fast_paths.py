@@ -1,7 +1,8 @@
-"""Property-based gate: the one-pass :func:`sweep` agrees with the paper
-definitions — every detector's occurrence enumerator (``find``) and the
-conflict-graph verdict of ``build_dependency_graph`` — on random histories
-that use every operation kind and may leave transactions unterminated."""
+"""Property-based gate: the one-pass :func:`sweep` agrees with every
+detector's occurrence enumerator (``find``) and the conflict-graph verdict
+of ``build_dependency_graph`` on random histories that use every operation
+kind and may leave transactions unterminated; pinned digests hold both
+detectors to their outputs before they shared the ``PATTERNS`` rows."""
 
 from __future__ import annotations
 
@@ -53,8 +54,8 @@ def test_seeded_corpus_fires_every_code():
 
 # Pinned outputs of the detectors as they stood when ``find`` and ``sweep``
 # were separate hand-written definitions.  Both now read the same pattern
-# rows, so the agreement tests above no longer compare two independent
-# implementations; these digests are the independent oracle.
+# rows, so the agreement tests above cannot catch an edit to a row; these
+# digests can.
 
 def test_detect_all_digest_on_seeded_corpus():
     reports = [detect_all(history) for history in _corpus()]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.history import History, parse_history
 from repro.core.isolation import IsolationLevelName
 from repro.core.operations import Operation, OperationKind
+from repro.core.phenomena import detect_all
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.explorer.memo import BatchClassifier
 from repro.service import OnlineClassifier, StreamError
@@ -158,6 +159,25 @@ class TestCertificates:
         assert fresh[0].op_index == 1
         # Same phenomenon never certifies twice.
         assert classifier.feed_shorthand("w1[y] w2[y]") == []
+
+    @pytest.mark.parametrize("text, code", [
+        ("w1[x] r2[x] a1 c2", "A1"),
+        ("r1[P] w2[insert y to P] c2 r1[P] c1", "A3"),
+        ("r1[x] w2[x] w2[y] c2 r1[y] c1", "A5A"),
+    ])
+    @pytest.mark.parametrize("multiversion", [False, True])
+    def test_certificate_names_the_items_of_the_definition(
+            self, text, code, multiversion):
+        """Both modes name the items of the first offline occurrence: A1 the
+        item read dirty, A3 the item written into the predicate, A5A both
+        items."""
+        classifier = OnlineClassifier("t", multiversion=multiversion,
+                                      evict=False)
+        classifier.feed_shorthand(text)
+        (certificate,) = [c for c in classifier.certificates
+                          if c.code == code]
+        expected = detect_all(parse_history(text))[code][0].items
+        assert certificate.items == expected
 
     def test_witness_window_bounds_the_fragment(self):
         classifier = OnlineClassifier("t", witness_window=4)
