@@ -84,7 +84,7 @@ from ..locking.policy import POLICIES, policy_for
 from ..storage.database import Database
 from .transition_table import TableWalk, slot_record, sorted_order_and_lcps
 
-__all__ = ["BatchStats", "build_batch_kernel"]
+__all__ = ["BatchStats", "build_batch_kernel", "machine_key"]
 
 #: The kernel's step vocabulary: the four exact step types its tables express.
 #: Any other step type (rows, predicates, cursors, or a subclass overriding
@@ -892,10 +892,7 @@ def build_batch_kernel(database: Database,
     (typically ``TrieExecutor.run_one``) handles per-row ejection for
     schedules the kernel declines at runtime.
     """
-    if engine_options or not programs:
-        return None
-    if any(type(step) not in _OPCODES
-           for program in programs for step in program.steps):
+    if engine_options or not _item_only(programs):
         return None
     flat = _FlatPrograms(programs)
     seed = [database.get_item(name, _ABSENT) for name in flat.item_names]
@@ -907,3 +904,31 @@ def build_batch_kernel(database: Database,
     if level is IsolationLevelName.SNAPSHOT_ISOLATION:
         return _SnapshotKernel(flat, seed, database, engine_name, fallback)
     return None
+
+
+def _item_only(programs: Sequence[TransactionProgram]) -> bool:
+    """Whether every step is exactly one of the kernel's four step types."""
+    return bool(programs) and all(type(step) in _OPCODES
+                                  for program in programs
+                                  for step in program.steps)
+
+
+def machine_key(programs: Sequence[TransactionProgram],
+                level: IsolationLevelName) -> Any:
+    """What decides every record of ``programs`` run at ``level``.
+
+    Item-only programs at a Table 2 locking level (with the default engine
+    options, the only ones ``explore()`` builds) consult two rules of the
+    level's policy and nothing else: the item-read lock and the write lock.
+    Predicate and cursor rules never fire, and the real engine uses the
+    level only to name itself.  For them the key is that pair of
+    :class:`~repro.locking.policy.LockRule` values, so REPEATABLE READ and
+    SERIALIZABLE (which differ in predicate-read duration) are one machine,
+    and so are READ COMMITTED and Cursor Stability (cursor-read duration).
+    Degree 0 and READ UNCOMMITTED stay apart: their write durations differ.
+    Any other program set or level is keyed by the level itself.
+    """
+    if level in POLICIES and _item_only(programs):
+        policy = POLICIES[level]
+        return (policy.item_read, policy.write)
+    return level

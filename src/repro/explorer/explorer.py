@@ -7,11 +7,17 @@ it in fixed-size chunks, executes every chunk through the prefix-sharing
 out over a ``multiprocessing`` pool — and reassembles the per-schedule records
 in schedule order.
 
-Three scaling layers sit on the hot path:
+Four scaling layers sit on the hot path:
 
 * **Streaming** — the schedule stream is generated lazily and dispatched with
-  ``imap`` over indexed chunks, so exploring (or sampling) millions of
-  schedules holds O(chunk) interleavings in memory, never the full list.
+  ``imap`` over batches of indexed chunks, so exploring (or sampling)
+  millions of schedules holds O(batch) interleavings and records in memory
+  (:data:`BATCH_SCHEDULES` at most per batch), never the full list.
+* **Whole levels per worker** — one ``imap`` carries every executed level's
+  batches in (level, chunk) order, and a level splits into only as many
+  batches as it takes to keep every worker busy, so a worker builds and
+  warms the testbeds of the levels it takes and no others, and a free worker
+  starts the next level while the others finish theirs.
 * **Prefix-sharing execution** — each worker keeps one testbed per
   (spec, level) and walks its chunks as a DFS over their shared-prefix trie:
   a schedule re-executes only the suffix past the deepest checkpoint it
@@ -24,6 +30,13 @@ Three scaling layers sit on the hot path:
   is the run.  Workers exchange nothing: no manager process, no per-chunk
   round trips.
 
+A level is identified by the machine it runs
+(:func:`~repro.explorer.batch_kernel.machine_key`), not by its name: on
+item-only programs REPEATABLE READ and SERIALIZABLE take the same locks, and
+so do READ COMMITTED and Cursor Stability, so a level whose machine an
+earlier level of the call already ran is not executed and gets that level's
+records.
+
 Determinism contract: the full output (every record, in order) is a pure
 function of ``(spec, levels, mode, max_schedules, seed)``.  Worker count,
 chunk size, classification-memo warmth and the classifications an attached
@@ -32,7 +45,7 @@ schedule stream is fixed by the seed before any execution, chunks are
 indexed, records are reassembled by chunk index, execution is byte-equal to
 from-scratch runs (the trie executor's contract), and classification is a
 pure function of the realized history.  Every record is its own schedule's
-execution.
+execution on its level's machine.
 ``ExplorationResult.fingerprint()`` hashes the record stream so tests can
 assert byte-identical serial/parallel output.
 """
@@ -49,6 +62,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.isolation import IsolationLevelName
 from ..workloads.program_sets import ProgramSetSpec, resolve_program_set
+from .batch_kernel import machine_key
 from .memo import BatchClassifier
 from .options import DEFAULT_LEVELS, ExploreOptions
 from .schedules import Interleaving, ScheduleSpace, schedule_space
@@ -61,6 +75,7 @@ from .worker import (
 )
 
 __all__ = [
+    "BATCH_SCHEDULES",
     "DEFAULT_LEVELS",
     "ExploreOptions",
     "LevelExploration",
@@ -71,6 +86,13 @@ __all__ = [
 
 # DEFAULT_LEVELS is defined in .options (the consolidated configuration
 # surface) and re-exported here for its historical importers.
+
+#: The most schedules one pool task (a batch of consecutive chunks of one
+#: level) carries, so the most a worker holds before it returns.  Measured
+#: on the ledger's spec (4 transactions x 5 steps, chunks of 256): a full
+#: batch pickles to 0.7 MB of tasks and 3.7 MB of results, and the results
+#: take 9.7 MB as objects once the parent has unpickled them.
+BATCH_SCHEDULES = 16_384
 
 
 def available_workers() -> int:
@@ -88,17 +110,18 @@ class LevelExploration:
     level: IsolationLevelName
     records: Tuple[ScheduleRecord, ...]
     cache_stats: Dict[str, int]
+    #: Wall seconds the caller spent on this level; with a pool, levels
+    #: overlap, so it is the wait for this level's batches.
     duration: float
     executed: int = -1
+    #: The earlier level of the same call whose records these are (same
+    #: machine key), or None when this level executed.  A reused level's
+    #: ``cache_stats`` keep the source's keys, at 0.
+    reused_from: Optional[IsolationLevelName] = None
 
     def __post_init__(self) -> None:
         if self.executed < 0:
             object.__setattr__(self, "executed", len(self.records))
-
-    @property
-    def schedules_per_second(self) -> float:
-        """Execution + classification throughput for this level."""
-        return len(self.records) / self.duration if self.duration > 0 else float("inf")
 
 
 @dataclass(frozen=True)
@@ -187,61 +210,52 @@ def _merge_stats(stats_list: Iterable[Dict[str, int]]) -> Dict[str, int]:
     return merged
 
 
+def _ceil_div(numerator: int, denominator: int) -> int:
+    return -(-numerator // denominator)
+
+
 # -- level exploration (serial and parallel share the chunk pipeline) ----------------
 
 
-def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
-                   chunks: _ChunkStreamCache, chunk_size: int, builder,
-                   pool, classifier: Optional[BatchClassifier],
-                   persistence=None) -> LevelExploration:
-    """Stream one level's chunks through execution (in-process or pooled).
+def _execute_batch(batch: Tuple[ChunkTask, ...]) -> Tuple[ChunkResult, ...]:
+    """A pool worker's unit of work: consecutive chunks of one level, in order."""
+    return tuple(execute_chunk(task) for task in batch)
 
-    ``classifier`` is the run's classification memo when the chunks execute
-    in this process (``pool`` is None); pool workers use their own.
+
+def _batched(tasks: Iterator[ChunkTask], size: int
+             ) -> Iterator[Tuple[ChunkTask, ...]]:
+    while True:
+        batch = tuple(itertools.islice(tasks, size))
+        if not batch:
+            return
+        yield batch
+
+
+def _collect_level(level: IsolationLevelName, results: Iterable[ChunkResult],
+                   stored_chunks: int, persistence=None) -> LevelExploration:
+    """Assemble one executed level from its stored prefix and live results.
 
     With ``persistence`` (a :class:`repro.persist.session.LevelPersistence`)
-    attached, chunks below the stored cursor are *loaded* instead of
-    executed, every freshly executed chunk is committed atomically as its
-    result arrives — results come back in chunk-index order, so the cursor
-    stays a contiguous high-water mark — together with the classifications
-    it newly computed, and the serial classification memo is preloaded from
-    the store.  The stored chunks are a strict prefix of the stream, so
-    they load before the first live chunk is handed out.
+    attached, chunks below the stored cursor are *loaded*, and every live
+    chunk is committed atomically as its result arrives — results come back
+    in chunk-index order, so the cursor stays a contiguous high-water mark —
+    together with the classifications it newly computed.  The stored chunks
+    are a strict prefix of the stream, so they load before the first live
+    result is read.
     """
-    if persistence is not None and classifier is not None:
-        persistence.preload_classifier(classifier)
     started = time.perf_counter()
-    # In-process execution has no load-balancing constraint, so batch the
-    # stream coarser than chunk_size: bigger sorted batches share longer
-    # prefixes in the trie executor.  Records are identical either way —
-    # per-schedule outcomes are independent of batching by the trie
-    # executor's byte-equality contract.  A campaign store pins the batch to
-    # chunk_size: the progress cursor counts *campaign* chunks, which must
-    # mean the same boundaries in every run that touches the store.
-    if persistence is not None or pool is not None:
-        batch_size = chunk_size
-    else:
-        batch_size = max(chunk_size, 2048)
-    stream = iter(chunks.iter_chunks(batch_size))
     records: List[ScheduleRecord] = []
-    stored_chunks = 0
-    if persistence is not None:
-        for index, _ in itertools.islice(stream, persistence.cursor):
-            records.extend(persistence.load_chunk(index))
-            stored_chunks += 1
+    for index in range(stored_chunks):
+        records.extend(persistence.load_chunk(index))
     loaded = len(records)
-    tasks = (ChunkTask(index, spec, level, chunk, builder,
-                       export_fresh=persistence is not None)
-             for index, chunk in stream)
     stats_parts: List[Dict[str, int]] = []
-    for result in _run_tasks(tasks, pool, classifier):
+    for result in results:
         records.extend(result.records)
         stats_parts.append(result.cache_stats)
         if persistence is not None:
             persistence.commit_chunk(
                 result.chunk_index, result.records,
                 fresh_classifications=result.fresh_classifications)
-
     stats = _merge_stats(stats_parts)
     if persistence is not None:
         persistence.finish(stored_chunks + len(stats_parts))
@@ -251,18 +265,31 @@ def _explore_level(spec: ProgramSetSpec, level: IsolationLevelName,
                             executed=len(records) - loaded)
 
 
-def _run_tasks(tasks: Iterator[ChunkTask], pool,
-               classifier: Optional[BatchClassifier]) -> Iterator[ChunkResult]:
-    """Run chunk tasks in submission order, in-process or on the pool."""
-    if pool is None:
-        for task in tasks:
-            yield execute_chunk(task, classifier)
-    else:
-        # imap pulls tasks from the lazy generator as workers free up, so the
-        # parent never materializes the full schedule list; results arrive in
-        # submission order, which *is* chunk-index order.
-        for result in pool.imap(execute_chunk, tasks):
-            yield result
+def _reuse_level(level: IsolationLevelName, source: LevelExploration,
+                 unit: int, stored_chunks: int,
+                 persistence=None) -> LevelExploration:
+    """``level`` is the same machine as ``source``'s: take its records.
+
+    Nothing executes and nothing is classified.  With a store, the chunks
+    above the level's own cursor are committed from those records, at the
+    campaign's chunk boundaries; they count as executed, as they would have
+    been.  The counters keep the source's keys, at 0.
+    """
+    started = time.perf_counter()
+    records = source.records
+    stats = dict.fromkeys(source.cache_stats, 0)
+    if persistence is not None:
+        chunks = _ceil_div(len(records), unit)
+        for index in range(stored_chunks, chunks):
+            persistence.commit_chunk(
+                index, records[index * unit:(index + 1) * unit])
+        persistence.finish(chunks)
+        stats.update(persistence.stats)
+    stored = min(len(records), stored_chunks * unit)
+    return LevelExploration(level, records, stats,
+                            time.perf_counter() - started,
+                            executed=len(records) - stored,
+                            reused_from=source.level)
 
 
 def _resolve_worker_count(workers: Union[int, str]) -> int:
@@ -294,7 +321,12 @@ def explore(spec: ProgramSetSpec,
         knob below.
     levels:
         Isolation levels to run every schedule under (default: the Table 4 rows
-        every engine implements).
+        every engine implements).  A level that is the same lock machine as
+        an earlier one (equal :func:`~repro.explorer.batch_kernel.machine_key`:
+        REPEATABLE READ and SERIALIZABLE, or READ COMMITTED and Cursor
+        Stability, on item-only programs) is not executed: it gets that
+        level's records, and its :class:`LevelExploration` names the level in
+        ``reused_from``.
     mode, max_schedules, seed:
         Passed to :func:`~repro.explorer.schedules.schedule_space` — exhaustive
         enumeration, seeded sampling, or automatic choice between them.  The
@@ -302,10 +334,14 @@ def explore(spec: ProgramSetSpec,
         one list.
     workers:
         ``1`` runs in-process with one classification memo for the whole
-        call; ``N > 1`` fans chunks out over a process pool whose workers
-        each keep their own for the run and exchange nothing; ``"auto"`` uses
-        every usable core (:func:`available_workers`).  Results are identical
-        in all cases.
+        call; ``N > 1`` fans the executed levels out over a process pool as
+        batches of consecutive chunks — each level splits into
+        ``ceil(N / executed levels)`` batches of at most
+        :data:`BATCH_SCHEDULES` schedules — so a worker keeps one level's
+        transition table and memo warm, and a free worker starts the next
+        level while the others finish theirs.  Workers keep their own memos
+        for the run and exchange nothing; ``"auto"`` uses every usable core
+        (:func:`available_workers`).  Results are identical in all cases.
     chunk_size:
         Schedules per work unit.  Affects only load balancing and streaming
         granularity.
@@ -315,7 +351,9 @@ def explore(spec: ProgramSetSpec,
         atomically (records + progress cursor) as its result arrives, so a
         killed run resumes from its last durable chunk — skipping the stored
         prefix of the stream by *loading* its records — and produces a
-        byte-identical result to an uninterrupted run.  The store also backs
+        byte-identical result to an uninterrupted run.  A level reused from
+        an earlier one commits its chunks from that level's records.  The
+        store also backs
         one dedupe tier across runs and workloads: history classifications
         (keyed by shorthand, shared by every workload).  Whatever a chunk
         newly classifies is saved with that chunk, serial and parallel
@@ -332,8 +370,8 @@ def explore(spec: ProgramSetSpec,
         seed 42 on one store, ``chunk_size=256``: 3,008 of the second
         campaign's 17,569 distinct histories (17%) are already stored; the
         serial preload turns them into 14,561 misses instead of 17,569
-        (classification 1.89 -> 1.61 s), two workers recompute them (20,685
-        misses warm, 20,759 cold) — about 0.2 s of a 4.2 s run, which the
+        (classification 1.89 -> 1.61 s), two workers recompute them (18,687
+        misses warm, 19,058 cold) — about 0.2 s of a 4.2 s run, which the
         wall clock could not resolve either way.
         ``cache_stats`` gains ``store_*`` counters.  With a store attached
         the serial path pins its execution batches to ``chunk_size`` (the
@@ -379,25 +417,78 @@ def explore(spec: ProgramSetSpec,
                             seed=seed, chunk_size=chunk_size),
             campaign_id=campaign_id)
 
+    # In-process execution has no load-balancing constraint, so it runs the
+    # stream in units coarser than chunk_size: bigger sorted units share
+    # longer prefixes in the trie executor.  Records are identical either way
+    # — per-schedule outcomes are independent of batching by the trie
+    # executor's byte-equality contract.  A campaign store pins the unit to
+    # chunk_size: the progress cursor counts *campaign* chunks, which must
+    # mean the same boundaries in every run that touches the store.
+    if session is not None or workers > 1:
+        unit = chunk_size
+    else:
+        unit = max(chunk_size, 2048)
+    chunk_count = _ceil_div(len(space), unit)
+    persistence = {level: session.level(level) if session is not None else None
+                   for level in levels}
+    # Chunks below a level's cursor are already durable: they load instead
+    # of executing (a cursor past the stream's end loads what the stream has).
+    stored = {level: min(part.cursor, chunk_count) if part is not None else 0
+              for level, part in persistence.items()}
+    first_of_machine: Dict[object, IsolationLevelName] = {}
+    source = {level: first_of_machine.setdefault(machine_key(programs, level), level)
+              for level in levels}
     chunk_cache = _ChunkStreamCache(space)
 
-    def _run_levels(pool, classifier: Optional[BatchClassifier]
-                    ) -> Dict[IsolationLevelName, LevelExploration]:
-        return {
-            level: _explore_level(
-                spec, level, chunk_cache, chunk_size, builder, pool, classifier,
-                persistence=session.level(level) if session is not None else None)
-            for level in levels
-        }
+    def level_tasks(level: IsolationLevelName) -> Iterator[ChunkTask]:
+        stream = itertools.islice(chunk_cache.iter_chunks(unit), stored[level], None)
+        return (ChunkTask(index, spec, level, chunk, builder,
+                          export_fresh=session is not None)
+                for index, chunk in stream)
+
+    def run_levels(results_of) -> Dict[IsolationLevelName, LevelExploration]:
+        explorations: Dict[IsolationLevelName, LevelExploration] = {}
+        for level in levels:
+            if source[level] is level:
+                explorations[level] = _collect_level(
+                    level, results_of(level), stored[level], persistence[level])
+            else:
+                explorations[level] = _reuse_level(
+                    level, explorations[source[level]], unit, stored[level],
+                    persistence[level])
+        return explorations
 
     if workers == 1:
         # This call's own memo, not the process's: a classification learned
         # by an earlier explore() in this process would be missing from the
         # fresh set a new store is filled from.
-        explorations = _run_levels(
-            None, BatchClassifier(initial_items=initial_items))
+        classifier = BatchClassifier(initial_items=initial_items)
+        if session is not None:
+            persistence[levels[0]].preload_classifier(classifier)
+        explorations = run_levels(lambda level: (
+            execute_chunk(task, classifier) for task in level_tasks(level)))
     else:
+        live = {level: chunk_count - stored[level]
+                for level in levels if source[level] is level
+                and chunk_count > stored[level]}
+        parts = _ceil_div(workers, max(1, len(live)))
+        per_batch = {level: max(1, min(_ceil_div(count, parts),
+                                       BATCH_SCHEDULES // unit))
+                     for level, count in live.items()}
+        batches = (batch for level in live
+                   for batch in _batched(level_tasks(level), per_batch[level]))
         with multiprocessing.Pool(processes=workers) as pool:
-            explorations = _run_levels(pool, None)
+            # One imap over every level's batches: it pulls them from the
+            # lazy generator as workers free up, and returns them in
+            # submission order, which is (level, chunk index) order.
+            results = pool.imap(_execute_batch, batches)
+
+            def pooled(level: IsolationLevelName) -> Iterator[ChunkResult]:
+                count = (_ceil_div(live[level], per_batch[level])
+                         if level in live else 0)
+                for batch in itertools.islice(results, count):
+                    yield from batch
+
+            explorations = run_levels(pooled)
     return ExplorationResult(spec=spec, space=space, workers=workers,
                              chunk_size=chunk_size, levels=explorations)

@@ -26,11 +26,15 @@ of a task executes, through the batch kernel where it supports the (level,
 workload) and through the real engines otherwise.  Worker
 processes live exactly one run, so these caches do too; nothing is exchanged
 between workers while they run.  Each worker therefore meets a history, and
-classifies a history class, the first time *it* sees one: on the ledger's
-30,000-schedule stream two workers miss their memos 20,541-21,341 times and
-run 2,575-2,608 classification passes (three runs) where one process misses
-17,492 times and runs 1,509, which costs less than moving the answers
-between processes did.
+classifies a history class, the first time *it* sees one.  ``explore()``
+hands a worker whole levels, so a level's testbed is built and its
+transition table filled in one process only: on the ledger's stream (30,000
+records, 24,000 executed: SERIALIZABLE reuses REPEATABLE READ's) two
+workers compute the serial run's 22,812 kernel transitions, miss their
+memos 18,556-18,951 times and run 1,591-1,599 classification passes (six
+runs; the spread is which worker took which level), where one process
+misses 17,492 times and runs 1,509, which costs less than moving the
+answers between processes did.
 
 With ``task.export_fresh`` (a campaign store is attached) the chunk's newly
 computed classifications travel back in the :class:`ChunkResult` and the

@@ -185,18 +185,21 @@ class OnlineClassifier:
         self._last_write: Dict[str, Tuple[int, int]] = {}
         self._last_write_other: Dict[str, Tuple[int, int]] = {}
         # A1 dirty pairs: (writer, reader) recorded while the writer is
-        # active, with the first item the reader read dirty.
-        self._dirty_by_writer: Dict[int, Dict[int, str]] = {}
+        # active, with the pair's first occurrence in ``find`` order: the
+        # (write, read) positions and the item.
+        self._dirty_by_writer: Dict[int, Dict[int, Tuple[int, int, str]]] = {}
         self._dirty_by_reader: Dict[int, Set[int]] = {}
-        self._a1_ready: Dict[int, Tuple[int, str]] = {}  # reader -> (aborted writer, item)
+        #: reader -> (write, read, aborted writer, item), the earliest pair.
+        self._a1_ready: Dict[int, Tuple[int, int, int, str]] = {}
         # A2/A3/A5A marks placed at a writer's commit on still-active readers.
         self._fuzzy_marks: Dict[int, Dict[str, int]] = {}    # txn -> item -> writer
         #: txn -> pred -> (writer, item the writer wrote in pred).
         self._phantom_marks: Dict[int, Dict[str, Tuple[int, Optional[str]]]] = {}
         self._a2_armed: Dict[int, Tuple[int, str]] = {}      # txn -> (writer, item)
         self._a3_armed: Dict[int, Tuple[int, Optional[str]]] = {}  # txn -> (writer, item)
-        #: txn -> y -> (writer, x): the writer updated x and y, txn read x.
-        self._a5a_marks: Dict[int, Dict[str, Tuple[int, str]]] = {}
+        #: txn -> y -> (txn's first read of x, writer, x): the writer updated
+        #: x and y, txn read x; the earliest read of an x wins, as in ``find``.
+        self._a5a_marks: Dict[int, Dict[str, Tuple[int, int, str]]] = {}
         # P4/P4C pending: pattern complete, waiting for T1's commit.
         self._p4_pending: Dict[int, Tuple[int, str]] = {}    # txn -> (other, item)
         self._p4c_pending: Dict[int, Tuple[int, str]] = {}
@@ -435,10 +438,12 @@ class OnlineClassifier:
                         break
             # A1 pair: resolved when the writer aborts / the reader commits.
             if not self._fired["A1"]:
-                for w in item_writers:
+                for w, first_write in item_writers.items():
                     if w != txn and w in active:
-                        self._dirty_by_writer.setdefault(w, {}).setdefault(
-                            txn, item)
+                        pairs = self._dirty_by_writer.setdefault(w, {})
+                        occurrence = (first_write, pos, item)
+                        if txn not in pairs or occurrence < pairs[txn]:
+                            pairs[txn] = occurrence
                         self._dirty_by_reader.setdefault(txn, set()).add(w)
             if self._serializable:
                 for w in item_writers:
@@ -446,7 +451,7 @@ class OnlineClassifier:
         if not self._fired["A5A"]:
             marks = self._a5a_marks.get(txn)
             if marks and item in marks:
-                writer, first = marks[item]
+                _, writer, first = marks[item]
                 self._fire("A5A", (txn, writer), (first, item), pos)
         if not self._fired["A2"] and txn not in self._a2_armed:
             info = self._fuzzy_marks.get(txn)
@@ -584,7 +589,7 @@ class OnlineClassifier:
             writer, item = self._a3_armed.pop(txn)
             self._fire("A3", (txn, writer), tuple(filter(None, [item])), pos)
         if not fired["A1"] and txn in self._a1_ready:
-            writer, item = self._a1_ready.pop(txn)
+            _, _, writer, item = self._a1_ready.pop(txn)
             self._fire("A1", (writer, txn), (item,), pos)
         # A1 pairs where this txn was the dirty *writer* can never fire now.
         if not fired["A1"]:
@@ -616,8 +621,10 @@ class OnlineClassifier:
                     if a != txn and a in self._active and first_pos < last_pos:
                         marks = self._a5a_marks.setdefault(a, {})
                         for other_item in written:
-                            if other_item != item and other_item not in marks:
-                                marks[other_item] = (txn, item)
+                            if other_item != item and (
+                                    other_item not in marks
+                                    or first_pos < marks[other_item][0]):
+                                marks[other_item] = (first_pos, txn, item)
         # A5B: both sides committed with mutual rw dependencies on >= 2 items.
         if not fired["A5B"]:
             for p in list(self._rw_partners.get(txn, ())):
@@ -682,14 +689,23 @@ class OnlineClassifier:
         # A1: an aborted dirty writer fires against already-committed readers
         # and arms still-active ones.
         if not self._fired["A1"]:
-            for r, item in self._dirty_by_writer.pop(txn, {}).items():
+            earliest = None
+            for r, (first_write, read, item) in self._dirty_by_writer.pop(
+                    txn, {}).items():
                 readers = self._dirty_by_reader.get(r)
                 if readers is not None:
                     readers.discard(txn)
+                occurrence = (first_write, read, txn, item)
                 if r in self._committed:
-                    self._fire("A1", (txn, r), (item,), pos)
-                elif r in self._active and r not in self._a1_ready:
-                    self._a1_ready[r] = (txn, item)
+                    if earliest is None or occurrence < earliest[0]:
+                        earliest = (occurrence, r)
+                elif r in self._active and (
+                        r not in self._a1_ready
+                        or occurrence < self._a1_ready[r]):
+                    self._a1_ready[r] = occurrence
+            if earliest is not None:
+                (_, _, _, item), r = earliest
+                self._fire("A1", (txn, r), (item,), pos)
             for w in self._dirty_by_reader.pop(txn, ()):
                 readers_of = self._dirty_by_writer.get(w)
                 if readers_of is not None:

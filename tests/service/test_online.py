@@ -164,6 +164,11 @@ class TestCertificates:
         ("w1[x] r2[x] a1 c2", "A1"),
         ("r1[P] w2[insert y to P] c2 r1[P] c1", "A3"),
         ("r1[x] w2[x] w2[y] c2 r1[y] c1", "A5A"),
+        # The first occurrence in ``find`` order (earliest i, then j), not
+        # the first item the stream recorded: T1 wrote y before x.
+        ("w1[y] w1[x] r2[x] r2[y] a1 c2", "A1"),
+        # T1 read x before z, so x is the A5A pair's first item.
+        ("r1[x] r1[z] w2[z] w2[x] w2[y] c2 r1[y] c1", "A5A"),
     ])
     @pytest.mark.parametrize("multiversion", [False, True])
     def test_certificate_names_the_items_of_the_definition(
