@@ -10,16 +10,22 @@ level-aware **static dependency graph** (SDG) on top of them:
 * :func:`build_sdg` enumerates every possible ww/wr/rw conflict edge between
   program pairs (:class:`ConflictEdge`), tracking the steps whose footprints
   are opaque (predicate selects, cursor fetches, computed inserts).
-* :func:`analyze_scenario_programs` applies one rule per Table 4 column to
-  that graph, level by level — the same lock-scope rules the
-  :class:`~repro.locking.policy` tables encode (long write locks kill P0
-  edges, long read locks kill the P2/P4/A5A/A5B patterns) plus the
-  multiversion semantics of the Section 4.2 engines (snapshot-stable reads,
-  first-committer-wins) — and emits one :class:`StaticVerdict` per scenario
-  variant: ``IMPOSSIBLE`` (no schedule can make the scenario's ``manifests``
+* :func:`analyze_scenario_programs` answers one Table 4 column for a program
+  set under one semantics: an engine-backed level or any
+  :class:`~repro.locking.policy.LockingPolicy` value.  The six
+  pair-anchored columns are derived from their
+  :data:`~repro.core.phenomena.PATTERNS` row and the policy
+  (:data:`CLASS_RULES` maps each operation class to the lock rules it
+  takes): the row's classes name the graph's edges, and the Table 2 lock
+  durations of those classes decide the lock-scope argument.  A5A and A5B
+  are written by hand, and the two multiversion levels share one
+  argument (uncommitted writes are private, snapshot reads are pinned).
+  Each yields one :class:`StaticVerdict` per scenario variant:
+  ``IMPOSSIBLE`` (no schedule can make the scenario's ``manifests``
   predicate hold; sound, never witnessed dynamically), ``POSSIBLE`` (the
   pattern exists, with the witnessing edges as the explanation), or
-  ``UNKNOWN`` (opaque footprints leave the question open).
+  ``UNKNOWN`` (opaque footprints leave the question open).  Every reason
+  names the row and the lock rules that decide it.
   :func:`~repro.explorer.scenarios.explore_scenario` and
   :func:`~repro.analysis.matrix.compute_table4_explored` skip every
   ``IMPOSSIBLE`` variant space by default.
@@ -34,17 +40,16 @@ witnessed.  ``POSSIBLE`` only means "not disproved" and carries the
 candidate edges, never a guarantee of manifestation.
 """
 
-from .levels import LevelProfile, profile_for
 from .sdg import ConflictEdge, StaticDependencyGraph, Verdict, build_sdg
-from .verdicts import SCENARIO_RULES, StaticVerdict, analyze_scenario_programs
+from .verdicts import (CLASS_RULES, SCENARIO_RULES, StaticVerdict,
+                       analyze_scenario_programs)
 
 __all__ = [
     "Verdict",
     "ConflictEdge",
     "StaticDependencyGraph",
     "build_sdg",
-    "LevelProfile",
-    "profile_for",
+    "CLASS_RULES",
     "StaticVerdict",
     "SCENARIO_RULES",
     "analyze_scenario_programs",

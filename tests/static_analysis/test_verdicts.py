@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.isolation import IsolationLevelName
+from repro.core.phenomena import PATTERNS
 from repro.engine.programs import Commit, ReadItem, TransactionProgram, WriteItem
 from repro.analysis.matrix import TABLE_4_COLUMNS
-from repro.static_analysis import SCENARIO_RULES, Verdict, analyze_scenario_programs
-from repro.static_analysis.levels import PROFILED_LEVELS, profile_for
-from repro.workloads.scenarios import scenario_by_code
+from repro.locking.modes import LockDuration, LockMode
+from repro.locking.policy import POLICIES, LockingPolicy, LockRule
+from repro.static_analysis import (CLASS_RULES, SCENARIO_RULES, Verdict,
+                                   analyze_scenario_programs)
+from repro.workloads.scenarios import ALL_SCENARIOS, scenario_by_code
 
 D0 = IsolationLevelName.DEGREE_0
 RU = IsolationLevelName.READ_UNCOMMITTED
@@ -36,26 +41,96 @@ def _scenario_verdict(code, variant_name, level):
     return analyze_scenario_programs(variant.build_programs(), code, level)
 
 
-class TestProfiles:
-    def test_every_profiled_level_resolves(self):
-        for level in PROFILED_LEVELS:
-            profile_for(level)
+_HELD = {
+    "P0": "write X long",
+    "P1": "write X long",
+    "P4C": "cursor read S long",
+    "P4": "item read S long and cursor read S long",
+    "P2": "item read S long and cursor read S long",
+    "P3": "predicate read S long",
+    "A5A": "item read S long and cursor read S long",
+    "A5B": "item read S long and cursor read S long",
+}
 
-    def test_phenomenon_defined_levels_have_no_profile(self):
-        with pytest.raises(KeyError):
-            profile_for(IsolationLevelName.ANSI_READ_COMMITTED)
 
-    def test_lock_scope_booleans_follow_table_2(self):
-        assert not profile_for(RU).all_reads_locked
-        assert profile_for(RU).write_locks_long
-        assert not profile_for(D0).write_locks_long
-        assert profile_for(RC).all_reads_locked
-        assert not profile_for(RC).read_locks_long
-        assert profile_for(RR).read_locks_long
-        assert not profile_for(RR).predicate_read_locks_long
-        assert profile_for(SER).predicate_read_locks_long
-        assert profile_for(SI).snapshot_reads
-        assert not profile_for(SI).single_version
+class TestLockReasons:
+    """Each IMPOSSIBLE verdict at a Table 2 level names the rule that
+    decides it: the lock a's class holds to the terminal."""
+
+    @pytest.mark.parametrize("level, codes", [
+        (D0, ()),
+        (RU, ("P0",)),
+        (RC, ("P0", "P1")),
+        (CS, ("P0", "P1")),
+        (RR, ("P0", "P1", "P4C", "P4", "P2", "A5A", "A5B")),
+        (SER, ("P0", "P1", "P4C", "P4", "P2", "P3", "A5A", "A5B")),
+    ], ids=lambda value: getattr(value, "name", ""))
+    def test_impossible_reasons_name_the_held_rule(self, level, codes):
+        held = {}
+        for scenario in ALL_SCENARIOS:
+            for variant in scenario.variants:
+                verdict = analyze_scenario_programs(
+                    variant.build_programs(), scenario.code, level)
+                if verdict.verdict is Verdict.IMPOSSIBLE:
+                    pattern, argument = verdict.reason.split(": ", 1)
+                    assert pattern.split()[0] in (scenario.code, "A2")
+                    rule, _, waits = argument.partition(
+                        " held to T1's terminal; ")
+                    assert waits.endswith(" must wait for it"), verdict.reason
+                    held.setdefault(scenario.code, set()).add(rule)
+        assert held == {code: {_HELD[code]} for code in codes}
+
+    def test_p1_names_the_waiting_reads(self):
+        reason = _scenario_verdict("P1", "read-of-rolled-back-write",
+                                   RC).reason
+        assert reason == ("P1 w1[x]...r2[x]...(c1 or a1): write X long held "
+                          "to T1's terminal; item read S short and cursor "
+                          "read S short must wait for it")
+
+    def test_only_snapshot_isolation_names_first_committer_wins(self):
+        orc = IsolationLevelName.ORACLE_READ_CONSISTENCY
+        for level in tuple(POLICIES) + (SI, orc):
+            verdict = _scenario_verdict("A5B", "plain-reads", level)
+            assert ("first-committer-wins" in verdict.reason) is (level is SI), \
+                (level, verdict.reason)
+
+
+class TestClassRules:
+    """The operation class -> lock rule map cannot drift from its two
+    sides: a new PATTERNS class or a new policy lock slot fails here."""
+
+    def test_every_pattern_class_takes_some_rule(self):
+        classes = {row.a for row in PATTERNS} | {row.b for row in PATTERNS}
+        assert classes <= set(CLASS_RULES)
+        assert all(CLASS_RULES[cls] for cls in classes)
+
+    def test_every_policy_rule_is_read_by_some_class(self):
+        slots = {f.name for f in dataclasses.fields(LockingPolicy)
+                 if "LockRule" in str(f.type)}
+        read = {name for names in CLASS_RULES.values() for name in names}
+        assert slots == read
+
+
+class TestPolicyValues:
+    """A policy value is analysed like the level it names, or any other."""
+
+    def test_a_table_2_policy_matches_its_level(self):
+        for level, policy in POLICIES.items():
+            for code in TABLE_4_COLUMNS:
+                by_level = analyze_scenario_programs(_lost_update_programs(),
+                                                     code, level)
+                by_policy = analyze_scenario_programs(_lost_update_programs(),
+                                                      code, policy)
+                assert by_policy == by_level
+
+    def test_a_long_read_lock_alone_kills_the_lost_update(self):
+        policy = dataclasses.replace(
+            POLICIES[RC], item_read=LockRule(LockMode.SHARED, LockDuration.LONG),
+            cursor_read=LockRule(LockMode.SHARED, LockDuration.LONG))
+        verdict = analyze_scenario_programs(_lost_update_programs(), "P4",
+                                            policy)
+        assert verdict.verdict is Verdict.IMPOSSIBLE
+        assert verdict.level is RC
 
 
 class TestPatternAnalysis:
