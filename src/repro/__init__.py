@@ -22,7 +22,7 @@ Typical entry points::
 
     from repro import parse_history, detect_all, is_serializable
     from repro import Database, Session, IsolationLevelName
-    from repro.analysis import compute_table4, EXPECTED_TABLE_4
+    from repro.analysis import compute_table4_explored, EXPECTED_TABLE_4
 """
 
 from .core import (

@@ -6,11 +6,8 @@ from .matrix import (
     TABLE_4_COLUMNS,
     TABLE_4_LEVELS,
     compute_phenomenon_table,
-    compute_table4,
-    compute_table4_row,
+    compute_table4_explored,
     default_history_corpus,
-    phenomenon_level_profile,
-    variant_manifestation_profile,
 )
 from .hierarchy_check import (
     EdgeCheck,
@@ -29,9 +26,8 @@ from .report import (
 
 __all__ = [
     "EXPECTED_TABLE_4", "EXTENSION_EXPECTATIONS", "TABLE_4_COLUMNS",
-    "TABLE_4_LEVELS", "compute_phenomenon_table", "compute_table4",
-    "compute_table4_row", "default_history_corpus", "phenomenon_level_profile",
-    "variant_manifestation_profile",
+    "TABLE_4_LEVELS", "compute_phenomenon_table", "compute_table4_explored",
+    "default_history_corpus",
     "EdgeCheck", "RemarkCheck", "level_profiles", "profile_relation",
     "verify_figure2_edges", "verify_remarks",
     "matrix_matches", "render_comparison", "render_possibility_matrix",

@@ -1,11 +1,18 @@
 """Empirical verification of the isolation hierarchy (Figure 2 and Remarks 1–10).
 
 The paper orders isolation levels by the non-serializable histories they
-admit.  For the engine-defined levels we approximate "the histories a level
-admits" by the *variant manifestation profile*: the set of anomaly-scenario
-variants whose bad outcome the engine lets through
-(:func:`repro.analysis.matrix.variant_manifestation_profile`).  A level that
-admits a strict superset of another level's variants is strictly weaker.
+admit.  A level's *profile* is the set of anomaly-scenario variants whose bad
+outcome it lets through anywhere in the variant's whole interleaving space,
+read from the explored Table 4
+(:func:`repro.analysis.matrix.compute_table4_explored`): a variant is in the
+profile when its manifestation frequency is above zero.  A level that admits
+a strict superset of another level's variants is strictly weaker.
+
+A phenomenon-defined level (Table 1's ANOMALY SERIALIZABLE, Remark 10) has no
+engine.  Its profile is the Degree 0 row of the same computation over the
+scenarios with each ``manifests`` narrowed to the histories the definition
+permits: the variant's wrong result is reachable by some history that
+forbids none of the level's phenomena.
 
 This reproduces the paper's qualitative results:
 
@@ -20,19 +27,19 @@ This reproduces the paper's qualitative results:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.hierarchy import FIGURE_2_EDGES, REMARKS, Figure2Edge, Relation
 from ..core.isolation import (
     ANSI_STRICT_LEVELS,
     IsolationLevelName,
+    PhenomenonBasedLevel,
 )
-from .matrix import (
-    ALL_SCENARIOS,
-    phenomenon_level_profile,
-    variant_manifestation_profile,
-)
+from ..testbed import ALL_ENGINE_LEVELS
+from ..workloads.scenarios import ALL_SCENARIOS, AnomalyScenario
+from .coverage import ExploredTable4
+from .matrix import compute_table4_explored
 
 __all__ = [
     "Profile",
@@ -63,13 +70,51 @@ def profile_relation(first: Profile, second: Profile) -> Relation:
     return Relation.INCOMPARABLE
 
 
-def level_profiles(levels: Sequence[IsolationLevelName],
-                   scenarios=ALL_SCENARIOS) -> Dict[IsolationLevelName, Profile]:
-    """The variant manifestation profile of every requested engine level."""
+def _explored_profiles(table: ExploredTable4) -> Dict[IsolationLevelName, Profile]:
+    """Every row's variants that manifest somewhere in their space."""
     return {
-        level: frozenset(variant_manifestation_profile(level, scenarios))
-        for level in levels
+        level: frozenset((code, variant)
+                         for code, cell in row.items()
+                         for variant, frequency in cell.variant_frequencies
+                         if frequency > 0)
+        for level, row in table.cells.items()
     }
+
+
+def _permitted(scenario: AnomalyScenario,
+               definition: PhenomenonBasedLevel) -> AnomalyScenario:
+    """``scenario`` whose variants manifest only in histories ``definition``
+    permits."""
+    def narrowed(manifests):
+        return lambda outcome: (manifests(outcome)
+                                and definition.permits(outcome.history))
+    return replace(scenario, variants=[
+        replace(variant, manifests=narrowed(variant.manifests))
+        for variant in scenario.variants])
+
+
+def level_profiles(levels: Sequence[IsolationLevelName],
+                   scenarios: Sequence[AnomalyScenario] = ALL_SCENARIOS,
+                   ) -> Dict[IsolationLevelName, Profile]:
+    """The whole-space variant profile of every requested level.
+
+    Engine levels read their row of the explored Table 4; a level without an
+    engine is one of Table 1's phenomenon definitions
+    (:data:`~repro.core.isolation.ANSI_STRICT_LEVELS`) and reads the Degree 0
+    row over the scenarios narrowed to the histories it permits.
+    """
+    engine_levels = [level for level in levels if level in ALL_ENGINE_LEVELS]
+    profiles = _explored_profiles(
+        compute_table4_explored(engine_levels, scenarios))
+    for level in levels:
+        if level not in profiles:
+            definition = ANSI_STRICT_LEVELS[level]
+            table = compute_table4_explored(
+                (IsolationLevelName.DEGREE_0,),
+                [_permitted(scenario, definition) for scenario in scenarios])
+            profiles[level] = _explored_profiles(table)[
+                IsolationLevelName.DEGREE_0]
+    return {level: profiles[level] for level in levels}
 
 
 @dataclass(frozen=True)
@@ -125,27 +170,13 @@ class RemarkCheck:
         )
 
 
-def _profile_for(level: IsolationLevelName,
-                 cache: Dict[IsolationLevelName, Profile]) -> Profile:
-    if level in cache:
-        return cache[level]
-    if level is IsolationLevelName.ANOMALY_SERIALIZABLE:
-        definition = ANSI_STRICT_LEVELS[IsolationLevelName.ANOMALY_SERIALIZABLE]
-        profile = frozenset(phenomenon_level_profile(definition))
-    else:
-        profile = frozenset(variant_manifestation_profile(level))
-    cache[level] = profile
-    return profile
-
-
 def verify_remarks(remarks=REMARKS) -> List[RemarkCheck]:
     """Verify every ordering remark of the paper empirically."""
-    cache: Dict[IsolationLevelName, Profile] = {}
+    needed = {level for _, first, _, second in remarks for level in (first, second)}
+    profiles = level_profiles(sorted(needed, key=lambda level: level.value))
     checks: List[RemarkCheck] = []
     for remark, first, expected, second in remarks:
-        first_profile = _profile_for(first, cache)
-        second_profile = _profile_for(second, cache)
-        observed = profile_relation(first_profile, second_profile)
+        observed = profile_relation(profiles[first], profiles[second])
         checks.append(RemarkCheck(
             remark=remark,
             first=first,

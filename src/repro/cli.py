@@ -409,13 +409,10 @@ def _campaign_run(args: argparse.Namespace) -> int:
 def _exploration_config(campaign: str, config: Dict[str, Any],
                         action: str) -> Dict[str, Any]:
     """``config``, if it is a ``campaign run`` / ``distrib run`` campaign's:
-    the others (Table 4, ``serve`` certificates) name no program set."""
+    the others (``serve`` certificates, earlier builds' Table 4) name no
+    program set."""
     if "spec_name" in config:
         return config
-    if config.get("kind") == "table4-explored":
-        raise UsageError(
-            f"campaign {campaign!r} is a Table 4 campaign; cannot {action} "
-            f"it here (re-run compute_table4_explored with the same store)")
     raise UsageError(f"campaign {campaign!r} is not an exploration campaign "
                      f"(kind {config.get('kind')!r}); cannot {action} it")
 

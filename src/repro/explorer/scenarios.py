@@ -1,7 +1,8 @@
 """The scenarios → explorer bridge: exhaust an anomaly variant's schedule space.
 
 The paper establishes each Table 4 cell by exhibiting *one* adversarial
-interleaving; :mod:`repro.workloads.scenarios` replays exactly those.  This
+interleaving; :func:`repro.workloads.scenarios.run_variant` replays exactly
+those from scratch.  This
 module upgrades the claim from an anecdote to a measurement: for one scenario
 variant under one isolation level, enumerate (or sample) the variant's entire
 interleaving space with :func:`~repro.explorer.schedules.schedule_space`,
@@ -36,7 +37,6 @@ from typing import Optional, Tuple
 from ..core.isolation import IsolationLevelName, Possibility
 from ..static_analysis import Verdict, analyze_scenario_programs
 from ..workloads.scenarios import AnomalyScenario, ScenarioVariant
-from .options import ExploreOptions
 from .schedules import Interleaving, schedule_space
 from .trie_executor import TrieExecutor
 
@@ -95,7 +95,8 @@ class ScenarioExploration:
 
     @property
     def possibility(self) -> Possibility:
-        """The cell verdict, aggregated exactly like :func:`evaluate_scenario`."""
+        """The cell verdict: every variant manifests → POSSIBLE, none →
+        NOT_POSSIBLE, some → SOMETIMES_POSSIBLE."""
         flags = [variant.manifests for variant in self.variants]
         if all(flags):
             return Possibility.POSSIBLE
@@ -131,14 +132,8 @@ class ScenarioExploration:
 def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
                     scenario_code: str = "", mode: str = "auto",
                     max_schedules: int = DEFAULT_MAX_SCHEDULES, seed: int = 0,
-                    options: Optional[ExploreOptions] = None,
                     ) -> VariantExploration:
     """Evaluate ``variant.manifests`` over its whole interleaving space.
-
-    An :class:`~repro.explorer.options.ExploreOptions` may be passed instead
-    of the loose knobs; its ``mode``/``max_schedules``/``seed`` fields then
-    take precedence (the level still comes from the ``level`` argument — a
-    variant exploration is per-level by construction).
 
     The space is walked by one
     :class:`~repro.explorer.trie_executor.TrieExecutor` per call: a schedule
@@ -150,18 +145,15 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
     from-scratch oracle).  Nothing outlives the call — no executor or
     outcome is cached across calls.  Stalled outcomes are non-manifesting by
     definition (their ``manifests`` predicate is never consulted),
-    engine-aborted outcomes flow through the predicate exactly like the
-    curated path does.  The witness is the first manifesting schedule in the
-    space's deterministic stream order, with the history it realized.
+    engine-aborted outcomes flow through the predicate exactly as they do
+    in :func:`~repro.workloads.scenarios.run_variant`.  The witness is the
+    first manifesting schedule in the space's deterministic stream order,
+    with the history it realized.
 
     This always executes the space; skipping a statically impossible one is
     :func:`explore_scenario`'s decision.  That makes this function the
     oracle the static rules are held to.
     """
-    if options is not None:
-        mode = options.mode
-        max_schedules = options.max_schedules
-        seed = options.seed
     programs = variant.build_programs()
     space = schedule_space(programs, mode=mode, max_schedules=max_schedules,
                            seed=seed)
@@ -215,7 +207,6 @@ def explore_scenario(scenario: AnomalyScenario, level: IsolationLevelName,
                      mode: str = "auto",
                      max_schedules: int = DEFAULT_MAX_SCHEDULES, seed: int = 0,
                      static_pruning: bool = True,
-                     options: Optional[ExploreOptions] = None,
                      ) -> ScenarioExploration:
     """Explore every variant space of a scenario under one isolation level.
 
@@ -227,9 +218,7 @@ def explore_scenario(scenario: AnomalyScenario, level: IsolationLevelName,
     the verdict executing it would reach, because no schedule can satisfy
     an impossible scenario's ``manifests`` predicate, so the cell
     aggregation is unchanged.  ``static_pruning=False`` executes every
-    space.  As with :func:`explore_variant`, an
-    :class:`~repro.explorer.options.ExploreOptions` may replace the loose
-    space knobs; ``static_pruning`` is always this argument.
+    space.
     """
     if not scenario.variants:
         raise ValueError(
@@ -250,8 +239,7 @@ def explore_scenario(scenario: AnomalyScenario, level: IsolationLevelName,
                     pruned=True, static_reason=verdict.reason,
                 )
         return explore_variant(variant, level, scenario_code=scenario.code,
-                               mode=mode, max_schedules=max_schedules, seed=seed,
-                               options=options)
+                               mode=mode, max_schedules=max_schedules, seed=seed)
 
     return ScenarioExploration(
         scenario_code=scenario.code,

@@ -15,8 +15,7 @@ with "storage" in their nature, on opposite sides of the experiment:
 What lives here:
 
 * :mod:`~repro.persist.records` — canonical serialization of everything a
-  store persists (schedule records, classifications, leases, certificates,
-  Table 4 cells);
+  store persists (schedule records, classifications, leases, certificates);
 * :mod:`~repro.persist.store` — the store's error types and the rows its
   queries answer with;
 * :mod:`~repro.persist.sqlite_store` — :class:`SqliteStore`, the store:

@@ -4,9 +4,7 @@ Everything a :class:`~repro.persist.sqlite_store.SqliteStore` persists
 crosses through this module, in both directions: per-schedule
 :class:`~repro.explorer.worker.ScheduleRecord` rows, shared
 :class:`~repro.explorer.memo.HistoryClassification` entries keyed by history
-shorthand, lease and certificate rows, and measured
-:class:`~repro.analysis.coverage.ExploredCell` payloads for the explored
-Table 4.
+shorthand, and lease and certificate rows.
 
 The encoding is deliberately boring and deliberately *canonical*: flat row
 tuples of SQL-native scalars (ints and strings), with every collection
@@ -31,8 +29,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..analysis.coverage import ExploredCell
-from ..core.isolation import Possibility
 from ..core.phenomena import ALL_PHENOMENA
 from ..explorer.memo import HistoryClassification
 from ..explorer.schedules import Interleaving
@@ -54,8 +50,6 @@ __all__ = [
     "record_from_bytes",
     "classification_to_row",
     "classification_from_row",
-    "cell_to_payload",
-    "cell_from_payload",
     "LEASE_STATES",
     "LeaseRecord",
     "lease_to_row",
@@ -190,51 +184,6 @@ def classification_from_row(row: Sequence) -> Tuple[str, HistoryClassification]:
         phenomena=decode_codes(row[2]),
         committed=decode_ints(row[3]),
         aborted=decode_ints(row[4]),
-    )
-
-
-# -- ExploredCell (the measured Table 4) ----------------------------------------------
-
-
-def cell_to_payload(cell: ExploredCell) -> str:
-    """One measured Table 4 cell as canonical JSON."""
-    witness = None
-    if cell.witness is not None:
-        variant, interleaving, history = cell.witness
-        witness = [variant, list(interleaving), history]
-    return canonical_json({
-        "code": cell.code,
-        "possibility": cell.possibility.name,
-        "schedules": cell.schedules,
-        "manifested": cell.manifested,
-        "stalled": cell.stalled,
-        "witness": witness,
-        "variant_frequencies": [[name, frequency]
-                                for name, frequency in cell.variant_frequencies],
-        "pruned_variants": cell.pruned_variants,
-        "static_reasons": [[name, reason]
-                           for name, reason in cell.static_reasons],
-    })
-
-
-def cell_from_payload(payload: str) -> ExploredCell:
-    data = json.loads(payload)
-    witness = None
-    if data["witness"] is not None:
-        variant, interleaving, history = data["witness"]
-        witness = (variant, tuple(interleaving), history)
-    return ExploredCell(
-        code=data["code"],
-        possibility=Possibility[data["possibility"]],
-        schedules=data["schedules"],
-        manifested=data["manifested"],
-        stalled=data["stalled"],
-        witness=witness,
-        variant_frequencies=tuple(
-            (name, frequency) for name, frequency in data["variant_frequencies"]),
-        pruned_variants=data["pruned_variants"],
-        static_reasons=tuple(
-            (name, reason) for name, reason in data["static_reasons"]),
     )
 
 

@@ -37,7 +37,9 @@ Schema v2 adds the ``leases`` table: the distributed runner's durable
 work-queue state (chunk lease state, fencing token, attempt count).  v3
 adds the ``certificates`` table: the online certifier service's anomaly
 certificates, keyed ``(campaign, stream, seq)``.  v4 drops the ``outcomes``
-table of the retired schedule-outcome memo from new stores.  Older stores
+table of the retired schedule-outcome memo from new stores.  New stores
+have no ``table4_cells`` table either; a file of an earlier build that
+holds one opens as before and the table is never read.  Older stores
 migrate in place, in one transaction: the v2 and v3 tables are purely
 additive, and v4 marks every explore or distributed campaign run with
 ``reduction: "none"`` as memo-era (:func:`_mark_memo_era`), because a build
@@ -171,13 +173,6 @@ CREATE TABLE IF NOT EXISTS witness_edges (
 );
 CREATE INDEX IF NOT EXISTS witness_edges_by_campaign
     ON witness_edges (campaign, scope, kind);
-CREATE TABLE IF NOT EXISTS table4_cells (
-    campaign TEXT NOT NULL,
-    scope    TEXT NOT NULL,
-    code     TEXT NOT NULL,
-    payload  TEXT NOT NULL,
-    PRIMARY KEY (campaign, scope, code)
-);
 CREATE TABLE IF NOT EXISTS leases (
     campaign    TEXT NOT NULL,
     scope       TEXT NOT NULL,
@@ -704,22 +699,6 @@ class SqliteStore:
                 [(campaign_id,) + tuple(row) for row in rows])
 
         self._write(txn)
-
-    def save_table4_cell(self, campaign_id: str, scope: str, code: str,
-                         payload: str) -> None:
-        """Upsert one explored Table 4 cell (canonical JSON payload)."""
-        self._require_campaign(campaign_id)
-        self._write(lambda cur: cur.execute(
-            "INSERT OR REPLACE INTO table4_cells (campaign, scope, code, "
-            "payload) VALUES (?, ?, ?, ?)", (campaign_id, scope, code, payload)))
-
-    def load_table4_cells(self, campaign_id: str) -> Dict[Tuple[str, str], str]:
-        """Every stored Table 4 cell payload, keyed ``(scope, code)``."""
-        with self._reading(campaign_id):
-            return {(scope, code): payload for scope, code, payload in
-                    self._conn.execute("SELECT scope, code, payload FROM "
-                                       "table4_cells WHERE campaign = ?",
-                                       (campaign_id,))}
 
     # -- SQL analytics ----------------------------------------------------------------
 

@@ -18,8 +18,8 @@ persists five kinds of state:
 * **the classification tier** — history classifications keyed by shorthand
   and shared across workloads, the cross-run extension of the in-process
   classification memo (the store's one dedupe tier);
-* **derived artifacts** — coverage cells, witness conflict edges, and
-  explored Table 4 cells, written once a campaign completes.
+* **derived artifacts** — coverage cells and witness conflict edges,
+  written once a campaign completes.
 
 Rows are encoded and decoded by :mod:`repro.persist.records`.  Only the
 parent process uses a store — workers never touch it, which keeps it free

@@ -36,8 +36,8 @@ contracts honest, and none of them is expressible in a generic linter:
   (:mod:`repro.persist.records`) is canonical and lossless:
   ``decode(encode(x)) == x`` exactly, encoding is a pure function, and
   every row element is an SQL-native scalar, across representative
-  schedule records, classifications, and Table 4 cells
-  (stalled and deadlock-aborted shapes included).  This is the invariant
+  schedule records and classifications (stalled and deadlock-aborted
+  shapes included).  This is the invariant
   that makes resumed campaigns byte-identical to uninterrupted ones.
 * **lease-records** (runtime) — the distributed runner's lease rows obey
   the same contract: every lease state round-trips losslessly through
@@ -375,8 +375,6 @@ def lint_footprints() -> List[Violation]:
 
 def _store_record_fixtures():
     """Representative campaign-store payloads, worst cases included."""
-    from ..analysis.coverage import ExploredCell
-    from ..core.isolation import Possibility
     from ..explorer.memo import HistoryClassification
     from ..explorer.worker import ScheduleRecord
 
@@ -391,12 +389,7 @@ def _store_record_fixtures():
     classification = HistoryClassification(
         shorthand="w1[x] c1", serializable=True, phenomena=(),
         committed=(1,), aborted=())
-    cell = ExploredCell(
-        code="P2", possibility=Possibility.SOMETIMES_POSSIBLE, schedules=12,
-        manifested=3, stalled=1, witness=("variant-a", (1, 2, 1), "r1[x] w2[x]"),
-        variant_frequencies=(("variant-a", 0.5), ("variant-b", 0.0)),
-        pruned_variants=1, static_reasons=(("variant-c", "no rw edge"),))
-    return records, classification, cell
+    return records, classification
 
 
 def lint_store_records() -> List[Violation]:
@@ -404,9 +397,9 @@ def lint_store_records() -> List[Violation]:
 
     The persist layer's determinism contract: ``decode(encode(x)) == x``
     exactly, ``encode`` is a pure function (same input → same row twice),
-    and every row element is an SQL-native scalar — for schedule records,
-    shared classifications, and explored Table 4 cells,
-    including stalled and deadlock-aborted shapes.  A breach here is the bug
+    and every row element is an SQL-native scalar — for schedule records
+    and shared classifications, including stalled and deadlock-aborted
+    shapes.  A breach here is the bug
     that makes a resumed campaign's coverage report drift from the
     uninterrupted one.
     """
@@ -441,7 +434,7 @@ def lint_store_records() -> List[Violation]:
                 "store-records", where, 0,
                 f"{kind} does not round-trip: {value!r} -> {decoded!r}"))
 
-    records, classification, cell = _store_record_fixtures()
+    records, classification = _store_record_fixtures()
     for record in records:
         check("ScheduleRecord", record, rec.record_to_row, rec.record_from_row)
         if rec.record_from_bytes(rec.record_to_bytes(record)) != record:
@@ -451,7 +444,6 @@ def lint_store_records() -> List[Violation]:
     check("HistoryClassification", classification,
           lambda value: rec.classification_to_row(value.shorthand, value),
           lambda row: rec.classification_from_row(row)[1])
-    check("ExploredCell", cell, rec.cell_to_payload, rec.cell_from_payload)
     return violations
 
 

@@ -5,7 +5,6 @@ from .scenarios import (
     AnomalyScenario,
     ScenarioVariant,
     VariantResult,
-    evaluate_scenario,
     run_variant,
     scenario_by_code,
 )
@@ -19,7 +18,7 @@ from .generators import (
 
 __all__ = [
     "ALL_SCENARIOS", "AnomalyScenario", "ScenarioVariant", "VariantResult",
-    "evaluate_scenario", "run_variant", "scenario_by_code",
+    "run_variant", "scenario_by_code",
     "contention_workload", "history_corpus", "random_history",
     "random_programs", "uniform_database",
 ]

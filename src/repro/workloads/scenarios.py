@@ -13,12 +13,11 @@ goes through a cursor but not when it uses plain reads, and Snapshot Isolation
 prevents the ANSI-style phantom (rereading a predicate) but not the
 constraint-violating disjoint-insert phantom of Section 4.2.
 
-Evaluating a scenario against an engine factory yields a
-:class:`~repro.core.isolation.Possibility`:
-
-* every variant manifests  → ``POSSIBLE``
-* no variant manifests     → ``NOT_POSSIBLE``
-* some do, some don't      → ``SOMETIMES_POSSIBLE``
+:func:`run_variant` replays one variant's printed interleaving (or any
+other) against a fresh engine; it is the from-scratch oracle the schedule
+explorer (:mod:`repro.explorer.scenarios`) is held to.  The Table 4 cells
+themselves aggregate whole interleaving spaces
+(:func:`repro.analysis.matrix.compute_table4_explored`).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.isolation import Possibility
 from ..core.phenomena import P1_DIRTY_READ, P4C_CURSOR_LOST_UPDATE
 from ..engine.interface import Engine
 from ..engine.outcomes import ExecutionOutcome
@@ -62,7 +60,6 @@ __all__ = [
     "ALL_SCENARIOS",
     "scenario_by_code",
     "run_variant",
-    "evaluate_scenario",
 ]
 
 EngineFactory = Callable[[Database], Engine]
@@ -141,26 +138,6 @@ def run_variant(variant: ScenarioVariant, engine_factory: EngineFactory,
         outcome=outcome,
         stalled=outcome.stalled,
     )
-
-
-def evaluate_scenario(scenario: AnomalyScenario,
-                      engine_factory: EngineFactory) -> Possibility:
-    """Aggregate a scenario's variants into a Table 4 cell value."""
-    if not scenario.variants:
-        raise ValueError(
-            f"scenario {scenario.code} has no variants; refusing to call an "
-            f"empty scenario POSSIBLE (all([]) is True)"
-        )
-    results = [
-        run_variant(variant, engine_factory, scenario.code)
-        for variant in scenario.variants
-    ]
-    manifested = [result.manifested for result in results]
-    if all(manifested):
-        return Possibility.POSSIBLE
-    if not any(manifested):
-        return Possibility.NOT_POSSIBLE
-    return Possibility.SOMETIMES_POSSIBLE
 
 
 # ---------------------------------------------------------------------------

@@ -3,25 +3,22 @@
 from __future__ import annotations
 
 
+from repro.analysis.hierarchy_check import level_profiles
 from repro.analysis.matrix import (
     EXPECTED_TABLE_4,
     TABLE_4_COLUMNS,
     TABLE_4_LEVELS,
     compute_phenomenon_table,
-    compute_table4_row,
+    compute_table4_explored,
     default_history_corpus,
-    phenomenon_level_profile,
-    variant_manifestation_profile,
 )
 from repro.core.isolation import (
-    ANSI_STRICT_LEVELS,
     CORRECTED_LEVELS,
     IsolationLevelName,
     Possibility,
     TABLE_1,
     TABLE_3,
 )
-from repro.testbed import engine_factory
 
 
 class TestExpectedTable4:
@@ -41,16 +38,20 @@ class TestExpectedTable4:
 
 class TestComputedRows:
     def test_read_committed_row_matches_the_paper(self):
-        row = compute_table4_row(engine_factory(IsolationLevelName.READ_COMMITTED))
-        assert row == EXPECTED_TABLE_4[IsolationLevelName.READ_COMMITTED]
+        level = IsolationLevelName.READ_COMMITTED
+        row = compute_table4_explored((level,)).possibilities()[level]
+        assert row == EXPECTED_TABLE_4[level]
 
     def test_snapshot_isolation_row_matches_the_paper(self):
-        row = compute_table4_row(engine_factory(IsolationLevelName.SNAPSHOT_ISOLATION))
-        assert row == EXPECTED_TABLE_4[IsolationLevelName.SNAPSHOT_ISOLATION]
+        level = IsolationLevelName.SNAPSHOT_ISOLATION
+        row = compute_table4_explored((level,)).possibilities()[level]
+        assert row == EXPECTED_TABLE_4[level]
 
     def test_variant_profile_is_finer_than_the_row(self):
-        rr = variant_manifestation_profile(IsolationLevelName.REPEATABLE_READ)
-        si = variant_manifestation_profile(IsolationLevelName.SNAPSHOT_ISOLATION)
+        profiles = level_profiles((IsolationLevelName.REPEATABLE_READ,
+                                   IsolationLevelName.SNAPSHOT_ISOLATION))
+        rr = profiles[IsolationLevelName.REPEATABLE_READ]
+        si = profiles[IsolationLevelName.SNAPSHOT_ISOLATION]
         # Both rows say "phantoms possible", but through different variants.
         assert ("P3", "employee-count-H3") in rr
         assert ("P3", "employee-count-H3") not in si
@@ -58,12 +59,12 @@ class TestComputedRows:
         assert ("A5B", "plain-reads") in si
         assert ("A5B", "plain-reads") not in rr
 
-    def test_phenomenon_level_profile_excludes_forbidden_patterns(self):
-        anomaly_ser = ANSI_STRICT_LEVELS[IsolationLevelName.ANOMALY_SERIALIZABLE]
-        profile = phenomenon_level_profile(anomaly_ser)
-        # The strict definition forbids A1/A2, so those scenario variants drop out...
+    def test_phenomenon_defined_profile_excludes_forbidden_patterns(self):
+        level = IsolationLevelName.ANOMALY_SERIALIZABLE
+        profile = level_profiles((level,))[level]
+        # The strict definition forbids A1, and the rolled-back read is A1
+        # in every history of its space, so that variant drops out...
         assert ("P1", "read-of-rolled-back-write") not in profile
-        assert ("P2", "plain-reread") not in profile
         # ...but the inconsistent-analysis and write-skew variants remain.
         assert ("P1", "inconsistent-analysis-H1") in profile
         assert ("A5B", "plain-reads") in profile

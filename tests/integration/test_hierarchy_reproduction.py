@@ -1,12 +1,15 @@
 """Integration test: Figure 2 and the paper's ordering remarks.
 
 Every ``lower « higher`` edge of Figure 2 must come out WEAKER when the two
-engines' variant-manifestation profiles are compared, and every numbered
-remark (1, 7, 8, 9, 10) must hold — including the incomparability of
-REPEATABLE READ and Snapshot Isolation (Remark 9).
+levels' whole-space variant profiles are compared (the variants whose anomaly
+manifests anywhere in their interleaving space), and every numbered remark
+(1, 7, 8, 9, 10) must hold — including the incomparability of REPEATABLE
+READ and Snapshot Isolation (Remark 9).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +20,13 @@ from repro.analysis.hierarchy_check import (
     verify_remarks,
 )
 from repro.core.hierarchy import FIGURE_2_EDGES, Relation
-from repro.core.isolation import IsolationLevelName
+from repro.core.history import parse_history
+from repro.core.isolation import ANSI_STRICT_LEVELS, IsolationLevelName
+from repro.core.phenomena import by_code
+from repro.explorer.scenarios import explore_variant
+from repro.workloads.scenarios import scenario_by_code
+
+L = IsolationLevelName
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +76,41 @@ def test_remark8_snapshot_is_strictly_stronger_than_read_committed(profiles):
     si = profiles[IsolationLevelName.SNAPSHOT_ISOLATION]
     assert profile_relation(rc, si) is Relation.WEAKER
     assert si < rc
+
+
+def test_remarks_9_and_10_on_whole_spaces(profiles):
+    """The numbers behind Remarks 9 and 10, read from whole spaces."""
+    rr, si = profiles[L.REPEATABLE_READ], profiles[L.SNAPSHOT_ISOLATION]
+    assert rr - si == {("P3", "employee-count-H3")}
+    assert si - rr == {("A5B", "plain-reads"), ("A5B", "cursors-on-both-items")}
+    # Table 1's ANOMALY SERIALIZABLE admits every Degree 0 variant but the
+    # rolled-back read (A1 in every history of its space)...
+    anomaly_serializable = level_profiles((L.ANOMALY_SERIALIZABLE,))[
+        L.ANOMALY_SERIALIZABLE]
+    assert len(anomaly_serializable) == 12
+    assert si < anomaly_serializable                # Remark 10
+    assert profiles[L.DEGREE_0] - anomaly_serializable == {
+        ("P1", "read-of-rolled-back-write")}
+    # ...including both rereads: their printed interleavings show A2, but
+    # another history of the same space rereads a dirty value instead.
+    assert {("P2", "plain-reread"),
+            ("P2", "cursor-stabilized-reread")} <= anomaly_serializable
+
+
+def test_the_h1_style_reread_is_found_by_search():
+    """The Degree 0 history that puts ``plain-reread`` in ANOMALY
+    SERIALIZABLE: broad P1 and P2, but none of the strict A1, A2, A3 that
+    Table 1's definition forbids — the paper's H1 critique, found by search
+    rather than printed."""
+    definition = ANSI_STRICT_LEVELS[L.ANOMALY_SERIALIZABLE]
+    variant = scenario_by_code("P2").variant("plain-reread")
+    permitted = replace(variant, manifests=lambda outcome: (
+        variant.manifests(outcome) and definition.permits(outcome.history)))
+    exploration = explore_variant(permitted, L.DEGREE_0, "P2")
+    assert exploration.witness == (1, 2, 2, 1, 1, 2)
+    assert exploration.witness_history == \
+        "r1[x=100] r2[x=100] w2[x=110] r1[x=110] c1 c2"
+    history = parse_history(exploration.witness_history)
+    assert {code: by_code(code).occurs_in(history)
+            for code in ("P1", "P2", "A1", "A2", "A3")} == {
+        "P1": True, "P2": True, "A1": False, "A2": False, "A3": False}

@@ -5,7 +5,7 @@ forbids what its phenomenon-based namesake forbids), Remark 6 (the locking
 engines realize Table 3), Section 4.2's Snapshot Isolation vs locking
 behaviour under contention, and four ablations of the design choices the
 paper argues for.  Tables 1, 3 and 4, Figure 2, the ordering remarks and the
-catalogued histories are checked in ``test_table4_reproduction.py``,
+catalogued histories are checked in ``test_table4_explored.py``,
 ``test_hierarchy_reproduction.py``, ``tests/analysis/test_matrix.py``,
 ``tests/core/test_isolation.py`` and ``tests/core/test_catalog.py``.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.matrix import compute_table4_row, default_history_corpus
+from repro.analysis.matrix import compute_table4_explored, default_history_corpus
 from repro.core.dependency import is_serializable
 from repro.core.isolation import (
     ANSI_BROAD_LEVELS,
@@ -28,7 +28,7 @@ from repro.locking.modes import LockDuration, LockMode
 from repro.locking.policy import POLICIES, LockingPolicy, LockRule
 from repro.testbed import engine_factory, make_engine
 from repro.workloads.generators import contention_workload
-from repro.workloads.scenarios import evaluate_scenario, scenario_by_code
+from repro.workloads.scenarios import run_variant, scenario_by_code
 
 L = IsolationLevelName
 NOT_POSSIBLE = Possibility.NOT_POSSIBLE
@@ -55,9 +55,19 @@ ANSI_FORBIDS = {
 
 
 @pytest.fixture(scope="module")
-def locking_rows():
-    """The measured Table 4 row of every Table 3 level's locking engine."""
-    return {level: compute_table4_row(engine_factory(level)) for level in TABLE_3}
+def cells():
+    """The measured Table 4 row of every Table 3 level's locking engine, and
+    of the levels the ablations compare against."""
+    return compute_table4_explored(
+        (L.DEGREE_0, *TABLE_3, L.SNAPSHOT_ISOLATION,
+         L.ORACLE_READ_CONSISTENCY)).possibilities()
+
+
+def every_variant_manifests(code, factory):
+    """Whether each variant of ``code``, replayed on its printed interleaving
+    under an engine the levels do not name, shows its anomaly."""
+    return all(run_variant(variant, factory, code).manifested
+               for variant in scenario_by_code(code).variants)
 
 
 def test_table2_lock_rules():
@@ -69,15 +79,14 @@ def test_table2_lock_rules():
     assert measured == TABLE_2
 
 
-def test_remark2_locking_levels_forbid_what_their_ansi_namesakes_forbid(
-        locking_rows):
+def test_remark2_locking_levels_forbid_what_their_ansi_namesakes_forbid(cells):
     for level, forbidden in ANSI_FORBIDS.items():
         for code in forbidden:
-            assert locking_rows[level][code] is NOT_POSSIBLE, (level, code)
+            assert cells[level][code] is NOT_POSSIBLE, (level, code)
 
 
-def test_remark6_locking_engines_realize_table3(locking_rows):
-    measured = {level: {code: locking_rows[level][code] for code in TABLE_3[level]}
+def test_remark6_locking_engines_realize_table3(cells):
+    measured = {level: {code: cells[level][code] for code in TABLE_3[level]}
                 for level in TABLE_3}
     assert measured == TABLE_3
 
@@ -146,7 +155,7 @@ def test_broad_reading_admits_fewer_non_serializable_histories_than_strict():
     assert strict > broad > 0
 
 
-def test_serializable_without_predicate_locks_admits_phantoms():
+def test_serializable_without_predicate_locks_admits_phantoms(cells):
     item_only = LockingPolicy(
         level=L.SERIALIZABLE,
         item_read=LockRule(LockMode.SHARED, LockDuration.LONG),
@@ -154,31 +163,23 @@ def test_serializable_without_predicate_locks_admits_phantoms():
         write=LockRule(LockMode.EXCLUSIVE, LockDuration.LONG),
         cursor_read=LockRule(LockMode.SHARED, LockDuration.LONG),
     )
-    phantom = scenario_by_code("P3")
-    assert evaluate_scenario(phantom, engine_factory(L.SERIALIZABLE)) \
-        is NOT_POSSIBLE
-    assert evaluate_scenario(
-        phantom, engine_factory(L.SERIALIZABLE, policy=item_only)) is POSSIBLE
+    assert cells[L.SERIALIZABLE]["P3"] is NOT_POSSIBLE
+    assert every_variant_manifests(
+        "P3", engine_factory(L.SERIALIZABLE, policy=item_only))
 
 
-def test_first_committer_wins_is_what_stops_lost_updates():
+def test_first_committer_wins_is_what_stops_lost_updates(cells):
     """SI forbids P4 and P4C; without first-committer-wins it loses updates;
     Oracle Read Consistency (first-writer-wins) forbids only P4C."""
-    def outcomes(level, **options):
-        factory = engine_factory(level, **options)
-        return tuple(evaluate_scenario(scenario_by_code(code), factory)
-                     for code in ("P4", "P4C"))
-
-    assert outcomes(L.SNAPSHOT_ISOLATION) == (NOT_POSSIBLE, NOT_POSSIBLE)
-    assert outcomes(L.SNAPSHOT_ISOLATION, first_committer_wins=False)[0] \
-        is POSSIBLE
-    p4, p4c = outcomes(L.ORACLE_READ_CONSISTENCY)
-    assert p4 is not NOT_POSSIBLE and p4c is NOT_POSSIBLE
+    si = cells[L.SNAPSHOT_ISOLATION]
+    assert (si["P4"], si["P4C"]) == (NOT_POSSIBLE, NOT_POSSIBLE)
+    assert every_variant_manifests(
+        "P4", engine_factory(L.SNAPSHOT_ISOLATION, first_committer_wins=False))
+    oracle = cells[L.ORACLE_READ_CONSISTENCY]
+    assert oracle["P4"] is not NOT_POSSIBLE and oracle["P4C"] is NOT_POSSIBLE
 
 
-def test_short_write_locks_admit_dirty_writes():
+def test_short_write_locks_admit_dirty_writes(cells):
     """Degree 0's short write locks admit P0; Degree 1's long ones do not."""
-    dirty_write = scenario_by_code("P0")
-    assert evaluate_scenario(dirty_write, engine_factory(L.DEGREE_0)) is POSSIBLE
-    assert evaluate_scenario(dirty_write, engine_factory(L.READ_UNCOMMITTED)) \
-        is NOT_POSSIBLE
+    assert cells[L.DEGREE_0]["P0"] is POSSIBLE
+    assert cells[L.READ_UNCOMMITTED]["P0"] is NOT_POSSIBLE

@@ -1,21 +1,21 @@
-"""Integration test: explorer-driven Table 4.
+"""Integration test: the Table 4 reproduction, every cell a whole-space measurement.
 
-The headline strengthening of the reproduction: instead of replaying one
-curated adversarial interleaving per cell, every scenario variant's *entire*
-interleaving space is executed under every Table 4 level, and the aggregated
-manifestation sets must reproduce the paper's printed table cell for cell —
-now with a measured manifestation frequency and a replayable witness
-interleaving behind every Possible / Sometimes Possible cell, and with the
-stalled and deadlocked schedules that arbitrary interleavings inevitably
-produce under locking engines handled as first-class non-manifesting results
-(no ``RuntimeError`` anywhere in the run).
+The headline result: every scenario variant's *entire* interleaving space is
+executed under every Table 4 level, and the aggregated manifestation sets
+must reproduce the paper's printed table cell for cell — with a measured
+manifestation frequency and a replayable witness interleaving behind every
+Possible / Sometimes Possible cell, and with the stalled and deadlocked
+schedules that arbitrary interleavings inevitably produce under locking
+engines handled as first-class non-manifesting results (no ``RuntimeError``
+anywhere in the run).  The two extension rows (Degree 0, Oracle Read
+Consistency) must match their documented expectations.
 
 ``TABLE4_EXPLORE_BUDGET`` caps the per-variant schedule budget (the default
-covers every curated variant space exhaustively).
+covers every variant space exhaustively).
 
-The module's table executes every space (``static_pruning=False``); the
-default, statically pruned table must agree with it cell for cell, witness
-for witness.
+The module's table executes every space (``static_pruning=False``) at the
+six Table 4 levels and the two extension levels; the default, statically
+pruned table must agree with it cell for cell, witness for witness.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import pytest
 from repro.analysis.coverage import ExploredTable4
 from repro.analysis.matrix import (
     EXPECTED_TABLE_4,
+    EXTENSION_EXPECTATIONS,
     TABLE_4_COLUMNS,
     TABLE_4_LEVELS,
     compute_table4_explored,
@@ -38,7 +39,7 @@ from repro.workloads.scenarios import run_variant, scenario_by_code
 
 BUDGET = int(os.environ.get("TABLE4_EXPLORE_BUDGET", "2000"))
 
-#: The largest curated variant space (A5B through cursors) has 924
+#: The largest variant space (A5B through cursors) has 924
 #: interleavings; at or above that every space is enumerated exhaustively and
 #: the matrix *must* equal the paper's.  Below it, spaces switch to seeded
 #: sampling, which can miss a cell's only witnesses — the strict cell-for-cell
@@ -46,22 +47,47 @@ BUDGET = int(os.environ.get("TABLE4_EXPLORE_BUDGET", "2000"))
 EXHAUSTIVE = BUDGET >= 924
 
 
+#: The paper's six rows, then the two extension rows.
+LEVELS = TABLE_4_LEVELS + tuple(EXTENSION_EXPECTATIONS)
+
+exhaustive_only = pytest.mark.skipif(
+    not EXHAUSTIVE, reason=f"budget {BUDGET} < 924 samples the larger spaces; "
+                           f"cell-for-cell equality is only guaranteed "
+                           f"exhaustively")
+
+
 @pytest.fixture(scope="module")
 def explored() -> ExploredTable4:
-    return compute_table4_explored(max_schedules=BUDGET, static_pruning=False)
+    return compute_table4_explored(LEVELS, max_schedules=BUDGET,
+                                   static_pruning=False)
 
 
+@exhaustive_only
+@pytest.mark.parametrize("level", TABLE_4_LEVELS, ids=lambda level: level.value)
+def test_table4_row_matches_the_paper(explored, level):
+    measured = explored.possibilities()[level]
+    expected = EXPECTED_TABLE_4[level]
+    assert measured == expected, render_comparison(
+        {level: expected}, {level: measured}, TABLE_4_COLUMNS)
+
+
+@exhaustive_only
+@pytest.mark.parametrize("level", sorted(EXTENSION_EXPECTATIONS, key=lambda lvl: lvl.value),
+                         ids=lambda level: level.value)
+def test_extension_rows_match_their_documented_expectations(explored, level):
+    assert explored.possibilities()[level] == EXTENSION_EXPECTATIONS[level]
+
+
+@exhaustive_only
 def test_explored_matrix_matches_the_paper_cell_for_cell(explored):
-    if not EXHAUSTIVE:
-        pytest.skip(f"budget {BUDGET} < 924 samples the larger spaces; "
-                    f"cell-for-cell equality is only guaranteed exhaustively")
-    measured = explored.possibilities()
+    measured = {level: explored.possibilities()[level]
+                for level in TABLE_4_LEVELS}
     assert measured == EXPECTED_TABLE_4, render_comparison(
         EXPECTED_TABLE_4, measured, TABLE_4_COLUMNS)
 
 
 def test_every_witnessed_cell_records_a_witness_interleaving(explored):
-    for level in TABLE_4_LEVELS:
+    for level in LEVELS:
         for code in TABLE_4_COLUMNS:
             cell = explored.cell(level, code)
             if cell.possibility is Possibility.NOT_POSSIBLE:
@@ -79,7 +105,7 @@ def test_witness_interleavings_replay_to_manifestation(explored):
     """Every recorded witness is a genuine, independently replayable exhibit:
     replayed through ``run_variant`` it manifests and realizes the recorded
     history."""
-    for level in TABLE_4_LEVELS:
+    for level in LEVELS:
         factory = engine_factory(level)
         for code in TABLE_4_COLUMNS:
             witness = explored.witness(level, code)
@@ -96,26 +122,25 @@ def test_witness_interleavings_replay_to_manifestation(explored):
             assert replay.outcome.history.to_shorthand() == history
 
 
+@exhaustive_only
 def test_exploration_covers_the_full_curated_spaces(explored):
     """With the default budget every variant space is explored exhaustively."""
-    if not EXHAUSTIVE:
-        pytest.skip("sampled smoke budget; exhaustiveness not expected")
-    for level in TABLE_4_LEVELS:
+    for level in LEVELS:
         for code in TABLE_4_COLUMNS:
             cell = explored.cell(level, code)
             assert cell.schedules > 0
-    # The curated scenario spaces total 1367 schedules per level.
-    assert explored.total_schedules() == 1367 * len(TABLE_4_LEVELS)
+    # The scenario spaces total 1367 schedules per level.
+    assert explored.total_schedules() == 1367 * len(LEVELS)
 
 
 def test_default_pruned_table_keeps_every_cell_and_witness(explored):
     """Pruning skips only spaces that never manifest, so nothing observable moves."""
-    pruned = compute_table4_explored(max_schedules=BUDGET)
+    pruned = compute_table4_explored(LEVELS, max_schedules=BUDGET)
     assert pruned.static_pruning and not explored.static_pruning
     assert pruned.possibilities() == explored.possibilities()
     assert pruned.total_pruned_variants() > 0
     assert pruned.total_schedules() < explored.total_schedules()
-    for level in TABLE_4_LEVELS:
+    for level in LEVELS:
         for code in TABLE_4_COLUMNS:
             kept, full = pruned.cell(level, code), explored.cell(level, code)
             assert kept.witness == full.witness

@@ -69,8 +69,9 @@ def test_inspect_unknown_campaign_fails(store_path, capsys):
                                     {"kind": "table4-explored"}])
 def test_resume_and_report_refuse_a_non_exploration_campaign(store_path,
                                                              config, capsys):
-    """A ``serve --store`` or Table 4 campaign names no program set: resume
-    and ``inspect --report`` say so and exit 2, not a KeyError traceback."""
+    """A ``serve --store`` campaign, or an earlier build's Table 4 campaign,
+    names no program set: resume and ``inspect --report`` say so and exit 2,
+    not a KeyError traceback."""
     store = SqliteStore(store_path)
     store.open_campaign("other", config)
     store.close()

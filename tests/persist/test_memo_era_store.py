@@ -19,14 +19,12 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from repro.analysis.matrix import compute_table4_explored
 from repro.core.isolation import IsolationLevelName
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.persist import CampaignConfigMismatch, SqliteStore, StoreError
 from repro.persist.records import default_campaign_id
 from repro.persist.session import campaign_config
 from repro.persist.sqlite_store import SCHEMA_VERSION
-from repro.workloads.scenarios import ALL_SCENARIOS
 
 from .test_hostile_store import _serve, campaign_main, distrib_main
 from .test_sleep_set_store import write_sleep_set_chunks
@@ -38,6 +36,17 @@ CONFIG = campaign_config(SPEC, mode="auto", max_schedules=1000, seed=0,
                          chunk_size=64)
 DEFAULT_ID = default_campaign_id(CONFIG)
 REDUCED = {**CONFIG, "reduction": "sleep-set"}
+
+#: What an earlier build's ``compute_table4_explored(store=...)`` stored: the
+#: campaign's config row and its per-cell table, one cell of it here.
+TABLE4 = {"kind": "table4-explored", "levels": [RC.value], "scenarios": ["P0"],
+          "mode": "auto", "max_schedules": 2000, "seed": 0,
+          "reduction": "none", "static_pruning": True}
+_TABLE4_CELLS = """
+CREATE TABLE IF NOT EXISTS table4_cells (
+    campaign TEXT NOT NULL, scope TEXT NOT NULL, code TEXT NOT NULL,
+    payload TEXT NOT NULL, PRIMARY KEY (campaign, scope, code))
+"""
 
 #: The v3 table the memo's stored tier lived in.
 _V3_OUTCOMES = """
@@ -64,17 +73,19 @@ def v3_store(tmp_path):
     plus a sleep-set campaign (its config row and a chunk with its
     representative rows, written through the store as the build that ran
     the plan wrote them) and a finished ``reduction="none"`` Table 4
-    campaign (which never ran through the memo)."""
+    campaign with its stored cell (which never ran through the memo)."""
     path = str(tmp_path / "v3.sqlite")
     store = SqliteStore(path)
     store.open_campaign(DEFAULT_ID, CONFIG)
     store.commit_chunk(DEFAULT_ID, RC.value, 0, _memo_era_records())
     write_sleep_set_chunks(store, "reduced", REDUCED, RC.value,
                            _memo_era_records())
-    compute_table4_explored(levels=(RC,), scenarios=ALL_SCENARIOS[:1],
-                            store=store, campaign_id="table4")
+    store.open_campaign("table4", TABLE4)
     store.close()
     conn = sqlite3.connect(path)
+    conn.execute(_TABLE4_CELLS)
+    conn.execute("INSERT INTO table4_cells VALUES (?, ?, ?, ?)",
+                 ("table4", RC.value, "P0", '{"code":"P0"}'))
     conn.execute(_V3_OUTCOMES)
     conn.execute("UPDATE meta SET value = '3' WHERE key = 'schema_version'")
     conn.commit()
@@ -106,7 +117,10 @@ def test_opening_a_v3_file_tags_only_memo_era_campaigns(v3_store):
     assert version == str(SCHEMA_VERSION) == "4"
     assert after[DEFAULT_ID] == {**before[DEFAULT_ID], "outcome_memo": "auto"}
     assert after["reduced"] == before["reduced"] == REDUCED
-    assert after["table4"] == before["table4"]      # kind: table4-explored
+    assert after["table4"] == before["table4"] == TABLE4
+    conn = sqlite3.connect(v3_store)
+    assert conn.execute("SELECT COUNT(*) FROM table4_cells").fetchone() == (1,)
+    conn.close()
     SqliteStore(v3_store).close()                   # a v4 file is left alone
     assert _stored_configs(v3_store) == (after, version)
 
@@ -143,13 +157,19 @@ def test_the_migrated_file_stays_readable(v3_store):
         "--max-schedules", "20", "--chunk-size", "8", "--workers", "1",
         "--campaign", "fresh"])
     assert code == 0 and "byte-identical to serial" in out
+    # The Table 4 campaign names no program set: resuming or reporting it
+    # exits 2 like any other campaign that is not an exploration.
+    for argv, action in (
+            (["resume"], "resume"),
+            (["inspect", "--report"], "rebuild the coverage report of")):
+        assert _cli(campaign_main, [argv[0], "--store", v3_store,
+                                    "--campaign", "table4", *argv[1:]]) == (
+            2, "", "error: campaign 'table4' is not an exploration campaign "
+                   f"(kind 'table4-explored'); cannot {action} it\n")
     store = SqliteStore(v3_store)
     try:
-        # The untagged Table 4 campaign still resumes; the sleep-set one,
-        # also untagged, fails closed on its own config.
-        assert compute_table4_explored(
-            levels=(RC,), scenarios=ALL_SCENARIOS[:1],
-            store=store, campaign_id="table4").possibilities()
+        # The sleep-set campaign, also untagged, fails closed on its own
+        # config.
         with pytest.raises(CampaignConfigMismatch):
             explore(SPEC, ExploreOptions(levels=(RC,), store=store,
                                          campaign_id="reduced"))

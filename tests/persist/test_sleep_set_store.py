@@ -6,9 +6,7 @@ sat in ``rep_records`` beside the per-schedule ``records``.  This build
 writes neither that config nor those rows, so the fixtures here write them
 directly through the store.  Such a campaign still lists, inspects and
 reports exactly as before (nothing reads ``rep_records``), and resuming it
-exits 2 with the campaign named instead of silently re-running it.  A
-sleep-set Table 4 campaign still reads through
-:func:`~repro.analysis.matrix.table4_explored_from_store`.
+exits 2 with the campaign named instead of silently re-running it.
 """
 
 from __future__ import annotations
@@ -18,17 +16,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from repro.analysis.matrix import (
-    _table4_campaign_config,
-    compute_table4_explored,
-    table4_explored_from_store,
-)
 from repro.core.isolation import IsolationLevelName
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore
-from repro.persist import CampaignConfigMismatch, SqliteStore
+from repro.persist import SqliteStore
 from repro.persist import records as rec
 from repro.persist.session import campaign_config
-from repro.workloads.scenarios import ALL_SCENARIOS
 
 from .test_hostile_store import campaign_main, distrib_main
 
@@ -175,27 +167,3 @@ def test_campaign_config_rejects_every_other_reduction(reduction):
     with pytest.raises(ValueError, match="reduction must be 'none', got "
                                          f"{reduction!r}"):
         campaign_config(SPEC, reduction=reduction, **KNOBS)
-
-
-def test_a_sleep_set_table4_campaign_still_reads(store):
-    levels, scenarios = (RC,), ALL_SCENARIOS[:2]
-    table = compute_table4_explored(levels=levels, scenarios=scenarios)
-    config = {**_table4_campaign_config(levels, scenarios, "auto", 2000, 0,
-                                        True),
-              "reduction": "sleep-set"}
-    store.open_campaign("t4", config)
-    for level, row in table.cells.items():
-        for code, cell in row.items():
-            store.save_table4_cell("t4", level.value, code,
-                                   rec.cell_to_payload(cell))
-    stored = table4_explored_from_store(store, "t4")
-    assert stored == table
-    with pytest.raises(CampaignConfigMismatch, match="'t4'"):
-        compute_table4_explored(levels=levels, scenarios=scenarios,
-                                store=store, campaign_id="t4")
-    # The derived id names a new "reduction": "none" campaign beside it.
-    assert compute_table4_explored(levels=levels, scenarios=scenarios,
-                                   store=store) == table
-    assert table4_explored_from_store(store, "t4") == table
-    assert [info.config["reduction"] for info in store.list_campaigns()] == \
-        ["sleep-set", "none"]

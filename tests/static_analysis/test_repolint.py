@@ -224,13 +224,13 @@ class TestStoreRecords:
 
         from repro.persist import records as rec
 
-        original = rec.cell_to_payload
+        original = rec.classification_to_row
         ticker = count()
 
-        def impure(cell):
-            return original(cell) + f"/*{next(ticker)}*/"
+        def impure(shorthand, classification):
+            return original(shorthand, classification) + (next(ticker),)
 
-        monkeypatch.setattr(rec, "cell_to_payload", impure)
+        monkeypatch.setattr(rec, "classification_to_row", impure)
         violations = lint_store_records()
         assert any("not deterministic" in violation.message
                    for violation in violations)

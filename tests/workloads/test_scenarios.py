@@ -4,22 +4,37 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.matrix import compute_table4_explored
 from repro.core.isolation import IsolationLevelName, Possibility
+from repro.explorer.scenarios import explore_scenario
 from repro.testbed import engine_factory
 from repro.workloads.scenarios import (
     ALL_SCENARIOS,
     AnomalyScenario,
-    evaluate_scenario,
     run_variant,
     scenario_by_code,
 )
 
-RU = engine_factory(IsolationLevelName.READ_UNCOMMITTED)
-RC = engine_factory(IsolationLevelName.READ_COMMITTED)
-CS = engine_factory(IsolationLevelName.CURSOR_STABILITY)
-RR = engine_factory(IsolationLevelName.REPEATABLE_READ)
-SER = engine_factory(IsolationLevelName.SERIALIZABLE)
-SI = engine_factory(IsolationLevelName.SNAPSHOT_ISOLATION)
+L = IsolationLevelName
+RU = engine_factory(L.READ_UNCOMMITTED)
+RC = engine_factory(L.READ_COMMITTED)
+CS = engine_factory(L.CURSOR_STABILITY)
+RR = engine_factory(L.REPEATABLE_READ)
+SER = engine_factory(L.SERIALIZABLE)
+SI = engine_factory(L.SNAPSHOT_ISOLATION)
+
+POSSIBLE = Possibility.POSSIBLE
+NOT_POSSIBLE = Possibility.NOT_POSSIBLE
+SOMETIMES = Possibility.SOMETIMES_POSSIBLE
+
+
+@pytest.fixture(scope="module")
+def cells():
+    """Every scenario's whole-space cell under Degree 0 and the Table 4 levels."""
+    return compute_table4_explored(
+        (L.DEGREE_0, L.READ_UNCOMMITTED, L.READ_COMMITTED, L.CURSOR_STABILITY,
+         L.REPEATABLE_READ, L.SERIALIZABLE, L.SNAPSHOT_ISOLATION),
+    ).possibilities()
 
 
 class TestScenarioRegistry:
@@ -54,50 +69,42 @@ class TestVariantExecution:
                     result = run_variant(variant, factory, scenario.code)
                     assert not result.outcome.stalled
 
-    def test_dirty_read_manifests_under_read_uncommitted_only(self):
-        scenario = scenario_by_code("P1")
-        assert evaluate_scenario(scenario, RU) is Possibility.POSSIBLE
-        assert evaluate_scenario(scenario, RC) is Possibility.NOT_POSSIBLE
-        assert evaluate_scenario(scenario, SI) is Possibility.NOT_POSSIBLE
+    def test_dirty_read_manifests_under_read_uncommitted_only(self, cells):
+        assert cells[L.READ_UNCOMMITTED]["P1"] is POSSIBLE
+        assert cells[L.READ_COMMITTED]["P1"] is NOT_POSSIBLE
+        assert cells[L.SNAPSHOT_ISOLATION]["P1"] is NOT_POSSIBLE
 
-    def test_lost_update_sometimes_possible_under_cursor_stability(self):
-        scenario = scenario_by_code("P4")
-        assert evaluate_scenario(scenario, CS) is Possibility.SOMETIMES_POSSIBLE
-        assert evaluate_scenario(scenario, RC) is Possibility.POSSIBLE
-        assert evaluate_scenario(scenario, RR) is Possibility.NOT_POSSIBLE
-        assert evaluate_scenario(scenario, SI) is Possibility.NOT_POSSIBLE
+    def test_lost_update_sometimes_possible_under_cursor_stability(self, cells):
+        assert cells[L.CURSOR_STABILITY]["P4"] is SOMETIMES
+        assert cells[L.READ_COMMITTED]["P4"] is POSSIBLE
+        assert cells[L.REPEATABLE_READ]["P4"] is NOT_POSSIBLE
+        assert cells[L.SNAPSHOT_ISOLATION]["P4"] is NOT_POSSIBLE
 
-    def test_cursor_lost_update_prevented_by_cursor_stability(self):
-        scenario = scenario_by_code("P4C")
-        assert evaluate_scenario(scenario, RC) is Possibility.POSSIBLE
-        assert evaluate_scenario(scenario, CS) is Possibility.NOT_POSSIBLE
+    def test_cursor_lost_update_prevented_by_cursor_stability(self, cells):
+        assert cells[L.READ_COMMITTED]["P4C"] is POSSIBLE
+        assert cells[L.CURSOR_STABILITY]["P4C"] is NOT_POSSIBLE
 
-    def test_phantom_sometimes_possible_under_snapshot_isolation(self):
-        scenario = scenario_by_code("P3")
-        assert evaluate_scenario(scenario, SI) is Possibility.SOMETIMES_POSSIBLE
-        assert evaluate_scenario(scenario, RR) is Possibility.POSSIBLE
-        assert evaluate_scenario(scenario, SER) is Possibility.NOT_POSSIBLE
+    def test_phantom_sometimes_possible_under_snapshot_isolation(self, cells):
+        assert cells[L.SNAPSHOT_ISOLATION]["P3"] is SOMETIMES
+        assert cells[L.REPEATABLE_READ]["P3"] is POSSIBLE
+        assert cells[L.SERIALIZABLE]["P3"] is NOT_POSSIBLE
 
-    def test_write_skew_distinguishes_snapshot_from_repeatable_read(self):
-        scenario = scenario_by_code("A5B")
-        assert evaluate_scenario(scenario, SI) is Possibility.POSSIBLE
-        assert evaluate_scenario(scenario, RR) is Possibility.NOT_POSSIBLE
+    def test_write_skew_distinguishes_snapshot_from_repeatable_read(self, cells):
+        assert cells[L.SNAPSHOT_ISOLATION]["A5B"] is POSSIBLE
+        assert cells[L.REPEATABLE_READ]["A5B"] is NOT_POSSIBLE
 
-    def test_read_skew_prevented_by_snapshot_isolation(self):
-        scenario = scenario_by_code("A5A")
-        assert evaluate_scenario(scenario, SI) is Possibility.NOT_POSSIBLE
-        assert evaluate_scenario(scenario, RC) is Possibility.POSSIBLE
+    def test_read_skew_prevented_by_snapshot_isolation(self, cells):
+        assert cells[L.SNAPSHOT_ISOLATION]["A5A"] is NOT_POSSIBLE
+        assert cells[L.READ_COMMITTED]["A5A"] is POSSIBLE
 
-    def test_dirty_write_prevented_everywhere_above_degree0(self):
-        scenario = scenario_by_code("P0")
-        degree0 = engine_factory(IsolationLevelName.DEGREE_0)
-        assert evaluate_scenario(scenario, degree0) is Possibility.POSSIBLE
-        for factory in (RU, RC, CS, RR, SER, SI):
-            assert evaluate_scenario(scenario, factory) is Possibility.NOT_POSSIBLE
+    def test_dirty_write_prevented_everywhere_above_degree0(self, cells):
+        assert cells[L.DEGREE_0]["P0"] is POSSIBLE
+        for level, row in cells.items():
+            if level is not L.DEGREE_0:
+                assert row["P0"] is NOT_POSSIBLE, level
 
-    def test_serializable_prevents_every_scenario(self):
-        for scenario in ALL_SCENARIOS:
-            assert evaluate_scenario(scenario, SER) is Possibility.NOT_POSSIBLE
+    def test_serializable_prevents_every_scenario(self, cells):
+        assert set(cells[L.SERIALIZABLE].values()) == {NOT_POSSIBLE}
 
     def test_variant_results_expose_outcome_details(self):
         scenario = scenario_by_code("P4")
@@ -138,4 +145,4 @@ class TestVariantExecution:
         empty = AnomalyScenario(code="PX", name="empty", description="",
                                 variants=[])
         with pytest.raises(ValueError, match="no variants"):
-            evaluate_scenario(empty, RC)
+            explore_scenario(empty, L.READ_COMMITTED)
