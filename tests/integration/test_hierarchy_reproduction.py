@@ -24,9 +24,44 @@ from repro.core.history import parse_history
 from repro.core.isolation import ANSI_STRICT_LEVELS, IsolationLevelName
 from repro.core.phenomena import by_code
 from repro.explorer.scenarios import explore_variant
-from repro.workloads.scenarios import scenario_by_code
+from repro.testbed import engine_factory
+from repro.workloads.scenarios import ALL_SCENARIOS, run_variant, scenario_by_code
 
 L = IsolationLevelName
+
+_RC_PROFILE = frozenset({
+    ("A5A", "audit-across-transfer"),
+    ("A5B", "cursors-on-both-items"), ("A5B", "plain-reads"),
+    ("P2", "cursor-stabilized-reread"), ("P2", "plain-reread"),
+    ("P3", "disjoint-inserts-task-hours"), ("P3", "employee-count-H3"),
+    ("P4", "both-through-cursors"), ("P4", "plain-read-modify-write"),
+    ("P4C", "cursor-vs-plain-writer"),
+})
+_RU_PROFILE = _RC_PROFILE | {("P1", "inconsistent-analysis-H1"),
+                             ("P1", "read-of-rolled-back-write")}
+
+#: Every engine level's whole-space profile: Degree 0 admits all 13
+#: variants, then 12, 10, 6, 8, 2, 3 and 0.
+ENGINE_PROFILES = {
+    L.DEGREE_0: _RU_PROFILE | {("P0", "interleaved-writes")},
+    L.READ_UNCOMMITTED: _RU_PROFILE,
+    L.READ_COMMITTED: _RC_PROFILE,
+    L.CURSOR_STABILITY: frozenset({
+        ("A5A", "audit-across-transfer"), ("A5B", "plain-reads"),
+        ("P2", "plain-reread"),
+        ("P3", "disjoint-inserts-task-hours"), ("P3", "employee-count-H3"),
+        ("P4", "plain-read-modify-write"),
+    }),
+    L.ORACLE_READ_CONSISTENCY: _RC_PROFILE - {
+        ("P4", "both-through-cursors"), ("P4C", "cursor-vs-plain-writer")},
+    L.REPEATABLE_READ: frozenset({("P3", "disjoint-inserts-task-hours"),
+                                  ("P3", "employee-count-H3")}),
+    L.SNAPSHOT_ISOLATION: frozenset({
+        ("A5B", "cursors-on-both-items"), ("A5B", "plain-reads"),
+        ("P3", "disjoint-inserts-task-hours"),
+    }),
+    L.SERIALIZABLE: frozenset(),
+}
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +71,25 @@ def profiles():
         key=lambda level: level.value,
     )
     return level_profiles(levels)
+
+
+@pytest.mark.parametrize("level", ENGINE_PROFILES, ids=lambda level: level.value)
+def test_engine_level_profile_is_pinned(profiles, level):
+    assert profiles[level] == ENGINE_PROFILES[level]
+
+
+@pytest.mark.parametrize("level", ENGINE_PROFILES, ids=lambda level: level.value)
+def test_printed_interleavings_give_the_whole_space_profile(profiles, level):
+    """At every engine level, ``run_variant`` on each variant's printed
+    interleaving (the paper's own history) admits exactly the variants whose
+    whole space manifests: no engine lets a variant through only in a
+    history the paper did not print.  (ANOMALY SERIALIZABLE differs: see
+    :func:`test_the_h1_style_reread_is_found_by_search`.)"""
+    factory = engine_factory(level)
+    printed = {(scenario.code, variant.name)
+               for scenario in ALL_SCENARIOS for variant in scenario.variants
+               if run_variant(variant, factory, scenario.code).manifested}
+    assert printed == profiles[level]
 
 
 def test_every_figure2_edge_holds(profiles):

@@ -20,7 +20,10 @@ pruned table must agree with it cell for cell, witness for witness.
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import os
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +36,7 @@ from repro.analysis.matrix import (
     compute_table4_explored,
 )
 from repro.analysis.report import render_comparison
-from repro.core.isolation import Possibility
+from repro.core.isolation import IsolationLevelName, Possibility
 from repro.testbed import engine_factory
 from repro.workloads.scenarios import run_variant, scenario_by_code
 
@@ -49,6 +52,14 @@ EXHAUSTIVE = BUDGET >= 924
 
 #: The paper's six rows, then the two extension rows.
 LEVELS = TABLE_4_LEVELS + tuple(EXTENSION_EXPECTATIONS)
+
+#: SHA-256 of ``compute_table4_explored().render()``: the six paper rows,
+#: statically pruned, at the default budget.  It moves only when a reported
+#: cell, frequency or the pruned count moves.
+DEFAULT_RENDER_SHA256 = (
+    "dc55e4bcd987bc3e2d6f7bac00c3bb8ab305950302904b72904de72ce7284c40")
+
+EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "table4_explored.py"
 
 exhaustive_only = pytest.mark.skipif(
     not EXHAUSTIVE, reason=f"budget {BUDGET} < 924 samples the larger spaces; "
@@ -146,3 +157,56 @@ def test_default_pruned_table_keeps_every_cell_and_witness(explored):
             assert kept.witness == full.witness
             assert kept.manifested == full.manifested
             assert kept.variant_frequencies == full.variant_frequencies
+
+
+def test_default_render_is_pinned():
+    render = compute_table4_explored().render()
+    assert hashlib.sha256(render.encode()).hexdigest() == \
+        DEFAULT_RENDER_SHA256, render
+
+
+def test_a_budget_covering_the_largest_space_changes_no_cell():
+    """1024 schedules cover every space (the largest holds 924), so the
+    table equals the default one, and the static rules skip 36 of the 78
+    variant spaces (13 variants at 6 levels)."""
+    table = compute_table4_explored(max_schedules=1024)
+    assert table.cells == compute_table4_explored().cells
+    spaces = sum(len(scenario_by_code(code).variants)
+                 for code in TABLE_4_COLUMNS) * len(TABLE_4_LEVELS)
+    assert (table.total_pruned_variants(), spaces) == (36, 78)
+
+
+@pytest.fixture
+def example():
+    """``examples/table4_explored.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("table4_explored_example",
+                                                  EXAMPLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_example_exits_0_on_the_reproduced_table(example, capsys):
+    assert example.main() == 0
+    assert "matches the paper and the extension rows: True" in \
+        capsys.readouterr().out
+
+
+@pytest.mark.parametrize("expectations, level", [
+    ("EXPECTED_TABLE_4", IsolationLevelName.READ_COMMITTED),
+    ("EXTENSION_EXPECTATIONS", IsolationLevelName.DEGREE_0),
+], ids=["paper-row", "extension-row"])
+def test_the_example_exits_1_on_a_wrong_expected_cell(example, monkeypatch,
+                                                      capsys, expectations,
+                                                      level):
+    """One flipped expected cell, in a paper row or an extension row, turns
+    the example's exit code to 1."""
+    expected = getattr(example, expectations)
+    row = dict(expected[level])
+    row["P0"] = (Possibility.POSSIBLE if row["P0"] is Possibility.NOT_POSSIBLE
+                 else Possibility.NOT_POSSIBLE)
+    monkeypatch.setattr(example, expectations, {**expected, level: row})
+    assert example.main() == 1
+    out = capsys.readouterr().out
+    assert "matches the paper and the extension rows: False" in out
+    assert f"{level.value}" in out.split("False", 1)[1]
