@@ -1,12 +1,13 @@
-"""Persistent campaigns: survive a kill, dedupe across runs, query anomalies.
+"""Persistent campaigns: survive a kill, skip finished work, query anomalies.
 
 An ``explore()`` call with a :class:`~repro.persist.SqliteStore` attached is
 a *campaign*: every chunk of records is committed atomically as it arrives,
 so the process can die at any moment and a re-run of the same call loads the
 durable prefix and executes only the remainder — producing a result
 byte-identical to an uninterrupted run.  This walkthrough stages exactly
-that (a simulated mid-campaign crash), then shows the cross-run dedupe tiers
-and the SQL anomaly analytics the stored rows make possible.
+that (a simulated mid-campaign crash), then shows that a finished campaign
+re-runs without executing, and the SQL anomaly analytics the stored rows
+make possible.
 
 Run with:  PYTHONPATH=src python examples/resumable_campaign.py
 """
@@ -72,7 +73,7 @@ def main() -> None:
     print(f"first level reused {stats.get('store_chunks_loaded', 0)} stored "
           f"chunks, committed {stats.get('store_chunks_committed', 0)} new\n")
 
-    # 4. Cross-run dedupe: a re-run of the completed campaign executes nothing.
+    # 4. A re-run of the completed campaign executes nothing.
     rerun = explore(spec, base.replace(store=store, campaign_id="demo"))
     print(f"re-run of the finished campaign executed "
           f"{rerun.executed_schedules()} schedules\n")

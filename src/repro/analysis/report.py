@@ -57,7 +57,7 @@ def render_comparison(expected: Mapping[IsolationLevelName, Mapping[str, Possibi
                       measured: Mapping[IsolationLevelName, Mapping[str, Possibility]],
                       columns: Sequence[str],
                       title: Optional[str] = None) -> str:
-    """Render paper-vs-measured cells side by side, flagging mismatches with '!'."""
+    """Render expected-vs-measured cells side by side, flagging mismatches with '!'."""
     headers = ["Isolation level"] + list(columns)
     rows = []
     for level, expected_row in expected.items():
@@ -71,7 +71,7 @@ def render_comparison(expected: Mapping[IsolationLevelName, Mapping[str, Possibi
             elif want is got:
                 cells.append(str(got))
             else:
-                cells.append(f"!{got} (paper: {want})")
+                cells.append(f"!{got} (expected: {want})")
         rows.append(cells)
     return render_table(headers, rows, title=title)
 
@@ -90,6 +90,6 @@ def matrix_matches(expected: Mapping[IsolationLevelName, Mapping[str, Possibilit
             got = measured_row.get(column)
             if got is not want:
                 mismatches.append(
-                    f"{level.value} / {column}: paper says {want}, measured {got}"
+                    f"{level.value} / {column}: expected {want}, measured {got}"
                 )
     return (not mismatches, mismatches)

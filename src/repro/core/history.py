@@ -211,20 +211,6 @@ class History:
 
     # -- positional queries -------------------------------------------------------------
 
-    def index_of(self, op: Operation) -> int:
-        """The position of an operation (identity-or-equality based)."""
-        for i, candidate in enumerate(self._ops):
-            if candidate is op or candidate == op:
-                return i
-        raise HistoryError(f"operation {op.to_shorthand()} not in history")
-
-    def terminal_of(self, txn: int) -> Optional[Operation]:
-        """The commit or abort of a transaction, or None if still active."""
-        for op in self._ops:
-            if op.txn == txn and op.is_terminal:
-                return op
-        return None
-
     def terminal_index(self, txn: int) -> Optional[int]:
         """Index of a transaction's commit/abort, or None if still active."""
         if self._terminal_cache is None:
@@ -280,10 +266,6 @@ class History:
         """
         committed = self.committed_transactions()
         return History([op for op in self._ops if op.txn in committed], name=self.name)
-
-    def without_transaction(self, txn: int) -> "History":
-        """The history with one transaction's operations removed."""
-        return History([op for op in self._ops if op.txn != txn], name=self.name)
 
     def prefix(self, length: int) -> "History":
         """The first ``length`` operations as a new history."""

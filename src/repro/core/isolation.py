@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 
 from .dependency import is_serializable
 from .history import History
-from .phenomena import Phenomenon, by_code
+from .phenomena import by_code
 
 __all__ = [
     "IsolationLevelName",
@@ -95,11 +95,6 @@ class PhenomenonBasedLevel:
     forbidden: Tuple[str, ...]
     interpretation: str = "corrected"
     description: str = ""
-
-    @property
-    def forbidden_phenomena(self) -> Tuple[Phenomenon, ...]:
-        """The detector objects for the forbidden phenomena."""
-        return tuple(by_code(code) for code in self.forbidden)
 
     def permits(self, history: History) -> bool:
         """True when no forbidden phenomenon occurs in the history."""

@@ -159,24 +159,8 @@ class Operation:
         return self.kind.is_write
 
     @property
-    def is_commit(self) -> bool:
-        return self.kind is OperationKind.COMMIT
-
-    @property
-    def is_abort(self) -> bool:
-        return self.kind is OperationKind.ABORT
-
-    @property
     def is_terminal(self) -> bool:
         return self.kind.is_terminal
-
-    def touches_item(self, item: str) -> bool:
-        """True when this operation reads or writes the named item."""
-        return self.item == item
-
-    def same_item_as(self, other: "Operation") -> bool:
-        """True when both operations name the same (non-None) data item."""
-        return self.item is not None and self.item == other.item
 
     def conflicts_with(self, other: "Operation") -> bool:
         """Conflict test per Section 2.1.

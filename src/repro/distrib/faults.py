@@ -177,9 +177,6 @@ class FaultPlan:
                      if spec.kind in _WORKER_KINDS and spec.worker == worker
                      and spec.incarnation == incarnation)
 
-    def parent_specs(self, kind: str) -> Tuple[FaultSpec, ...]:
-        return tuple(spec for spec in self.specs if spec.kind == kind)
-
     def encode(self) -> Tuple[str, ...]:
         return tuple(spec.encode() for spec in self.specs)
 

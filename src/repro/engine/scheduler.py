@@ -581,9 +581,6 @@ class ScheduleRunner:
 
     # -- finishing -----------------------------------------------------------------------------
 
-    def _all_finished(self) -> bool:
-        return all(state.finished or state.exhausted for state in self._states.values())
-
     def _build_outcome(self) -> ExecutionOutcome:
         # Equivalent to state_of per txn with the defensive ACTIVE fallback,
         # minus a method call + exception frame per transaction per outcome.

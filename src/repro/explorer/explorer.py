@@ -39,8 +39,8 @@ records.
 
 Determinism contract: the full output (every record, in order) is a pure
 function of ``(spec, levels, mode, max_schedules, seed)``.  Worker count,
-chunk size, classification-memo warmth and the classifications an attached
-store already holds only change wall-clock time, never results — the
+chunk size and classification-memo warmth only change wall-clock time,
+never results — the
 schedule stream is fixed by the seed before any execution, chunks are
 indexed, records are reassembled by chunk index, execution is byte-equal to
 from-scratch runs (the trie executor's contract), and classification is a
@@ -238,10 +238,9 @@ def _collect_level(level: IsolationLevelName, results: Iterable[ChunkResult],
     With ``persistence`` (a :class:`repro.persist.session.LevelPersistence`)
     attached, chunks below the stored cursor are *loaded*, and every live
     chunk is committed atomically as its result arrives — results come back
-    in chunk-index order, so the cursor stays a contiguous high-water mark —
-    together with the classifications it newly computed.  The stored chunks
-    are a strict prefix of the stream, so they load before the first live
-    result is read.
+    in chunk-index order, so the cursor stays a contiguous high-water mark.
+    The stored chunks are a strict prefix of the stream, so they load before
+    the first live result is read.
     """
     started = time.perf_counter()
     records: List[ScheduleRecord] = []
@@ -253,9 +252,7 @@ def _collect_level(level: IsolationLevelName, results: Iterable[ChunkResult],
         records.extend(result.records)
         stats_parts.append(result.cache_stats)
         if persistence is not None:
-            persistence.commit_chunk(
-                result.chunk_index, result.records,
-                fresh_classifications=result.fresh_classifications)
+            persistence.commit_chunk(result.chunk_index, result.records)
     stats = _merge_stats(stats_parts)
     if persistence is not None:
         persistence.finish(stored_chunks + len(stats_parts))
@@ -353,26 +350,8 @@ def explore(spec: ProgramSetSpec,
         prefix of the stream by *loading* its records — and produces a
         byte-identical result to an uninterrupted run.  A level reused from
         an earlier one commits its chunks from that level's records.  The
-        store also backs
-        one dedupe tier across runs and workloads: history classifications
-        (keyed by shorthand, shared by every workload).  Whatever a chunk
-        newly classifies is saved with that chunk, serial and parallel
-        alike, so the tier holds exactly what the committed chunks learned.
-        The serial path also *preloads* the tier, once per run, so a new
-        campaign on a warm store skips what the store already knows.  Pool
-        workers are not seeded from the store at all: the pool is created by
-        ``multiprocessing.Pool(processes=workers)`` with no initializer, and
-        the only other channel — a tier parked in module globals for ``fork``
-        to copy — would make a run's cost depend on the start method.  A
-        parallel run still resumes from the cursor and a re-run of a complete
-        campaign executes 0 schedules; what it gives up is the stored tier
-        on a *new* campaign.  Measured on the ledger's spec, seed 977 after
-        seed 42 on one store, ``chunk_size=256``: 3,008 of the second
-        campaign's 17,569 distinct histories (17%) are already stored; the
-        serial preload turns them into 14,561 misses instead of 17,569
-        (classification 1.89 -> 1.61 s), two workers recompute them (18,687
-        misses warm, 19,058 cold) — about 0.2 s of a 4.2 s run, which the
-        wall clock could not resolve either way.
+        store keeps no classifications: they live in the run's memo, so a
+        new campaign on a warm store classifies its histories afresh.
         ``cache_stats`` gains ``store_*`` counters.  With a store attached
         the serial path pins its execution batches to ``chunk_size`` (the
         cursor must mean the same chunk boundaries in every run), so prefer
@@ -442,8 +421,7 @@ def explore(spec: ProgramSetSpec,
 
     def level_tasks(level: IsolationLevelName) -> Iterator[ChunkTask]:
         stream = itertools.islice(chunk_cache.iter_chunks(unit), stored[level], None)
-        return (ChunkTask(index, spec, level, chunk, builder,
-                          export_fresh=session is not None)
+        return (ChunkTask(index, spec, level, chunk, builder)
                 for index, chunk in stream)
 
     def run_levels(results_of) -> Dict[IsolationLevelName, LevelExploration]:
@@ -459,12 +437,10 @@ def explore(spec: ProgramSetSpec,
         return explorations
 
     if workers == 1:
-        # This call's own memo, not the process's: a classification learned
-        # by an earlier explore() in this process would be missing from the
-        # fresh set a new store is filled from.
+        # This call's own memo, not the process's: hits and misses in
+        # cache_stats then count this call's stream alone, whatever earlier
+        # explore() calls in this process classified.
         classifier = BatchClassifier(initial_items=initial_items)
-        if session is not None:
-            persistence[levels[0]].preload_classifier(classifier)
         explorations = run_levels(lambda level: (
             execute_chunk(task, classifier) for task in level_tasks(level)))
     else:

@@ -34,11 +34,8 @@ workers compute the serial run's 22,812 kernel transitions, miss their
 memos 18,556-18,951 times and run 1,591-1,599 classification passes (six
 runs; the spread is which worker took which level), where one process
 misses 17,492 times and runs 1,509, which costs less than moving the
-answers between processes did.
-
-With ``task.export_fresh`` (a campaign store is attached) the chunk's newly
-computed classifications travel back in the :class:`ChunkResult` and the
-supervisor saves them with the chunk.
+answers between processes did.  A memo is never saved either: a record
+carries its own classification, and a campaign store keeps records only.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core.isolation import IsolationLevelName
 from ..storage.database import Database
 from ..workloads.program_sets import ProgramSet, ProgramSetSpec, resolve_program_set
-from .memo import BatchClassifier, HistoryClassification
+from .memo import BatchClassifier
 from .schedules import Interleaving
 from .trie_executor import TrieExecutor
 
@@ -88,10 +85,6 @@ class ChunkTask:
     level: IsolationLevelName
     schedules: Tuple[Interleaving, ...]
     builder: Optional[Callable[..., ProgramSet]] = None
-    #: Return the classifications this chunk newly computed in the
-    #: :class:`ChunkResult`, for a supervisor that saves them to a campaign
-    #: store with the chunk.
-    export_fresh: bool = False
 
 
 @dataclass(frozen=True)
@@ -118,9 +111,6 @@ class ChunkResult:
     #: Counters and microsecond timers of this chunk alone (deltas, not the
     #: process's running totals), so summing results gives the run's totals.
     cache_stats: Dict[str, int]
-    #: The classifications the chunk newly computed, by shorthand — present
-    #: only when the task set ``export_fresh``.
-    fresh_classifications: Optional[Dict[str, HistoryClassification]] = None
 
 
 def _initial_items(database: Database) -> Tuple[str, ...]:
@@ -215,9 +205,4 @@ def execute_chunk(task: ChunkTask,
                  "slots_total", "slots_executed", "transitions_reused",
                  "transitions_computed", "states"):
         stats[f"batch_{name}"] = batch_after[name] - batch_before[name]
-    # Drain unconditionally: the memo outlives the chunk, and an undrained
-    # fresh set would retain every entry twice for the life of the process.
-    fresh_classifications = classifier.drain_fresh()
-    return ChunkResult(task.chunk_index, tuple(records), stats,
-                       fresh_classifications=(fresh_classifications
-                                              if task.export_fresh else None))
+    return ChunkResult(task.chunk_index, tuple(records), stats)

@@ -96,10 +96,6 @@ class SnapshotIsolationEngine(Engine):
         super().begin(txn)
         self._txns[txn] = _SnapshotTxn(start_ts=self.clock.now())
 
-    def start_timestamp(self, txn: int) -> int:
-        """The snapshot timestamp of an active or finished transaction."""
-        return self._txn_state(txn).start_ts
-
     def _txn_state(self, txn: int) -> _SnapshotTxn:
         try:
             return self._txns[txn]

@@ -1,4 +1,4 @@
-"""Campaign persistence: resumable exploration, cross-run dedupe, SQL analytics.
+"""Campaign persistence: resumable exploration and SQL analytics.
 
 **Not to be confused with** :mod:`repro.storage`.  The repo has two layers
 with "storage" in their nature, on opposite sides of the experiment:
@@ -7,22 +7,22 @@ with "storage" in their nature, on opposite sides of the experiment:
   rows, tables, predicates, and recovery machinery that the paper's
   transactions read and write.  It is part of the system being measured.
 * :mod:`repro.persist` (this package) is the *measurement infrastructure* —
-  where exploration campaigns durably record their own progress, results,
-  and caches so they survive the exploring process.  It never participates
+  where exploration campaigns durably record their own progress and
+  results so they survive the exploring process.  It never participates
   in a schedule's semantics; attaching a store cannot change a single
   record (the kill-and-resume tests assert byte-identical coverage).
 
 What lives here:
 
 * :mod:`~repro.persist.records` — canonical serialization of everything a
-  store persists (schedule records, classifications, leases, certificates);
+  store persists (schedule records, leases, certificates);
 * :mod:`~repro.persist.store` — the store's error types and the rows its
   queries answer with;
 * :mod:`~repro.persist.sqlite_store` — :class:`SqliteStore`, the store:
   WAL-mode SQLite with atomic chunk commits and window-function analytics
   (``SqliteStore(":memory:")`` for throwaway in-process runs);
 * :mod:`~repro.persist.session` — parent-side glue ``explore(store=...)``
-  drives (progress cursors, chunk commits, classification-tier exchange);
+  drives (progress cursors and chunk commits);
 * :mod:`~repro.persist.analytics` — coverage/witness-edge persistence and
   the SQL-shaped analytics front end.
 

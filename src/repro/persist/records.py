@@ -2,9 +2,8 @@
 
 Everything a :class:`~repro.persist.sqlite_store.SqliteStore` persists
 crosses through this module, in both directions: per-schedule
-:class:`~repro.explorer.worker.ScheduleRecord` rows, shared
-:class:`~repro.explorer.memo.HistoryClassification` entries keyed by history
-shorthand, and lease and certificate rows.
+:class:`~repro.explorer.worker.ScheduleRecord` rows, and lease and
+certificate rows.
 
 The encoding is deliberately boring and deliberately *canonical*: flat row
 tuples of SQL-native scalars (ints and strings), with every collection
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.phenomena import ALL_PHENOMENA
-from ..explorer.memo import HistoryClassification
 from ..explorer.schedules import Interleaving
 from ..explorer.worker import ScheduleRecord
 
@@ -48,8 +46,6 @@ __all__ = [
     "record_from_row",
     "record_to_bytes",
     "record_from_bytes",
-    "classification_to_row",
-    "classification_from_row",
     "LEASE_STATES",
     "LeaseRecord",
     "lease_to_row",
@@ -58,7 +54,7 @@ __all__ = [
 ]
 
 #: Column order of a serialized :class:`ScheduleRecord` row: the ``records``
-#: and ``rep_records`` columns after their key columns.
+#: columns after their key columns.
 RECORD_COLUMNS: Tuple[str, ...] = (
     "interleaving", "history", "serializable", "phenomena", "committed",
     "aborted", "blocked_events", "deadlocks", "stalled",
@@ -159,32 +155,6 @@ def record_to_bytes(record: ScheduleRecord) -> bytes:
 
 def record_from_bytes(blob: bytes) -> ScheduleRecord:
     return record_from_row(json.loads(blob.decode("utf-8")))
-
-
-# -- HistoryClassification (cross-run *and* cross-workload dedupe) --------------------
-
-
-def classification_to_row(shorthand: str,
-                          classification: HistoryClassification) -> Tuple:
-    """A row of the store's ``classifications`` table."""
-    return (
-        shorthand,
-        int(classification.serializable),
-        encode_strs(classification.phenomena),
-        encode_ints(classification.committed),
-        encode_ints(classification.aborted),
-    )
-
-
-def classification_from_row(row: Sequence) -> Tuple[str, HistoryClassification]:
-    shorthand = row[0]
-    return shorthand, HistoryClassification(
-        shorthand=shorthand,
-        serializable=bool(row[1]),
-        phenomena=decode_codes(row[2]),
-        committed=decode_ints(row[3]),
-        aborted=decode_ints(row[4]),
-    )
 
 
 # -- LeaseRecord (the distributed runner's durable chunk-lease state) -----------------

@@ -7,10 +7,8 @@ validates) the campaign row, and hands each isolation level a
 
 * ``cursor`` — how many chunks of this scope are already durable; the level
   loop skips executing those and loads their records instead;
-* ``commit_chunk`` — the chunk's fresh classifications, then one atomic
-  store write of its records + cursor advance;
-* ``preload_classifier`` — seed the serial classification memo from the
-  store's tier, once per run (the run's memo spans levels);
+* ``commit_chunk`` — one atomic store write of the chunk's records +
+  cursor advance;
 * ``finish`` — mark the scope complete.
 
 Everything here runs in the parent process only.  Workers never see the
@@ -24,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.isolation import IsolationLevelName
-from ..explorer.memo import BatchClassifier, HistoryClassification
 from ..explorer.worker import ScheduleRecord
 from ..workloads.program_sets import ProgramSetSpec
 from .records import default_campaign_id
@@ -64,7 +61,7 @@ def campaign_config(spec: ProgramSetSpec, mode: str, max_schedules: int,
 
 
 class LevelPersistence:
-    """One scope's resume cursor, chunk commits, and classification preload."""
+    """One scope's resume cursor and chunk commits."""
 
     def __init__(self, session: "CampaignSession", level: IsolationLevelName):
         self.session = session
@@ -86,22 +83,10 @@ class LevelPersistence:
     # -- commits -----------------------------------------------------------------------
 
     def commit_chunk(self, chunk_index: int,
-                     records: Sequence[ScheduleRecord],
-                     fresh_classifications: Optional[
-                         Mapping[str, HistoryClassification]] = None,
-                     ) -> None:
-        """Save the chunk's new classifications, then commit the chunk.
-
-        Tier first: a kill between the writes then leaves a tier entry whose
-        chunk re-executes (harmless), never a committed chunk whose histories
-        the tier lacks — resume loads that chunk and would not classify it
-        again.
-        """
-        store = self.session.store
-        if fresh_classifications:
-            store.save_classifications(fresh_classifications)
-        store.commit_chunk(self.session.campaign_id, self.scope, chunk_index,
-                           records)
+                     records: Sequence[ScheduleRecord]) -> None:
+        """Commit the chunk's records and advance the cursor, atomically."""
+        self.session.store.commit_chunk(self.session.campaign_id, self.scope,
+                                        chunk_index, records)
         self._committed += 1
         self.stats["store_chunks_committed"] = self._committed
         self.stats["store_records_committed"] = (
@@ -111,18 +96,6 @@ class LevelPersistence:
         """Mark the scope durably complete."""
         self.session.store.mark_scope_complete(
             self.session.campaign_id, self.scope, total_chunks, self.stats)
-
-    # -- dedupe preload ----------------------------------------------------------------
-
-    def preload_classifier(self, classifier: BatchClassifier) -> None:
-        """Seed the run's memo from the stored tier, on the run's first level."""
-        if self.session.classifier_preloaded:
-            return
-        self.session.classifier_preloaded = True
-        stored = self.session.store.load_classifications()
-        if stored:
-            self.stats["store_classifications_preloaded"] = \
-                classifier.preload(stored)
 
 
 class CampaignSession:
@@ -134,10 +107,6 @@ class CampaignSession:
         self.config = dict(config)
         self.campaign_id = campaign_id or default_campaign_id(self.config)
         store.open_campaign(self.campaign_id, self.config)
-        #: The classification tier is loaded into the run's memo once, by the
-        #: first level; the memo then carries it (and everything learned
-        #: since) through the remaining levels.
-        self.classifier_preloaded = False
 
     def level(self, level: IsolationLevelName) -> LevelPersistence:
         return LevelPersistence(self, level)

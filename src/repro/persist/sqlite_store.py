@@ -38,8 +38,11 @@ work-queue state (chunk lease state, fencing token, attempt count).  v3
 adds the ``certificates`` table: the online certifier service's anomaly
 certificates, keyed ``(campaign, stream, seq)``.  v4 drops the ``outcomes``
 table of the retired schedule-outcome memo from new stores.  New stores
-have no ``table4_cells`` table either; a file of an earlier build that
-holds one opens as before and the table is never read.  Older stores
+create only the tables this build reads or writes: no ``table4_cells``
+(per-cell Table 4 results), ``classifications`` (a classification tier keyed
+by history shorthand) or ``rep_records`` (the representatives of sleep-set
+campaigns).  A file of an earlier build that holds them opens as before,
+with no schema bump, and their rows are never read.  Older stores
 migrate in place, in one transaction: the v2 and v3 tables are purely
 additive, and v4 marks every explore or distributed campaign run with
 ``reduction: "none"`` as memo-era (:func:`_mark_memo_era`), because a build
@@ -67,7 +70,6 @@ from pathlib import Path
 from typing import (Any, Callable, Dict, Iterator, Mapping, Optional, Sequence,
                     Tuple, TypeVar, Union)
 
-from ..explorer.memo import HistoryClassification
 from ..explorer.worker import ScheduleRecord
 from . import records as rec
 from .store import (
@@ -87,11 +89,6 @@ SCHEMA_VERSION = 4
 
 _T = TypeVar("_T")
 
-#: ``rep_records`` holds the executed-representative records of campaigns
-#: earlier builds ran with ``reduction: "sleep-set"``.  This build neither
-#: writes nor reads it, and such a campaign never resumes (its config never
-#: matches); the table stays so v4 files keep one shape whichever build
-#: wrote them.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -130,29 +127,6 @@ CREATE TABLE IF NOT EXISTS records (
 );
 CREATE INDEX IF NOT EXISTS records_by_chunk
     ON records (campaign, scope, chunk_index);
-CREATE TABLE IF NOT EXISTS rep_records (
-    campaign       TEXT NOT NULL,
-    scope          TEXT NOT NULL,
-    chunk_index    INTEGER NOT NULL,
-    position       INTEGER NOT NULL,
-    interleaving   TEXT NOT NULL,
-    history        TEXT NOT NULL,
-    serializable   INTEGER NOT NULL,
-    phenomena      TEXT NOT NULL,
-    committed      TEXT NOT NULL,
-    aborted        TEXT NOT NULL,
-    blocked_events INTEGER NOT NULL,
-    deadlocks      INTEGER NOT NULL,
-    stalled        INTEGER NOT NULL,
-    PRIMARY KEY (campaign, scope, chunk_index, position)
-);
-CREATE TABLE IF NOT EXISTS classifications (
-    shorthand    TEXT PRIMARY KEY,
-    serializable INTEGER NOT NULL,
-    phenomena    TEXT NOT NULL,
-    committed    TEXT NOT NULL,
-    aborted      TEXT NOT NULL
-);
 CREATE TABLE IF NOT EXISTS coverage (
     campaign             TEXT NOT NULL,
     scope                TEXT NOT NULL,
@@ -624,40 +598,6 @@ class SqliteStore:
         with self._reading(campaign_id):
             return tuple(rec.certificate_from_row(row)
                          for row in self._conn.execute(query, params))
-
-    # -- the classification tier ------------------------------------------------------
-
-    def load_classifications(self) -> Dict[str, HistoryClassification]:
-        """Every stored history classification (shared across workloads)."""
-        out: Dict[str, HistoryClassification] = {}
-        with self._reading():
-            for row in self._conn.execute(
-                    "SELECT shorthand, serializable, phenomena, committed, aborted "
-                    "FROM classifications"):
-                shorthand, classification = rec.classification_from_row(row)
-                out[shorthand] = classification
-        return out
-
-    def save_classifications(self,
-                             entries: Mapping[str, HistoryClassification]) -> int:
-        """Add classifications by shorthand; returns how many keys were new.
-
-        An entry is a pure function of its key, so a key already stored keeps
-        its row; the cursor's rowcount is then the number of new rows, at the
-        cost of the batch and not of the table (saves come per chunk).
-        """
-        if not entries:
-            return 0
-
-        def txn(cur: sqlite3.Cursor) -> int:
-            cur.executemany(
-                "INSERT OR IGNORE INTO classifications (shorthand, serializable, "
-                "phenomena, committed, aborted) VALUES (?, ?, ?, ?, ?)",
-                [rec.classification_to_row(shorthand, classification)
-                 for shorthand, classification in entries.items()])
-            return cur.rowcount
-
-        return self._write(txn)
 
     # -- derived artifacts ------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 The store itself is :class:`~repro.persist.sqlite_store.SqliteStore` — one
 SQLite file per store, or ``SqliteStore(":memory:")`` for throwaway and
 in-process runs.  It is the durability boundary of the explorer and
-persists five kinds of state:
+persists four kinds of state:
 
 * **campaigns** — one row per campaign: the identifier plus the canonical
   config (workload spec, mode, budget, seed, chunk size, and
@@ -14,10 +14,8 @@ persists five kinds of state:
   neither does, so a SIGKILL at any point leaves a resumable store;
 * **schedule records** — every realized :class:`ScheduleRecord`, row per
   schedule, queryable by the SQL analytics layer and reloadable chunk by
-  chunk for byte-identical resume;
-* **the classification tier** — history classifications keyed by shorthand
-  and shared across workloads, the cross-run extension of the in-process
-  classification memo (the store's one dedupe tier);
+  chunk for byte-identical resume (a record carries its history's
+  classification; the store keeps no other);
 * **derived artifacts** — coverage cells and witness conflict edges,
   written once a campaign completes.
 

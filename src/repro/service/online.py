@@ -42,11 +42,12 @@ Snapshot Isolation engines) follow the paper's Section 4.2 touchstone: the
 verdict is judged on the MV serialization graph and the ``mv_to_sv`` mapping,
 neither of which is prefix-monotone (a later commit re-stamps where snapshot
 reads land in the mapped history).  Such streams are therefore buffered and
-re-classified through the offline core (the fused MV walk, then one sweep of
-the mapped history, which also yields any new certificate's witness) at
-each terminal operation — byte equality is structural — and cannot be
-combined with eviction (pass ``evict=False``).  The single-version path is
-the fully incremental one.
+re-classified at each terminal operation through the paper's definitions,
+as the offline classifier does (``assign_write_versions``, the MV
+serialization graph, then one sweep of the ``mv_to_sv`` mapping, which also
+yields any new certificate's witness) — byte equality is structural — and
+cannot be combined with eviction (pass ``evict=False``).  The single-version
+path is the fully incremental one.
 
 Certificates are :class:`repro.persist.records.CertificateRecord` rows:
 ``(stream, seq, code, txns, items, op_index, witness)``, where ``witness`` is
@@ -61,6 +62,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.history import History, HistoryError, parse_history
+from ..core.mv_analysis import assign_write_versions, mv_is_serializable, mv_to_sv
 from ..core.operations import Operation, OperationKind
 from ..core.phenomena import ALL_PHENOMENA, detect_all, sweep
 from ..persist.records import CertificateRecord
@@ -859,16 +861,14 @@ class OnlineClassifier:
         mapping, or the buffer itself while no versioned operation has
         arrived (the offline classifier's single-version dispatch).
         """
-        from ..explorer.memo import _mv_classify_core
         history = History(tuple(self._mv_ops), name=self.stream,
                           validate=False)
         if not history.is_multiversion():
             serializable, flags = sweep(history)
             return serializable, flags, history
-        serializable, mapped = _mv_classify_core(
-            history, None if self._initial_items is None
-            else frozenset(self._initial_items))
-        return serializable, sweep(mapped)[1], mapped
+        completed = assign_write_versions(history, self._initial_items)
+        mapped = mv_to_sv(completed)
+        return mv_is_serializable(completed), sweep(mapped)[1], mapped
 
     def _feed_mv(self, op: Operation, pos: int) -> None:
         self._mv_ops.append(op)

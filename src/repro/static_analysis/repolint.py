@@ -36,8 +36,7 @@ contracts honest, and none of them is expressible in a generic linter:
   (:mod:`repro.persist.records`) is canonical and lossless:
   ``decode(encode(x)) == x`` exactly, encoding is a pure function, and
   every row element is an SQL-native scalar, across representative
-  schedule records and classifications (stalled and deadlock-aborted
-  shapes included).  This is the invariant
+  schedule records (stalled and deadlock-aborted shapes included).  This is the invariant
   that makes resumed campaigns byte-identical to uninterrupted ones.
 * **lease-records** (runtime) — the distributed runner's lease rows obey
   the same contract: every lease state round-trips losslessly through
@@ -374,11 +373,10 @@ def lint_footprints() -> List[Violation]:
 
 
 def _store_record_fixtures():
-    """Representative campaign-store payloads, worst cases included."""
-    from ..explorer.memo import HistoryClassification
+    """Representative campaign-store records, worst cases included."""
     from ..explorer.worker import ScheduleRecord
 
-    records = [
+    return [
         ScheduleRecord((1, 2, 1, 2), "w1[x] r2[x] c1 c2", True, (),
                        (1, 2), (), 0, 0, False),
         ScheduleRecord((1, 2), "w1[x] w2[x] a1 c2", False, ("P0", "P4"),
@@ -386,10 +384,6 @@ def _store_record_fixtures():
         ScheduleRecord((10, 11, 10), "w10[x] r11[x]", False, ("P1",),
                        (), (10, 11), 3, 0, True),         # stalled, 2-digit txns
     ]
-    classification = HistoryClassification(
-        shorthand="w1[x] c1", serializable=True, phenomena=(),
-        committed=(1,), aborted=())
-    return records, classification
 
 
 def lint_store_records() -> List[Violation]:
@@ -397,9 +391,8 @@ def lint_store_records() -> List[Violation]:
 
     The persist layer's determinism contract: ``decode(encode(x)) == x``
     exactly, ``encode`` is a pure function (same input → same row twice),
-    and every row element is an SQL-native scalar — for schedule records
-    and shared classifications, including stalled and deadlock-aborted
-    shapes.  A breach here is the bug
+    and every row element is an SQL-native scalar — for schedule records,
+    including stalled and deadlock-aborted shapes.  A breach here is the bug
     that makes a resumed campaign's coverage report drift from the
     uninterrupted one.
     """
@@ -434,16 +427,12 @@ def lint_store_records() -> List[Violation]:
                 "store-records", where, 0,
                 f"{kind} does not round-trip: {value!r} -> {decoded!r}"))
 
-    records, classification = _store_record_fixtures()
-    for record in records:
+    for record in _store_record_fixtures():
         check("ScheduleRecord", record, rec.record_to_row, rec.record_from_row)
         if rec.record_from_bytes(rec.record_to_bytes(record)) != record:
             violations.append(Violation(
                 "store-records", where, 0,
                 f"ScheduleRecord bytes round-trip fails for {record!r}"))
-    check("HistoryClassification", classification,
-          lambda value: rec.classification_to_row(value.shorthand, value),
-          lambda row: rec.classification_from_row(row)[1])
     return violations
 
 

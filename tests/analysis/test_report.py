@@ -52,7 +52,7 @@ class TestPossibilityMatrix:
             },
         }
         text = render_comparison(self.MATRIX, measured, ["P1", "P2"])
-        assert "!" in text and "paper:" in text
+        assert "!" in text and "(expected: " in text
 
     def test_comparison_without_mismatches_has_no_flags(self):
         text = render_comparison(self.MATRIX, self.MATRIX, ["P1", "P2"])
@@ -76,7 +76,8 @@ class TestMatrixMatches:
         }
         ok, mismatches = matrix_matches(TestPossibilityMatrix.MATRIX, measured)
         assert not ok
-        assert any("P1" in m for m in mismatches)
+        assert "READ COMMITTED / P1: expected Not Possible, measured Possible" \
+            in mismatches
 
     def test_missing_rows_are_reported(self):
         ok, mismatches = matrix_matches(TestPossibilityMatrix.MATRIX, {})

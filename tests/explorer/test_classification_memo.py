@@ -7,6 +7,9 @@ how many workers split the stream.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,8 @@ from repro.engine.programs import Commit, ReadItem, TransactionProgram, WriteIte
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore, memo, worker
 from repro.explorer.memo import BatchClassifier
 from repro.explorer.schedules import schedule_space
-from repro.explorer.worker import ChunkTask, execute_chunk
+from repro.explorer.worker import ChunkResult, ChunkTask, execute_chunk
+from repro.persist.session import LevelPersistence
 from repro.storage.database import Database
 from repro.workloads.program_sets import build_program_set
 
@@ -75,19 +79,6 @@ class TestWarmMemoEqualsFresh:
             assert warm.classify(history) == fresh.classify(history)
         assert warm.hits + warm.misses == 2 * len(batch)
 
-    @COMMON_SETTINGS
-    @given(st.lists(histories(), min_size=1, max_size=6))
-    def test_preloaded_entries_answer_as_shared_hits_and_are_not_fresh(self, batch):
-        source = BatchClassifier()
-        expected = [source.classify(history) for history in batch]
-        learned = source.drain_fresh()
-        assert source.drain_fresh() == {}
-        warm = BatchClassifier()
-        assert warm.preload(learned) == len(learned) == len(warm)
-        assert [warm.classify(history) for history in batch] == expected
-        assert (warm.hits, warm.misses, warm.shared_hits) == (0, 0, len(batch))
-        assert warm.drain_fresh() == {}
-
 
 class TestCap:
     def test_table_stops_at_the_cap_and_results_stay_equal(self, monkeypatch):
@@ -118,23 +109,11 @@ class TestCap:
         assert "P1" in classifier.classify(first).phenomena
         assert "P1" not in classifier.classify(second).phenomena
         assert (classifier.hits, classifier.misses, len(classifier)) == (1, 3, 1)
-        # What the cap kept out is still fresh: a store saves it with its chunk.
-        assert set(classifier.drain_fresh()) == {first.to_shorthand(),
-                                                 second.to_shorthand()}
-
-    def test_preload_respects_the_cap(self, monkeypatch):
-        monkeypatch.setattr(memo, "CLASSIFICATION_MEMO_CAP", 2)
-        source = BatchClassifier()
-        for text in ("w1[x] c1", "w1[y] c1", "w1[z] c1"):
-            source.classify(History.parse(text))
-        classifier = BatchClassifier()
-        assert classifier.preload(source.drain_fresh()) == 2
-        assert len(classifier) == 2
 
 
 class TestStatsAreChunkDeltas:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_schedule_is_a_hit_a_miss_or_a_shared_hit(self, workers):
+    def test_every_schedule_is_a_hit_or_a_miss(self, workers):
         result = explore(CONTENTION, ExploreOptions(
             workers=workers, chunk_size=16, **SAMPLE))
         reused = {}
@@ -147,7 +126,7 @@ class TestStatsAreChunkDeltas:
                 # Nothing was classified for it: every counter reads 0.
                 assert set(stats.values()) == {0}, exploration.level
                 continue
-            assert (stats["hits"] + stats["misses"] + stats["shared_hits"]
+            assert (stats["hits"] + stats["misses"]
                     == exploration.executed == 96), exploration.level
         # Table 2 separates the two by predicate-read lock duration only, and
         # these programs read no predicate.
@@ -216,7 +195,6 @@ class TestWorkloadIsolation:
         # Per-chunk deltas: the second chunk reports its own all-hit pass.
         assert second.cache_stats["misses"] == 0
         assert second.cache_stats["hits"] == len(schedules)
-        assert first.fresh_classifications is None     # nobody asked for them
 
 
 class TestDeterminismGrid:
@@ -235,6 +213,16 @@ class TestDeterminismGrid:
 
 
 class TestRemovedSurface:
+    def test_chunks_carry_records_and_counters_only(self):
+        """A chunk hands back no classifications beside its records, and a
+        task cannot ask for them: nothing saves them apart from records."""
+        assert [f.name for f in dataclasses.fields(ChunkResult)] == [
+            "chunk_index", "records", "cache_stats"]
+        assert [f.name for f in dataclasses.fields(ChunkTask)] == [
+            "chunk_index", "spec", "level", "schedules", "builder"]
+        assert list(inspect.signature(LevelPersistence.commit_chunk).parameters) \
+            == ["self", "chunk_index", "records"]
+
     def test_options_reject_shared_cache_by_name(self):
         with pytest.raises(TypeError, match="shared_cache"):
             ExploreOptions(shared_cache=True)

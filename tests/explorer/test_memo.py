@@ -18,6 +18,7 @@ from repro.core.phenomena import detect_all
 from repro.explorer import ProgramSetSpec, memo
 from repro.explorer.memo import BatchClassifier, HistoryClassification
 from repro.explorer.schedules import schedule_space
+from repro.explorer.trie_executor import TrieExecutor
 from repro.explorer.worker import ChunkTask, _initial_items, execute_chunk
 from repro.workloads.generators import history_corpus
 from repro.workloads.program_sets import build_program_set
@@ -115,50 +116,22 @@ class TestBatchClassifier:
         assert "A1" not in result.phenomena
 
 
-class TestFusedMvClassifyCore:
-    """The fused MV core must equal the unfused three-stage pipeline."""
-
-    def _assert_equivalent(self, history, initial_items=None):
-        from repro.explorer.memo import _mv_classify_core
-
-        completed = assign_write_versions(history, initial_items)
-        expected_serializable = mv_is_serializable(completed)
-        expected_mapped = mv_to_sv(completed)
-        serializable, mapped = _mv_classify_core(
-            history, None if initial_items is None else frozenset(initial_items))
-        assert serializable == expected_serializable, history.to_shorthand()
-        assert mapped == expected_mapped, history.to_shorthand()
-
-    def test_on_catalogued_mv_histories(self):
-        from repro.core.catalog import CATALOG
-
-        checked = 0
-        for entry in CATALOG.values():
-            history = entry.history if hasattr(entry, "history") else entry
-            if history.is_multiversion():
-                self._assert_equivalent(history)
-                checked += 1
-        assert checked >= 1
-
-    def test_on_realized_snapshot_isolation_histories(self):
-        from repro.core.isolation import IsolationLevelName
-        from repro.explorer import ProgramSetSpec, schedule_space
-        from repro.explorer.trie_executor import TrieExecutor
-        from repro.explorer.worker import _initial_items
-        from repro.workloads.program_sets import build_program_set
-
-        spec = ProgramSetSpec.make("contention", transactions=3, items=3,
-                                   hot_items=2, operations_per_transaction=2)
-        for level in (IsolationLevelName.SNAPSHOT_ISOLATION,
-                      IsolationLevelName.ORACLE_READ_CONSISTENCY):
-            database, programs = build_program_set(spec)
-            items = _initial_items(database)
-            executor = TrieExecutor(database, programs, level)
-            schedules = schedule_space(programs, mode="sample",
-                                       max_schedules=120, seed=11).schedules
-            for _, outcome in executor.run_batch(schedules):
-                if outcome.history.is_multiversion():
-                    self._assert_equivalent(outcome.history, items)
+def _realized_mv_histories():
+    """``(history, initial items)`` for every multiversion history a sample
+    of the contention space realizes under Snapshot Isolation and Oracle
+    Read Consistency."""
+    spec = ProgramSetSpec.make("contention", transactions=3, items=3,
+                               hot_items=2, operations_per_transaction=2)
+    for level in (IsolationLevelName.SNAPSHOT_ISOLATION,
+                  IsolationLevelName.ORACLE_READ_CONSISTENCY):
+        database, programs = build_program_set(spec)
+        items = _initial_items(database)
+        executor = TrieExecutor(database, programs, level)
+        schedules = schedule_space(programs, mode="sample",
+                                   max_schedules=120, seed=11).schedules
+        for _, outcome in executor.run_batch(schedules):
+            if outcome.history.is_multiversion():
+                yield outcome.history, items
 
 
 # -- class tables ------------------------------------------------------------------
@@ -168,14 +141,21 @@ _WRITES = (_K.WRITE, _K.CURSOR_WRITE, _K.PREDICATE_WRITE)
 INITIAL_ITEMS = st.sampled_from((None, ("x",), ITEMS))
 
 
-def _versioned(draw, op: Operation) -> Operation:
+#: Write versions a multiversion transaction set draws from: none (stamped
+#: at commit, as the engines realize them), explicit (as the paper writes
+#: them), or both kinds in one history.
+WRITE_VERSIONS = {"stamped": (None,), "explicit": (1, 2),
+                  "mixed": (None, None, 1, 2)}
+
+
+def _versioned(draw, op: Operation, write_versions) -> Operation:
     """``op`` with a drawn version subscript on item reads and writes.  The
     shorthand of a predicate operation renders no version, so those stay
     unversioned (the memo identifies an operation by its shorthand)."""
     if op.kind in (_K.READ, _K.CURSOR_READ):
         version = draw(st.sampled_from((None, 0, 1, 2)))
     elif op.kind in (_K.WRITE, _K.CURSOR_WRITE):
-        version = draw(st.sampled_from((None, None, 1, 2)))
+        version = draw(st.sampled_from(write_versions))
     else:
         return op
     return Operation(op.kind, op.txn, item=op.item, version=version)
@@ -188,7 +168,10 @@ def transaction_sets(draw, multiversion: bool):
     one), and sometimes an operation follows a transaction's terminal."""
     bodies = draw(transaction_bodies(every_kind=True))
     if multiversion:
-        bodies = [[_versioned(draw, op) for op in body] for body in bodies]
+        write_versions = WRITE_VERSIONS[draw(st.sampled_from(
+            sorted(WRITE_VERSIONS)))]
+        bodies = [[_versioned(draw, op, write_versions) for op in body]
+                  for body in bodies]
         if not any(op.version is not None for body in bodies for op in body):
             bodies[0].insert(0, Operation(_K.READ, bodies[0][0].txn,
                                           item="x", version=0))
@@ -254,6 +237,15 @@ def _ends_early(history: History) -> bool:
         if op.kind.is_terminal:
             ended.add(op.txn)
     return False
+
+
+def _mixed_writes(history: History) -> bool:
+    """Whether some item write carries a version and another is stamped at
+    commit: which transaction's write keeps a version is then an order the
+    multiversion key does not fix."""
+    writes = {op.version is None for op in history
+              if op.kind in _WRITES and op.item is not None}
+    return history.is_multiversion() and writes == {True, False}
 
 
 def _sv_scopes(history: History) -> List[frozenset]:
@@ -323,7 +315,7 @@ class TestClassKeys:
     def test_independent_swaps_keep_key_and_classification(self, history,
                                                            initial_items):
         key = _key(history)
-        if _ends_early(history):
+        if _ends_early(history) or _mixed_writes(history):
             assert key is None
             return
         assert key is not None
@@ -376,6 +368,76 @@ class TestClassKeys:
             assert (classifier.class_hits, classifier.class_misses) == (0, 1)
             assert not classifier._sv_classes and not classifier._mv_classes
 
+    def test_stamped_and_versioned_writes_take_the_uncached_path(self):
+        # w1[x] is stamped x1 at c1, and w2[x1] names x1 itself: the graph
+        # gives x1 to the later write, so swapping the two writes turns the
+        # rw cycle T1 -> T2 (x) -> T1 (y) on and off.  Both orders have one
+        # start / terminal / versioned-write sequence, so they get no key.
+        first, second = (parse_history(text, multiversion=True) for text in (
+            "r1[x0] r2[y0] w1[x] w2[x1] w1[y] c1 c2",
+            "r1[x0] r2[y0] w2[x1] w1[x] w1[y] c1 c2"))
+        assert _key(first) is _key(second) is None
+        classifier = BatchClassifier()
+        assert not classifier.classify(first).serializable
+        assert classifier.classify(second).serializable
+        assert (classifier.class_hits, classifier.class_misses) == (0, 2)
+
+
+class TestOneMvPipeline:
+    """``BatchClassifier.classify`` on a multiversion history is the paper's
+    definitions: the MV serialization graph of the version-completed history,
+    and the phenomena of its single-valued mapping — cold, and again warm
+    through the class tables."""
+
+    @staticmethod
+    def _definitions(history, items) -> HistoryClassification:
+        completed = assign_write_versions(history, items)
+        flags = detect_all(mv_to_sv(completed))
+        return HistoryClassification(
+            history.to_shorthand(), mv_is_serializable(completed),
+            tuple(sorted(code for code, found in flags.items() if found)),
+            tuple(sorted(history.committed_set())),
+            tuple(sorted(history.aborted_set())))
+
+    def _assert_definitions(self, histories, items):
+        classifier = BatchClassifier(initial_items=items)
+        expected = [self._definitions(history, items) for history in histories]
+        assert [classifier.classify(h) for h in histories] == expected
+        keyed = sum(_key(history) is not None for history in histories)
+        # Forget the memo: every keyed history now answers from its class.
+        classifier._memo.clear()
+        hits = classifier.class_hits
+        assert [classifier.classify(h) for h in histories] == expected
+        assert classifier.class_hits - hits == keyed
+
+    def test_on_realized_snapshot_and_read_consistency_histories(self):
+        realized = list(_realized_mv_histories())
+        items = realized[0][1]
+        assert all(found == items for _, found in realized)
+        distinct = {history.to_shorthand(): history for history, _ in realized}
+        assert len(distinct) > 100
+        self._assert_definitions(list(distinct.values()), items)
+
+    def test_every_realized_history_gets_a_class_key(self):
+        # The engines realize unversioned writes only, so no realized history
+        # takes the uncached path the key keeps for stamped-and-versioned ones.
+        realized = list(_realized_mv_histories())
+        assert all(_key(history) is not None for history, _ in realized)
+
+    @CLASS_SETTINGS
+    @given(st.lists(class_histories(), min_size=1, max_size=6), INITIAL_ITEMS)
+    def test_on_random_histories(self, batch, initial_items):
+        distinct = {h.to_shorthand(): h for h in batch if h.is_multiversion()}
+        self._assert_definitions(list(distinct.values()), _frozen(initial_items))
+
+    def test_on_catalogued_mv_histories(self):
+        from repro.core.catalog import CATALOG
+
+        histories = [entry.history for entry in CATALOG.values()
+                     if entry.history.is_multiversion()]
+        assert histories
+        self._assert_definitions(histories, None)
+
 
 class TestClassCounters:
     def test_one_class_under_several_shorthands(self):
@@ -386,7 +448,7 @@ class TestClassCounters:
         for text in ("r1[x0] w2[y] r1[y0] c2 c1", "r1[x0] w2[y] c2 r1[y0] c1",
                      "w2[y] r1[x0] r1[y0] c2 c1"):
             classifier.classify(parse_history(text, multiversion=True))
-        assert classifier.stats == {"hits": 0, "misses": 7, "shared_hits": 0,
+        assert classifier.stats == {"hits": 0, "misses": 7,
                                     "class_hits": 3, "class_misses": 4}
         assert (len(classifier._sv_classes), len(classifier._mv_classes)) == (2, 2)
 

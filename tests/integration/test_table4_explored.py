@@ -210,3 +210,9 @@ def test_the_example_exits_1_on_a_wrong_expected_cell(example, monkeypatch,
     out = capsys.readouterr().out
     assert "matches the paper and the extension rows: False" in out
     assert f"{level.value}" in out.split("False", 1)[1]
+    # An extension row is no row of the paper's: the mismatch names the
+    # expected side, not the paper, in the line and in the comparison cell.
+    mismatch = next(line for line in out.splitlines()
+                    if line.startswith(f"  - {level.value} / P0: "))
+    assert "expected" in mismatch and "paper" not in mismatch
+    assert "(expected: " in out and "(paper: " not in out

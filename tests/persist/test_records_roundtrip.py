@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.explorer.explorer import DEFAULT_LEVELS
-from repro.explorer.memo import HistoryClassification
 from repro.explorer.worker import ScheduleRecord
 from repro.persist import records as rec
 
@@ -59,19 +58,6 @@ class TestGeneratedPayloads:
         blob = rec.record_to_bytes(record)
         assert rec.record_from_bytes(blob) == record
         assert rec.record_to_bytes(record) == blob
-
-    @COMMON_SETTINGS
-    @given(histories, st.booleans(), phenomena, int_tuples, int_tuples)
-    def test_classification_row_round_trips(self, shorthand, serializable,
-                                            codes, committed, aborted):
-        entry = HistoryClassification(shorthand=shorthand,
-                                      serializable=serializable,
-                                      phenomena=codes, committed=committed,
-                                      aborted=aborted)
-        decoded_key, decoded = rec.classification_from_row(
-            rec.classification_to_row(shorthand, entry))
-        assert decoded_key == shorthand
-        assert decoded == entry
 
     @COMMON_SETTINGS
     @given(interleavings)

@@ -140,18 +140,6 @@ class TestCrossRunDedupe:
         assert rerun.fingerprint() == first.fingerprint()
         assert rerun.fingerprint() == baseline.fingerprint()
 
-    def test_cross_workload_classification_dedupe(self, store):
-        explore(SPEC, ExploreOptions(store=store, campaign_id="c1", **EXPLORE_KWARGS))
-        stored = set(store.load_classifications())
-        assert stored
-        other = ProgramSetSpec.make("contention")
-        result = explore(other, ExploreOptions(
-            store=store, campaign_id="c2", **EXPLORE_KWARGS))
-        stats = result.levels[next(iter(result.levels))].cache_stats
-        # classifications are keyed by history shorthand, not workload, so a
-        # different workload still preloads everything the first one learned
-        assert stats.get("store_classifications_preloaded", 0) >= len(stored)
-
     def test_different_config_same_campaign_is_refused(self, store):
         from repro.persist import CampaignConfigMismatch
         explore(SPEC, ExploreOptions(store=store, campaign_id="c1", **EXPLORE_KWARGS))
@@ -182,95 +170,44 @@ class TestParallelCampaigns:
         assert resumed.fingerprint() == baseline.fingerprint()
 
 
-class SaveCountingStore:
-    """Proxy that records how many rows each classification-tier save was
-    handed."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.classification_batches = []
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if name != "save_classifications":
-            return attr
-
-        def save_classifications(entries):
-            self.classification_batches.append(len(entries))
-            return attr(entries)
-
-        return save_classifications
-
-
-def _distinct_histories(result):
-    return {record.history for level in result.levels.values()
-            for record in level.records}
-
-
-class TestTiersAreSavedWithTheChunk:
-    """Whatever a chunk newly classified is saved with that chunk — serial
-    and parallel alike — so the tier holds exactly what the committed chunks
-    learned, whichever process learned it."""
+class TestStoreWrites:
+    """A store-attached run writes records and cursors, nothing else."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_classification_rows_equal_distinct_histories(self, store, workers,
-                                                          tmp_path):
+    def test_one_write_transaction_per_chunk(self, store, workers):
         result = explore(SPEC, ExploreOptions(
             workers=workers, store=store, campaign_id="c1", **EXPLORE_KWARGS))
-        assert set(store.load_classifications()) == _distinct_histories(result)
-        # The memo belongs to the call, not to the process: a second explore()
-        # here has everything to learn again, so a new store is filled too.
-        another = SqliteStore(":memory:" if store.path == ":memory:"
-                              else tmp_path / "another.sqlite")
-        try:
-            again = explore(SPEC, ExploreOptions(
-                workers=workers, store=another, campaign_id="c1", **EXPLORE_KWARGS))
-            assert again.fingerprint() == result.fingerprint()
-            assert set(another.load_classifications()) == _distinct_histories(result)
-        finally:
-            another.close()
-
-    def test_serial_run_saves_each_classification_exactly_once(self, store):
-        counting = SaveCountingStore(store)
-        result = explore(SPEC, ExploreOptions(
-            store=counting, campaign_id="c1", **EXPLORE_KWARGS))
-        assert sum(counting.classification_batches) == \
-            len(_distinct_histories(result)) == len(store.load_classifications())
-
-    def test_warm_store_is_preloaded_once_and_nothing_is_saved_again(self, store):
-        first = explore(SPEC, ExploreOptions(
-            store=store, campaign_id="c1", **EXPLORE_KWARGS))
-        stored = len(store.load_classifications())
-        counting = SaveCountingStore(store)
-        second = explore(SPEC, ExploreOptions(
-            store=counting, campaign_id="c2", **EXPLORE_KWARGS))
-        assert second.fingerprint() == first.fingerprint()
-        assert counting.classification_batches == []
-        preloaded = [level.cache_stats.get("store_classifications_preloaded", 0)
-                     for level in second.levels.values()]
-        assert preloaded == [stored] + [0] * (len(preloaded) - 1)
-        for level in second.levels.values():
-            stats = level.cache_stats
-            assert (stats["hits"], stats["misses"]) == (0, 0)
-            if level.reused_from is None:
-                assert stats["shared_hits"] == len(level.records)
-            else:
-                # The same machine as an earlier level: nothing classified.
-                assert stats["shared_hits"] == 0
-                assert level.records == second.levels[level.reused_from].records
+        levels = len(result.levels)
+        chunks = -(-len(result.space) // EXPLORE_KWARGS["chunk_size"])
+        assert (levels, len(result.space), chunks) == (5, 20, 3)
+        # The campaign row, then per level one transaction per chunk (a
+        # level reused from an earlier one commits its chunks too) and one
+        # that marks the scope complete: 1 + 5 * (3 + 1).
+        assert store.stats()["write_transactions"] == 1 + levels * (chunks + 1) == 21
+        # A re-run executes nothing and only marks each scope complete again.
+        explore(SPEC, ExploreOptions(
+            workers=workers, store=store, campaign_id="c1", **EXPLORE_KWARGS))
+        assert store.stats()["write_transactions"] == 21 + levels
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_killed_run_leaves_no_committed_chunk_without_its_classifications(
-            self, store, workers):
+    def test_killed_run_resumes_to_the_uninterrupted_result(
+            self, store, workers, baseline):
         with pytest.raises(Interrupted):
             explore(SPEC, ExploreOptions(
                 workers=workers, store=InterruptingStore(store, 3),
                 campaign_id="c1", **EXPLORE_KWARGS))
-        scope = next(iter(store.scope_progress("c1")))
-        committed = {record.history
-                     for chunk in range(store.cursor("c1", scope))
-                     for record in store.load_chunk("c1", scope, chunk)}
-        assert committed and committed <= set(store.load_classifications())
+        # Three chunks are durable, each equal to the uninterrupted run's.
+        unit = EXPLORE_KWARGS["chunk_size"]
+        durable = [(scope, chunk) for scope in store.scope_progress("c1")
+                   for chunk in range(store.cursor("c1", scope))]
+        assert len(durable) == 3
+        by_scope = {level.value: exploration.records
+                    for level, exploration in baseline.levels.items()}
+        for scope, chunk in durable:
+            assert store.load_chunk("c1", scope, chunk) == \
+                by_scope[scope][chunk * unit:(chunk + 1) * unit]
         resumed = explore(SPEC, ExploreOptions(
             workers=workers, store=store, campaign_id="c1", **EXPLORE_KWARGS))
-        assert set(store.load_classifications()) == _distinct_histories(resumed)
+        assert resumed.fingerprint() == baseline.fingerprint()
+        assert (coverage_report_from_store(store, "c1").render()
+                == build_coverage_report(baseline).render())

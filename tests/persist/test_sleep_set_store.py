@@ -3,8 +3,9 @@
 Earlier builds could run a campaign with ``reduction: "sleep-set"``: one
 executed representative per commutation-equivalence class, whose records
 sat in ``rep_records`` beside the per-schedule ``records``.  This build
-writes neither that config nor those rows, so the fixtures here write them
-directly through the store.  Such a campaign still lists, inspects and
+writes neither that config nor those rows, and a store it creates has no
+``rep_records`` table, so the fixtures here create the table as such a file
+has it and write both directly through the store.  Such a campaign still lists, inspects and
 reports exactly as before (nothing reads ``rep_records``), and resuming it
 exits 2 with the campaign named instead of silently re-running it.
 """
@@ -29,6 +30,27 @@ SPEC = ProgramSetSpec.make("increments")
 KNOBS = dict(mode="auto", max_schedules=200, seed=0, chunk_size=8)
 #: What ``campaign run --reduction sleep-set`` stored for this campaign.
 SLEEP_SET = {**campaign_config(SPEC, **KNOBS), "reduction": "sleep-set"}
+
+#: The ``rep_records`` table as the builds that ran sleep-set campaigns
+#: created it.
+REP_RECORDS_TABLE = """
+CREATE TABLE IF NOT EXISTS rep_records (
+    campaign       TEXT NOT NULL,
+    scope          TEXT NOT NULL,
+    chunk_index    INTEGER NOT NULL,
+    position       INTEGER NOT NULL,
+    interleaving   TEXT NOT NULL,
+    history        TEXT NOT NULL,
+    serializable   INTEGER NOT NULL,
+    phenomena      TEXT NOT NULL,
+    committed      TEXT NOT NULL,
+    aborted        TEXT NOT NULL,
+    blocked_events INTEGER NOT NULL,
+    deadlocks      INTEGER NOT NULL,
+    stalled        INTEGER NOT NULL,
+    PRIMARY KEY (campaign, scope, chunk_index, position)
+)
+"""
 
 _REP_INSERT = """
 INSERT INTO rep_records (campaign, scope, chunk_index, position,
@@ -56,6 +78,7 @@ def write_sleep_set_chunks(store, campaign, config, scope, records,
                            chunk_size=None, complete=False):
     """Commit ``records`` as a sleep-set campaign did: each chunk's records,
     plus its representative rows (here the chunk's first record)."""
+    store._write(lambda cur: cur.execute(REP_RECORDS_TABLE))
     store.open_campaign(campaign, config)
     size = chunk_size or len(records)
     chunks = [records[start:start + size]

@@ -1,4 +1,4 @@
-"""The store contract: campaigns, cursors, atomic chunk commits, dedupe tables.
+"""The store contract: campaigns, cursors, atomic chunk commits.
 
 Every test runs on ``SqliteStore(":memory:")`` and on a store file via the
 parametrized ``store`` fixture.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.explorer.memo import HistoryClassification
 from repro.explorer.worker import ScheduleRecord
 from repro.persist import (
     CampaignConfigMismatch,
@@ -17,7 +16,7 @@ from repro.persist import (
 )
 from repro.persist import records as rec
 
-from .test_sleep_set_store import _REP_INSERT
+from .test_sleep_set_store import _REP_INSERT, REP_RECORDS_TABLE
 
 CONFIG = {"spec_name": "increments", "spec_params": [], "mode": "auto",
           "max_schedules": 100, "seed": 0, "reduction": "none",
@@ -108,6 +107,7 @@ class TestChunkCommits:
         chunk = (record(0), record(1), record(2))
         store.commit_chunk("c1", "scope", 0, chunk)
         row = ("c1", "scope", 0, 0) + rec.record_to_row(record(7))
+        store._write(lambda cur: cur.execute(REP_RECORDS_TABLE))
         store._write(lambda cur: cur.execute(_REP_INSERT, row))
         assert store.load_chunk("c1", "scope", 0) == chunk
         assert tuple(store.iter_records("c1", "scope")) == chunk
@@ -139,15 +139,6 @@ class TestChunkCommits:
         assert progress.complete
         assert progress.total_chunks == 1
         assert progress.stats == {"executed": 1}
-
-
-class TestDedupeTables:
-    def test_classifications_round_trip_and_are_global(self, store):
-        entry = HistoryClassification(shorthand="w1[x] c1", serializable=True,
-                                      phenomena=(), committed=(1,), aborted=())
-        assert store.save_classifications({"w1[x] c1": entry}) == 1
-        assert store.save_classifications({"w1[x] c1": entry}) == 0
-        assert store.load_classifications() == {"w1[x] c1": entry}
 
 
 class TestSqlitePersistence:

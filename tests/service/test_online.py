@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from repro.core.history import History, parse_history
 from repro.core.isolation import IsolationLevelName
+from repro.core.mv_analysis import assign_write_versions, mv_is_serializable, mv_to_sv
 from repro.core.operations import Operation, OperationKind
 from repro.core.phenomena import detect_all
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore
 from repro.explorer.memo import BatchClassifier
 from repro.service import OnlineClassifier, StreamError
+
+from ..explorer.test_memo import _realized_mv_histories
 
 COMMON_SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -256,6 +259,27 @@ class TestMultiversionStreams:
             assert classifier.verdict().classification_fields() == \
                 (want.serializable, want.phenomena, want.committed,
                  want.aborted), record.history
+
+
+    def test_read_consistency_and_si_streams_equal_the_definitions(self):
+        """Realized Snapshot Isolation and Oracle Read Consistency streams,
+        with the workload's initial items: the verdict is the MV graph of
+        the version-completed stream and the phenomena of its mapping."""
+        distinct = {history.to_shorthand(): (history, items)
+                    for history, items in _realized_mv_histories()}
+        assert len(distinct) > 100
+        for history, items in distinct.values():
+            classifier = OnlineClassifier("mv", multiversion=True,
+                                          initial_items=items)
+            for op in history:
+                classifier.feed(op)
+            completed = assign_write_versions(history, items)
+            flags = detect_all(mv_to_sv(completed))
+            assert classifier.verdict().classification_fields() == (
+                mv_is_serializable(completed),
+                tuple(sorted(code for code, found in flags.items() if found)),
+                tuple(sorted(history.committed_set())),
+                tuple(sorted(history.aborted_set()))), history.to_shorthand()
 
 
 class TestFeedShorthand:

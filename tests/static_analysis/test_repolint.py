@@ -224,13 +224,13 @@ class TestStoreRecords:
 
         from repro.persist import records as rec
 
-        original = rec.classification_to_row
+        original = rec.record_to_row
         ticker = count()
 
-        def impure(shorthand, classification):
-            return original(shorthand, classification) + (next(ticker),)
+        def impure(record):
+            return original(record) + (next(ticker),)
 
-        monkeypatch.setattr(rec, "classification_to_row", impure)
+        monkeypatch.setattr(rec, "record_to_row", impure)
         violations = lint_store_records()
         assert any("not deterministic" in violation.message
                    for violation in violations)

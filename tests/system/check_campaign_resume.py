@@ -1,4 +1,4 @@
-"""SIGKILL a live campaign, resume it, and diff the coverage byte-for-byte.
+"""SIGKILL a live campaign, resume it, and diff records and coverage byte-for-byte.
 
 The ``system`` CI job runs this script (pytest does not collect it).  It stages the tentpole
 contract of the persistent campaign store end to end, with a real process
@@ -12,8 +12,9 @@ and a real signal rather than an in-process store proxy:
    durable, and deliver SIGKILL while the campaign is mid-stream.
 3. **Resume** — re-run the campaign through ``resume``; it must load the
    durable prefix and execute strictly fewer schedules than the control.
-4. **Diff** — rebuild both coverage reports from stored rows only; the
-   renders must be byte-identical.
+4. **Diff** — from stored rows only, the record fingerprints
+   (``fingerprint_from_store``, every record in stream order) must be
+   equal and both coverage reports' renders byte-identical.
 
 The store files are left behind in ``--dir`` so CI can upload them as an
 artifact (they are plain SQLite — any client can autopsy a failure).
@@ -162,17 +163,25 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"the control's {control_executed}; the durable prefix was not "
             f"reused")
 
-    # The decisive diff: both coverage reports rebuilt from stored rows only.
+    # The decisive diffs, from stored rows only: every record (the
+    # fingerprint), then the coverage report built from them.
     from repro.analysis.coverage import coverage_report_from_store
-    from repro.persist import SqliteStore
+    from repro.persist import SqliteStore, fingerprint_from_store
 
+    fingerprints = {}
     renders = {}
     for name, path in (("control", control_store), ("victim", victim_store)):
         store = SqliteStore(path)
         try:
+            fingerprints[name] = fingerprint_from_store(store, CAMPAIGN)
             renders[name] = coverage_report_from_store(store, CAMPAIGN).render()
         finally:
             store.close()
+    if fingerprints["control"] != fingerprints["victim"]:
+        failures.append("resumed record fingerprint differs from the control: "
+                        f"{fingerprints['victim']} != {fingerprints['control']}")
+    else:
+        print(f"record fingerprints are equal: {fingerprints['victim']}")
     if renders["control"] != renders["victim"]:
         failures.append("resumed coverage report differs from the control")
         print("--- control ---")
