@@ -24,7 +24,9 @@ Every attempt dispatches through ``Step.perform`` into the engine's public
 methods, so this runner is the source of truth every faster path is held to:
 the trie executor (:mod:`repro.explorer.trie_executor`) drives it from
 checkpoints, and the batch kernel (:mod:`repro.explorer.batch_kernel`) is
-gated byte-equal against it.
+gated byte-equal against it.  The kernel takes only item-only programs at a
+locking level or Snapshot Isolation; every other program set and level,
+Oracle Read Consistency included, runs on this runner.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from .explorer import (
 )
 from .options import ExploreOptions
 from .memo import BatchClassifier, HistoryClassification
-from .batch_kernel import BatchStats, build_batch_kernel
+from .batch_kernel import build_batch_kernel
 from .trie_executor import TrieExecutor, TrieStats
 from .scenarios import (
     ScenarioExploration,
@@ -78,7 +78,6 @@ __all__ = [
     "explore",
     "BatchClassifier",
     "HistoryClassification",
-    "BatchStats",
     "build_batch_kernel",
     "TrieExecutor",
     "TrieStats",

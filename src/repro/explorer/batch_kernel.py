@@ -1,4 +1,4 @@
-"""The batch kernel: flat emulators behind the transition table.
+"""The batch kernel: a flat locking emulator behind the transition table.
 
 The trie executor replays schedules through full engine objects — lock lists,
 undo logs, OpResult values, deep checkpoint tokens — behind the transition
@@ -10,10 +10,10 @@ shapes the explorer actually enumerates (``ReadItem`` / ``WriteItem`` /
 small arithmetic fact over per-item holder bitmasks, and this module puts
 that cheaper machine behind the *same* table:
 
-* **The emulators** (:class:`_LockingFlat`, :class:`_ReadConsistencyFlat`)
-  keep the whole engine + runner state in one flat list and know how to take
-  a single step (``_attempt``) or a phase-2 drain from it.  They are
-  :class:`~repro.explorer.transition_table.TableWalk` machines: interning,
+* **The locking emulator** (:class:`_LockingFlat`, every Table 2 level)
+  keeps the whole engine + runner state in one flat list and knows how to
+  take a single step (``_attempt``) or a phase-2 drain from it.  It is a
+  :class:`~repro.explorer.transition_table.TableWalk` machine: interning,
   the record shape, the budget-checked slot loop, the cap and the DFS walk
   are the table's, shared with the real-engine path; a miss here costs one
   emulator step instead of a runner sync plus an engine call.
@@ -24,16 +24,17 @@ that cheaper machine behind the *same* table:
   holds.
 * :class:`_SnapshotKernel` needs no table: under Snapshot Isolation every
   transaction's stream is static and a row is one fold over commit order.
-* Rows the tables cannot express (any other step type, custom engine
-  options) never reach the kernel — :func:`build_batch_kernel` refuses to
-  build and the caller keeps the stepwise path; a per-row escape hatch
-  (``fallback``) ejects any row that names a transaction outside the tables.
+* Programs the tables cannot express (any other step type, custom engine
+  options) and levels with no emulator (Oracle Read Consistency) never reach
+  the kernel — :func:`build_batch_kernel` refuses to build and the caller
+  keeps the real engines.  A slot naming a transaction outside the program
+  set is dropped, as the runner treats it as a no-op.
 
-**What a state key contains.**  Item values, Share/Exclusive holder bitmasks
-(chain lengths and tips under Read Consistency), each transaction's lifecycle
-code, step counter and waits-for holder mask, one bitmask of the transactions
-whose parked blocked-result memo is still valid, the first-before-image (or
-write-buffer) slot of every (transaction, item), and every context binding.
+**What a state key contains.**  Item values, Share/Exclusive holder bitmasks,
+each transaction's lifecycle code, step counter and waits-for holder mask,
+one bitmask of the transactions whose parked blocked-result memo is still
+valid, the first-before-image slot of every (transaction, item), and every
+context binding.
 What it leaves out, and why: the lock manager's per-item version counters are
 monotone — two visits to the same engine situation never agree on them — and
 the runner reads them for one thing only, "has this item's lock state moved
@@ -55,43 +56,32 @@ sets.
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.history import History
 from ..core.isolation import IsolationLevelName
 from ..core.operations import Operation, OperationKind
 from ..engine.interface import TransactionState
 from ..engine.outcomes import ExecutionOutcome
-from ..engine.programs import (
-    Abort,
-    Commit,
-    ReadItem,
-    TransactionProgram,
-    WriteItem,
-)
+from ..engine.programs import TransactionProgram
 from ..locking.deadlock import Deadlock, WaitsForGraph
 from ..locking.modes import LockDuration, LockMode
-from ..locking.policy import POLICIES, policy_for
+from ..locking.policy import ITEM_STEPS, POLICIES, item_only, policy_for
 from ..storage.database import Database
-from .transition_table import TableWalk, slot_record, sorted_order_and_lcps
+from .transition_table import (
+    TableWalk,
+    TrieStats,
+    slot_record,
+    sorted_order_and_lcps,
+)
 
-__all__ = ["BatchStats", "build_batch_kernel", "machine_key"]
+__all__ = ["build_batch_kernel"]
 
-#: The kernel's step vocabulary: the four exact step types its tables express.
+#: The kernel's step vocabulary: the op code of each item-only step type.
 #: Any other step type (rows, predicates, cursors, or a subclass overriding
-#: ``perform``) keeps the whole program set on the stepwise path.
-_OP_READ, _OP_WRITE, _OP_COMMIT, _OP_ABORT = 0, 1, 2, 3
-_OPCODES = {ReadItem: _OP_READ, WriteItem: _OP_WRITE, Commit: _OP_COMMIT,
-            Abort: _OP_ABORT}
+#: ``perform``) keeps the whole program set on the real engines.
+_OP_READ, _OP_WRITE, _OP_COMMIT, _OP_ABORT = range(len(ITEM_STEPS))
+_OPCODES = {step_type: opcode for opcode, step_type in enumerate(ITEM_STEPS)}
 #: The history operation each op code realizes.
 _KINDS = (OperationKind.READ, OperationKind.WRITE, OperationKind.COMMIT,
           OperationKind.ABORT)
@@ -103,42 +93,6 @@ _ABSENT = object()
 #: Sentinel for an empty state slot: no before-image taken, nothing buffered,
 #: context name not bound yet.
 _UNSET = object()
-
-
-class BatchStats:
-    """Cumulative work counters of one batch kernel (benchmarks / reports)."""
-
-    __slots__ = ("schedules", "rows_fast", "rows_ejected", "slots_total",
-                 "slots_executed", "checkpoints_created", "restores",
-                 "transitions_reused", "transitions_computed", "states")
-
-    def __init__(self) -> None:
-        self.schedules = 0
-        #: Rows fully executed on the flat kernel vs. ejected to the
-        #: stepwise fallback.
-        self.rows_fast = 0
-        self.rows_ejected = 0
-        self.slots_total = 0
-        self.slots_executed = 0
-        self.checkpoints_created = 0
-        self.restores = 0
-        #: Table lookups (one per slot, one per drain) answered from the
-        #: transition table vs. run on the emulator, and the states interned.
-        self.transitions_reused = 0
-        self.transitions_computed = 0
-        self.states = 0
-
-    @property
-    def occupancy(self) -> float:
-        """Fraction of rows that stayed on the flat fast path."""
-        if not self.schedules:
-            return 1.0
-        return self.rows_fast / self.schedules
-
-    def as_dict(self) -> Dict[str, Any]:
-        counters = {name: getattr(self, name) for name in self.__slots__}
-        counters["occupancy"] = self.occupancy
-        return counters
 
 
 def _intern_step_op(cache: Dict[Any, Operation], kind: OperationKind,
@@ -208,7 +162,7 @@ class _FlatPrograms:
         self.max_attempts = sum(self.totals) * 20 + 100
 
 
-#: Lifecycle codes of the flat emulators (index into _STATES); an abort keeps
+#: Lifecycle codes of the kernels (index into _STATES); an abort keeps
 #: its cause, so the outcome's abort reasons are read off the final state.
 _ACTIVE, _COMMITTED, _ABORTED, _VICTIM = 0, 1, 2, 3
 _STATES = (TransactionState.ACTIVE, TransactionState.COMMITTED,
@@ -216,13 +170,13 @@ _STATES = (TransactionState.ACTIVE, TransactionState.COMMITTED,
 _ABORT_REASONS = {_ABORTED: "program abort", _VICTIM: "deadlock victim"}
 
 
-class _FlatEmulator(TableWalk):
-    """One engine + runner state as a flat list, behind the transition table.
+class _LockingFlat(TableWalk):
+    """LockingEngine + runner state as a flat list, behind the transition table.
 
     The state is one list (``T`` transactions, ``K`` items)::
 
-        [0, K)      a-cells: item values (``_ABSENT`` for a missing item)
-        [K, 2K)     b-cells: Share holder bitmask per item
+        [0, K)      item values (``_ABSENT`` for a missing item)
+        [K, 2K)     Share holder bitmask per item
         [2K, 3K)    Exclusive holder bitmask per item
         est, cnt    T each: lifecycle code, step counter
         wt          T: bitmask of the transactions this one waits for
@@ -230,13 +184,17 @@ class _FlatEmulator(TableWalk):
         per         T*K: first before-image of (transaction, item), or _UNSET
         ctx         one slot per context name a transaction binds, or _UNSET
 
-    (:class:`_ReadConsistencyFlat` reads the a-, b- and per-cells differently.)
     Waits-for masks, parked replays, deadlock resolution and the attempt
-    budget mirror the runner line for line; the level's engine rules are the
-    hooks a subclass supplies (``_read``, ``_write``, ``_commit``,
-    ``_rollback``, ``_release_all``, ``_item_value``).  Where the lock manager bumps an item's
-    version counter, ``_bump`` clears the ``pv`` bit of every transaction
-    parked on that item — the only thing the counter is ever read for.
+    budget mirror the runner line for line.  Per-item Share/Exclusive holder
+    bitmasks reproduce the lock manager's arithmetic exactly (transient short
+    locks net to zero, own-lock upgrades swap masks, release-all bumps per
+    held item); the ``per`` cells hold the oldest before-image, which is all
+    reverse undo restores.  Cursor Stability's CURSOR read duration behaves
+    as LONG here: item-only programs never move or close a cursor, and
+    release-all drops every duration alike.  Where the lock manager bumps an
+    item's version counter, ``_bump`` clears the ``pv`` bit of every
+    transaction parked on that item — the only thing the counter is ever
+    read for.
 
     ``tuple(state)`` is the state's key in the transition table (see
     :mod:`repro.explorer.transition_table`, which also walks the batch).
@@ -245,13 +203,21 @@ class _FlatEmulator(TableWalk):
     of misses along one path loads nothing.
     """
 
-    def __init__(self, flat: _FlatPrograms, a_cells: List[Any],
-                 b_cells: List[Any], database: Database, engine_name: str,
-                 fallback: Optional[Callable[..., ExecutionOutcome]] = None):
-        super().__init__(flat.txns, flat.max_attempts, BatchStats())
+    def __init__(self, flat: _FlatPrograms, level: IsolationLevelName,
+                 seed: List[Any], database: Database, engine_name: str):
+        policy = policy_for(level)
+        read_rule = policy.item_read
+        #: (has_rule, transient) per action kind; reads are always Share,
+        #: writes always Exclusive in Table 2.
+        self._read_locked = read_rule is not None
+        self._read_transient = (read_rule is not None
+                                and read_rule.duration is LockDuration.SHORT)
+        write_rule = policy.write
+        self._write_transient = write_rule.duration is LockDuration.SHORT
+        assert write_rule.mode is LockMode.EXCLUSIVE
+        super().__init__(flat.txns, flat.max_attempts, TrieStats())
         self.flat = flat
         self.engine_name = engine_name
-        self.fallback = fallback
         self._database = database
         txn_count = self._txn_count = len(flat.txns)
         item_count = self._item_count = len(flat.item_names)
@@ -280,7 +246,7 @@ class _FlatEmulator(TableWalk):
             self._ctx_names.append(tuple(names.items()))
             slot += len(names)
         self._S: List[Any] = (
-            a_cells + b_cells + [0] * item_count
+            list(seed) + [0] * (2 * item_count)
             + [_ACTIVE] * txn_count + [0] * (2 * txn_count + 1)
             + [_UNSET] * (slot - self._per))
         self._live = -1
@@ -359,23 +325,9 @@ class _FlatEmulator(TableWalk):
         total = len(schedule)
         stats = self.stats
         stats.restores += 1
-        stats.rows_fast += 1
         stats.slots_executed += total - depth
         if prepare is not None and depth < prepare < total:
             stats.checkpoints_created += 1
-
-    def _foreign(self, schedule: Sequence[int]) -> ExecutionOutcome:
-        # Slots referencing transactions outside the step tables take the
-        # real engines (the runner treats them as no-ops; ejecting keeps
-        # the kernel's tables closed over the program set).
-        if self.fallback is None:
-            raise ValueError(
-                "schedule references transactions outside the program set"
-                " and no stepwise fallback is attached")
-        self.stats.schedules += 1
-        self.stats.rows_ejected += 1
-        self.stats.slots_total += len(schedule)
-        return self.fallback(schedule)
 
     # -- one step of the emulator ----------------------------------------------------
 
@@ -411,7 +363,8 @@ class _FlatEmulator(TableWalk):
                                if S[slot] is not _UNSET})
             blocked = self._write(S, ti, bit, k, value)
         elif opcode == _OP_COMMIT:
-            self._commit(S, ti)
+            # Writes are already in place: commit only drops the before-images.
+            self._clear_cells(S, ti)
             self._release_all(S, bit)
             S[self._est + ti] = _COMMITTED
         else:  # _OP_ABORT (program abort)
@@ -451,7 +404,7 @@ class _FlatEmulator(TableWalk):
             S[self._pv] = parked
 
     def _clear_cells(self, S: List[Any], ti: int) -> None:
-        """Empty the transaction's per-item cells (before-images / buffer)."""
+        """Empty the transaction's before-image cells."""
         base = self._per + ti * self._item_count
         S[base:base + self._item_count] = [_UNSET] * self._item_count
 
@@ -497,64 +450,7 @@ class _FlatEmulator(TableWalk):
         self._forget(S, victim)
         return True
 
-    # -- outcome ------------------------------------------------------------------
-
-    def build_outcome(self) -> ExecutionOutcome:
-        state = self._S if self._sid < 0 else self._states[self._sid]
-        database = self._database
-        flat = self.flat
-        for k, name in enumerate(flat.item_names):
-            value = self._item_value(state, k)
-            if value is _ABSENT:
-                database.delete_item(name)
-            else:
-                database.set_item(name, value)
-        txns = flat.txns
-        codes = state[self._est:self._cnt]
-        return ExecutionOutcome(
-            engine_name=self.engine_name,
-            history=History(self.ops, validate=False),
-            statuses={txn: _STATES[code] for txn, code in zip(txns, codes)},
-            contexts={txn: {name: state[slot] for name, slot in names
-                            if state[slot] is not _UNSET}
-                      for txn, names in zip(txns, self._ctx_names)},
-            database=database,
-            abort_reasons={txn: _ABORT_REASONS[code]
-                           for txn, code in zip(txns, codes) if code > _COMMITTED},
-            blocked_events=self.blocked_events,
-            deadlocks=list(self.deadlocks),
-            traces=[],
-            stalled=self.stalled,
-        )
-
-
-class _LockingFlat(_FlatEmulator):
-    """Flat emulator of LockingEngine for item-only programs.
-
-    Per-item Share/Exclusive holder bitmasks reproduce the lock manager's
-    arithmetic exactly (transient short locks net to zero, own-lock upgrades
-    swap masks, release-all bumps per held item); the per-(transaction, item)
-    cells hold the oldest before-image, which is all reverse undo restores.
-    Cursor Stability's CURSOR read duration behaves as LONG here: item-only
-    programs never move or close a cursor, and release-all drops every
-    duration alike.
-    """
-
-    def __init__(self, flat: _FlatPrograms, level: IsolationLevelName,
-                 seed: List[Any], database: Database, engine_name: str,
-                 fallback: Optional[Callable[..., ExecutionOutcome]] = None):
-        policy = policy_for(level)
-        read_rule = policy.item_read
-        #: (has_rule, transient) per action kind; reads are always Share,
-        #: writes always Exclusive in Table 2.
-        self._read_locked = read_rule is not None
-        self._read_transient = (read_rule is not None
-                                and read_rule.duration is LockDuration.SHORT)
-        write_rule = policy.write
-        self._write_transient = write_rule.duration is LockDuration.SHORT
-        assert write_rule.mode is LockMode.EXCLUSIVE
-        super().__init__(flat, list(seed), [0] * len(seed), database,
-                         engine_name, fallback)
+    # -- the level's lock rules ---------------------------------------------------
 
     def _read(self, S: List[Any], ti: int, bit: int,
               k: int) -> Tuple[int, Any, Optional[int]]:
@@ -598,9 +494,6 @@ class _LockingFlat(_FlatEmulator):
         S[k] = value
         return 0
 
-    #: Writes are already in place: commit only drops the before-images.
-    _commit = _FlatEmulator._clear_cells
-
     def _rollback(self, S: List[Any], ti: int) -> None:
         """Reverse undo: every written item back to its oldest before-image."""
         base = self._per + ti * self._item_count
@@ -618,71 +511,35 @@ class _LockingFlat(_FlatEmulator):
                 S[exclusive] &= ~bit
                 self._bump(S, k)
 
-    def _item_value(self, state: Sequence[Any], k: int) -> Any:
-        return state[k]
+    # -- outcome ------------------------------------------------------------------
 
-
-class _ReadConsistencyFlat(_FlatEmulator):
-    """Flat emulator of ReadConsistencyEngine: versioned reads, X write locks.
-
-    The a- and b-cells hold each item's chain tip and chain length (there are
-    no Share masks: reads never lock) and the per-(transaction, item) cells
-    the write buffer.  Reads never block and report the newest committed
-    chain version (every commit timestamp is <= the statement's clock
-    reading, so the tip is always visible: value = tip, version = chain
-    length - 1).  Writes take long Exclusive item locks through the same
-    bitmask arithmetic as the locking emulator and buffer until commit, which
-    installs the buffer (chain += 1, tip = value).
-    """
-
-    def __init__(self, flat: _FlatPrograms, seed: List[Any], database: Database,
-                 engine_name: str,
-                 fallback: Optional[Callable[..., ExecutionOutcome]] = None):
-        super().__init__(
-            flat, [None if value is _ABSENT else value for value in seed],
-            [0 if value is _ABSENT else 1 for value in seed], database,
-            engine_name, fallback)
-
-    def _read(self, S: List[Any], ti: int, bit: int,
-              k: int) -> Tuple[int, Any, Optional[int]]:
-        buffered = S[self._per + ti * self._item_count + k]
-        if buffered is not _UNSET:
-            return 0, buffered, None
-        chain = S[self._item_count + k]
-        if chain:
-            return 0, S[k], chain - 1
-        return 0, None, None
-
-    def _write(self, S: List[Any], ti: int, bit: int, k: int, value: Any) -> int:
-        exclusive = S[2 * self._item_count + k]
-        blocked = exclusive & ~bit
-        if blocked:
-            return blocked
-        self._bump(S, k)
-        S[2 * self._item_count + k] = exclusive | bit
-        S[self._per + ti * self._item_count + k] = value
-        return 0
-
-    def _commit(self, S: List[Any], ti: int) -> None:
-        base = self._per + ti * self._item_count
-        for k in range(self._item_count):
-            if S[base + k] is not _UNSET:
-                S[self._item_count + k] += 1
-                S[k] = S[base + k]
-                S[base + k] = _UNSET
-
-    #: Writes were buffered: abort discards the buffer, no undo needed.
-    _rollback = _FlatEmulator._clear_cells
-
-    def _release_all(self, S: List[Any], bit: int) -> None:
-        for k in range(self._item_count):
-            exclusive = 2 * self._item_count + k
-            if S[exclusive] & bit:
-                S[exclusive] &= ~bit
-                self._bump(S, k)
-
-    def _item_value(self, state: Sequence[Any], k: int) -> Any:
-        return state[k] if state[self._item_count + k] else _ABSENT
+    def build_outcome(self) -> ExecutionOutcome:
+        state = self._S if self._sid < 0 else self._states[self._sid]
+        database = self._database
+        flat = self.flat
+        for k, name in enumerate(flat.item_names):
+            value = state[k]
+            if value is _ABSENT:
+                database.delete_item(name)
+            else:
+                database.set_item(name, value)
+        txns = flat.txns
+        codes = state[self._est:self._cnt]
+        return ExecutionOutcome(
+            engine_name=self.engine_name,
+            history=History(self.ops, validate=False),
+            statuses={txn: _STATES[code] for txn, code in zip(txns, codes)},
+            contexts={txn: {name: state[slot] for name, slot in names
+                            if state[slot] is not _UNSET}
+                      for txn, names in zip(txns, self._ctx_names)},
+            database=database,
+            abort_reasons={txn: _ABORT_REASONS[code]
+                           for txn, code in zip(txns, codes) if code > _COMMITTED},
+            blocked_events=self.blocked_events,
+            deadlocks=list(self.deadlocks),
+            traces=[],
+            stalled=self.stalled,
+        )
 
 
 class _SnapshotKernel:
@@ -698,15 +555,12 @@ class _SnapshotKernel:
     """
 
     def __init__(self, flat: _FlatPrograms, seed: List[Any],
-                 database: Database, engine_name: str,
-                 fallback: Optional[Callable[..., ExecutionOutcome]] = None):
-        self.stats = BatchStats()
+                 database: Database, engine_name: str):
+        self.stats = TrieStats()
         self.engine_name = engine_name
-        self.fallback = fallback
         self._database = database
         self._flat = flat
         self._seed = seed
-        self._known = frozenset(flat.txns)
         txn_count = len(flat.txns)
         #: Per-transaction static stream: realized ops per step (None at the
         #: terminal step — commit vs abort is decided per row), effective
@@ -818,7 +672,7 @@ class _SnapshotKernel:
                 db[k] = value
 
         for txn in schedule:
-            ti = tindex.get(txn)
+            ti = tindex.get(txn)  # a slot of an unknown transaction is a no-op
             if ti is None or finished[ti] or counters[ti] >= eff[ti]:
                 continue
             event(ti)
@@ -853,17 +707,7 @@ class _SnapshotKernel:
     def run_one(self, schedule: Sequence[int],
                 shared: Optional[int] = None,
                 prepare: Optional[int] = None) -> ExecutionOutcome:
-        if not self._known.issuperset(schedule):
-            if self.fallback is None:
-                raise ValueError(
-                    "schedule references transactions outside the program set"
-                    " and no stepwise fallback is attached")
-            self.stats.schedules += 1
-            self.stats.rows_ejected += 1
-            self.stats.slots_total += len(schedule)
-            return self.fallback(schedule)
         self.stats.schedules += 1
-        self.stats.rows_fast += 1
         self.stats.slots_total += len(schedule)
         self.stats.slots_executed += len(schedule)
         return self._run_row(schedule)
@@ -880,55 +724,21 @@ def build_batch_kernel(database: Database,
                        programs: Sequence[TransactionProgram],
                        level: IsolationLevelName,
                        engine_name: str,
-                       engine_options: Optional[Dict[str, Any]] = None,
-                       fallback: Optional[Callable[..., ExecutionOutcome]] = None):
+                       engine_options: Optional[Dict[str, Any]] = None):
     """A batch kernel for one testbed, or None when the fast path can't apply.
 
-    Returns None — callers then keep the real engines — when any
-    program holds a step that is not exactly a ``ReadItem``, ``WriteItem``,
-    ``Commit`` or ``Abort`` (rows, predicates, cursors, subclasses), when the
-    engine was built with non-default options (e.g. the First-Committer-Wins
-    ablation), or when the level has no flat emulation.  ``fallback``
-    (typically ``TrieExecutor.run_one``) handles per-row ejection for
-    schedules the kernel declines at runtime.
+    Returns None — callers then keep the real engines — when the programs
+    are not item-only (:func:`~repro.locking.policy.item_only`: rows,
+    predicates, cursors, step subclasses), when the engine was built with
+    non-default options (e.g. the First-Committer-Wins ablation), or when
+    the level is neither a Table 2 locking level nor Snapshot Isolation.
     """
-    if engine_options or not _item_only(programs):
+    if engine_options or not item_only(programs):
         return None
     flat = _FlatPrograms(programs)
     seed = [database.get_item(name, _ABSENT) for name in flat.item_names]
     if level in POLICIES:
-        return _LockingFlat(flat, level, seed, database, engine_name, fallback)
-    if level is IsolationLevelName.ORACLE_READ_CONSISTENCY:
-        return _ReadConsistencyFlat(flat, seed, database, engine_name,
-                                    fallback)
+        return _LockingFlat(flat, level, seed, database, engine_name)
     if level is IsolationLevelName.SNAPSHOT_ISOLATION:
-        return _SnapshotKernel(flat, seed, database, engine_name, fallback)
+        return _SnapshotKernel(flat, seed, database, engine_name)
     return None
-
-
-def _item_only(programs: Sequence[TransactionProgram]) -> bool:
-    """Whether every step is exactly one of the kernel's four step types."""
-    return bool(programs) and all(type(step) in _OPCODES
-                                  for program in programs
-                                  for step in program.steps)
-
-
-def machine_key(programs: Sequence[TransactionProgram],
-                level: IsolationLevelName) -> Any:
-    """What decides every record of ``programs`` run at ``level``.
-
-    Item-only programs at a Table 2 locking level (with the default engine
-    options, the only ones ``explore()`` builds) consult two rules of the
-    level's policy and nothing else: the item-read lock and the write lock.
-    Predicate and cursor rules never fire, and the real engine uses the
-    level only to name itself.  For them the key is that pair of
-    :class:`~repro.locking.policy.LockRule` values, so REPEATABLE READ and
-    SERIALIZABLE (which differ in predicate-read duration) are one machine,
-    and so are READ COMMITTED and Cursor Stability (cursor-read duration).
-    Degree 0 and READ UNCOMMITTED stay apart: their write durations differ.
-    Any other program set or level is keyed by the level itself.
-    """
-    if level in POLICIES and _item_only(programs):
-        policy = POLICIES[level]
-        return (policy.item_read, policy.write)
-    return level

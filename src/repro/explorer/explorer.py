@@ -31,7 +31,7 @@ Four scaling layers sit on the hot path:
   round trips.
 
 A level is identified by the machine it runs
-(:func:`~repro.explorer.batch_kernel.machine_key`), not by its name: on
+(:func:`~repro.locking.policy.machine_key`), not by its name: on
 item-only programs REPEATABLE READ and SERIALIZABLE take the same locks, and
 so do READ COMMITTED and Cursor Stability, so a level whose machine an
 earlier level of the call already ran is not executed and gets that level's
@@ -56,13 +56,14 @@ import hashlib
 import itertools
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.isolation import IsolationLevelName
+from ..locking.policy import machine_key
 from ..workloads.program_sets import ProgramSetSpec, resolve_program_set
-from .batch_kernel import machine_key
 from .memo import BatchClassifier
 from .options import DEFAULT_LEVELS, ExploreOptions
 from .schedules import Interleaving, ScheduleSpace, schedule_space
@@ -231,6 +232,26 @@ def _batched(tasks: Iterator[ChunkTask], size: int
         yield batch
 
 
+def _until(stop: threading.Event, batches: Iterator[Tuple[ChunkTask, ...]]
+           ) -> Iterator[Tuple[ChunkTask, ...]]:
+    """The batches, until ``stop`` is set (read on the pool's feeder thread)."""
+    for batch in batches:
+        if stop.is_set():
+            return
+        yield batch
+
+
+def _wait_out(results: Iterator[Tuple[ChunkResult, ...]]) -> None:
+    """Consume every result still due, discarding results and task errors."""
+    while True:
+        try:
+            next(results)
+        except StopIteration:
+            return
+        except Exception:
+            pass
+
+
 def _collect_level(level: IsolationLevelName, results: Iterable[ChunkResult],
                    stored_chunks: int, persistence=None) -> LevelExploration:
     """Assemble one executed level from its stored prefix and live results.
@@ -319,7 +340,7 @@ def explore(spec: ProgramSetSpec,
     levels:
         Isolation levels to run every schedule under (default: the Table 4 rows
         every engine implements).  A level that is the same lock machine as
-        an earlier one (equal :func:`~repro.explorer.batch_kernel.machine_key`:
+        an earlier one (equal :func:`~repro.locking.policy.machine_key`:
         REPEATABLE READ and SERIALIZABLE, or READ COMMITTED and Cursor
         Stability, on item-only programs) is not executed: it gets that
         level's records, and its :class:`LevelExploration` names the level in
@@ -453,11 +474,12 @@ def explore(spec: ProgramSetSpec,
                      for level, count in live.items()}
         batches = (batch for level in live
                    for batch in _batched(level_tasks(level), per_batch[level]))
+        stop = threading.Event()
         with multiprocessing.Pool(processes=workers) as pool:
             # One imap over every level's batches: it pulls them from the
             # lazy generator as workers free up, and returns them in
             # submission order, which is (level, chunk index) order.
-            results = pool.imap(_execute_batch, batches)
+            results = pool.imap(_execute_batch, _until(stop, batches))
 
             def pooled(level: IsolationLevelName) -> Iterator[ChunkResult]:
                 count = (_ceil_div(live[level], per_batch[level])
@@ -465,6 +487,16 @@ def explore(spec: ProgramSetSpec,
                 for batch in itertools.islice(results, count):
                     yield from batch
 
-            explorations = run_levels(pooled)
+            try:
+                explorations = run_levels(pooled)
+            except Exception:
+                # Leaving the pool terminates its workers.  One killed while
+                # sending a result that nobody reads any more holds the result
+                # queue's lock for good, and the pool's task thread then
+                # blocks on it: the exit hangs.  So feed no further batch and
+                # wait out the ones already sent before leaving.
+                stop.set()
+                _wait_out(results)
+                raise
     return ExplorationResult(spec=spec, space=space, workers=workers,
                              chunk_size=chunk_size, levels=explorations)

@@ -7,8 +7,9 @@ module upgrades the claim from an anecdote to a measurement: for one scenario
 variant under one isolation level, enumerate (or sample) the variant's entire
 interleaving space with :func:`~repro.explorer.schedules.schedule_space`,
 execute every schedule through one
-:class:`~repro.explorer.trie_executor.TrieExecutor` — the real engines behind
-a transition table that visits each engine state once (each outcome
+:class:`~repro.explorer.trie_executor.TrieExecutor` — the batch kernel for
+item-only programs at a level it emulates, else the real engines behind a
+transition table that visits each engine state once (either way each outcome
 byte-identical to a run against a fresh database and a fresh engine), and
 evaluate the variant's ``manifests`` predicate on every realized outcome.  The
 result per variant is a manifestation *set* — how many schedules produced the
@@ -138,7 +139,7 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
     The space is walked by one
     :class:`~repro.explorer.trie_executor.TrieExecutor` per call: a schedule
     walks only the suffix past the prefix it shares with its DFS predecessor,
-    the engine runs only the transitions the executor's table has not seen
+    the machine runs only the transitions the executor's table has not seen
     yet, and by the executor's byte-equality contract its outcome is
     the one a fresh database and a fresh engine for ``level`` would produce
     (``tests/explorer/test_scenarios_trie.py`` holds the whole bridge to that
@@ -159,17 +160,15 @@ def explore_variant(variant: ScenarioVariant, level: IsolationLevelName,
                            seed=seed)
     schedules = space.schedules
 
-    # One executor per (variant, level): the real engines behind the
-    # transition table, so a schedule runs on the engine only the transitions
-    # no earlier schedule of the space took.  The batch kernel stays off on
-    # purpose — scenario programs are mostly cursor/predicate steps it
-    # refuses, and Table 4 is settled by the real engines alone.  The
-    # outcome's database is the executor's shared view, so each outcome is
-    # read at yield time, before the next schedule's outcome replaces it.
-    # Outcomes arrive in the walk's order, not the stream's: the witness is
-    # the manifesting schedule with the lowest stream index.
-    executor = TrieExecutor(variant.build_database(), programs, level,
-                            batch_kernel="off")
+    # One executor per (variant, level): the batch kernel where the programs
+    # and level allow one, else the real engines behind the transition
+    # table, so a schedule runs on the engine only the transitions no
+    # earlier schedule of the space took.  The outcome's database is the
+    # executor's shared view, so each outcome is read at yield time, before
+    # the next schedule's outcome replaces it.  Outcomes arrive in the
+    # walk's order, not the stream's: the witness is the manifesting
+    # schedule with the lowest stream index.
+    executor = TrieExecutor(variant.build_database(), programs, level)
     manifested = stalled = deadlocked = engine_aborted = 0
     witness_index: Optional[int] = None
     witness_history: Optional[str] = None

@@ -7,7 +7,7 @@ the trie's checkpoints already share) and by *different* prefixes (which
 they cannot).  :class:`TableWalk` memoizes the machine instead:
 
 * **States are interned** by a canonical, hashable key — ``tuple(state
-  list)`` for the batch kernel's flat emulators
+  list)`` for the batch kernel's locking emulator
   (:mod:`repro.explorer.batch_kernel`), ``ScheduleRunner.state_key()`` over
   the real engines for the trie executor
   (:mod:`repro.explorer.trie_executor`).
@@ -56,7 +56,7 @@ from ..core.operations import Operation
 from ..engine.outcomes import ExecutionOutcome
 from ..locking.deadlock import Deadlock
 
-__all__ = ["TRANSITION_STATE_CAP", "TableWalk"]
+__all__ = ["TRANSITION_STATE_CAP", "TableWalk", "TrieStats"]
 
 #: States one testbed's transition table admits before it stops growing.
 #: Measured on the ledger's 30,000-schedule run (4 transactions over 2 hot
@@ -66,6 +66,39 @@ __all__ = ["TRANSITION_STATE_CAP", "TableWalk"]
 #: dict entry and 2.6 transition records included.  A full table is 23 MB at
 #: that ratio; wider program sets have longer keys.
 TRANSITION_STATE_CAP = 1 << 15
+
+
+class TrieStats:
+    """Cumulative work counters of one machine (for benchmarks and reports)."""
+
+    __slots__ = ("schedules", "slots_total", "slots_executed",
+                 "checkpoints_created", "restores", "transitions_reused",
+                 "transitions_computed", "states")
+
+    def __init__(self) -> None:
+        self.schedules = 0
+        #: Slots the schedules contained vs. slots the machine actually
+        #: executed (replays to a miss included); the gap is the work the
+        #: transition table and the shared-prefix trie saved.
+        self.slots_total = 0
+        self.slots_executed = 0
+        self.checkpoints_created = 0
+        self.restores = 0
+        #: Table lookups (one per slot, one per drain) answered from the
+        #: transition table vs. run on the machine, and the states interned.
+        self.transitions_reused = 0
+        self.transitions_computed = 0
+        self.states = 0
+
+    @property
+    def replayed_ratio(self) -> float:
+        """Fraction of slots actually executed (1.0 = no sharing)."""
+        if not self.slots_total:
+            return 1.0
+        return self.slots_executed / self.slots_total
+
+    def as_dict(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def common_prefix(first: Sequence[int], second: Sequence[int]) -> int:
@@ -112,15 +145,12 @@ class TableWalk:
     * ``_drain_step(sid)``: the same for phase 2;
     * ``_enter_row(schedule, depth, shared, prepare)``: note that a row
       starts, restored to ``depth``, sharing ``shared`` slots with the last;
-    * ``_foreign(schedule)``: the outcome of a schedule that names a
-      transaction outside the program set;
     * ``_hold()`` / ``_resume(token)``: capture / reload a state that has no
       id (off the table) for a logical checkpoint;
     * ``build_outcome()``: the outcome of the row just drained.
 
     ``_sid`` is the current state's id, or -1 while it cannot be interned.
-    ``stats`` needs ``schedules``, ``slots_total``, ``transitions_reused``,
-    ``transitions_computed`` and ``states``.
+    ``stats`` is the machine's :class:`TrieStats`.
     """
 
     #: The tables are append-only memos of pure functions of (state,
@@ -130,7 +160,7 @@ class TableWalk:
                           "_ids", "_states", "_trans", "_drains", "_stack",
                           "_previous", "_final")
 
-    def __init__(self, txns: Sequence[int], max_attempts: int, stats: Any):
+    def __init__(self, txns: Sequence[int], max_attempts: int, stats: TrieStats):
         self.stats = stats
         self._tindex: Dict[int, int] = {txn: ti for ti, txn in enumerate(txns)}
         self._known = frozenset(self._tindex)
@@ -216,9 +246,6 @@ class TableWalk:
     def _enter_row(self, schedule: Sequence[int], depth: int, shared: int,
                    prepare: Optional[int]) -> None:
         pass
-
-    def _foreign(self, schedule: Sequence[int]) -> ExecutionOutcome:
-        raise NotImplementedError
 
     def _hold(self) -> Any:
         raise NotImplementedError
@@ -343,11 +370,13 @@ class TableWalk:
         ``shared`` is the known common-prefix length with the previously
         executed schedule (computed once per batch by :meth:`run_batch`);
         ``prepare`` the branch point of the schedule that will run next,
-        where the single lookahead checkpoint goes.  A schedule naming a
-        transaction outside the program set goes to ``_foreign``.
+        where the single lookahead checkpoint goes.  The runner treats a slot
+        of a transaction outside the program set as a no-op, so such slots
+        are dropped and the rest runs as its own schedule.
         """
         if not self._known.issuperset(schedule):
-            return self._foreign(schedule)
+            schedule = tuple(txn for txn in schedule if txn in self._known)
+            shared = prepare = None
         if shared is None:
             shared = (common_prefix(self._previous, schedule)
                       if self._previous is not None else 0)

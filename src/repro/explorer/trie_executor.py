@@ -29,9 +29,12 @@ Every engine call goes through the stepwise
 :class:`~repro.engine.scheduler.ScheduleRunner` (``Step.perform`` into the
 engine's read / write / commit / abort methods) — the one implementation of
 the Table 2 rules.  The only other machine is the batch kernel
-(:mod:`repro.explorer.batch_kernel`), flat emulators behind the same table,
-which :meth:`run_batch` routes whole batches through when the program set
-allows it.
+(:mod:`repro.explorer.batch_kernel`): a flat locking emulator behind the
+same table, and a commit-order fold for Snapshot Isolation.
+The executor builds it whenever :func:`~repro.explorer.batch_kernel.build_batch_kernel`
+can (item-only programs at a locking level or Snapshot Isolation, default
+engine options), and then :meth:`TrieExecutor.run_batch` routes every batch
+through it; :meth:`TrieExecutor.run_one` always takes the real engines.
 
 Determinism contract: a trie-executed schedule produces a value-identical
 :class:`~repro.engine.outcomes.ExecutionOutcome` (history, statuses,
@@ -46,7 +49,7 @@ how :func:`repro.explorer.worker.execute_chunk` uses it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.history import History
 from ..core.isolation import IsolationLevelName
@@ -55,48 +58,11 @@ from ..engine.programs import TransactionProgram
 from ..engine.scheduler import RunnerCheckpoint, ScheduleRunner
 from ..storage.database import Database
 from ..testbed import make_engine
-from .batch_kernel import BatchStats, build_batch_kernel
+from .batch_kernel import build_batch_kernel
 from .schedules import Interleaving
-from .transition_table import TableWalk, common_prefix, slot_record
+from .transition_table import TableWalk, TrieStats, common_prefix, slot_record
 
 __all__ = ["TrieExecutor", "TrieStats"]
-
-#: Accepted ``batch_kernel`` modes of :class:`TrieExecutor`.
-BATCH_KERNEL_MODES = ("auto", "on", "off")
-
-
-class TrieStats:
-    """Cumulative work counters of one executor (for benchmarks and reports)."""
-
-    __slots__ = ("schedules", "slots_total", "slots_executed",
-                 "checkpoints_created", "restores", "transitions_reused",
-                 "transitions_computed", "states")
-
-    def __init__(self) -> None:
-        self.schedules = 0
-        #: Slots the schedules contained vs. slots the engine actually
-        #: executed (replays to a miss included); the gap is the work the
-        #: transition table and the shared-prefix trie saved.
-        self.slots_total = 0
-        self.slots_executed = 0
-        self.checkpoints_created = 0
-        self.restores = 0
-        #: Table lookups (one per slot, one per drain) answered from the
-        #: transition table vs. run on the engine, and the states interned —
-        #: the names :class:`~repro.explorer.batch_kernel.BatchStats` uses.
-        self.transitions_reused = 0
-        self.transitions_computed = 0
-        self.states = 0
-
-    @property
-    def replayed_ratio(self) -> float:
-        """Fraction of slots actually executed (1.0 = no sharing)."""
-        if not self.slots_total:
-            return 1.0
-        return self.slots_executed / self.slots_total
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class _EngineWalk(TableWalk):
@@ -201,11 +167,6 @@ class _EngineWalk(TableWalk):
         return (slot_record(final, *runner.outputs_since(mark))
                 + (outcome.stalled, view))
 
-    def _foreign(self, schedule: Sequence[int]) -> ExecutionOutcome:
-        # The runner treats a slot of an unknown transaction as a no-op, so
-        # the schedule without them is the same schedule.
-        return self.run_one(tuple(txn for txn in schedule if txn in self._known))
-
     def _hold(self) -> None:
         # A state off the table is rebuilt by replay from the runner's
         # checkpoints, which the logical checkpoint need not carry.
@@ -244,24 +205,13 @@ class TrieExecutor:
         not mutate the database afterwards).
     level:
         The isolation level whose engine executes the schedules.
-    batch_kernel:
-        Route :meth:`run_batch` through the flat emulators
-        (:mod:`repro.explorer.batch_kernel`) when one can be built for this
-        (level, program set).  ``"auto"`` (the default) silently falls back
-        to the real engines when the workload is unsupported; ``"on"``
-        raises instead; ``"off"`` never builds the kernel.  Byte-equal to
-        the real engines by construction — rows the emulators cannot express
-        are ejected back to :meth:`run_one`, the source of truth.
+    engine_options:
+        Passed to the level's engine; with any set, no batch kernel is built.
     """
 
     def __init__(self, database: Database, programs: Sequence[TransactionProgram],
-                 level: IsolationLevelName, batch_kernel: str = "auto",
-                 **engine_options):
-        if batch_kernel not in BATCH_KERNEL_MODES:
-            raise ValueError(f"batch_kernel must be one of {BATCH_KERNEL_MODES},"
-                             f" got {batch_kernel!r}")
+                 level: IsolationLevelName, **engine_options):
         self.level = level
-        self.batch_kernel = batch_kernel
         self.stats = TrieStats()
         view = database.clone()
         self._engine = make_engine(database, level, **engine_options)
@@ -274,21 +224,14 @@ class TrieExecutor:
                                  view, self.stats)
         # The kernel seeds from, and shows its outcomes in, a copy of the
         # pristine database: the runner's own must only ever change under it.
-        self._batch = None
-        if batch_kernel != "off":
-            self._batch = build_batch_kernel(
-                view.clone(), programs, level, self._engine.name,
-                engine_options=engine_options or None, fallback=self.run_one)
-            if self._batch is None and batch_kernel == "on":
-                raise ValueError(
-                    f"batch_kernel='on' but no batch kernel is available for "
-                    f"{level.value!r} (engine options set, or non-item steps "
-                    f"in the programs)")
+        self._batch = build_batch_kernel(
+            view.clone(), programs, level, self._engine.name,
+            engine_options=engine_options or None)
 
     @property
-    def batch_stats(self) -> BatchStats:
-        """Fast-path counters of the batch-drain kernel (zeros when unused)."""
-        return self._batch.stats if self._batch is not None else BatchStats()
+    def batch_stats(self) -> TrieStats:
+        """The batch kernel's counters (zeros when none was built)."""
+        return self._batch.stats if self._batch is not None else TrieStats()
 
     # -- execution -------------------------------------------------------------------
 
@@ -321,10 +264,8 @@ class TrieExecutor:
         position so callers can reassemble input order.  Sorting never
         changes any individual outcome (see the determinism contract above).
 
-        When the batch-drain kernel is active (``batch_kernel`` above), the
-        whole batch routes through its flat emulators instead; rows it
-        cannot handle are ejected back to :meth:`run_one`.  Outcomes are
-        value-identical either way.
+        When the executor built a batch kernel, the whole batch routes
+        through it instead.  Outcomes are value-identical either way.
         """
         if self._batch is not None:
             yield from self._batch.run_batch(schedules, sort=sort)

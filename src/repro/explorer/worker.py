@@ -201,8 +201,9 @@ def execute_chunk(task: ChunkTask,
                  "transitions_reused", "transitions_computed", "states"):
         stats[f"trie_{name}"] = trie_after[name] - trie_before[name]
     batch_after = executor.batch_stats.as_dict()
-    for name in ("schedules", "rows_fast", "rows_ejected",
-                 "slots_total", "slots_executed", "transitions_reused",
+    # The kernel's schedule count, under the name the ledger reads.
+    stats["batch_rows_fast"] = batch_after["schedules"] - batch_before["schedules"]
+    for name in ("slots_total", "slots_executed", "transitions_reused",
                  "transitions_computed", "states"):
         stats[f"batch_{name}"] = batch_after[name] - batch_before[name]
     return ChunkResult(task.chunk_index, tuple(records), stats)

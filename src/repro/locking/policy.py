@@ -18,17 +18,25 @@ Degree 3 = Locking SER    long (both)                    well-formed, long
 
 A :class:`LockingPolicy` answers, for each kind of action, what lock the
 engine must request (mode + duration), or ``None`` for "no lock required".
+:func:`machine_key` says which of those rules a program set can reach: on
+*item-only* programs (:func:`item_only`) only the item-read and write rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from ..core.isolation import IsolationLevelName
+from ..engine.programs import Abort, Commit, ReadItem, TransactionProgram, WriteItem
 from .modes import LockDuration, LockMode
 
-__all__ = ["LockRule", "LockingPolicy", "POLICIES", "policy_for"]
+__all__ = ["ITEM_STEPS", "LockRule", "LockingPolicy", "POLICIES", "item_only",
+           "machine_key", "policy_for"]
+
+#: The step types of an item-only program, in the batch kernel's op-code
+#: order.  A subclass (one overriding ``perform``, say) is not one of them.
+ITEM_STEPS = (ReadItem, WriteItem, Commit, Abort)
 
 
 @dataclass(frozen=True)
@@ -128,3 +136,31 @@ def policy_for(level: IsolationLevelName) -> LockingPolicy:
         raise KeyError(
             f"{level.value} is not a locking isolation level (see Table 2)"
         ) from None
+
+
+def item_only(programs: Sequence[TransactionProgram]) -> bool:
+    """Whether there are programs and every step is exactly an :data:`ITEM_STEPS` type."""
+    return bool(programs) and all(type(step) in ITEM_STEPS
+                                  for program in programs
+                                  for step in program.steps)
+
+
+def machine_key(programs: Sequence[TransactionProgram],
+                level: IsolationLevelName) -> Any:
+    """What decides every record of ``programs`` run at ``level``.
+
+    Item-only programs at a Table 2 locking level (with the default engine
+    options, the only ones ``explore()`` builds) consult two rules of the
+    level's policy and nothing else: the item-read lock and the write lock.
+    Predicate and cursor rules never fire, and the real engine uses the
+    level only to name itself.  For them the key is that pair of
+    :class:`LockRule` values, so REPEATABLE READ and SERIALIZABLE (which
+    differ in predicate-read duration) are one machine, and so are READ
+    COMMITTED and Cursor Stability (cursor-read duration).  Degree 0 and
+    READ UNCOMMITTED stay apart: their write durations differ.  Any other
+    program set or level is keyed by the level itself.
+    """
+    if level in POLICIES and item_only(programs):
+        policy = POLICIES[level]
+        return (policy.item_read, policy.write)
+    return level

@@ -9,7 +9,7 @@ validates) the campaign row, and hands each isolation level a
   loop skips executing those and loads their records instead;
 * ``commit_chunk`` — one atomic store write of the chunk's records +
   cursor advance;
-* ``finish`` — mark the scope complete.
+* ``finish`` — mark the scope complete, unless the store already records it so.
 
 Everything here runs in the parent process only.  Workers never see the
 store: the parent commits chunks as their results arrive in chunk order,
@@ -66,7 +66,9 @@ class LevelPersistence:
     def __init__(self, session: "CampaignSession", level: IsolationLevelName):
         self.session = session
         self.scope = level.value
-        self.cursor = session.store.cursor(session.campaign_id, self.scope)
+        progress = session.store.scope_progress(session.campaign_id).get(self.scope)
+        self.cursor = progress.cursor if progress is not None else 0
+        self.complete = progress is not None and progress.complete
         self.stats: Dict[str, int] = {}
         self._committed = 0
 
@@ -93,9 +95,12 @@ class LevelPersistence:
             self.stats.get("store_records_committed", 0) + len(records))
 
     def finish(self, total_chunks: int) -> None:
-        """Mark the scope durably complete."""
+        """Mark the scope durably complete (a write only the first time)."""
+        if self.complete:
+            return
         self.session.store.mark_scope_complete(
             self.session.campaign_id, self.scope, total_chunks, self.stats)
+        self.complete = True
 
 
 class CampaignSession:

@@ -6,8 +6,11 @@ kernel-executed schedule must produce an :class:`ExecutionOutcome` that is
 byte-identical — history, statuses, contexts, abort reasons, blocked-event
 counts, deadlocks, stall flag, final database — to the stepwise trie
 executor's, including stalled and deadlock-aborted prefix schedules, whether
-the transition table is cold, warm, capped or bypassed.  Rows the kernel
-cannot handle eject to the stepwise path.
+the transition table is cold, warm, capped or bypassed.  The reference is
+the executor's real-engine walk (:func:`engine_batch`); program sets and
+levels the kernel cannot express get no kernel at all.  Oracle Read
+Consistency is one such level: the same sweeps hold its machine, the real
+engines behind the transition table, to fresh-engine replays.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from repro.explorer.batch_kernel import (
     _OP_COMMIT,
     _OP_READ,
     _OP_WRITE,
-    BatchStats,
     _FlatPrograms,
     build_batch_kernel,
 )
 from repro.explorer.schedules import enumerate_interleavings, schedule_space
+from repro.explorer.transition_table import TrieStats
 from repro.explorer.trie_executor import TrieExecutor
 from repro.storage.database import Database
 from repro.testbed import make_engine
@@ -48,18 +51,20 @@ from repro.workloads.program_sets import (
     build_program_set,
 )
 
+from .engine_walk import engine_batch
+
 KERNEL_LEVELS = (IsolationLevelName.READ_COMMITTED,
                  IsolationLevelName.REPEATABLE_READ,
                  IsolationLevelName.SERIALIZABLE,
-                 IsolationLevelName.SNAPSHOT_ISOLATION,
-                 IsolationLevelName.ORACLE_READ_CONSISTENCY)
-#: The levels whose kernel is a flat emulator behind a transition table
-#: (`_LockingFlat` for the Table 2 levels, `_ReadConsistencyFlat` for ORC).
+                 IsolationLevelName.SNAPSHOT_ISOLATION)
+#: The levels whose kernel is the locking emulator behind a transition table.
 TABLE_LEVELS = (IsolationLevelName.READ_UNCOMMITTED,
                 IsolationLevelName.READ_COMMITTED,
                 IsolationLevelName.REPEATABLE_READ,
-                IsolationLevelName.SERIALIZABLE,
-                IsolationLevelName.ORACLE_READ_CONSISTENCY)
+                IsolationLevelName.SERIALIZABLE)
+#: No kernel: :func:`build_pair` pairs the executor's engine walk with
+#: fresh-engine replays instead.
+ORC = IsolationLevelName.ORACLE_READ_CONSISTENCY
 
 CONTENTION = ProgramSetSpec.make("contention", transactions=3, items=3,
                                  hot_items=2, operations_per_transaction=2)
@@ -103,24 +108,44 @@ def randomized_schedules(programs, rng, count):
     return out
 
 
+class FreshReplays:
+    """Every schedule on a fresh testbed and engine: the from-scratch
+    reference, with the ``run_one`` that :func:`engine_batch` walks."""
+
+    def __init__(self, builder, level):
+        self._builder = builder
+        self._level = level
+
+    def run_one(self, schedule, next_schedule=None):
+        database, programs = self._builder()
+        return ScheduleRunner(make_engine(database, self._level), programs,
+                              schedule, collect_traces=False).run()
+
+
 def build_pair(spec, level, builder=None):
-    """A (stepwise executor, kernel) pair over fresh identical testbeds."""
+    """A (reference, machine) pair over fresh identical testbeds; walk the
+    reference with :func:`engine_batch`.
+
+    The machine is the batch kernel and the reference the executor's
+    real-engine walk.  Oracle Read Consistency has no kernel: its machine is
+    the executor's real-engine walk behind the transition table, and the
+    reference fresh-engine replays.
+    """
     if builder is None:
         def builder():
             return build_program_set(spec)
+    if level is ORC:
+        return FreshReplays(builder, level), TrieExecutor(*builder(), level)._walk
     db_trie, programs_trie = builder()
-    trie = TrieExecutor(db_trie, programs_trie, level, batch_kernel="off")
+    trie = TrieExecutor(db_trie, programs_trie, level)
     db_kernel, programs_kernel = builder()
-    fallback_host = TrieExecutor(db_kernel, programs_kernel, level,
-                                 batch_kernel="off")
-    # The host owns db_kernel: the kernel shows its outcomes in a copy.
-    kernel = build_batch_kernel(db_kernel.clone(), programs_kernel, level,
-                                fallback_host._engine.name,
-                                fallback=fallback_host.run_one)
+    kernel = build_batch_kernel(db_kernel, programs_kernel, level,
+                                trie._engine.name)
     return trie, kernel
 
 
-@pytest.mark.parametrize("level", KERNEL_LEVELS, ids=lambda level: level.value)
+@pytest.mark.parametrize("level", KERNEL_LEVELS + (ORC,),
+                         ids=lambda level: level.value)
 def test_randomized_sweep_byte_equal_across_workloads(level):
     """Seeded sweep: every registered workload, full/prefix/over-long rows."""
     rng = random.Random(20260808)
@@ -131,12 +156,11 @@ def test_randomized_sweep_byte_equal_across_workloads(level):
         trie, kernel = build_pair(spec, level)
         assert kernel is not None, (name, level)
         expected = {}
-        for index, outcome in trie.run_batch(schedules):
+        for index, outcome in engine_batch(trie, schedules):
             expected[index] = outcome_key(outcome)
         for index, outcome in kernel.run_batch(schedules):
             assert outcome_key(outcome) == expected[index], (name, level, index)
-        assert kernel.stats.rows_ejected == 0
-        assert kernel.stats.occupancy == 1.0
+        assert kernel.stats.schedules == len(schedules)
 
 
 def test_deadlock_aborted_rows_match():
@@ -148,7 +172,7 @@ def test_deadlock_aborted_rows_match():
                                seed=7).schedules
     trie, kernel = build_pair(spec, level)
     expected = {index: outcome_key(outcome)
-                for index, outcome in trie.run_batch(schedules)}
+                for index, outcome in engine_batch(trie, schedules)}
     deadlocks = 0
     for index, outcome in kernel.run_batch(schedules):
         assert outcome_key(outcome) == expected[index]
@@ -156,40 +180,37 @@ def test_deadlock_aborted_rows_match():
     assert deadlocks > 0, "workload produced no deadlocks; pick another gate"
 
 
-def test_unknown_transaction_rows_eject_to_fallback():
-    """Slots naming foreign transactions route the row to the stepwise path."""
-    level = IsolationLevelName.READ_COMMITTED
+@pytest.mark.parametrize("machine", ["locking", "snapshot", "engines"])
+def test_unknown_transaction_slots_are_dropped(machine):
+    """A slot naming a transaction outside the program set is a no-op to the
+    runner, so a schedule holding such slots yields the outcome of the same
+    schedule without them: on the locking emulator, the Snapshot Isolation
+    kernel and the real-engine walk alike."""
+    level = (IsolationLevelName.SNAPSHOT_ISOLATION if machine == "snapshot"
+             else IsolationLevelName.READ_COMMITTED)
     _, programs = build_program_set(CONTENTION)
-    schedules = list(schedule_space(programs, mode="sample", max_schedules=20,
-                                    seed=3).schedules)
-    alien = tuple([999] + list(schedules[0]))
-    schedules.append(alien)
-    db, progs = build_program_set(CONTENTION)
-    reference = TrieExecutor(db, progs, level, batch_kernel="off")
-    expected = {index: outcome_key(outcome)
-                for index, outcome in reference.run_batch(schedules)}
-    trie, kernel = build_pair(CONTENTION, level)
-    for index, outcome in kernel.run_batch(schedules):
-        assert outcome_key(outcome) == expected[index]
-    assert kernel.stats.rows_ejected == 1
-    assert kernel.stats.rows_fast == len(schedules) - 1
-    assert kernel.stats.occupancy < 1.0
+    plain = list(schedule_space(programs, mode="sample", max_schedules=20,
+                                seed=3).schedules)
+    alien = [(999,) + row[:2] + (998,) + row[2:] + (999,) for row in plain]
+
+    def keys(schedules):
+        trie, kernel = build_pair(CONTENTION, level)
+        walk = (engine_batch(trie, schedules) if machine == "engines"
+                else kernel.run_batch(schedules))
+        return [outcome_key(outcome) for _, outcome in sorted(walk)]
+
+    expected = keys(plain)
+    assert keys(alien) == expected
+    assert keys(plain + alien) == expected + expected
+    # The premise, on a fresh runner: the runner itself skips the slots.
+    database, programs = build_program_set(CONTENTION)
+    runner = ScheduleRunner(make_engine(database, level), programs, alien[0],
+                            collect_traces=False)
+    assert outcome_key(runner.run()) == expected[0]
 
 
-def test_without_fallback_unknown_rows_raise():
-    _, programs = build_program_set(CONTENTION)
-    schedules = schedule_space(programs, mode="sample", max_schedules=4,
-                               seed=1).schedules
-    db, progs = build_program_set(CONTENTION)
-    host = TrieExecutor(db, progs, IsolationLevelName.READ_COMMITTED,
-                        batch_kernel="off")
-    kernel = build_batch_kernel(db, progs, IsolationLevelName.READ_COMMITTED,
-                                host._engine.name, fallback=None)
-    with pytest.raises(ValueError):
-        kernel.run_one((999,) + tuple(schedules[0]))
-
-
-@pytest.mark.parametrize("level", KERNEL_LEVELS, ids=lambda level: level.value)
+@pytest.mark.parametrize("level", KERNEL_LEVELS + (ORC,),
+                         ids=lambda level: level.value)
 def test_checkpoint_restore_round_trip_of_in_flight_state(level):
     """The same batch twice: a cold table the first time, a warm one after.
 
@@ -201,7 +222,7 @@ def test_checkpoint_restore_round_trip_of_in_flight_state(level):
     schedules = randomized_schedules(programs, random.Random(13), 40)
     trie, kernel = build_pair(CONTENTION, level)
     expected = [outcome_key(outcome)
-                for _, outcome in sorted(trie.run_batch(schedules))]
+                for _, outcome in sorted(engine_batch(trie, schedules))]
     cold = [outcome_key(outcome)
             for _, outcome in sorted(kernel.run_batch(schedules))]
     computed, reused = (kernel.stats.transitions_computed,
@@ -210,7 +231,7 @@ def test_checkpoint_restore_round_trip_of_in_flight_state(level):
             for _, outcome in sorted(kernel.run_batch(schedules))]
     assert cold == expected
     assert warm == expected
-    if level in TABLE_LEVELS:
+    if level in TABLE_LEVELS + (ORC,):
         assert computed > 0
         assert kernel.stats.transitions_computed == computed
         assert kernel.stats.transitions_reused > reused
@@ -240,20 +261,20 @@ def test_emulator_checkpoint_restore_mid_drain():
 
 
 @pytest.mark.parametrize("cap", [0, 1, 7])
-@pytest.mark.parametrize("level", TABLE_LEVELS, ids=lambda level: level.value)
+@pytest.mark.parametrize("level", TABLE_LEVELS + (ORC,),
+                         ids=lambda level: level.value)
 def test_capped_table_computes_without_storing(level, cap, monkeypatch):
-    """Past the cap rows run on the emulator, unstored, with equal outcomes."""
+    """Past the cap rows run on the machine, unstored, with equal outcomes."""
     monkeypatch.setattr(transition_table, "TRANSITION_STATE_CAP", cap)
     _, programs = build_program_set(CONTENTION)
     schedules = randomized_schedules(programs, random.Random(cap), 40)
     trie, kernel = build_pair(CONTENTION, level)
     expected = {index: outcome_key(outcome)
-                for index, outcome in trie.run_batch(schedules)}
+                for index, outcome in engine_batch(trie, schedules)}
     for _ in range(2):  # the second pass restores through raw-state tokens
         for index, outcome in kernel.run_batch(schedules):
             assert outcome_key(outcome) == expected[index], (level, cap, index)
     assert kernel.stats.states == cap
-    assert kernel.stats.rows_ejected == 0
 
 
 def unhashable_values():
@@ -269,17 +290,17 @@ def unhashable_values():
     ]
 
 
-@pytest.mark.parametrize("level", TABLE_LEVELS, ids=lambda level: level.value)
+@pytest.mark.parametrize("level", TABLE_LEVELS + (ORC,),
+                         ids=lambda level: level.value)
 def test_unhashable_values_stay_off_the_table_and_match(level):
     _, programs = unhashable_values()
     schedules = list(schedule_space(programs, mode="exhaustive").schedules)
     schedules += randomized_schedules(programs, random.Random(4), 20)
     trie, kernel = build_pair(None, level, builder=unhashable_values)
     expected = {index: outcome_key(outcome)
-                for index, outcome in trie.run_batch(schedules)}
+                for index, outcome in engine_batch(trie, schedules)}
     for index, outcome in kernel.run_batch(schedules):
         assert outcome_key(outcome) == expected[index], (level, index)
-    assert kernel.stats.rows_ejected == 0
     # States holding the list were never interned, yet rows rejoined the
     # table once the list was overwritten or rolled back.
     assert all(isinstance(hash(state), int) for state in kernel._states)
@@ -297,7 +318,8 @@ def unterminated_writer():
     ]
 
 
-@pytest.mark.parametrize("level", TABLE_LEVELS, ids=lambda level: level.value)
+@pytest.mark.parametrize("level", TABLE_LEVELS + (ORC,),
+                         ids=lambda level: level.value)
 def test_stalled_drains_and_absent_items_match(level):
     _, programs = unterminated_writer()
     schedules = list(schedule_space(programs, mode="exhaustive").schedules)
@@ -305,7 +327,7 @@ def test_stalled_drains_and_absent_items_match(level):
     trie, kernel = build_pair(None, level, builder=unterminated_writer)
     expected = {}
     stalled = 0
-    for index, outcome in trie.run_batch(schedules):
+    for index, outcome in engine_batch(trie, schedules):
         expected[index] = outcome_key(outcome)
         stalled += outcome.stalled
     assert stalled > 0, "no schedule stalled; pick another gate"
@@ -314,13 +336,14 @@ def test_stalled_drains_and_absent_items_match(level):
             assert outcome_key(outcome) == expected[index], (level, index)
 
 
-@pytest.mark.parametrize("level", TABLE_LEVELS, ids=lambda level: level.value)
+@pytest.mark.parametrize("level", TABLE_LEVELS + (ORC,),
+                         ids=lambda level: level.value)
 def test_rows_driven_to_the_attempt_budget_match(level):
     """Slots past ``max_attempts`` are dropped, mid-row or mid-drain, exactly
     as the runner drops them — on a cold table and on a warm one."""
     spec = ProgramSetSpec.make("increments", transactions=3)
     trie, kernel = build_pair(spec, level)
-    limit = kernel.flat.max_attempts
+    limit = kernel._max_attempts
     # All three read, then T1 retries its write: blocked by the others' read
     # locks where reads lock, a finished transaction's no-op where they do
     # not.  The sweep puts the budget's end in the slots, at the drain's
@@ -330,7 +353,7 @@ def test_rows_driven_to_the_attempt_budget_match(level):
     schedules += [(1, 2, 3) + (2, 1) * (extra // 2)
                   for extra in range(limit - 10, limit + 3)]
     expected = {index: outcome_key(outcome)
-                for index, outcome in trie.run_batch(schedules)}
+                for index, outcome in engine_batch(trie, schedules)}
     for _ in range(2):
         for index, outcome in kernel.run_batch(schedules):
             assert outcome_key(outcome) == expected[index], (level, index)
@@ -366,7 +389,7 @@ def test_different_prefixes_share_one_state():
 
 def test_explore_records_identical_with_and_without_kernel():
     """explore() runs the kernel; every record it returns is the one the
-    real engines, with the kernel off, realize for that schedule."""
+    real engines (``run_one``) realize for that schedule."""
     levels = (IsolationLevelName.READ_COMMITTED,
               IsolationLevelName.SNAPSHOT_ISOLATION)
     result = explore(CONTENTION, ExploreOptions(
@@ -374,8 +397,7 @@ def test_explore_records_identical_with_and_without_kernel():
     for level in levels:
         exploration = result.levels[level]
         assert exploration.cache_stats["batch_rows_fast"] > 0
-        executor = TrieExecutor(*build_program_set(CONTENTION), level,
-                                batch_kernel="off")
+        executor = TrieExecutor(*build_program_set(CONTENTION), level)
         for record in exploration.records:
             outcome = executor.run_one(record.interleaving)
             assert (record.history, record.blocked_events, record.deadlocks,
@@ -384,26 +406,11 @@ def test_explore_records_identical_with_and_without_kernel():
                 len(outcome.deadlocks), outcome.stalled)
 
 
-def test_batch_stats_occupancy_and_dict_shape():
-    stats = BatchStats()
-    assert stats.occupancy == 1.0
-    stats.schedules = 4
-    stats.rows_fast = 3
-    stats.rows_ejected = 1
-    assert stats.occupancy == 0.75
-    as_dict = stats.as_dict()
-    for key in ("schedules", "rows_fast", "rows_ejected", "slots_total",
-                "slots_executed", "checkpoints_created", "restores",
-                "transitions_reused", "transitions_computed", "states",
-                "occupancy"):
-        assert key in as_dict
-
-
-def test_invalid_batch_kernel_mode_rejected():
+def test_both_machines_count_in_one_stats_class():
     db, programs = build_program_set(CONTENTION)
-    with pytest.raises(ValueError):
-        TrieExecutor(db, programs, IsolationLevelName.READ_COMMITTED,
-                     batch_kernel="sometimes")
+    executor = TrieExecutor(db, programs, IsolationLevelName.READ_COMMITTED)
+    assert executor._batch is not None
+    assert type(executor.batch_stats) is type(executor.stats) is TrieStats
 
 
 class _TracingRead(ReadItem):
@@ -425,8 +432,8 @@ def test_build_refuses_step_types_outside_its_tables(steps):
     assert build_batch_kernel(database, plain, level, "engine") is not None
     programs = [TransactionProgram(1, steps)]
     assert build_batch_kernel(database, programs, level, "engine") is None
-    with pytest.raises(ValueError, match="no batch kernel"):
-        TrieExecutor(database, programs, level, batch_kernel="on")
+    # The executor then keeps the real engines for run_batch too.
+    assert TrieExecutor(database, programs, level)._batch is None
 
 
 ALL_LEVELS = (IsolationLevelName.READ_UNCOMMITTED,
@@ -434,8 +441,7 @@ ALL_LEVELS = (IsolationLevelName.READ_UNCOMMITTED,
               IsolationLevelName.CURSOR_STABILITY,
               IsolationLevelName.REPEATABLE_READ,
               IsolationLevelName.SERIALIZABLE,
-              IsolationLevelName.SNAPSHOT_ISOLATION,
-              IsolationLevelName.ORACLE_READ_CONSISTENCY)
+              IsolationLevelName.SNAPSHOT_ISOLATION)
 
 
 def contended_pair():
@@ -463,29 +469,30 @@ def aborting_writer():
     ]
 
 
-@pytest.mark.parametrize("level", ALL_LEVELS, ids=lambda level: level.value)
+@pytest.mark.parametrize("level", ALL_LEVELS + (ORC,),
+                         ids=lambda level: level.value)
 def test_every_interleaving_of_a_contended_pair(level):
     schedules = list(enumerate_interleavings([1, 2], [4, 3]))
     trie, kernel = build_pair(None, level, builder=contended_pair)
     assert kernel is not None
     expected = {index: outcome_key(outcome)
-                for index, outcome in trie.run_batch(schedules)}
+                for index, outcome in engine_batch(trie, schedules)}
     for index, outcome in kernel.run_batch(schedules):
         assert outcome_key(outcome) == expected[index], (level, schedules[index])
-    assert kernel.stats.rows_fast == len(schedules)
+    assert kernel.stats.schedules == len(schedules)
 
 
-@pytest.mark.parametrize("level", ALL_LEVELS, ids=lambda level: level.value)
+@pytest.mark.parametrize("level", ALL_LEVELS + (ORC,),
+                         ids=lambda level: level.value)
 def test_program_aborts_roll_back_as_the_engine_does(level):
     schedules = list(enumerate_interleavings([1, 2], [3, 3]))
     trie, kernel = build_pair(None, level, builder=aborting_writer)
     expected = {index: outcome_key(outcome)
-                for index, outcome in trie.run_batch(schedules)}
+                for index, outcome in engine_batch(trie, schedules)}
     for index, outcome in kernel.run_batch(schedules):
         assert outcome_key(outcome) == expected[index], (level, schedules[index])
         assert outcome.abort_reasons.get(1) == "program abort"
         assert outcome.database.get_item("x") == 10
-    assert kernel.stats.rows_ejected == 0
 
 
 def test_build_refuses_custom_engine_options():
@@ -494,6 +501,14 @@ def test_build_refuses_custom_engine_options():
     assert build_batch_kernel(database, programs, level, "engine") is not None
     assert build_batch_kernel(database, programs, level, "engine",
                               engine_options={"first_committer_wins": False}) is None
+
+
+def test_build_refuses_oracle_read_consistency():
+    """No emulator: Oracle Read Consistency runs on the real engines."""
+    database, programs = contended_pair()
+    level = IsolationLevelName.ORACLE_READ_CONSISTENCY
+    assert build_batch_kernel(database, programs, level, "engine") is None
+    assert TrieExecutor(database, programs, level)._batch is None
 
 
 def test_build_refuses_an_empty_program_set():

@@ -13,6 +13,8 @@ from repro.explorer.schedules import schedule_space
 from repro.explorer.trie_executor import TrieExecutor
 from repro.workloads.program_sets import build_program_set
 
+from .engine_walk import engine_batch
+
 LEVELS_FAST = (
     IsolationLevelName.READ_COMMITTED,
     IsolationLevelName.SNAPSHOT_ISOLATION,
@@ -220,16 +222,16 @@ class TestCoverageReport:
         assert stats["hits"] + stats["misses"] == 20
 
     def test_real_engine_table_counters_are_reported(self):
-        """With the kernel off the real engines' transition table does the
-        sharing, and its hit rate reaches the executor's counters."""
+        """On the real-engine walk (``run_one``) the engines' transition
+        table does the sharing, and its hit rate reaches the executor's
+        counters."""
         spec = ProgramSetSpec.make("increments", transactions=2)
         database, programs = build_program_set(spec)
         schedules = schedule_space(programs, mode="exhaustive",
                                    max_schedules=50).schedules
         executor = TrieExecutor(database, programs,
-                                IsolationLevelName.SERIALIZABLE,
-                                batch_kernel="off")
-        assert len(list(executor.run_batch(schedules))) == 20
+                                IsolationLevelName.SERIALIZABLE)
+        assert len(list(engine_batch(executor, schedules))) == 20
         stats = executor.stats.as_dict()
         assert stats["transitions_reused"] > stats["transitions_computed"] > 0
         assert 0 < stats["states"] <= stats["transitions_computed"]

@@ -3,14 +3,19 @@
 However the executed levels split into batches — more workers than levels,
 fewer, one batch per level or many — the records are the serial run's, with
 and without a campaign store, and across a killed and resumed parallel run.
-The last test drives the pool through the ledger's timed stand-in for the
+One test drives the pool through the ledger's timed stand-in for the
 ``multiprocessing`` module, so the pool contract the ledger relies on
 (``Pool(processes=...)`` and a two-argument ``imap``) is held here too.
+An error in the parent leaves the pool only once every batch it was fed is
+back: terminating a worker mid-way through sending a result can hang the
+pool's exit for good.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -100,3 +105,74 @@ def test_pool_runs_through_the_ledger_timed_stand_in(serial, monkeypatch):
     # One wait per batch: four executed levels, one batch each.
     assert totals["explorer.explorer.ipc_wait"][1] == 4
     assert totals["explorer.explorer.pool_spinup"][1] == 2
+
+
+class _CountingPool:
+    """A real pool that counts the batches it is fed and the results it returns."""
+
+    def __init__(self, processes):
+        self._pool = multiprocessing.Pool(processes=processes)
+        self.fed = self.returned = 0
+        self.at_exit = None
+
+    def __enter__(self):
+        self._pool.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        self.at_exit = (self.fed, self.returned)
+        return self._pool.__exit__(*exc)
+
+    def _feed(self, tasks):
+        for task in tasks:  # on the pool's feeder thread
+            self.fed += 1
+            yield task
+
+    def imap(self, func, tasks):
+        for result in self._pool.imap(func, self._feed(tasks)):
+            self.returned += 1
+            yield result
+
+
+@pytest.mark.parametrize("fail_after", [0, 17])
+def test_an_interrupted_pool_is_left_once_its_batches_are_back(monkeypatch,
+                                                               fail_after):
+    pools = []
+
+    def pool(processes):
+        pools.append(_CountingPool(processes))
+        return pools[-1]
+
+    monkeypatch.setattr(explorer_module, "multiprocessing",
+                        SimpleNamespace(Pool=pool))
+    store = SqliteStore(":memory:")
+    try:
+        with pytest.raises(Interrupted):
+            explore(SPEC, ExploreOptions(
+                levels=TABLE_4_LEVELS, workers=2,
+                store=InterruptingStore(store, fail_after), **SAMPLE))
+    finally:
+        store.close()
+    [counting] = pools
+    fed, returned = counting.at_exit
+    assert fed == returned > 0
+
+
+def test_waiting_out_a_pool_skips_failed_batches():
+    class Results:
+        """Like ``imap``'s iterator: a failed task raises, the next goes on."""
+
+        def __init__(self):
+            self.left = [1, ValueError("task failed"), 3]
+
+        def __next__(self):
+            if not self.left:
+                raise StopIteration
+            item = self.left.pop(0)
+            if isinstance(item, Exception):
+                raise item
+            return item
+
+    results = Results()
+    explorer_module._wait_out(results)
+    assert results.left == []

@@ -24,7 +24,7 @@ from repro.engine.programs import (
     WriteItem,
 )
 from repro.explorer import ExploreOptions, ProgramSetSpec, explore
-from repro.explorer.batch_kernel import machine_key
+from repro.locking.policy import machine_key
 from repro.explorer.options import DEFAULT_LEVELS
 from repro.storage.database import Database
 from repro.storage.predicates import whole_table

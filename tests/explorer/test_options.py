@@ -135,8 +135,7 @@ def _executor_counts():
     for schedule in schedules:                   # the trie walk, checkpoints
         executor.run_one(schedule)
     list(executor.run_batch(schedules))          # the batch kernel
-    return (executor.batch_kernel, executor.stats.as_dict(),
-            executor.batch_stats.as_dict())
+    return executor.stats.as_dict(), executor.batch_stats.as_dict()
 
 
 def test_no_environment_variable_is_read(monkeypatch):
@@ -167,3 +166,9 @@ def test_retired_knobs_are_rejected_by_name(knob):
 def test_trie_executor_has_no_compiled_option():
     with pytest.raises(TypeError, match="compiled"):
         TrieExecutor(*build_program_set(SPEC), LEVELS[0], compiled=True)
+
+
+def test_trie_executor_has_no_batch_kernel_option():
+    """The programs and level pick the machine; nothing overrides it."""
+    with pytest.raises(TypeError, match="batch_kernel"):
+        TrieExecutor(*build_program_set(SPEC), LEVELS[0], batch_kernel="off")

@@ -9,9 +9,10 @@ here as the from-scratch reference, at two grains: every field of every
 outcome (history, statuses, contexts, abort reasons, blocked events,
 deadlocks, stall flag, and the database's items and rows at yield time) —
 for every engine-backed level and every curated variant, with the table
-cold, warm and capped, on the stepwise executor ``explore_variant`` builds
-and on the ``batch_kernel="auto"`` one ``explore()`` builds.  Outcome-level
-equality is what keeps a wrong merge from hiding inside the totals.
+cold, warm and capped, on both machines of the executor ``explore_variant``
+builds: ``run_batch`` (the batch kernel where one builds) and the real
+engines behind the table (``run_one``).  Outcome-level equality is what
+keeps a wrong merge from hiding inside the totals.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from repro.storage.database import Database
 from repro.storage.rows import Row
 from repro.testbed import ALL_ENGINE_LEVELS, make_engine
 from repro.workloads.scenarios import ALL_SCENARIOS, ScenarioVariant
+
+from .engine_walk import engine_batch
 
 VARIANTS = [(scenario.code, variant)
             for scenario in ALL_SCENARIOS for variant in scenario.variants]
@@ -148,6 +151,20 @@ def walked(executor, schedules):
     return keys
 
 
+def fresh_executor(variant, level):
+    """The executor ``explore_variant`` builds for one variant and level."""
+    return TrieExecutor(variant.build_database(), variant.build_programs(),
+                        level)
+
+
+def stepped(executor, schedules):
+    """Outcome keys of the real-engine walk, in input order."""
+    keys = [None] * len(schedules)
+    for index, outcome in engine_batch(executor, schedules):
+        keys[index] = outcome_key(outcome)
+    return keys
+
+
 def from_scratch(variant, level, scenario_code, outcomes=None):
     """The per-schedule loop ``explore_variant`` used to run.
 
@@ -211,22 +228,20 @@ def test_equals_from_scratch(level, code, variant, monkeypatch):
     # No executor or outcome outlives a call: a second one agrees.
     assert explore_variant(variant, level, scenario_code=code) == explored
 
-    # Schedule by schedule, on the executor explore_variant builds: a cold
+    schedules = executed_schedules(variant)
+
+    # Schedule by schedule, on the real engines behind the table: a cold
     # table, the same table warm, and a capped one — no state at all (the
     # runner's checkpoints alone) or a few (on and off the table in a row).
-    schedules = executed_schedules(variant)
-    executor = TrieExecutor(variant.build_database(), variant.build_programs(),
-                            level, batch_kernel="off")
-    assert walked(executor, schedules) == expected, "cold"
-    computed = executor.stats.transitions_computed
-    assert walked(executor, schedules) == expected, "warm"
-    assert executor.stats.transitions_computed == computed
+    engines = fresh_executor(variant, level)
+    assert stepped(engines, schedules) == expected, "cold"
+    computed = engines.stats.transitions_computed
+    assert stepped(engines, schedules) == expected, "warm"
+    assert engines.stats.transitions_computed == computed
     for cap in (0, 3):
         monkeypatch.setattr(transition_table, "TRANSITION_STATE_CAP", cap)
-        capped = TrieExecutor(variant.build_database(),
-                              variant.build_programs(), level,
-                              batch_kernel="off")
-        assert walked(capped, schedules) == expected, f"cap {cap}"
+        capped = fresh_executor(variant, level)
+        assert stepped(capped, schedules) == expected, f"cap {cap}"
         assert capped.stats.states == cap
 
 
@@ -235,34 +250,28 @@ def test_equals_from_scratch(level, code, variant, monkeypatch):
                               for code, variant in VARIANTS + PROBES])
 @pytest.mark.parametrize("level", ALL_ENGINE_LEVELS, ids=lambda level: level.name)
 def test_auto_executor_equals_from_scratch(level, code, variant, monkeypatch):
-    """The executor ``explore()`` builds (``batch_kernel="auto"``) on the same
-    spaces: the flat emulators where one builds, the real engines where the
-    programs hold rows or cursors or the level has no emulation — both
-    schedule for schedule equal to the from-scratch replay."""
+    """``run_batch``, what ``explore_variant`` and ``explore()`` walk, on the
+    same spaces: the batch kernel where one builds (item-only programs at a
+    level it emulates), the real engines where the programs hold rows or
+    cursors or the level has no emulation — both schedule for schedule equal
+    to the from-scratch replay."""
     expected = []
     from_scratch(variant, level, code, expected)
     schedules = executed_schedules(variant)
-
-    def auto_executor():
-        return TrieExecutor(variant.build_database(), variant.build_programs(),
-                            level, batch_kernel="auto")
-
-    executor = auto_executor()
-    kernel = executor._batch is not None
-    assert walked(executor, schedules) == expected, "cold"
-    stats = executor.batch_stats
+    batch = fresh_executor(variant, level)
+    kernel = batch._batch is not None
+    assert walked(batch, schedules) == expected, "cold"
+    stats = batch.batch_stats
     if kernel:
         assert stats.schedules == len(schedules)
-        assert stats.rows_fast + stats.rows_ejected == len(schedules)
     else:
-        # The silent fallback: the kernel's counters never move.
-        assert (stats.schedules, stats.rows_fast, stats.rows_ejected) == \
-            (0, 0, 0)
-        assert executor.stats.slots_total > 0
-    assert walked(executor, schedules) == expected, "warm"
+        # Without a kernel its counters never move.
+        assert stats.schedules == 0
+        assert batch.stats.slots_total > 0
+    assert walked(batch, schedules) == expected, "warm"
     for cap in (0, 3):
         monkeypatch.setattr(transition_table, "TRANSITION_STATE_CAP", cap)
-        capped = auto_executor()
+        capped = fresh_executor(variant, level)
         assert (capped._batch is not None) == kernel
         assert walked(capped, schedules) == expected, f"cap {cap}"
 
@@ -274,10 +283,8 @@ def test_the_table_hits_on_table_4():
     for level in ALL_ENGINE_LEVELS:
         for _, variant in VARIANTS:
             executor = TrieExecutor(variant.build_database(),
-                                    variant.build_programs(), level,
-                                    batch_kernel="off")
-            for _ in executor.run_batch(
-                    executed_schedules(variant)):
+                                    variant.build_programs(), level)
+            for _ in engine_batch(executor, executed_schedules(variant)):
                 pass
             stats = executor.stats
             reused += stats.transitions_reused

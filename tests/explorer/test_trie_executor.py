@@ -6,7 +6,9 @@ byte-identical to building a fresh testbed and running that schedule from
 scratch.  Gated here for every engine level, for exhaustive (enumeration
 order) and sampled (random order) streams, across checkpoint spacings, with
 duplicate schedules in the stream, and across batch boundaries (the worker
-reuses one executor for many chunks).
+reuses one executor for many chunks).  Item-only program sets at a level
+the batch kernel emulates run ``run_batch`` on the kernel; the streams that
+gate the real engines walk them through ``run_one`` (:func:`engine_batch`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from repro.explorer.schedules import schedule_space
 from repro.explorer.trie_executor import TrieExecutor
 from repro.testbed import make_engine
 from repro.workloads.program_sets import ProgramSetSpec, build_program_set
+
+from .engine_walk import engine_batch
 
 ALL_LEVELS = TABLE_4_LEVELS + (IsolationLevelName.ORACLE_READ_CONSISTENCY,)
 
@@ -53,11 +57,15 @@ def from_scratch_keys(spec, level, schedules):
     return keys
 
 
-def trie_keys(spec, level, schedules, **executor_kwargs):
+def trie_keys(spec, level, schedules, engines=False):
+    """Outcome keys of ``run_batch``, or with ``engines`` of the real-engine
+    walk, in input order."""
     database, programs = build_program_set(spec)
-    executor = TrieExecutor(database, programs, level, **executor_kwargs)
+    executor = TrieExecutor(database, programs, level)
+    walk = (engine_batch(executor, schedules) if engines
+            else executor.run_batch(schedules))
     keys = [None] * len(schedules)
-    for index, outcome in executor.run_batch(schedules):
+    for index, outcome in walk:
         keys[index] = outcome_key(outcome)
     return keys, executor
 
@@ -69,9 +77,9 @@ def test_sampled_stream_byte_equal_to_from_scratch(level):
                                seed=11).schedules
     expected = from_scratch_keys(CONTENTION, level, schedules)
     # This module gates the real engines behind the table; the batch kernel
-    # (the default run_batch route) has its own suite in test_batch_kernel.py.
-    actual, executor = trie_keys(CONTENTION, level, schedules,
-                                 batch_kernel="off")
+    # (run_batch's route where one builds) has its own suite in
+    # test_batch_kernel.py.
+    actual, executor = trie_keys(CONTENTION, level, schedules, engines=True)
     assert actual == expected
     # Prefix sharing actually happened: strictly fewer slots executed than fed.
     assert executor.stats.slots_executed < executor.stats.slots_total
@@ -91,8 +99,7 @@ def test_exhaustive_stream_byte_equal_across_key_levels(spec):
                   IsolationLevelName.SNAPSHOT_ISOLATION,
                   IsolationLevelName.SERIALIZABLE):
         expected = from_scratch_keys(spec, level, schedules)
-        actual, executor = trie_keys(spec, level, schedules,
-                                     batch_kernel="off")
+        actual, executor = trie_keys(spec, level, schedules, engines=True)
         assert actual == expected, (spec.name, level)
         assert executor.stats.replayed_ratio < 1.0
 
@@ -152,9 +159,9 @@ def test_rows_driven_to_the_attempt_budget_match(level):
                   for extra in range(limit - 10, limit + 3)]
     expected = from_scratch_keys(spec, level, schedules)
     database, programs = build_program_set(spec)
-    executor = TrieExecutor(database, programs, level, batch_kernel="off")
+    executor = TrieExecutor(database, programs, level)
     for _ in range(2):
         keys = [None] * len(schedules)
-        for index, outcome in executor.run_batch(schedules):
+        for index, outcome in engine_batch(executor, schedules):
             keys[index] = outcome_key(outcome)
         assert keys == expected

@@ -78,8 +78,7 @@ def _manifesting_schedules(variant, policy):
     space = schedule_space(programs, max_schedules=DEFAULT_MAX_SCHEDULES)
     assert space.mode == "exhaustive"
     executor = TrieExecutor(variant.build_database(), programs,
-                            IsolationLevelName.SERIALIZABLE,
-                            batch_kernel="off", policy=policy)
+                            IsolationLevelName.SERIALIZABLE, policy=policy)
     return sum(1 for _, outcome in executor.run_batch(space.schedules)
                if not outcome.stalled and variant.manifests(outcome))
 

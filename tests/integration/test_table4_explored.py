@@ -58,6 +58,10 @@ LEVELS = TABLE_4_LEVELS + tuple(EXTENSION_EXPECTATIONS)
 #: cell, frequency or the pruned count moves.
 DEFAULT_RENDER_SHA256 = (
     "dc55e4bcd987bc3e2d6f7bac00c3bb8ab305950302904b72904de72ce7284c40")
+#: The same for ``compute_table4_explored(static_pruning=False).render()``,
+#: which executes every space.
+UNPRUNED_RENDER_SHA256 = (
+    "85e9dc2dc2b8886c5c0f40d92c68caaeac3aeb6831b31f6bf4e3e6428f7024b3")
 
 EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "table4_explored.py"
 
@@ -163,6 +167,12 @@ def test_default_render_is_pinned():
     render = compute_table4_explored().render()
     assert hashlib.sha256(render.encode()).hexdigest() == \
         DEFAULT_RENDER_SHA256, render
+
+
+def test_unpruned_render_is_pinned():
+    render = compute_table4_explored(static_pruning=False).render()
+    assert hashlib.sha256(render.encode()).hexdigest() == \
+        UNPRUNED_RENDER_SHA256, render
 
 
 def test_a_budget_covering_the_largest_space_changes_no_cell():

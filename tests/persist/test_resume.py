@@ -42,6 +42,28 @@ class InterruptingStore:
         return commit_chunk
 
 
+class DyingAtCompletion:
+    """Proxy that dies in the ``fail_at``-th ``mark_scope_complete``, before
+    it writes: every chunk of that scope is durable, its completion is not."""
+
+    def __init__(self, inner, fail_at: int):
+        self._inner = inner
+        self._left = fail_at
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name != "mark_scope_complete":
+            return attr
+
+        def mark_scope_complete(*args, **kwargs):
+            self._left -= 1
+            if self._left <= 0:
+                raise Interrupted()
+            return attr(*args, **kwargs)
+
+        return mark_scope_complete
+
+
 SPEC = ProgramSetSpec.make("increments")
 EXPLORE_KWARGS = dict(max_schedules=200, chunk_size=8)
 #: The streams the transparency and resume contracts run on: ``SPEC``'s
@@ -184,10 +206,34 @@ class TestStoreWrites:
         # level reused from an earlier one commits its chunks too) and one
         # that marks the scope complete: 1 + 5 * (3 + 1).
         assert store.stats()["write_transactions"] == 1 + levels * (chunks + 1) == 21
-        # A re-run executes nothing and only marks each scope complete again.
+        # A re-run executes nothing and writes nothing: every scope is
+        # already recorded complete.
         explore(SPEC, ExploreOptions(
             workers=workers, store=store, campaign_id="c1", **EXPLORE_KWARGS))
-        assert store.stats()["write_transactions"] == 21 + levels
+        assert store.stats()["write_transactions"] == 21
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_run_killed_marking_its_last_scope_complete_resumes(
+            self, store, workers, baseline):
+        with pytest.raises(Interrupted):
+            explore(SPEC, ExploreOptions(
+                workers=workers, store=DyingAtCompletion(store, 5),
+                campaign_id="c1", **EXPLORE_KWARGS))
+        progress = store.scope_progress("c1")
+        chunks = -(-len(baseline.space) // EXPLORE_KWARGS["chunk_size"])
+        assert sorted(state.cursor for state in progress.values()) == [chunks] * 5
+        incomplete = [scope for scope, state in progress.items()
+                      if not state.complete]
+        assert len(incomplete) == 1
+        writes = store.stats()["write_transactions"]
+        resumed = explore(SPEC, ExploreOptions(
+            workers=workers, store=store, campaign_id="c1", **EXPLORE_KWARGS))
+        assert resumed.fingerprint() == baseline.fingerprint()
+        assert resumed.executed_schedules() == 0
+        # The one write the resume makes: the missing completion.
+        assert store.stats()["write_transactions"] == writes + 1
+        assert all(state.complete
+                   for state in store.scope_progress("c1").values())
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_killed_run_resumes_to_the_uninterrupted_result(

@@ -27,7 +27,6 @@ KERNEL_LEVELS = (
     IsolationLevelName.REPEATABLE_READ,
     IsolationLevelName.SERIALIZABLE,
     IsolationLevelName.SNAPSHOT_ISOLATION,
-    IsolationLevelName.ORACLE_READ_CONSISTENCY,
 )
 
 
